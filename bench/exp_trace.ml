@@ -60,6 +60,8 @@ type size_result = {
   alloc_analyze_arena_w : float;  (* words per LCM cascade (analyze), arena path *)
   arena_misses_delta : int;  (* pool misses across the measured window; 0 = warm *)
   prof_arena : Prof.t;  (* per-phase breakdown of traced arena-backed runs *)
+  print_w_per_kb : float;  (* Cfg.to_string, words per KB of text printed *)
+  decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
 }
 
 let overhead_p95 r = (r.on_p95_ms /. r.off_p95_ms) -. 1.
@@ -179,6 +181,29 @@ let measure_size ~blocks ~iters =
     Prof.add prof_arena (Trace.drain ())
   done;
   Trace.disable ();
+  (* The text layers around the cascade, per KB so one budget covers every
+     size: printing the graph, and decoding a run request carrying it (the
+     frame's program string is one long literal full of escapes). *)
+  let text = Cfg.to_string g in
+  let frame =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Int 1);
+           ("op", Json.String "run");
+           ("format", Json.String "cfg");
+           ("program", Json.String text);
+         ])
+  in
+  let per_kb bytes w = w /. (float_of_int bytes /. 1024.) in
+  let print_w_per_kb =
+    per_kb (String.length text)
+      (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Cfg.to_string g)))
+  in
+  let decode_w_per_kb =
+    per_kb (String.length frame)
+      (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Json.parse frame)))
+  in
   {
     blocks;
     iters;
@@ -194,6 +219,8 @@ let measure_size ~blocks ~iters =
     alloc_analyze_arena_w;
     arena_misses_delta = misses1 - misses0;
     prof_arena;
+    print_w_per_kb;
+    decode_w_per_kb;
   }
 
 let disabled_probe_ns () =
@@ -461,6 +488,9 @@ let print_alloc_rows rows =
    - "request.arena": the whole pipeline, transform included — loose (the
      output graph scales with program size), a backstop against gross
      regressions.
+   - "cfg.print.w_per_kb" / "json.decode.w_per_kb": the text layers of a
+     request — [Cfg.to_string] and [Json.parse] of a run request frame —
+     in words per KB of text, fenced like the two above.
    - any other key: matched against the traced per-phase profile (span
      accounting; indicative, coarser than the fenced numbers). *)
 
@@ -496,19 +526,20 @@ let check_alloc_budget rows =
               match name with
               | "analyze.arena" -> Some r.alloc_analyze_arena_w
               | "request.arena" -> Some r.alloc_arena_w
+              | "cfg.print.w_per_kb" -> Some r.print_w_per_kb
+              | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
               | _ -> phase_alloc r.prof_arena name
             in
+            let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
             match got with
             | None -> ()
             | Some got ->
               if got > budget then begin
-                Common.note
-                  "FAIL: %s allocates %.0f words/request at %d blocks, budget is %.0f (%s)" name
-                  got r.blocks budget path;
+                Common.note "FAIL: %s allocates %.0f %s at %d blocks, budget is %.0f (%s)" name got unit
+                  r.blocks budget path;
                 exit 1
               end
-              else
-                Common.note "alloc budget ok: %-16s %8.0f <= %8.0f words/request" name got budget)
+              else Common.note "alloc budget ok: %-20s %8.0f <= %8.0f %s" name got budget unit)
           rows)
       budgets
   end
@@ -535,6 +566,8 @@ let json_of_size r =
           (Float.round (r.alloc_analyze_heap_w /. Float.max 1. r.alloc_analyze_arena_w *. 10.)
           /. 10.) );
       ("arena_misses_delta", Json.Int r.arena_misses_delta);
+      ("print_w_per_kb", Json.Float (Float.round r.print_w_per_kb));
+      ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
       ("phases", Prof.to_json r.prof);
       ("phases_arena", Prof.to_json r.prof_arena);
     ]

@@ -434,22 +434,59 @@ let num_candidate_occurrences g =
       + List.length (List.filter (fun i -> Option.is_some (Instr.candidate i)) (instrs g l)))
     0 (labels g)
 
-let pp_terminator ppf = function
-  | Goto l -> Format.fprintf ppf "goto %a" Label.pp l
-  | Branch (c, a, b) -> Format.fprintf ppf "if %a then %a else %a" Expr.pp_operand c Label.pp a Label.pp b
-  | Halt -> Format.pp_print_string ppf "halt"
+let add_terminator buf = function
+  | Goto l ->
+    Buffer.add_string buf "goto ";
+    Label.add_to_buffer buf l
+  | Branch (c, a, b) ->
+    Buffer.add_string buf "if ";
+    Expr.add_operand buf c;
+    Buffer.add_string buf " then ";
+    Label.add_to_buffer buf a;
+    Buffer.add_string buf " else ";
+    Label.add_to_buffer buf b
+  | Halt -> Buffer.add_string buf "halt"
 
-let pp ppf g =
-  Format.fprintf ppf "@[<v>cfg %s (entry %a, exit %a)" g.name Label.pp g.entry Label.pp g.exit_label;
+let pp_terminator ppf t =
+  let buf = Buffer.create 32 in
+  add_terminator buf t;
+  Format.pp_print_string ppf (Buffer.contents buf)
+
+let rec add_instr_lines buf = function
+  | [] -> ()
+  | i :: rest ->
+    Buffer.add_string buf "\n  ";
+    Instr.add_to_buffer buf i;
+    add_instr_lines buf rest
+
+(* The graph's one printer, writing straight into a [Buffer]: a header
+   line, then per block (allocation order) its label line, its
+   instructions and its terminator, each indented by two spaces, with no
+   trailing newline.  The text is the canonical form [digest] hashes, so
+   it must stay byte-stable. *)
+let to_string g =
+  let labels = labels g in
+  let lines = List.fold_left (fun n l -> n + 2 + List.length (instrs g l)) 1 labels in
+  let buf = Buffer.create (16 * lines) in
+  Buffer.add_string buf "cfg ";
+  Buffer.add_string buf g.name;
+  Buffer.add_string buf " (entry ";
+  Label.add_to_buffer buf g.entry;
+  Buffer.add_string buf ", exit ";
+  Label.add_to_buffer buf g.exit_label;
+  Buffer.add_char buf ')';
   List.iter
     (fun l ->
-      Format.fprintf ppf "@,%a:" Label.pp l;
-      List.iter (fun i -> Format.fprintf ppf "@,  %a" Instr.pp i) (instrs g l);
-      Format.fprintf ppf "@,  %a" pp_terminator (term g l))
-    (labels g);
-  Format.fprintf ppf "@]"
+      Buffer.add_char buf '\n';
+      Label.add_to_buffer buf l;
+      Buffer.add_char buf ':';
+      add_instr_lines buf (instrs g l);
+      Buffer.add_string buf "\n  ";
+      add_terminator buf (term g l))
+    labels;
+  Buffer.contents buf
 
-let to_string g = Format.asprintf "%a" pp g
+let pp ppf g = Format.pp_print_string ppf (to_string g)
 
 (* Content address of the printed form.  [to_string] prints blocks in
    allocation order with dense labels, so two graphs that parse to the

@@ -130,8 +130,15 @@ val num_instrs : t -> int
 val num_candidate_occurrences : t -> int
 
 val pp_terminator : Format.formatter -> terminator -> unit
-val pp : Format.formatter -> t -> unit
+
+(** The canonical text of the graph: a [cfg NAME (entry B0, exit B1)]
+    header, then every block in allocation order as a [Bn:] line followed
+    by its instructions and its terminator, each indented two spaces;
+    lines are separated by ['\n'] with no trailing newline.  Written
+    directly into a buffer; {!pp} prints the same string. *)
 val to_string : t -> string
+
+val pp : Format.formatter -> t -> unit
 
 (** Hex MD5 of {!to_string} — the canonical content address of the graph.
     Structurally identical graphs (same blocks in allocation order, same

@@ -14,5 +14,8 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+(** Appends {!to_string}'s rendering without allocating. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

@@ -20,6 +20,77 @@ type t = {
   live : bool array;
 }
 
+(* Per-variable kill masks (bit set ⇔ the expression reads the variable),
+   so that applying a definition is three word-wide vector ops.  They are
+   filled in one pass over the pool's expressions, each setting its bit in
+   its operands' masks: a scan of the pool per written variable would cost
+   O(variables × candidates) per graph.
+
+   The masks are keyed by variable name in an open-addressing table whose
+   slot arrays, like the masks, come from the arena: a warm request builds
+   the table without allocating.  A slot's key is an operand occurrence,
+   [1 + 2 * index + side] (side 0: the left or only operand, 1: the right
+   one), whose variable name is read back from the pool; 0 marks an empty
+   slot.  Twice as many slots as there can be keys keeps probes short. *)
+type masks = {
+  m_pool : Expr_pool.t;
+  keys : int array;
+  vecs : Bitvec.t array;
+  cap_mask : int;  (* slot count - 1, a power of two minus one *)
+}
+
+let key_name pool key =
+  match (Expr_pool.expr pool ((key - 1) lsr 1), (key - 1) land 1) with
+  | (Expr.Unary (_, Expr.Var v) | Expr.Binary (_, Expr.Var v, _)), 0 -> v
+  | Expr.Binary (_, _, Expr.Var v), 1 -> v
+  | _ -> assert false
+
+(* The slot holding [v], or the empty slot where it would go. *)
+let rec probe m v s =
+  let key = Array.unsafe_get m.keys s in
+  if key = 0 || String.equal (key_name m.m_pool key) v then s else probe m v ((s + 1) land m.cap_mask)
+
+let[@inline] slot m v = probe m v (Hashtbl.hash v land m.cap_mask)
+
+let kill_masks scratch pool =
+  let n = Expr_pool.size pool in
+  let rec pow2 c = if c >= 4 * n then c else pow2 (2 * c) in
+  let cap = pow2 16 in
+  let m =
+    { m_pool = pool; keys = Arena.alloc_int scratch cap; vecs = Arena.alloc_vec scratch cap; cap_mask = cap - 1 }
+  in
+  let note idx side = function
+    | Expr.Var v ->
+      let s = slot m v in
+      if m.keys.(s) = 0 then begin
+        m.keys.(s) <- 1 + (2 * idx) + side;
+        m.vecs.(s) <- Arena.alloc scratch n
+      end;
+      Bitvec.set m.vecs.(s) idx true
+    | Expr.Const _ -> ()
+  in
+  for idx = 0 to n - 1 do
+    match Expr_pool.expr pool idx with
+    | Expr.Atom _ -> ()
+    | Expr.Unary (_, a) -> note idx 0 a
+    | Expr.Binary (_, a, b) ->
+      note idx 0 a;
+      note idx 1 b
+  done;
+  m
+
+(* Apply a write of [v]: every expression reading [v] is killed for the
+   rest of the block, leaves TRANSP and loses its downwards exposure.  A
+   variable that no candidate reads has no mask and kills nothing. *)
+let kill masks killed c t v =
+  let s = slot masks v in
+  if Array.unsafe_get masks.keys s <> 0 then begin
+    let m = Array.unsafe_get masks.vecs s in
+    ignore (Bitvec.union_into ~into:killed m);
+    ignore (Bitvec.diff_into ~into:t m);
+    ignore (Bitvec.diff_into ~into:c m)
+  end
+
 (* One block's instruction scan, as a top-level recursion: a local closure
    would be allocated per block, and the [Instr.defs]/[Instr.candidate]
    option API would allocate a [Some] per instruction — this runs once per
@@ -28,7 +99,7 @@ type t = {
    The computation happens before the definition takes effect, so an
    instruction like [x := x + 1] exposes [x + 1] upwards but not
    downwards. *)
-let rec scan_block pool reads_mask killed a c t = function
+let rec scan_block pool masks killed a c t = function
   | [] -> ()
   | i :: rest ->
     (match i with
@@ -43,23 +114,23 @@ let rec scan_block pool reads_mask killed a c t = function
         if not (Bitvec.get killed idx) then Bitvec.set a idx true;
         Bitvec.set c idx true
       end;
-      let m = reads_mask v in
-      ignore (Bitvec.union_into ~into:killed m);
-      ignore (Bitvec.diff_into ~into:t m);
-      ignore (Bitvec.diff_into ~into:c m)
+      kill masks killed c t v
     | Instr.Print _ -> ()
-    | Instr.Effect _ ->
+    | Instr.Effect e ->
       (* Opaque effect: kill every expression reading a variable it may
-         clobber (destination plus operands — a call or store may alias).
-         Never a candidate itself, so nothing enters [a]/[c]. *)
+         clobber — [Instr.kills]: destination plus operands, since a call
+         or store may alias.  Walked in place rather than through that
+         sorted list; killing a variable twice is harmless.  Never a
+         candidate itself, so nothing enters [a]/[c]. *)
+      (match e.Instr.eff_dest with
+      | Some (v, _) -> kill masks killed c t v
+      | None -> ());
       List.iter
-        (fun v ->
-          let m = reads_mask v in
-          ignore (Bitvec.union_into ~into:killed m);
-          ignore (Bitvec.diff_into ~into:t m);
-          ignore (Bitvec.diff_into ~into:c m))
-        (Instr.kills i));
-    scan_block pool reads_mask killed a c t rest
+        (function
+          | Expr.Var v -> kill masks killed c t v
+          | Expr.Const _ -> ())
+        e.Instr.eff_args);
+    scan_block pool masks killed a c t rest
 
 let compute ?scratch g pool =
   let n = Expr_pool.size pool in
@@ -68,19 +139,7 @@ let compute ?scratch g pool =
   and comp = Arena.alloc_vec scratch bound
   and transp = Arena.alloc_vec scratch bound in
   let live = Arena.alloc_bool scratch bound in
-  (* Per-variable kill masks (bit set ⇔ the expression reads the variable),
-     shared across blocks: applying a definition is then three word-wide
-     vector ops instead of a per-bit loop over [Expr_pool.reading]. *)
-  let mask_cache = Hashtbl.create 16 in
-  let reads_mask v =
-    match Hashtbl.find mask_cache v with
-    | m -> m
-    | exception Not_found ->
-      let m = Arena.alloc scratch n in
-      List.iter (fun idx -> Bitvec.set m idx true) (Expr_pool.reading pool v);
-      Hashtbl.add mask_cache v m;
-      m
-  in
+  let masks = kill_masks scratch pool in
   (* [killed] tracks expressions whose operands have been modified by an
      earlier instruction of the current block. *)
   let killed = Arena.alloc scratch n in
@@ -90,7 +149,7 @@ let compute ?scratch g pool =
       and c = Arena.alloc scratch n
       and t = Arena.alloc_full scratch n in
       Bitvec.fill killed false;
-      scan_block pool reads_mask killed a c t (Cfg.instrs g l);
+      scan_block pool masks killed a c t (Cfg.instrs g l);
       antloc.(l) <- a;
       comp.(l) <- c;
       transp.(l) <- t;

@@ -38,14 +38,23 @@ exception Err of string * string (* message, JSON path *)
 
 let fail path fmt = Printf.ksprintf (fun m -> raise (Err (m, path))) fmt
 
+(* Errors inside one instruction are raised without their JSON path;
+   [segments] attaches [functions[i].instrs[j]] as it re-raises, so the
+   path string is built only for the instruction that failed. *)
+exception Bad_instr of string
+
+let bad fmt = Printf.ksprintf (fun m -> raise (Bad_instr m)) fmt
+
+let instr_path fpath i = Printf.sprintf "%s.instrs[%d]" fpath i
+
 (* ---- types as tokens ----
    Bril types are JSON ("int", {"ptr": "int"}); internally they ride
    along as compact tokens ("int", "ptr<int>") inside [Instr.Effect]. *)
 
-let rec token_of_type path = function
+let rec token_of_type = function
   | Json.String s -> s
-  | Json.Obj [ (k, v) ] -> k ^ "<" ^ token_of_type path v ^ ">"
-  | _ -> fail path "unsupported type"
+  | Json.Obj [ (k, v) ] -> k ^ "<" ^ token_of_type v ^ ">"
+  | _ -> bad "unsupported type"
 
 let rec type_of_token s =
   match String.index_opt s '<' with
@@ -99,16 +108,15 @@ let get_string path field j =
   | Some s -> s
   | None -> fail path "missing or non-string field %S" field
 
-let get_string_list path field j =
-  match Json.member field j with
+let string_list field = function
   | None | Some Json.Null -> []
   | Some (Json.List xs) ->
     List.map
       (function
         | Json.String s -> s
-        | _ -> fail path "field %S must be a list of strings" field)
+        | _ -> bad "field %S must be a list of strings" field)
       xs
-  | Some _ -> fail path "field %S must be a list of strings" field
+  | Some _ -> bad "field %S must be a list of strings" field
 
 (* One parsed Bril instruction (terminators included, handled by the
    block builder). *)
@@ -120,71 +128,117 @@ type instr =
   | I_ret of string option
   | I_nop
 
-let parse_instr path j =
-  match j with
-  | Json.Obj _ when Json.member "label" j <> None ->
-    (match Json.member "label" j with
+(* The fields an instruction object may carry, gathered in one pass over
+   its members.  The first occurrence of a key wins, as with
+   [Json.member]. *)
+type fields = {
+  mutable f_label : Json.t option;
+  mutable f_op : Json.t option;
+  mutable f_args : Json.t option;
+  mutable f_labels : Json.t option;
+  mutable f_funcs : Json.t option;
+  mutable f_dest : Json.t option;
+  mutable f_type : Json.t option;
+  mutable f_value : Json.t option;
+}
+
+let gather members =
+  let f =
+    {
+      f_label = None;
+      f_op = None;
+      f_args = None;
+      f_labels = None;
+      f_funcs = None;
+      f_dest = None;
+      f_type = None;
+      f_value = None;
+    }
+  in
+  List.iter
+    (fun (k, v) ->
+      match k with
+      | "label" -> if f.f_label = None then f.f_label <- Some v
+      | "op" -> if f.f_op = None then f.f_op <- Some v
+      | "args" -> if f.f_args = None then f.f_args <- Some v
+      | "labels" -> if f.f_labels = None then f.f_labels <- Some v
+      | "funcs" -> if f.f_funcs = None then f.f_funcs <- Some v
+      | "dest" -> if f.f_dest = None then f.f_dest <- Some v
+      | "type" -> if f.f_type = None then f.f_type <- Some v
+      | "value" -> if f.f_value = None then f.f_value <- Some v
+      | _ -> ())
+    members;
+  f
+
+let parse_instr = function
+  | Json.Obj members ->
+    let fs = gather members in
+    (match fs.f_label with
     | Some (Json.String l) -> I_label l
-    | _ -> fail path "label must be a string")
-  | Json.Obj _ ->
-    let op =
-      match Option.bind (Json.member "op" j) Json.to_string_opt with
-      | Some op -> op
-      | None -> fail path "instruction has neither \"op\" nor \"label\""
-    in
-    let args = get_string_list path "args" j in
-    let labels = get_string_list path "labels" j in
-    let funcs = get_string_list path "funcs" j in
-    let dest () = get_string path "dest" j in
-    let ty () = token_of_type path (Option.value (Json.member "type" j) ~default:Json.Null) in
-    let effect () =
-      let d =
-        match Json.member "dest" j with
-        | None | Some Json.Null -> None
-        | Some _ -> Some (dest (), ty ())
+    | Some _ -> bad "label must be a string"
+    | None ->
+      let op =
+        match fs.f_op with
+        | Some (Json.String op) -> op
+        | _ -> bad "instruction has neither \"op\" nor \"label\""
       in
-      I_plain
-        (Instr.Effect
-           { Instr.eff_op = op; eff_dest = d; eff_args = List.map (fun a -> Expr.Var a) args; eff_funcs = funcs })
-    in
-    (match op with
-    | "nop" -> I_nop
-    | "jmp" ->
-      (match labels with
-      | [ l ] -> I_jmp l
-      | _ -> fail path "jmp needs exactly one label")
-    | "br" ->
-      (match (args, labels) with
-      | [ c ], [ t; f ] -> I_br (c, t, f)
-      | _ -> fail path "br needs one argument and two labels")
-    | "ret" ->
-      (match args with
-      | [] -> I_ret None
-      | [ a ] -> I_ret (Some a)
-      | _ -> fail path "ret takes at most one argument")
-    | "const" ->
-      let d = dest () in
-      (match (ty (), Json.member "value" j) with
-      | "int", Some (Json.Int n) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const n)))
-      | "bool", Some (Json.Bool b) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const (if b then 1 else 0))))
-      | ("int" | "bool"), _ -> fail path "const value does not match its type"
-      | t, _ -> fail path "unsupported constant type %S" t)
-    | "id" ->
-      (match (ty (), args) with
-      | ("int" | "bool"), [ a ] -> I_plain (Instr.Assign (dest (), Expr.Atom (Expr.Var a)))
-      | _ -> effect ())
-    | "print" ->
-      (match args with
-      | [ a ] -> I_plain (Instr.Print (Expr.Var a))
-      | _ -> effect ())
-    | _ ->
-      (match (binop_of_op op, unop_of_op op, args) with
-      | Some b, _, [ x; y ] when ty () = "int" || ty () = "bool" ->
-        I_plain (Instr.Assign (dest (), Expr.Binary (b, Expr.Var x, Expr.Var y)))
-      | _, Some u, [ x ] when ty () = "int" || ty () = "bool" ->
-        I_plain (Instr.Assign (dest (), Expr.Unary (u, Expr.Var x)))
-      | _ -> effect ()))
-  | _ -> fail path "instruction must be a JSON object"
+      let args = string_list "args" fs.f_args in
+      let labels = string_list "labels" fs.f_labels in
+      let funcs = string_list "funcs" fs.f_funcs in
+      let dest () =
+        match fs.f_dest with
+        | Some (Json.String d) -> d
+        | _ -> bad "missing or non-string field %S" "dest"
+      in
+      let ty () = token_of_type (Option.value fs.f_type ~default:Json.Null) in
+      let effect () =
+        let d =
+          match fs.f_dest with
+          | None | Some Json.Null -> None
+          | Some _ -> Some (dest (), ty ())
+        in
+        I_plain
+          (Instr.Effect
+             { Instr.eff_op = op; eff_dest = d; eff_args = List.map (fun a -> Expr.Var a) args; eff_funcs = funcs })
+      in
+      (match op with
+      | "nop" -> I_nop
+      | "jmp" ->
+        (match labels with
+        | [ l ] -> I_jmp l
+        | _ -> bad "jmp needs exactly one label")
+      | "br" ->
+        (match (args, labels) with
+        | [ c ], [ t; f ] -> I_br (c, t, f)
+        | _ -> bad "br needs one argument and two labels")
+      | "ret" ->
+        (match args with
+        | [] -> I_ret None
+        | [ a ] -> I_ret (Some a)
+        | _ -> bad "ret takes at most one argument")
+      | "const" ->
+        let d = dest () in
+        (match (ty (), fs.f_value) with
+        | "int", Some (Json.Int n) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const n)))
+        | "bool", Some (Json.Bool b) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const (if b then 1 else 0))))
+        | ("int" | "bool"), _ -> bad "const value does not match its type"
+        | t, _ -> bad "unsupported constant type %S" t)
+      | "id" ->
+        (match (ty (), args) with
+        | ("int" | "bool"), [ a ] -> I_plain (Instr.Assign (dest (), Expr.Atom (Expr.Var a)))
+        | _ -> effect ())
+      | "print" ->
+        (match args with
+        | [ a ] -> I_plain (Instr.Print (Expr.Var a))
+        | _ -> effect ())
+      | _ ->
+        (match (binop_of_op op, unop_of_op op, args) with
+        | Some b, _, [ x; y ] when ty () = "int" || ty () = "bool" ->
+          I_plain (Instr.Assign (dest (), Expr.Binary (b, Expr.Var x, Expr.Var y)))
+        | _, Some u, [ x ] when ty () = "int" || ty () = "bool" ->
+          I_plain (Instr.Assign (dest (), Expr.Unary (u, Expr.Var x)))
+        | _ -> effect ())))
+  | _ -> bad "instruction must be a JSON object"
 
 (* A basic block under construction: Bril's flat instruction stream is
    split at labels and after terminators. *)
@@ -196,7 +250,7 @@ type term =
 
 type seg = {
   s_label : string option;
-  s_path : string;
+  s_at : int; (* index of the instruction that opened it *)
   mutable s_body : Instr.t list; (* reversed *)
   mutable s_term : term;
 }
@@ -204,7 +258,7 @@ type seg = {
 let segments fpath instrs =
   let segs = ref [] in
   let current = ref None in
-  let open_seg ?label path = current := Some { s_label = label; s_path = path; s_body = []; s_term = T_fall } in
+  let open_seg ?label at = current := Some { s_label = label; s_at = at; s_body = []; s_term = T_fall } in
   let close term =
     match !current with
     | Some s ->
@@ -215,24 +269,24 @@ let segments fpath instrs =
   in
   List.iteri
     (fun i j ->
-      let path = Printf.sprintf "%s.instrs[%d]" fpath i in
-      match parse_instr path j with
+      let ins = try parse_instr j with Bad_instr m -> raise (Err (m, instr_path fpath i)) in
+      match ins with
       | I_nop -> ()
       | I_label l ->
         close T_fall;
-        open_seg ~label:l path
+        open_seg ~label:l i
       | I_jmp l ->
-        if !current = None then open_seg path;
+        if !current = None then open_seg i;
         close (T_jmp l)
       | I_br (c, t, f) ->
-        if !current = None then open_seg path;
+        if !current = None then open_seg i;
         close (T_br (c, t, f))
       | I_ret a ->
-        if !current = None then open_seg path;
+        if !current = None then open_seg i;
         close (T_ret a)
       | I_plain instr ->
         (match !current with
-        | None -> open_seg path
+        | None -> open_seg i
         | Some _ -> ());
         (match !current with
         | Some s -> s.s_body <- instr :: s.s_body
@@ -270,14 +324,14 @@ let parse_function fpath j =
     (fun (s, l) ->
       match s.s_label with
       | Some name ->
-        if Hashtbl.mem by_label name then fail s.s_path "duplicate label %S" name;
+        if Hashtbl.mem by_label name then fail (instr_path fpath s.s_at) "duplicate label %S" name;
         Hashtbl.replace by_label name l
       | None -> ())
     blocks;
-  let resolve path name =
+  let resolve s name =
     match Hashtbl.find_opt by_label name with
     | Some l -> l
-    | None -> fail path "unknown label %S" name
+    | None -> fail (instr_path fpath s.s_at) "unknown label %S" name
   in
   let rec wire = function
     | [] -> ()
@@ -286,8 +340,8 @@ let parse_function fpath j =
       let next = match rest with (_, l') :: _ -> Some l' | [] -> None in
       let body, term =
         match s.s_term with
-        | T_jmp t -> (body, Cfg.Goto (resolve s.s_path t))
-        | T_br (c, t, f) -> (body, Cfg.Branch (Expr.Var c, resolve s.s_path t, resolve s.s_path f))
+        | T_jmp t -> (body, Cfg.Goto (resolve s t))
+        | T_br (c, t, f) -> (body, Cfg.Branch (Expr.Var c, resolve s t, resolve s f))
         | T_ret None -> (body, Cfg.Goto exit_l)
         | T_ret (Some x) when String.equal x Lower.return_var ->
           (* [ret _ret] is our own writer's spelling; appending

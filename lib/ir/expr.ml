@@ -84,10 +84,6 @@ let eval_unop op a =
   | Neg -> -a
   | Not -> if a = 0 then 1 else 0
 
-let pp_operand ppf = function
-  | Var v -> Format.pp_print_string ppf v
-  | Const n -> Format.pp_print_int ppf n
-
 let binop_symbol = function
   | Add -> "+"
   | Sub -> "-"
@@ -103,15 +99,38 @@ let binop_symbol = function
   | And -> "&&"
   | Or -> "||"
 
+let unop_symbol = function
+  | Neg -> "-"
+  | Not -> "!"
+
+(* The one printer: every textual form of an expression (and, through
+   [Instr]/[Cfg], of whole graphs) is written straight into a [Buffer];
+   [to_string] and [pp] below are built on it. *)
+let add_operand buf = function
+  | Var v -> Buffer.add_string buf v
+  | Const n -> Buffer.add_string buf (string_of_int n)
+
+let add_to_buffer buf = function
+  | Atom a -> add_operand buf a
+  | Unary (op, a) ->
+    Buffer.add_string buf (unop_symbol op);
+    add_operand buf a
+  | Binary (op, a, b) ->
+    add_operand buf a;
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf (binop_symbol op);
+    Buffer.add_char buf ' ';
+    add_operand buf b
+
+let to_string e =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf e;
+  Buffer.contents buf
+
+let pp_operand ppf = function
+  | Var v -> Format.pp_print_string ppf v
+  | Const n -> Format.pp_print_int ppf n
+
 let pp_binop ppf op = Format.pp_print_string ppf (binop_symbol op)
-
-let pp_unop ppf = function
-  | Neg -> Format.pp_print_string ppf "-"
-  | Not -> Format.pp_print_string ppf "!"
-
-let pp ppf = function
-  | Atom a -> pp_operand ppf a
-  | Unary (op, a) -> Format.fprintf ppf "%a%a" pp_unop op pp_operand a
-  | Binary (op, a, b) -> Format.fprintf ppf "%a %s %a" pp_operand a (binop_symbol op) pp_operand b
-
-let to_string e = Format.asprintf "%a" pp e
+let pp_unop ppf op = Format.pp_print_string ppf (unop_symbol op)
+let pp ppf e = Format.pp_print_string ppf (to_string e)

@@ -65,6 +65,13 @@ val eval_binop : binop -> int -> int -> int
 
 val eval_unop : unop -> int -> int
 
+(** [add_to_buffer buf e] appends the textual form of [e] ([a + b], [-a],
+    [42]); it is the one printer behind {!to_string} and {!pp}. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** Appends an operand: the variable name, or the constant in decimal. *)
+val add_operand : Buffer.t -> operand -> unit
+
 val pp_operand : Format.formatter -> operand -> unit
 val pp_binop : Format.formatter -> binop -> unit
 val pp_unop : Format.formatter -> unop -> unit

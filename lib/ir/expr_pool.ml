@@ -2,10 +2,9 @@ type t = {
   table : (Expr.t, int) Hashtbl.t;
   mutable exprs : Expr.t array;
   mutable size : int;
-  (* var → indices of expressions reading it, memoized per pool size: the
-     local-predicate scan asks for the same few variables once per
-     definition, which made the uncached O(size) scan the hottest spot of
-     the whole analysis on large graphs. *)
+  (* var → indices of expressions reading it, for every variable at once:
+     filled by one pass over the expressions, valid while
+     [reading_cache_size] equals the pool size (-1: not filled). *)
   reading_cache : (string, int list) Hashtbl.t;
   mutable reading_cache_size : int;
   (* Guards the lazily-filled [reading_cache] only: analyses sharing a pool
@@ -21,7 +20,7 @@ let create () =
     exprs = Array.make 16 (Expr.Atom (Expr.Const 0));
     size = 0;
     reading_cache = Hashtbl.create 16;
-    reading_cache_size = 0;
+    reading_cache_size = -1;
     reading_lock = Mutex.create ();
   }
 
@@ -80,26 +79,42 @@ let to_list pool =
   done;
   !acc
 
+(* One pass over the expressions, from the last to the first, so each
+   variable's list comes out ascending.  An expression reading the same
+   variable twice ([a * a]) is listed once. *)
+let fill_reading pool =
+  let note i v =
+    match Hashtbl.find pool.reading_cache v with
+    | j :: _ as is -> if j <> i then Hashtbl.replace pool.reading_cache v (i :: is)
+    | [] -> Hashtbl.replace pool.reading_cache v [ i ]
+    | exception Not_found -> Hashtbl.add pool.reading_cache v [ i ]
+  in
+  for i = pool.size - 1 downto 0 do
+    match pool.exprs.(i) with
+    | Expr.Atom (Expr.Var v) | Expr.Unary (_, Expr.Var v) -> note i v
+    | Expr.Binary (_, a, b) ->
+      (match a with Expr.Var v -> note i v | Expr.Const _ -> ());
+      (match b with Expr.Var v -> note i v | Expr.Const _ -> ())
+    | Expr.Atom (Expr.Const _) | Expr.Unary (_, Expr.Const _) -> ()
+  done
+
 (* The body is uncurried into a plain function so the locked section needs
-   no closures at all ([Fun.protect] allocates two per call, and [reading]
-   runs once per distinct variable of every request): the exception arm
-   below replays the role of [~finally], releasing the lock before
-   re-raising (including injected chaos faults). *)
+   no closures at all ([Fun.protect] allocates two per call): the
+   exception arm below replays the role of [~finally], releasing the lock
+   before re-raising (including injected chaos faults).  The cache is
+   marked invalid before the fill and valid only after it, so a fault
+   between the two leaves it to be rebuilt by the next call. *)
 let reading_locked pool v =
   if pool.reading_cache_size <> pool.size then begin
+    pool.reading_cache_size <- -1;
     Hashtbl.reset pool.reading_cache;
+    Lcm_support.Fault.inject "pool.reading";
+    fill_reading pool;
     pool.reading_cache_size <- pool.size
   end;
   match Hashtbl.find pool.reading_cache v with
   | is -> is
-  | exception Not_found ->
-    Lcm_support.Fault.inject "pool.reading";
-    let acc = ref [] in
-    for i = pool.size - 1 downto 0 do
-      if Expr.reads_var pool.exprs.(i) v then acc := i :: !acc
-    done;
-    Hashtbl.add pool.reading_cache v !acc;
-    !acc
+  | exception Not_found -> []
 
 let reading pool v =
   Mutex.lock pool.reading_lock;

@@ -34,8 +34,8 @@ val iter : (int -> Expr.t -> unit) -> t -> unit
 (** All registered expressions in index order. *)
 val to_list : t -> (int * Expr.t) list
 
-(** Indices of expressions that read variable [v], ascending.  Memoized per
-    variable (the cache is invalidated when the pool grows), so repeated
-    queries — one per definition during local-predicate computation — are
-    O(1) after the first. *)
+(** Indices of expressions that read variable [v], ascending.  The first
+    query fills a table for every variable in one pass over the
+    expressions (refilled when the pool has grown since), so each query is
+    O(1) after it. *)
 val reading : t -> string -> int list

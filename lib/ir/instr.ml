@@ -44,15 +44,40 @@ let modifies i v =
 
 let equal (a : t) (b : t) = a = b
 
-let pp ppf = function
-  | Assign (v, e) -> Format.fprintf ppf "%s := %a" v Expr.pp e
-  | Print a -> Format.fprintf ppf "print %a" Expr.pp_operand a
+(* Written through [Expr.add_to_buffer]: the CFG printer appends every
+   instruction of a graph into one buffer. *)
+let add_to_buffer buf = function
+  | Assign (v, e) ->
+    Buffer.add_string buf v;
+    Buffer.add_string buf " := ";
+    Expr.add_to_buffer buf e
+  | Print a ->
+    Buffer.add_string buf "print ";
+    Expr.add_operand buf a
   | Effect e ->
-    Format.fprintf ppf "do %s" e.eff_op;
-    List.iter (fun f -> Format.fprintf ppf " @%s" f) e.eff_funcs;
-    List.iter (fun a -> Format.fprintf ppf " %a" Expr.pp_operand a) e.eff_args;
+    Buffer.add_string buf "do ";
+    Buffer.add_string buf e.eff_op;
+    List.iter
+      (fun f ->
+        Buffer.add_string buf " @";
+        Buffer.add_string buf f)
+      e.eff_funcs;
+    List.iter
+      (fun a ->
+        Buffer.add_char buf ' ';
+        Expr.add_operand buf a)
+      e.eff_args;
     (match e.eff_dest with
-     | Some (v, ty) -> Format.fprintf ppf " -> %s %s" v ty
+     | Some (v, ty) ->
+       Buffer.add_string buf " -> ";
+       Buffer.add_string buf v;
+       Buffer.add_char buf ' ';
+       Buffer.add_string buf ty
      | None -> ())
 
-let to_string i = Format.asprintf "%a" pp i
+let to_string i =
+  let buf = Buffer.create 32 in
+  add_to_buffer buf i;
+  Buffer.contents buf
+
+let pp ppf i = Format.pp_print_string ppf (to_string i)

@@ -42,5 +42,11 @@ val kills : t -> string list
 val modifies : t -> string -> bool
 
 val equal : t -> t -> bool
+
+(** [add_to_buffer buf i] appends the textual form of [i]
+    ([x := a + b], [print x], [do call @f a -> d int]); {!to_string} and
+    {!pp} are built on it. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -66,32 +66,44 @@ let to_string v =
   go v;
   Buffer.contents buf
 
-(* ---- parsing ---- *)
+(* ---- parsing ----
+
+   The scanner works on indices into the source string: [peek] returns a
+   plain [char] (no [Some] per character), and string bodies are copied a
+   run at a time — one [String.sub] when the literal has no escapes, else
+   one [Buffer.add_substring] per run between escapes into a buffer sized
+   for the whole literal.  Every [unsafe_get] is guarded by an explicit
+   bound check against [st.len]. *)
 
 type state = {
   src : string;
+  len : int;
   mutable pos : int;
 }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+(* End-of-input sentinel for [peek].  A NUL byte in the input reads the
+   same, so every branch that reports end of input checks [st.pos]. *)
+let eof = '\000'
 
-let advance st = st.pos <- st.pos + 1
+let[@inline] peek st = if st.pos < st.len then String.unsafe_get st.src st.pos else eof
+
+let[@inline] advance st = st.pos <- st.pos + 1
 
 let skip_ws st =
-  let rec go () =
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ()
+  while
+    st.pos < st.len
+    &&
+    match String.unsafe_get st.src st.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    advance st
+  done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail "expected %C at offset %d, found %C" c st.pos c'
-  | None -> fail "expected %C at offset %d, found end of input" c st.pos
+  if st.pos >= st.len then fail "expected %C at offset %d, found end of input" c st.pos;
+  let c' = String.unsafe_get st.src st.pos in
+  if c' = c then advance st else fail "expected %C at offset %d, found %C" c st.pos c'
 
 let add_utf8 buf code =
   if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -99,50 +111,120 @@ let add_utf8 buf code =
     Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
-  else begin
+  else if code < 0x10000 then begin
     Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
     Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
   end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
 
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - Char.code '0'
+  | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
+
+(* The four hex digits of a [\u] escape at [st.pos]: exactly four, each a
+   hex digit (no sign, no separator). *)
+let parse_hex4 st =
+  if st.pos + 4 > st.len then fail "truncated \\u escape";
+  let code = ref 0 in
+  for k = 0 to 3 do
+    let d = hex_digit (String.unsafe_get st.src (st.pos + k)) in
+    if d < 0 then fail "bad \\u escape %S" (String.sub st.src st.pos 4);
+    code := (!code lsl 4) lor d
+  done;
+  st.pos <- st.pos + 4;
+  !code
+
+(* A [\u] escape, its backslash and [u] already consumed.  A high
+   surrogate must be followed by a [\u]-escaped low surrogate; the pair
+   decodes to one supplementary code point.  A lone surrogate of either
+   kind is an error: it has no UTF-8 encoding. *)
+let parse_unicode_escape st buf =
+  let at = st.pos - 2 in
+  let hi = parse_hex4 st in
+  if hi >= 0xD800 && hi <= 0xDBFF then begin
+    if
+      st.pos + 1 < st.len
+      && String.unsafe_get st.src st.pos = '\\'
+      && String.unsafe_get st.src (st.pos + 1) = 'u'
+    then begin
+      st.pos <- st.pos + 2;
+      let lo = parse_hex4 st in
+      if lo >= 0xDC00 && lo <= 0xDFFF then
+        add_utf8 buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+      else fail "lone high surrogate \\u%04X at offset %d" hi at
+    end
+    else fail "lone high surrogate \\u%04X at offset %d" hi at
+  end
+  else if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate \\u%04X at offset %d" hi at
+  else add_utf8 buf hi
+
+(* Index of the first ['"'] or ['\\'] at or after [i], or [st.len]. *)
+let rec run_end st i =
+  if i >= st.len then i
+  else
+    match String.unsafe_get st.src i with
+    | '"' | '\\' -> i
+    | _ -> run_end st (i + 1)
+
+(* Index of the closing quote of the literal starting at [i] (escapes
+   skipped), or [st.len] when it is unterminated. *)
+let rec literal_end st i =
+  if i >= st.len then st.len
+  else
+    match String.unsafe_get st.src i with
+    | '"' -> i
+    | '\\' -> literal_end st (i + 2)
+    | _ -> literal_end st (i + 1)
+
+(* Decode runs and escapes from [st.pos] until the closing quote. *)
+let rec decode_into st buf =
+  let stop = run_end st st.pos in
+  Buffer.add_substring buf st.src st.pos (stop - st.pos);
+  st.pos <- stop;
+  if stop >= st.len then fail "unterminated string";
+  if String.unsafe_get st.src stop = '"' then advance st
+  else begin
+    advance st;
+    if st.pos >= st.len then fail "unterminated escape";
+    let c = String.unsafe_get st.src st.pos in
+    advance st;
+    (match c with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'u' -> parse_unicode_escape st buf
+    | c -> fail "bad escape \\%C" c);
+    decode_into st buf
+  end
+
+(* The body of a string literal, its opening quote already consumed.  An
+   escape is never shorter than what it decodes to, so the literal's byte
+   length bounds the buffer and it is never regrown. *)
 let parse_string_body st =
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail "unterminated string"
-    | Some '"' ->
-      advance st;
-      Buffer.contents buf
-    | Some '\\' ->
-      advance st;
-      (match peek st with
-      | None -> fail "unterminated escape"
-      | Some c ->
-        advance st;
-        (match c with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.src then fail "truncated \\u escape";
-          let hex = String.sub st.src st.pos 4 in
-          st.pos <- st.pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code -> add_utf8 buf code
-          | None -> fail "bad \\u escape %S" hex)
-        | c -> fail "bad escape \\%C" c));
-      go ()
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ()
+  let start = st.pos in
+  let stop = run_end st start in
+  if stop < st.len && String.unsafe_get st.src stop = '"' then begin
+    st.pos <- stop + 1;
+    String.sub st.src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (literal_end st start - start) in
+    decode_into st buf;
+    Buffer.contents buf
+  end
 
 let is_number_char = function
   | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
@@ -150,14 +232,9 @@ let is_number_char = function
 
 let parse_number st =
   let start = st.pos in
-  let rec go () =
-    match peek st with
-    | Some c when is_number_char c ->
-      advance st;
-      go ()
-    | _ -> ()
-  in
-  go ();
+  while st.pos < st.len && is_number_char (String.unsafe_get st.src st.pos) do
+    advance st
+  done;
   let s = String.sub st.src start (st.pos - start) in
   match int_of_string_opt s with
   | Some n -> Int n
@@ -168,7 +245,8 @@ let parse_number st =
 
 let parse_literal st word v =
   let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
+  let rec matches k = k >= n || (String.unsafe_get st.src (st.pos + k) = word.[k] && matches (k + 1)) in
+  if st.pos + n <= st.len && matches 0 then begin
     st.pos <- st.pos + n;
     v
   end
@@ -176,15 +254,15 @@ let parse_literal st word v =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail "empty input"
-  | Some '"' ->
+  if st.pos >= st.len then fail "empty input";
+  match String.unsafe_get st.src st.pos with
+  | '"' ->
     advance st;
     String (parse_string_body st)
-  | Some '{' ->
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then begin
+    if peek st = '}' then begin
       advance st;
       Obj []
     end
@@ -198,20 +276,20 @@ let rec parse_value st =
         let v = parse_value st in
         skip_ws st;
         match peek st with
-        | Some ',' ->
+        | ',' ->
           advance st;
           fields ((k, v) :: acc)
-        | Some '}' ->
+        | '}' ->
           advance st;
           Obj (List.rev ((k, v) :: acc))
         | _ -> fail "expected ',' or '}' at offset %d" st.pos
       in
       fields []
     end
-  | Some '[' ->
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then begin
+    if peek st = ']' then begin
       advance st;
       List []
     end
@@ -220,27 +298,27 @@ let rec parse_value st =
         let v = parse_value st in
         skip_ws st;
         match peek st with
-        | Some ',' ->
+        | ',' ->
           advance st;
           elements (v :: acc)
-        | Some ']' ->
+        | ']' ->
           advance st;
           List (List.rev (v :: acc))
         | _ -> fail "expected ',' or ']' at offset %d" st.pos
       in
       elements []
     end
-  | Some 't' -> parse_literal st "true" (Bool true)
-  | Some 'f' -> parse_literal st "false" (Bool false)
-  | Some 'n' -> parse_literal st "null" Null
-  | Some c when is_number_char c -> parse_number st
-  | Some c -> fail "unexpected character %C at offset %d" c st.pos
+  | 't' -> parse_literal st "true" (Bool true)
+  | 'f' -> parse_literal st "false" (Bool false)
+  | 'n' -> parse_literal st "null" Null
+  | c when is_number_char c -> parse_number st
+  | c -> fail "unexpected character %C at offset %d" c st.pos
 
 let parse s =
-  let st = { src = s; pos = 0 } in
+  let st = { src = s; len = String.length s; pos = 0 } in
   let v = parse_value st in
   skip_ws st;
-  if st.pos <> String.length s then fail "trailing content at offset %d" st.pos;
+  if st.pos <> st.len then fail "trailing content at offset %d" st.pos;
   v
 
 (* ---- accessors ---- *)

@@ -59,6 +59,37 @@ let test_pool_reading () =
   let i3 = Expr_pool.add pool (sub a (Expr.Const 1)) in
   Alcotest.(check (list int)) "reading a" [ i1; i3 ] (Expr_pool.reading pool "a")
 
+(* The cache fill is one pass for every variable, probed by the
+   [pool.reading] fault point once per fill, before the table counts as
+   valid: a fault there must leave the next call to rebuild it whole. *)
+let test_pool_reading_fault () =
+  let module Fault = Lcm_support.Fault in
+  let pool = Expr_pool.create () in
+  let i1 = Expr_pool.add pool (add a b) in
+  let i2 = Expr_pool.add pool (Expr.Binary (Expr.Mul, Expr.Var "c", Expr.Var "c")) in
+  let i3 = Expr_pool.add pool (sub a (Expr.Const 1)) in
+  let fills () =
+    match List.find_opt (fun (p, _, _) -> p = "pool.reading") (Fault.counts ()) with
+    | Some (_, occurrences, _) -> occurrences
+    | None -> 0
+  in
+  Fun.protect ~finally:Fault.disable (fun () ->
+      Fault.configure ~seed:1 [ ("pool.reading", 1.0) ];
+      (match Expr_pool.reading pool "a" with
+      | _ -> Alcotest.fail "the fault did not fire"
+      | exception Fault.Injected _ -> ());
+      Alcotest.(check int) "one probe for the failed fill" 1 (fills ());
+      (* A rate that never fires in practice, so the probes are counted. *)
+      Fault.configure ~seed:1 [ ("pool.reading", 1e-12) ];
+      Alcotest.(check (list int)) "rebuilt after the fault" [ i1; i3 ] (Expr_pool.reading pool "a");
+      Alcotest.(check (list int)) "b" [ i1 ] (Expr_pool.reading pool "b");
+      Alcotest.(check (list int)) "c * c listed once" [ i2 ] (Expr_pool.reading pool "c");
+      Alcotest.(check (list int)) "unread variable" [] (Expr_pool.reading pool "zz");
+      Alcotest.(check int) "one fill serves every variable" 1 (fills ());
+      let i4 = Expr_pool.add pool (Expr.Unary (Expr.Neg, a)) in
+      Alcotest.(check (list int)) "refilled after growth" [ i1; i3; i4 ] (Expr_pool.reading pool "a");
+      Alcotest.(check int) "growth refills once" 2 (fills ()))
+
 let test_pool_growth () =
   let pool = Expr_pool.create () in
   for i = 0 to 99 do
@@ -89,6 +120,7 @@ let suite =
     Alcotest.test_case "pool dedup via canonicalization" `Quick test_pool_dedup;
     Alcotest.test_case "pool rejects atoms" `Quick test_pool_rejects_atoms;
     Alcotest.test_case "pool reading index" `Quick test_pool_reading;
+    Alcotest.test_case "pool reading: fault point and rebuild" `Quick test_pool_reading_fault;
     Alcotest.test_case "pool growth" `Quick test_pool_growth;
     Alcotest.test_case "instructions" `Quick test_instr;
   ]

@@ -331,6 +331,62 @@ let test_retain_delta_on_bril () =
   | Some _ -> ()
   | None -> Alcotest.fail "delta response lacks solve stats"
 
+(* The canonical text is what [Cfg.digest] hashes, the result cache and
+   the shard router key on, and handle journals store as snapshots.  These
+   digests were recorded with the former [Format]-based printer; the
+   buffer printer must reproduce them exactly, before and after lcm-edge. *)
+let pinned_corpus_digests =
+  [
+    ("bool_ops.json:boolops", "f68bef8214dd13028f2586d057d8e535", "f68bef8214dd13028f2586d057d8e535");
+    ("call_kill.json:main", "aa0d22844536302ab39b9e63505e13e8", "aa0d22844536302ab39b9e63505e13e8");
+    ("call_kill.json:inc", "12e8694abd7ad0faf508da853535f391", "12e8694abd7ad0faf508da853535f391");
+    ("diamond.json:diamond", "909f87914a4fb86570ec1ff051647b2d", "67a0f1dc434bfa8daec2ceafdaed49a4");
+    ("loop_invariant.json:loopinv", "611157e9536d3a42d5371a405c8917e7", "611157e9536d3a42d5371a405c8917e7");
+    ("memory.json:mem", "3e0818ee00df10d08bde8f3cafbc1b02", "3e0818ee00df10d08bde8f3cafbc1b02");
+    ("multi_func.json:first", "be540f9426d815e56d7fddee7b7dd153", "be540f9426d815e56d7fddee7b7dd153");
+    ("multi_func.json:second", "7b0e739b264b702a1e704a884c27560c", "7b0e739b264b702a1e704a884c27560c");
+    ("nested_loop.json:nested", "2289749c89784aca60f4b64edb2c47a4", "2289749c89784aca60f4b64edb2c47a4");
+    ("redundant.json:redundant", "0b7adf260e626220ce732844ba96e4e4", "0b7adf260e626220ce732844ba96e4e4");
+  ]
+
+let pinned_suite_digests =
+  [
+    ("diamond", "67205e3bc4729ea0ed5c34440bf8241e", "2538269688201fa554fe6acde3fffe4a");
+    ("loop_invariant", "963eb2cff150640cb20774300d83b41e", "963eb2cff150640cb20774300d83b41e");
+    ("guarded_invariant", "fd577e9df926e550533fc25ad0d8283c", "fd577e9df926e550533fc25ad0d8283c");
+    ("nested_loops", "c7f119747cff7228bb1322caf9b18ea7", "c7f119747cff7228bb1322caf9b18ea7");
+    ("cse_chain", "2e2cac521b57be801008a63b6f8e928e", "2e2cac521b57be801008a63b6f8e928e");
+    ("kill_and_recompute", "f3e2243cd480ebcc30b6efb01b4a4b62", "02aac68d3f2288d1d72c940ce7945a68");
+    ("two_arm_redundancy", "a77ac7cc91d296fd087c9b8bc828d093", "6393bfabdaf77dde7083bf4f5ec99ab9");
+    ("loop_with_exit_use", "318b4c4a177f0597835f75ef6ccd295d", "5cbb69f1177722a5449ceaf0acf7f974");
+    ("deep_branches", "464b35fd6b7111bdc9f3c740cd6c1e34", "464b35fd6b7111bdc9f3c740cd6c1e34");
+    ("do_while_invariant", "1844c00197d1c543ce6d10f84200d064", "790df8193b2f655d903dc1ba51fd7e84");
+    ("gcd", "c83d7aa3021ab446f26d90b5e7d91c16", "c83d7aa3021ab446f26d90b5e7d91c16");
+    ("fib", "41ea4a8eea69c54f32ce2990dbc31ea9", "41ea4a8eea69c54f32ce2990dbc31ea9");
+    ("poly_eval", "c208a62718e1c0653b357615766406a9", "fc95963570793d1f7f76378a00c23c1f");
+    ("collatz_steps", "e5fb0aeb757381dd66781d234ddabb2f", "e5fb0aeb757381dd66781d234ddabb2f");
+    ("prime_count", "ae6ab347ba4521ca9a2295630b348fd4", "ae6ab347ba4521ca9a2295630b348fd4");
+  ]
+
+let test_pinned_digests () =
+  let lcm g =
+    Lcm_core.Pass.Pipeline.run_graph Lcm_core.Pass.default_ctx
+      (Option.get (Registry.find "lcm-edge")).Registry.pipeline g
+  in
+  let check what g (input, output) =
+    Alcotest.(check string) (what ^ " input digest") input (Cfg.digest g);
+    Alcotest.(check string) (what ^ " lcm-edge digest") output (Cfg.digest (lcm g))
+  in
+  let graphs = graphs_of_corpus () in
+  Alcotest.(check (list string)) "corpus functions"
+    (List.map (fun (w, _, _) -> w) pinned_corpus_digests)
+    (List.map fst graphs);
+  List.iter2 (fun (what, g) (_, i, o) -> check what g (i, o)) graphs pinned_corpus_digests;
+  List.iter
+    (fun (name, i, o) ->
+      check name (Lcm_eval.Suites.graph (Option.get (Lcm_eval.Suites.find name))) (i, o))
+    pinned_suite_digests
+
 let suite =
   [
     Alcotest.test_case "registry: names, default, extensions" `Quick test_registry;
@@ -340,6 +396,7 @@ let suite =
     Alcotest.test_case "corpus: every safe algorithm preserves semantics" `Slow test_corpus_all_algorithms;
     Alcotest.test_case "corpus: diamond PRE fires" `Quick test_diamond_pre_fires;
     Alcotest.test_case "corpus: print ∘ parse is a fixpoint" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "corpus and suites: canonical digests are pinned" `Quick test_pinned_digests;
     QCheck_alcotest.to_alcotest prop_roundtrip_stabilizes;
     Alcotest.test_case "engine: bril requests end to end" `Quick test_engine_bril_request;
     Alcotest.test_case "engine: unsupported_format" `Quick test_engine_unsupported_format;

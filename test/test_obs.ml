@@ -321,6 +321,93 @@ let test_no_raw_metric_keys () =
           false (contains "Stats.observe_ms"))
       [ "engine.ml"; "daemon.ml"; "supervisor.ml" ]
 
+(* ---- JSON: escapes, truncation, round trip ---- *)
+
+let parses_to what expected text =
+  match Json.parse text with
+  | Json.String got -> Alcotest.(check string) what expected got
+  | _ -> Alcotest.failf "%s: not a string" what
+  | exception Json.Parse_error m -> Alcotest.failf "%s: Parse_error %s" what m
+
+let rejects what text =
+  match Json.parse text with
+  | _ -> Alcotest.failf "%s: %S parsed" what text
+  | exception Json.Parse_error _ -> ()
+
+let test_json_unicode_escapes () =
+  parses_to "ascii" "A" {|"A"|};
+  parses_to "upper-case hex" "\xc3\xa9" {|"\u00E9"|};
+  parses_to "two-byte" "\xc3\xa9" {|"\u00e9"|};
+  parses_to "three-byte" "\xe2\x82\xac" {|"\u20ac"|};
+  parses_to "surrogate pair" "\xf0\x9f\x98\x80" {|"\ud83d\ude00"|};
+  parses_to "highest pair" "\xf4\x8f\xbf\xbf" {|"\udbff\udfff"|};
+  parses_to "escape between runs" "ab\ncd\"e\xc3\xa9f" {|"ab\ncd\"e\u00e9f"|};
+  rejects "separator in the digits" {|"\u0_41"|};
+  rejects "sign in the digits" {|"\u+041"|};
+  rejects "three digits" {|"\u041"|};
+  rejects "three digits then a quote" {|"\u041""|};
+  rejects "lone high surrogate" {|"\ud83d"|};
+  rejects "high surrogate then text" {|"\ud83dx"|};
+  rejects "high surrogate then non-surrogate" {|"\ud83d\u0041"|};
+  rejects "two high surrogates" {|"\ud83d\ud83d"|};
+  rejects "lone low surrogate" {|"\ude00"|}
+
+(* A request frame whose program string mixes copied runs with every kind
+   of escape.  Cut at every byte offset, it must fail with [Parse_error]
+   and nothing else: the scanner reads past no bound. *)
+let test_json_truncation () =
+  let frame =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Int 7);
+           ("op", Json.String "run");
+           ("validate", Json.Bool true);
+           ("deadline", Json.Null);
+           ("ratio", Json.Float 0.25);
+           ("program", Json.String "cfg f (entry B0, exit B1)\nB0:\n  x := a + b\n  \"q\" \\ \t\001\nB1:\n  halt");
+           ("args", Json.List [ Json.Int (-12); Json.Bool false ]);
+         ])
+  in
+  let frame = String.sub frame 0 (String.length frame - 1) ^ {|,"u":"\u00e9\ud83d\ude00x\/"}|} in
+  Alcotest.(check bool) "whole frame parses" true
+    (match Json.parse frame with Json.Obj _ -> true | _ -> false);
+  for cut = 0 to String.length frame - 1 do
+    match Json.parse (String.sub frame 0 cut) with
+    | _ -> Alcotest.failf "prefix of %d bytes parsed" cut
+    | exception Json.Parse_error _ -> ()
+    | exception e -> Alcotest.failf "prefix of %d bytes raised %s" cut (Printexc.to_string e)
+  done
+
+let gen_json =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               pure Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun n -> Json.Int n) int;
+               (* Integral floats print as integers; these round-trip. *)
+               map (fun k -> Json.Float (float_of_int k +. 0.5)) (int_range (-100_000) 100_000);
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+               (1, map (fun l -> Json.Obj l) (list_size (int_bound 4) (pair str (self (depth - 1)))));
+             ])
+
+let prop_json_roundtrip =
+  QCheck2.Test.make ~name:"Json.parse (Json.to_string v) = v" ~count:500 ~print:Json.to_string gen_json
+    (fun v -> Json.parse (Json.to_string v) = v)
+
 let suite =
   [
     Alcotest.test_case "disabled tracing is pass-through" `Quick test_disabled_is_passthrough;
@@ -336,4 +423,7 @@ let suite =
     Alcotest.test_case "stats snapshot schema v1/v2" `Quick test_snapshot_schema;
     Alcotest.test_case "typed metric handles" `Quick test_typed_handles;
     Alcotest.test_case "no raw metric keys in serving code" `Quick test_no_raw_metric_keys;
+    Alcotest.test_case "json: \\u escapes and surrogates" `Quick test_json_unicode_escapes;
+    Alcotest.test_case "json: every truncated frame is a Parse_error" `Quick test_json_truncation;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
   ]
