@@ -62,6 +62,7 @@ type size_result = {
   prof_arena : Prof.t;  (* per-phase breakdown of traced arena-backed runs *)
   print_w_per_kb : float;  (* Cfg.to_string, words per KB of text printed *)
   decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
+  bril_parse_w_per_kb : float;  (* Bril.parse_program of the graph, words per KB of Bril text *)
 }
 
 let overhead_p95 r = (r.on_p95_ms /. r.off_p95_ms) -. 1.
@@ -204,6 +205,13 @@ let measure_size ~blocks ~iters =
     per_kb (String.length frame)
       (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Json.parse frame)))
   in
+  (* The Bril frontend reads the same graph printed as Bril: the words it
+     allocates are the graph it builds, not a JSON tree. *)
+  let bril = Lcm_frontend.Bril.print g in
+  let bril_parse_w_per_kb =
+    per_kb (String.length bril)
+      (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Lcm_frontend.Bril.parse_program bril)))
+  in
   {
     blocks;
     iters;
@@ -221,6 +229,7 @@ let measure_size ~blocks ~iters =
     prof_arena;
     print_w_per_kb;
     decode_w_per_kb;
+    bril_parse_w_per_kb;
   }
 
 let disabled_probe_ns () =
@@ -488,8 +497,9 @@ let print_alloc_rows rows =
    - "request.arena": the whole pipeline, transform included — loose (the
      output graph scales with program size), a backstop against gross
      regressions.
-   - "cfg.print.w_per_kb" / "json.decode.w_per_kb": the text layers of a
-     request — [Cfg.to_string] and [Json.parse] of a run request frame —
+   - "cfg.print.w_per_kb" / "json.decode.w_per_kb" / "bril.parse.w_per_kb":
+     the text layers of a request — [Cfg.to_string], [Json.parse] of a run
+     request frame, and [Bril.parse_program] of the graph printed as Bril —
      in words per KB of text, fenced like the two above.
    - any other key: matched against the traced per-phase profile (span
      accounting; indicative, coarser than the fenced numbers). *)
@@ -528,6 +538,7 @@ let check_alloc_budget rows =
               | "request.arena" -> Some r.alloc_arena_w
               | "cfg.print.w_per_kb" -> Some r.print_w_per_kb
               | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
+              | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
               | _ -> phase_alloc r.prof_arena name
             in
             let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
@@ -568,6 +579,7 @@ let json_of_size r =
       ("arena_misses_delta", Json.Int r.arena_misses_delta);
       ("print_w_per_kb", Json.Float (Float.round r.print_w_per_kb));
       ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
+      ("bril_parse_w_per_kb", Json.Float (Float.round r.bril_parse_w_per_kb));
       ("phases", Prof.to_json r.prof);
       ("phases_arena", Prof.to_json r.prof_arena);
     ]

@@ -18,8 +18,71 @@ type t =
 exception Parse_error of string
 
 (** Parse one JSON document; trailing whitespace is allowed, any other
-    trailing content raises {!Parse_error}. *)
+    trailing content raises {!Parse_error}.  The tree reader over the
+    {!cursor} below. *)
 val parse : string -> t
+
+(** {2 Pull cursor}
+
+    The scanner under {!parse}, for readers that consume a document
+    without building its tree: they walk the values they need and
+    {!skip} the rest.  Every primitive raises {!Parse_error} with the
+    message {!parse} gives for the same input, so a reader that consumes
+    the whole document and then calls {!finish} accepts and rejects
+    exactly what {!parse} does, and reports the same first error. *)
+
+type cursor
+
+(** What the next value is, judged by its first byte. *)
+type kind =
+  | K_null
+  | K_bool
+  | K_number
+  | K_string
+  | K_list
+  | K_obj
+
+(** A cursor at the start of a document. *)
+val cursor : string -> cursor
+
+(** The kind of the next value, consuming only whitespace.  Raises on end
+    of input and on a byte no value starts with. *)
+val kind : cursor -> kind
+
+(** [fields c f acc] consumes an object, folding [f] over its members:
+    [f acc c] is called with the cursor at a member's value and must
+    consume exactly that value.  Until it does, {!key} and {!key_is}
+    describe the member's key.  Threading state through [acc] lets [f]
+    be a closed function, allocated once. *)
+val fields : cursor -> ('a -> cursor -> 'a) -> 'a -> 'a
+
+(** The current member's key (see {!fields}). *)
+val key : cursor -> string
+
+(** [key_is c k] is [key c = k], compared in place without allocating
+    when the key has no escapes. *)
+val key_is : cursor -> string -> bool
+
+(** [items c f acc] consumes an array, folding [f] over its elements as
+    {!fields} does over members. *)
+val items : cursor -> ('a -> cursor -> 'a) -> 'a -> 'a
+
+(** Consume a string, unescaped. *)
+val string : cursor -> string
+
+(** Consume [true] or [false]. *)
+val bool : cursor -> bool
+
+(** Consume a number: [Some n] when {!parse} reads it as [Int n], [None]
+    when it reads it as a [Float]. *)
+val int : cursor -> int option
+
+(** Consume one value of any kind, checking its syntax without building
+    it. *)
+val skip : cursor -> unit
+
+(** Accept only whitespace up to the end of the document. *)
+val finish : cursor -> unit
 
 (** Compact (single-line) rendering; never emits newlines, so a printed
     document is a valid frame. *)

@@ -387,6 +387,503 @@ let test_pinned_digests () =
       check name (Lcm_eval.Suites.graph (Option.get (Lcm_eval.Suites.find name))) (i, o))
     pinned_suite_digests
 
+(* ---- the cursor reader against a tree reader ----
+
+   [Ref_reader] is the Bril reader as it was when it parsed the whole
+   document into a [Json.t] first: kept here, and only here, as the
+   reference the streaming reader must agree with — same graphs, or the
+   same [Err (message, path)]. *)
+
+module Ref_reader = struct
+  module Label = Lcm_cfg.Label
+  module Lower = Lcm_cfg.Lower
+  module Validate = Lcm_cfg.Validate
+  module Expr = Lcm_ir.Expr
+  module Instr = Lcm_ir.Instr
+
+  let fail path fmt = Printf.ksprintf (fun m -> raise (Bril.Err (m, path))) fmt
+
+  exception Bad_instr of string
+
+  let bad fmt = Printf.ksprintf (fun m -> raise (Bad_instr m)) fmt
+
+  let instr_path fpath i = Printf.sprintf "%s.instrs[%d]" fpath i
+
+  let rec token_of_type = function
+    | Json.String s -> s
+    | Json.Obj [ (k, v) ] -> k ^ "<" ^ token_of_type v ^ ">"
+    | _ -> bad "unsupported type"
+
+  let binop_of_op = function
+    | "add" -> Some Expr.Add
+    | "sub" -> Some Expr.Sub
+    | "mul" -> Some Expr.Mul
+    | "div" -> Some Expr.Div
+    | "mod" -> Some Expr.Mod
+    | "eq" -> Some Expr.Eq
+    | "ne" -> Some Expr.Ne
+    | "lt" -> Some Expr.Lt
+    | "le" -> Some Expr.Le
+    | "gt" -> Some Expr.Gt
+    | "ge" -> Some Expr.Ge
+    | "and" -> Some Expr.And
+    | "or" -> Some Expr.Or
+    | _ -> None
+
+  let unop_of_op = function
+    | "not" -> Some Expr.Not
+    | "neg" -> Some Expr.Neg
+    | _ -> None
+
+  let get_string path field j =
+    match Option.bind (Json.member field j) Json.to_string_opt with
+    | Some s -> s
+    | None -> fail path "missing or non-string field %S" field
+
+  let string_list field = function
+    | None | Some Json.Null -> []
+    | Some (Json.List xs) ->
+      List.map
+        (function
+          | Json.String s -> s
+          | _ -> bad "field %S must be a list of strings" field)
+        xs
+    | Some _ -> bad "field %S must be a list of strings" field
+
+  (* One parsed Bril instruction (terminators included, handled by the
+     block splitter). *)
+  type instr =
+    | I_plain of Instr.t
+    | I_label of string
+    | I_jmp of string
+    | I_br of string * string * string
+    | I_ret of string option
+    | I_nop
+
+  (* The fields an instruction object may carry, gathered in one pass over
+     its members.  The first occurrence of a key wins, as with
+     [Json.member]. *)
+  type fields = {
+    mutable f_label : Json.t option;
+    mutable f_op : Json.t option;
+    mutable f_args : Json.t option;
+    mutable f_labels : Json.t option;
+    mutable f_funcs : Json.t option;
+    mutable f_dest : Json.t option;
+    mutable f_type : Json.t option;
+    mutable f_value : Json.t option;
+  }
+
+  let gather members =
+    let f =
+      {
+        f_label = None;
+        f_op = None;
+        f_args = None;
+        f_labels = None;
+        f_funcs = None;
+        f_dest = None;
+        f_type = None;
+        f_value = None;
+      }
+    in
+    List.iter
+      (fun (k, v) ->
+        match k with
+        | "label" -> if f.f_label = None then f.f_label <- Some v
+        | "op" -> if f.f_op = None then f.f_op <- Some v
+        | "args" -> if f.f_args = None then f.f_args <- Some v
+        | "labels" -> if f.f_labels = None then f.f_labels <- Some v
+        | "funcs" -> if f.f_funcs = None then f.f_funcs <- Some v
+        | "dest" -> if f.f_dest = None then f.f_dest <- Some v
+        | "type" -> if f.f_type = None then f.f_type <- Some v
+        | "value" -> if f.f_value = None then f.f_value <- Some v
+        | _ -> ())
+      members;
+    f
+
+  let parse_instr = function
+    | Json.Obj members ->
+      let fs = gather members in
+      (match fs.f_label with
+      | Some (Json.String l) -> I_label l
+      | Some _ -> bad "label must be a string"
+      | None ->
+        let op =
+          match fs.f_op with
+          | Some (Json.String op) -> op
+          | _ -> bad "instruction has neither \"op\" nor \"label\""
+        in
+        let args = string_list "args" fs.f_args in
+        let labels = string_list "labels" fs.f_labels in
+        let funcs = string_list "funcs" fs.f_funcs in
+        let dest () =
+          match fs.f_dest with
+          | Some (Json.String d) -> d
+          | _ -> bad "missing or non-string field %S" "dest"
+        in
+        let ty () = token_of_type (Option.value fs.f_type ~default:Json.Null) in
+        let effect () =
+          let d =
+            match fs.f_dest with
+            | None | Some Json.Null -> None
+            | Some _ -> Some (dest (), ty ())
+          in
+          I_plain
+            (Instr.Effect
+               { Instr.eff_op = op; eff_dest = d; eff_args = List.map (fun a -> Expr.Var a) args; eff_funcs = funcs })
+        in
+        (match op with
+        | "nop" -> I_nop
+        | "jmp" ->
+          (match labels with
+          | [ l ] -> I_jmp l
+          | _ -> bad "jmp needs exactly one label")
+        | "br" ->
+          (match (args, labels) with
+          | [ c ], [ t; f ] -> I_br (c, t, f)
+          | _ -> bad "br needs one argument and two labels")
+        | "ret" ->
+          (match args with
+          | [] -> I_ret None
+          | [ a ] -> I_ret (Some a)
+          | _ -> bad "ret takes at most one argument")
+        | "const" ->
+          let d = dest () in
+          (match (ty (), fs.f_value) with
+          | "int", Some (Json.Int n) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const n)))
+          | "bool", Some (Json.Bool b) -> I_plain (Instr.Assign (d, Expr.Atom (Expr.Const (if b then 1 else 0))))
+          | ("int" | "bool"), _ -> bad "const value does not match its type"
+          | t, _ -> bad "unsupported constant type %S" t)
+        | "id" ->
+          (match (ty (), args) with
+          | ("int" | "bool"), [ a ] -> I_plain (Instr.Assign (dest (), Expr.Atom (Expr.Var a)))
+          | _ -> effect ())
+        | "print" ->
+          (match args with
+          | [ a ] -> I_plain (Instr.Print (Expr.Var a))
+          | _ -> effect ())
+        | _ ->
+          (match (binop_of_op op, unop_of_op op, args) with
+          | Some b, _, [ x; y ] when ty () = "int" || ty () = "bool" ->
+            I_plain (Instr.Assign (dest (), Expr.Binary (b, Expr.Var x, Expr.Var y)))
+          | _, Some u, [ x ] when ty () = "int" || ty () = "bool" ->
+            I_plain (Instr.Assign (dest (), Expr.Unary (u, Expr.Var x)))
+          | _ -> effect ())))
+    | _ -> bad "instruction must be a JSON object"
+
+  (* A basic block under construction: Bril's flat instruction stream is
+     split at labels and after terminators. *)
+  type term =
+    | T_jmp of string
+    | T_br of string * string * string
+    | T_ret of string option
+    | T_fall (* falls through to the next segment (or the function's end) *)
+
+  type seg = {
+    s_label : string option;
+    s_at : int; (* index of the instruction that opened it *)
+    mutable s_body : Instr.t list; (* reversed *)
+    mutable s_term : term;
+  }
+
+  let segments fpath instrs =
+    let segs = ref [] in
+    let current = ref None in
+    let open_seg ?label at = current := Some { s_label = label; s_at = at; s_body = []; s_term = T_fall } in
+    let close term =
+      match !current with
+      | Some s ->
+        s.s_term <- term;
+        segs := s :: !segs;
+        current := None
+      | None -> ()
+    in
+    List.iteri
+      (fun i j ->
+        let ins = try parse_instr j with Bad_instr m -> raise (Bril.Err (m, instr_path fpath i)) in
+        match ins with
+        | I_nop -> ()
+        | I_label l ->
+          close T_fall;
+          open_seg ~label:l i
+        | I_jmp l ->
+          if !current = None then open_seg i;
+          close (T_jmp l)
+        | I_br (c, t, f) ->
+          if !current = None then open_seg i;
+          close (T_br (c, t, f))
+        | I_ret a ->
+          if !current = None then open_seg i;
+          close (T_ret a)
+        | I_plain instr ->
+          (match !current with
+          | None -> open_seg i
+          | Some _ -> ());
+          (match !current with
+          | Some s -> s.s_body <- instr :: s.s_body
+          | None -> assert false))
+      instrs;
+    close T_fall;
+    List.rev !segs
+
+  let parse_function fpath j =
+    let name = get_string fpath "name" j in
+    let instrs =
+      match Json.member "instrs" j with
+      | Some (Json.List xs) -> xs
+      | _ -> fail fpath "missing field \"instrs\""
+    in
+    let segs = segments fpath instrs in
+    let g = Cfg.create ~name () in
+    let exit_l = Cfg.exit_label g in
+    (* Allocate one block per segment; labels resolve to their segment's
+       block.  A leading *unlabelled* segment cannot be a branch target, so
+       it becomes the entry block itself; when the function opens with a
+       label (Bril code may branch back to it), the entry stays a bare
+       [goto first-segment] stub — our entry has no predecessors by
+       construction.  The asymmetry makes [parse (print g)] reproduce [g]'s
+       block structure exactly: {!print} emits the entry unlabelled. *)
+    let blocks =
+      List.mapi
+        (fun k s ->
+          if k = 0 && s.s_label = None then (s, Cfg.entry g)
+          else (s, Cfg.add_block g ~instrs:[] ~term:Cfg.Halt))
+        segs
+    in
+    let by_label = Hashtbl.create 16 in
+    List.iter
+      (fun (s, l) ->
+        match s.s_label with
+        | Some name ->
+          if Hashtbl.mem by_label name then fail (instr_path fpath s.s_at) "duplicate label %S" name;
+          Hashtbl.replace by_label name l
+        | None -> ())
+      blocks;
+    let resolve s name =
+      match Hashtbl.find_opt by_label name with
+      | Some l -> l
+      | None -> fail (instr_path fpath s.s_at) "unknown label %S" name
+    in
+    let rec wire = function
+      | [] -> ()
+      | (s, l) :: rest ->
+        let body = List.rev s.s_body in
+        let next = match rest with (_, l') :: _ -> Some l' | [] -> None in
+        let body, term =
+          match s.s_term with
+          | T_jmp t -> (body, Cfg.Goto (resolve s t))
+          | T_br (c, t, f) -> (body, Cfg.Branch (Expr.Var c, resolve s t, resolve s f))
+          | T_ret None -> (body, Cfg.Goto exit_l)
+          | T_ret (Some x) when String.equal x Lower.return_var ->
+            (* [ret _ret] is our own writer's spelling; appending
+               [_ret := _ret] would grow the graph on every round trip. *)
+            (body, Cfg.Goto exit_l)
+          | T_ret (Some x) -> (body @ [ Instr.Assign (Lower.return_var, Expr.Atom (Expr.Var x)) ], Cfg.Goto exit_l)
+          | T_fall -> (body, Cfg.Goto (Option.value next ~default:exit_l))
+        in
+        Cfg.set_instrs g l body;
+        Cfg.set_term g l term;
+        wire rest
+    in
+    wire blocks;
+    (match blocks with
+    | (_, l0) :: _ when not (Label.equal l0 (Cfg.entry g)) ->
+      Cfg.set_term g (Cfg.entry g) (Cfg.Goto l0)
+    | _ -> (* entry merged with the first segment (or no segments at all) *) ());
+    Cfg.remove_unreachable g;
+    (match Validate.check g with
+    | [] -> ()
+    | issues -> fail fpath "invalid graph: %s" (String.concat "; " issues));
+    (name, g)
+
+  let parse_program text =
+    match Json.parse text with
+    | exception Json.Parse_error m -> raise (Bril.Err ("malformed JSON: " ^ m, "$"))
+    | j ->
+      (match Json.member "functions" j with
+      | Some (Json.List fs) ->
+        if fs = [] then raise (Bril.Err ("program defines no function", "functions"));
+        List.mapi (fun i f -> parse_function (Printf.sprintf "functions[%d]" i) f) fs
+      | _ -> raise (Bril.Err ("missing field \"functions\"", "$")))
+
+end
+
+let outcome parse text =
+  match parse text with
+  | graphs -> Ok (List.map (fun (name, g) -> (name, Cfg.digest g)) graphs)
+  | exception Bril.Err (m, path) -> Error (m, path)
+
+let show = function
+  | Ok graphs -> String.concat ", " (List.map (fun (n, d) -> n ^ "=" ^ d) graphs)
+  | Error (m, path) -> Printf.sprintf "Err (%S, %S)" m path
+
+let agree text = outcome Bril.parse_program text = outcome Ref_reader.parse_program text
+
+let check_agree what text =
+  let got = outcome Bril.parse_program text and want = outcome Ref_reader.parse_program text in
+  if got <> want then Alcotest.failf "%s: %s\nreader:    %s\nreference: %s" what text (show got) (show want)
+
+(* Rewrite a printed program the way other producers spell it: members
+   reordered, unknown keys (nested "pos" objects among them) and
+   duplicated keys added, now and then a value of the wrong shape, and
+   whitespace between every pair of tokens. *)
+let rec mutate rng (v : Json.t) : Json.t =
+  let pick n = Prng.int rng n in
+  match v with
+  | Json.Obj members ->
+    let members = List.map (fun (k, x) -> (k, mutate rng x)) members in
+    let members =
+      if pick 3 = 0 then List.map snd (List.sort compare (List.map (fun m -> (pick 1000, m)) members))
+      else members
+    in
+    let insert m l =
+      let at = pick (List.length l + 1) in
+      List.filteri (fun i _ -> i < at) l @ (m :: List.filteri (fun i _ -> i >= at) l)
+    in
+    let members =
+      match pick 8 with
+      | 0 -> insert ("pos", Json.Obj [ ("row", Json.Int (pick 90)); ("col", Json.Int (pick 9)) ]) members
+      | 1 -> insert ("extra", Json.List [ Json.String "x\"y"; Json.Null; Json.Float 1.5 ]) members
+      | 2 when members <> [] -> insert (List.nth members (pick (List.length members))) members
+      | 3 when members <> [] && pick 6 = 0 ->
+        let k, _ = List.nth members (pick (List.length members)) in
+        let wrong = [| Json.Int 3; Json.Null; Json.String "int"; Json.List []; Json.Obj []; Json.Bool true |] in
+        insert (k, wrong.(pick (Array.length wrong))) members
+      | _ -> members
+    in
+    Json.Obj members
+  | Json.List xs -> Json.List (List.map (mutate rng) xs)
+  | v -> v
+
+let print_spaced rng v =
+  let buf = Buffer.create 256 in
+  let ws () =
+    for _ = 1 to Prng.int rng 3 do
+      Buffer.add_char buf (match Prng.int rng 4 with 0 -> ' ' | 1 -> '\n' | 2 -> '\t' | _ -> '\r')
+    done
+  in
+  let rec go v =
+    ws ();
+    (match v with
+    | Json.List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          go x)
+        xs;
+      ws ();
+      Buffer.add_char buf ']'
+    | Json.Obj members ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, x) ->
+          if i > 0 then Buffer.add_char buf ',';
+          ws ();
+          Buffer.add_string buf (Json.to_string (Json.String k));
+          ws ();
+          Buffer.add_char buf ':';
+          go x)
+        members;
+      ws ();
+      Buffer.add_char buf '}'
+    | v -> Buffer.add_string buf (Json.to_string v));
+    ws ()
+  in
+  go v;
+  Buffer.contents buf
+
+let prop_reader_matches_tree_reader =
+  QCheck2.Test.make ~name:"bril: cursor reader ≡ tree reader on reshaped programs" ~count:300
+    (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let rng = Prng.of_int (seed + 7) in
+      let g = Gencfg.random_cfg rng in
+      let text = print_spaced rng (mutate rng (Json.parse (Bril.print g))) in
+      (* Now and then a cut: a semantic error before the cut must not
+         mask the malformed JSON. *)
+      let text = if Prng.int rng 5 = 0 then String.sub text 0 (Prng.int rng (String.length text)) else text in
+      if not (agree text) then
+        QCheck2.Test.fail_reportf "%s\nreader:    %s\nreference: %s" text
+          (show (outcome Bril.parse_program text))
+          (show (outcome Ref_reader.parse_program text));
+      true)
+
+let test_reader_edge_cases () =
+  let prog ?(name = {|"name":"f"|}) instrs = Printf.sprintf {|{"functions":[{%s,"instrs":[%s]}]}|} name instrs in
+  let add = {|{"op":"add","dest":"x","type":"int","args":["a","b"]}|} in
+  let cases =
+    [
+      ("good", prog add);
+      ("functions twice, first wins", Printf.sprintf {|{"functions":[{"name":"f","instrs":[]}],"functions":5}|});
+      ("functions twice, first is bad", {|{"functions":5,"functions":[{"name":"f","instrs":[]}]}|});
+      ("name twice, first wins", prog ~name:{|"name":"f","name":5|} add);
+      ("name twice, first is bad", prog ~name:{|"name":5,"name":"f"|} add);
+      ("name after a bad instr", {|{"functions":[{"instrs":[{"op":"jmp"}],"name":7}]}|});
+      ("instrs twice, first wins", {|{"functions":[{"name":"f","instrs":[],"instrs":[{"op":"jmp"}]}]}|});
+      ("instrs twice, first is bad", {|{"functions":[{"name":"f","instrs":{},"instrs":[]}]}|});
+      ("instrs not a list", {|{"functions":[{"name":"f","instrs":"x"}]}|});
+      ("top level a list", {|[{"functions":[]}]|});
+      ("top level a number", "5");
+      ("top level a string", {|"functions"|});
+      ("top level null", "null");
+      ("function not an object", {|{"functions":[3]}|});
+      ("instruction not an object", prog {|5|});
+      ("instruction a list", prog {|[]|});
+      ("semantic error, then truncated", {|{"functions":[{"name":"f","instrs":[{"op":"jmp"}]}]|});
+      ("semantic error, then trailing junk", prog {|{"op":"jmp"}|} ^ " x");
+      ("label beats op", prog {|{"op":"add","label":"l"}|});
+      ("label not a string", prog {|{"label":3}|});
+      ("call with bad dest and type", prog {|{"op":"call","dest":5,"type":7}|});
+      ("call with null dest", prog {|{"op":"call","dest":null,"type":7,"args":["a"]}|});
+      ("ptr type", prog {|{"op":"alloc","dest":"p","type":{"ptr":{"ptr":"int"}},"args":["n"]}|});
+      ("type object with two keys", prog {|{"op":"alloc","dest":"p","type":{"ptr":"int","x":1},"args":["n"]}|});
+      ("const float value", prog {|{"op":"const","dest":"x","type":"int","value":1.0}|});
+      ("const huge value", prog {|{"op":"const","dest":"x","type":"int","value":99999999999999999999}|});
+      ("const bool", prog {|{"op":"const","dest":"x","type":"bool","value":true}|});
+      ("args with a number", prog {|{"op":"add","dest":"x","type":"int","args":["a",1]}|});
+      ("args and labels both bad", prog {|{"op":"nop","labels":7,"args":7}|});
+      ("escaped keys", prog {|{"\u006fp":"add","d\u0065st":"x","type":"int","args":["a","b"]}|});
+    ]
+  in
+  (* The first occurrence of every instruction field wins, whether the
+     later one is good or bad. *)
+  let fields =
+    [
+      ({|"op":"add"|}, {|"op":"sub"|});
+      ({|"dest":"x"|}, {|"dest":7|});
+      ({|"type":"int"|}, {|"type":"bool"|});
+      ({|"args":["a","b"]|}, {|"args":["c"]|});
+      ({|"value":3|}, {|"value":true|});
+      ({|"labels":["l"]|}, {|"labels":5|});
+      ({|"funcs":["g"]|}, {|"funcs":[1]|});
+      ({|"label":"l"|}, {|"label":2|});
+    ]
+  in
+  let dup_cases =
+    List.concat_map
+      (fun (a, b) ->
+        List.map
+          (fun (x, y) ->
+            ( "duplicate " ^ x,
+              prog (Printf.sprintf {|{%s,%s,"op":"call","dest":"d","type":"int","args":["a","b"],"value":1}|} x y) ))
+          [ (a, b); (b, a) ])
+      fields
+  in
+  List.iter (fun (what, text) -> check_agree what text) (cases @ dup_cases);
+  let expect what text want =
+    let got = outcome Bril.parse_program text in
+    if got <> Error want then Alcotest.failf "%s: %s" what (show got)
+  in
+  expect "first functions is bad" {|{"functions":5,"functions":[{"name":"f","instrs":[]}]}|}
+    ({|missing field "functions"|}, "$");
+  expect "name beats a later instruction error" {|{"functions":[{"instrs":[{"op":"jmp"}],"name":7}]}|}
+    ({|missing or non-string field "name"|}, "functions[0]");
+  expect "instruction not an object" (prog "5") ("instruction must be a JSON object", "functions[0].instrs[0]");
+  (match outcome Bril.parse_program {|{"functions":[{"name":"f","instrs":[{"op":"jmp"}]}]|} with
+  | Error (m, "$") when contains m "malformed JSON" -> ()
+  | got -> Alcotest.failf "semantic error then truncation: %s" (show got))
+
 let suite =
   [
     Alcotest.test_case "registry: names, default, extensions" `Quick test_registry;
@@ -402,4 +899,7 @@ let suite =
     Alcotest.test_case "engine: unsupported_format" `Quick test_engine_unsupported_format;
     Alcotest.test_case "engine: bril parse errors keep their path" `Quick test_engine_bril_parse_error_path;
     Alcotest.test_case "engine: retain + delta on a bril graph" `Quick test_retain_delta_on_bril;
+    Alcotest.test_case "bril: duplicate keys, shapes and truncation match the tree reader" `Quick
+      test_reader_edge_cases;
+    QCheck_alcotest.to_alcotest prop_reader_matches_tree_reader;
   ]

@@ -408,6 +408,119 @@ let prop_json_roundtrip =
   QCheck2.Test.make ~name:"Json.parse (Json.to_string v) = v" ~count:500 ~print:Json.to_string gen_json
     (fun v -> Json.parse (Json.to_string v) = v)
 
+(* Every byte of the literal is an escape: short escapes, [\u] escapes of
+   one to three UTF-8 bytes, and surrogate pairs for four.  [Json.parse]
+   and the cursor's [string] must both decode it exactly. *)
+let prop_json_escape_dense =
+  let gen_code =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, int_range 0 0x7f);
+          (2, int_range 0x80 0x7ff);
+          (2, oneof [ int_range 0x800 0xd7ff; int_range 0xe000 0xffff ]);
+          (2, int_range 0x10000 0x10ffff);
+        ])
+  in
+  let escape buf code =
+    match code with
+    | 0x22 -> Buffer.add_string buf {|\"|}
+    | 0x5c -> Buffer.add_string buf {|\\|}
+    | 0x2f -> Buffer.add_string buf {|\/|}
+    | 0x0a -> Buffer.add_string buf {|\n|}
+    | 0x09 -> Buffer.add_string buf {|\t|}
+    | 0x08 -> Buffer.add_string buf {|\b|}
+    | 0x0c -> Buffer.add_string buf {|\f|}
+    | 0x0d -> Buffer.add_string buf {|\r|}
+    | c when c >= 0x10000 ->
+      let c = c - 0x10000 in
+      Buffer.add_string buf (Printf.sprintf "\\u%04X\\u%04x" (0xD800 lor (c lsr 10)) (0xDC00 lor (c land 0x3ff)))
+    | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" c)
+  in
+  QCheck2.Test.make ~name:"json: escape-dense strings decode exactly" ~count:300
+    QCheck2.Gen.(list_size (int_bound 40) gen_code)
+    (fun codes ->
+      let text = Buffer.create 64 and want = Buffer.create 64 in
+      Buffer.add_char text '"';
+      List.iter
+        (fun code ->
+          escape text code;
+          Buffer.add_utf_8_uchar want (Uchar.of_int code))
+        codes;
+      Buffer.add_char text '"';
+      let text = Buffer.contents text and want = Buffer.contents want in
+      let c = Json.cursor text in
+      let via_cursor = Json.string c in
+      Json.finish c;
+      Json.parse text = Json.String want && via_cursor = want)
+
+(* A run request carrying a Bril program: the program string has an
+   escaped quote every few bytes.  Cut at every byte offset, [parse] and
+   [skip] must both fail with [Parse_error] and nothing else. *)
+let test_json_bril_frame_truncation () =
+  let program =
+    {|{"functions":[{"name":"main","args":[{"name":"a","type":"int"}],"instrs":[{"op":"const","dest":"one","type":"int","value":1},{"label":"loop"},{"op":"add","dest":"x","type":"int","args":["a","one"]},{"op":"br","args":["c"],"labels":["loop","done"]},{"label":"done","pos":{"row":3,"col":-1}},{"op":"alloc","dest":"p","type":{"ptr":"int"},"args":["x"]},{"op":"ret","args":["x"]}]}]}|}
+  in
+  let frame =
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Int 1); ("op", Json.String "run"); ("format", Json.String "bril"); ("program", Json.String program) ])
+  in
+  (match Json.member "program" (Json.parse frame) with
+  | Some (Json.String p) -> Alcotest.(check string) "program survives the frame" program p
+  | _ -> Alcotest.fail "no program in the frame");
+  let skip s =
+    let c = Json.cursor s in
+    Json.skip c;
+    Json.finish c
+  in
+  for cut = 0 to String.length frame - 1 do
+    let prefix = String.sub frame 0 cut in
+    (match Json.parse prefix with
+    | _ -> Alcotest.failf "prefix of %d bytes parsed" cut
+    | exception Json.Parse_error _ -> ()
+    | exception e -> Alcotest.failf "prefix of %d bytes raised %s" cut (Printexc.to_string e));
+    match skip prefix with
+    | () -> Alcotest.failf "prefix of %d bytes skipped" cut
+    | exception Json.Parse_error _ -> ()
+    | exception e -> Alcotest.failf "skipping a prefix of %d bytes raised %s" cut (Printexc.to_string e)
+  done
+
+(* [skip] validates exactly what [parse] accepts, with the same first
+   error: printed documents with a few bytes overwritten, inserted or
+   deleted. *)
+let prop_json_skip_matches_parse =
+  let alphabet = {|{}[]",:\u0123456789abcdefABCDEF.eE+-tfnrl /xyzD8|} ^ "\n\t" in
+  QCheck2.Test.make ~name:"json: skip accepts and rejects what parse does" ~count:1000
+    QCheck2.Gen.(pair gen_json (list_size (int_range 0 3) (triple (int_bound 2) nat (int_bound 99))))
+    (fun (v, edits) ->
+      let text =
+        List.fold_left
+          (fun s (op, at, ch) ->
+            let n = String.length s in
+            let ch = String.make 1 alphabet.[ch mod String.length alphabet] in
+            match op with
+            | 0 when n > 0 -> String.sub s 0 (at mod n) ^ ch ^ String.sub s ((at mod n) + 1) (n - (at mod n) - 1)
+            | 1 when n > 0 -> String.sub s 0 (at mod n) ^ String.sub s ((at mod n) + 1) (n - (at mod n) - 1)
+            | _ -> String.sub s 0 (at mod (n + 1)) ^ ch ^ String.sub s (at mod (n + 1)) (n - (at mod (n + 1))))
+          (Json.to_string v) edits
+      in
+      let parsed = match Json.parse text with _ -> None | exception Json.Parse_error m -> Some m in
+      let skipped =
+        match
+          let c = Json.cursor text in
+          Json.skip c;
+          Json.finish c
+        with
+        | () -> None
+        | exception Json.Parse_error m -> Some m
+      in
+      if parsed <> skipped then
+        QCheck2.Test.fail_reportf "%S\nparse: %s\nskip:  %s" text
+          (Option.value parsed ~default:"ok")
+          (Option.value skipped ~default:"ok");
+      true)
+
 let suite =
   [
     Alcotest.test_case "disabled tracing is pass-through" `Quick test_disabled_is_passthrough;
@@ -426,4 +539,7 @@ let suite =
     Alcotest.test_case "json: \\u escapes and surrogates" `Quick test_json_unicode_escapes;
     Alcotest.test_case "json: every truncated frame is a Parse_error" `Quick test_json_truncation;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_escape_dense;
+    Alcotest.test_case "json: every truncated bril frame is a Parse_error" `Quick test_json_bril_frame_truncation;
+    QCheck_alcotest.to_alcotest prop_json_skip_matches_parse;
   ]
