@@ -19,7 +19,8 @@ type reader
 val create : max_frame:int -> reader
 
 (** [feed r bytes len] consumes [len] bytes from the front of [bytes] and
-    returns the completed events, in input order. *)
+    returns the completed events, in input order.
+    @raise Invalid_argument if [len] is negative or exceeds [Bytes.length bytes]. *)
 val feed : reader -> bytes -> int -> event list
 
 (** Bytes currently buffered for an incomplete frame (diagnostics). *)

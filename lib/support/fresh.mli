@@ -13,6 +13,10 @@ type t
     appended underscores) that no name in [existing] starts with. *)
 val prefix : existing:string list -> string -> string
 
+(** [prefix_iter iter seed] is [prefix] over the names [iter f] passes to
+    [f], for callers that can walk their names without listing them. *)
+val prefix_iter : ((string -> unit) -> unit) -> string -> string
+
 (** [create ~existing seed] is a mint whose names all start with
     [prefix ~existing seed]. *)
 val create : existing:string list -> string -> t
