@@ -312,7 +312,7 @@ type retry_result = {
   cascade_present : bool;
 }
 
-let cascade_spans = [ "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest" ]
+let cascade_spans = [ "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.copy" ]
 
 let run_retry_trace () =
   let exe = resolve_exe () in
@@ -445,7 +445,8 @@ let print_rows rows =
 
 (* Steady-state allocation, heap path vs arena path, with the per-phase
    reduction for the cascade/solver phases the arena exists for. *)
-let alloc_phases = [ "pass.lcm-edge"; "solve.avail"; "solve.antic"; "lcm.delay"; "lcm.latest" ]
+let alloc_phases =
+  [ "pass.lcm-edge"; "solve.avail"; "solve.antic"; "lcm.delay"; "lcm.latest"; "lcm.copy" ]
 
 let print_alloc_rows rows =
   let t =

@@ -358,8 +358,14 @@ let copy g =
     next_label = g.next_label;
     entry = g.entry;
     exit_label = g.exit_label;
-    version = 0;
-    adj = None;
+    (* A snapshot is immutable once built, so the copy starts at the
+       source's shape version and shares its warm snapshot: a retained
+       graph's copy then validates and solves without rebuilding the
+       adjacency.  The copy's first shape edit bumps its own version past
+       the snapshot's, so it builds a fresh one and leaves the shared
+       snapshot (still the source's) untouched. *)
+    version = g.version;
+    adj = (match g.adj with Some a when a.adj_version = g.version -> g.adj | Some _ | None -> None);
     adj_lock = Mutex.create ();
     iversion = 0;
     cpool = None;

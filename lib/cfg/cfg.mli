@@ -111,7 +111,9 @@ val remove_unreachable : t -> unit
     it.  Used to clean up after edge-split insertions. *)
 val merge_straight_pairs : t -> unit
 
-(** Deep copy (shares immutable instructions). *)
+(** Deep copy (shares immutable instructions).  The copy starts at the
+    source's {!version} and shares its adjacency snapshot, if one is
+    built, until the copy's first shape edit. *)
 val copy : t -> t
 
 (** All distinct candidate expressions of the graph, as a pool.  Memoized:

@@ -20,29 +20,13 @@ type analysis = {
   visits : int;
 }
 
-(* EARLIEST, shared with the lazy variant (see Lcm_edge for the formula). *)
-let earliest ?scratch g local avail antic (p, b) =
-  let v = Arena.alloc_copy scratch (antic.Antic.antin b) in
-  ignore (Bitvec.diff_into ~into:v (avail.Avail.avout p));
-  if not (Label.equal p (Cfg.entry g)) then begin
-    let movable_through = Arena.alloc_copy scratch (Local.transp local p) in
-    ignore (Bitvec.inter_into ~into:movable_through (antic.Antic.antout p));
-    ignore (Bitvec.diff_into ~into:v movable_through)
-  end;
-  v
-
 let analyze ?pool ?workers ?scratch g =
   let pool = match pool with Some p -> p | None -> Cfg.candidate_pool g in
   let local = Lcm_obs.Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
   (* Same overlap as [Lcm_edge]: the two safety systems are independent. *)
   let avail, antic = Lcm_edge.solve_safety_systems ?workers ?scratch g local in
   let insert =
-    Lcm_obs.Trace.span "lcm.earliest" (fun () ->
-        List.filter_map
-          (fun e ->
-            let v = earliest ?scratch g local avail antic e in
-            if Bitvec.is_empty v then None else Some (e, v))
-          (Cfg.edges g))
+    Lcm_obs.Trace.span "lcm.earliest" (fun () -> Lcm_edge.earliest_sets ?scratch g local avail antic)
   in
   (* Under busy placement every upwards-exposed computation of a reachable
      block becomes fully redundant — except in the entry block, which has

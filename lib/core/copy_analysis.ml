@@ -5,52 +5,52 @@ module Label = Lcm_cfg.Label
 module Order = Lcm_cfg.Order
 module Local = Lcm_dataflow.Local
 
+(* COPY(b) = COMP(b) ∩ LIVEOUT(b) ∩ ¬(DELETE(b) ∩ TRANSP(b)), one word of
+   it; the emptiness test is a top-level recursion, since a closure over
+   the rows would be allocated per block. *)
+let[@inline] copy_word cw ow dw tw w = cw.(w) land ow.(w) land lnot (dw.(w) land tw.(w))
+
+let rec copy_nonzero cw ow dw tw nw w =
+  w < nw && (copy_word cw ow dw tw w <> 0 || copy_nonzero cw ow dw tw nw (w + 1))
+
 let copies ?scratch:arena g local ~insert_edges ~deletes =
   let n = Local.nbits local in
+  let nw = Bitvec.words_for n in
   let adj = Cfg.adjacency g in
   let bound = adj.Cfg.adj_bound in
-  (* DELETE and INSERT lookups as dense arrays rather than hashtables: the
-     fixpoint below queries them once per successor per visit, and both the
-     hashing and the [Some] per [Hashtbl.find_opt] hit are per-visit heap
-     traffic.  Deletes are keyed by label; inserts are keyed positionally by
+  (* DELETE and INSERT lookups as dense arrays of rows rather than
+     hashtables: the fixpoint below reads them once per successor per
+     visit.  Deletes are keyed by label; inserts are keyed positionally by
      (source, successor-index) through a CSR-style offset table over
-     [adj_succ], so the visit loop never builds an edge key. *)
+     [adj_succ], so the visit loop never builds an edge key.  Slots without
+     a decided set hold the empty row. *)
+  let zero = Arena.alloc arena n in
   let del = Arena.alloc_vec arena bound in
-  let del_present = Arena.alloc_bool arena bound in
-  List.iter
-    (fun (l, set) ->
-      if l >= 0 && l < bound then begin
-        del.(l) <- set;
-        del_present.(l) <- true
-      end)
-    deletes;
+  Array.fill del 0 bound zero;
+  List.iter (fun (l, set) -> if l >= 0 && l < bound then del.(l) <- set) deletes;
   let succ_off = adj.Cfg.adj_succ_off in
   let ins = Arena.alloc_vec arena succ_off.(bound) in
-  let ins_present = Arena.alloc_bool arena succ_off.(bound) in
+  Array.fill ins 0 succ_off.(bound) zero;
   List.iter
     (fun ((p, s), set) ->
       if p >= 0 && p < bound then begin
         let succs = adj.Cfg.adj_succ.(p) in
         for i = 0 to Array.length succs - 1 do
-          if Label.equal succs.(i) s then begin
-            ins.(succ_off.(p) + i) <- set;
-            ins_present.(succ_off.(p) + i) <- true
-          end
+          if Label.equal succs.(i) s then ins.(succ_off.(p) + i) <- set
         done
       end)
     insert_edges;
   (* Backward may-liveness of the temporaries, worklist-driven: LIVEIN(b)
      depends only on LIVEOUT(b), which reads LIVEIN of b's successors — so
      when a block's LIVEIN grows, only its predecessors need re-visiting.
-     Dense arrays indexed by label, postorder priority for fast backward
-     convergence. *)
-  let livein = Arena.alloc_vec arena bound in
-  let liveout = Arena.alloc_vec arena bound in
-  for l = 0 to bound - 1 do
-    livein.(l) <- Arena.alloc arena n;
-    liveout.(l) <- Arena.alloc arena n
-  done;
-  let scratch = Arena.alloc arena n in
+     Dense arrays of rows indexed by label, postorder priority for fast
+     backward convergence.  A visit is one word loop per successor into a
+     word accumulator, then one pass that stores LIVEOUT and
+     compares-and-stores LIVEIN. *)
+  let comp = Local.comp_rows local in
+  let livein = Arena.alloc_rows arena n bound in
+  let liveout = Arena.alloc_rows arena n bound in
+  let acc = Arena.alloc_int arena nw in
   let rpo_pos = adj.Cfg.adj_rpo_pos in
   (* FIFO worklist as an arena-backed ring buffer ([in_queue] bounds
      occupancy by [bound], so [bound + 1] cells distinguish full from
@@ -71,37 +71,48 @@ let copies ?scratch:arena g local ~insert_edges ~deletes =
     let l = qbuf.(!qhead) in
     qhead := (!qhead + 1) mod qcap;
     in_queue.(l) <- false;
-    (* LIVEOUT(b): union over successor entries, masked by insertions. *)
-    Bitvec.fill scratch false;
+    (* LIVEOUT(b) = ⋃ over edges (b,s) of LIVEIN(s) ∩ ¬INSERT(b,s) *)
+    Array.fill acc 0 nw 0;
     let succs = adj.Cfg.adj_succ.(l) and off = succ_off.(l) in
     for i = 0 to Array.length succs - 1 do
-      let s = succs.(i) in
-      if ins_present.(off + i) then
-        ignore (Bitvec.union_diff_into ~into:scratch livein.(s) ~diff:ins.(off + i))
-      else ignore (Bitvec.union_into ~into:scratch livein.(s))
+      let li = Bitvec.words livein.(succs.(i)) and mask = Bitvec.words ins.(off + i) in
+      for w = 0 to nw - 1 do
+        acc.(w) <- acc.(w) lor (li.(w) land lnot mask.(w))
+      done
     done;
-    ignore (Bitvec.blit ~src:scratch ~dst:liveout.(l));
     (* LIVEIN(b) = DELETE(b) ∪ (LIVEOUT(b) ∩ ¬COMP(b)) *)
-    ignore (Bitvec.diff_into ~into:scratch (Local.comp local l));
-    if del_present.(l) then ignore (Bitvec.union_into ~into:scratch del.(l));
-    if Bitvec.blit ~src:scratch ~dst:livein.(l) then begin
+    let out = Bitvec.words liveout.(l) and inw = Bitvec.words livein.(l) in
+    let cw = Bitvec.words comp.(l) and dw = Bitvec.words del.(l) in
+    let changed = ref false in
+    for w = 0 to nw - 1 do
+      let o = acc.(w) in
+      out.(w) <- o;
+      let x = dw.(w) lor (o land lnot cw.(w)) in
+      if x <> inw.(w) then begin
+        inw.(w) <- x;
+        changed := true
+      end
+    done;
+    if !changed then begin
       let preds = adj.Cfg.adj_pred.(l) in
       for i = 0 to Array.length preds - 1 do
         enqueue preds.(i)
       done
     end
   done;
-  (* [masked] is reused across blocks; [want] is materialized (as an arena
-     copy) only when non-empty. *)
-  let masked = Arena.alloc arena n in
+  (* Only non-empty COPY sets are materialized (as arena vectors). *)
+  let transp = Local.transp_rows local in
   List.filter_map
     (fun l ->
-      ignore (Bitvec.blit ~src:(Local.comp local l) ~dst:scratch);
-      ignore (Bitvec.inter_into ~into:scratch liveout.(l));
-      if del_present.(l) then begin
-        ignore (Bitvec.blit ~src:del.(l) ~dst:masked);
-        ignore (Bitvec.inter_into ~into:masked (Local.transp local l));
-        ignore (Bitvec.diff_into ~into:scratch masked)
-      end;
-      if Bitvec.is_empty scratch then None else Some (l, Arena.alloc_copy arena scratch))
-    (Cfg.labels g)
+      let cw = Bitvec.words comp.(l) and ow = Bitvec.words liveout.(l) in
+      let dw = Bitvec.words del.(l) and tw = Bitvec.words transp.(l) in
+      if not (copy_nonzero cw ow dw tw nw 0) then None
+      else begin
+        let v = Arena.alloc arena n in
+        let dst = Bitvec.words v in
+        for w = 0 to nw - 1 do
+          dst.(w) <- copy_word cw ow dw tw w
+        done;
+        Some (l, v)
+      end)
+    adj.Cfg.adj_labels

@@ -34,61 +34,74 @@ let rec row_index row p i =
   else if Label.equal (Array.unsafe_get row i) p then i
   else row_index row p (i + 1)
 
-(* Per-edge EARLIEST sets as a flat array in the adjacency snapshot's CSR
-   layout: slot [adj_pred_off.(b) + i] is EARLIEST(p, b) for the i-th
-   predecessor p of b.  The LATERIN fixpoint below fetches by predecessor
-   index directly; the public lookup API goes through {!row_index}.  Flat
-   rather than nested so the whole structure is one arena slot-array
-   checkout instead of a fresh array per block per request. *)
+let words = Bitvec.words
+
+(* EARLIEST as one edge-major word matrix in the adjacency snapshot's CSR
+   layout: row [adj_pred_off.(b) + i], at word offset [row * nw], is
+   EARLIEST(p, b) for the i-th predecessor p of b.  One fused word loop per
+   edge:
+
+     EARLIEST(p,b) = ANTIN(b) ∩ ¬(AVOUT(p) ∪ (TRANSP(p) ∩ ANTOUT(p)))
+
+   (the TRANSP ∩ ANTOUT factor is dropped when p is the entry block).  The
+   LATERIN fixpoint reads the matrix by predecessor index directly; the
+   public lookup API goes through {!row_index}.  One arena int-array
+   checkout holds every edge's set. *)
 let compute_earliest ?scratch g local avail antic =
   let adj = Cfg.adjacency g in
   let entry = Cfg.entry g in
+  let nw = Bitvec.words_for (Local.nbits local) in
   let pred_off = adj.Cfg.adj_pred_off in
-  (* ∩ (¬TRANSP(p) ∪ ¬ANTOUT(p)) = remove TRANSP(p) ∩ ANTOUT(p); the
-     removed factor depends on the source block alone, so compute it once
-     per block rather than once per edge. *)
-  let movable = Arena.alloc_vec scratch adj.Cfg.adj_bound in
-  let movable_set = Arena.alloc_bool scratch adj.Cfg.adj_bound in
-  let movable_through p =
-    if movable_set.(p) then movable.(p)
-    else begin
-      let v = Arena.alloc_copy scratch (Local.transp local p) in
-      ignore (Bitvec.inter_into ~into:v (antic.Antic.antout p));
-      movable.(p) <- v;
-      movable_set.(p) <- true;
-      v
-    end
-  in
-  let flat = Arena.alloc_vec scratch pred_off.(adj.Cfg.adj_bound) in
+  let transp = Local.transp_rows local in
+  let m = Arena.alloc_int scratch (max 1 (pred_off.(adj.Cfg.adj_bound) * nw)) in
   for b = 0 to adj.Cfg.adj_bound - 1 do
-    let preds = adj.Cfg.adj_pred.(b) and off = pred_off.(b) in
-    for i = 0 to Array.length preds - 1 do
-      let p = preds.(i) in
-      let v = Arena.alloc_copy scratch (antic.Antic.antin b) in
-      ignore (Bitvec.diff_into ~into:v (avail.Avail.avout p));
-      if not (Label.equal p entry) then ignore (Bitvec.diff_into ~into:v (movable_through p));
-      flat.(off + i) <- v
-    done
+    let preds = adj.Cfg.adj_pred.(b) in
+    if Array.length preds > 0 then begin
+      let antin = words (antic.Antic.antin b) in
+      for i = 0 to Array.length preds - 1 do
+        let p = preds.(i) in
+        let avout = words (avail.Avail.avout p) in
+        let base = (pred_off.(b) + i) * nw in
+        if Label.equal p entry then
+          for w = 0 to nw - 1 do
+            m.(base + w) <- antin.(w) land lnot avout.(w)
+          done
+        else begin
+          let tr = words transp.(p) and antout = words (antic.Antic.antout p) in
+          for w = 0 to nw - 1 do
+            m.(base + w) <- antin.(w) land lnot (avout.(w) lor (tr.(w) land antout.(w)))
+          done
+        end
+      done
+    end
   done;
-  flat
+  m
 
 (* Greatest fixpoint of the LATER/LATERIN system, worklist-driven in
    reverse-postorder priority: LATERIN(b) depends only on LATERIN(p) of its
    predecessors, so when a block's LATERIN shrinks only its successors need
-   re-visiting.  State is a flat array indexed by label.  Returns the
-   LATERIN table and the iteration counts (visits = per-block LATERIN
-   evaluations; sweeps = maximum visits of any single block). *)
-let compute_laterin ?scratch:arena g local earliest_flat =
+   re-visiting.  State is a flat array of rows indexed by label; a visit is
+   one word loop per predecessor,
+
+     acc ∩= EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))
+
+   into a word accumulator, then one compare-and-store pass into
+   LATERIN(b).  Returns the LATERIN table and the iteration counts
+   (visits = per-block LATERIN evaluations; sweeps = maximum visits of any
+   single block). *)
+let compute_laterin ?scratch:arena g local earliest =
   let n = Local.nbits local in
+  let nw = Bitvec.words_for n in
   let adj = Cfg.adjacency g in
   let bound = adj.Cfg.adj_bound in
   let entry = Cfg.entry g in
-  let laterin = Arena.alloc_vec arena bound in
-  for l = 0 to bound - 1 do
-    laterin.(l) <- Arena.alloc_full arena n
-  done;
-  laterin.(entry) <- Arena.alloc arena n;
-  let scratch = Arena.alloc arena n and later_pb = Arena.alloc arena n in
+  let antloc = Local.antloc_rows local in
+  let laterin = Arena.alloc_rows_full arena n bound in
+  Bitvec.fill laterin.(entry) false;
+  (* [full] is the intersection's identity, the start of every visit's
+     accumulator (all-ones with the high bits of the last word clear). *)
+  let full = words (Arena.alloc_full arena n) in
+  let acc = Arena.alloc_int arena nw in
   let rpo_pos = adj.Cfg.adj_rpo_pos in
   (* FIFO worklist as an arena-backed ring buffer: [in_queue] deduplicates,
      so occupancy never exceeds [bound] and [bound + 1] cells distinguish
@@ -114,16 +127,24 @@ let compute_laterin ?scratch:arena g local earliest_flat =
     in_queue.(b) <- false;
     incr visits;
     visit_count.(b) <- visit_count.(b) + 1;
-    Bitvec.fill scratch true;
+    Array.blit full 0 acc 0 nw;
     let preds = adj.Cfg.adj_pred.(b) and off = adj.Cfg.adj_pred_off.(b) in
     for i = 0 to Array.length preds - 1 do
       let p = preds.(i) in
-      (* LATER(p,b) = EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p)) *)
-      ignore (Bitvec.blit ~src:earliest_flat.(off + i) ~dst:later_pb);
-      ignore (Bitvec.union_diff_into ~into:later_pb laterin.(p) ~diff:(Local.antloc local p));
-      ignore (Bitvec.inter_into ~into:scratch later_pb)
+      let li = words laterin.(p) and al = words antloc.(p) and base = (off + i) * nw in
+      for w = 0 to nw - 1 do
+        acc.(w) <- acc.(w) land (earliest.(base + w) lor (li.(w) land lnot al.(w)))
+      done
     done;
-    if Bitvec.blit ~src:scratch ~dst:laterin.(b) then begin
+    let dst = words laterin.(b) in
+    let changed = ref false in
+    for w = 0 to nw - 1 do
+      if acc.(w) <> dst.(w) then begin
+        dst.(w) <- acc.(w);
+        changed := true
+      end
+    done;
+    if !changed then begin
       let succs = adj.Cfg.adj_succ.(b) in
       for i = 0 to Array.length succs - 1 do
         let s = succs.(i) in
@@ -137,8 +158,47 @@ let compute_laterin ?scratch:arena g local earliest_flat =
     if visit_count.(l) > !sweeps then sweeps := visit_count.(l)
   done;
   let live = Arena.alloc_bool arena bound in
-  List.iter (fun l -> live.(l) <- true) (Cfg.labels g);
+  List.iter (fun l -> live.(l) <- true) adj.Cfg.adj_labels;
   ((laterin, live), !sweeps, !visits)
+
+(* Edge (p,b)'s word offset in the EARLIEST matrix. *)
+let edge_base adj nw p b =
+  let i = if b >= 0 && b < adj.Cfg.adj_bound then row_index adj.Cfg.adj_pred.(b) p 0 else -1 in
+  if i >= 0 then (adj.Cfg.adj_pred_off.(b) + i) * nw
+  else invalid_arg (Printf.sprintf "Lcm_edge: unknown edge B%d->B%d" p b)
+
+let rec row_nonzero m base nw w = w < nw && (m.(base + w) <> 0 || row_nonzero m base nw (w + 1))
+
+let earliest_sets ?scratch g local avail antic =
+  let m = compute_earliest ?scratch g local avail antic in
+  let n = Local.nbits local in
+  let nw = Bitvec.words_for n and adj = Cfg.adjacency g in
+  List.filter_map
+    (fun ((p, b) as e) ->
+      let base = edge_base adj nw p b in
+      if not (row_nonzero m base nw 0) then None
+      else begin
+        let v = Arena.alloc scratch n in
+        Array.blit m base (words v) 0 nw;
+        Some (e, v)
+      end)
+    adj.Cfg.adj_edges
+
+(* INSERT(p,b) = LATER(p,b) ∩ ¬LATERIN(b)
+               = (EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))) ∩ ¬LATERIN(b),
+   one word of it; [e] is the EARLIEST matrix and [base] the edge's row
+   offset in it. *)
+let[@inline] insert_word e base lip alp lib w =
+  (e.(base + w) lor (lip.(w) land lnot alp.(w))) land lnot lib.(w)
+
+(* Emptiness tests as top-level recursions: a closure over the rows would
+   be allocated per edge. *)
+let rec insert_nonzero e base lip alp lib nw w =
+  w < nw && (insert_word e base lip alp lib w <> 0 || insert_nonzero e base lip alp lib nw (w + 1))
+
+(* DELETE(b) = ANTLOC(b) ∩ ¬LATERIN(b), one word of it. *)
+let rec delete_nonzero alb lib nw w =
+  w < nw && (alb.(w) land lnot lib.(w) <> 0 || delete_nonzero alb lib nw (w + 1))
 
 (* The down-safety (backward, ANTIC) and up-safety (forward, AVAIL) systems
    of the cascade read only the block-local predicates — neither reads the
@@ -170,15 +230,18 @@ let solve_safety_systems ?workers ?scratch g local =
 
 (* Span names follow the paper's cascade: down-safety (ANTIC), earliestness,
    delay (LATERIN), latestness — the four phases a trace of one LCM solve
-   must show (the up-safety AVAIL system rides along as "lcm.up_safety"). *)
+   must show (the up-safety AVAIL system rides along as "lcm.up_safety",
+   the copy analysis that follows as "lcm.copy"). *)
 let finish ?scratch g pool local avail antic =
-  let earliest_flat =
+  let n = Local.nbits local in
+  let nw = Bitvec.words_for n in
+  let earliest_m =
     Trace.span "lcm.earliest" (fun () -> compute_earliest ?scratch g local avail antic)
   in
   let adj = Cfg.adjacency g in
   let (laterin_arr, laterin_live), later_sweeps, later_visits =
     Trace.span_attrs "lcm.delay" (fun () ->
-        let ((_, later_sweeps, later_visits) as r) = compute_laterin ?scratch g local earliest_flat in
+        let ((_, later_sweeps, later_visits) as r) = compute_laterin ?scratch g local earliest_m in
         ( r,
           [
             ("sweeps", string_of_int later_sweeps); ("visits", string_of_int later_visits);
@@ -188,37 +251,38 @@ let finish ?scratch g pool local avail antic =
     if l >= 0 && l < Array.length laterin_arr && laterin_live.(l) then laterin_arr.(l)
     else invalid_arg (Printf.sprintf "Lcm_edge.laterin: unknown label B%d" l)
   in
-  (* Uncurried internals: the tupled public closures below are thin
-     wrappers, so per-edge calls inside this function never rebuild an
-     edge pair. *)
-  let earliest_pb p b =
-    let i =
-      if b >= 0 && b < adj.Cfg.adj_bound then row_index adj.Cfg.adj_pred.(b) p 0 else -1
-    in
-    if i >= 0 then earliest_flat.(adj.Cfg.adj_pred_off.(b) + i)
-    else invalid_arg (Printf.sprintf "Lcm_edge.earliest: unknown edge B%d->B%d" p b)
-  in
-  let earliest (p, b) = earliest_pb p b in
-  let later_into v p b =
-    ignore (Bitvec.blit ~src:(laterin p) ~dst:v);
-    ignore (Bitvec.diff_into ~into:v (Local.antloc local p));
-    ignore (Bitvec.union_into ~into:v (earliest_pb p b));
+  let antloc = Local.antloc_rows local in
+  let earliest (p, b) = Bitvec.of_words earliest_m ~off:(edge_base adj nw p b) n in
+  let later (p, b) =
+    let base = edge_base adj nw p b in
+    let v = Arena.alloc scratch n in
+    let dst = words v and lip = words (laterin p) and alp = words antloc.(p) in
+    for w = 0 to nw - 1 do
+      dst.(w) <- earliest_m.(base + w) lor (lip.(w) land lnot alp.(w))
+    done;
     v
   in
-  let later (p, b) = later_into (Arena.alloc scratch (Local.nbits local)) p b in
-  let insert, delete, copy =
+  let entry = Cfg.entry g in
+  let insert, delete =
     Trace.span "lcm.latest" (fun () ->
-        (* One reusable frame for the emptiness test; only non-empty sets
-           are materialized (as arena copies), so edges and blocks that
-           contribute nothing cost no fresh vector. *)
-        let frame = Arena.alloc scratch (Local.nbits local) in
+        (* Only non-empty sets are materialized (as arena vectors): a first
+           word pass tests emptiness without storing anything. *)
         let insert =
           List.filter_map
             (fun ((p, b) as e) ->
-              let v = later_into frame p b in
-              ignore (Bitvec.diff_into ~into:v (laterin b));
-              if Bitvec.is_empty v then None else Some (e, Arena.alloc_copy scratch v))
-            (Cfg.edges g)
+              let base = edge_base adj nw p b in
+              let lip = words laterin_arr.(p) and alp = words antloc.(p) in
+              let lib = words laterin_arr.(b) in
+              if not (insert_nonzero earliest_m base lip alp lib nw 0) then None
+              else begin
+                let v = Arena.alloc scratch n in
+                let dst = words v in
+                for w = 0 to nw - 1 do
+                  dst.(w) <- insert_word earliest_m base lip alp lib w
+                done;
+                Some (e, v)
+              end)
+            adj.Cfg.adj_edges
         in
         let delete =
           (* DELETE is defined for b ≠ ENTRY only: the entry has no incoming
@@ -226,16 +290,23 @@ let finish ?scratch g pool local avail antic =
              LATERIN is the ∅ boundary, not a data-flow result). *)
           List.filter_map
             (fun b ->
-              if Label.equal b (Cfg.entry g) then None
+              let alb = words antloc.(b) and lib = words laterin_arr.(b) in
+              if Label.equal b entry || not (delete_nonzero alb lib nw 0) then None
               else begin
-                ignore (Bitvec.blit ~src:(Local.antloc local b) ~dst:frame);
-                ignore (Bitvec.diff_into ~into:frame (laterin b));
-                if Bitvec.is_empty frame then None else Some (b, Arena.alloc_copy scratch frame)
+                let v = Arena.alloc scratch n in
+                let dst = words v in
+                for w = 0 to nw - 1 do
+                  dst.(w) <- alb.(w) land lnot lib.(w)
+                done;
+                Some (b, v)
               end)
-            (Cfg.labels g)
+            adj.Cfg.adj_labels
         in
-        let copy = Copy_analysis.copies ?scratch g local ~insert_edges:insert ~deletes:delete in
-        (insert, delete, copy))
+        (insert, delete))
+  in
+  let copy =
+    Trace.span "lcm.copy" (fun () ->
+        Copy_analysis.copies ?scratch g local ~insert_edges:insert ~deletes:delete)
   in
   {
     pool;
@@ -252,8 +323,12 @@ let finish ?scratch g pool local avail antic =
     visits = avail.Avail.visits + antic.Antic.visits + later_visits;
   }
 
+(* The candidate pool, built (and timed as "lcm.pool") unless the caller
+   supplies one. *)
+let candidate_pool g = Trace.span "lcm.pool" (fun () -> Cfg.candidate_pool g)
+
 let analyze ?pool ?workers ?scratch g =
-  let pool = match pool with Some p -> p | None -> Cfg.candidate_pool g in
+  let pool = match pool with Some p -> p | None -> candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
   let avail, antic = solve_safety_systems ?workers ?scratch g local in
   finish ?scratch g pool local avail antic
@@ -275,7 +350,7 @@ type saved = {
 }
 
 let analyze_keep ?scratch g =
-  let pool = Cfg.candidate_pool g in
+  let pool = candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
   let avail, saved_avail =
     Trace.span "lcm.up_safety" (fun () -> Avail.compute_keep ?scratch g local)
@@ -286,7 +361,7 @@ let analyze_keep ?scratch g =
   (finish ?scratch g pool local avail antic, { saved_pool = pool; saved_avail; saved_antic })
 
 let analyze_incr ?scratch g ~prev ~dirty =
-  let pool = Cfg.candidate_pool g in
+  let pool = candidate_pool g in
   let same_pool =
     List.equal
       (fun (i, e) (j, f) -> i = j && Lcm_ir.Expr.equal e f)

@@ -48,6 +48,17 @@ val solve_safety_systems :
   Lcm_dataflow.Local.t ->
   Lcm_dataflow.Avail.t * Lcm_dataflow.Antic.t
 
+(** EARLIEST(p,b) for every edge of the graph, in {!Lcm_cfg.Cfg.edges}
+    order, non-empty sets only: the busy placement's insertions, shared
+    by {!Bcm_edge}.  [scratch] backs the sets. *)
+val earliest_sets :
+  ?scratch:Lcm_support.Arena.t ->
+  Lcm_cfg.Cfg.t ->
+  Lcm_dataflow.Local.t ->
+  Lcm_dataflow.Avail.t ->
+  Lcm_dataflow.Antic.t ->
+  ((Label.t * Label.t) * Bitvec.t) list
+
 (** Run the analyses.  [pool] defaults to all candidate expressions of the
     graph.  [workers] enables the parallel paths (pass-level overlap of the
     safety systems, slice-level fan-out inside each); the decision is

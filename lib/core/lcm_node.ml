@@ -73,8 +73,17 @@ let analyze ?pool g =
         end;
         v)
   in
+  (* Label-indexed GEN/KEEP rows for the two solves below; slots of labels
+     outside the graph are never read. *)
+  let rows f =
+    let a = Array.make (Cfg.label_bound g) (Bitvec.create n) in
+    List.iter (fun l -> a.(l) <- f l) (Cfg.labels g);
+    a
+  in
+  let not_comp = rows (fun l -> Bitvec.complement (comp local l)) in
   (* DELAY: forward, intersection, entry boundary ∅;
-     transfer(out of n) = (in ∪ EARLIEST(n)) \ Comp(n). *)
+     transfer(out of n) = (in ∪ EARLIEST(n)) \ Comp(n),
+     i.e. GEN = EARLIEST \ Comp, KEEP = ¬Comp. *)
   let delay_solution =
     Solver.run g
       {
@@ -82,11 +91,8 @@ let analyze ?pool g =
         direction = Solver.Forward;
         confluence = Solver.Inter;
         boundary = Bitvec.create n;
-        transfer =
-          (fun l ~src ~dst ->
-            ignore (Bitvec.blit ~src ~dst);
-            ignore (Bitvec.union_into ~into:dst (earliest l));
-            ignore (Bitvec.diff_into ~into:dst (comp local l)));
+        gen = rows (fun l -> Bitvec.diff (earliest l) (comp local l));
+        keep = not_comp;
       }
   in
   let delay =
@@ -101,7 +107,8 @@ let analyze ?pool g =
         Bitvec.inter (delay l) stop)
   in
   (* ISOLATED: backward, intersection, exit boundary full;
-     transfer(in of s) = LATEST(s) ∪ (out(s) \ Comp(s)). *)
+     transfer(in of s) = LATEST(s) ∪ (out(s) \ Comp(s)),
+     i.e. GEN = LATEST, KEEP = ¬Comp. *)
   let isolated_solution =
     Solver.run g
       {
@@ -109,11 +116,8 @@ let analyze ?pool g =
         direction = Solver.Backward;
         confluence = Solver.Inter;
         boundary = Bitvec.create_full n;
-        transfer =
-          (fun l ~src ~dst ->
-            ignore (Bitvec.blit ~src ~dst);
-            ignore (Bitvec.diff_into ~into:dst (comp local l));
-            ignore (Bitvec.union_into ~into:dst (latest l)));
+        gen = rows latest;
+        keep = not_comp;
       }
   in
   let isolated = table_of g (fun l -> Bitvec.copy (isolated_solution.Solver.block_out l)) in

@@ -8,99 +8,17 @@ type t = {
   visits : int;
 }
 
-(* ANTIN(b) = ANTLOC(b) ∪ (ANTOUT(b) ∩ TRANSP(b)) *)
-let transfer local l ~src ~dst =
-  ignore (Bitvec.blit ~src ~dst);
-  ignore (Bitvec.inter_into ~into:dst (Local.transp local l));
-  ignore (Bitvec.union_into ~into:dst (Local.antloc local l))
-
-let run confluence ?scratch g local =
-  let nbits = Local.nbits local in
-  let result =
-    Solver.run ?scratch g
-      {
-        Solver.nbits;
-        direction = Solver.Backward;
-        confluence;
-        boundary = Arena.alloc scratch nbits;
-        transfer = transfer local;
-      }
-  in
-  {
-    antin = result.Solver.block_in;
-    antout = result.Solver.block_out;
-    sweeps = result.Solver.sweeps;
-    visits = result.Solver.visits;
-  }
-
-(* Backward twin of [Avail.slice_spec]; see there for the ownership
-   argument. *)
-let slice_spec confluence local ~bound ~lo ~len =
-  let transp_s = Array.make bound None and antloc_s = Array.make bound None in
-  let view cache f l =
-    match cache.(l) with
-    | Some v -> v
-    | None ->
-      let v = Bitvec.slice (f local l) ~lo ~len in
-      cache.(l) <- Some v;
-      v
-  in
-  {
-    Solver.nbits = len;
-    direction = Solver.Backward;
-    confluence;
-    boundary = Bitvec.create len;
-    transfer =
-      (fun l ~src ~dst ->
-        ignore (Bitvec.blit ~src ~dst);
-        ignore (Bitvec.inter_into ~into:dst (view transp_s Local.transp l));
-        ignore (Bitvec.union_into ~into:dst (view antloc_s Local.antloc l)));
-  }
-
-let run_par confluence ?pool ?threshold ?scratch g local =
-  let nbits = Local.nbits local in
-  let bound = Lcm_cfg.Cfg.label_bound g in
-  let result =
-    Solver.run_par ?pool ?threshold ?scratch g
-      {
-        Solver.nbits;
-        direction = Solver.Backward;
-        confluence;
-        boundary = Arena.alloc scratch nbits;
-        transfer = transfer local;
-      }
-      ~slice:(fun ~lo ~len -> slice_spec confluence local ~bound ~lo ~len)
-  in
-  {
-    antin = result.Solver.block_in;
-    antout = result.Solver.block_out;
-    sweeps = result.Solver.sweeps;
-    visits = result.Solver.visits;
-  }
-
-(* See [Avail.solve]. *)
-let solve name f =
-  Lcm_obs.Trace.span_attrs name (fun () ->
-      let r = f () in
-      (r, [ ("sweeps", string_of_int r.sweeps); ("visits", string_of_int r.visits) ]))
-
-let compute ?scratch g local = solve "solve.antic" (fun () -> run Solver.Inter ?scratch g local)
-
-let compute_partial ?scratch g local =
-  solve "solve.antic.partial" (fun () -> run Solver.Union ?scratch g local)
-
-let compute_par ?pool ?threshold ?scratch g local =
-  solve "solve.antic" (fun () -> run_par Solver.Inter ?pool ?threshold ?scratch g local)
-
-(* Incremental variants; backward twin of [Avail.compute_keep/_incr]. *)
-let spec_of ?scratch local =
+(* ANTIN(b) = ANTLOC(b) ∪ (ANTOUT(b) ∩ TRANSP(b)): GEN = ANTLOC,
+   KEEP = TRANSP. *)
+let spec_of confluence ?scratch local =
   let nbits = Local.nbits local in
   {
     Solver.nbits;
     direction = Solver.Backward;
-    confluence = Solver.Inter;
+    confluence;
     boundary = Arena.alloc scratch nbits;
-    transfer = transfer local;
+    gen = Local.antloc_rows local;
+    keep = Local.transp_rows local;
   }
 
 let of_result (result : Solver.result) =
@@ -111,15 +29,32 @@ let of_result (result : Solver.result) =
     visits = result.Solver.visits;
   }
 
+(* See [Avail.solve]. *)
+let solve name f =
+  Lcm_obs.Trace.span_attrs name (fun () ->
+      let r = of_result (f ()) in
+      (r, [ ("sweeps", string_of_int r.sweeps); ("visits", string_of_int r.visits) ]))
+
+let compute ?scratch g local =
+  solve "solve.antic" (fun () -> Solver.run ?scratch g (spec_of Solver.Inter ?scratch local))
+
+let compute_partial ?scratch g local =
+  solve "solve.antic.partial" (fun () -> Solver.run ?scratch g (spec_of Solver.Union ?scratch local))
+
+let compute_par ?pool ?threshold ?scratch g local =
+  solve "solve.antic" (fun () ->
+      Solver.run_par ?pool ?threshold ?scratch g (spec_of Solver.Inter ?scratch local))
+
+(* Incremental variants; backward twin of [Avail.compute_keep/_incr]. *)
 let compute_keep ?scratch g local =
   Lcm_obs.Trace.span_attrs "solve.antic" (fun () ->
-      let result, saved = Solver.run_saved ?scratch g (spec_of ?scratch local) in
+      let result, saved = Solver.run_saved ?scratch g (spec_of Solver.Inter ?scratch local) in
       let r = of_result result in
       ((r, saved), [ ("sweeps", string_of_int r.sweeps); ("visits", string_of_int r.visits) ]))
 
 let compute_incr ?scratch g local ~prev ~dirty =
   Lcm_obs.Trace.span_attrs "solve.antic.incr" (fun () ->
-      match Solver.resolve ?scratch g (spec_of ?scratch local) ~prev ~dirty with
+      match Solver.resolve ?scratch g (spec_of Solver.Inter ?scratch local) ~prev ~dirty with
       | None -> (None, [ ("fallback", "full") ])
       | Some (result, saved, region) ->
         ( Some (of_result result, saved, region),

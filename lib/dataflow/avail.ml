@@ -8,71 +8,19 @@ type t = {
   visits : int;
 }
 
-(* AVOUT(b) = COMP(b) ∪ (AVIN(b) ∩ TRANSP(b)) *)
-let transfer local l ~src ~dst =
-  ignore (Bitvec.blit ~src ~dst);
-  ignore (Bitvec.inter_into ~into:dst (Local.transp local l));
-  ignore (Bitvec.union_into ~into:dst (Local.comp local l))
-
-let run confluence ?scratch g local =
+(* AVOUT(b) = COMP(b) ∪ (AVIN(b) ∩ TRANSP(b)): GEN = COMP, KEEP = TRANSP. *)
+let spec_of confluence ?scratch local =
   let nbits = Local.nbits local in
-  let result =
-    Solver.run ?scratch g
-      {
-        Solver.nbits;
-        direction = Solver.Forward;
-        confluence;
-        boundary = Arena.alloc scratch nbits;
-        transfer = transfer local;
-      }
-  in
   {
-    avin = result.Solver.block_in;
-    avout = result.Solver.block_out;
-    sweeps = result.Solver.sweeps;
-    visits = result.Solver.visits;
-  }
-
-(* Slice spec for [Solver.run_par]: the transfer reads word-aligned slice
-   views of the block-local TRANSP/COMP vectors, memoized per label.  Each
-   slice's caches are built and read by a single domain only; the [Local.t]
-   arrays they are sliced from are immutable after [Local.compute]. *)
-let slice_spec confluence local ~bound ~lo ~len =
-  let transp_s = Array.make bound None and comp_s = Array.make bound None in
-  let view cache f l =
-    match cache.(l) with
-    | Some v -> v
-    | None ->
-      let v = Bitvec.slice (f local l) ~lo ~len in
-      cache.(l) <- Some v;
-      v
-  in
-  {
-    Solver.nbits = len;
+    Solver.nbits;
     direction = Solver.Forward;
     confluence;
-    boundary = Bitvec.create len;
-    transfer =
-      (fun l ~src ~dst ->
-        ignore (Bitvec.blit ~src ~dst);
-        ignore (Bitvec.inter_into ~into:dst (view transp_s Local.transp l));
-        ignore (Bitvec.union_into ~into:dst (view comp_s Local.comp l)));
+    boundary = Arena.alloc scratch nbits;
+    gen = Local.comp_rows local;
+    keep = Local.transp_rows local;
   }
 
-let run_par confluence ?pool ?threshold ?scratch g local =
-  let nbits = Local.nbits local in
-  let bound = Lcm_cfg.Cfg.label_bound g in
-  let result =
-    Solver.run_par ?pool ?threshold ?scratch g
-      {
-        Solver.nbits;
-        direction = Solver.Forward;
-        confluence;
-        boundary = Arena.alloc scratch nbits;
-        transfer = transfer local;
-      }
-      ~slice:(fun ~lo ~len -> slice_spec confluence local ~bound ~lo ~len)
-  in
+let of_result (result : Solver.result) =
   {
     avin = result.Solver.block_in;
     avout = result.Solver.block_out;
@@ -84,46 +32,30 @@ let run_par confluence ?pool ?threshold ?scratch g local =
    attributes (free when tracing is disabled). *)
 let solve name f =
   Lcm_obs.Trace.span_attrs name (fun () ->
-      let r = f () in
+      let r = of_result (f ()) in
       (r, [ ("sweeps", string_of_int r.sweeps); ("visits", string_of_int r.visits) ]))
 
-let compute ?scratch g local = solve "solve.avail" (fun () -> run Solver.Inter ?scratch g local)
+let compute ?scratch g local =
+  solve "solve.avail" (fun () -> Solver.run ?scratch g (spec_of Solver.Inter ?scratch local))
 
 let compute_partial ?scratch g local =
-  solve "solve.avail.partial" (fun () -> run Solver.Union ?scratch g local)
+  solve "solve.avail.partial" (fun () -> Solver.run ?scratch g (spec_of Solver.Union ?scratch local))
 
 let compute_par ?pool ?threshold ?scratch g local =
-  solve "solve.avail" (fun () -> run_par Solver.Inter ?pool ?threshold ?scratch g local)
+  solve "solve.avail" (fun () ->
+      Solver.run_par ?pool ?threshold ?scratch g (spec_of Solver.Inter ?scratch local))
 
 (* Incremental variants for the serving [delta] tier: same spec as
    [compute], routed through the restartable solver entry points. *)
-let spec_of ?scratch local =
-  let nbits = Local.nbits local in
-  {
-    Solver.nbits;
-    direction = Solver.Forward;
-    confluence = Solver.Inter;
-    boundary = Arena.alloc scratch nbits;
-    transfer = transfer local;
-  }
-
-let of_result (result : Solver.result) =
-  {
-    avin = result.Solver.block_in;
-    avout = result.Solver.block_out;
-    sweeps = result.Solver.sweeps;
-    visits = result.Solver.visits;
-  }
-
 let compute_keep ?scratch g local =
   Lcm_obs.Trace.span_attrs "solve.avail" (fun () ->
-      let result, saved = Solver.run_saved ?scratch g (spec_of ?scratch local) in
+      let result, saved = Solver.run_saved ?scratch g (spec_of Solver.Inter ?scratch local) in
       let r = of_result result in
       ((r, saved), [ ("sweeps", string_of_int r.sweeps); ("visits", string_of_int r.visits) ]))
 
 let compute_incr ?scratch g local ~prev ~dirty =
   Lcm_obs.Trace.span_attrs "solve.avail.incr" (fun () ->
-      match Solver.resolve ?scratch g (spec_of ?scratch local) ~prev ~dirty with
+      match Solver.resolve ?scratch g (spec_of Solver.Inter ?scratch local) ~prev ~dirty with
       | None -> (None, [ ("fallback", "full") ])
       | Some (result, saved, region) ->
         ( Some (of_result result, saved, region),

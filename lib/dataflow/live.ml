@@ -18,10 +18,11 @@ let term_uses g l =
   | Cfg.Branch (Expr.Var v, _, _) -> [ v ]
   | Cfg.Branch (Expr.Const _, _, _) | Cfg.Goto _ | Cfg.Halt -> []
 
-(* gen(b): upward-exposed uses; kill(b): all definitions. *)
-let gen_kill ?scratch g vars l =
+(* gen(b): upward-exposed uses; keep(b): everything but the definitions
+   (the complement of the classic kill set). *)
+let gen_keep ?scratch g vars l =
   let n = Var_pool.size vars in
-  let gen = Arena.alloc scratch n and kill = Arena.alloc scratch n in
+  let gen = Arena.alloc scratch n and keep = Arena.alloc_full scratch n in
   let idx v = Var_pool.index vars v in
   let set bv v b = Option.iter (fun i -> Bitvec.set bv i b) (idx v) in
   List.iter (fun v -> set gen v true) (term_uses g l);
@@ -30,11 +31,11 @@ let gen_kill ?scratch g vars l =
       (match Instr.defs i with
       | Some v ->
         set gen v false;
-        set kill v true
+        set keep v false
       | None -> ());
       List.iter (fun v -> set gen v true) (Instr.uses i))
     (List.rev (Cfg.instrs g l));
-  (gen, kill)
+  (gen, keep)
 
 let compute ?scratch ?exit_live g =
   Lcm_obs.Trace.span_attrs "solve.live" @@ fun () ->
@@ -48,24 +49,19 @@ let compute ?scratch ?exit_live g =
   in
   let boundary = Arena.alloc scratch n in
   List.iter (fun v -> Option.iter (fun i -> Bitvec.set boundary i true) (Var_pool.index vars v)) exit_live;
-  (* gen/kill as flat label-indexed arrays (labels are dense ints below
-     [label_bound]), checked out of the arena like the solver state. *)
+  (* GEN/KEEP rows as flat label-indexed arrays (labels are dense ints
+     below [label_bound]), checked out of the arena like the solver state. *)
   let bound = Cfg.label_bound g in
-  let gens = Arena.alloc_vec scratch bound and kills = Arena.alloc_vec scratch bound in
+  let gen = Arena.alloc_vec scratch bound and keep = Arena.alloc_vec scratch bound in
   List.iter
     (fun l ->
-      let gen, kill = gen_kill ?scratch g vars l in
-      gens.(l) <- gen;
-      kills.(l) <- kill)
+      let gl, kl = gen_keep ?scratch g vars l in
+      gen.(l) <- gl;
+      keep.(l) <- kl)
     (Cfg.labels g);
-  let transfer l ~src ~dst =
-    ignore (Bitvec.blit ~src ~dst);
-    ignore (Bitvec.diff_into ~into:dst kills.(l));
-    ignore (Bitvec.union_into ~into:dst gens.(l))
-  in
   let result =
     Solver.run ?scratch g
-      { Solver.nbits = n; direction = Solver.Backward; confluence = Solver.Union; boundary; transfer }
+      { Solver.nbits = n; direction = Solver.Backward; confluence = Solver.Union; boundary; gen; keep }
   in
   ( {
       vars;

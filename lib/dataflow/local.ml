@@ -135,9 +135,9 @@ let rec scan_block pool masks killed a c t = function
 let compute ?scratch g pool =
   let n = Expr_pool.size pool in
   let bound = Cfg.label_bound g in
-  let antloc = Arena.alloc_vec scratch bound
-  and comp = Arena.alloc_vec scratch bound
-  and transp = Arena.alloc_vec scratch bound in
+  let antloc = Arena.alloc_rows scratch n bound
+  and comp = Arena.alloc_rows scratch n bound
+  and transp = Arena.alloc_rows_full scratch n bound in
   let live = Arena.alloc_bool scratch bound in
   let masks = kill_masks scratch pool in
   (* [killed] tracks expressions whose operands have been modified by an
@@ -145,14 +145,8 @@ let compute ?scratch g pool =
   let killed = Arena.alloc scratch n in
   List.iter
     (fun l ->
-      let a = Arena.alloc scratch n
-      and c = Arena.alloc scratch n
-      and t = Arena.alloc_full scratch n in
       Bitvec.fill killed false;
-      scan_block pool masks killed a c t (Cfg.instrs g l);
-      antloc.(l) <- a;
-      comp.(l) <- c;
-      transp.(l) <- t;
+      scan_block pool masks killed antloc.(l) comp.(l) transp.(l) (Cfg.instrs g l);
       live.(l) <- true)
     (Cfg.labels g);
   { pool; graph = g; antloc; comp; transp; live }
@@ -167,6 +161,9 @@ let[@inline] get t arr l what =
 let antloc t l = get t t.antloc l "antloc"
 let comp t l = get t t.comp l "comp"
 let transp t l = get t t.transp l "transp"
+let antloc_rows t = t.antloc
+let comp_rows t = t.comp
+let transp_rows t = t.transp
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

@@ -27,5 +27,14 @@ val antloc : t -> Lcm_cfg.Label.t -> Lcm_support.Bitvec.t
 val comp : t -> Lcm_cfg.Label.t -> Lcm_support.Bitvec.t
 val transp : t -> Lcm_cfg.Label.t -> Lcm_support.Bitvec.t
 
+(** The same predicates as whole label-indexed row arrays, for word
+    kernels such as {!Solver}'s GEN/KEEP rows: slot [l] is the predicate of
+    block [l] for every block of the graph; other slots are unspecified.
+    Owned by [t]; callers must not mutate the arrays or their rows. *)
+val antloc_rows : t -> Lcm_support.Bitvec.t array
+
+val comp_rows : t -> Lcm_support.Bitvec.t array
+val transp_rows : t -> Lcm_support.Bitvec.t array
+
 (** Render the three predicates for every block, one row per block. *)
 val pp : Format.formatter -> t -> unit

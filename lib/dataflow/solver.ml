@@ -4,7 +4,7 @@ module Arena = Lcm_support.Arena
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 
-let default_engine_name = "dense worklist (RPO priority queue)"
+let default_engine_name = "dense worklist (RPO-position bitset queue)"
 let par_engine_name = "domain-sliced worklist (word-aligned bit slices)"
 
 type direction =
@@ -24,7 +24,8 @@ type spec = {
   direction : direction;
   confluence : confluence;
   boundary : Bitvec.t;
-  transfer : Label.t -> src:Bitvec.t -> dst:Bitvec.t -> unit;
+  gen : Bitvec.t array;
+  keep : Bitvec.t array;
 }
 
 type result = {
@@ -34,97 +35,60 @@ type result = {
   visits : int;
 }
 
-(* Binary min-heap of labels keyed by a static priority, with an in-queue
-   bitmap for deduplication: a label already pending is never pushed twice,
-   so the heap never exceeds the reachable block count. *)
-module Pq = struct
-  type t = {
-    heap : int array;
-    prio : int array;
-    inq : bool array;
-    mutable size : int;
-  }
-
-  let create ?scratch ~capacity ~bound prio =
-    {
-      heap = Arena.alloc_int scratch (max 1 capacity);
-      prio;
-      inq = Arena.alloc_bool scratch bound;
-      size = 0;
-    }
-
-  let is_empty q = q.size = 0
-  let mem q l = q.inq.(l)
-
-  let push q l =
-    if not q.inq.(l) then begin
-      q.inq.(l) <- true;
-      let i = ref q.size in
-      q.size <- q.size + 1;
-      q.heap.(!i) <- l;
-      let continue = ref true in
-      while !continue && !i > 0 do
-        let parent = (!i - 1) / 2 in
-        if q.prio.(q.heap.(parent)) > q.prio.(q.heap.(!i)) then begin
-          let tmp = q.heap.(parent) in
-          q.heap.(parent) <- q.heap.(!i);
-          q.heap.(!i) <- tmp;
-          i := parent
-        end
-        else continue := false
-      done
-    end
-
-  let pop q =
-    let top = q.heap.(0) in
-    q.size <- q.size - 1;
-    q.heap.(0) <- q.heap.(q.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.size && q.prio.(q.heap.(l)) < q.prio.(q.heap.(!smallest)) then smallest := l;
-      if r < q.size && q.prio.(q.heap.(r)) < q.prio.(q.heap.(!smallest)) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = q.heap.(!smallest) in
-        q.heap.(!smallest) <- q.heap.(!i);
-        q.heap.(!i) <- tmp;
-        i := !smallest
-      end
-      else continue := false
-    done;
-    q.inq.(top) <- false;
-    top
-end
-
-(* Shared dense state for both engines: [meet.(l)] is the value on the meet
-   side of block l (entry for forward, exit for backward); [flow.(l)] the
-   value after the transfer.  Arrays are indexed by label — labels are dense
-   ints below [Cfg.label_bound] — replacing the per-access Hashtbl lookups
-   of the old engine. *)
+(* Shared dense state for every engine: [meet.(l)] is the value on the
+   meet side of block l (entry for forward, exit for backward); [flow.(l)]
+   the value after the transfer.  Arrays are indexed by label — labels are
+   dense ints below [Cfg.label_bound] — and so are the spec's GEN/KEEP
+   rows, which the visit kernel reads word by word. *)
 type state = {
   adj : Cfg.adjacency;
   boundary_label : Label.t;
   meet : Bitvec.t array;
   flow : Bitvec.t array;
+  gen : Bitvec.t array;
+  keep : Bitvec.t array;
+  union : bool;
   live : bool array;
   (* meet inputs of a block (preds forward, succs backward) *)
   meet_neighbors : Label.t array array;
   (* blocks whose meet reads our flow (succs forward, preds backward) *)
   dependents : Label.t array array;
   process_order : Label.t list;
-  scratch : Bitvec.t;
-  arena : Arena.t option;  (* where this state's buffers came from *)
+  nwords : int;
 }
 
-(* All of a solve's state — the meet/flow vector per block, the slot arrays
-   holding them, and the worklist machinery below — comes from the request's
-   arena when one is threaded through ([?scratch]); with [None] every
-   allocation falls back to the heap, which is the historical behavior. *)
+(* The visit kernel reads rows with unchecked word accesses, so every row it
+   can touch is checked once per solve: a GEN and a KEEP row of exactly
+   [nbits] bits for every block of the graph.  A top-level recursion, as
+   the solve itself allocates no closure. *)
+let rec check_rows what rows nbits = function
+  | [] -> ()
+  | l :: rest ->
+    if Bitvec.length rows.(l) <> nbits then
+      invalid_arg
+        (Printf.sprintf "Solver: %s row of B%d has %d bits, expected %d" what l
+           (Bitvec.length rows.(l)) nbits);
+    check_rows what rows nbits rest
+
+let check_table what rows (spec : spec) bound labels =
+  if Array.length rows < bound then
+    invalid_arg (Printf.sprintf "Solver: %s has %d rows for label bound %d" what (Array.length rows) bound);
+  check_rows what rows spec.nbits labels
+
+let check_spec (spec : spec) bound labels =
+  check_table "gen" spec.gen spec bound labels;
+  check_table "keep" spec.keep spec bound labels;
+  if Bitvec.length spec.boundary <> spec.nbits then
+    invalid_arg "Solver: boundary width differs from nbits"
+
+(* All of a solve's state — the meet/flow row tables and the worklist
+   machinery below — comes from the request's arena when one is threaded
+   through ([?scratch]); with [None] every allocation falls back to the
+   heap. *)
 let make_state ?scratch g spec =
   let adj = Cfg.adjacency g in
   let bound = adj.Cfg.adj_bound in
+  check_spec spec bound adj.Cfg.adj_labels;
   let boundary_label =
     match spec.direction with
     | Forward -> Cfg.entry g
@@ -132,18 +96,14 @@ let make_state ?scratch g spec =
   in
   let init () =
     match spec.confluence with
-    | Union -> Arena.alloc scratch spec.nbits
-    | Inter -> Arena.alloc_full scratch spec.nbits
+    | Union -> Arena.alloc_rows scratch spec.nbits bound
+    | Inter -> Arena.alloc_rows_full scratch spec.nbits bound
   in
-  let meet = Arena.alloc_vec scratch bound in
-  let flow = Arena.alloc_vec scratch bound in
-  for l = 0 to bound - 1 do
-    meet.(l) <- init ();
-    flow.(l) <- init ()
-  done;
-  meet.(boundary_label) <- Arena.alloc_copy scratch spec.boundary;
+  let meet = init () in
+  let flow = init () in
+  ignore (Bitvec.blit ~src:spec.boundary ~dst:meet.(boundary_label));
   let live = Arena.alloc_bool scratch bound in
-  List.iter (fun l -> live.(l) <- true) (Cfg.labels g);
+  List.iter (fun l -> live.(l) <- true) adj.Cfg.adj_labels;
   let meet_neighbors, dependents, process_order =
     match spec.direction with
     | Forward -> (adj.Cfg.adj_pred, adj.Cfg.adj_succ, adj.Cfg.adj_rpo)
@@ -154,40 +114,84 @@ let make_state ?scratch g spec =
     boundary_label;
     meet;
     flow;
+    gen = spec.gen;
+    keep = spec.keep;
+    union = (match spec.confluence with Union -> true | Inter -> false);
     live;
     meet_neighbors;
     dependents;
     process_order;
-    scratch = Arena.alloc scratch spec.nbits;
-    arena = scratch;
+    nwords = Bitvec.words_for spec.nbits;
   }
 
-(* Recompute meet.(l) from its neighbors' flow values, then apply the
-   transfer; returns whether flow.(l) changed.  Blocks without meet inputs
-   keep the neutral element of the confluence (e.g. backward blocks that
-   cannot reach the exit). *)
-let visit st spec l =
-  if not (Label.equal l st.boundary_label) then begin
-    let nbs = st.meet_neighbors.(l) in
-    if Array.length nbs > 0 then begin
-      ignore (Bitvec.blit ~src:st.flow.(nbs.(0)) ~dst:st.scratch);
-      for i = 1 to Array.length nbs - 1 do
-        let v = st.flow.(nbs.(i)) in
-        ignore
-          (match spec.confluence with
-          | Union -> Bitvec.union_into ~into:st.scratch v
-          | Inter -> Bitvec.inter_into ~into:st.scratch v)
-      done;
-      ignore (Bitvec.blit ~src:st.scratch ~dst:st.meet.(l))
+let[@inline] join union a b = if union then a lor b else a land b
+let[@inline] row rows l = Bitvec.words (Array.unsafe_get rows l)
+
+(* [out = GEN ∪ (m ∩ KEEP)] over words [w0, w1) with [m] already in
+   [inw]; returns whether [out] changed. *)
+let transfer_words ~gen ~keep ~inw ~out w0 w1 =
+  let changed = ref false in
+  for w = w0 to w1 - 1 do
+    let o =
+      Array.unsafe_get gen w lor (Array.unsafe_get inw w land Array.unsafe_get keep w)
+    in
+    if o <> Array.unsafe_get out w then begin
+      Array.unsafe_set out w o;
+      changed := true
     end
-  end;
-  spec.transfer l ~src:st.meet.(l) ~dst:st.scratch;
-  Bitvec.blit ~src:st.scratch ~dst:st.flow.(l)
+  done;
+  !changed
+
+(* The visit kernel, over the words [w0, w1) of block l: recompute the meet
+   from the neighbors' flow rows, apply [out = GEN ∪ (in ∩ KEEP)], and
+   report whether [flow.(l)] changed — one word loop, no per-operation
+   vector calls and no scratch blits.  Blocks without meet inputs keep the
+   neutral element of the confluence (e.g. backward blocks that cannot
+   reach the exit), and the boundary block keeps the boundary value.  The
+   word range is the whole row for the sequential engines and one slice
+   for {!run_par}. *)
+let visit st l w0 w1 =
+  let inw = row st.meet l and out = row st.flow l in
+  let gen = row st.gen l and keep = row st.keep l in
+  let nbs = Array.unsafe_get st.meet_neighbors l in
+  let k = if Label.equal l st.boundary_label then 0 else Array.length nbs in
+  if k = 1 then begin
+    (* The common straight-line case: meet = the one neighbor's flow,
+       fused with the transfer into a single pass. *)
+    let f0 = row st.flow (Array.unsafe_get nbs 0) in
+    let changed = ref false in
+    for w = w0 to w1 - 1 do
+      let m = Array.unsafe_get f0 w in
+      Array.unsafe_set inw w m;
+      let o = Array.unsafe_get gen w lor (m land Array.unsafe_get keep w) in
+      if o <> Array.unsafe_get out w then begin
+        Array.unsafe_set out w o;
+        changed := true
+      end
+    done;
+    !changed
+  end
+  else begin
+    if k > 1 then begin
+      let union = st.union in
+      let f0 = row st.flow (Array.unsafe_get nbs 0) and f1 = row st.flow (Array.unsafe_get nbs 1) in
+      for w = w0 to w1 - 1 do
+        Array.unsafe_set inw w (join union (Array.unsafe_get f0 w) (Array.unsafe_get f1 w))
+      done;
+      for i = 2 to k - 1 do
+        let fi = row st.flow (Array.unsafe_get nbs i) in
+        for w = w0 to w1 - 1 do
+          Array.unsafe_set inw w (join union (Array.unsafe_get inw w) (Array.unsafe_get fi w))
+        done
+      done
+    end;
+    transfer_words ~gen ~keep ~inw ~out w0 w1
+  end
 
 (* Reference engine: round-robin sweeps to a fixed point, exactly the shape
    the paper costs out.  [sweeps] counts full passes including the final
    unchanged one; [visits] counts transfer applications. *)
-let run_sweep st spec =
+let run_sweep st =
   let sweeps = ref 0 and visits = ref 0 in
   let changed = ref true in
   while !changed do
@@ -196,10 +200,58 @@ let run_sweep st spec =
     List.iter
       (fun l ->
         incr visits;
-        if visit st spec l then changed := true)
+        if visit st l 0 st.nwords then changed := true)
       st.process_order
   done;
   (!sweeps, !visits)
+
+(* The worklist's queue: a bitset of pending positions in the processing
+   order (reverse postorder forward, postorder backward) and a cursor
+   [low] — no word below it has a pending bit.  A pop takes the least
+   pending position, so blocks are visited in exactly the order a priority
+   queue keyed by position would give, without a heap; a zero word skips a
+   word's worth of positions at once.  A record and top-level functions,
+   not closures over refs, so a solve allocates only the record. *)
+type queue = {
+  order : int array;  (* the block at each position *)
+  posn : int array;  (* each reachable block's position *)
+  pending : int array;
+  mutable npending : int;
+  mutable low : int;
+}
+
+let rec fill_order q p = function
+  | [] -> ()
+  | l :: rest ->
+    q.order.(p) <- l;
+    q.posn.(l) <- p;
+    fill_order q (p + 1) rest
+
+let push q l =
+  let p = q.posn.(l) in
+  let wi = p / Bitvec.bits_per_word and m = 1 lsl (p mod Bitvec.bits_per_word) in
+  let x = q.pending.(wi) in
+  if x land m = 0 then begin
+    q.pending.(wi) <- x lor m;
+    q.npending <- q.npending + 1;
+    if wi < q.low then q.low <- wi
+  end
+
+let rec push_all q = function
+  | [] -> ()
+  | l :: rest ->
+    push q l;
+    push_all q rest
+
+(* The pending block of least position; the queue must be non-empty. *)
+let pop q =
+  while q.pending.(q.low) = 0 do
+    q.low <- q.low + 1
+  done;
+  let x = q.pending.(q.low) in
+  q.pending.(q.low) <- x land (x - 1);
+  q.npending <- q.npending - 1;
+  q.order.((q.low * Bitvec.bits_per_word) + Bitvec.ntz x)
 
 (* Worklist engine: seed every reachable block once in priority order
    (reverse postorder for forward problems, postorder for backward), then
@@ -207,31 +259,39 @@ let run_sweep st spec =
    changed.  On sparse graphs this drops visit counts from ~sweeps·N to the
    near-optimal count.  [sweeps] is reported as the maximum number of times
    any single block was visited — the depth of iteration, the analogue of
-   the round-robin sweep count. *)
-let run_worklist ?seeds st spec =
+   the round-robin sweep count.
+
+   The visits cover words [w0, w1) of every row; the worklist machinery
+   comes from [arena] ([None]: the heap — the slice tasks of {!run_par}
+   run on other domains, where the request's arena must not be touched). *)
+let run_worklist ?seeds ~arena st w0 w1 =
   let bound = st.adj.Cfg.adj_bound in
-  let reachable = st.adj.Cfg.adj_rpo_pos in
-  (* Priority = position in the processing order. *)
-  let prio = Arena.alloc_int st.arena bound in
-  Array.fill prio 0 bound max_int;
-  List.iteri (fun i l -> prio.(l) <- i) st.process_order;
+  let rpo_pos = st.adj.Cfg.adj_rpo_pos in
   let nreach = List.length st.process_order in
-  let q = Pq.create ?scratch:st.arena ~capacity:nreach ~bound prio in
-  let seeds = match seeds with Some s -> s | None -> st.process_order in
-  List.iter (fun l -> Pq.push q l) seeds;
+  let q =
+    {
+      order = Arena.alloc_int arena (max 1 nreach);
+      posn = Arena.alloc_int arena bound;
+      pending = Arena.alloc_int arena (max 1 (Bitvec.words_for nreach));
+      npending = 0;
+      low = max_int;
+    }
+  in
+  fill_order q 0 st.process_order;
+  push_all q (match seeds with Some s -> s | None -> st.process_order);
   let visits = ref 0 in
-  let visit_count = Arena.alloc_int st.arena bound in
-  while not (Pq.is_empty q) do
-    let l = Pq.pop q in
+  let visit_count = Arena.alloc_int arena bound in
+  while q.npending > 0 do
+    let l = pop q in
     incr visits;
     visit_count.(l) <- visit_count.(l) + 1;
-    if visit st spec l then begin
+    if visit st l w0 w1 then begin
       (* Explicit loop, not [Array.iter]: a closure here would be
          allocated on every changed visit of the hot fixpoint. *)
       let deps = st.dependents.(l) in
       for i = 0 to Array.length deps - 1 do
         let d = deps.(i) in
-        if reachable.(d) >= 0 && not (Pq.mem q d) then Pq.push q d
+        if rpo_pos.(d) >= 0 then push q d
       done
     end
   done;
@@ -243,7 +303,8 @@ let run_worklist ?seeds st spec =
   done;
   (!sweeps, !visits)
 
-let make_result ~direction ~live ~meet ~flow ~sweeps ~visits =
+let make_result st direction ~sweeps ~visits =
+  let live = st.live and meet = st.meet and flow = st.flow in
   let lookup table what l =
     if l >= 0 && l < Array.length table && live.(l) then table.(l)
     else invalid_arg (Printf.sprintf "Solver.%s: unknown label B%d" what l)
@@ -259,10 +320,10 @@ let run ?(engine = Worklist) ?scratch g spec =
   let st = make_state ?scratch g spec in
   let sweeps, visits =
     match engine with
-    | Worklist -> run_worklist st spec
-    | Sweep -> run_sweep st spec
+    | Worklist -> run_worklist ~arena:scratch st 0 st.nwords
+    | Sweep -> run_sweep st
   in
-  make_result ~direction:spec.direction ~live:st.live ~meet:st.meet ~flow:st.flow ~sweeps ~visits
+  make_result st spec.direction ~sweeps ~visits
 
 (* --- restartable entry point --------------------------------------------
 
@@ -308,11 +369,8 @@ let save st spec =
 
 let run_saved ?scratch g spec =
   let st = make_state ?scratch g spec in
-  let sweeps, visits = run_worklist st spec in
-  let result =
-    make_result ~direction:spec.direction ~live:st.live ~meet:st.meet ~flow:st.flow ~sweeps ~visits
-  in
-  (result, save st spec)
+  let sweeps, visits = run_worklist ~arena:scratch st 0 st.nwords in
+  (make_result st spec.direction ~sweeps ~visits, save st spec)
 
 let resolve ?scratch g spec ~prev ~dirty =
   if prev.s_nbits <> spec.nbits || prev.s_direction <> spec.direction then None
@@ -357,12 +415,8 @@ let resolve ?scratch g spec ~prev ~dirty =
     done;
     let seeds = List.filter (fun l -> affected.(l)) st.process_order in
     let region = List.length seeds in
-    let sweeps, visits = run_worklist ~seeds st spec in
-    let result =
-      make_result ~direction:spec.direction ~live:st.live ~meet:st.meet ~flow:st.flow ~sweeps
-        ~visits
-    in
-    Some (result, save st spec, region)
+    let sweeps, visits = run_worklist ~seeds ~arena:scratch st 0 st.nwords in
+    Some (make_result st spec.direction ~sweeps ~visits, save st spec, region)
   end
 
 (* --- domain-parallel engine ---------------------------------------------
@@ -371,19 +425,18 @@ let resolve ?scratch g spec ~prev ~dirty =
    axis: the fixpoint of bit [i] never reads any bit [j <> i], so any
    partition of the [nbits] space can be solved independently.  [run_par]
    partitions it into word-aligned slices (disjoint slices never share a
-   storage word — see [Bitvec.slice_bounds]), solves each slice's fixpoint
-   with the sequential worklist engine on its own pool task, and reassembles
-   full-width vectors afterwards.  The caller supplies [slice], producing a
-   spec whose transfer operates on [len]-bit vectors for bits
-   [lo .. lo+len-1] of the full problem; its boundary must be the matching
-   slice of the full boundary.
+   storage word — see [Bitvec.slice_bounds]) and runs the sequential
+   worklist on each slice's word range as its own pool task.  All slices
+   share one full-width state: each task reads and writes only the words
+   of its own slice, so the tasks never touch a common location and the
+   rows need no reassembly afterwards.
 
    Determinism contract: each slice fixpoint is the unique
    least/greatest fixpoint of its (monotone) slice system, so the result is
    bit-identical to the sequential engines regardless of how the pool
-   schedules slices; assembly order is fixed.  Counter semantics: [visits]
-   sums the slices' transfer applications (total work), [sweeps] is the
-   maximum iteration depth over slices (critical path).
+   schedules slices.  Counter semantics: [visits] sums the slices'
+   transfer applications (total work), [sweeps] is the maximum iteration
+   depth over slices (critical path).
 
    Problems narrower than [threshold] bits per available domain fall back
    to the sequential worklist — slicing two words across domains costs more
@@ -391,52 +444,24 @@ let resolve ?scratch g spec ~prev ~dirty =
 
 let default_par_threshold = 256
 
-let run_par ?pool ?(threshold = default_par_threshold) ?scratch g spec ~slice =
+let run_par ?pool ?(threshold = default_par_threshold) ?scratch g spec =
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let pieces = min (Pool.size pool) (max 1 (spec.nbits / max 1 threshold)) in
   let bounds = Bitvec.slice_bounds ~nbits:spec.nbits ~pieces in
   if pieces <= 1 || Array.length bounds <= 1 then run ?scratch g spec
   else begin
-    (* Pre-warm the lazily-built adjacency snapshot before fanning out: the
-       build is lock-guarded, but warming it here keeps the slices from
-       serializing on it. *)
-    let adj = Cfg.adjacency g in
-    let bound = adj.Cfg.adj_bound in
+    (* The state (and the adjacency snapshot it reads) is built here,
+       before the fan-out, so [scratch] is only ever touched by its owning
+       domain. *)
+    let st = make_state ?scratch g spec in
     let k = Array.length bounds in
-    let solved = Array.make k None in
+    let counts = Array.make k (0, 0) in
     Pool.run pool
       (List.init k (fun i () ->
            let lo, len = bounds.(i) in
-           let sub = slice ~lo ~len in
-           if sub.nbits <> len then
-             invalid_arg
-               (Printf.sprintf "Solver.run_par: slice [%d,%d) returned a %d-bit spec" lo
-                  (lo + len) sub.nbits);
-           (* Slice states are built on pool domains: an arena is
-              single-owner per domain, so slices keep the heap path and
-              only the caller-side assembly below uses [scratch]. *)
-           let st = make_state g sub in
-           let counts = run_worklist st sub in
-           solved.(i) <- Some (st, counts)));
-    let meet = Arena.alloc_vec scratch bound in
-    let flow = Arena.alloc_vec scratch bound in
-    for l = 0 to bound - 1 do
-      meet.(l) <- Arena.alloc scratch spec.nbits;
-      flow.(l) <- Arena.alloc scratch spec.nbits
-    done;
-    let sweeps = ref 0 and visits = ref 0 in
-    Array.iteri
-      (fun i entry ->
-        let st, (s, v) = Option.get entry in
-        let lo, _ = bounds.(i) in
-        for l = 0 to bound - 1 do
-          ignore (Bitvec.blit_slice ~src:st.meet.(l) ~into:meet.(l) ~lo);
-          ignore (Bitvec.blit_slice ~src:st.flow.(l) ~into:flow.(l) ~lo)
-        done;
-        sweeps := max !sweeps s;
-        visits := !visits + v)
-      solved;
-    let live = Arena.alloc_bool scratch bound in
-    List.iter (fun l -> live.(l) <- true) (Cfg.labels g);
-    make_result ~direction:spec.direction ~live ~meet ~flow ~sweeps:!sweeps ~visits:!visits
+           let w0 = lo / Bitvec.bits_per_word in
+           counts.(i) <- run_worklist ~arena:None st w0 (w0 + Bitvec.words_for len)));
+    let sweeps = Array.fold_left (fun acc (s, _) -> max acc s) 0 counts in
+    let visits = Array.fold_left (fun acc (_, v) -> acc + v) 0 counts in
+    make_result st spec.direction ~sweeps ~visits
   end

@@ -1,15 +1,18 @@
 (** Generic iterative bit-vector data-flow solver.
 
     Solves one of the four classic problem shapes (forward/backward ×
-    union/intersection) for all expressions simultaneously.  State lives in
-    flat arrays indexed by label (labels are dense ints below
-    [Cfg.label_bound]), and the default engine iterates with a worklist:
-    blocks are seeded once in reverse postorder (forward) or postorder
-    (backward), and afterwards only the direction-appropriate neighbors of a
-    block whose transfer output changed are re-visited.  The round-robin
-    sweep of the paper's cost model remains available as a reference engine
-    ({!Sweep}) and is checked bit-identical against the worklist by the
-    property tests. *)
+    union/intersection) for all expressions simultaneously, in the classic
+    bit-vector framework: every block's transfer is [out = GEN ∪ (in ∩
+    KEEP)], given as two rows of data per block rather than as a function.
+    State lives in flat arrays indexed by label (labels are dense ints below
+    [Cfg.label_bound]), and one word-loop kernel visits a block — meet,
+    transfer and change test in a single pass over the row's words.  The
+    default engine iterates with a worklist: blocks are seeded once in
+    reverse postorder (forward) or postorder (backward), and afterwards only
+    the direction-appropriate neighbors of a block whose transfer output
+    changed are re-visited.  The round-robin sweep of the paper's cost model
+    remains available as a reference engine ({!Sweep}) and is checked
+    bit-identical against the worklist by the property tests. *)
 
 (** Human-readable name of the default iteration engine (recorded in
     benchmark output). *)
@@ -38,10 +41,16 @@ type spec = {
   boundary : Lcm_support.Bitvec.t;
       (** the entry block's in-value (forward) or the exit block's out-value
           (backward) *)
-  transfer : Lcm_cfg.Label.t -> src:Lcm_support.Bitvec.t -> dst:Lcm_support.Bitvec.t -> unit;
-      (** [transfer l ~src ~dst] writes the block's transfer applied to
-          [src] into [dst]; [dst] starts as a copy of [src]'s length, with
-          unspecified contents. *)
+  gen : Lcm_support.Bitvec.t array;
+      (** GEN rows indexed by label: block [l]'s transfer is
+          [out = gen.(l) ∪ (in ∩ keep.(l))], where [in] is the meet-side
+          value (block entry forward, block exit backward) and [out] the
+          other side.  Every block of the graph needs an [nbits]-bit row;
+          other slots are never read. *)
+  keep : Lcm_support.Bitvec.t array;
+      (** KEEP rows, the complement of the classic KILL set, indexed like
+          [gen].  Rows are read, never written, and must stay unchanged
+          while a solve runs. *)
 }
 
 type result = {
@@ -58,9 +67,10 @@ type result = {
 }
 
 (** Returned vectors are owned by the result; callers must not mutate them.
-    Both engines compute the same fixpoint (bit-identical for the monotone
-    transfers used throughout this library); [engine] defaults to
-    {!Worklist}.
+    Both engines compute the same fixpoint (bit-identical: every GEN/KEEP
+    transfer is monotone); [engine] defaults to {!Worklist}.  Raises
+    [Invalid_argument] when a block of the graph lacks an [nbits]-bit GEN
+    or KEEP row.
 
     When [scratch] is given, every piece of solver state — the per-block
     meet/flow vectors (including those reachable through the result), the
@@ -110,21 +120,15 @@ val resolve :
 (** Default [threshold] of {!run_par}, in bits per domain. *)
 val default_par_threshold : int
 
-(** [run_par ?pool ?threshold g spec ~slice] solves the same problem as
+(** [run_par ?pool ?threshold g spec] solves the same problem as
     [run g spec] by partitioning the [nbits] expression axis into
     word-aligned slices ({!Lcm_support.Bitvec.slice_bounds}) and running
-    each slice's fixpoint on its own domain of [pool] (default:
-    {!Lcm_support.Pool.default}).  Bit [i]'s fixpoint never depends on bit
-    [j <> i], so the result is bit-identical to the sequential engines —
-    slices are unique fixpoints of monotone systems, independent of pool
-    scheduling.
-
-    [slice ~lo ~len] must return a [len]-bit spec for bits
-    [lo .. lo+len-1] of the full problem — same direction and confluence,
-    boundary equal to the matching slice of the full boundary, transfer
-    operating on [len]-bit vectors.  It is called from pool tasks and so
-    must be safe to call from any domain; per-slice caches built inside the
-    returned spec are confined to one domain.
+    the worklist over each slice's words on its own domain of [pool]
+    (default: {!Lcm_support.Pool.default}).  Bit [i]'s fixpoint never
+    depends on bit [j <> i], so the result is bit-identical to the
+    sequential engines — slices are unique fixpoints of monotone systems,
+    independent of pool scheduling.  The slices share one full-width
+    state, each writing only its own words, so nothing is reassembled.
 
     Falls back to [run g spec] when the problem is narrower than
     [threshold] (default {!default_par_threshold}) bits per available
@@ -134,14 +138,13 @@ val default_par_threshold : int
     applications); [sweeps] is the maximum over slices (parallel iteration
     depth).
 
-    [scratch] backs the sequential fallback and the caller-side assembly
-    of the full-width result; slice fixpoints running on pool domains keep
-    the heap path (an arena is single-owner per domain). *)
+    [scratch] backs the shared state, which is built before the fan-out;
+    the slices' worklist machinery lives on their own domains' heaps (an
+    arena is single-owner per domain). *)
 val run_par :
   ?pool:Lcm_support.Pool.t ->
   ?threshold:int ->
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
   spec ->
-  slice:(lo:int -> len:int -> spec) ->
   result

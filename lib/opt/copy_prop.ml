@@ -42,16 +42,18 @@ let killed_by facts v =
     facts.pairs;
   !acc
 
+(* The block's GEN/KEEP rows: facts established by its copies, and facts
+   no definition in it invalidates. *)
 let block_transfer g facts l =
   let n = Array.length facts.pairs in
-  let gen = Bitvec.create n and kill = Bitvec.create n in
+  let gen = Bitvec.create n and keep = Bitvec.create_full n in
   List.iter
     (fun i ->
       (match Instr.defs i with
       | Some v ->
         List.iter
           (fun idx ->
-            Bitvec.set kill idx true;
+            Bitvec.set keep idx false;
             Bitvec.set gen idx false)
           (killed_by facts v)
       | None -> ());
@@ -60,7 +62,7 @@ let block_transfer g facts l =
         Bitvec.set gen (Hashtbl.find facts.index (v, w)) true
       | Instr.Assign _ | Instr.Print _ | Instr.Effect _ -> ())
     (Cfg.instrs g l);
-  (gen, kill)
+  (gen, keep)
 
 (* Map view of a fact set: target variable to (transitively resolved)
    source. *)
@@ -84,8 +86,14 @@ let run g =
   let n = Array.length facts.pairs in
   let rewritten = ref 0 in
   if n > 0 then begin
-    let transfers = Hashtbl.create 32 in
-    List.iter (fun l -> Hashtbl.replace transfers l (block_transfer g facts l)) (Cfg.labels g);
+    let bound = Cfg.label_bound g in
+    let gen = Array.make bound (Bitvec.create n) and keep = Array.make bound (Bitvec.create n) in
+    List.iter
+      (fun l ->
+        let gl, kl = block_transfer g facts l in
+        gen.(l) <- gl;
+        keep.(l) <- kl)
+      (Cfg.labels g);
     let solution =
       Solver.run g
         {
@@ -93,12 +101,8 @@ let run g =
           direction = Solver.Forward;
           confluence = Solver.Inter;
           boundary = Bitvec.create n;
-          transfer =
-            (fun l ~src ~dst ->
-              let gen, kill = Hashtbl.find transfers l in
-              ignore (Bitvec.blit ~src ~dst);
-              ignore (Bitvec.diff_into ~into:dst kill);
-              ignore (Bitvec.union_into ~into:dst gen));
+          gen;
+          keep;
         }
     in
     List.iter

@@ -37,11 +37,20 @@ type 'a pool = {
   mutable next : int;
 }
 
+(* Row tables ({!rows}) are keyed by two buckets: the words per row and
+   the row count. *)
+type row_pool = {
+  row_wcap : int;
+  row_ccap : int;
+  tables : Bitvec.t array pool;
+}
+
 type t = {
   mutable vec_pools : Bitvec.t pool list;  (* ascending capacity; a handful *)
   mutable int_pools : int array pool list;
   mutable bool_pools : bool array pool list;
   mutable slot_pools : Bitvec.t array pool list;
+  mutable row_pools : row_pool list;
   mutable checkouts : int;  (* lifetime checkouts, for tests/stats *)
   mutable misses : int;  (* checkouts that had to heap-allocate a new item *)
 }
@@ -52,6 +61,7 @@ let create () =
     int_pools = [];
     bool_pools = [];
     slot_pools = [];
+    row_pools = [];
     checkouts = 0;
     misses = 0;
   }
@@ -214,8 +224,52 @@ let vec_array a n =
     buf
   end
 
+(* A label- or edge-indexed table of rows as one checkout.  The table and
+   its row records are parked together, so a warm checkout re-initializes
+   [count] rows in place and stores no pointer at all — a table of
+   separate {!bitvec} checkouts pays a pool walk per row and a write
+   barrier per slot. *)
+let rec find_rows lst wcap ccap =
+  match lst with
+  | r :: _ when r.row_wcap = wcap && r.row_ccap = ccap -> r.tables
+  | _ :: rest -> find_rows rest wcap ccap
+  | [] -> raise Not_found
+
+let rows_pool a wcap ccap =
+  try find_rows a.row_pools wcap ccap
+  with Not_found ->
+    let tables = { pcap = wcap * ccap; items = [||]; count = 0; next = 0 } in
+    a.row_pools <- { row_wcap = wcap; row_ccap = ccap; tables } :: a.row_pools;
+    tables
+
+let rows_gen a n count full =
+  let wcap = bucket_size (Bitvec.words_for n) and ccap = bucket_size count in
+  let p = rows_pool a wcap ccap in
+  a.checkouts <- a.checkouts + 1;
+  let t =
+    if p.next < p.count then begin
+      let t = p.items.(p.next) in
+      p.next <- p.next + 1;
+      t
+    end
+    else begin
+      a.misses <- a.misses + 1;
+      let t = Array.init ccap (fun _ -> Bitvec.of_buffer (Array.make wcap 0) n) in
+      push p t;
+      t
+    end
+  in
+  for i = 0 to count - 1 do
+    if full then Bitvec.reinit_full t.(i) n else Bitvec.reinit t.(i) n
+  done;
+  t
+
+let rows a n count = rows_gen a n count false
+let rows_full a n count = rows_gen a n count true
+
 let reset a =
   let rewind p = p.next <- 0 in
+  List.iter (fun r -> rewind r.tables) a.row_pools;
   List.iter rewind a.vec_pools;
   List.iter rewind a.int_pools;
   List.iter rewind a.bool_pools;
@@ -232,7 +286,8 @@ let reset a =
 
 let retained_words a =
   let words_of acc p = acc + (p.pcap * p.count) in
-  List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools
+  let rows_of acc r = words_of acc r.tables in
+  List.fold_left rows_of (List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools) a.row_pools
 
 let checkouts a = a.checkouts
 let misses a = a.misses
@@ -253,6 +308,14 @@ let alloc_int scratch n = match scratch with Some a -> int_array a n | None -> A
 
 let alloc_bool scratch n =
   match scratch with Some a -> bool_array a n | None -> Array.make n false
+
+let alloc_rows scratch n count =
+  match scratch with Some a -> rows a n count | None -> Array.init count (fun _ -> Bitvec.create n)
+
+let alloc_rows_full scratch n count =
+  match scratch with
+  | Some a -> rows_full a n count
+  | None -> Array.init count (fun _ -> Bitvec.create_full n)
 
 let alloc_vec scratch n =
   match scratch with Some a -> vec_array a n | None -> Array.make n empty_vec

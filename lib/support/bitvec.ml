@@ -33,8 +33,14 @@ let normalize v =
     v.words.(last) <- v.words.(last) land last_mask v.len
   end
 
+(* A plain loop rather than [Array.fill]: rows are a handful of words, and
+   the arena re-initializes whole tables of them per request, where the
+   C call's fixed cost would dominate. *)
 let fill v b =
-  Array.fill v.words 0 (nwords v) (if b then -1 else 0);
+  let x = if b then -1 else 0 and ws = v.words in
+  for w = 0 to nwords v - 1 do
+    Array.unsafe_set ws w x
+  done;
   if b then normalize v
 
 let create_full len =
@@ -65,20 +71,27 @@ let of_buffer_full buf len =
    buffer, clearing the used prefix.  This is what lets the arena recycle
    whole [t] records: a steady-state checkout re-initializes a parked view
    in place and allocates nothing at all. *)
-let reinit v len =
-  if len < 0 then invalid_arg "Bitvec.reinit: negative length";
+let rebind v len name =
+  if len < 0 then invalid_arg (Printf.sprintf "Bitvec.%s: negative length" name);
   if Array.length v.words < word_count len then
     invalid_arg
-      (Printf.sprintf "Bitvec.reinit: buffer of %d words cannot hold %d bits"
+      (Printf.sprintf "Bitvec.%s: buffer of %d words cannot hold %d bits" name
          (Array.length v.words) len);
-  v.len <- len;
+  v.len <- len
+
+let reinit v len =
+  rebind v len "reinit";
   fill v false
 
 let reinit_full v len =
-  reinit v len;
+  rebind v len "reinit_full";
   fill v true
 
-let buffer v = v.words
+let words v = v.words
+
+let of_words src ~off len =
+  if len < 0 then invalid_arg "Bitvec.of_words: negative length";
+  { len; words = Array.sub src off (word_count len) }
 
 let length v = v.len
 
@@ -150,22 +163,6 @@ let inplace op ~into v name =
 let union_into ~into v = inplace ( lor ) ~into v "union_into"
 let inter_into ~into v = inplace ( land ) ~into v "inter_into"
 let diff_into ~into v = inplace (fun a b -> a land lnot b) ~into v "diff_into"
-
-(* into := into ∪ (src \ diff), one pass over the words.  This is the inner
-   step of the LATER system (LATER = EARLIEST ∪ (LATERIN ∩ ¬ANTLOC)); fusing
-   it halves the number of word sweeps in that loop. *)
-let union_diff_into ~into src ~diff =
-  same_length into src "union_diff_into";
-  same_length into diff "union_diff_into";
-  let changed = ref false in
-  for w = 0 to nwords into - 1 do
-    let x = into.words.(w) lor (src.words.(w) land lnot diff.words.(w)) in
-    if x <> into.words.(w) then begin
-      into.words.(w) <- x;
-      changed := true
-    end
-  done;
-  !changed
 
 let union a b =
   let r = copy a in

@@ -38,9 +38,29 @@ val reinit : t -> int -> unit
 (** As {!reinit} but the used prefix is set to all-ones. *)
 val reinit_full : t -> int -> unit
 
-(** The backing storage (may be longer than [words_for (length v)]).
-    Exposed so the arena can reclaim buffers; treat as opaque elsewhere. *)
-val buffer : t -> int array
+(** {2 Row access}
+
+    Word kernels (the data-flow solver's visit, the LCM cascade's fused
+    equations) treat a vector as a row of storage words and combine rows
+    with plain [land]/[lor]/[lnot] instead of one call per set operation.
+
+    [words v] is [v]'s backing storage, shared, not copied.  Word [w] holds
+    bits [w * bits_per_word ..]; only the first [words_for (length v)]
+    words are meaningful (the array may be longer: see {!of_buffer}).  The
+    unused high bits of the last word are zero, and a kernel that writes
+    words must keep them zero — combining rows that obey this with
+    [land], [lor] and [land lnot] does. *)
+val words : t -> int array
+
+(** [ntz x] is the number of trailing zero bits of the non-zero word [x]:
+    the index of its lowest set bit. *)
+val ntz : int -> int
+
+(** [of_words src ~off n] is a fresh [n]-bit vector holding the words
+    [src.(off) .. src.(off + words_for n - 1)] — one row of a flat
+    row-major word matrix.  The source words must obey the zero-high-bits
+    rule of {!words}. *)
+val of_words : int array -> off:int -> int -> t
 
 (** Number of bits. *)
 val length : t -> int
@@ -81,12 +101,6 @@ val inter_into : into:t -> t -> bool
 (** [diff_into ~into v] computes [into \ v] in place; returns [true] when
     [into] changed. *)
 val diff_into : into:t -> t -> bool
-
-(** [union_diff_into ~into src ~diff] computes [into ∪ (src \ diff)] into
-    [into] in a single pass over the words; returns [true] when [into]
-    changed.  This fuses the [LATER = EARLIEST ∪ (LATERIN ∩ ¬ANTLOC)]
-    inner step of the LCM placement system. *)
-val union_diff_into : into:t -> t -> diff:t -> bool
 
 (** Pure binary operations; operands must have equal lengths. *)
 val union : t -> t -> t

@@ -230,6 +230,12 @@ let test_kill9_mid_stream () =
            (roundtrip reference (100 + k) (delta_frame ~id:(100 + k) ~handle:h (step_instrs k 0)))))
     handles;
   let victim_pid = pid_of_worker (fetch_stats conn 90) victim_worker in
+  (* Keep the victim busy so the stream is provably in flight when it
+     dies: sleeps are dealt round-robin over the live fleet, so of two
+     back-to-back sleeps one lands on each worker, and the victim runs its
+     sleep before any delta queued behind it. *)
+  send conn "{\"id\":91,\"op\":\"sleep\",\"duration_ms\":300}";
+  send conn "{\"id\":92,\"op\":\"sleep\",\"duration_ms\":300}";
   (* The stream: 3 deltas per handle, all written before we read any
      response, then SIGKILL the worker holding every handle. *)
   let ids = ref [] in
@@ -241,7 +247,16 @@ let test_kill9_mid_stream () =
         send conn (delta_frame ~id ~handle:h (step_instrs k i))
       done)
     handles;
+  (* The router answers ping inline, in arrival order: once it answers,
+     every frame above has been forwarded and the victim is still asleep. *)
+  ignore (expect_ok "ping" (roundtrip conn 93 "{\"id\":93,\"op\":\"ping\"}"));
   Unix.kill victim_pid Sys.sigkill;
+  List.iter
+    (fun id ->
+      match recv_until conn (has_id id) with
+      | None -> Alcotest.failf "sleep %d lost in the crash" id
+      | Some j -> ignore (expect_ok (Printf.sprintf "sleep %d after kill -9" id) j))
+    [ 91; 92 ];
   (* Every delta must be answered ok — zero unknown_handle. *)
   List.iter
     (fun id ->
@@ -282,7 +297,10 @@ let test_kill9_mid_stream () =
     (Printf.sprintf "journal.recovered_handles_total >= %d" n)
     true
     (counter stats "journal.recovered_handles_total" >= n);
-  Alcotest.(check bool) "replays counted" true (counter stats "shard.replays_total" >= 1);
+  (* Every delta was in flight at the kill and is replayed, and so is the
+     victim's sleep (onto its sibling). *)
+  Alcotest.(check bool) "replays counted" true
+    (counter stats "shard.replays_total" >= List.length !ids + 1);
   Alcotest.(check int) "no unknown_handle" 0 (counter stats "errors.unknown_handle");
   Alcotest.(check int) "no poisoned requests" 0 (counter stats "shard.poisoned_total")
 

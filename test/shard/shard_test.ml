@@ -210,11 +210,31 @@ let test_router_smoke () =
 let test_crash_transparency () =
   let conn = spawn [ "--shards"; "2"; "--cache"; "0"; "--workers"; "1" ] in
   Fun.protect ~finally:(fun () -> stop conn) @@ fun () ->
+  (* The fleet heals: every killed worker is respawned.  Returns the
+     stats that first show both workers alive. *)
+  let wait_healed first_id =
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec go id =
+      let stats = fetch_stats conn id in
+      let rows = fleet stats in
+      if List.length rows = 2 && List.for_all (fun (_, _, a, _) -> a) rows then stats
+      else if Unix.gettimeofday () > deadline then Alcotest.fail "fleet never healed"
+      else begin
+        Unix.sleepf 0.1;
+        go (id + 1)
+      end
+    in
+    go first_id
+  in
   (* Repeat kill-under-load rounds until one provably interrupts an
      in-flight request (shard.retries_total advances); each round is
-     correct either way, the loop only de-flakes the timing. *)
+     correct either way, the loop only de-flakes the timing.  A round
+     starts only once the previous round's victim is back: with it still
+     dead, the probe lands on its sibling, and killing that one too leaves
+     no worker to replay on. *)
   let rec round i =
     if i > 6 then Alcotest.fail "no round interrupted an in-flight request";
+    if i > 1 then ignore (wait_healed (1000 * i));
     let text = gen_program (100 + i) 200 in
     let base = i * 10 in
     let r1 = roundtrip conn base (run_frame ~id:base text) in
@@ -239,21 +259,8 @@ let test_crash_transparency () =
     if retries_after <= retries_before then round (i + 1)
   in
   round 1;
-  (* the fleet heals: the killed worker is respawned *)
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait_heal id =
-    let stats = fetch_stats conn id in
-    let rows = fleet stats in
-    let all_alive = List.length rows = 2 && List.for_all (fun (_, _, a, _) -> a) rows in
-    if all_alive then
-      Alcotest.(check bool) "restart recorded" true (counter stats "shard.worker_restarts_total" >= 1)
-    else if Unix.gettimeofday () > deadline then Alcotest.fail "fleet never healed"
-    else begin
-      Unix.sleepf 0.1;
-      wait_heal (id + 1)
-    end
-  in
-  wait_heal 1000
+  let stats = wait_healed 10_000 in
+  Alcotest.(check bool) "restart recorded" true (counter stats "shard.worker_restarts_total" >= 1)
 
 (* ---- retained handles die with their worker ---- *)
 

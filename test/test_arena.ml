@@ -54,6 +54,31 @@ let prop_clean_after_dirty_reset =
       && (not (Array.exists Fun.id (Array.sub ba 0 n2)))
       && Array.for_all (fun i -> Bitvec.length va.(i) = 0) (Array.init n2 Fun.id))
 
+(* Row tables: after a dirty reset, a checkout of any width and row count
+   in any bucket relation to the dirty one holds [count] distinct rows of
+   exactly that width, all-zero ([rows]) or all-one ([rows_full]); a warm
+   re-checkout of the same shape misses nothing. *)
+let prop_rows_clean_after_dirty_reset =
+  QCheck2.Test.make ~name:"row tables: clean after dirty reset, warm re-checkout" ~count:200
+    QCheck2.Gen.(quad (1 -- 200) (1 -- 40) (1 -- 200) (1 -- 40))
+    (fun (n1, c1, n2, c2) ->
+      let a = Arena.create () in
+      Array.iter (fun v -> Bitvec.fill v true) (Arena.rows a n1 c1);
+      Array.iter (fun v -> Bitvec.fill v false) (Arena.rows_full a n1 c1);
+      Arena.reset a;
+      let zero = Arena.rows a n2 c2 and full = Arena.rows_full a n2 c2 in
+      let ok rows expect =
+        Array.for_all
+          (fun i -> Bitvec.length rows.(i) = n2 && Bitvec.count rows.(i) = expect)
+          (Array.init c2 Fun.id)
+      in
+      let distinct = Array.for_all (fun i -> i = 0 || zero.(i) != zero.(i - 1)) (Array.init c2 Fun.id) in
+      Arena.reset a;
+      let misses = Arena.misses a in
+      ignore (Arena.rows a n2 c2);
+      ignore (Arena.rows_full a n2 c2);
+      ok zero 0 && ok full n2 && distinct && Arena.misses a = misses)
+
 (* Set-algebra results on recycled vectors match fresh heap vectors: the
    capacity tail beyond [len] must never influence count/equal/complement. *)
 let prop_recycled_equals_fresh =
@@ -217,4 +242,5 @@ let suite =
     Alcotest.test_case "cascade ≡ heap under phase-boundary chaos" `Quick
       test_cascade_identical_under_chaos;
     Alcotest.test_case "scratch cleanliness across 4 domains" `Quick test_clean_across_domains;
+    qtest prop_rows_clean_after_dirty_reset;
   ]

@@ -158,38 +158,6 @@ let prop_iter_true =
       let v = Bitvec.of_list 129 is in
       iter_true_indices v = naive_true_indices v)
 
-(* union_diff_into against the composed pure operations, at word-straddling
-   widths. *)
-let test_union_diff_into () =
-  List.iter
-    (fun len ->
-      let every_k k = List.filter (fun i -> i mod k = 0) (List.init len Fun.id) in
-      let into0 = Bitvec.of_list len (every_k 3) in
-      let src = Bitvec.of_list len (every_k 2) in
-      let diff = Bitvec.of_list len (every_k 5) in
-      let got = Bitvec.copy into0 in
-      let changed = Bitvec.union_diff_into ~into:got src ~diff in
-      let expected = Bitvec.union into0 (Bitvec.diff src diff) in
-      Alcotest.(check bool) (Printf.sprintf "union_diff_into len=%d" len) true
-        (Bitvec.equal got expected);
-      Alcotest.(check bool)
-        (Printf.sprintf "change report len=%d" len)
-        (not (Bitvec.equal got into0))
-        changed;
-      (* A second application is idempotent and reports no change. *)
-      Alcotest.(check bool) (Printf.sprintf "idempotent len=%d" len) false
-        (Bitvec.union_diff_into ~into:got src ~diff))
-    [ 1; 62; 63; 64; 65; 126; 128 ]
-
-let prop_union_diff_into =
-  QCheck2.Test.make ~name:"union_diff_into = ∪ ∘ \\" ~count:200
-    QCheck2.Gen.(triple (gen_set 130) (gen_set 130) (gen_set 130))
-    (fun (xs, ys, zs) ->
-      let into = Bitvec.of_list 130 xs and src = Bitvec.of_list 130 ys and diff = Bitvec.of_list 130 zs in
-      let expected = Bitvec.union into (Bitvec.diff src diff) in
-      ignore (Bitvec.union_diff_into ~into src ~diff);
-      Bitvec.equal into expected)
-
 (* --- word-aligned slice views (the parallel solver's partition unit) --- *)
 
 let bpw = Bitvec.bits_per_word
@@ -305,7 +273,6 @@ let suite =
     Alcotest.test_case "blit" `Quick test_blit;
     Alcotest.test_case "fold/iter ascending" `Quick test_fold_iter;
     Alcotest.test_case "iter_true word-skipping vs bit loop" `Quick test_iter_true_word_boundaries;
-    Alcotest.test_case "union_diff_into vs composed ops" `Quick test_union_diff_into;
     Alcotest.test_case "slice at word boundaries (62-65, 127-129)" `Quick test_slice_word_boundaries;
     Alcotest.test_case "empty slices" `Quick test_slice_empty;
     Alcotest.test_case "slice alignment errors" `Quick test_slice_misaligned_raises;
@@ -313,7 +280,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_slice_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_iter_true;
-    QCheck_alcotest.to_alcotest prop_union_diff_into;
     QCheck_alcotest.to_alcotest prop_union_commutes;
     QCheck_alcotest.to_alcotest prop_de_morgan;
     QCheck_alcotest.to_alcotest prop_count;

@@ -119,6 +119,29 @@ let test_copy_independent () =
   Alcotest.(check int) "original untouched" 1 (List.length (Cfg.instrs g a));
   Alcotest.(check int) "copy changed" 0 (List.length (Cfg.instrs g' a))
 
+(* A copy shares the source's adjacency snapshot until its own first
+   shape edit; editing the copy never disturbs the source's snapshot. *)
+let test_copy_shares_adjacency () =
+  let g, a, b, c, d = make_diamond () in
+  let snap = Cfg.adjacency g in
+  let c1 = Cfg.copy g in
+  Alcotest.(check int) "copy starts at the source's version" (Cfg.version g) (Cfg.version c1);
+  Alcotest.(check bool) "copy reuses the snapshot" true (Cfg.adjacency c1 == snap);
+  Cfg.set_instrs c1 a [];
+  Alcotest.(check bool) "body edits keep it" true (Cfg.adjacency c1 == snap);
+  Cfg.set_term c1 a (Cfg.Goto d);
+  Alcotest.(check bool) "version bumped" true (Cfg.version c1 > Cfg.version g);
+  Alcotest.(check bool) "shape edit rebuilds the copy's" true (Cfg.adjacency c1 != snap);
+  Alcotest.(check (list int)) "copy sees its edge" [ d ] (Cfg.successors c1 a);
+  Alcotest.(check bool) "original keeps its snapshot" true (Cfg.adjacency g == snap);
+  Alcotest.(check (list int)) "original's edges intact" [ b; c ] (Cfg.successors g a);
+  let c2 = Cfg.copy g in
+  let l = Cfg.add_block c2 ~instrs:[] ~term:(Cfg.Goto d) in
+  Alcotest.(check bool) "add_block rebuilds too" true (Cfg.adjacency c2 != snap);
+  Alcotest.(check int) "new block counted" (snap.Cfg.adj_bound + 1) (Cfg.adjacency c2).Cfg.adj_bound;
+  Alcotest.(check (list int)) "new block's edge" [ d ] (Cfg.successors c2 l);
+  Alcotest.(check bool) "original still served its snapshot" true (Cfg.adjacency g == snap)
+
 let test_all_vars_and_counts () =
   let g, _, _, _, _ = make_diamond () in
   Alcotest.(check (list string)) "vars" [ "x"; "y"; "z" ] (Cfg.all_vars g);
@@ -353,6 +376,7 @@ let suite =
     Alcotest.test_case "exit survives removal" `Quick test_exit_survives_removal;
     Alcotest.test_case "merge straight pairs" `Quick test_merge_straight_pairs;
     Alcotest.test_case "copy independence" `Quick test_copy_independent;
+    Alcotest.test_case "copy shares the adjacency snapshot" `Quick test_copy_shares_adjacency;
     Alcotest.test_case "all_vars and counts" `Quick test_all_vars_and_counts;
     Alcotest.test_case "validate catches stray halt" `Quick test_validate_catches_bad_halt;
     Alcotest.test_case "printer: hand-built graph = Format reference" `Quick test_printer_hand_built;

@@ -122,6 +122,10 @@ let test_locks_survive_injection () =
      then disable chaos and check the same structures still work — if any
      mutex were left locked, the clean calls would deadlock. *)
   let g = Suites.graph (Option.get (Suites.find "diamond")) in
+  (* The graph is a copy that shares its source's warm adjacency snapshot;
+     re-setting a terminator bumps the shape version, so the first
+     [predecessors] below must run the locked snapshot build. *)
+  Cfg.set_term g (Cfg.entry g) (Cfg.term g (Cfg.entry g));
   with_chaos ~seed:11 [ ("cfg.adjacency", 1.0); ("bqueue.push", 1.0); ("pool.task", 1.0) ]
     (fun () ->
       (match Cfg.predecessors g (Cfg.entry g) with

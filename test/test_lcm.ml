@@ -200,6 +200,150 @@ let test_block_realization () =
   Alcotest.(check bool) "some placement found" true
     (a.Lcm_core.Lcm_block.entry_inserts <> [] || a.Lcm_core.Lcm_block.exit_inserts <> [])
 
+(* ---- the fused cascade against plain set algebra ----
+
+   EARLIEST, LATER, LATERIN, INSERT, DELETE, the copy sets and BCM's
+   insertions (the non-empty EARLIEST sets) are word loops over rows in
+   [Lcm_edge] and [Copy_analysis].  Here each is
+   recomputed from its equation with one [Bitvec] call per set operation,
+   over AVAIL/ANTIC solved by the closure-based reference engine, with
+   round-robin sweeps for the two fixpoints, and compared for every edge
+   and every block — on the heap path and on the arena path. *)
+
+module Local = Lcm_dataflow.Local
+module Label = Lcm_cfg.Label
+module Order = Lcm_cfg.Order
+module Solver = Lcm_dataflow.Solver
+module Arena = Lcm_support.Arena
+module Reference = Test_solver.Reference
+
+type cascade = {
+  r_earliest : Label.t * Label.t -> Bitvec.t;
+  r_later : Label.t * Label.t -> Bitvec.t;
+  r_laterin : Label.t -> Bitvec.t;
+  r_insert : ((Label.t * Label.t) * Bitvec.t) list;
+  r_delete : (Label.t * Bitvec.t) list;
+  r_copy : (Label.t * Bitvec.t) list;
+}
+
+let rec until_stable f = if f () then until_stable f
+
+let reference_cascade g =
+  let local = Local.compute g (Cfg.candidate_pool g) in
+  let n = Local.nbits local in
+  let labels = Cfg.labels g and edges = Cfg.edges g and entry = Cfg.entry g in
+  let reach = Order.reverse_postorder (Order.compute g) in
+  let rows f =
+    Array.init (Cfg.label_bound g) (fun l -> if Cfg.mem g l then f local l else Bitvec.create n)
+  in
+  let solve direction gen =
+    Reference.run ~engine:Solver.Sweep g
+      (Reference.of_rows ~nbits:n ~direction ~confluence:Solver.Inter ~boundary:(Bitvec.create n)
+         ~gen:(rows gen) ~keep:(rows Local.transp))
+  in
+  let avail = solve Solver.Forward Local.comp and antic = solve Solver.Backward Local.antloc in
+  let table keys f =
+    let t = Hashtbl.create 64 in
+    List.iter (fun k -> Hashtbl.replace t k (f k)) keys;
+    Hashtbl.find t
+  in
+  let earliest =
+    table edges (fun (p, b) ->
+        let v = Bitvec.diff (antic.Solver.block_in b) (avail.Solver.block_out p) in
+        if Label.equal p entry then v
+        else Bitvec.diff v (Bitvec.inter (Local.transp local p) (antic.Solver.block_out p)))
+  in
+  let laterin = Hashtbl.create 64 in
+  List.iter (fun l -> Hashtbl.replace laterin l (Bitvec.create_full n)) labels;
+  Hashtbl.replace laterin entry (Bitvec.create n);
+  let later (p, b) =
+    Bitvec.union (earliest (p, b)) (Bitvec.diff (Hashtbl.find laterin p) (Local.antloc local p))
+  in
+  until_stable (fun () ->
+      List.fold_left
+        (fun changed b ->
+          if Label.equal b entry then changed
+          else begin
+            let v = Bitvec.create_full n in
+            List.iter (fun p -> ignore (Bitvec.inter_into ~into:v (later (p, b)))) (Cfg.predecessors g b);
+            Bitvec.blit ~src:v ~dst:(Hashtbl.find laterin b) || changed
+          end)
+        false reach);
+  let laterin = Hashtbl.find laterin in
+  let nonempty l = List.filter (fun (_, v) -> not (Bitvec.is_empty v)) l in
+  let insert = nonempty (List.map (fun e -> (e, Bitvec.diff (later e) (laterin (snd e)))) edges) in
+  let delete =
+    nonempty
+      (List.filter_map
+         (fun b -> if Label.equal b entry then None else Some (b, Bitvec.diff (Local.antloc local b) (laterin b)))
+         labels)
+  in
+  let find_or_empty l k = Option.value (List.assoc_opt k l) ~default:(Bitvec.create n) in
+  let livein = table labels (fun _ -> Bitvec.create n) and liveout = table labels (fun _ -> Bitvec.create n) in
+  until_stable (fun () ->
+      List.fold_left
+        (fun changed b ->
+          let out = Bitvec.create n in
+          List.iter
+            (fun s -> ignore (Bitvec.union_into ~into:out (Bitvec.diff (livein s) (find_or_empty insert (b, s)))))
+            (Cfg.successors g b);
+          ignore (Bitvec.blit ~src:out ~dst:(liveout b));
+          let inn = Bitvec.union (find_or_empty delete b) (Bitvec.diff out (Local.comp local b)) in
+          Bitvec.blit ~src:inn ~dst:(livein b) || changed)
+        false (List.rev reach));
+  let copy =
+    nonempty
+      (List.map
+         (fun b ->
+           let v = Bitvec.inter (Local.comp local b) (liveout b) in
+           (b, Bitvec.diff v (Bitvec.inter (find_or_empty delete b) (Local.transp local b))))
+         labels)
+  in
+  { r_earliest = earliest; r_later = later; r_laterin = laterin; r_insert = insert; r_delete = delete; r_copy = copy }
+
+let same_sets what a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (k, v) (k', v') -> k = k' && Bitvec.equal v v') a b
+  || QCheck2.Test.fail_reportf "%s: set lists differ" what
+
+let check_cascade g =
+  let r = reference_cascade g in
+  List.for_all
+    (fun scratch ->
+      let a = Lcm_edge.analyze ?scratch g in
+      List.for_all
+        (fun e ->
+          Bitvec.equal (a.Lcm_edge.earliest e) (r.r_earliest e)
+          && Bitvec.equal (a.Lcm_edge.later e) (r.r_later e)
+          || QCheck2.Test.fail_reportf "EARLIEST/LATER differ on B%d->B%d" (fst e) (snd e))
+        (Cfg.edges g)
+      && List.for_all
+           (fun l ->
+             Bitvec.equal (a.Lcm_edge.laterin l) (r.r_laterin l)
+             || QCheck2.Test.fail_reportf "LATERIN differs at B%d" l)
+           (Cfg.labels g)
+      && same_sets "INSERT" a.Lcm_edge.insert r.r_insert
+      && same_sets "DELETE" a.Lcm_edge.delete r.r_delete
+      && same_sets "COPY" a.Lcm_edge.copy r.r_copy
+      && same_sets "BCM INSERT" (Bcm_edge.analyze ?scratch g).Bcm_edge.insert
+           (List.filter_map
+              (fun e ->
+                let v = r.r_earliest e in
+                if Bitvec.is_empty v then None else Some (e, v))
+              (Cfg.edges g)))
+    [ None; Some (Arena.create ()) ]
+
+let prop_cascade_random =
+  QCheck2.Test.make ~name:"fused cascade ≡ set-algebra reference (random CFGs)" ~count:80
+    (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let rng = Prng.of_int (seed + 2718) in
+      let num_blocks = Prng.int_in rng 3 40 in
+      check_cascade (Lcm_eval.Gencfg.random_cfg ~params:{ Lcm_eval.Gencfg.default_cfg_params with num_blocks } rng))
+
+let test_cascade_corpus () =
+  List.iter (fun w -> ignore (check_cascade (Suites.graph w))) Suites.all;
+  List.iter (fun (_, g) -> ignore (check_cascade g)) (Test_solver.bril_corpus ())
+
 let suite =
   [
     Alcotest.test_case "diamond golden sets" `Quick test_diamond_golden;
@@ -212,4 +356,7 @@ let suite =
     Alcotest.test_case "BCM = LCM on per-path counts" `Quick test_bcm_lcm_equal_counts;
     Alcotest.test_case "all workloads: LCM-edge sound" `Quick test_all_workloads_lcm_edge;
     Alcotest.test_case "LCM dominates GCSE and original" `Quick test_lcm_dominates_weaker;
+    QCheck_alcotest.to_alcotest prop_cascade_random;
+    Alcotest.test_case "fused cascade ≡ set-algebra reference (suites, Bril corpus)" `Quick
+      test_cascade_corpus;
   ]

@@ -110,7 +110,8 @@ let test_span_tree_parallel () =
               Alcotest.(check bool) (n ^ " present") true (List.mem n names))
             [
               "request"; "pipeline.lcm-edge"; "pass.lcm-edge"; "lcm.local"; "lcm.up_safety";
-              "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "pool.task";
+              "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.copy"; "lcm.pool";
+              "pool.task";
             ];
           (* The pool.task spans are the cross-domain hops; each must hang
              off a span of this trace, not float as its own root. *)

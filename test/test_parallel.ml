@@ -3,9 +3,10 @@
 
    - Solver.run_par ≡ Worklist ≡ Sweep, bit for bit, on random CFGs, for
      all four problem shapes (forward/backward × union/inter), with random
-     monotone gen/kill transfers, random boundaries, and widths straddling
-     word boundaries — with the slice threshold forced low so the parallel
-     path actually slices;
+     GEN/KEEP rows, random boundaries, and widths straddling word
+     boundaries — with the slice threshold forced low so the parallel path
+     actually slices — and counter for counter against the former
+     closure-based engines of Test_solver.Reference;
    - Lcm_edge/Bcm_edge.analyze ~workers ≡ analyze: identical insert and
      delete decisions;
    - Corpus.process ~workers ≡ sequential process: identical reports,
@@ -34,64 +35,39 @@ let pool =
   at_exit (fun () -> if Lazy.is_val p then Pool.shutdown (Lazy.force p));
   fun () -> Lazy.force p
 
-let random_vec rng nbits ~den =
-  let v = Bitvec.create nbits in
-  for i = 0 to nbits - 1 do
-    if Prng.chance rng ~num:1 ~den then Bitvec.set v i true
-  done;
-  v
-
-(* run_par ≡ run, with the gen/kill tables sliced the same way the
-   production analyses slice their local predicates. *)
+(* run_par ≡ run ≡ the former closure-based engines, the sliced one
+   included: the slices share one full-width state and the GEN/KEEP kernel
+   visits their word ranges, so rows and counters must match the
+   reference's slice-by-slice solve exactly. *)
 let prop_run_par_equals_sequential =
   QCheck2.Test.make ~name:"run_par ≡ Worklist ≡ Sweep (4 shapes, sliced, random boundary)"
     ~count:60 seed_gen (fun seed ->
       let rng = Prng.of_int (seed + 31337) in
-      let num_blocks = Prng.int_in rng 3 40 in
-      let g = Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng in
+      let g = Test_solver.kernel_graph rng in
       (* Straddle one and two word boundaries across cases. *)
-      let nbits = Prng.choose_list rng [ 62; 63; 64; 65; 127; 128; 129 ] in
-      let bound = Cfg.label_bound g in
-      let table =
-        Array.init bound (fun _ -> (random_vec rng nbits ~den:4, random_vec rng nbits ~den:4))
-      in
-      let boundary = random_vec rng nbits ~den:3 in
-      let transfer_of ~lo ~len l ~src ~dst =
-        let gen, kill = table.(l) in
-        ignore (Bitvec.blit ~src ~dst);
-        ignore (Bitvec.diff_into ~into:dst (Bitvec.slice kill ~lo ~len));
-        ignore (Bitvec.union_into ~into:dst (Bitvec.slice gen ~lo ~len))
-      in
+      let nbits = Prng.choose_list rng [ 1; 62; 63; 64; 65; 127; 128; 129; 512 ] in
       List.for_all
-        (fun direction ->
-          List.for_all
-            (fun confluence ->
-              let spec_of ~lo ~len =
-                {
-                  Solver.nbits = len;
-                  direction;
-                  confluence;
-                  boundary = Bitvec.slice boundary ~lo ~len;
-                  transfer = transfer_of ~lo ~len;
-                }
-              in
-              let full = spec_of ~lo:0 ~len:nbits in
-              (* threshold 1 bit/domain: force real slicing even at 62
-                 bits. *)
-              let p = Solver.run_par ~pool:(pool ()) ~threshold:1 g full ~slice:spec_of in
-              let w = Solver.run ~engine:Solver.Worklist g full in
-              let s = Solver.run ~engine:Solver.Sweep g full in
-              List.for_all
-                (fun l ->
-                  let same f g l = Bitvec.equal (f l) (g l) in
-                  same p.Solver.block_in w.Solver.block_in l
-                  && same p.Solver.block_in s.Solver.block_in l
-                  && same p.Solver.block_out w.Solver.block_out l
-                  && same p.Solver.block_out s.Solver.block_out l
-                  || QCheck2.Test.fail_reportf "mismatch at B%d (nbits=%d)" l nbits)
-                (Cfg.labels g))
-            [ Solver.Union; Solver.Inter ])
-        [ Solver.Forward; Solver.Backward ])
+        (fun shape ->
+          let spec = Test_solver.random_spec rng g shape nbits in
+          let reference = Test_solver.Reference.of_spec spec in
+          (* threshold 1 bit/domain: force real slicing even at 62 bits. *)
+          let p = Solver.run_par ~pool:(pool ()) ~threshold:1 g spec in
+          let pieces = min (Pool.size (pool ())) nbits in
+          let w = Solver.run ~engine:Solver.Worklist g spec in
+          let s = Solver.run ~engine:Solver.Sweep g spec in
+          let same_rows (a : Solver.result) (b : Solver.result) =
+            List.for_all
+              (fun l ->
+                Bitvec.equal (a.Solver.block_in l) (b.Solver.block_in l)
+                && Bitvec.equal (a.Solver.block_out l) (b.Solver.block_out l))
+              (Cfg.labels g)
+          in
+          (Test_solver.same_result g p (Test_solver.Reference.run_sliced g spec ~pieces)
+          && Test_solver.same_result g w (Test_solver.Reference.run g reference)
+          && Test_solver.same_result g s (Test_solver.Reference.run ~engine:Solver.Sweep g reference)
+          && same_rows p w && same_rows p s)
+          || QCheck2.Test.fail_reportf "mismatch (nbits=%d)" nbits)
+        Test_solver.shapes)
 
 (* The production slice builders (Avail/Antic.compute_par) against their
    sequential twins, on real candidate pools. *)

@@ -22,21 +22,21 @@ let graph () =
   Cfg.set_term g d (Cfg.Branch (Expr.Var "q", a, Cfg.exit_label g));
   (g, a, b, c, d)
 
-(* One bit; block b "generates" it, block c "kills" it. *)
-let transfer ~gen_at ~kill_at l ~src ~dst =
-  ignore (Bitvec.blit ~src ~dst);
-  if List.exists (Label.equal l) kill_at then Bitvec.set dst 0 false;
-  if List.exists (Label.equal l) gen_at then Bitvec.set dst 0 true
+(* One bit; block b "generates" it, block c "kills" it: GEN/KEEP rows. *)
+let rows ~gen_at ~kill_at g =
+  let bound = Cfg.label_bound g in
+  let gen = Array.init bound (fun _ -> Bitvec.create 1) in
+  let keep = Array.init bound (fun _ -> Bitvec.create_full 1) in
+  List.iter (fun l -> Bitvec.set keep.(l) 0 false) kill_at;
+  List.iter (fun l -> Bitvec.set gen.(l) 0 true) gen_at;
+  (gen, keep)
+
+let one_bit_spec g direction confluence ~gen_at ~kill_at =
+  let gen, keep = rows ~gen_at ~kill_at g in
+  { Solver.nbits = 1; direction; confluence; boundary = Bitvec.create 1; gen; keep }
 
 let run g direction confluence ~gen_at ~kill_at =
-  Solver.run g
-    {
-      Solver.nbits = 1;
-      direction;
-      confluence;
-      boundary = Bitvec.create 1;
-      transfer = transfer ~gen_at ~kill_at;
-    }
+  Solver.run g (one_bit_spec g direction confluence ~gen_at ~kill_at)
 
 let bit v = Bitvec.get v 0
 
@@ -96,13 +96,7 @@ let test_counts_monotone () =
      every reachable block. *)
   let s =
     Solver.run ~engine:Solver.Sweep g
-      {
-        Solver.nbits = 1;
-        direction = Solver.Forward;
-        confluence = Solver.Inter;
-        boundary = Bitvec.create 1;
-        transfer = transfer ~gen_at:[ a ] ~kill_at:[];
-      }
+      (one_bit_spec g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[])
   in
   Alcotest.(check bool) "sweep engine: at least two sweeps" true (s.Solver.sweeps >= 2);
   Alcotest.(check bool) "sweep engine: visits = sweeps * blocks" true
@@ -116,17 +110,20 @@ let test_counts_monotone () =
 
 module Prng = Lcm_support.Prng
 module Gencfg = Lcm_eval.Gencfg
+module Order = Lcm_cfg.Order
 
-let random_gen_kill rng bound nbits =
-  Array.init bound (fun _ ->
-      let random_vec () =
-        let v = Bitvec.create nbits in
-        for i = 0 to nbits - 1 do
-          if Prng.chance rng ~num:1 ~den:4 then Bitvec.set v i true
-        done;
-        v
-      in
-      (random_vec (), random_vec ()))
+let random_vec rng nbits ~den =
+  let v = Bitvec.create nbits in
+  for i = 0 to nbits - 1 do
+    if Prng.chance rng ~num:1 ~den then Bitvec.set v i true
+  done;
+  v
+
+(* Random GEN/KEEP rows: a quarter of the bits generated, a quarter killed. *)
+let random_rows rng bound nbits =
+  let gen = Array.init bound (fun _ -> random_vec rng nbits ~den:4) in
+  let keep = Array.init bound (fun _ -> Bitvec.complement (random_vec rng nbits ~den:4)) in
+  (gen, keep)
 
 let test_worklist_equals_sweep () =
   let rng = Prng.of_int 9001 in
@@ -136,19 +133,13 @@ let test_worklist_equals_sweep () =
       Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng
     in
     let nbits = 65 in
-    let table = random_gen_kill rng (Cfg.label_bound g) nbits in
-    let transfer l ~src ~dst =
-      let gen, kill = table.(l) in
-      ignore (Bitvec.blit ~src ~dst);
-      ignore (Bitvec.diff_into ~into:dst kill);
-      ignore (Bitvec.union_into ~into:dst gen)
-    in
+    let gen, keep = random_rows rng (Cfg.label_bound g) nbits in
     List.iter
       (fun direction ->
         List.iter
           (fun confluence ->
             let spec =
-              { Solver.nbits; direction; confluence; boundary = Bitvec.create nbits; transfer }
+              { Solver.nbits; direction; confluence; boundary = Bitvec.create nbits; gen; keep }
             in
             let w = Solver.run ~engine:Solver.Worklist g spec in
             let s = Solver.run ~engine:Solver.Sweep g spec in
@@ -164,6 +155,378 @@ let test_worklist_equals_sweep () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* The former closure-based engine, kept as the reference for the fused
+   GEN/KEEP visit kernel: a [transfer] closure per spec, built here from
+   the rows with one [Bitvec] call per set operation, and a visit that
+   meets into a scratch vector and blits it into place.  Same schedules as
+   the production engines (round-robin sweeps; a worklist popping the
+   pending block of least priority; restart from a saved fixpoint over the
+   dirty closure; word-aligned slices solved one after another), so the
+   counters must agree too, not just the fixpoint. *)
+
+module Reference = struct
+  type spec = {
+    nbits : int;
+    direction : Solver.direction;
+    confluence : Solver.confluence;
+    boundary : Bitvec.t;
+    transfer : Label.t -> src:Bitvec.t -> dst:Bitvec.t -> unit;
+  }
+
+  (* out = GEN ∪ (in ∩ KEEP), one vector operation at a time. *)
+  let of_rows ~nbits ~direction ~confluence ~boundary ~gen ~keep =
+    let transfer l ~src ~dst =
+      ignore (Bitvec.blit ~src ~dst);
+      ignore (Bitvec.inter_into ~into:dst keep.(l));
+      ignore (Bitvec.union_into ~into:dst gen.(l))
+    in
+    { nbits; direction; confluence; boundary; transfer }
+
+  let of_spec (s : Solver.spec) =
+    of_rows ~nbits:s.Solver.nbits ~direction:s.Solver.direction ~confluence:s.Solver.confluence
+      ~boundary:s.Solver.boundary ~gen:s.Solver.gen ~keep:s.Solver.keep
+
+  type state = {
+    g : Cfg.t;
+    boundary_label : Label.t;
+    meet : Bitvec.t array;
+    flow : Bitvec.t array;
+    meet_neighbors : Label.t -> Label.t list;
+    dependents : Label.t -> Label.t list;
+    order : Label.t list;
+    prio : int array;
+    scratch : Bitvec.t;
+  }
+
+  let make_state g spec =
+    let bound = Cfg.label_bound g in
+    let init () =
+      match spec.confluence with
+      | Solver.Union -> Bitvec.create spec.nbits
+      | Solver.Inter -> Bitvec.create_full spec.nbits
+    in
+    let meet = Array.init bound (fun _ -> init ()) and flow = Array.init bound (fun _ -> init ()) in
+    let o = Order.compute g in
+    let boundary_label, meet_neighbors, dependents, order =
+      match spec.direction with
+      | Solver.Forward ->
+        (Cfg.entry g, Cfg.predecessors g, Cfg.successors g, Order.reverse_postorder o)
+      | Solver.Backward ->
+        (Cfg.exit_label g, Cfg.successors g, Cfg.predecessors g, List.rev (Order.reverse_postorder o))
+    in
+    meet.(boundary_label) <- Bitvec.copy spec.boundary;
+    let prio = Array.make bound max_int in
+    List.iteri (fun i l -> prio.(l) <- i) order;
+    {
+      g;
+      boundary_label;
+      meet;
+      flow;
+      meet_neighbors;
+      dependents;
+      order;
+      prio;
+      scratch = Bitvec.create spec.nbits;
+    }
+
+  let visit st spec l =
+    if not (Label.equal l st.boundary_label) then begin
+      match st.meet_neighbors l with
+      | [] -> ()
+      | n0 :: rest ->
+        ignore (Bitvec.blit ~src:st.flow.(n0) ~dst:st.scratch);
+        List.iter
+          (fun nb ->
+            ignore
+              (match spec.confluence with
+              | Solver.Union -> Bitvec.union_into ~into:st.scratch st.flow.(nb)
+              | Solver.Inter -> Bitvec.inter_into ~into:st.scratch st.flow.(nb)))
+          rest;
+        ignore (Bitvec.blit ~src:st.scratch ~dst:st.meet.(l))
+    end;
+    spec.transfer l ~src:st.meet.(l) ~dst:st.scratch;
+    Bitvec.blit ~src:st.scratch ~dst:st.flow.(l)
+
+  let run_sweep st spec =
+    let sweeps = ref 0 and visits = ref 0 and changed = ref true in
+    while !changed do
+      changed := false;
+      incr sweeps;
+      List.iter
+        (fun l ->
+          incr visits;
+          if visit st spec l then changed := true)
+        st.order
+    done;
+    (!sweeps, !visits)
+
+  (* The pending set is a boolean per label; a pop scans for the least
+     priority.  Priorities are distinct positions in [order], so the pop
+     sequence is the production heap's. *)
+  let run_worklist ?seeds st spec =
+    let bound = Array.length st.prio in
+    let pending = Array.make bound false in
+    let count = Array.make bound 0 in
+    List.iter (fun l -> pending.(l) <- true) (Option.value seeds ~default:st.order);
+    let visits = ref 0 in
+    let rec pop best l =
+      if l >= bound then best
+      else pop (if pending.(l) && (best < 0 || st.prio.(l) < st.prio.(best)) then l else best) (l + 1)
+    in
+    let rec loop () =
+      let l = pop (-1) 0 in
+      if l >= 0 then begin
+        pending.(l) <- false;
+        incr visits;
+        count.(l) <- count.(l) + 1;
+        if visit st spec l then
+          List.iter (fun d -> if st.prio.(d) < max_int then pending.(d) <- true) (st.dependents l);
+        loop ()
+      end
+    in
+    loop ();
+    (Array.fold_left max 0 count, !visits)
+
+  let result st spec (sweeps, visits) =
+    let block_in, block_out =
+      match spec.direction with
+      | Solver.Forward -> ((fun l -> st.meet.(l)), fun l -> st.flow.(l))
+      | Solver.Backward -> ((fun l -> st.flow.(l)), fun l -> st.meet.(l))
+    in
+    { Solver.block_in; block_out; sweeps; visits }
+
+  let run ?(engine = Solver.Worklist) g spec =
+    let st = make_state g spec in
+    result st spec
+      (match engine with
+      | Solver.Worklist -> run_worklist st spec
+      | Solver.Sweep -> run_sweep st spec)
+
+  type saved = {
+    s_meet : Bitvec.t array;
+    s_flow : Bitvec.t array;
+    s_reach : bool array;
+  }
+
+  let save st =
+    {
+      s_meet = Array.map Bitvec.copy st.meet;
+      s_flow = Array.map Bitvec.copy st.flow;
+      s_reach = Array.map (fun p -> p < max_int) st.prio;
+    }
+
+  let run_saved g spec =
+    let st = make_state g spec in
+    let r = result st spec (run_worklist st spec) in
+    (r, save st)
+
+  (* Re-seed the closure of [dirty] (plus new blocks and blocks whose
+     reachability flipped) under [dependents]; restore the saved fixpoint
+     everywhere else. *)
+  let resolve g spec ~prev ~dirty =
+    let st = make_state g spec in
+    let bound = Array.length st.prio and old_bound = Array.length prev.s_reach in
+    let affected = Array.make bound false in
+    let rec mark l =
+      if l >= 0 && l < bound && not affected.(l) then begin
+        affected.(l) <- true;
+        List.iter mark (st.dependents l)
+      end
+    in
+    List.iter mark dirty;
+    for l = 0 to bound - 1 do
+      if l >= old_bound || st.prio.(l) < max_int <> prev.s_reach.(l) then mark l
+    done;
+    List.iter
+      (fun l ->
+        if l < old_bound && not affected.(l) then begin
+          ignore (Bitvec.blit ~src:prev.s_meet.(l) ~dst:st.meet.(l));
+          ignore (Bitvec.blit ~src:prev.s_flow.(l) ~dst:st.flow.(l))
+        end)
+      (Cfg.labels g);
+    let seeds = List.filter (fun l -> affected.(l)) st.order in
+    let r = result st spec (run_worklist ~seeds st spec) in
+    (r, save st, List.length seeds)
+
+  (* The former domain-sliced engine, run slice after slice: each slice is
+     its own [len]-bit problem over sliced rows; visits add up, sweeps take
+     the maximum, and the slices are reassembled into full-width rows. *)
+  let run_sliced g (spec : Solver.spec) ~pieces =
+    let bounds = Bitvec.slice_bounds ~nbits:spec.Solver.nbits ~pieces in
+    let bound = Cfg.label_bound g in
+    let slice_rows rows ~lo ~len =
+      Array.init bound (fun l ->
+          if Cfg.mem g l then Bitvec.slice rows.(l) ~lo ~len else Bitvec.create len)
+    in
+    let full = Array.init bound (fun _ -> Bitvec.create spec.Solver.nbits) in
+    let full' = Array.init bound (fun _ -> Bitvec.create spec.Solver.nbits) in
+    let sweeps = ref 0 and visits = ref 0 in
+    Array.iter
+      (fun (lo, len) ->
+        let sub =
+          of_rows ~nbits:len ~direction:spec.Solver.direction ~confluence:spec.Solver.confluence
+            ~boundary:(Bitvec.slice spec.Solver.boundary ~lo ~len)
+            ~gen:(slice_rows spec.Solver.gen ~lo ~len)
+            ~keep:(slice_rows spec.Solver.keep ~lo ~len)
+        in
+        let r = run g sub in
+        sweeps := max !sweeps r.Solver.sweeps;
+        visits := !visits + r.Solver.visits;
+        List.iter
+          (fun l ->
+            ignore (Bitvec.blit_slice ~src:(r.Solver.block_in l) ~into:full.(l) ~lo);
+            ignore (Bitvec.blit_slice ~src:(r.Solver.block_out l) ~into:full'.(l) ~lo))
+          (Cfg.labels g))
+      bounds;
+    {
+      Solver.block_in = (fun l -> full.(l));
+      block_out = (fun l -> full'.(l));
+      sweeps = !sweeps;
+      visits = !visits;
+    }
+end
+
+(* [same_result g a b] holds when two results agree on every block's in
+   and out rows and on both counters. *)
+let same_result g (a : Solver.result) (b : Solver.result) =
+  a.Solver.visits = b.Solver.visits
+  && a.Solver.sweeps = b.Solver.sweeps
+  && List.for_all
+       (fun l ->
+         Bitvec.equal (a.Solver.block_in l) (b.Solver.block_in l)
+         && Bitvec.equal (a.Solver.block_out l) (b.Solver.block_out l))
+       (Cfg.labels g)
+
+let kernel_widths = [ 1; 62; 63; 64; 65; 127; 512 ]
+let shapes =
+  List.concat_map
+    (fun d -> List.map (fun c -> (d, c)) [ Solver.Union; Solver.Inter ])
+    [ Solver.Forward; Solver.Backward ]
+
+(* A random graph with the boundary cases planted: an unreachable block
+   that feeds a reachable one (its flow row is the confluence's neutral
+   value and still enters that block's meet), and a reachable block that
+   loops on itself without reaching the exit (no path to the backward
+   boundary). *)
+let kernel_graph rng =
+  let num_blocks = Prng.int_in rng 3 40 in
+  let g = Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng in
+  let labels = Array.of_list (Cfg.labels g) in
+  let pick () = labels.(Prng.int rng (Array.length labels)) in
+  ignore (Cfg.add_block g ~instrs:[] ~term:(Cfg.Goto (pick ())));
+  let trap = Cfg.add_block g ~instrs:[] ~term:Cfg.Halt in
+  Cfg.set_term g trap (Cfg.Goto trap);
+  let from = pick () in
+  if not (Label.equal from (Cfg.exit_label g)) then
+    Cfg.set_term g from (Cfg.Branch (Expr.Var "k", trap, Cfg.exit_label g));
+  g
+
+let random_spec rng g (direction, confluence) nbits =
+  let gen, keep = random_rows rng (Cfg.label_bound g) nbits in
+  { Solver.nbits; direction; confluence; boundary = random_vec rng nbits ~den:3; gen; keep }
+
+let seed_gen = QCheck2.Gen.int_bound 1_000_000
+
+let prop_kernel_equals_reference =
+  QCheck2.Test.make ~name:"GEN/KEEP kernel ≡ closure reference (worklist, sweep; 4 shapes × 7 widths)"
+    ~count:60 seed_gen (fun seed ->
+      let rng = Prng.of_int (seed + 7001) in
+      let g = kernel_graph rng in
+      List.for_all
+        (fun nbits ->
+          List.for_all
+            (fun shape ->
+              let spec = random_spec rng g shape nbits in
+              let reference = Reference.of_spec spec in
+              List.for_all
+                (fun engine ->
+                  same_result g (Solver.run ~engine g spec) (Reference.run ~engine g reference)
+                  || QCheck2.Test.fail_reportf "mismatch at %d bits" nbits)
+                [ Solver.Worklist; Solver.Sweep ])
+            shapes)
+        kernel_widths)
+
+(* Restart after a patch: the rows of one block change (a body edit) or a
+   block's terminator is redirected (a shape edit). *)
+let prop_resolve_equals_reference =
+  QCheck2.Test.make ~name:"GEN/KEEP kernel ≡ closure reference (resolve after body/shape edits)"
+    ~count:60 seed_gen (fun seed ->
+      let rng = Prng.of_int (seed + 8111) in
+      let g = kernel_graph rng in
+      let nbits = Prng.choose_list rng kernel_widths in
+      List.for_all
+        (fun shape ->
+          let spec = random_spec rng g shape nbits in
+          let _, saved = Solver.run_saved g spec in
+          let _, rsaved = Reference.run_saved g (Reference.of_spec spec) in
+          let g' = Cfg.copy g in
+          let labels = Array.of_list (Cfg.labels g') in
+          let pick () = labels.(Prng.int rng (Array.length labels)) in
+          let l = pick () in
+          let dirty =
+            if Prng.bool rng || Label.equal l (Cfg.exit_label g') then begin
+              spec.Solver.gen.(l) <- random_vec rng nbits ~den:2;
+              [ l ]
+            end
+            else begin
+              let target = pick () in
+              let old = Cfg.successors g' l in
+              Cfg.set_term g' l (Cfg.Goto target);
+              (l :: target :: old) @ Cfg.predecessors g' l
+            end
+          in
+          match Solver.resolve g' spec ~prev:saved ~dirty with
+          | None -> QCheck2.Test.fail_report "resolve refused an admissible capture"
+          | Some (r, _, region) ->
+            let r', _, region' = Reference.resolve g' (Reference.of_spec spec) ~prev:rsaved ~dirty in
+            (same_result g' r r' && region = region')
+            || QCheck2.Test.fail_reportf "resolve mismatch at %d bits" nbits)
+        shapes)
+
+(* The Bril corpus: every function's real AVAIL/ANTIC rows (and the
+   partial, union variants), through every engine. *)
+let bril_corpus () =
+  Sys.readdir "bril" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort String.compare
+  |> List.concat_map (fun f ->
+         let text = In_channel.with_open_bin (Filename.concat "bril" f) In_channel.input_all in
+         List.map (fun (name, g) -> (f ^ ":" ^ name, g)) (Lcm_frontend.Bril.parse_program text))
+
+let test_kernel_bril_corpus () =
+  List.iter
+    (fun (name, g) ->
+      let local = Lcm_dataflow.Local.compute g (Cfg.candidate_pool g) in
+      let nbits = Lcm_dataflow.Local.nbits local in
+      List.iter
+        (fun (direction, confluence) ->
+          let gen =
+            match direction with
+            | Solver.Forward -> Lcm_dataflow.Local.comp_rows local
+            | Solver.Backward -> Lcm_dataflow.Local.antloc_rows local
+          in
+          let spec =
+            {
+              Solver.nbits;
+              direction;
+              confluence;
+              boundary = Bitvec.create nbits;
+              gen;
+              keep = Lcm_dataflow.Local.transp_rows local;
+            }
+          in
+          List.iter
+            (fun engine ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s" name (match engine with Solver.Worklist -> "worklist" | Solver.Sweep -> "sweep"))
+                true
+                (same_result g (Solver.run ~engine g spec)
+                   (Reference.run ~engine g (Reference.of_spec spec))))
+            [ Solver.Worklist; Solver.Sweep ])
+        shapes)
+    (bril_corpus ())
+
+(* ------------------------------------------------------------------ *)
 (* The full LCM cascade against a naive reference: reference avail/antic
    via the sweep engine, EARLIEST from the paper's formula, LATERIN by
    round-robin sweeps over predecessor lists (the seed implementation), and
@@ -173,28 +536,19 @@ let test_worklist_equals_sweep () =
 module Local = Lcm_dataflow.Local
 module Lcm_edge = Lcm_core.Lcm_edge
 module Suites = Lcm_eval.Suites
-module Order = Lcm_cfg.Order
 
 let reference_lcm g =
   let pool = Cfg.candidate_pool g in
   let local = Local.compute g pool in
   let n = Local.nbits local in
-  let solve direction transfer =
-    Solver.run ~engine:Solver.Sweep g
-      { Solver.nbits = n; direction; confluence = Solver.Inter; boundary = Bitvec.create n; transfer }
+  let rows f = Array.init (Cfg.label_bound g) (fun l -> if Cfg.mem g l then f local l else Bitvec.create n) in
+  let solve direction gen keep =
+    Reference.run ~engine:Solver.Sweep g
+      (Reference.of_rows ~nbits:n ~direction ~confluence:Solver.Inter ~boundary:(Bitvec.create n)
+         ~gen:(rows gen) ~keep:(rows keep))
   in
-  let avail =
-    solve Solver.Forward (fun l ~src ~dst ->
-        ignore (Bitvec.blit ~src ~dst);
-        ignore (Bitvec.inter_into ~into:dst (Local.transp local l));
-        ignore (Bitvec.union_into ~into:dst (Local.comp local l)))
-  in
-  let antic =
-    solve Solver.Backward (fun l ~src ~dst ->
-        ignore (Bitvec.blit ~src ~dst);
-        ignore (Bitvec.inter_into ~into:dst (Local.transp local l));
-        ignore (Bitvec.union_into ~into:dst (Local.antloc local l)))
-  in
+  let avail = solve Solver.Forward Local.comp Local.transp in
+  let antic = solve Solver.Backward Local.antloc Local.transp in
   let entry = Cfg.entry g in
   let earliest (p, b) =
     let v = Bitvec.copy (antic.Solver.block_in b) in
@@ -302,4 +656,8 @@ let suite =
       test_lcm_matches_reference_suites;
     Alcotest.test_case "lcm-edge placement ≡ naive reference (random)" `Quick
       test_lcm_matches_reference_random;
+    QCheck_alcotest.to_alcotest prop_kernel_equals_reference;
+    QCheck_alcotest.to_alcotest prop_resolve_equals_reference;
+    Alcotest.test_case "GEN/KEEP kernel ≡ closure reference (Bril corpus)" `Quick
+      test_kernel_bril_corpus;
   ]
