@@ -1,14 +1,10 @@
-(* EXP-PARALLEL: multicore throughput of the parallel analysis engine.
+(* EXP-PARALLEL: multicore throughput of corpus fan-out.
 
-   Two workloads, both deterministic:
-
-   - single graph: [Lcm_edge.analyze ~workers] on the EXP-SCALE random CFGs
-     (pass-level overlap of the two safety systems + slice-level fan-out
-     inside each fixpoint), against the sequential engine on the same
-     graphs;
-   - corpus: [Corpus.process ~workers] mapping analyze+transform over a
-     ~10k-block suite of functions — the "compiler server" workload, the
-     coarsest-grained and best-scaling layer.
+   [Corpus.process ~workers] maps analyze+transform over a ~10k-block
+   deterministic suite of functions, one pool task per function — the
+   "compiler server" workload.  Each function is one sequential solve:
+   corpus fan-out and the daemon's request batching are the only layers
+   that use a pool, so this is the one analysis layer to measure.
 
    Domain counts 1/2/4/8 each get their own pool (created and shut down
    around the measurement).  The emitted BENCH_parallel.json records
@@ -16,31 +12,20 @@
    not physically reachable on the measuring machine, so the JSON is
    interpretable wherever it was produced.  Corpus digests are checked
    identical across all domain counts — the determinism contract, measured
-   rather than assumed.
+   rather than assumed — and a mismatch fails the experiment.
 
-   Quick mode (CI smoke): domains {1,2}, the two smallest sizes, a toy
-   corpus, one repetition, no JSON. *)
+   Quick mode (CI smoke): domains {1,2}, a toy corpus, one repetition, no
+   JSON. *)
 
 module Table = Lcm_support.Table
-module Prng = Lcm_support.Prng
 module Pool = Lcm_support.Pool
-module Cfg = Lcm_cfg.Cfg
-module Gencfg = Lcm_eval.Gencfg
 module Corpus = Lcm_eval.Corpus
-module Lcm_edge = Lcm_core.Lcm_edge
 module Solver = Lcm_dataflow.Solver
 
-let sizes ~quick = if quick then [ 100; 1000 ] else [ 100; 300; 1000; 3000; 10000 ]
 let domain_counts ~quick = if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]
 
 let corpus_counts ~quick =
   if quick then [ (50, 4) ] else [ (100, 40); (300, 10); (1000, 3) ] (* 10_000 blocks *)
-
-(* Same deterministic graphs as EXP-SCALE, so rows line up across the two
-   documents. *)
-let graph_of_size n =
-  let rng = Prng.of_int (4242 + n) in
-  Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks = n } rng
 
 let best_of ~reps f =
   ignore (f ());
@@ -52,40 +37,6 @@ let best_of ~reps f =
     if dt < !best then best := dt
   done;
   !best
-
-type single_row = {
-  blocks : int;
-  domains : int;
-  wall_s : float;
-  blocks_per_sec : float;
-  speedup : float;  (* vs the sequential engine on the same graph *)
-}
-
-let measure_single ~quick =
-  let reps = if quick then 1 else 5 in
-  List.concat_map
-    (fun n ->
-      let g = graph_of_size n in
-      let blocks = Cfg.num_blocks g in
-      let seq = best_of ~reps (fun () -> Lcm_edge.analyze g) in
-      let seq_row =
-        { blocks; domains = 0; wall_s = seq; blocks_per_sec = float_of_int blocks /. seq; speedup = 1. }
-      in
-      seq_row
-      :: List.map
-           (fun d ->
-             let pool = Pool.create d in
-             let wall = best_of ~reps (fun () -> Lcm_edge.analyze ~workers:pool g) in
-             Pool.shutdown pool;
-             {
-               blocks;
-               domains = d;
-               wall_s = wall;
-               blocks_per_sec = float_of_int blocks /. wall;
-               speedup = seq /. wall;
-             })
-           (domain_counts ~quick))
-    (sizes ~quick)
 
 type corpus_row = {
   c_domains : int;
@@ -126,21 +77,6 @@ let measure_corpus ~quick =
   let rows = List.map (fun r -> { r with c_speedup = one /. r.c_wall_s }) rows in
   (jobs, total, rows, !deterministic)
 
-let print_single rows =
-  let t = Table.create [ "blocks"; "domains"; "wall (ms)"; "blocks/s"; "speedup" ] in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [
-          Table.cell_int r.blocks;
-          (if r.domains = 0 then "seq" else string_of_int r.domains);
-          Table.cell_float ~decimals:3 (1000. *. r.wall_s);
-          Printf.sprintf "%.0f" r.blocks_per_sec;
-          Printf.sprintf "%.2fx" r.speedup;
-        ])
-    rows;
-  Table.print t
-
 let print_corpus total rows deterministic =
   Common.note "corpus: %d blocks total; digests identical across domain counts: %b" total
     deterministic;
@@ -157,19 +93,7 @@ let print_corpus total rows deterministic =
     rows;
   Table.print t
 
-let emit_json ?(path = "BENCH_parallel.json") single (jobs, total, corpus, deterministic) =
-  let single_json =
-    String.concat ",\n"
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "    { \"blocks\": %d, \"domains\": %s, \"wall_s\": %.6f, \"blocks_per_sec\": \
-              %.0f, \"speedup_vs_sequential\": %.2f }"
-             r.blocks
-             (if r.domains = 0 then "\"seq\"" else string_of_int r.domains)
-             r.wall_s r.blocks_per_sec r.speedup)
-         single)
-  in
+let emit_json ?(path = "BENCH_parallel.json") (jobs, total, corpus, deterministic) =
   let corpus_json =
     String.concat ",\n"
       (List.map
@@ -185,10 +109,7 @@ let emit_json ?(path = "BENCH_parallel.json") single (jobs, total, corpus, deter
     "{\n\
     \  \"experiment\": \"parallel\",\n\
     \  \"engine\": \"%s\",\n\
-    \  \"sequential_engine\": \"%s\",\n\
-    \  \"par_threshold_bits\": %d,\n\
     \  \"host_cores\": %d,\n\
-    \  \"single_graph_rows\": [\n%s\n  ],\n\
     \  \"corpus\": {\n\
     \    \"graphs\": %d,\n\
     \    \"total_blocks\": %d,\n\
@@ -196,31 +117,27 @@ let emit_json ?(path = "BENCH_parallel.json") single (jobs, total, corpus, deter
     \    \"rows\": [\n%s\n  ]\n\
     \  }\n\
      }\n"
-    Solver.par_engine_name Solver.default_engine_name Solver.default_par_threshold
+    Solver.default_engine_name
     (Domain.recommended_domain_count ())
-    single_json (List.length jobs) total deterministic corpus_json;
+    (List.length jobs) total deterministic corpus_json;
   close_out oc;
   Common.note "wrote %s" path
 
 let run_mode ~quick () =
   Common.section
-    (if quick then "EXP-PARALLEL  Multicore engine (quick smoke run)"
-     else "EXP-PARALLEL  Multicore engine: pass overlap, bit slices, corpus fan-out");
+    (if quick then "EXP-PARALLEL  Corpus fan-out (quick smoke run)"
+     else "EXP-PARALLEL  Corpus fan-out across domains");
   Common.note "host cores (Domain.recommended_domain_count): %d"
     (Domain.recommended_domain_count ());
-  let single = measure_single ~quick in
-  print_single single;
   let ((_, total, corpus_rows, deterministic) as corpus) = measure_corpus ~quick in
   print_corpus total corpus_rows deterministic;
   if not deterministic then
     failwith "EXP-PARALLEL: corpus digests differ across domain counts";
-  if not quick then emit_json single corpus;
+  if not quick then emit_json corpus;
   Common.note
-    "single-graph rows: analyze end-to-end, best-of-%d; \"seq\" = the sequential engine \
-     (no pool).  corpus rows: analyze+transform over the whole suite, one pool task per \
-     function; visits/sweeps counters are unchanged by parallelism (visits summed across \
-     slices, sweeps maxed)."
-    (if quick then 1 else 5)
+    "corpus rows: analyze+transform over the whole suite, best-of-%d, one pool task per \
+     function; each function is one sequential solve."
+    (if quick then 1 else 3)
 
 let run () = run_mode ~quick:false ()
 let run_quick () = run_mode ~quick:true ()

@@ -146,7 +146,7 @@ let measure_size ~blocks ~iters =
   let arena_run () =
     Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a ->
         ignore
-          (Pass.Pipeline.run_graph { Pass.default_ctx with Pass.scratch = Some a } pipeline g))
+          (Pass.Pipeline.run_graph { Pass.scratch = Some a } pipeline g))
   in
   let alloc_iters = max 10 (iters / 4) in
   let alloc_heap_w = alloc_per_request ~warm:2 ~iters:alloc_iters run in

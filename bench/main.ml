@@ -23,7 +23,7 @@ let experiments =
     ("a1", "ablation: isolation analysis", Exp_ablation.a1);
     ("a2", "ablation: critical-edge pre-splitting", Exp_ablation.a2);
     ("scale", "solver throughput on random CFGs up to 10k blocks", Exp_scale.run);
-    ("parallel", "multicore engine: pass overlap, bit slices, corpus fan-out", Exp_parallel.run);
+    ("parallel", "corpus fan-out across domains", Exp_parallel.run);
     ("serve", "daemon under offered load: throughput, latency, backpressure", Exp_serve.run);
     ("shard", "sharded serving: fleet scaling, result cache, incremental deltas", Exp_shard.run);
     ("recover", "crash durability: journal overhead, recovery time, bit-identity", Exp_recover.run);

@@ -518,8 +518,8 @@ let read_response_frame ?deadline fd =
   in
   go ()
 
-let request_cmd socket file workload func_name format algorithm simplify workers deadline_ms
-    retries backoff_ms timeout_ms op trace_id =
+let request_cmd socket file workload func_name format algorithm simplify deadline_ms retries
+    backoff_ms timeout_ms op trace_id =
   let build_run () =
     match (file, workload) with
     | Some _, Some _ -> Error "provide either a FILE or --workload, not both"
@@ -558,8 +558,7 @@ let request_cmd socket file workload func_name format algorithm simplify workers
         (fun body ->
           [ ("op", Json.String "run"); ("algorithm", Json.String algorithm) ]
           @ body
-          @ (if simplify then [ ("simplify", Json.Bool true) ] else [])
-          @ match workers with Some w -> [ ("workers", Json.Int w) ] | None -> [])
+          @ if simplify then [ ("simplify", Json.Bool true) ] else [])
         (build_run ())
   in
   match fields with
@@ -1034,12 +1033,6 @@ let request_term =
   let simplify =
     Arg.(value & flag & info [ "simplify" ] ~doc:"Merge straight-line blocks afterwards.")
   in
-  let workers =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "workers" ] ~docv:"N" ~doc:"Requested intra-request parallelism (capped by the daemon).")
-  in
   let deadline =
     Arg.(
       value
@@ -1086,18 +1079,18 @@ let request_term =
              for the response.")
   in
   Term.(
-    const (fun socket file workload func format algorithm simplify workers deadline stats ping
-               profile retries backoff timeout trace_id ->
+    const (fun socket file workload func format algorithm simplify deadline stats ping profile
+               retries backoff timeout trace_id ->
         let op =
           if stats then `Stats
           else if ping then `Ping
           else if profile then `Profile
           else `Run
         in
-        request_cmd socket file workload func format algorithm simplify workers deadline retries
-          backoff timeout op trace_id)
-    $ socket $ file $ workload $ func_term $ format_term $ algorithm $ simplify $ workers
-    $ deadline $ stats $ ping $ profile $ retries $ backoff $ timeout $ trace_id)
+        request_cmd socket file workload func format algorithm simplify deadline retries backoff
+          timeout op trace_id)
+    $ socket $ file $ workload $ func_term $ format_term $ algorithm $ simplify $ deadline $ stats
+    $ ping $ profile $ retries $ backoff $ timeout $ trace_id)
 
 let corpus_term =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Directory of programs.") in

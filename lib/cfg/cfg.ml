@@ -41,9 +41,8 @@ type t = {
      [adj.adj_version]. *)
   mutable version : int;
   mutable adj : adjacency option;
-  (* Guards the lazy build of [adj] only: read-only consumers (the parallel
-     solver's slice tasks, overlapped passes) may race to the first
-     [adjacency] call on a shared graph.  Mutations themselves remain
+  (* Guards the lazy build of [adj] only: read-only consumers on several
+     domains may race to the first [adjacency] call on a shared graph.  Mutations themselves remain
      single-domain — the lock makes the *cache fill* atomic, not the
      graph. *)
   adj_lock : Mutex.t;

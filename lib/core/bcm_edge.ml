@@ -20,11 +20,10 @@ type analysis = {
   visits : int;
 }
 
-let analyze ?pool ?workers ?scratch g =
+let analyze ?pool ?scratch g =
   let pool = match pool with Some p -> p | None -> Cfg.candidate_pool g in
   let local = Lcm_obs.Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
-  (* Same overlap as [Lcm_edge]: the two safety systems are independent. *)
-  let avail, antic = Lcm_edge.solve_safety_systems ?workers ?scratch g local in
+  let avail, antic = Lcm_edge.solve_safety_systems ?scratch g local in
   let insert =
     Lcm_obs.Trace.span "lcm.earliest" (fun () -> Lcm_edge.earliest_sets ?scratch g local avail antic)
   in
@@ -68,12 +67,12 @@ let spec g a =
     copies = a.copy;
   }
 
-let transform ?simplify ?workers g =
-  let a = analyze ?workers g in
+let transform ?simplify g =
+  let a = analyze g in
   Transform.apply ?simplify g (spec g a)
 
 let pass =
   Pass.v "bcm-edge" (fun ctx g ->
-      let a = analyze ?workers:ctx.Pass.workers ?scratch:ctx.Pass.scratch g in
+      let a = analyze ?scratch:ctx.Pass.scratch g in
       let g', rep = Transform.apply g (spec g a) in
       (g', Pass.report ~sweeps:a.sweeps ~visits:a.visits ~spec:rep.Transform.spec ()))

@@ -22,12 +22,9 @@ type analysis = {
   visits : int;
 }
 
-(** [workers] overlaps the two independent safety systems and slices each
-    fixpoint across domains (see {!Lcm_edge.analyze}); results are
-    bit-identical with and without it. *)
+(** [scratch] backs the analysis vectors (see {!Lcm_edge.analyze}). *)
 val analyze :
   ?pool:Lcm_ir.Expr_pool.t ->
-  ?workers:Lcm_support.Pool.t ->
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
   analysis
@@ -36,7 +33,6 @@ val spec : Lcm_cfg.Cfg.t -> analysis -> Transform.spec
 
 val transform :
   ?simplify:bool ->
-  ?workers:Lcm_support.Pool.t ->
   Lcm_cfg.Cfg.t ->
   Lcm_cfg.Cfg.t * Transform.report
 

@@ -1,6 +1,5 @@
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
-module Pool = Lcm_support.Pool
 module Trace = Lcm_obs.Trace
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
@@ -200,33 +199,11 @@ let rec insert_nonzero e base lip alp lib nw w =
 let rec delete_nonzero alb lib nw w =
   w < nw && (alb.(w) land lnot lib.(w) <> 0 || delete_nonzero alb lib nw (w + 1))
 
-(* The down-safety (backward, ANTIC) and up-safety (forward, AVAIL) systems
-   of the cascade read only the block-local predicates — neither reads the
-   other's fixpoint — so with a worker pool they run as two overlapping
-   tasks, each of which may fan out further into bit slices on the same
-   pool ([Pool.run] is re-entrant).  Everything the two tasks share
-   (adjacency snapshot, local predicate arrays, expression pool) is
-   pre-built or lock-guarded before the fan-out; results land in distinct
-   refs, so the outcome is independent of scheduling. *)
-let solve_safety_systems ?workers ?scratch g local =
-  match workers with
-  | Some w when Pool.size w > 1 ->
-    (* The two tasks may land on other domains, where the request's arena
-       (single-owner) must not be touched: the parallel tier keeps the
-       heap path for the safety systems. *)
-    ignore (Cfg.adjacency g);
-    let avail = ref None and antic = ref None in
-    Pool.run w
-      [
-        (fun () ->
-          avail := Some (Trace.span "lcm.up_safety" (fun () -> Avail.compute_par ~pool:w g local)));
-        (fun () ->
-          antic := Some (Trace.span "lcm.down_safety" (fun () -> Antic.compute_par ~pool:w g local)));
-      ];
-    (Option.get !avail, Option.get !antic)
-  | Some _ | None ->
-    ( Trace.span "lcm.up_safety" (fun () -> Avail.compute ?scratch g local),
-      Trace.span "lcm.down_safety" (fun () -> Antic.compute ?scratch g local) )
+(* The up-safety (forward, AVAIL) and down-safety (backward, ANTIC)
+   systems of the cascade; both read only the block-local predicates. *)
+let solve_safety_systems ?scratch g local =
+  ( Trace.span "lcm.up_safety" (fun () -> Avail.compute ?scratch g local),
+    Trace.span "lcm.down_safety" (fun () -> Antic.compute ?scratch g local) )
 
 (* Span names follow the paper's cascade: down-safety (ANTIC), earliestness,
    delay (LATERIN), latestness — the four phases a trace of one LCM solve
@@ -327,10 +304,10 @@ let finish ?scratch g pool local avail antic =
    supplies one. *)
 let candidate_pool g = Trace.span "lcm.pool" (fun () -> Cfg.candidate_pool g)
 
-let analyze ?pool ?workers ?scratch g =
+let analyze ?pool ?scratch g =
   let pool = match pool with Some p -> p | None -> candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
-  let avail, antic = solve_safety_systems ?workers ?scratch g local in
+  let avail, antic = solve_safety_systems ?scratch g local in
   finish ?scratch g pool local avail antic
 
 (* --- incremental analysis ------------------------------------------------
@@ -398,12 +375,12 @@ let spec g a =
     copies = a.copy;
   }
 
-let transform ?simplify ?workers g =
-  let a = analyze ?workers g in
+let transform ?simplify g =
+  let a = analyze g in
   Transform.apply ?simplify g (spec g a)
 
 let pass =
   Pass.v "lcm-edge" (fun ctx g ->
-      let a = analyze ?workers:ctx.Pass.workers ?scratch:ctx.Pass.scratch g in
+      let a = analyze ?scratch:ctx.Pass.scratch g in
       let g', rep = Transform.apply g (spec g a) in
       (g', Pass.report ~sweeps:a.sweeps ~visits:a.visits ~spec:rep.Transform.spec ()))

@@ -36,13 +36,9 @@ type analysis = {
   visits : int;  (** transfer-function applications, all passes summed *)
 }
 
-(** Solve the independent down-safety (ANTIC, backward) and up-safety
-    (AVAIL, forward) systems — overlapped as two tasks on [workers] when it
-    has more than one domain (each may fan out further into bit slices on
-    the same pool), sequentially otherwise.  Results are bit-identical
-    either way.  Shared by {!Bcm_edge}. *)
+(** Solve the up-safety (AVAIL, forward) and down-safety (ANTIC,
+    backward) systems, one after the other.  Shared by {!Bcm_edge}. *)
 val solve_safety_systems :
-  ?workers:Lcm_support.Pool.t ->
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
   Lcm_dataflow.Local.t ->
@@ -60,15 +56,10 @@ val earliest_sets :
   ((Label.t * Label.t) * Bitvec.t) list
 
 (** Run the analyses.  [pool] defaults to all candidate expressions of the
-    graph.  [workers] enables the parallel paths (pass-level overlap of the
-    safety systems, slice-level fan-out inside each); the decision is
-    bit-identical with and without it.  [scratch] backs every analysis
-    vector (including the returned sets) on the sequential path — results
-    are then valid only until the arena resets; the parallel safety solves
-    keep the heap path (arenas are single-owner per domain). *)
+    graph.  [scratch] backs every analysis vector (including the returned
+    sets) — results are then valid only until the arena resets. *)
 val analyze :
   ?pool:Lcm_ir.Expr_pool.t ->
-  ?workers:Lcm_support.Pool.t ->
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
   analysis
@@ -79,7 +70,7 @@ val analyze :
     per retained graph handle. *)
 type saved
 
-(** [analyze_keep g] is [analyze g] (sequential path) that additionally
+(** [analyze_keep g] is [analyze g] that additionally
     captures the safety fixpoints for {!analyze_incr}. *)
 val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * saved
 
@@ -106,11 +97,10 @@ val spec : Lcm_cfg.Cfg.t -> analysis -> Transform.spec
 (** [transform g] = apply the decision to (a copy of) [g]. *)
 val transform :
   ?simplify:bool ->
-  ?workers:Lcm_support.Pool.t ->
   Lcm_cfg.Cfg.t ->
   Lcm_cfg.Cfg.t * Transform.report
 
-(** [analyze] + [apply] under the unified pass API; the context's pool
-    enables the parallel path, the report carries the spec and iteration
+(** [analyze] + [apply] under the unified pass API; the context's arena
+    backs the analysis, the report carries the spec and iteration
     counts. *)
 val pass : Pass.t

@@ -1,12 +1,9 @@
 module Trace = Lcm_obs.Trace
 module Cfg = Lcm_cfg.Cfg
 
-type ctx = {
-  workers : Lcm_support.Pool.t option;
-  scratch : Lcm_support.Arena.t option;
-}
+type ctx = { scratch : Lcm_support.Arena.t option }
 
-let default_ctx = { workers = None; scratch = None }
+let default_ctx = { scratch = None }
 
 type report = {
   sweeps : int;

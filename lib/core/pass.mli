@@ -3,7 +3,7 @@
     Every transformation in the repository — the paper's BCM/LCM family,
     the baselines, the cleanup passes — runs under one signature: a named
     [run : ctx -> Cfg.t -> Cfg.t * report].  The context carries the
-    execution environment (worker pool for the parallel analyses); the
+    execution environment (the request's scratch arena); the
     report carries what the caller may want downstream: solver iteration
     counts, the transformation spec when the pass exposes one (for cheap
     static validation), and free-form notes.
@@ -15,10 +15,6 @@
     while the domain-local trace context threads itself. *)
 
 type ctx = {
-  workers : Lcm_support.Pool.t option;
-      (** pool for passes with a parallel path; [None] = sequential.
-          Passes without one ignore it (results are bit-identical either
-          way for those that have it). *)
   scratch : Lcm_support.Arena.t option;
       (** per-request scratch arena for the analyses' solver state; [None]
           = heap-allocate as before.  Results are bit-identical either way;
@@ -26,7 +22,7 @@ type ctx = {
           caller must consume them before the arena resets. *)
 }
 
-(** Sequential, no pool, no arena. *)
+(** No arena. *)
 val default_ctx : ctx
 
 type report = {

@@ -41,10 +41,6 @@ let compute ?scratch g local =
 let compute_partial ?scratch g local =
   solve "solve.antic.partial" (fun () -> Solver.run ?scratch g (spec_of Solver.Union ?scratch local))
 
-let compute_par ?pool ?threshold ?scratch g local =
-  solve "solve.antic" (fun () ->
-      Solver.run_par ?pool ?threshold ?scratch g (spec_of Solver.Inter ?scratch local))
-
 (* Incremental variants; backward twin of [Avail.compute_keep/_incr]. *)
 let compute_keep ?scratch g local =
   Lcm_obs.Trace.span_attrs "solve.antic" (fun () ->

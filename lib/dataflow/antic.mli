@@ -19,17 +19,6 @@ val compute : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t
 
 val compute_partial : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t
 
-(** Same fixpoint as {!compute} (bit-identical), solved slice-parallel on
-    [pool] via {!Solver.run_par}; falls back to the sequential worklist
-    below [threshold] bits per domain. *)
-val compute_par :
-  ?pool:Lcm_support.Pool.t ->
-  ?threshold:int ->
-  ?scratch:Lcm_support.Arena.t ->
-  Lcm_cfg.Cfg.t ->
-  Local.t ->
-  t
-
 (** [compute_keep] is {!compute} that additionally captures the fixpoint
     for incremental restart; backward twin of {!Avail.compute_keep}. *)
 val compute_keep :

@@ -41,10 +41,6 @@ let compute ?scratch g local =
 let compute_partial ?scratch g local =
   solve "solve.avail.partial" (fun () -> Solver.run ?scratch g (spec_of Solver.Union ?scratch local))
 
-let compute_par ?pool ?threshold ?scratch g local =
-  solve "solve.avail" (fun () ->
-      Solver.run_par ?pool ?threshold ?scratch g (spec_of Solver.Inter ?scratch local))
-
 (* Incremental variants for the serving [delta] tier: same spec as
    [compute], routed through the restartable solver entry points. *)
 let compute_keep ?scratch g local =

@@ -1,11 +1,9 @@
 module Bitvec = Lcm_support.Bitvec
-module Pool = Lcm_support.Pool
 module Arena = Lcm_support.Arena
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 
 let default_engine_name = "dense worklist (RPO-position bitset queue)"
-let par_engine_name = "domain-sliced worklist (word-aligned bit slices)"
 
 type direction =
   | Forward
@@ -14,10 +12,6 @@ type direction =
 type confluence =
   | Union
   | Inter
-
-type engine =
-  | Worklist
-  | Sweep
 
 type spec = {
   nbits : int;
@@ -35,7 +29,7 @@ type result = {
   visits : int;
 }
 
-(* Shared dense state for every engine: [meet.(l)] is the value on the
+(* Dense solve state: [meet.(l)] is the value on the
    meet side of block l (entry for forward, exit for backward); [flow.(l)]
    the value after the transfer.  Arrays are indexed by label — labels are
    dense ints below [Cfg.label_bound] — and so are the spec's GEN/KEEP
@@ -127,11 +121,11 @@ let make_state ?scratch g spec =
 let[@inline] join union a b = if union then a lor b else a land b
 let[@inline] row rows l = Bitvec.words (Array.unsafe_get rows l)
 
-(* [out = GEN ∪ (m ∩ KEEP)] over words [w0, w1) with [m] already in
+(* [out = GEN ∪ (m ∩ KEEP)] over the row's [nw] words with [m] already in
    [inw]; returns whether [out] changed. *)
-let transfer_words ~gen ~keep ~inw ~out w0 w1 =
+let transfer_words ~gen ~keep ~inw ~out nw =
   let changed = ref false in
-  for w = w0 to w1 - 1 do
+  for w = 0 to nw - 1 do
     let o =
       Array.unsafe_get gen w lor (Array.unsafe_get inw w land Array.unsafe_get keep w)
     in
@@ -142,15 +136,14 @@ let transfer_words ~gen ~keep ~inw ~out w0 w1 =
   done;
   !changed
 
-(* The visit kernel, over the words [w0, w1) of block l: recompute the meet
-   from the neighbors' flow rows, apply [out = GEN ∪ (in ∩ KEEP)], and
-   report whether [flow.(l)] changed — one word loop, no per-operation
-   vector calls and no scratch blits.  Blocks without meet inputs keep the
+(* The visit kernel, over the row of block l: recompute the meet from the
+   neighbors' flow rows, apply [out = GEN ∪ (in ∩ KEEP)], and report
+   whether [flow.(l)] changed — one word loop, no per-operation vector
+   calls and no scratch blits.  Blocks without meet inputs keep the
    neutral element of the confluence (e.g. backward blocks that cannot
-   reach the exit), and the boundary block keeps the boundary value.  The
-   word range is the whole row for the sequential engines and one slice
-   for {!run_par}. *)
-let visit st l w0 w1 =
+   reach the exit), and the boundary block keeps the boundary value. *)
+let visit st l =
+  let nw = st.nwords in
   let inw = row st.meet l and out = row st.flow l in
   let gen = row st.gen l and keep = row st.keep l in
   let nbs = Array.unsafe_get st.meet_neighbors l in
@@ -160,7 +153,7 @@ let visit st l w0 w1 =
        fused with the transfer into a single pass. *)
     let f0 = row st.flow (Array.unsafe_get nbs 0) in
     let changed = ref false in
-    for w = w0 to w1 - 1 do
+    for w = 0 to nw - 1 do
       let m = Array.unsafe_get f0 w in
       Array.unsafe_set inw w m;
       let o = Array.unsafe_get gen w lor (m land Array.unsafe_get keep w) in
@@ -175,35 +168,18 @@ let visit st l w0 w1 =
     if k > 1 then begin
       let union = st.union in
       let f0 = row st.flow (Array.unsafe_get nbs 0) and f1 = row st.flow (Array.unsafe_get nbs 1) in
-      for w = w0 to w1 - 1 do
+      for w = 0 to nw - 1 do
         Array.unsafe_set inw w (join union (Array.unsafe_get f0 w) (Array.unsafe_get f1 w))
       done;
       for i = 2 to k - 1 do
         let fi = row st.flow (Array.unsafe_get nbs i) in
-        for w = w0 to w1 - 1 do
+        for w = 0 to nw - 1 do
           Array.unsafe_set inw w (join union (Array.unsafe_get inw w) (Array.unsafe_get fi w))
         done
       done
     end;
-    transfer_words ~gen ~keep ~inw ~out w0 w1
+    transfer_words ~gen ~keep ~inw ~out nw
   end
-
-(* Reference engine: round-robin sweeps to a fixed point, exactly the shape
-   the paper costs out.  [sweeps] counts full passes including the final
-   unchanged one; [visits] counts transfer applications. *)
-let run_sweep st =
-  let sweeps = ref 0 and visits = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    incr sweeps;
-    List.iter
-      (fun l ->
-        incr visits;
-        if visit st l 0 st.nwords then changed := true)
-      st.process_order
-  done;
-  (!sweeps, !visits)
 
 (* The worklist's queue: a bitset of pending positions in the processing
    order (reverse postorder forward, postorder backward) and a cursor
@@ -253,18 +229,15 @@ let pop q =
   q.npending <- q.npending - 1;
   q.order.((q.low * Bitvec.bits_per_word) + Bitvec.ntz x)
 
-(* Worklist engine: seed every reachable block once in priority order
-   (reverse postorder for forward problems, postorder for backward), then
-   re-visit only the direction-appropriate dependents of blocks whose flow
-   changed.  On sparse graphs this drops visit counts from ~sweeps·N to the
+(* The solve: seed every reachable block once in priority order (reverse
+   postorder for forward problems, postorder for backward), then re-visit
+   only the direction-appropriate dependents of blocks whose flow changed.
+   On sparse graphs this drops visit counts from ~sweeps·N to the
    near-optimal count.  [sweeps] is reported as the maximum number of times
    any single block was visited — the depth of iteration, the analogue of
-   the round-robin sweep count.
-
-   The visits cover words [w0, w1) of every row; the worklist machinery
-   comes from [arena] ([None]: the heap — the slice tasks of {!run_par}
-   run on other domains, where the request's arena must not be touched). *)
-let run_worklist ?seeds ~arena st w0 w1 =
+   the round-robin sweep count.  The worklist machinery comes from [arena]
+   ([None]: the heap). *)
+let run_worklist ?seeds ~arena st =
   let bound = st.adj.Cfg.adj_bound in
   let rpo_pos = st.adj.Cfg.adj_rpo_pos in
   let nreach = List.length st.process_order in
@@ -285,7 +258,7 @@ let run_worklist ?seeds ~arena st w0 w1 =
     let l = pop q in
     incr visits;
     visit_count.(l) <- visit_count.(l) + 1;
-    if visit st l w0 w1 then begin
+    if visit st l then begin
       (* Explicit loop, not [Array.iter]: a closure here would be
          allocated on every changed visit of the hot fixpoint. *)
       let deps = st.dependents.(l) in
@@ -316,13 +289,9 @@ let make_result st direction ~sweeps ~visits =
   in
   { block_in; block_out; sweeps; visits }
 
-let run ?(engine = Worklist) ?scratch g spec =
+let run ?scratch g spec =
   let st = make_state ?scratch g spec in
-  let sweeps, visits =
-    match engine with
-    | Worklist -> run_worklist ~arena:scratch st 0 st.nwords
-    | Sweep -> run_sweep st
-  in
+  let sweeps, visits = run_worklist ~arena:scratch st in
   make_result st spec.direction ~sweeps ~visits
 
 (* --- restartable entry point --------------------------------------------
@@ -369,7 +338,7 @@ let save st spec =
 
 let run_saved ?scratch g spec =
   let st = make_state ?scratch g spec in
-  let sweeps, visits = run_worklist ~arena:scratch st 0 st.nwords in
+  let sweeps, visits = run_worklist ~arena:scratch st in
   (make_result st spec.direction ~sweeps ~visits, save st spec)
 
 let resolve ?scratch g spec ~prev ~dirty =
@@ -415,53 +384,6 @@ let resolve ?scratch g spec ~prev ~dirty =
     done;
     let seeds = List.filter (fun l -> affected.(l)) st.process_order in
     let region = List.length seeds in
-    let sweeps, visits = run_worklist ~seeds ~arena:scratch st 0 st.nwords in
+    let sweeps, visits = run_worklist ~seeds ~arena:scratch st in
     Some (make_result st spec.direction ~sweeps ~visits, save st spec, region)
-  end
-
-(* --- domain-parallel engine ---------------------------------------------
-
-   Bit-vector dataflow is embarrassingly parallel along the expression
-   axis: the fixpoint of bit [i] never reads any bit [j <> i], so any
-   partition of the [nbits] space can be solved independently.  [run_par]
-   partitions it into word-aligned slices (disjoint slices never share a
-   storage word — see [Bitvec.slice_bounds]) and runs the sequential
-   worklist on each slice's word range as its own pool task.  All slices
-   share one full-width state: each task reads and writes only the words
-   of its own slice, so the tasks never touch a common location and the
-   rows need no reassembly afterwards.
-
-   Determinism contract: each slice fixpoint is the unique
-   least/greatest fixpoint of its (monotone) slice system, so the result is
-   bit-identical to the sequential engines regardless of how the pool
-   schedules slices.  Counter semantics: [visits] sums the slices'
-   transfer applications (total work), [sweeps] is the maximum iteration
-   depth over slices (critical path).
-
-   Problems narrower than [threshold] bits per available domain fall back
-   to the sequential worklist — slicing two words across domains costs more
-   in fan-out than it saves. *)
-
-let default_par_threshold = 256
-
-let run_par ?pool ?(threshold = default_par_threshold) ?scratch g spec =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let pieces = min (Pool.size pool) (max 1 (spec.nbits / max 1 threshold)) in
-  let bounds = Bitvec.slice_bounds ~nbits:spec.nbits ~pieces in
-  if pieces <= 1 || Array.length bounds <= 1 then run ?scratch g spec
-  else begin
-    (* The state (and the adjacency snapshot it reads) is built here,
-       before the fan-out, so [scratch] is only ever touched by its owning
-       domain. *)
-    let st = make_state ?scratch g spec in
-    let k = Array.length bounds in
-    let counts = Array.make k (0, 0) in
-    Pool.run pool
-      (List.init k (fun i () ->
-           let lo, len = bounds.(i) in
-           let w0 = lo / Bitvec.bits_per_word in
-           counts.(i) <- run_worklist ~arena:None st w0 (w0 + Bitvec.words_for len)));
-    let sweeps = Array.fold_left (fun acc (s, _) -> max acc s) 0 counts in
-    let visits = Array.fold_left (fun acc (_, v) -> acc + v) 0 counts in
-    make_result st spec.direction ~sweeps ~visits
   end

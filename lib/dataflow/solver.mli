@@ -7,20 +7,15 @@
     State lives in flat arrays indexed by label (labels are dense ints below
     [Cfg.label_bound]), and one word-loop kernel visits a block — meet,
     transfer and change test in a single pass over the row's words.  The
-    default engine iterates with a worklist: blocks are seeded once in
-    reverse postorder (forward) or postorder (backward), and afterwards only
-    the direction-appropriate neighbors of a block whose transfer output
-    changed are re-visited.  The round-robin sweep of the paper's cost model
-    remains available as a reference engine ({!Sweep}) and is checked
-    bit-identical against the worklist by the property tests. *)
+    solver iterates with a worklist: blocks are seeded once in reverse
+    postorder (forward) or postorder (backward), and afterwards only the
+    direction-appropriate neighbors of a block whose transfer output
+    changed are re-visited.  The property tests check it bit-identical
+    against a reference round-robin sweep (the paper's cost model). *)
 
-(** Human-readable name of the default iteration engine (recorded in
-    benchmark output). *)
+(** Human-readable name of the iteration engine (recorded in benchmark
+    output). *)
 val default_engine_name : string
-
-(** Name of the domain-parallel engine ({!run_par}), for benchmark
-    output. *)
-val par_engine_name : string
 
 type direction =
   | Forward
@@ -29,10 +24,6 @@ type direction =
 type confluence =
   | Union  (** "may" problems; interior initialized to all-zeros *)
   | Inter  (** "must" problems; interior initialized to all-ones *)
-
-type engine =
-  | Worklist  (** default: dedup priority queue in RPO/postorder priority *)
-  | Sweep  (** reference: round-robin sweeps to a fixed point *)
 
 type spec = {
   nbits : int;
@@ -59,17 +50,14 @@ type result = {
   block_out : Lcm_cfg.Label.t -> Lcm_support.Bitvec.t;
       (** value at block exit (meet result for backward problems) *)
   sweeps : int;
-      (** {!Sweep}: full passes over the block order, including the last,
-          unchanged one.  {!Worklist}: the maximum number of times any
-          single block was visited — the iteration depth, the worklist
-          analogue of the sweep count. *)
-  visits : int;  (** total transfer-function applications (both engines) *)
+      (** the maximum number of times any single block was visited — the
+          iteration depth, the worklist analogue of a round-robin sweep
+          count *)
+  visits : int;  (** total transfer-function applications *)
 }
 
 (** Returned vectors are owned by the result; callers must not mutate them.
-    Both engines compute the same fixpoint (bit-identical: every GEN/KEEP
-    transfer is monotone); [engine] defaults to {!Worklist}.  Raises
-    [Invalid_argument] when a block of the graph lacks an [nbits]-bit GEN
+    Raises [Invalid_argument] when a block of the graph lacks an [nbits]-bit GEN
     or KEEP row.
 
     When [scratch] is given, every piece of solver state — the per-block
@@ -78,7 +66,7 @@ type result = {
     instead of heap-allocated; the result is then only valid until the
     arena's next [reset].  Without it the behavior (and allocation) is
     unchanged. *)
-val run : ?engine:engine -> ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spec -> result
+val run : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spec -> result
 
 (** A fixpoint captured for later incremental restart: heap copies of every
     block's meet/flow vectors plus the shape facts ([nbits], direction,
@@ -88,7 +76,7 @@ val run : ?engine:engine -> ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spe
     may be retained across requests. *)
 type saved
 
-(** [run_saved g spec] is [run g spec] (worklist engine) that additionally
+(** [run_saved g spec] is [run g spec] that additionally
     captures the fixpoint for incremental restart. *)
 val run_saved :
   ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spec -> result * saved
@@ -116,35 +104,3 @@ val resolve :
   prev:saved ->
   dirty:Lcm_cfg.Label.t list ->
   (result * saved * int) option
-
-(** Default [threshold] of {!run_par}, in bits per domain. *)
-val default_par_threshold : int
-
-(** [run_par ?pool ?threshold g spec] solves the same problem as
-    [run g spec] by partitioning the [nbits] expression axis into
-    word-aligned slices ({!Lcm_support.Bitvec.slice_bounds}) and running
-    the worklist over each slice's words on its own domain of [pool]
-    (default: {!Lcm_support.Pool.default}).  Bit [i]'s fixpoint never
-    depends on bit [j <> i], so the result is bit-identical to the
-    sequential engines — slices are unique fixpoints of monotone systems,
-    independent of pool scheduling.  The slices share one full-width
-    state, each writing only its own words, so nothing is reassembled.
-
-    Falls back to [run g spec] when the problem is narrower than
-    [threshold] (default {!default_par_threshold}) bits per available
-    domain, or when the pool has a single domain.
-
-    Counter semantics: [visits] is summed across slices (total transfer
-    applications); [sweeps] is the maximum over slices (parallel iteration
-    depth).
-
-    [scratch] backs the shared state, which is built before the fan-out;
-    the slices' worklist machinery lives on their own domains' heaps (an
-    arena is single-owner per domain). *)
-val run_par :
-  ?pool:Lcm_support.Pool.t ->
-  ?threshold:int ->
-  ?scratch:Lcm_support.Arena.t ->
-  Lcm_cfg.Cfg.t ->
-  spec ->
-  result

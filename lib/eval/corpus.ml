@@ -1,8 +1,7 @@
 (* The "compiler server" workload: a whole suite of functions optimized in
    one call, mapped over a domain pool.  Functions are independent — each
    job owns its graph, its expression pool, and its transformed copy — so
-   this is the coarsest and best-scaling of the three parallel layers (bit
-   slices, pass overlap, corpus fan-out).
+   jobs scale across domains while each job is one sequential solve.
 
    Determinism: reports come back in job order whatever the pool schedules,
    and each report carries an MD5 digest of the printed transformed graph,

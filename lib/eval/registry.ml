@@ -16,15 +16,14 @@ type entry = {
   is_paper_algorithm : bool;
   speculative : bool;
   preserves_expressions : bool;
-  parallelizable : bool;
   pipeline : Pass.Pipeline.t;
   run : Cfg.t -> Cfg.t;
 }
 
 (* [run] is always derived from the pipeline (sequential context), so the
    two can never disagree. *)
-let make ?(is_paper_algorithm = false) ?(speculative = false) ?(preserves_expressions = true)
-    ?(parallelizable = false) name description passes =
+let make ?(is_paper_algorithm = false) ?(speculative = false) ?(preserves_expressions = true) name
+    description passes =
   let pipeline = Pass.Pipeline.v name passes in
   {
     name;
@@ -32,7 +31,6 @@ let make ?(is_paper_algorithm = false) ?(speculative = false) ?(preserves_expres
     is_paper_algorithm;
     speculative;
     preserves_expressions;
-    parallelizable;
     pipeline;
     run = (fun g -> Pass.Pipeline.run_graph Pass.default_ctx pipeline g);
   }
@@ -65,18 +63,17 @@ let all =
     make ~preserves_expressions:false "ssa-dvnt"
       "dominator-based value numbering over SSA form" [ dvnt_pass ];
     plain "morel-renvoise" "Morel-Renvoise 1979 bidirectional PRE" [ Morel_renvoise.pass ];
-    make ~is_paper_algorithm:true ~parallelizable:true "bcm-edge"
-      "Busy Code Motion, edge insertions (earliest placement)" [ Bcm_edge.pass ];
-    make ~is_paper_algorithm:true ~parallelizable:true "lcm-edge"
+    paper "bcm-edge" "Busy Code Motion, edge insertions (earliest placement)" [ Bcm_edge.pass ];
+    paper "lcm-edge"
       "Lazy Code Motion, edge insertions (the paper's algorithm, practical form)"
       [ Lcm_edge.pass ];
     paper "lcm-block"
       "Lazy Code Motion with entry/exit placements on a pre-split graph (TOPLAS form)"
       [ Lcm_core.Lcm_block.pass ];
-    make ~is_paper_algorithm:true ~preserves_expressions:false ~parallelizable:true "lcm-cleanup"
+    make ~is_paper_algorithm:true ~preserves_expressions:false "lcm-cleanup"
       "lcm-edge followed by the copy-prop/fold/DCE cleanup pipeline"
       [ Lcm_edge.pass; Cleanup.pass ];
-    make ~preserves_expressions:false ~parallelizable:true "lcm-iterated"
+    make ~preserves_expressions:false "lcm-iterated"
       "lcm-edge and cleanup repeated: copy propagation exposes value redundancies to the next round"
       [ Lcm_edge.pass; Cleanup.pass; Lcm_edge.pass; Cleanup.pass ];
     paper "bcm-node" "Busy Code Motion, node form of PLDI 1992" [ Lcm_node.pass Lcm_node.Bcm ];

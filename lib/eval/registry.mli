@@ -19,9 +19,6 @@ type entry = {
           per-expression path counts are comparable with the original's;
           false for the cleanup pipeline, whose copy propagation renames
           operands (only per-path *totals* are comparable there) *)
-  parallelizable : bool;
-      (** some pass in the pipeline uses [ctx.workers] when present
-          (results stay bit-identical with and without a pool) *)
   pipeline : Lcm_core.Pass.Pipeline.t;
   run : Lcm_cfg.Cfg.t -> Lcm_cfg.Cfg.t;
       (** the pipeline under {!Lcm_core.Pass.default_ctx}, reports dropped *)

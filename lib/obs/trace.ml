@@ -13,7 +13,7 @@ type span = {
 let dur sp = sp.t_end -. sp.t_start
 
 (* One buffer per domain: appends take only the buffer's own mutex, so
-   pool workers of a parallel solve never contend with each other.  The
+   pool workers never contend with each other.  The
    collector's lock guards only the buffer list (taken once per domain per
    collector generation, and by drains). *)
 type buffer = {

@@ -10,8 +10,8 @@
     is disabled, and a disabled probe costs one atomic load — {!span} with
     no collector installed is [f ()] plus a branch.  When enabled, each
     domain appends finished spans to its own mutex-guarded buffer, so
-    [Solver.run_par] workers record without contention on a shared
-    structure; buffers are registered once per domain in a global
+    pool workers (a daemon batch, a corpus fan-out) record without
+    contention on a shared structure; buffers are registered once per domain in a global
     collector.
 
     The clock is [Unix.gettimeofday].  The repository deliberately has no

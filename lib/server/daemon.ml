@@ -445,7 +445,7 @@ let make_state cfg ?listen_fd conns =
         None)
   in
   let engine =
-    Engine.default_config ~pool ~no_timing:cfg.no_timing ?worker_id:cfg.worker_id ?journal cfg.stats
+    Engine.default_config ~no_timing:cfg.no_timing ?worker_id:cfg.worker_id ?journal cfg.stats
   in
   (* Rebuild journaled handles before the serve loop touches a frame:
      deltas that raced the respawn sit in the socket buffer until every

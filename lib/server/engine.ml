@@ -22,7 +22,6 @@ module Prof = Lcm_obs.Prof
 
 type config = {
   lookup : string -> Registry.entry option;
-  pool : Pool.t option;
   stats : Stats.t;
   m : Smetrics.t;
   prof : Prof.t;
@@ -33,10 +32,9 @@ type config = {
   recovered : (string, unit) Hashtbl.t;
 }
 
-let default_config ?pool ?(no_timing = false) ?worker_id ?(handle_capacity = 128) ?journal stats =
+let default_config ?(no_timing = false) ?worker_id ?(handle_capacity = 128) ?journal stats =
   {
     lookup = Registry.find;
-    pool;
     stats;
     m = Smetrics.create stats;
     prof = Prof.create ();
@@ -138,25 +136,26 @@ let spec_validate g spec =
   | Ok () -> ()
   | Error m -> raise (Validation_failed ("placement check: " ^ m))
 
-(* ---- the transformation, in tiers ----
+(* Explicit validation of a served transformation: the placement check
+   when the transformation exposes its spec, then an interpreter comparison
+   that must complete on at least one sample. *)
+let validate g g' spec =
+  Trace.span "engine.validate" (fun () ->
+      Option.iter (spec_validate g) spec;
+      try interp_validate g g'
+      with Validation_fuel ->
+        reject Protocol.Fuel_exhausted
+          "validation ran out of fuel (%d steps per sample): the program did not terminate on \
+           any sample input"
+          validation_fuel)
 
-   The paper-algorithm transforms have a parallel path; everything else
-   runs sequentially whatever was asked.  When a tier faults mid-pipeline
-   (injected or real), the request falls back to the next cheaper tier —
-   parallel → sequential → identity — and the result of any fallback tier
-   is validated before it is served, marked [degraded:<tier>].  The
-   service sheds quality before it sheds availability; the identity tier
-   cannot fail. *)
+(* ---- the transformation, with an identity fallback ----
 
-type tier =
-  | Par of int  (* capped worker count *)
-  | Seq
-  | Ident
-
-let tier_name = function
-  | Par _ -> "parallel"
-  | Seq -> "sequential"
-  | Ident -> "identity"
+   Every run is one sequential solve through the entry's pipeline.  When
+   it faults mid-pipeline (injected or real), the request is served the
+   unchanged program instead, marked [degraded:"identity"]: the service
+   sheds quality before it sheds availability, and the fallback cannot
+   fail. *)
 
 (* The spec used for cheap static validation: exposed only when the entry
    is a single pass whose report carries one — a multi-pass pipeline's
@@ -167,29 +166,21 @@ let spec_of entry reports =
   | [ _ ], (_, first) :: _ -> first.Pass.spec
   | _ -> None
 
-(* Run one tier: the entry's pipeline under the tier's context (plus a
-   trailing structural simplify when the request asked for one).  Returns
-   the transformed graph, the worker count to report, and the spec. *)
-let run_tier cfg (r : Protocol.run_request) entry g ~scratch = function
-  | Par workers ->
-    (* The arena rides along: the cascade uses it only on this (the
-       request's) domain; phases fanned out to pool domains keep the heap
-       path (see [Lcm_edge.solve_safety_systems]). *)
-    let ctx = { Pass.workers = Some (Option.get cfg.pool); Pass.scratch } in
-    let pipe =
-      if r.Protocol.simplify then Pass.Pipeline.append entry.Registry.pipeline [ Pass.simplify ]
-      else entry.Registry.pipeline
-    in
-    let g', reports = Pass.Pipeline.run ctx pipe g in
-    (g', workers, spec_of entry reports)
-  | Seq ->
-    let pipe =
-      if r.Protocol.simplify then Pass.Pipeline.append entry.Registry.pipeline [ Pass.simplify ]
-      else entry.Registry.pipeline
-    in
-    let g', reports = Pass.Pipeline.run { Pass.default_ctx with Pass.scratch } pipe g in
-    (g', 1, spec_of entry reports)
-  | Ident -> (g, 1, None)
+(* The entry's pipeline under the request's arena (plus a trailing
+   structural simplify when the request asked for one), bracketed by the
+   chaos boundaries, then validation when asked. *)
+let transform ~now ~deadline (r : Protocol.run_request) entry g ~scratch =
+  chaos_boundary ();
+  let pipe =
+    if r.Protocol.simplify then Pass.Pipeline.append entry.Registry.pipeline [ Pass.simplify ]
+    else entry.Registry.pipeline
+  in
+  let g', reports = Pass.Pipeline.run { Pass.scratch } pipe g in
+  check_deadline ~now ~deadline;
+  chaos_boundary ();
+  check_deadline ~now ~deadline;
+  if r.Protocol.validate then validate g g' (spec_of entry reports);
+  g'
 
 let execute_run cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~timing_of =
   let entry =
@@ -200,78 +191,36 @@ let execute_run cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~tim
   let g = Trace.span "engine.load" (fun () -> load_graph cfg r) in
   check_deadline ~now ~deadline;
   (* Admission: check a scratch arena out for this request's shape class.
-     Everything from tier selection to response rendering runs inside the
+     Everything from the solve to response rendering runs inside the
      checkout; [Pool.Scratch.with_arena]'s finalizer reclaims every loan
-     even when a tier (or a chaos injection) panics.  Nothing arena-backed
-     escapes: the response carries only strings and ints. *)
+     even when the solve (or a chaos injection) panics.  Nothing
+     arena-backed escapes: the response carries only strings and ints. *)
   let blocks = Cfg.label_bound g in
   let exprs = Lcm_ir.Expr_pool.size (Cfg.candidate_pool g) in
   Pool.Scratch.with_arena ~blocks ~exprs @@ fun arena ->
-  let scratch = Some arena in
   let alloc0 = Gc.allocated_bytes () in
   let checkouts0 = Arena.checkouts arena and misses0 = Arena.misses arena in
-  let requested =
-    match cfg.pool with
-    | Some pool when r.Protocol.workers > 1 && Pool.size pool > 1 && entry.Registry.parallelizable ->
-      Par (min r.Protocol.workers (Pool.size pool))
-    | _ -> Seq
+  (* Deadlines and typed rejections surface as themselves; any other
+     failure serves the unchanged program, which is vacuously valid. *)
+  let g', degraded =
+    match transform ~now ~deadline r entry g ~scratch:(Some arena) with
+    | g' -> (g', None)
+    | exception ((Deadline | Reject _) as e) -> raise e
+    | exception _ ->
+      Stats.bump cfg.m.Smetrics.tier_fallbacks;
+      check_deadline ~now ~deadline;
+      Stats.bump cfg.m.Smetrics.degraded_total;
+      Stats.bump cfg.m.Smetrics.degraded_identity;
+      (g, Some "identity")
   in
-  (* One tier attempt: transform, simplify, chaos boundary, validation.
-     Any exception (other than deadline / typed rejection) sends the
-     request to the next tier. *)
-  let attempt tier =
-    if tier <> Ident then chaos_boundary ();
-    let g', workers, spec = run_tier cfg r entry g ~scratch tier in
-    check_deadline ~now ~deadline;
-    if tier <> Ident then chaos_boundary ();
-    check_deadline ~now ~deadline;
-    let degraded = tier <> requested in
-    let validated =
-      if tier = Ident then r.Protocol.validate (* the unchanged program is vacuously valid *)
-      else if r.Protocol.validate || degraded then
-        Trace.span "engine.validate" (fun () ->
-            Option.iter (spec_validate g) spec;
-            (* Explicit validation always compares behaviour; a degraded
-               result with a checked spec skips the interpreter (cheap path). *)
-            if r.Protocol.validate || spec = None then begin
-              try interp_validate g g'
-              with Validation_fuel when r.Protocol.validate && not degraded ->
-                reject Protocol.Fuel_exhausted
-                  "validation ran out of fuel (%d steps per sample): the program did not terminate \
-                   on any sample input"
-                  validation_fuel
-            end;
-            true)
-      else false
-    in
-    (g', workers, tier, validated)
-  in
-  let tiers = match requested with Par _ -> [ requested; Seq; Ident ] | _ -> [ Seq; Ident ] in
-  let rec go = function
-    | [] -> reject Protocol.Internal "no tier could serve the request"
-    | [ tier ] -> attempt tier (* last resort: let failures surface *)
-    | tier :: rest ->
-      (match attempt tier with
-      | result -> result
-      | exception ((Deadline | Reject _) as e) -> raise e
-      | exception _ ->
-        Stats.bump cfg.m.Smetrics.tier_fallbacks;
-        go rest)
-  in
-  let g', workers, tier, validated = go tiers in
-  let tier_served = if tier <> requested then Some (tier_name tier) else None in
-  (match tier_served with
-  | Some t ->
-    Stats.bump cfg.m.Smetrics.degraded_total;
-    Stats.bump (cfg.m.Smetrics.degraded_tier t)
-  | None -> ());
+  let validated = r.Protocol.validate in
   if validated then Stats.bump cfg.m.Smetrics.validated_total;
   let before = Metrics.static_counts g in
   let after = Metrics.static_counts g' in
   let program = Cfg.to_string g' in
   let frame =
-    Protocol.ok_run ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers ~degraded:tier_served
-      ~validated ~extra:(worker_fields cfg) ~program ~before ~after ~timing:(timing_of ()) ()
+    Protocol.ok_run ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers:1 ~degraded ~validated
+      ~extra:(worker_fields cfg) ~program ~before ~after ~timing:(timing_of ()) ()
   in
   (* Allocation telemetry for the zero-allocation steady state: how many
      scratch checkouts the request made, how many had to heap-allocate
@@ -319,20 +268,11 @@ let execute_retain cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~
   let g', report = Transform.apply ~simplify:r.Protocol.simplify g (Lcm_edge.spec g a) in
   chaos_boundary ();
   check_deadline ~now ~deadline;
-  let validated =
-    r.Protocol.validate
-    &&
-    (Trace.span "engine.validate" (fun () ->
-         spec_validate g report.Transform.spec;
-         (try interp_validate g g'
-          with Validation_fuel ->
-            reject Protocol.Fuel_exhausted
-              "validation ran out of fuel (%d steps per sample): the program did not terminate \
-               on any sample input"
-              validation_fuel));
-     true)
-  in
-  if validated then Stats.bump cfg.m.Smetrics.validated_total;
+  let validated = r.Protocol.validate in
+  if validated then begin
+    validate g g' (Some report.Transform.spec);
+    Stats.bump cfg.m.Smetrics.validated_total
+  end;
   let handle, `Evicted evicted =
     Handles.register cfg.handles
       { Handles.algorithm = r.Protocol.algorithm; simplify = r.Protocol.simplify; state = (g, saved) }

@@ -11,10 +11,10 @@
     - {b panic isolation}: any exception escaping the pipeline becomes an
       [internal] error response — a crashing request never kills the
       daemon;
-    - {b per-request parallelism}: a [workers > 1] request runs a
-      [parallelizable] registry entry's pipeline with the daemon's shared
-      pool in its pass context, capped at the pool's size; other entries
-      have no parallel path and report [workers = 1].
+    - {b degradation}: a run request is one sequential solve; when it
+      faults mid-pipeline the request is answered with the unchanged
+      program, marked [degraded:"identity"].  Every run response reports
+      [workers = 1], whatever the request asked for.
 
     Every transformation goes through the entry's
     {!Lcm_eval.Registry.entry.pipeline} ({!Lcm_core.Pass.Pipeline.run}),
@@ -25,7 +25,6 @@
 
 type config = {
   lookup : string -> Lcm_eval.Registry.entry option;  (** algorithm resolver (injectable for tests) *)
-  pool : Lcm_support.Pool.t option;  (** the daemon-wide domain pool *)
   stats : Stats.t;
   m : Smetrics.t;  (** typed handles over [stats] *)
   prof : Lcm_obs.Prof.t;  (** per-phase aggregates, served by the [profile] op *)
@@ -44,7 +43,6 @@ type config = {
 }
 
 val default_config :
-  ?pool:Lcm_support.Pool.t ->
   ?no_timing:bool ->
   ?worker_id:int ->
   ?handle_capacity:int ->

@@ -30,7 +30,6 @@ type run_request = {
   func : string option;
   algorithm : string;
   simplify : bool;
-  workers : int;
   validate : bool;
   retain : bool;
 }
@@ -107,13 +106,16 @@ let parse_format j program =
 
 let parse_run j =
   let program = string_field j "program" in
+  (* Every run is one sequential solve answered with [workers:1]; the
+     [workers] field is accepted and type-checked so that clients which
+     send it keep working. *)
+  ignore (opt_field j "workers" Json.to_int_opt);
   {
     program;
     format = parse_format j program;
     func = opt_field j "function" Json.to_string_opt;
     algorithm = Option.value (opt_field j "algorithm" Json.to_string_opt) ~default:"lcm-edge";
     simplify = Option.value (opt_field j "simplify" Json.to_bool_opt) ~default:false;
-    workers = Option.value (opt_field j "workers" Json.to_int_opt) ~default:1;
     validate = Option.value (opt_field j "validate" Json.to_bool_opt) ~default:false;
     retain = Option.value (opt_field j "retain" Json.to_bool_opt) ~default:false;
   }

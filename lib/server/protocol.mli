@@ -47,7 +47,6 @@ type run_request = {
   func : string option;  (** function to pick when the format defines several *)
   algorithm : string;  (** a {!Lcm_eval.Registry} name *)
   simplify : bool;  (** merge straight-line blocks after the transformation *)
-  workers : int;  (** requested intra-request parallelism; capped by the daemon pool *)
   validate : bool;
       (** verify the transformation before answering (placement check /
           interpreter comparison); the response carries [validated:true] *)
@@ -105,7 +104,8 @@ type request = {
 
 (** Parse one frame.  On error, the result carries the request [id] and
     [trace_id] when they could be recovered (so the error response still
-    correlates). *)
+    correlates).  A run's [workers] field is accepted for compatibility and
+    type-checked (an integer or absent), then ignored. *)
 val parse_request : string -> (request, Json.t * string option * error_code * string) result
 
 (** Parse a journaled [edits] value (the same grammar as the [edits]
@@ -134,9 +134,10 @@ val ok_run :
   timing:timing option ->
   unit ->
   string
-(** [degraded] names the tier actually served (["sequential"] or
-    ["identity"]) when the engine fell back from the requested tier after
-    a mid-pipeline fault; [None] (field absent) on the normal path.
+(** [workers] is reported as given; the engine always passes 1 (every
+    run is one sequential solve).  [degraded] is [Some "identity"] when
+    the solve faulted mid-pipeline and the unchanged program was served;
+    [None] (field absent) on the normal path.
     [extra] fields (serving metadata: [worker], [handle], [cache], …) are
     appended after the payload, before timing; default none, so existing
     frames are byte-identical.  [trace_id], on every builder below too, is

@@ -14,6 +14,7 @@ type t = {
   arena_misses : Stats.counter;
   alloc_words : Stats.counter;
   degraded_total : Stats.counter;
+  degraded_identity : Stats.counter;
   validated_total : Stats.counter;
   restarts_total : Stats.counter;
   restarts_signal : Stats.counter;
@@ -45,7 +46,6 @@ type t = {
   total : Stats.histo;
   batch_size : Stats.histo;
   error_by_code : Protocol.error_code -> Stats.counter;
-  degraded_tier : string -> Stats.counter;
   format_requests : string -> Stats.counter;
   shard_routed : int -> Stats.counter;
 }
@@ -71,8 +71,6 @@ let create stats =
   let by_code =
     List.map (fun code -> (code, c ("errors." ^ Protocol.error_code_to_string code))) all_codes
   in
-  (* The engine names tiers; unknown names still get a live counter. *)
-  let tiers = List.map (fun t -> (t, c ("degraded." ^ t))) [ "parallel"; "sequential"; "identity" ] in
   (* Registered frontends get their counter eagerly so a stats snapshot
      shows every format at zero, not only the ones already requested. *)
   let formats = List.map (fun f -> (f, c ("requests.format." ^ f))) Lcm_frontend.Frontend.names in
@@ -92,6 +90,7 @@ let create stats =
     arena_misses = c "arena.misses_total";
     alloc_words = c "engine.alloc_words_total";
     degraded_total = c "degraded_total";
+    degraded_identity = c "degraded.identity";
     validated_total = c "validated_total";
     restarts_total = c "supervisor.restarts_total";
     restarts_signal = c "supervisor.restarts.signal";
@@ -123,9 +122,6 @@ let create stats =
     total = h "total";
     batch_size = h "batch_size";
     error_by_code = (fun code -> List.assoc code by_code);
-    degraded_tier =
-      (fun tier ->
-        match List.assoc_opt tier tiers with Some h -> h | None -> c ("degraded." ^ tier));
     format_requests =
       (fun fmt ->
         match List.assoc_opt fmt formats with Some h -> h | None -> c ("requests.format." ^ fmt));

@@ -27,6 +27,9 @@ type t = {
       (** wire name [engine.alloc_words_total]: minor-heap words allocated
           while executing run requests (per-request GC deltas, summed) *)
   degraded_total : Stats.counter;
+  degraded_identity : Stats.counter;
+      (** wire name [degraded.identity]: run requests answered with the
+          unchanged program after the solve faulted *)
   validated_total : Stats.counter;
   restarts_total : Stats.counter;  (** wire name [supervisor.restarts_total] *)
   restarts_signal : Stats.counter;  (** wire name [supervisor.restarts.signal] *)
@@ -86,7 +89,6 @@ type t = {
   total : Stats.histo;
   batch_size : Stats.histo;
   error_by_code : Protocol.error_code -> Stats.counter;  (** wire name [errors.<code>] *)
-  degraded_tier : string -> Stats.counter;  (** wire name [degraded.<tier>] *)
   format_requests : string -> Stats.counter;
       (** wire name [requests.format.<frontend>]; pre-registered for every
           {!Lcm_frontend.Frontend.names} entry *)

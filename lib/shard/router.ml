@@ -5,6 +5,7 @@ module Json = Lcm_server.Json
 module Stats = Lcm_server.Stats
 module Smetrics = Lcm_server.Smetrics
 module Handles = Lcm_server.Handles
+module Retry = Lcm_server.Retry
 module Chash = Lcm_support.Chash
 module Fault = Lcm_support.Fault
 module Journal = Lcm_support.Journal
@@ -295,11 +296,10 @@ let digest_of_run st (r : Protocol.run_request) =
     d
 
 (* Every option that shapes the response payload is part of the cache
-   key; deadline and trace do not (timing is dropped from cached
-   responses). *)
+   key; deadline, trace and the ignored [workers] field do not (timing is
+   dropped from cached responses). *)
 let cache_key ~digest (r : Protocol.run_request) =
-  Printf.sprintf "%s|%s|%b|%d|%b" digest r.Protocol.algorithm r.Protocol.simplify
-    r.Protocol.workers r.Protocol.validate
+  Printf.sprintf "%s|%s|%b|%b" digest r.Protocol.algorithm r.Protocol.simplify r.Protocol.validate
 
 (* ---- forwarding ---- *)
 
@@ -483,18 +483,18 @@ let handle_worker_frame st frame =
 
 (* ---- worker death: retry, reap, respawn ---- *)
 
+let respawn_backoff = { Retry.retries = max_int; base_ms = 50.; cap_ms = 1000.; budget_ms = None }
+
 let handle_worker_death st w =
   if alive w then begin
     Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) w.w_fd;
     w.w_fd <- None;
     let uptime = now () -. w.w_started in
     w.w_consecutive <- (if uptime >= 2. then 1 else w.w_consecutive + 1);
-    let backoff =
-      Float.min 1. (0.05 *. Float.pow 2. (float_of_int (w.w_consecutive - 1)))
-    in
-    w.w_respawn_at <- now () +. backoff;
+    let backoff_ms = Retry.backoff_ms respawn_backoff ~attempt:(w.w_consecutive - 1) in
+    w.w_respawn_at <- now () +. (backoff_ms /. 1000.);
     log st "worker %d (pid %d) died after %.1f s; respawn in %.0f ms" w.w_id w.w_pid uptime
-      (backoff *. 1000.);
+      backoff_ms;
     (* Reassign the corpse's in-flight work — in admission order
        (internal ids are monotonic), so a stream of deltas on one handle
        replays in the order the client sent it. *)

@@ -61,6 +61,12 @@ type config = {
 
 val default_config : unit -> config
 
+(** Respawn delay of a dead worker: its [k]-th consecutive quick death
+    (one within 2 s of its start) waits
+    [Retry.backoff_ms respawn_backoff ~attempt:(k - 1)], i.e. 50 ms
+    doubling to a 1 s cap. *)
+val respawn_backoff : Lcm_server.Retry.policy
+
 (** Ask a running router loop to drain: stop admitting, finish in-flight
     work, terminate the workers, return.  Async-signal-safe. *)
 val request_shutdown : unit -> unit

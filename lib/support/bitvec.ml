@@ -249,71 +249,5 @@ let of_list n is =
   List.iter (fun i -> set v i true) is;
   v
 
-(* --- word-aligned slice views -------------------------------------------
-
-   The parallel solver partitions the expression axis into word-aligned
-   slices so that disjoint slices never share a word: each domain then owns
-   its words outright and no masking (or locking) is needed on the
-   boundary.  [slice] extracts such a view as a fresh vector; [blit_slice]
-   writes one back.  Both require the offset to be word-aligned, and
-   [blit_slice] additionally requires the slice to end on a word boundary
-   or at the end of the destination — the only shapes a partition
-   produces — so that whole-word copies are exact. *)
-
-let aligned lo name =
-  if lo < 0 || lo mod bits_per_word <> 0 then
-    invalid_arg (Printf.sprintf "Bitvec.%s: offset %d is not word-aligned" name lo)
-
-let slice v ~lo ~len =
-  aligned lo "slice";
-  if len < 0 || lo + len > v.len then
-    invalid_arg (Printf.sprintf "Bitvec.slice: [%d,%d) out of [0,%d)" lo (lo + len) v.len);
-  let r = create len in
-  let w0 = lo / bits_per_word in
-  Array.blit v.words w0 r.words 0 (word_count len);
-  normalize r;
-  r
-
-let blit_slice ~src ~into ~lo =
-  aligned lo "blit_slice";
-  if lo + src.len > into.len then
-    invalid_arg
-      (Printf.sprintf "Bitvec.blit_slice: [%d,%d) out of [0,%d)" lo (lo + src.len) into.len);
-  if src.len mod bits_per_word <> 0 && lo + src.len <> into.len then
-    invalid_arg "Bitvec.blit_slice: slice must end on a word boundary or at the destination's end";
-  let w0 = lo / bits_per_word in
-  let changed = ref false in
-  for w = 0 to nwords src - 1 do
-    if into.words.(w0 + w) <> src.words.(w) then begin
-      into.words.(w0 + w) <- src.words.(w);
-      changed := true
-    end
-  done;
-  !changed
-
-(* Word-aligned partition of [0, nbits) into at most [pieces] contiguous
-   slices of near-equal word counts.  Always covers the space exactly;
-   returns a single slice when there are fewer words than pieces would
-   need. *)
-let slice_bounds ~nbits ~pieces =
-  if nbits < 0 then invalid_arg "Bitvec.slice_bounds: negative nbits";
-  if pieces < 1 then invalid_arg "Bitvec.slice_bounds: need at least one piece";
-  let words = word_count nbits in
-  if pieces = 1 || words <= 1 then [| (0, nbits) |]
-  else begin
-    let pieces = min pieces words in
-    let base = words / pieces and extra = words mod pieces in
-    let bounds = Array.make pieces (0, 0) in
-    let wlo = ref 0 in
-    for i = 0 to pieces - 1 do
-      let w = base + if i < extra then 1 else 0 in
-      let lo = !wlo * bits_per_word in
-      let hi = min nbits ((!wlo + w) * bits_per_word) in
-      bounds.(i) <- (lo, hi - lo);
-      wlo := !wlo + w
-    done;
-    bounds
-  end
-
 let pp ppf v =
   Format.fprintf ppf "{%a}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Format.pp_print_int) (to_list v)

@@ -126,29 +126,9 @@ val to_list : t -> int list
 (** [of_list n is] is an [n]-bit vector with exactly the bits in [is] set. *)
 val of_list : int -> int list -> t
 
-(** Bits per storage word ([Sys.int_size]): the alignment unit of the
-    slice operations below. *)
+(** Bits per storage word ([Sys.int_size]): word [w] of {!words} holds
+    bits [w * bits_per_word ..]. *)
 val bits_per_word : int
-
-(** [slice v ~lo ~len] is a fresh [len]-bit vector holding bits
-    [lo .. lo+len-1] of [v].  [lo] must be a multiple of
-    {!bits_per_word} and [lo + len <= length v]; [len] may be 0.  The
-    parallel solver uses word-aligned slices so that disjoint slices never
-    share a storage word. *)
-val slice : t -> lo:int -> len:int -> t
-
-(** [blit_slice ~src ~into ~lo] writes [src] into bits
-    [lo .. lo + length src - 1] of [into]; returns [true] when [into]
-    changed.  [lo] must be word-aligned, and the slice must end on a word
-    boundary or exactly at [length into] (the shapes {!slice_bounds}
-    produces), so the copy moves whole words. *)
-val blit_slice : src:t -> into:t -> lo:int -> bool
-
-(** [slice_bounds ~nbits ~pieces] partitions [0, nbits)] into at most
-    [pieces] contiguous word-aligned [(lo, len)] slices of near-equal word
-    counts, covering the space exactly.  Returns a single slice when
-    [nbits] spans fewer words than pieces. *)
-val slice_bounds : nbits:int -> pieces:int -> (int * int) array
 
 (** Renders as a ["{1, 4, 7}"]-style set. *)
 val pp : Format.formatter -> t -> unit

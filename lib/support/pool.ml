@@ -2,8 +2,7 @@
 
    Tasks are plain thunks; [run] enqueues a batch and the calling thread
    *helps* drain the queue until its own batch completes, so a task may
-   itself call [run] on the same pool (pass-level overlap on top of
-   slice-level fan-out) without deadlock: every thread that is waiting for
+   itself call [run] on the same pool without deadlock: every thread that is waiting for
    a batch executes whatever work is queued, and blocks on the condition
    variable only when the queue is empty — at which point any pending task
    of its batch is running on some other thread and its completion will

@@ -1,9 +1,9 @@
 (** A fixed-size pool of domains draining a shared task queue.
 
-    The parallel engines fan work out in three layers — bit slices of one
-    fixpoint ({!Lcm_dataflow.Solver.run_par}), independent passes of the
-    LCM cascade, and whole functions of a corpus — and all three share one
-    pool.  [run] is re-entrant: a task may submit a sub-batch to the same
+    Two layers fan work out across domains: the daemon runs each batch of
+    admitted requests as one [run], and {!Lcm_eval.Corpus.process} runs
+    one task per function of a corpus.  Each task is one sequential
+    solve.  [run] is re-entrant: a task may submit a sub-batch to the same
     pool, and any thread waiting for its batch helps execute queued tasks
     instead of idling, so nested fan-out cannot deadlock.
 

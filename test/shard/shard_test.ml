@@ -180,6 +180,17 @@ let test_router_smoke () =
   let r2 = roundtrip conn 2 (run_frame ~id:2 tiny) in
   Alcotest.(check (option string)) "cache hit" (Some "hit") (sfield r2 "cache");
   Alcotest.(check (option string)) "hit is bit-identical" (sfield r1 "program") (sfield r2 "program");
+  (* [workers] does not shape the response (every run is one sequential
+     solve, answered workers:1), so it is not part of the cache key *)
+  let with_workers =
+    let f = run_frame ~id:20 tiny in
+    String.sub f 0 (String.length f - 1) ^ ",\"workers\":8}"
+  in
+  let r2w = roundtrip conn 20 with_workers in
+  Alcotest.(check (option string)) "workers-only difference is a cache hit" (Some "hit")
+    (sfield r2w "cache");
+  Alcotest.(check (option int)) "answered workers:1" (Some 1) (ifield r2w "workers");
+  Alcotest.(check (option string)) "same program" (sfield r1 "program") (sfield r2w "program");
   (* retain + delta: handle names the serving worker, delta re-solves *)
   let r3 = roundtrip conn 3 (run_frame ~retain:true ~id:3 tiny) in
   let handle = match sfield r3 "handle" with Some h -> h | None -> Alcotest.fail "no handle" in

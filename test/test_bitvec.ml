@@ -158,107 +158,6 @@ let prop_iter_true =
       let v = Bitvec.of_list 129 is in
       iter_true_indices v = naive_true_indices v)
 
-(* --- word-aligned slice views (the parallel solver's partition unit) --- *)
-
-let bpw = Bitvec.bits_per_word
-
-(* Slices extracted at every word-aligned offset hold exactly the bits a
-   per-bit read sees — at widths straddling one and two word boundaries
-   (62–65, 127–129). *)
-let test_slice_word_boundaries () =
-  List.iter
-    (fun len ->
-      let v = Bitvec.of_list len (List.filter (fun i -> i mod 3 = 0 || i mod 7 = 0) (List.init len Fun.id)) in
-      let lo = ref 0 in
-      while !lo <= len do
-        let s = Bitvec.slice v ~lo:!lo ~len:(len - !lo) in
-        Alcotest.(check int) (Printf.sprintf "slice len (%d,%d)" len !lo) (len - !lo) (Bitvec.length s);
-        for i = 0 to len - !lo - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "slice bit %d of (%d,%d)" i len !lo)
-            (Bitvec.get v (!lo + i))
-            (Bitvec.get s i)
-        done;
-        lo := !lo + bpw
-      done)
-    [ 62; 63; 64; 65; 127; 128; 129 ]
-
-let test_slice_empty () =
-  List.iter
-    (fun len ->
-      List.iter
-        (fun lo ->
-          if lo <= len then begin
-            let s = Bitvec.slice (Bitvec.create_full len) ~lo ~len:0 in
-            Alcotest.(check int) "empty slice length" 0 (Bitvec.length s);
-            Alcotest.(check bool) "empty slice is empty" true (Bitvec.is_empty s);
-            (* Blitting an empty slice back changes nothing. *)
-            let v = Bitvec.create_full len in
-            Alcotest.(check bool) "empty blit reports no change" false
-              (Bitvec.blit_slice ~src:s ~into:v ~lo);
-            Alcotest.(check int) "target intact" len (Bitvec.count v)
-          end)
-        [ 0; bpw; 2 * bpw ])
-    [ 0; 62; 63; 64; 65; 127; 129 ]
-
-let test_slice_misaligned_raises () =
-  let v = Bitvec.create 130 in
-  Alcotest.check_raises "misaligned slice"
-    (Invalid_argument "Bitvec.slice: offset 1 is not word-aligned") (fun () ->
-      ignore (Bitvec.slice v ~lo:1 ~len:10));
-  Alcotest.check_raises "slice out of range"
-    (Invalid_argument (Printf.sprintf "Bitvec.slice: [%d,%d) out of [0,130)" bpw (bpw + 130)))
-    (fun () -> ignore (Bitvec.slice v ~lo:bpw ~len:130));
-  (* A slice that ends mid-word and short of the destination's end cannot be
-     blitted back whole-word. *)
-  Alcotest.check_raises "interior partial blit"
-    (Invalid_argument
-       "Bitvec.blit_slice: slice must end on a word boundary or at the destination's end")
-    (fun () -> ignore (Bitvec.blit_slice ~src:(Bitvec.create 3) ~into:v ~lo:0))
-
-(* Round-trip: cutting a vector with [slice_bounds] and blitting every piece
-   into a fresh vector reproduces it bit-for-bit, for any piece count. *)
-let test_blit_slice_roundtrip () =
-  List.iter
-    (fun len ->
-      List.iter
-        (fun pieces ->
-          let v = Bitvec.of_list len (List.filter (fun i -> i mod 2 = 0 || i mod 11 = 3) (List.init len Fun.id)) in
-          let bounds = Bitvec.slice_bounds ~nbits:len ~pieces in
-          (* Bounds are word-aligned, contiguous, and cover [0, len). *)
-          let covered = ref 0 in
-          Array.iter
-            (fun (lo, slen) ->
-              Alcotest.(check int) "contiguous" !covered lo;
-              Alcotest.(check bool) "aligned" true (lo mod bpw = 0);
-              Alcotest.(check bool) "nonempty unless degenerate" true
-                (slen > 0 || Array.length bounds = 1);
-              covered := lo + slen)
-            bounds;
-          Alcotest.(check int) (Printf.sprintf "covers len=%d pieces=%d" len pieces) len !covered;
-          let rebuilt = Bitvec.create len in
-          Array.iter
-            (fun (lo, slen) ->
-              ignore (Bitvec.blit_slice ~src:(Bitvec.slice v ~lo ~len:slen) ~into:rebuilt ~lo))
-            bounds;
-          Alcotest.(check bool)
-            (Printf.sprintf "roundtrip len=%d pieces=%d" len pieces)
-            true (Bitvec.equal v rebuilt))
-        [ 1; 2; 3; 4; 8; 100 ])
-    [ 0; 1; 62; 63; 64; 65; 127; 128; 129; 300 ]
-
-let prop_slice_roundtrip =
-  QCheck2.Test.make ~name:"slice/blit_slice roundtrip (random sets, random pieces)" ~count:200
-    QCheck2.Gen.(pair (gen_set 129) (1 -- 6))
-    (fun (is, pieces) ->
-      let v = Bitvec.of_list 129 is in
-      let rebuilt = Bitvec.create 129 in
-      Array.iter
-        (fun (lo, slen) ->
-          ignore (Bitvec.blit_slice ~src:(Bitvec.slice v ~lo ~len:slen) ~into:rebuilt ~lo))
-        (Bitvec.slice_bounds ~nbits:129 ~pieces);
-      Bitvec.equal v rebuilt)
-
 let suite =
   [
     Alcotest.test_case "create empty" `Quick test_create_empty;
@@ -273,11 +172,6 @@ let suite =
     Alcotest.test_case "blit" `Quick test_blit;
     Alcotest.test_case "fold/iter ascending" `Quick test_fold_iter;
     Alcotest.test_case "iter_true word-skipping vs bit loop" `Quick test_iter_true_word_boundaries;
-    Alcotest.test_case "slice at word boundaries (62-65, 127-129)" `Quick test_slice_word_boundaries;
-    Alcotest.test_case "empty slices" `Quick test_slice_empty;
-    Alcotest.test_case "slice alignment errors" `Quick test_slice_misaligned_raises;
-    Alcotest.test_case "slice_bounds/blit_slice roundtrip" `Quick test_blit_slice_roundtrip;
-    QCheck_alcotest.to_alcotest prop_slice_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_iter_true;
     QCheck_alcotest.to_alcotest prop_union_commutes;

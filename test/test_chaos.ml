@@ -1,5 +1,5 @@
 (* Chaos and resilience: the deterministic fault registry, lock hygiene
-   under injected exceptions, retry/backoff properties, tiered degradation
+   under injected exceptions, retry/backoff properties, identity degradation
    through the engine, EPIPE survival, and a crash-under-load soak of the
    whole daemon.  (Supervisor tests fork, so they live in a standalone
    executable under test/supervisor/.) *)
@@ -17,7 +17,6 @@ module Engine = Lcm_server.Engine
 module Daemon = Lcm_server.Daemon
 module Retry = Lcm_server.Retry
 module Suites = Lcm_eval.Suites
-module Lcm_edge = Lcm_core.Lcm_edge
 module Trace = Lcm_obs.Trace
 
 let now = Unix.gettimeofday
@@ -253,17 +252,17 @@ let test_retryable_codes () =
 
 (* ---- engine degradation and validation ---- *)
 
-let engine_exec ?pool req =
+let engine_exec req =
   let stats = Stats.create () in
   let t = now () in
-  (Json.parse (Engine.execute (Engine.default_config ?pool stats) ~now ~arrival:t ~deadline:None req), stats)
+  (Json.parse (Engine.execute (Engine.default_config stats) ~now ~arrival:t ~deadline:None req), stats)
 
-let run_request ?(algorithm = "lcm-edge") ?(workers = 1) ?(validate = false) program =
+let run_request ?(algorithm = "lcm-edge") ?(validate = false) program =
   {
     Protocol.id = Json.Int 1;
     op =
       Protocol.Run
-        { Protocol.program; format = "cfg"; func = None; algorithm; simplify = false; workers; validate; retain = false };
+        { Protocol.program; format = "cfg"; func = None; algorithm; simplify = false; validate; retain = false };
     deadline_ms = None;
     trace_id = None;
   }
@@ -271,8 +270,8 @@ let run_request ?(algorithm = "lcm-edge") ?(workers = 1) ?(validate = false) pro
 let str_field name j = Option.bind (Json.member name j) Json.to_string_opt
 
 let test_degrade_to_identity () =
-  (* Every non-identity tier panics at its chaos boundary: the request is
-     served by the identity tier, marked and validated. *)
+  (* The solve panics at its chaos boundary: the request is served the
+     unchanged program, marked degraded. *)
   with_chaos ~seed:21 [ ("engine.panic", 1.0) ] (fun () ->
       let resp, stats = engine_exec (run_request diamond_text) in
       Alcotest.(check (option string)) "status" (Some "ok") (str_field "status" resp);
@@ -282,42 +281,6 @@ let test_degrade_to_identity () =
       Alcotest.(check bool) "fallbacks counted" true
         (Stats.counter_value stats "engine.tier_fallbacks" >= 1);
       Alcotest.(check int) "degraded counted" 1 (Stats.counter_value stats "degraded.identity"))
-
-let test_degrade_par_to_seq () =
-  (* The parallel tier panics on its first boundary probe (occurrence 1);
-     the sequential tier probes occurrences 2.. which a one-shot rate spec
-     cannot express, so use a rate that deterministically fires on the
-     first probe but not the next two (seed chosen accordingly). *)
-  let pool = Pool.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      (* Find a seed where occurrence 1 fires and 2,3 do not: determinism
-         makes this a fixed property of the seed, not a flaky search. *)
-      let seed =
-        let rec find s =
-          if s > 10_000 then Alcotest.fail "no seed found"
-          else begin
-            Fault.configure ~seed:s [ ("engine.panic", 0.5) ];
-            let a = Fault.fire "engine.panic" in
-            let b = Fault.fire "engine.panic" in
-            let c = Fault.fire "engine.panic" in
-            Fault.disable ();
-            if a && (not b) && not c then s else find (s + 1)
-          end
-        in
-        find 0
-      in
-      with_chaos ~seed [ ("engine.panic", 0.5) ] (fun () ->
-          let resp, _ = engine_exec ~pool (run_request ~workers:2 diamond_text) in
-          Alcotest.(check (option string)) "status" (Some "ok") (str_field "status" resp);
-          Alcotest.(check (option string)) "degraded to sequential" (Some "sequential")
-            (str_field "degraded" resp);
-          (* The sequential fallback is bit-identical to the one-shot path. *)
-          let expected =
-            Cfg.to_string (fst (Lcm_edge.transform (Lcm_cfg.Cfg_text.parse diamond_text)))
-          in
-          Alcotest.(check (option string)) "bit-identical" (Some expected) (str_field "program" resp)))
 
 let test_validate_flag () =
   let resp, stats = engine_exec (run_request ~validate:true diamond_text) in
@@ -612,7 +575,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_budget_respected;
     Alcotest.test_case "retryable codes" `Quick test_retryable_codes;
     Alcotest.test_case "degrade to identity" `Quick test_degrade_to_identity;
-    Alcotest.test_case "degrade parallel to sequential" `Quick test_degrade_par_to_seq;
     Alcotest.test_case "validate flag" `Quick test_validate_flag;
     Alcotest.test_case "validate fuel exhaustion" `Quick test_validate_fuel_exhausted;
     Alcotest.test_case "stats persistence roundtrip" `Quick test_stats_persistence_roundtrip;

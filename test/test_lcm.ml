@@ -237,7 +237,7 @@ let reference_cascade g =
     Array.init (Cfg.label_bound g) (fun l -> if Cfg.mem g l then f local l else Bitvec.create n)
   in
   let solve direction gen =
-    Reference.run ~engine:Solver.Sweep g
+    Reference.run ~engine:Reference.Sweep g
       (Reference.of_rows ~nbits:n ~direction ~confluence:Solver.Inter ~boundary:(Bitvec.create n)
          ~gen:(rows gen) ~keep:(rows Local.transp))
   in

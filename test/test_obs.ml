@@ -79,21 +79,20 @@ let test_mint_ids_unique () =
   Alcotest.(check bool) "prefix" true (String.length a > 2 && String.sub a 0 2 = "t-");
   Alcotest.(check bool) "distinct" true (a <> b)
 
-(* The tentpole claim: one request through the parallel engine yields one
-   connected span forest — pool workers record under the submitter's
-   context, every cascade phase appears, nothing dangles.  The pool is 4
-   domains regardless of LCM_DOMAINS so the cross-domain path always runs. *)
+(* A corpus fanned out over a pool yields one connected span forest —
+   pool workers record under the submitter's context, every cascade phase
+   appears, nothing dangles.  The pool is 4 domains regardless of
+   LCM_DOMAINS so the cross-domain path always runs. *)
 let test_span_tree_parallel () =
-  let g = corpus_graph ~blocks:300 ~seed:11 in
+  let jobs = Corpus.generate ~seed:11 [ (300, 4) ] in
   let pool = Pool.create 4 in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
       with_tracing (fun () ->
-          let entry = Option.get (Registry.find "lcm-edge") in
           ignore
             (Trace.in_trace ~trace_id:"par" "request" (fun () ->
-                 Pass.Pipeline.run { Pass.default_ctx with Pass.workers = Some pool } entry.Registry.pipeline g));
+                 Corpus.process ~workers:pool jobs));
           let spans = Trace.drain () in
           let ids = List.map (fun (s : Trace.span) -> s.Trace.id) spans in
           List.iter
@@ -109,9 +108,8 @@ let test_span_tree_parallel () =
             (fun n ->
               Alcotest.(check bool) (n ^ " present") true (List.mem n names))
             [
-              "request"; "pipeline.lcm-edge"; "pass.lcm-edge"; "lcm.local"; "lcm.up_safety";
-              "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.copy"; "lcm.pool";
-              "pool.task";
+              "request"; "lcm.local"; "lcm.up_safety"; "lcm.down_safety"; "lcm.earliest"; "lcm.delay";
+              "lcm.latest"; "lcm.copy"; "lcm.pool"; "pool.task";
             ];
           (* The pool.task spans are the cross-domain hops; each must hang
              off a span of this trace, not float as its own root. *)

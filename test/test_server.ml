@@ -279,7 +279,7 @@ let test_protocol_parse () =
 
 let diamond_text = Lcm_cfg.Cfg_text.to_string (Suites.graph (Option.get (Suites.find "diamond")))
 
-let run_request ?(algorithm = "lcm-edge") ?(workers = 1) program =
+let run_request ?(algorithm = "lcm-edge") program =
   {
     Protocol.id = Json.Int 1;
     op =
@@ -290,7 +290,6 @@ let run_request ?(algorithm = "lcm-edge") ?(workers = 1) program =
           func = None;
           algorithm;
           simplify = false;
-          workers;
           validate = false;
           retain = false;
         };
@@ -298,9 +297,9 @@ let run_request ?(algorithm = "lcm-edge") ?(workers = 1) program =
     trace_id = None;
   }
 
-let engine_exec ?lookup ?pool ?deadline req =
+let engine_exec ?lookup ?deadline req =
   let stats = Stats.create () in
-  let cfg = Engine.default_config ?pool stats in
+  let cfg = Engine.default_config stats in
   let cfg = match lookup with Some l -> { cfg with Engine.lookup = l } | None -> cfg in
   let t = now () in
   Json.parse (Engine.execute cfg ~now ~arrival:t ~deadline req)
@@ -321,18 +320,29 @@ let test_engine_matches_oneshot () =
       Alcotest.(check (option string)) (algorithm ^ " program") (Some expected) (str_field "program" resp))
     [ "lcm-edge"; "bcm-edge"; "morel-renvoise"; "identity" ]
 
+(* Every run is one sequential solve, so a request for parallelism is
+   capped at 1: the [workers] field is accepted and type-checked, and a
+   request carrying it is answered [workers:1] with the program bytes of a
+   request without it. *)
 let test_engine_parallel_capped () =
-  let pool = Pool.create 2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      let resp = engine_exec ~pool (run_request ~workers:8 diamond_text) in
-      Alcotest.(check (option string)) "status" (Some "ok") (str_field "status" resp);
-      Alcotest.(check (option int)) "workers capped at pool size" (Some 2)
-        (Option.bind (field "workers" resp) Json.to_int_opt);
-      let seq = engine_exec (run_request diamond_text) in
-      Alcotest.(check (option string)) "parallel ≡ sequential" (str_field "program" seq)
-        (str_field "program" resp))
+  let frame extra =
+    Printf.sprintf "{\"id\":1,\"format\":\"cfg\",\"program\":%s%s}"
+      (Json.to_string (Json.String diamond_text))
+      extra
+  in
+  let resp = engine_exec (ok_req (frame ",\"workers\":8")) in
+  let plain = engine_exec (ok_req (frame "")) in
+  Alcotest.(check (option string)) "status" (Some "ok") (str_field "status" resp);
+  Alcotest.(check (option int)) "workers:8 answered workers:1" (Some 1)
+    (Option.bind (field "workers" resp) Json.to_int_opt);
+  Alcotest.(check (option int)) "no field answered workers:1" (Some 1)
+    (Option.bind (field "workers" plain) Json.to_int_opt);
+  Alcotest.(check (option string)) "same program bytes" (str_field "program" plain)
+    (str_field "program" resp);
+  match Protocol.parse_request (frame ",\"workers\":\"x\"") with
+  | Error (Json.Int 1, _, Protocol.Bad_request, m) ->
+    Alcotest.(check string) "type error" "field \"workers\" has the wrong type" m
+  | _ -> Alcotest.fail "workers:\"x\" must be a bad_request"
 
 let test_engine_errors () =
   let code resp = str_field "code" resp in
@@ -352,7 +362,6 @@ let test_engine_errors () =
               func = None;
               algorithm = "lcm-edge";
               simplify = false;
-              workers = 1;
               validate = false;
               retain = false;
             };

@@ -338,6 +338,18 @@ let pool_change_falls_back () =
   in
   checkb "inadmissible capture refused" true (Lcm_edge.analyze_incr g ~prev:saved ~dirty = None)
 
+(* ---- worker respawn backoff ---- *)
+
+(* The k-th consecutive quick death of a worker waits 50 ms, doubling to a
+   1 s cap. *)
+let respawn_backoff_schedule () =
+  check
+    Alcotest.(list (float 0.))
+    "streaks 1..8"
+    [ 50.; 100.; 200.; 400.; 800.; 1000.; 1000.; 1000. ]
+    (List.init 8 (fun k ->
+         Lcm_server.Retry.backoff_ms Lcm_shard.Router.respawn_backoff ~attempt:k))
+
 let suite =
   [
     Alcotest.test_case "chash: deterministic across ring builds" `Quick chash_deterministic;
@@ -364,4 +376,6 @@ let suite =
     QCheck_alcotest.to_alcotest incr_equals_full;
     Alcotest.test_case "incremental: capture survives a delta stream" `Quick incr_capture_reusable;
     Alcotest.test_case "incremental: pool change falls back to full" `Quick pool_change_falls_back;
+    Alcotest.test_case "router: respawn backoff 50 ms doubling to a 1 s cap" `Quick
+      respawn_backoff_schedule;
   ]

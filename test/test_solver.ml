@@ -83,30 +83,8 @@ let test_kill () =
   Alcotest.(check bool) "out b killed" false (bit (r.Solver.block_out b));
   ignore d
 
-let test_counts_monotone () =
-  let g, a, _b, _c, _d = graph () in
-  (* Worklist engine: every reachable block is visited at least once, the
-     back edge forces at least one re-visit, and visits are bounded by what
-     a round-robin sweep would have paid. *)
-  let r = run g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[] in
-  Alcotest.(check bool) "visits cover blocks" true (r.Solver.visits >= 6);
-  Alcotest.(check bool) "at least depth 1" true (r.Solver.sweeps >= 1);
-  Alcotest.(check bool) "depth bounds visits" true (r.Solver.visits <= r.Solver.sweeps * 6);
-  (* Reference engine keeps the historical meaning: every sweep transfers
-     every reachable block. *)
-  let s =
-    Solver.run ~engine:Solver.Sweep g
-      (one_bit_spec g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[])
-  in
-  Alcotest.(check bool) "sweep engine: at least two sweeps" true (s.Solver.sweeps >= 2);
-  Alcotest.(check bool) "sweep engine: visits = sweeps * blocks" true
-    (s.Solver.visits = s.Solver.sweeps * 6)
-
 (* ------------------------------------------------------------------ *)
-(* Property: the worklist engine computes bit-identical block_in/block_out
-   to the reference round-robin sweep, on random CFGs, for all four problem
-   shapes, with random monotone gen/kill transfers whose width straddles a
-   word boundary. *)
+(* Random problems: monotone GEN/KEEP transfers on random CFGs. *)
 
 module Prng = Lcm_support.Prng
 module Gencfg = Lcm_eval.Gencfg
@@ -125,46 +103,22 @@ let random_rows rng bound nbits =
   let keep = Array.init bound (fun _ -> Bitvec.complement (random_vec rng nbits ~den:4)) in
   (gen, keep)
 
-let test_worklist_equals_sweep () =
-  let rng = Prng.of_int 9001 in
-  for _case = 1 to 100 do
-    let num_blocks = Prng.int_in rng 3 40 in
-    let g =
-      Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng
-    in
-    let nbits = 65 in
-    let gen, keep = random_rows rng (Cfg.label_bound g) nbits in
-    List.iter
-      (fun direction ->
-        List.iter
-          (fun confluence ->
-            let spec =
-              { Solver.nbits; direction; confluence; boundary = Bitvec.create nbits; gen; keep }
-            in
-            let w = Solver.run ~engine:Solver.Worklist g spec in
-            let s = Solver.run ~engine:Solver.Sweep g spec in
-            List.iter
-              (fun l ->
-                Alcotest.(check bool) "block_in identical" true
-                  (Bitvec.equal (w.Solver.block_in l) (s.Solver.block_in l));
-                Alcotest.(check bool) "block_out identical" true
-                  (Bitvec.equal (w.Solver.block_out l) (s.Solver.block_out l)))
-              (Cfg.labels g))
-          [ Solver.Union; Solver.Inter ])
-      [ Solver.Forward; Solver.Backward ]
-  done
-
 (* ------------------------------------------------------------------ *)
-(* The former closure-based engine, kept as the reference for the fused
+(* The former closure-based engine, kept as the oracle for the fused
    GEN/KEEP visit kernel: a [transfer] closure per spec, built here from
    the rows with one [Bitvec] call per set operation, and a visit that
-   meets into a scratch vector and blits it into place.  Same schedules as
-   the production engines (round-robin sweeps; a worklist popping the
-   pending block of least priority; restart from a saved fixpoint over the
-   dirty closure; word-aligned slices solved one after another), so the
-   counters must agree too, not just the fixpoint. *)
+   meets into a scratch vector and blits it into place.  Its worklist
+   and restart schedules are the production solver's (a worklist popping
+   the pending block of least priority; restart from a saved fixpoint over
+   the dirty closure), so the counters must agree too, not just the
+   fixpoint.  It also iterates by round-robin sweeps, the paper's cost
+   model, which must reach the same fixpoint. *)
 
 module Reference = struct
+  type engine =
+    | Worklist  (** the production solver's schedule *)
+    | Sweep  (** round-robin sweeps to a fixed point *)
+
   type spec = {
     nbits : int;
     direction : Solver.direction;
@@ -295,12 +249,12 @@ module Reference = struct
     in
     { Solver.block_in; block_out; sweeps; visits }
 
-  let run ?(engine = Solver.Worklist) g spec =
+  let run ?(engine = Worklist) g spec =
     let st = make_state g spec in
     result st spec
       (match engine with
-      | Solver.Worklist -> run_worklist st spec
-      | Solver.Sweep -> run_sweep st spec)
+      | Worklist -> run_worklist st spec
+      | Sweep -> run_sweep st spec)
 
   type saved = {
     s_meet : Bitvec.t array;
@@ -347,55 +301,70 @@ module Reference = struct
     let seeds = List.filter (fun l -> affected.(l)) st.order in
     let r = result st spec (run_worklist ~seeds st spec) in
     (r, save st, List.length seeds)
-
-  (* The former domain-sliced engine, run slice after slice: each slice is
-     its own [len]-bit problem over sliced rows; visits add up, sweeps take
-     the maximum, and the slices are reassembled into full-width rows. *)
-  let run_sliced g (spec : Solver.spec) ~pieces =
-    let bounds = Bitvec.slice_bounds ~nbits:spec.Solver.nbits ~pieces in
-    let bound = Cfg.label_bound g in
-    let slice_rows rows ~lo ~len =
-      Array.init bound (fun l ->
-          if Cfg.mem g l then Bitvec.slice rows.(l) ~lo ~len else Bitvec.create len)
-    in
-    let full = Array.init bound (fun _ -> Bitvec.create spec.Solver.nbits) in
-    let full' = Array.init bound (fun _ -> Bitvec.create spec.Solver.nbits) in
-    let sweeps = ref 0 and visits = ref 0 in
-    Array.iter
-      (fun (lo, len) ->
-        let sub =
-          of_rows ~nbits:len ~direction:spec.Solver.direction ~confluence:spec.Solver.confluence
-            ~boundary:(Bitvec.slice spec.Solver.boundary ~lo ~len)
-            ~gen:(slice_rows spec.Solver.gen ~lo ~len)
-            ~keep:(slice_rows spec.Solver.keep ~lo ~len)
-        in
-        let r = run g sub in
-        sweeps := max !sweeps r.Solver.sweeps;
-        visits := !visits + r.Solver.visits;
-        List.iter
-          (fun l ->
-            ignore (Bitvec.blit_slice ~src:(r.Solver.block_in l) ~into:full.(l) ~lo);
-            ignore (Bitvec.blit_slice ~src:(r.Solver.block_out l) ~into:full'.(l) ~lo))
-          (Cfg.labels g))
-      bounds;
-    {
-      Solver.block_in = (fun l -> full.(l));
-      block_out = (fun l -> full'.(l));
-      sweeps = !sweeps;
-      visits = !visits;
-    }
 end
 
-(* [same_result g a b] holds when two results agree on every block's in
-   and out rows and on both counters. *)
+(* [same_rows g a b] holds when two results agree on every block's in and
+   out rows; [same_result] also on both counters. *)
+let same_rows g (a : Solver.result) (b : Solver.result) =
+  List.for_all
+    (fun l ->
+      Bitvec.equal (a.Solver.block_in l) (b.Solver.block_in l)
+      && Bitvec.equal (a.Solver.block_out l) (b.Solver.block_out l))
+    (Cfg.labels g)
+
 let same_result g (a : Solver.result) (b : Solver.result) =
-  a.Solver.visits = b.Solver.visits
-  && a.Solver.sweeps = b.Solver.sweeps
-  && List.for_all
-       (fun l ->
-         Bitvec.equal (a.Solver.block_in l) (b.Solver.block_in l)
-         && Bitvec.equal (a.Solver.block_out l) (b.Solver.block_out l))
-       (Cfg.labels g)
+  a.Solver.visits = b.Solver.visits && a.Solver.sweeps = b.Solver.sweeps && same_rows g a b
+
+(* The solver against the oracle: rows and counters equal to the
+   reference worklist's, rows equal to the reference sweep's. *)
+let matches_reference g spec =
+  let r = Solver.run g spec and reference = Reference.of_spec spec in
+  same_result g r (Reference.run g reference)
+  && same_rows g r (Reference.run ~engine:Reference.Sweep g reference)
+
+let test_counts_monotone () =
+  let g, a, _b, _c, _d = graph () in
+  (* Worklist engine: every reachable block is visited at least once, the
+     back edge forces at least one re-visit, and visits are bounded by what
+     a round-robin sweep would have paid. *)
+  let r = run g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[] in
+  Alcotest.(check bool) "visits cover blocks" true (r.Solver.visits >= 6);
+  Alcotest.(check bool) "at least depth 1" true (r.Solver.sweeps >= 1);
+  Alcotest.(check bool) "depth bounds visits" true (r.Solver.visits <= r.Solver.sweeps * 6);
+  (* The reference sweep keeps the historical meaning: every sweep
+     transfers every reachable block. *)
+  let s =
+    Reference.run ~engine:Reference.Sweep g
+      (Reference.of_spec (one_bit_spec g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[]))
+  in
+  Alcotest.(check bool) "sweep engine: at least two sweeps" true (s.Solver.sweeps >= 2);
+  Alcotest.(check bool) "sweep engine: visits = sweeps * blocks" true
+    (s.Solver.visits = s.Solver.sweeps * 6)
+
+(* The solver computes bit-identical block_in/block_out to the reference
+   round-robin sweep, on random CFGs, for all four problem shapes, at a
+   width that straddles a word boundary. *)
+let test_worklist_equals_sweep () =
+  let rng = Prng.of_int 9001 in
+  for _case = 1 to 100 do
+    let num_blocks = Prng.int_in rng 3 40 in
+    let g =
+      Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng
+    in
+    let nbits = 65 in
+    let gen, keep = random_rows rng (Cfg.label_bound g) nbits in
+    List.iter
+      (fun direction ->
+        List.iter
+          (fun confluence ->
+            let spec =
+              { Solver.nbits; direction; confluence; boundary = Bitvec.create nbits; gen; keep }
+            in
+            let s = Reference.run ~engine:Reference.Sweep g (Reference.of_spec spec) in
+            Alcotest.(check bool) "rows identical" true (same_rows g (Solver.run g spec) s))
+          [ Solver.Union; Solver.Inter ])
+      [ Solver.Forward; Solver.Backward ]
+  done
 
 let kernel_widths = [ 1; 62; 63; 64; 65; 127; 512 ]
 let shapes =
@@ -436,13 +405,8 @@ let prop_kernel_equals_reference =
         (fun nbits ->
           List.for_all
             (fun shape ->
-              let spec = random_spec rng g shape nbits in
-              let reference = Reference.of_spec spec in
-              List.for_all
-                (fun engine ->
-                  same_result g (Solver.run ~engine g spec) (Reference.run ~engine g reference)
-                  || QCheck2.Test.fail_reportf "mismatch at %d bits" nbits)
-                [ Solver.Worklist; Solver.Sweep ])
+              matches_reference g (random_spec rng g shape nbits)
+              || QCheck2.Test.fail_reportf "mismatch at %d bits" nbits)
             shapes)
         kernel_widths)
 
@@ -484,7 +448,7 @@ let prop_resolve_equals_reference =
         shapes)
 
 (* The Bril corpus: every function's real AVAIL/ANTIC rows (and the
-   partial, union variants), through every engine. *)
+   partial, union variants), against both reference schedules. *)
 let bril_corpus () =
   Sys.readdir "bril" |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".json")
@@ -515,14 +479,7 @@ let test_kernel_bril_corpus () =
               keep = Lcm_dataflow.Local.transp_rows local;
             }
           in
-          List.iter
-            (fun engine ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %s" name (match engine with Solver.Worklist -> "worklist" | Solver.Sweep -> "sweep"))
-                true
-                (same_result g (Solver.run ~engine g spec)
-                   (Reference.run ~engine g (Reference.of_spec spec))))
-            [ Solver.Worklist; Solver.Sweep ])
+          Alcotest.(check bool) name true (matches_reference g spec))
         shapes)
     (bril_corpus ())
 
@@ -543,7 +500,7 @@ let reference_lcm g =
   let n = Local.nbits local in
   let rows f = Array.init (Cfg.label_bound g) (fun l -> if Cfg.mem g l then f local l else Bitvec.create n) in
   let solve direction gen keep =
-    Reference.run ~engine:Solver.Sweep g
+    Reference.run ~engine:Reference.Sweep g
       (Reference.of_rows ~nbits:n ~direction ~confluence:Solver.Inter ~boundary:(Bitvec.create n)
          ~gen:(rows gen) ~keep:(rows keep))
   in
