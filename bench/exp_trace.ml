@@ -63,6 +63,7 @@ type size_result = {
   print_w_per_kb : float;  (* Cfg.to_string, words per KB of text printed *)
   decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
   bril_parse_w_per_kb : float;  (* Bril.parse_program of the graph, words per KB of Bril text *)
+  delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
 }
 
 let overhead_p95 r = (r.on_p95_ms /. r.off_p95_ms) -. 1.
@@ -212,6 +213,31 @@ let measure_size ~blocks ~iters =
     per_kb (String.length bril)
       (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Lcm_frontend.Bril.parse_program bril)))
   in
+  (* One admissible delta, the incremental tier's unit of work: the first
+     block computing a candidate computes it once more (the candidate pool
+     is unchanged), and [analyze_incr] restarts from the capture of the
+     unpatched graph, building the delta's capture.  The capture is never
+     written, so every repetition does the same work. *)
+  let delta_incr_w =
+    let _, saved = Lcm_core.Lcm_edge.analyze_keep g in
+    let g' = Cfg.copy g in
+    let l, e =
+      List.find_map
+        (fun l ->
+          List.find_map (fun i -> Option.map (fun e -> (l, e)) (Lcm_ir.Instr.candidate i)) (Cfg.instrs g l))
+        (Cfg.labels g)
+      |> Option.get
+    in
+    let dirty =
+      Lcm_cfg.Patch.apply g'
+        [ Lcm_cfg.Patch.Set_instrs (l, Cfg.instrs g l @ [ Lcm_ir.Instr.Assign ("zdelta", e) ]) ]
+    in
+    alloc_per_request ~warm:5 ~iters:alloc_iters (fun () ->
+        Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a ->
+            match Lcm_core.Lcm_edge.analyze_incr ~scratch:a g' ~prev:saved ~dirty with
+            | Some _ -> ()
+            | None -> failwith "EXP-TRACE: the measured delta changed the candidate pool"))
+  in
   {
     blocks;
     iters;
@@ -230,6 +256,7 @@ let measure_size ~blocks ~iters =
     print_w_per_kb;
     decode_w_per_kb;
     bril_parse_w_per_kb;
+    delta_incr_w;
   }
 
 let disabled_probe_ns () =
@@ -473,6 +500,11 @@ let print_alloc_rows rows =
   Table.print t;
   List.iter
     (fun r ->
+      Common.note "  %4d blocks  one body delta (analyze_incr + capture, arena) %8.0f w" r.blocks
+        r.delta_incr_w)
+    rows;
+  List.iter
+    (fun r ->
       List.iter
         (fun name ->
           match (phase_alloc r.prof name, phase_alloc r.prof_arena name) with
@@ -502,6 +534,8 @@ let print_alloc_rows rows =
      the text layers of a request — [Cfg.to_string], [Json.parse] of a run
      request frame, and [Bril.parse_program] of the graph printed as Bril —
      in words per KB of text, fenced like the two above.
+   - "delta.incr.w": [analyze_incr] of one admissible single-block body
+     delta on the arena path, the capture it builds included — fenced.
    - any other key: matched against the traced per-phase profile (span
      accounting; indicative, coarser than the fenced numbers). *)
 
@@ -540,6 +574,7 @@ let check_alloc_budget rows =
               | "cfg.print.w_per_kb" -> Some r.print_w_per_kb
               | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
               | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
+              | "delta.incr.w" -> Some r.delta_incr_w
               | _ -> phase_alloc r.prof_arena name
             in
             let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
@@ -581,6 +616,7 @@ let json_of_size r =
       ("print_w_per_kb", Json.Float (Float.round r.print_w_per_kb));
       ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
       ("bril_parse_w_per_kb", Json.Float (Float.round r.bril_parse_w_per_kb));
+      ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
       ("phases", Prof.to_json r.prof);
       ("phases_arena", Prof.to_json r.prof_arena);
     ]

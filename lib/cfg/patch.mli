@@ -5,8 +5,8 @@
     submitted graph as a list of these edits.  [apply] mutates the graph,
     re-validates it, and returns the labels whose local predicates or meet
     inputs the patch may have changed — exactly the seed
-    {!Lcm_dataflow.Solver.resolve} needs to confine re-iteration to the
-    affected region:
+    {!Lcm_dataflow.Solver.restart} needs to confine re-iteration to the
+    rows the patch changes:
 
     - [Set_instrs l]: the block's transfer changed → [l];
     - [Set_term l]: the block's successors changed → [l] plus its old and

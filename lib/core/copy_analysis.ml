@@ -1,5 +1,6 @@
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
+module Scratch = Lcm_support.Pool.Scratch
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 module Order = Lcm_cfg.Order
@@ -13,7 +14,9 @@ let[@inline] copy_word cw ow dw tw w = cw.(w) land ow.(w) land lnot (dw.(w) land
 let rec copy_nonzero cw ow dw tw nw w =
   w < nw && (copy_word cw ow dw tw w <> 0 || copy_nonzero cw ow dw tw nw (w + 1))
 
-let copies ?scratch:arena g local ~insert_edges ~deletes =
+(* The COPY sets come from [scratch]; everything else — the DELETE and
+   INSERT lookups and the liveness fixpoint — from [arena]. *)
+let copies_on arena ~scratch g local ~insert_edges ~deletes =
   let n = Local.nbits local in
   let nw = Bitvec.words_for n in
   let adj = Cfg.adjacency g in
@@ -43,10 +46,9 @@ let copies ?scratch:arena g local ~insert_edges ~deletes =
   (* Backward may-liveness of the temporaries, worklist-driven: LIVEIN(b)
      depends only on LIVEOUT(b), which reads LIVEIN of b's successors — so
      when a block's LIVEIN grows, only its predecessors need re-visiting.
-     Dense arrays of rows indexed by label, postorder priority for fast
-     backward convergence.  A visit is one word loop per successor into a
-     word accumulator, then one pass that stores LIVEOUT and
-     compares-and-stores LIVEIN. *)
+     Dense arrays of rows indexed by label.  A visit is one word loop per
+     successor into a word accumulator, then one pass that stores LIVEOUT
+     and compares-and-stores LIVEIN. *)
   let comp = Local.comp_rows local in
   let livein = Arena.alloc_rows arena n bound in
   let liveout = Arena.alloc_rows arena n bound in
@@ -66,7 +68,10 @@ let copies ?scratch:arena g local ~insert_edges ~deletes =
       qtail := (!qtail + 1) mod qcap
     end
   in
-  List.iter enqueue adj.Cfg.adj_post;
+  (* Only a block with a DELETE set can make LIVEIN non-empty: every
+     other block's first visit would compute the empty set it starts with.
+     Seeding the deleting blocks alone reaches the same least fixpoint. *)
+  List.iter (fun (l, _) -> if l >= 0 && l < bound then enqueue l) deletes;
   while !qhead <> !qtail do
     let l = qbuf.(!qhead) in
     qhead := (!qhead + 1) mod qcap;
@@ -108,7 +113,7 @@ let copies ?scratch:arena g local ~insert_edges ~deletes =
       let dw = Bitvec.words del.(l) and tw = Bitvec.words transp.(l) in
       if not (copy_nonzero cw ow dw tw nw 0) then None
       else begin
-        let v = Arena.alloc arena n in
+        let v = Arena.alloc scratch n in
         let dst = Bitvec.words v in
         for w = 0 to nw - 1 do
           dst.(w) <- copy_word cw ow dw tw w
@@ -116,3 +121,11 @@ let copies ?scratch:arena g local ~insert_edges ~deletes =
         Some (l, v)
       end)
     adj.Cfg.adj_labels
+
+(* Without an arena the analysis checks one out for what does not escape. *)
+let copies ?scratch g local ~insert_edges ~deletes =
+  match scratch with
+  | Some _ -> copies_on scratch ~scratch g local ~insert_edges ~deletes
+  | None ->
+    Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:(Local.nbits local) (fun a ->
+        copies_on (Some a) ~scratch g local ~insert_edges ~deletes)

@@ -64,26 +64,39 @@ val analyze :
   Lcm_cfg.Cfg.t ->
   analysis
 
-(** A captured analysis for incremental restart: the candidate pool
-    snapshot plus the saved AVAIL/ANTIC fixpoints (heap copies — safe to
-    retain across requests and arena resets).  The serving layer keeps one
-    per retained graph handle. *)
+(** A captured analysis for incremental restart: the candidate pool with
+    an occurrence index of it, the local predicate rows and the saved
+    AVAIL/ANTIC fixpoints — all on the heap, safe to retain across requests
+    and arena resets.  A capture is never written after it is built:
+    {!analyze_incr} returns a new one that shares every unchanged row with
+    its [prev].  The serving layer keeps one per retained graph handle. *)
 type saved
 
-(** [analyze_keep g] is [analyze g] that additionally
-    captures the safety fixpoints for {!analyze_incr}. *)
+(** The candidate pool a capture was solved with. *)
+val saved_pool : saved -> Lcm_ir.Expr_pool.t
+
+(** [analyze_keep g] is [analyze g] that additionally captures the rows
+    {!analyze_incr} restarts from.  The captured rows come from the heap;
+    [scratch] backs the worklists and the rest of the cascade. *)
 val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * saved
 
 (** [analyze_incr g ~prev ~dirty] re-analyzes the patched graph [g] from
-    the capture saved before the patch: the AVAIL/ANTIC fixpoints restart
-    from the dirty frontier ({!Lcm_dataflow.Solver.resolve}) and visit
-    only the affected region, while EARLIEST/LATERIN/latestness are
-    recomputed outright.  [dirty] is {!Lcm_cfg.Patch.apply}'s seed.
-    Returns the analysis (bit-identical to a from-scratch [analyze g]), a
-    fresh capture, and the affected-region size in blocks (max over the
-    two systems).  [None] when the capture is inadmissible — the patch
-    changed the candidate expression pool, so bit indices shifted — in
-    which case callers fall back to {!analyze_keep}. *)
+    the capture saved before the patch, doing work for the changed rows
+    only: pool equality is decided exactly from the [dirty] blocks'
+    bodies and the capture's occurrence index (no full pool build), local
+    rows are recomputed for the dirty blocks
+    ({!Lcm_dataflow.Local.update}), and the AVAIL/ANTIC fixpoints restart
+    from the bits and blocks that changed
+    ({!Lcm_dataflow.Solver.restart}); EARLIEST, LATERIN, latestness and the
+    copies are recomputed on [scratch].  [dirty] is
+    {!Lcm_cfg.Patch.apply}'s seed.  Returns the analysis (bit-identical to
+    a from-scratch [analyze g]), a new capture, and the number of blocks
+    whose AVAIL or ANTIC rows changed (max over the two systems).  [None]
+    when the capture is inadmissible — the patch changed the candidate
+    expression pool, so bit indices shifted — in which case callers fall
+    back to {!analyze_keep}.  [prev] is left as it was either way.  Raises
+    [Invalid_argument] when [dirty] names a label that is not a block of
+    [g]. *)
 val analyze_incr :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->

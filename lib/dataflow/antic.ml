@@ -50,7 +50,7 @@ let compute_keep ?scratch g local =
 
 let compute_incr ?scratch g local ~prev ~dirty =
   Lcm_obs.Trace.span_attrs "solve.antic.incr" (fun () ->
-      match Solver.resolve ?scratch g (spec_of Solver.Inter ?scratch local) ~prev ~dirty with
+      match Solver.restart ?scratch g (spec_of Solver.Inter ?scratch local) ~prev ~dirty with
       | None -> (None, [ ("fallback", "full") ])
       | Some (result, saved, region) ->
         ( Some (of_result result, saved, region),

@@ -21,16 +21,19 @@ val compute : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t
 val compute_partial : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t
 
 (** [compute_keep] is {!compute} that additionally captures the fixpoint
-    for incremental restart (heap copies; safe to retain across arena
-    resets). *)
+    for incremental restart (heap rows; safe to retain across arena
+    resets).  The capture shares [local]'s rows, so [local] must come from
+    the heap ({!Local.compute} without [scratch]). *)
 val compute_keep :
   ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t * Solver.saved
 
 (** [compute_incr g local ~prev ~dirty] re-solves availability on the
-    patched graph [g] from the fixpoint saved before the patch, visiting
-    only the affected region (see {!Solver.resolve}); also returns the
-    region size.  [None] when [prev] is inadmissible (candidate pool
-    width changed) — fall back to {!compute_keep}. *)
+    patched graph [g] from the fixpoint saved before the patch, working
+    only on the bits and blocks the patch changed (see
+    {!Solver.restart}); also returns the number of blocks whose rows
+    changed.  [local] must come from the heap, like [compute_keep]'s.
+    [None] when [prev] is inadmissible (candidate pool width changed) —
+    fall back to {!compute_keep}. *)
 val compute_incr :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->

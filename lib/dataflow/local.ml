@@ -6,20 +6,6 @@ module Instr = Lcm_ir.Instr
 module Expr = Lcm_ir.Expr
 module Expr_pool = Lcm_ir.Expr_pool
 
-(* Predicates live in flat arrays indexed by the dense label ints: the
-   data-flow transfer functions read them on every visit, so the per-access
-   hashing (and the [Some] allocated by [Hashtbl.find_opt]) of a table-based
-   representation shows up directly in solver throughput.  [live] marks
-   which slots belong to blocks of the graph. *)
-type t = {
-  pool : Expr_pool.t;
-  graph : Cfg.t;
-  antloc : Bitvec.t array;
-  comp : Bitvec.t array;
-  transp : Bitvec.t array;
-  live : bool array;
-}
-
 (* Per-variable kill masks (bit set ⇔ the expression reads the variable),
    so that applying a definition is three word-wide vector ops.  They are
    filled in one pass over the pool's expressions, each setting its bit in
@@ -37,6 +23,22 @@ type masks = {
   keys : int array;
   vecs : Bitvec.t array;
   cap_mask : int;  (* slot count - 1, a power of two minus one *)
+}
+
+(* Predicates live in flat arrays indexed by the dense label ints: the
+   data-flow transfer functions read them on every visit, so the per-access
+   hashing (and the [Some] allocated by [Hashtbl.find_opt]) of a table-based
+   representation shows up directly in solver throughput.  [live] marks
+   which slots belong to blocks of the graph; [masks] is kept so that
+   {!update} rescans dirty blocks without rebuilding it. *)
+type t = {
+  pool : Expr_pool.t;
+  graph : Cfg.t;
+  antloc : Bitvec.t array;
+  comp : Bitvec.t array;
+  transp : Bitvec.t array;
+  live : bool array;
+  masks : masks;
 }
 
 let key_name pool key =
@@ -132,6 +134,9 @@ let rec scan_block pool masks killed a c t = function
         e.Instr.eff_args);
     scan_block pool masks killed a c t rest
 
+(* [v], or the shared [zero]/[full] row equal to it. *)
+let share ~zero ~full v = if Bitvec.is_empty v then zero else if Bitvec.equal v full then full else v
+
 let compute ?scratch g pool =
   let n = Expr_pool.size pool in
   let bound = Cfg.label_bound g in
@@ -149,7 +154,58 @@ let compute ?scratch g pool =
       scan_block pool masks killed antloc.(l) comp.(l) transp.(l) (Cfg.instrs g l);
       live.(l) <- true)
     (Cfg.labels g);
-  { pool; graph = g; antloc; comp; transp; live }
+  (* Heap rows may be retained (an incremental capture keeps them), and on
+     real graphs only about one row in eight is distinct (most blocks
+     compute and kill nothing): equal rows share one vector.  Arena tables
+     own their rows, so they keep them. *)
+  if Option.is_none scratch then begin
+    let rows = Bitvec.Interner.create 64 in
+    List.iter
+      (fun l ->
+        antloc.(l) <- Bitvec.Interner.intern rows antloc.(l);
+        comp.(l) <- Bitvec.Interner.intern rows comp.(l);
+        transp.(l) <- Bitvec.Interner.intern rows transp.(l))
+      (Cfg.labels g)
+  end;
+  { pool; graph = g; antloc; comp; transp; live; masks }
+
+(* Copy-on-write over [prev]'s row tables: a dirty block's rows are
+   rescanned into fresh heap vectors and replace the shared ones only where
+   they differ, so the result shares every unchanged row with [prev]. *)
+let update ~prev g ~dirty =
+  let n = Expr_pool.size prev.pool in
+  let bound = Cfg.label_bound g in
+  let extend old fresh =
+    let old_bound = Array.length old in
+    if bound = old_bound then Array.copy old
+    else Array.init bound (fun l -> if l < old_bound then old.(l) else fresh ())
+  in
+  let antloc = extend prev.antloc (fun () -> Bitvec.create n)
+  and comp = extend prev.comp (fun () -> Bitvec.create n)
+  and transp = extend prev.transp (fun () -> Bitvec.create_full n) in
+  let live =
+    if bound = Array.length prev.live then prev.live
+    else begin
+      let live = Array.make bound false in
+      List.iter (fun l -> live.(l) <- true) (Cfg.labels g);
+      live
+    end
+  in
+  let killed = Bitvec.create n in
+  let zero = Bitvec.create n and full = Bitvec.create_full n in
+  List.iter
+    (fun l ->
+      if l < 0 || l >= bound || not live.(l) then
+        invalid_arg (Printf.sprintf "Local.update: dirty label B%d is not a block" l);
+      let a = Bitvec.create n and c = Bitvec.create n and t = Bitvec.create_full n in
+      Bitvec.fill killed false;
+      scan_block prev.pool prev.masks killed a c t (Cfg.instrs g l);
+      let keep rows v = if not (Bitvec.equal rows.(l) v) then rows.(l) <- share ~zero ~full v in
+      keep antloc a;
+      keep comp c;
+      keep transp t)
+    dirty;
+  { prev with graph = g; antloc; comp; transp; live }
 
 let pool t = t.pool
 let nbits t = Expr_pool.size t.pool

@@ -16,6 +16,16 @@ type t
     reset); without it they are heap-allocated as before. *)
 val compute : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Lcm_ir.Expr_pool.t -> t
 
+(** [update ~prev g ~dirty] is [compute g (pool prev)] for a graph that
+    differs from [prev]'s only in the bodies of the [dirty] blocks and in
+    blocks added since (which [dirty] must list too): only those blocks are
+    rescanned.  The result shares every unchanged row, and [prev]'s kill
+    masks, with [prev]; changed rows are fresh heap vectors and [prev] is
+    not written.  [prev] must come from the heap ({!compute} without
+    [scratch]) when it outlives an arena.  The caller checks that [g]'s
+    candidate pool still equals [pool prev]. *)
+val update : prev:t -> Lcm_cfg.Cfg.t -> dirty:Lcm_cfg.Label.t list -> t
+
 val pool : t -> Lcm_ir.Expr_pool.t
 
 (** Number of bits per vector (= pool size). *)

@@ -1,5 +1,6 @@
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
+module Scratch = Lcm_support.Pool.Scratch
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 
@@ -33,7 +34,8 @@ type result = {
    meet side of block l (entry for forward, exit for backward); [flow.(l)]
    the value after the transfer.  Arrays are indexed by label — labels are
    dense ints below [Cfg.label_bound] — and so are the spec's GEN/KEEP
-   rows, which the visit kernel reads word by word. *)
+   rows, which the visit kernel reads word by word.  [cow] is set only by a
+   restart, whose tables start out sharing the saved fixpoint's rows. *)
 type state = {
   adj : Cfg.adjacency;
   boundary_label : Label.t;
@@ -49,6 +51,16 @@ type state = {
   dependents : Label.t array array;
   process_order : Label.t list;
   nwords : int;
+  cow : cow option;
+}
+
+(* Copy-on-write bookkeeping of a restart: [owned.(l)] once block l's rows
+   are private copies (the shared ones belong to the saved fixpoint), and
+   the first [ntouched] cells of [touched] list those blocks. *)
+and cow = {
+  owned : bool array;
+  touched : int array;
+  mutable ntouched : int;
 }
 
 (* The visit kernel reads rows with unchecked word accesses, so every row it
@@ -75,34 +87,37 @@ let check_spec (spec : spec) bound labels =
   if Bitvec.length spec.boundary <> spec.nbits then
     invalid_arg "Solver: boundary width differs from nbits"
 
-(* All of a solve's state — the meet/flow row tables and the worklist
-   machinery below — comes from the request's arena when one is threaded
-   through ([?scratch]); with [None] every allocation falls back to the
-   heap. *)
-let make_state ?scratch g spec =
+let labels_live arena bound labels =
+  let live = Arena.alloc_bool arena bound in
+  List.iter (fun l -> live.(l) <- true) labels;
+  live
+
+let neighbors_of adj = function
+  | Forward -> (adj.Cfg.adj_pred, adj.Cfg.adj_succ, adj.Cfg.adj_rpo)
+  | Backward -> (adj.Cfg.adj_succ, adj.Cfg.adj_pred, adj.Cfg.adj_post)
+
+let boundary_label_of g = function
+  | Forward -> Cfg.entry g
+  | Backward -> Cfg.exit_label g
+
+(* The state that outlives a solve — the meet/flow row tables and the
+   [live] table its result reads — comes from [rows] ([None]: the heap).
+   A solve whose fixpoint is kept for a restart takes them from the heap,
+   and the capture then shares them instead of copying. *)
+let make_state ~rows g spec =
   let adj = Cfg.adjacency g in
   let bound = adj.Cfg.adj_bound in
   check_spec spec bound adj.Cfg.adj_labels;
-  let boundary_label =
-    match spec.direction with
-    | Forward -> Cfg.entry g
-    | Backward -> Cfg.exit_label g
-  in
+  let boundary_label = boundary_label_of g spec.direction in
   let init () =
     match spec.confluence with
-    | Union -> Arena.alloc_rows scratch spec.nbits bound
-    | Inter -> Arena.alloc_rows_full scratch spec.nbits bound
+    | Union -> Arena.alloc_rows rows spec.nbits bound
+    | Inter -> Arena.alloc_rows_full rows spec.nbits bound
   in
   let meet = init () in
   let flow = init () in
   ignore (Bitvec.blit ~src:spec.boundary ~dst:meet.(boundary_label));
-  let live = Arena.alloc_bool scratch bound in
-  List.iter (fun l -> live.(l) <- true) adj.Cfg.adj_labels;
-  let meet_neighbors, dependents, process_order =
-    match spec.direction with
-    | Forward -> (adj.Cfg.adj_pred, adj.Cfg.adj_succ, adj.Cfg.adj_rpo)
-    | Backward -> (adj.Cfg.adj_succ, adj.Cfg.adj_pred, adj.Cfg.adj_post)
-  in
+  let meet_neighbors, dependents, process_order = neighbors_of adj spec.direction in
   {
     adj;
     boundary_label;
@@ -111,11 +126,12 @@ let make_state ?scratch g spec =
     gen = spec.gen;
     keep = spec.keep;
     union = (match spec.confluence with Union -> true | Inter -> false);
-    live;
+    live = labels_live rows bound adj.Cfg.adj_labels;
     meet_neighbors;
     dependents;
     process_order;
     nwords = Bitvec.words_for spec.nbits;
+    cow = None;
   }
 
 let[@inline] join union a b = if union then a lor b else a land b
@@ -229,35 +245,48 @@ let pop q =
   q.npending <- q.npending - 1;
   q.order.((q.low * Bitvec.bits_per_word) + Bitvec.ntz x)
 
-(* The solve: seed every reachable block once in priority order (reverse
-   postorder for forward problems, postorder for backward), then re-visit
-   only the direction-appropriate dependents of blocks whose flow changed.
-   On sparse graphs this drops visit counts from ~sweeps·N to the
-   near-optimal count.  [sweeps] is reported as the maximum number of times
-   any single block was visited — the depth of iteration, the analogue of
-   the round-robin sweep count.  The worklist machinery comes from [arena]
-   ([None]: the heap). *)
-let run_worklist ?seeds ~arena st =
-  let bound = st.adj.Cfg.adj_bound in
-  let rpo_pos = st.adj.Cfg.adj_rpo_pos in
+(* A restart writes a block's rows only after copying them: the shared
+   ones belong to the saved fixpoint, which a failed request must find
+   intact. *)
+let own st c l =
+  if not (Array.unsafe_get c.owned l) then begin
+    c.owned.(l) <- true;
+    c.touched.(c.ntouched) <- l;
+    c.ntouched <- c.ntouched + 1;
+    st.meet.(l) <- Bitvec.copy st.meet.(l);
+    st.flow.(l) <- Bitvec.copy st.flow.(l)
+  end
+
+let make_queue ~arena st =
   let nreach = List.length st.process_order in
   let q =
     {
       order = Arena.alloc_int arena (max 1 nreach);
-      posn = Arena.alloc_int arena bound;
+      posn = Arena.alloc_int arena st.adj.Cfg.adj_bound;
       pending = Arena.alloc_int arena (max 1 (Bitvec.words_for nreach));
       npending = 0;
       low = max_int;
     }
   in
   fill_order q 0 st.process_order;
-  push_all q (match seeds with Some s -> s | None -> st.process_order);
+  q
+
+(* Drain the queue: pop the pending block of least position, visit it, and
+   re-push the direction-appropriate dependents of a block whose flow
+   changed.  [sweeps] is reported as the maximum number of times any single
+   block was visited — the depth of iteration, the analogue of the
+   round-robin sweep count.  The visit counters come from [arena] ([None]:
+   the heap). *)
+let drain ~arena st q =
+  let bound = st.adj.Cfg.adj_bound in
+  let rpo_pos = st.adj.Cfg.adj_rpo_pos in
   let visits = ref 0 in
   let visit_count = Arena.alloc_int arena bound in
   while q.npending > 0 do
     let l = pop q in
     incr visits;
     visit_count.(l) <- visit_count.(l) + 1;
+    (match st.cow with Some c -> own st c l | None -> ());
     if visit st l then begin
       (* Explicit loop, not [Array.iter]: a closure here would be
          allocated on every changed visit of the hot fixpoint. *)
@@ -289,101 +318,311 @@ let make_result st direction ~sweeps ~visits =
   in
   { block_in; block_out; sweeps; visits }
 
+(* The solve: seed every reachable block once in priority order (reverse
+   postorder for forward problems, postorder for backward), then drain.
+   On sparse graphs this drops visit counts from ~sweeps·N to the
+   near-optimal count. *)
+let iterate work st =
+  let q = make_queue ~arena:work st in
+  push_all q st.process_order;
+  drain ~arena:work st q
+
+(* The worklist comes from [scratch], or from an arena checked out for the
+   solve: it never escapes, so a caller without an arena need not hand it
+   to the GC. *)
+let iterate_on scratch st nbits =
+  match scratch with
+  | Some _ -> iterate scratch st
+  | None -> Scratch.with_arena ~blocks:st.adj.Cfg.adj_bound ~exprs:nbits (fun a -> iterate (Some a) st)
+
 let run ?scratch g spec =
-  let st = make_state ?scratch g spec in
-  let sweeps, visits = run_worklist ~arena:scratch st in
+  let st = make_state ~rows:scratch g spec in
+  let sweeps, visits = iterate_on scratch st spec.nbits in
   make_result st spec.direction ~sweeps ~visits
 
-(* --- restartable entry point --------------------------------------------
+(* --- change-driven restart -----------------------------------------------
 
    The incremental tier of the serving protocol patches a retained CFG and
-   re-solves only the blocks a patch can influence.  Soundness rests on a
-   property [visit] already has: a block's meet is recomputed *entirely*
-   from its neighbors' flow on every visit (never updated in place), so a
-   solve may start from any assignment that agrees with the unique extreme
-   fixpoint outside the re-initialized region.
+   re-solves from the fixpoint saved before the patch.  Every bit of a
+   bit-vector problem is an independent boolean system, so a bit whose
+   GEN/KEEP rows are unchanged at every block of an unchanged shape keeps
+   its saved fixpoint exactly; only the bits a patch changed, at the blocks
+   the change can reach, need work.
 
-   The affected region is the closure of the dirty seed under [dependents]
-   (successors forward, predecessors backward): exactly the blocks the
-   worklist could ever re-push from a changed seed.  Blocks outside it keep
-   their saved fixpoint values — which remain consistent, because any block
-   whose meet inputs or transfer changed is inside the region by
-   construction.  Blocks inside are reset to the from-scratch
-   initialization and seeded; chaotic iteration from the extreme element
-   with frozen fixpoint inputs converges to the restriction of the global
-   extreme fixpoint, so the combined result is bit-identical to a full
-   solve — at the cost of visiting only the region. *)
+   The iteration moves every value monotonically away from its start
+   (all-ones for the ∩ problems, which descend to the greatest fixpoint;
+   all-zeros for ∪, which ascend to the least).  A patch can also move a
+   bit of the new fixpoint *back toward* the start, past its saved value —
+   a new computation makes an expression available downstream — and a
+   plain restart from the saved values could never reach that.  So the
+   restart first *lifts*: at each changed block it moves the bits that may
+   move back to the start (for ∩: bits whose GEN or KEEP was gained), and
+   propagates the lift to dependents, but only through blocks whose
+   current value is not at the start for that bit and whose transfer
+   passes it (∩: KEEP set; ∪: GEN clear).  A block outside that closure
+   has no input that could move back, so its saved value still bounds the
+   new fixpoint from the start's side.  The lifted assignment therefore
+   lies between the start and the new fixpoint, and every block whose
+   transfer, meet inputs or inputs' values changed is seeded; the worklist
+   kernel then descends (or ascends) to exactly the fixpoint a full solve
+   reaches, visiting only the lifted blocks, their dependents, and what
+   actually changes.
+
+   Shape edits, new blocks and reachability flips take every bit: a
+   dirty block with changed edges is lifted in all bits, a block that
+   became unreachable is reset to the start (a full solve never visits
+   it), and a block that became reachable is seeded (its saved value is
+   the start already). *)
 
 type saved = {
   s_nbits : int;
   s_direction : direction;
-  s_bound : int;
+  s_union : bool;
+  s_boundary : Bitvec.t;
+  s_adj : Cfg.adjacency;
+  s_gen : Bitvec.t array;
+  s_keep : Bitvec.t array;
   s_meet : Bitvec.t array;
   s_flow : Bitvec.t array;
-  s_reach : bool array;
+  s_live : bool array;
+  s_zero : Bitvec.t;
+  s_full : Bitvec.t;
 }
 
-(* Heap copies: solver state may live in a request arena that is reset when
-   the request finishes, but a saved fixpoint must outlive it. *)
+(* Equal rows of a capture share one vector: on real graphs only a
+   quarter of a fixpoint's rows are distinct, so a retained handle costs
+   that much less memory.  A restart shares the rows it changes with the
+   capture's empty and full rows.  Shared rows are never written — a
+   restart copies a row before it writes it. *)
+let share_constant prev v =
+  if Bitvec.is_empty v then prev.s_zero else if Bitvec.equal v prev.s_full then prev.s_full else v
+
 let save st spec =
-  let bound = st.adj.Cfg.adj_bound in
+  let tbl = Bitvec.Interner.create 64 in
+  let share_rows rows = Array.iteri (fun l v -> rows.(l) <- Bitvec.Interner.intern tbl v) rows in
+  share_rows st.meet;
+  share_rows st.flow;
   {
     s_nbits = spec.nbits;
     s_direction = spec.direction;
-    s_bound = bound;
-    s_meet = Array.init bound (fun l -> Bitvec.copy st.meet.(l));
-    s_flow = Array.init bound (fun l -> Bitvec.copy st.flow.(l));
-    s_reach = Array.init bound (fun l -> st.adj.Cfg.adj_rpo_pos.(l) >= 0);
+    s_union = st.union;
+    s_boundary = Bitvec.copy spec.boundary;
+    s_adj = st.adj;
+    s_gen = st.gen;
+    s_keep = st.keep;
+    s_meet = st.meet;
+    s_flow = st.flow;
+    s_live = st.live;
+    s_zero = Bitvec.Interner.intern tbl (Bitvec.create spec.nbits);
+    s_full = Bitvec.Interner.intern tbl (Bitvec.create_full spec.nbits);
   }
 
+(* Rows on the heap, so the capture shares them instead of copying. *)
 let run_saved ?scratch g spec =
-  let st = make_state ?scratch g spec in
-  let sweeps, visits = run_worklist ~arena:scratch st in
+  let st = make_state ~rows:None g spec in
+  let sweeps, visits = iterate_on scratch st spec.nbits in
   (make_result st spec.direction ~sweeps ~visits, save st spec)
 
-let resolve ?scratch g spec ~prev ~dirty =
-  if prev.s_nbits <> spec.nbits || prev.s_direction <> spec.direction then None
-  else begin
-    let st = make_state ?scratch g spec in
-    let bound = st.adj.Cfg.adj_bound in
-    let reach = st.adj.Cfg.adj_rpo_pos in
-    let affected = Array.make bound false in
-    let stack = ref [] in
-    let mark l =
-      if l >= 0 && l < bound && not affected.(l) then begin
-        affected.(l) <- true;
-        stack := l :: !stack
+(* Bits of [l]'s flow row that differ from the saved row — all of them
+   moved to the start during the lift, and none else has moved yet. *)
+let[@inline] moved_word st prev l w =
+  let x = Array.unsafe_get (row st.flow l) w in
+  if l < Array.length prev.s_flow then x lxor Array.unsafe_get (row prev.s_flow l) w
+  else lnot 0
+
+(* Move the bits of [mask] (a word array) of block [l]'s flow row to the
+   start value; whether any bit moved. *)
+let lift_words st c l mask =
+  let union = st.union in
+  let x = row st.flow l in
+  let moves = ref false in
+  for w = 0 to st.nwords - 1 do
+    let o = Array.unsafe_get x w and m = Array.unsafe_get mask w in
+    if (if union then o land m else lnot o land m) <> 0 then moves := true
+  done;
+  if !moves then begin
+    own st c l;
+    let x = row st.flow l in
+    for w = 0 to st.nwords - 1 do
+      let m = Array.unsafe_get mask w in
+      x.(w) <- (if union then x.(w) land lnot m else x.(w) lor m)
+    done
+  end;
+  !moves
+
+(* Propagate the lift from the blocks on [stack] through their
+   dependents: dependent [d] takes the moved bits of its input that its
+   transfer passes and that are not at the start at [d].  Every reachable
+   block touched by the lift, and every reachable dependent of one (its
+   meet input moved), is pushed on the worklist queue. *)
+let propagate_lift st c prev q stack nstack mask on_stack =
+  let rpo_pos = st.adj.Cfg.adj_rpo_pos and union = st.union in
+  let n = ref nstack in
+  while !n > 0 do
+    decr n;
+    let r = stack.(!n) in
+    on_stack.(r) <- false;
+    if rpo_pos.(r) >= 0 then push q r;
+    let deps = st.dependents.(r) in
+    for i = 0 to Array.length deps - 1 do
+      let d = deps.(i) in
+      if rpo_pos.(d) >= 0 then push q d;
+      let x = row st.flow d and gen = row st.gen d and keep = row st.keep d in
+      let any = ref false in
+      for w = 0 to st.nwords - 1 do
+        let passes =
+          if union then lnot (Array.unsafe_get gen w) land Array.unsafe_get x w
+          else Array.unsafe_get keep w land lnot (Array.unsafe_get x w)
+        in
+        let m = moved_word st prev r w land passes in
+        mask.(w) <- m;
+        if m <> 0 then any := true
+      done;
+      if !any && lift_words st c d mask && not on_stack.(d) then begin
+        on_stack.(d) <- true;
+        stack.(!n) <- d;
+        incr n
       end
-    in
-    (* Seeds: patched blocks, blocks newer than the save, and blocks whose
-       reachability flipped (their saved value belongs to the old shape). *)
-    List.iter mark dirty;
-    for l = prev.s_bound to bound - 1 do
-      mark l
-    done;
-    for l = 0 to min prev.s_bound bound - 1 do
-      if reach.(l) >= 0 <> prev.s_reach.(l) then mark l
-    done;
-    let rec close () =
-      match !stack with
-      | [] -> ()
-      | l :: rest ->
-        stack := rest;
-        Array.iter mark st.dependents.(l);
-        close ()
-    in
-    close ();
-    (* Outside the region: restore the saved fixpoint.  Inside: keep the
-       from-scratch initialization [make_state] just wrote (including the
-       boundary block's boundary value). *)
-    for l = 0 to min prev.s_bound bound - 1 do
-      if (not affected.(l)) && st.live.(l) then begin
-        ignore (Bitvec.blit ~src:prev.s_meet.(l) ~dst:st.meet.(l));
-        ignore (Bitvec.blit ~src:prev.s_flow.(l) ~dst:st.flow.(l))
+    done
+  done
+
+(* The restart proper, its bookkeeping and worklist on [work]. *)
+let restart_on work g (spec : spec) ~prev ~dirty =
+  let union = prev.s_union in
+  let adj = Cfg.adjacency g in
+  let bound = adj.Cfg.adj_bound and old_bound = prev.s_adj.Cfg.adj_bound in
+  let same_shape = adj == prev.s_adj in
+  List.iter
+    (fun l -> if l < 0 || l >= bound then invalid_arg (Printf.sprintf "Solver.restart: dirty label B%d" l))
+    dirty;
+  (* Other rows are the saved ones, checked when they were solved. *)
+  let fresh_labels = List.init (bound - old_bound) (fun i -> old_bound + i) in
+  List.iter
+    (fun labels ->
+      check_table "gen" spec.gen spec bound labels;
+      check_table "keep" spec.keep spec bound labels)
+    [ dirty; fresh_labels ];
+  let fresh () = if union then Bitvec.create spec.nbits else Bitvec.create_full spec.nbits in
+  let share old = Array.init bound (fun l -> if l < old_bound then old.(l) else fresh ()) in
+  let meet_neighbors, dependents, process_order = neighbors_of adj spec.direction in
+  let c = { owned = Arena.alloc_bool work bound; touched = Arena.alloc_int work bound; ntouched = 0 } in
+  let st =
+    {
+      adj;
+      boundary_label = boundary_label_of g spec.direction;
+      meet = share prev.s_meet;
+      flow = share prev.s_flow;
+      gen = spec.gen;
+      keep = spec.keep;
+      union;
+      live = (if same_shape then prev.s_live else labels_live None bound adj.Cfg.adj_labels);
+      meet_neighbors;
+      dependents;
+      process_order;
+      nwords = Bitvec.words_for spec.nbits;
+      cow = Some c;
+    }
+  in
+  let nw = st.nwords in
+  let rpo_pos = adj.Cfg.adj_rpo_pos in
+  let q = make_queue ~arena:work st in
+  let stack = Arena.alloc_int work bound and nstack = ref 0 in
+  let on_stack = Arena.alloc_bool work bound in
+  let mask = Arena.alloc_int work nw in
+  let lifted l =
+    if not on_stack.(l) then begin
+      on_stack.(l) <- true;
+      stack.(!nstack) <- l;
+      incr nstack
+    end
+  in
+  let all = Bitvec.words (Arena.alloc_full work spec.nbits) in
+  let all_bits () = Array.blit all 0 mask 0 nw in
+  (* New blocks start from fresh start rows of their own. *)
+  for l = old_bound to bound - 1 do
+    c.owned.(l) <- true;
+    c.touched.(c.ntouched) <- l;
+    c.ntouched <- c.ntouched + 1;
+    if rpo_pos.(l) >= 0 then push q l
+  done;
+  List.iter
+    (fun l ->
+      if l < old_bound && rpo_pos.(l) >= 0 then
+        if not same_shape then begin
+          all_bits ();
+          if lift_words st c l mask then lifted l;
+          push q l
+        end
+        else begin
+          (* The bits whose transfer changed, and among them those that
+             may move back to the start (∩: GEN or KEEP gained; ∪: lost). *)
+          let gn = row spec.gen l and go = row prev.s_gen l in
+          let kn = row spec.keep l and ko = row prev.s_keep l in
+          let changed = ref false in
+          for w = 0 to nw - 1 do
+            let g1 = gn.(w) and g0 = go.(w) and k1 = kn.(w) and k0 = ko.(w) in
+            if g1 <> g0 || k1 <> k0 then changed := true;
+            mask.(w) <-
+              (if union then (g0 land lnot g1) lor (k0 land lnot k1)
+               else (g1 land lnot g0) lor (k1 land lnot k0))
+          done;
+          if !changed then begin
+            if lift_words st c l mask then lifted l;
+            push q l
+          end
+        end)
+    dirty;
+  if not same_shape then begin
+    let old_pos = prev.s_adj.Cfg.adj_rpo_pos in
+    for l = 0 to min old_bound bound - 1 do
+      let now_reach = rpo_pos.(l) >= 0 in
+      if now_reach && old_pos.(l) < 0 then push q l
+      else if (not now_reach) && old_pos.(l) >= 0 then begin
+        (* A full solve never visits an unreachable block: back to the
+           start, meet side included (the boundary block keeps the
+           boundary value there). *)
+        own st c l;
+        if Label.equal l st.boundary_label then ignore (Bitvec.blit ~src:spec.boundary ~dst:st.meet.(l))
+        else Bitvec.fill st.meet.(l) (not union);
+        Bitvec.fill st.flow.(l) (not union);
+        lifted l
       end
-    done;
-    let seeds = List.filter (fun l -> affected.(l)) st.process_order in
-    let region = List.length seeds in
-    let sweeps, visits = run_worklist ~seeds ~arena:scratch st in
-    Some (make_result st spec.direction ~sweeps ~visits, save st spec, region)
-  end
+    done
+  end;
+  propagate_lift st c prev q stack !nstack mask on_stack;
+  let sweeps, visits = drain ~arena:work st q in
+  (* Rows that ended where they were saved go back to sharing the saved
+     row; the rest are the rows this patch changed. *)
+  let changed = ref 0 in
+  for i = 0 to c.ntouched - 1 do
+    let l = c.touched.(i) in
+    if
+      l < old_bound
+      && Bitvec.equal st.meet.(l) prev.s_meet.(l)
+      && Bitvec.equal st.flow.(l) prev.s_flow.(l)
+    then begin
+      st.meet.(l) <- prev.s_meet.(l);
+      st.flow.(l) <- prev.s_flow.(l)
+    end
+    else begin
+      st.meet.(l) <- share_constant prev st.meet.(l);
+      st.flow.(l) <- share_constant prev st.flow.(l);
+      incr changed
+    end
+  done;
+  ( make_result st spec.direction ~sweeps ~visits,
+    { prev with s_adj = adj; s_gen = st.gen; s_keep = st.keep; s_meet = st.meet; s_flow = st.flow; s_live = st.live },
+    !changed )
+
+let restart ?scratch g spec ~prev ~dirty =
+  let union = match spec.confluence with Union -> true | Inter -> false in
+  if
+    prev.s_nbits <> spec.nbits || prev.s_direction <> spec.direction || prev.s_union <> union
+    || not (Bitvec.equal prev.s_boundary spec.boundary)
+  then None
+  else
+    match scratch with
+    | Some _ -> Some (restart_on scratch g spec ~prev ~dirty)
+    | None ->
+      Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:spec.nbits (fun a ->
+          Some (restart_on (Some a) g spec ~prev ~dirty))

@@ -64,40 +64,55 @@ type result = {
     meet/flow vectors (including those reachable through the result), the
     slot arrays, and the worklist machinery — is checked out of that arena
     instead of heap-allocated; the result is then only valid until the
-    arena's next [reset].  Without it the behavior (and allocation) is
-    unchanged. *)
+    arena's next [reset].  Without it the result's state comes from the
+    heap and the worklist from an arena checked out for the solve
+    ({!Lcm_support.Pool.Scratch.with_arena}). *)
 val run : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spec -> result
 
-(** A fixpoint captured for later incremental restart: heap copies of every
-    block's meet/flow vectors plus the shape facts ([nbits], direction,
-    label bound, per-label reachability) needed to decide whether a later
-    [resolve] against a patched graph is admissible.  Unlike a {!result}
-    obtained under [?scratch], a [saved] never aliases arena storage, so it
-    may be retained across requests. *)
+(** A fixpoint captured for later incremental restart: the solve's
+    meet/flow row tables (heap rows, never arena storage, so a [saved] may
+    be retained across requests), the spec's GEN/KEEP row tables and the
+    adjacency snapshot it was solved on.  The capture shares those tables
+    instead of copying them: the caller must not mutate them, or the GEN/KEEP
+    rows, afterwards, and a restart hands in new tables for the patched
+    graph.  Nothing in a [saved] is ever written after it is built. *)
 type saved
 
-(** [run_saved g spec] is [run g spec] that additionally
-    captures the fixpoint for incremental restart. *)
+(** [run_saved g spec] is [run g spec] that additionally captures the
+    fixpoint for {!restart}.  The row tables come from the heap even when
+    [scratch] is given ([scratch] backs the worklist only). *)
 val run_saved :
   ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> spec -> result * saved
 
-(** [resolve g spec ~prev ~dirty] re-solves [spec] on the patched graph
-    [g], reusing the fixpoint [prev] saved before the patch: the affected
-    region — the closure of [dirty] (plus any block added or whose
-    reachability changed since the save) under flow dependents — is reset
-    and re-iterated with the dense worklist seeded by it, while every other
-    block keeps its saved value.  [dirty] must contain every block whose
-    transfer function or meet inputs the patch changed (for a terminator
-    edit: the block itself plus its old and new successors).
+(** [restart g spec ~prev ~dirty] re-solves [spec] on the patched graph
+    [g] from the fixpoint [prev] saved before the patch, doing work only
+    for the bits and blocks the patch changed.  [spec.gen]/[spec.keep] are
+    the patched graph's tables, [dirty] every block whose GEN/KEEP rows or
+    meet inputs the patch changed ({!Lcm_cfg.Patch.apply}'s seed: for a
+    terminator edit the block plus its old and new successors).
 
-    Returns the result, a fresh [saved] for the next restart, and the
-    region size in blocks ([visits] counts only region visits).  The result
-    is bit-identical to a from-scratch [run g spec] — the property tests
-    and the serving [delta] op's validate mode both assert this.  Returns
-    [None] when [prev] is not admissible for [spec] ([nbits] or direction
-    mismatch — e.g. the patch changed the candidate expression pool), in
+    Each bit is an independent system, so a body edit diffs the dirty
+    blocks' new GEN/KEEP rows against the saved ones; bits that can move
+    back toward the iteration's start (for ∩: GEN or KEEP gained) are
+    lifted to it, and the lift propagates only through blocks whose value
+    is not at the start for that bit and whose transfer passes it.  The
+    worklist kernel then runs seeded with the lifted blocks, their
+    dependents and the changed blocks.  A shape edit (the adjacency
+    snapshot differs from the saved one) lifts every bit of the dirty
+    blocks, resets blocks that became unreachable and seeds blocks that
+    became reachable or are new.
+
+    Returns the result — bit-identical to a from-scratch [run g spec]; the
+    property tests and the serving [delta] op's validate mode assert this —
+    a capture for the next restart, and the number of blocks whose rows
+    changed.  [visits] counts only the restart's visits.  The result and
+    the capture share every unchanged row with [prev]; changed rows are
+    fresh heap copies, and [prev] is left as it was.  [scratch] backs only
+    the worklist and bookkeeping.  Returns [None] when [prev] is not
+    admissible for [spec] ([nbits], direction, confluence or boundary
+    differ — e.g. the patch changed the candidate expression pool), in
     which case the caller should fall back to a full solve. *)
-val resolve :
+val restart :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
   spec ->

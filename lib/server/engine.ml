@@ -236,11 +236,13 @@ let execute_run cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~tim
 
 (* ---- retained graphs and incremental re-solve ----
 
-   A [run] with [retain:true] takes the heap path (no arena: the capture
-   must outlive this request) and parks the graph plus its AVAIL/ANTIC
-   fixpoints in the handle table.  A later [delta] patches a copy of the
-   retained graph and restarts the solve from the capture, visiting only
-   the region the patch disturbed; when the patch changed the candidate
+   A [run] with [retain:true] parks the graph plus its capture (candidate
+   pool, local rows, AVAIL/ANTIC fixpoints, all on the heap: the capture
+   must outlive this request) in the handle table.  A later [delta]
+   patches a copy of the retained graph and restarts the analysis from
+   the capture, working only on the rows the patch changed; the new
+   capture shares every other row with the old one, which stays intact
+   until the delta succeeds.  When the patch changed the candidate
    expression pool (bit indices shifted) it falls back to a from-scratch
    solve on the patched graph — same answer, no savings. *)
 
@@ -348,6 +350,24 @@ let edits_of_wire (d : Protocol.delta_request) =
       end)
     d.Protocol.d_edits
 
+(* Re-solve a patched copy of a retained graph from the handle's capture,
+   falling back to a from-scratch solve when the patch changed the
+   candidate pool: the one path a live delta and journal replay share.
+   The capture's rows stay on the heap; the rest of the cascade runs on
+   [arena].  Returns the analysis, the new capture and the changed-row
+   count of an incremental solve ([None]: the full fallback ran). *)
+let resolve_patched arena g ~prev ~dirty =
+  match Lcm_edge.analyze_incr ~scratch:arena g ~prev ~dirty with
+  | Some (a, saved, region) -> (a, saved, Some region)
+  | None ->
+    let a, saved = Lcm_edge.analyze_keep ~scratch:arena g in
+    (a, saved, None)
+
+let with_delta_arena g saved f =
+  Pool.Scratch.with_arena ~blocks:(Cfg.label_bound g)
+    ~exprs:(Lcm_ir.Expr_pool.size (Lcm_edge.saved_pool saved))
+    f
+
 let execute_delta cfg ~now ~deadline ~id ~trace_id (d : Protocol.delta_request) ~timing_of =
   Stats.bump cfg.m.Smetrics.deltas_total;
   let entry =
@@ -369,16 +389,16 @@ let execute_delta cfg ~now ~deadline ~id ~trace_id (d : Protocol.delta_request) 
     try Patch.apply g edits with Patch.Error m -> reject Protocol.Bad_request "bad patch: %s" m
   in
   check_deadline ~now ~deadline;
+  (* Everything from the solve to response rendering runs inside the
+     arena checkout, as a run does; only the capture outlives it. *)
+  with_delta_arena g saved0 @@ fun arena ->
   let a, saved, mode, region =
-    match
-      Trace.span "engine.delta.solve" (fun () -> Lcm_edge.analyze_incr g ~prev:saved0 ~dirty)
-    with
-    | Some (a, saved, region) ->
+    match Trace.span "engine.delta.solve" (fun () -> resolve_patched arena g ~prev:saved0 ~dirty) with
+    | a, saved, Some region ->
       Stats.bump cfg.m.Smetrics.delta_incremental;
       (a, saved, "incremental", region)
-    | None ->
+    | a, saved, None ->
       Stats.bump cfg.m.Smetrics.delta_full;
-      let a, saved = Lcm_edge.analyze_keep g in
       (a, saved, "full", Cfg.num_blocks g)
   in
   check_deadline ~now ~deadline;
@@ -487,11 +507,7 @@ let replay_journal cfg (r : Hjournal.recovered) =
         let dirty =
           try Patch.apply g patch with Patch.Error m -> failwith ("patch apply: " ^ m)
         in
-        let saved =
-          match Lcm_edge.analyze_incr g ~prev:saved0 ~dirty with
-          | Some (_, saved, _) -> saved
-          | None -> snd (Lcm_edge.analyze_keep g)
-        in
+        let _, saved, _ = with_delta_arena g saved0 (fun arena -> resolve_patched arena g ~prev:saved0 ~dirty) in
         incr replayed;
         state := (g, saved))
       r.Hjournal.r_patches;

@@ -1,12 +1,10 @@
 (* A fixed-size pool of domains draining one shared task queue.
 
    Tasks are plain thunks; [run] enqueues a batch and the calling thread
-   *helps* drain the queue until its own batch completes, so a task may
-   itself call [run] on the same pool without deadlock: every thread that is waiting for
-   a batch executes whatever work is queued, and blocks on the condition
-   variable only when the queue is empty — at which point any pending task
-   of its batch is running on some other thread and its completion will
-   broadcast. *)
+   helps drain the queue until its batch completes, so the caller counts
+   as one of the pool's domains.  A task never submits a batch of its own:
+   [run] from inside a task of the same pool is refused, so a waiting
+   thread only ever blocks on tasks that are already running. *)
 
 module Trace = Lcm_obs.Trace
 
@@ -36,6 +34,7 @@ type batch = {
 }
 
 type t = {
+  id : int;  (* for the nested-run check *)
   lock : Mutex.t;
   wake : Condition.t;  (* new work queued, a task finished, or shutdown *)
   queue : (task * batch) Queue.t;
@@ -46,6 +45,28 @@ type t = {
 
 let size t = t.size
 
+(* The pool whose task this domain is running, if any. *)
+let running : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let next_id = Atomic.make 0
+
+(* Run one task under the running-pool mark; [None] or the exception it
+   raised.  "pool.task" is the worker-death chaos point: an injected raise
+   here is exactly what a task dying on a pool domain looks like to the
+   batch (first failure kept, re-raised by [run] after the drain). *)
+let exec t task =
+  let outer = Domain.DLS.get running in
+  Domain.DLS.set running (Some t.id);
+  let failure =
+    try
+      Fault.inject "pool.task";
+      task ();
+      None
+    with e -> Some e
+  in
+  Domain.DLS.set running outer;
+  failure
+
 (* Drain tasks until [finished ()] holds.  [finished] is evaluated with the
    lock held. *)
 let help t finished =
@@ -54,10 +75,7 @@ let help t finished =
     match Queue.take_opt t.queue with
     | Some (task, batch) ->
       Mutex.unlock t.lock;
-      (* "pool.task" is the worker-death chaos point: an injected raise here
-         is exactly what a task dying on a pool domain looks like to the
-         batch (first failure kept, re-raised by [run] after the drain). *)
-      let failure = (try Fault.inject "pool.task"; task (); None with e -> Some e) in
+      let failure = exec t task in
       Mutex.lock t.lock;
       (match failure with
       | Some _ when batch.failure = None -> batch.failure <- failure
@@ -72,6 +90,7 @@ let create n =
   if n < 1 then invalid_arg "Pool.create: need at least 1 domain";
   let t =
     {
+      id = Atomic.fetch_and_add next_id 1;
       lock = Mutex.create ();
       wake = Condition.create ();
       queue = Queue.create ();
@@ -93,24 +112,22 @@ let shutdown t =
   t.workers <- []
 
 let run t tasks =
+  if Domain.DLS.get running = Some t.id then
+    invalid_arg "Pool.run: a task of this pool submitted a nested batch";
+  let raise_first = function Some e -> raise e | None -> () in
   match traced tasks with
   | [] -> ()
-  | [ task ] ->
-    Fault.inject "pool.task";
-    task ()
+  | [ task ] -> raise_first (exec t task)
   | tasks when t.size <= 1 ->
     (* Single-domain pool: the sequential fallback, no queue round-trip.
        Same semantics as the parallel path: the whole batch drains, the
        first failure is re-raised afterwards. *)
-    let failure = ref None in
-    List.iter
-      (fun task ->
-        try
-          Fault.inject "pool.task";
-          task ()
-        with e -> if !failure = None then failure := Some e)
-      tasks;
-    (match !failure with Some e -> raise e | None -> ())
+    raise_first
+      (List.fold_left
+         (fun first task ->
+           let failure = exec t task in
+           match first with None -> failure | Some _ -> first)
+         None tasks)
   | tasks ->
     let batch = { pending = List.length tasks; failure = None } in
     Mutex.lock t.lock;
@@ -118,42 +135,11 @@ let run t tasks =
     Condition.broadcast t.wake;
     Mutex.unlock t.lock;
     help t (fun () -> batch.pending = 0);
-    (match batch.failure with Some e -> raise e | None -> ())
+    raise_first batch.failure
 
-(* [parallel_for] chunks the index space so the queue holds a bounded
-   number of coarse tasks rather than one task per index. *)
-let parallel_for t ?chunk n f =
-  if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
-      | None -> max 1 (n / (4 * t.size))
-    in
-    if t.size <= 1 || n <= chunk then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let tasks = ref [] in
-      let lo = ref 0 in
-      while !lo < n do
-        let lo' = !lo and hi' = min n (!lo + chunk) in
-        tasks :=
-          (fun () ->
-            for i = lo' to hi' - 1 do
-              f i
-            done)
-          :: !tasks;
-        lo := hi'
-      done;
-      run t !tasks
-    end
-  end
-
-(* Default pool: size from LCM_DOMAINS when set (CI forces 1 and 4 to cover
-   both the sequential-fallback and parallel paths), otherwise what the
-   runtime recommends for this machine, capped to keep small machines from
+(* Pool size from LCM_DOMAINS when set (CI forces 1 and 4 to cover both
+   the sequential-fallback and parallel paths), otherwise what the runtime
+   recommends for this machine, capped to keep small machines from
    oversubscribing on wide corpus fan-outs. *)
 
 let env_var = "LCM_DOMAINS"
@@ -163,25 +149,6 @@ let default_size () =
   | Some n when n >= 1 -> n
   | Some _ | None -> min 8 (Domain.recommended_domain_count ())
 
-let default_pool = ref None
-let default_lock = Mutex.create ()
-
-let default () =
-  Mutex.lock default_lock;
-  let p =
-    match !default_pool with
-    | Some p -> p
-    | None ->
-      let p = create (default_size ()) in
-      default_pool := Some p;
-      (* Idle workers block on the condition variable; join them at exit so
-         the process terminates cleanly. *)
-      at_exit (fun () -> shutdown p);
-      p
-  in
-  Mutex.unlock default_lock;
-  p
-
 (* ---- per-domain scratch arenas --------------------------------------------
 
    The engine checks an arena out per request, keyed by the request's
@@ -190,10 +157,10 @@ let default () =
    pool per exact shape.  Arenas live in domain-local storage: no locks,
    and no arena ever crosses domains (an Arena.t is single-owner).
 
-   Help-draining makes this reentrant in a subtle way: a request task
-   blocked in [run] may execute *another* request inline on the same
-   domain, so checkouts nest.  The freelist-stack discipline (pop on
-   checkout, push on return) handles that naturally — the inner request
+   Checkouts nest: a solve called without an arena checks one out for its
+   working storage, possibly inside a request's own checkout on the same
+   domain.  The freelist-stack discipline (pop on
+   checkout, push on return) handles that naturally — the inner checkout
    pops a different arena (or creates one), and returns restore in LIFO
    order. *)
 

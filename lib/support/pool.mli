@@ -3,9 +3,8 @@
     Two layers fan work out across domains: the daemon runs each batch of
     admitted requests as one [run], and {!Lcm_eval.Corpus.process} runs
     one task per function of a corpus.  Each task is one sequential
-    solve.  [run] is re-entrant: a task may submit a sub-batch to the same
-    pool, and any thread waiting for its batch helps execute queued tasks
-    instead of idling, so nested fan-out cannot deadlock.
+    solve.  A task must not submit a batch to its own pool: [run] refuses
+    it with [Invalid_argument].
 
     A pool of size 1 spawns no domains and executes everything in the
     calling thread, in order — the sequential fallback path. *)
@@ -24,20 +23,16 @@ val size : t -> int
     Tasks of one batch may run concurrently on different domains, in any
     order; the caller participates.  If any task raises, the first
     exception observed is re-raised after the whole batch has drained.
+    Raises [Invalid_argument] when called from inside a task of [t]: a
+    nested batch.
 
     Tasks must synchronize their own shared state; writes made by a task
     are visible to the caller after [run] returns (the queue's mutex
     orders them). *)
 val run : t -> (unit -> unit) list -> unit
 
-(** [parallel_for t ?chunk n f] applies [f] to [0 .. n-1], chunked into
-    contiguous ranges of [chunk] indices (default: [n / (4 * size t)],
-    at least 1) so the queue holds coarse tasks.  Iteration order within a
-    chunk is ascending; chunks may interleave across domains. *)
-val parallel_for : t -> ?chunk:int -> int -> (int -> unit) -> unit
-
 (** Joins the worker domains.  The pool must be idle; [run] must not be
-    called afterwards.  Called automatically at exit for {!default}. *)
+    called afterwards. *)
 val shutdown : t -> unit
 
 (** Name of the environment variable overriding {!default_size}:
@@ -45,14 +40,10 @@ val shutdown : t -> unit
     so both the sequential-fallback and the parallel paths are covered. *)
 val env_var : string
 
-(** Size used by {!default}: [$LCM_DOMAINS] when set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()] capped at 8. *)
+(** Default pool width (the daemon's [--workers]): [$LCM_DOMAINS] when set
+    to a positive integer, otherwise [Domain.recommended_domain_count ()]
+    capped at 8. *)
 val default_size : unit -> int
-
-(** The process-wide shared pool, created on first use and shut down at
-    exit.  Benchmarks that need a specific width create their own pools
-    instead. *)
-val default : unit -> t
 
 (** Per-domain pools of scratch {!Arena.t}s, keyed by shape class.  The
     engine wraps each request's solve in {!Scratch.with_arena}; the arena
@@ -67,8 +58,7 @@ module Scratch : sig
   (** [with_arena ~blocks ~exprs f] checks an arena for the shape class out
       of this domain's freelist (creating one on first use), runs [f] with
       it, and — panic or not — resets it and parks it back.  Reentrant:
-      nested checkouts (help-draining can run another request inline) pop
-      distinct arenas. *)
+      nested checkouts pop distinct arenas. *)
   val with_arena : blocks:int -> exprs:int -> (Arena.t -> 'a) -> 'a
 
   (** Words retained by the calling domain's parked arenas (steady-state

@@ -32,6 +32,7 @@ let () =
       ("frontend", Test_frontend.suite);
       ("server", Test_server.suite);
       ("shard", Test_shard.suite);
+      ("incremental", Test_incr.suite);
       ("journal", Test_journal.suite);
       ("chaos", Test_chaos.suite);
     ]

@@ -344,6 +344,69 @@ let test_cascade_corpus () =
   List.iter (fun w -> ignore (check_cascade (Suites.graph w))) Suites.all;
   List.iter (fun (_, g) -> ignore (check_cascade g)) (Test_solver.bril_corpus ())
 
+(* The temp-liveness worklist as it was before it seeded only the
+   deleting blocks: every reachable block seeded once in postorder, FIFO
+   re-visits of the predecessors of a block whose LIVEIN grew.  Both
+   schedules must reach the same least fixpoint, hence the same COPY
+   sets, for the same INSERT/DELETE decision. *)
+let copies_all_seeded g local ~insert_edges ~deletes =
+  let n = Local.nbits local in
+  let adj = Cfg.adjacency g in
+  let empty = Bitvec.create n in
+  let find l k = Option.value (List.assoc_opt k l) ~default:empty in
+  let livein = Array.init adj.Cfg.adj_bound (fun _ -> Bitvec.create n) in
+  let liveout = Array.init adj.Cfg.adj_bound (fun _ -> Bitvec.create n) in
+  let queue = Queue.create () and queued = Array.make adj.Cfg.adj_bound false in
+  let enqueue l =
+    if adj.Cfg.adj_rpo_pos.(l) >= 0 && not queued.(l) then begin
+      queued.(l) <- true;
+      Queue.add l queue
+    end
+  in
+  List.iter enqueue adj.Cfg.adj_post;
+  while not (Queue.is_empty queue) do
+    let b = Queue.pop queue in
+    queued.(b) <- false;
+    let out = Bitvec.create n in
+    Array.iter
+      (fun s -> ignore (Bitvec.union_into ~into:out (Bitvec.diff livein.(s) (find insert_edges (b, s)))))
+      adj.Cfg.adj_succ.(b);
+    ignore (Bitvec.blit ~src:out ~dst:liveout.(b));
+    let inn = Bitvec.union (find deletes b) (Bitvec.diff out (Local.comp local b)) in
+    if Bitvec.blit ~src:inn ~dst:livein.(b) then Array.iter enqueue adj.Cfg.adj_pred.(b)
+  done;
+  List.filter_map
+    (fun b ->
+      let v = Bitvec.inter (Local.comp local b) liveout.(b) in
+      let v = Bitvec.diff v (Bitvec.inter (find deletes b) (Local.transp local b)) in
+      if Bitvec.is_empty v then None else Some (b, v))
+    adj.Cfg.adj_labels
+
+let check_copies g =
+  let a = Lcm_edge.analyze g in
+  let expected =
+    copies_all_seeded g a.Lcm_edge.local ~insert_edges:a.Lcm_edge.insert ~deletes:a.Lcm_edge.delete
+  in
+  List.for_all
+    (fun scratch ->
+      same_sets "COPY"
+        (Lcm_core.Copy_analysis.copies ?scratch g a.Lcm_edge.local ~insert_edges:a.Lcm_edge.insert
+           ~deletes:a.Lcm_edge.delete)
+        expected)
+    [ None; Some (Arena.create ()) ]
+
+let prop_copies_random =
+  QCheck2.Test.make ~name:"COPY: deleting-block seeding ≡ all-block seeding (random CFGs)" ~count:100
+    (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let rng = Prng.of_int (seed + 3141) in
+      let num_blocks = Prng.int_in rng 3 60 in
+      check_copies (Lcm_eval.Gencfg.random_cfg ~params:{ Lcm_eval.Gencfg.default_cfg_params with num_blocks } rng))
+
+let test_copies_corpus () =
+  List.iter
+    (fun (name, g) -> Alcotest.(check bool) name true (check_copies g))
+    (Test_solver.bril_corpus () @ List.map (fun w -> (w.Suites.name, Suites.graph w)) Suites.all)
+
 let suite =
   [
     Alcotest.test_case "diamond golden sets" `Quick test_diamond_golden;
@@ -359,4 +422,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cascade_random;
     Alcotest.test_case "fused cascade ≡ set-algebra reference (suites, Bril corpus)" `Quick
       test_cascade_corpus;
+    QCheck_alcotest.to_alcotest prop_copies_random;
+    Alcotest.test_case "COPY: deleting-block seeding ≡ all-block seeding (Bril corpus)" `Quick
+      test_copies_corpus;
   ]

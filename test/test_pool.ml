@@ -1,6 +1,7 @@
-(* The domain pool: batch execution, nesting, exception propagation, and
-   the thread-safety of the two lazily-built shared structures the parallel
-   engines rely on (Cfg's adjacency snapshot, Expr_pool's reading memo). *)
+(* The domain pool: batch execution, the nested-run refusal, exception
+   propagation, and the thread-safety of the two lazily-built shared
+   structures the engines rely on (Cfg's adjacency snapshot, Expr_pool's
+   reading memo). *)
 
 module Pool = Lcm_support.Pool
 module Prng = Lcm_support.Prng
@@ -30,23 +31,28 @@ let test_empty_batch () =
   with_pool 2 (fun pool -> Pool.run pool []);
   with_pool 1 (fun pool -> Pool.run pool [])
 
-let test_nested_run () =
-  (* Pass-level overlap on top of slice fan-out: tasks submit sub-batches
-     to the same pool.  Must complete (help-drain, no deadlock) and run
-     every leaf. *)
+let test_nested_run_refused () =
+  (* A task may not submit a batch to its own pool, on any path: the
+     single-task fast path, the sequential fallback and the queue.  The
+     refusal is the task's failure, re-raised by the outer [run]. *)
   List.iter
-    (fun n ->
+    (fun (n, width) ->
       with_pool n (fun pool ->
-          let slots = Array.make 64 0 in
-          Pool.run pool
-            (List.init 8 (fun outer () ->
-                 Pool.run pool
-                   (List.init 8 (fun inner () -> slots.((outer * 8) + inner) <- 1))));
-          Alcotest.(check int)
-            (Printf.sprintf "nested leaves (%d domains)" n)
-            64
-            (Array.fold_left ( + ) 0 slots)))
-    [ 1; 2; 4 ]
+          let refused =
+            match
+              Pool.run pool (List.init width (fun _ () -> Pool.run pool [ ignore; ignore ]))
+            with
+            | () -> false
+            | exception Invalid_argument _ -> true
+          in
+          Alcotest.(check bool) (Printf.sprintf "refused (%d domains, %d tasks)" n width) true refused;
+          (* The pool is still usable, and a task may use another pool. *)
+          let hits = Atomic.make 0 in
+          with_pool 2 (fun other ->
+              Pool.run pool
+                (List.init 4 (fun _ () -> Pool.run other [ (fun () -> Atomic.incr hits); ignore ])));
+          Alcotest.(check int) "other pool inside a task" 4 (Atomic.get hits)))
+    [ (1, 1); (1, 3); (4, 1); (4, 3) ]
 
 exception Boom of int
 
@@ -68,28 +74,6 @@ let test_exception_propagates () =
           Pool.run pool [ (fun () -> incr completed) ];
           Alcotest.(check int) "pool alive after failure" 10 !completed))
     [ 1; 4 ]
-
-let test_parallel_for () =
-  List.iter
-    (fun n ->
-      with_pool n (fun pool ->
-          let slots = Array.make 1000 0 in
-          Pool.parallel_for pool ~chunk:64 1000 (fun i -> slots.(i) <- slots.(i) + 1);
-          Alcotest.(check int)
-            (Printf.sprintf "each index once (%d domains)" n)
-            1000
-            (Array.fold_left ( + ) 0 slots)))
-    [ 1; 3 ]
-
-let test_default_pool () =
-  let p = Pool.default () in
-  Alcotest.(check bool) "default size positive" true (Pool.size p >= 1);
-  Alcotest.(check bool) "default size = default_size" true (Pool.size p = Pool.default_size ());
-  let hits = Array.make 8 false in
-  Pool.run p (List.init 8 (fun i () -> hits.(i) <- true));
-  Alcotest.(check bool) "default pool runs" true (Array.for_all Fun.id hits);
-  (* Same pool on every call. *)
-  Alcotest.(check bool) "memoized" true (p == Pool.default ())
 
 (* --- regression: lazily-built shared state under domain fan-out -------- *)
 
@@ -164,10 +148,8 @@ let suite =
   [
     Alcotest.test_case "run executes every task" `Quick test_runs_all_tasks;
     Alcotest.test_case "empty batch" `Quick test_empty_batch;
-    Alcotest.test_case "nested run (no deadlock)" `Quick test_nested_run;
+    Alcotest.test_case "nested run refused" `Quick test_nested_run_refused;
     Alcotest.test_case "task exceptions re-raised, pool survives" `Quick test_exception_propagates;
-    Alcotest.test_case "parallel_for covers the range once" `Quick test_parallel_for;
-    Alcotest.test_case "default pool" `Quick test_default_pool;
     Alcotest.test_case "adjacency snapshot under domain fan-out" `Quick test_adjacency_hammer;
     Alcotest.test_case "Expr_pool.reading memo under domain fan-out" `Quick test_reading_memo_hammer;
   ]

@@ -410,41 +410,96 @@ let prop_kernel_equals_reference =
             shapes)
         kernel_widths)
 
-(* Restart after a patch: the rows of one block change (a body edit) or a
-   block's terminator is redirected (a shape edit). *)
-let prop_resolve_equals_reference =
-  QCheck2.Test.make ~name:"GEN/KEEP kernel ≡ closure reference (resolve after body/shape edits)"
+(* Restart after a chain of patches: each round edits the rows of one
+   block (a body edit, in new row tables as the serving path builds them),
+   redirects a block's terminator (which can make blocks unreachable or
+   reachable again) or appends a block.  The change-driven restart must
+   land on the rows of a from-scratch solve and of the former
+   reset-the-closure restart ([Reference.resolve]), report exactly the
+   blocks whose rows changed, and leave the capture it restarted from
+   untouched. *)
+let rows_of g (r : Solver.result) =
+  List.map (fun l -> (l, Bitvec.copy (r.Solver.block_in l), Bitvec.copy (r.Solver.block_out l))) (Cfg.labels g)
+
+let random_round rng g (spec : Solver.spec) nbits =
+  let labels = Array.of_list (Cfg.labels g) in
+  let pick () = labels.(Prng.int rng (Array.length labels)) in
+  let l = pick () in
+  let gen = Array.copy spec.Solver.gen and keep = Array.copy spec.Solver.keep in
+  match Prng.int rng 3 with
+  | 0 when not (Label.equal l (Cfg.exit_label g)) ->
+    let target = pick () in
+    let old = Cfg.successors g l in
+    Cfg.set_term g l (Cfg.Goto target);
+    ({ spec with Solver.gen; keep }, (l :: old) @ Cfg.successors g l)
+  | 1 ->
+    let target = pick () in
+    let n = Cfg.add_block g ~instrs:[] ~term:(Cfg.Goto target) in
+    let gen = Array.append gen [| random_vec rng nbits ~den:4 |] in
+    let keep = Array.append keep [| Bitvec.complement (random_vec rng nbits ~den:4) |] in
+    assert (Array.length gen = n + 1);
+    ({ spec with Solver.gen; keep }, [ n; target ])
+  | _ ->
+    (* Flip a few bits of GEN and KEEP: some gained, some lost. *)
+    gen.(l) <- Bitvec.copy gen.(l);
+    keep.(l) <- Bitvec.copy keep.(l);
+    for _ = 1 to 1 + Prng.int rng 3 do
+      let i = Prng.int rng nbits in
+      if Prng.bool rng then Bitvec.set gen.(l) i (not (Bitvec.get gen.(l) i))
+      else Bitvec.set keep.(l) i (not (Bitvec.get keep.(l) i))
+    done;
+    ({ spec with Solver.gen; keep }, [ l ])
+
+let prop_restart_equals_reference =
+  QCheck2.Test.make ~name:"GEN/KEEP kernel ≡ closure reference (restart after body/shape edits)"
     ~count:60 seed_gen (fun seed ->
       let rng = Prng.of_int (seed + 8111) in
       let g = kernel_graph rng in
       let nbits = Prng.choose_list rng kernel_widths in
       List.for_all
         (fun shape ->
-          let spec = random_spec rng g shape nbits in
-          let _, saved = Solver.run_saved g spec in
-          let _, rsaved = Reference.run_saved g (Reference.of_spec spec) in
-          let g' = Cfg.copy g in
-          let labels = Array.of_list (Cfg.labels g') in
-          let pick () = labels.(Prng.int rng (Array.length labels)) in
-          let l = pick () in
-          let dirty =
-            if Prng.bool rng || Label.equal l (Cfg.exit_label g') then begin
-              spec.Solver.gen.(l) <- random_vec rng nbits ~den:2;
-              [ l ]
-            end
-            else begin
-              let target = pick () in
-              let old = Cfg.successors g' l in
-              Cfg.set_term g' l (Cfg.Goto target);
-              (l :: target :: old) @ Cfg.predecessors g' l
-            end
-          in
-          match Solver.resolve g' spec ~prev:saved ~dirty with
-          | None -> QCheck2.Test.fail_report "resolve refused an admissible capture"
-          | Some (r, _, region) ->
-            let r', _, region' = Reference.resolve g' (Reference.of_spec spec) ~prev:rsaved ~dirty in
-            (same_result g' r r' && region = region')
-            || QCheck2.Test.fail_reportf "resolve mismatch at %d bits" nbits)
+          let g = Cfg.copy g in
+          let spec = ref (random_spec rng g shape nbits) in
+          let r0, saved0 = Solver.run_saved g !spec in
+          let _, rsaved0 = Reference.run_saved g (Reference.of_spec !spec) in
+          let state = ref (r0, saved0, rsaved0) in
+          List.for_all
+            (fun round ->
+              let prev_r, saved, rsaved = !state in
+              let before = rows_of g prev_r in
+              let old_bound = Cfg.label_bound g in
+              let spec', dirty = random_round rng g !spec nbits in
+              spec := spec';
+              match Solver.restart g spec' ~prev:saved ~dirty with
+              | None -> QCheck2.Test.fail_report "restart refused an admissible capture"
+              | Some (r, saved', changed) ->
+                let r', rsaved', _ = Reference.resolve g (Reference.of_spec spec') ~prev:rsaved ~dirty in
+                let expected_changed =
+                  List.length
+                    (List.filter
+                       (fun l ->
+                         l >= old_bound
+                         || not
+                              (List.exists
+                                 (fun (l', i, o) ->
+                                   Label.equal l l'
+                                   && Bitvec.equal i (r.Solver.block_in l)
+                                   && Bitvec.equal o (r.Solver.block_out l))
+                                 before))
+                       (Cfg.labels g))
+                in
+                state := (r, saved', rsaved');
+                (same_rows g r (Solver.run g spec') && same_rows g r r'
+                || QCheck2.Test.fail_reportf "restart mismatch at %d bits, round %d" nbits round)
+                && (changed = expected_changed
+                   || QCheck2.Test.fail_reportf "restart reported %d changed rows, expected %d" changed
+                        expected_changed)
+                && (List.for_all
+                      (fun (l, i, o) ->
+                        Bitvec.equal i (prev_r.Solver.block_in l) && Bitvec.equal o (prev_r.Solver.block_out l))
+                      before
+                   || QCheck2.Test.fail_reportf "restart wrote into the capture it restarted from"))
+            (List.init 8 Fun.id))
         shapes)
 
 (* The Bril corpus: every function's real AVAIL/ANTIC rows (and the
@@ -614,7 +669,7 @@ let suite =
     Alcotest.test_case "lcm-edge placement ≡ naive reference (random)" `Quick
       test_lcm_matches_reference_random;
     QCheck_alcotest.to_alcotest prop_kernel_equals_reference;
-    QCheck_alcotest.to_alcotest prop_resolve_equals_reference;
+    QCheck_alcotest.to_alcotest prop_restart_equals_reference;
     Alcotest.test_case "GEN/KEEP kernel ≡ closure reference (Bril corpus)" `Quick
       test_kernel_bril_corpus;
   ]
