@@ -64,6 +64,7 @@ type size_result = {
   decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
   bril_parse_w_per_kb : float;  (* Bril.parse_program of the graph, words per KB of Bril text *)
   delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
+  delta_e2e_w : float;  (* the same delta end to end: copy, patch, solve, transform, counts, print, encode *)
 }
 
 let overhead_p95 r = (r.on_p95_ms /. r.off_p95_ms) -. 1.
@@ -218,25 +219,56 @@ let measure_size ~blocks ~iters =
      is unchanged), and [analyze_incr] restarts from the capture of the
      unpatched graph, building the delta's capture.  The capture is never
      written, so every repetition does the same work. *)
+  let _, saved = Lcm_core.Lcm_edge.analyze_keep g in
+  let l, e =
+    List.find_map
+      (fun l ->
+        List.find_map (fun i -> Option.map (fun e -> (l, e)) (Lcm_ir.Instr.candidate i)) (Cfg.instrs g l))
+      (Cfg.labels g)
+    |> Option.get
+  in
+  let edit = [ Lcm_cfg.Patch.Set_instrs (l, Cfg.instrs g l @ [ Lcm_ir.Instr.Assign ("zdelta", e) ]) ] in
+  let incr_solve a g' ~dirty =
+    match Lcm_core.Lcm_edge.analyze_incr ~scratch:a g' ~prev:saved ~dirty with
+    | Some r -> r
+    | None -> failwith "EXP-TRACE: the measured delta changed the candidate pool"
+  in
   let delta_incr_w =
-    let _, saved = Lcm_core.Lcm_edge.analyze_keep g in
     let g' = Cfg.copy g in
-    let l, e =
-      List.find_map
-        (fun l ->
-          List.find_map (fun i -> Option.map (fun e -> (l, e)) (Lcm_ir.Instr.candidate i)) (Cfg.instrs g l))
-        (Cfg.labels g)
-      |> Option.get
-    in
-    let dirty =
-      Lcm_cfg.Patch.apply g'
-        [ Lcm_cfg.Patch.Set_instrs (l, Cfg.instrs g l @ [ Lcm_ir.Instr.Assign ("zdelta", e) ]) ]
-    in
+    let dirty = Lcm_cfg.Patch.apply g' edit in
     alloc_per_request ~warm:5 ~iters:alloc_iters (fun () ->
         Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a ->
-            match Lcm_core.Lcm_edge.analyze_incr ~scratch:a g' ~prev:saved ~dirty with
-            | Some _ -> ()
-            | None -> failwith "EXP-TRACE: the measured delta changed the candidate pool"))
+            ignore (incr_solve a g' ~dirty)))
+  in
+  (* The whole delta, as the engine serves it: copy the retained graph
+     (whose memos the retain response filled), patch the copy, restart the
+     analysis, transform, count both graphs, print and encode the
+     response.  Every repetition patches a fresh copy of the same graph. *)
+  let delta_e2e_w =
+    ignore (Cfg.to_string g);
+    ignore (Lcm_eval.Metrics.static_counts g);
+    alloc_per_request ~warm:5 ~iters:alloc_iters (fun () ->
+        let g' = Cfg.copy g in
+        let dirty = Lcm_cfg.Patch.apply g' edit in
+        Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a ->
+            let an, _, region = incr_solve a g' ~dirty in
+            let out, _ = Lcm_core.Transform.apply g' (Lcm_core.Lcm_edge.spec g' an) in
+            let before = Lcm_eval.Metrics.static_counts g' in
+            let after = Lcm_eval.Metrics.static_counts out in
+            let solve =
+              Json.Obj
+                [
+                  ("mode", Json.String "incremental");
+                  ("blocks", Json.Int (Cfg.num_blocks g'));
+                  ("region_blocks", Json.Int region);
+                  ("visits", Json.Int an.Lcm_core.Lcm_edge.visits);
+                ]
+            in
+            ignore
+              (Lcm_server.Protocol.ok_delta ~id:(Json.Int 1) ~trace_id:"t-1" ~algorithm:"lcm-edge"
+                 ~validated:false
+                 ~extra:[ ("handle", Json.String "h0-1"); ("solve", solve) ]
+                 ~program:(Cfg.to_string out) ~before ~after ~timing:None ())))
   in
   {
     blocks;
@@ -257,6 +289,7 @@ let measure_size ~blocks ~iters =
     decode_w_per_kb;
     bril_parse_w_per_kb;
     delta_incr_w;
+    delta_e2e_w;
   }
 
 let disabled_probe_ns () =
@@ -501,7 +534,9 @@ let print_alloc_rows rows =
   List.iter
     (fun r ->
       Common.note "  %4d blocks  one body delta (analyze_incr + capture, arena) %8.0f w" r.blocks
-        r.delta_incr_w)
+        r.delta_incr_w;
+      Common.note "  %4d blocks  one body delta end to end (copy .. encoded response)  %8.0f w" r.blocks
+        r.delta_e2e_w)
     rows;
   List.iter
     (fun r ->
@@ -536,6 +571,8 @@ let print_alloc_rows rows =
      in words per KB of text, fenced like the two above.
    - "delta.incr.w": [analyze_incr] of one admissible single-block body
      delta on the arena path, the capture it builds included — fenced.
+   - "delta.e2e.w": the same delta end to end, from the copy of the
+     retained graph through the encoded response — fenced.
    - any other key: matched against the traced per-phase profile (span
      accounting; indicative, coarser than the fenced numbers). *)
 
@@ -575,6 +612,7 @@ let check_alloc_budget rows =
               | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
               | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
               | "delta.incr.w" -> Some r.delta_incr_w
+              | "delta.e2e.w" -> Some r.delta_e2e_w
               | _ -> phase_alloc r.prof_arena name
             in
             let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
@@ -617,6 +655,7 @@ let json_of_size r =
       ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
       ("bril_parse_w_per_kb", Json.Float (Float.round r.bril_parse_w_per_kb));
       ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
+      ("delta_e2e_w", Json.Float (Float.round r.delta_e2e_w));
       ("phases", Prof.to_json r.prof);
       ("phases_arena", Prof.to_json r.prof_arena);
     ]

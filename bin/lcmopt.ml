@@ -400,6 +400,16 @@ let serve_cmd stdio socket queue batch max_frame deadline_ms workers no_timing q
     prerr_endline "serve: provide either --stdio or --socket, not both";
     1
   | _ ->
+    let workers =
+      match workers with
+      | None -> Lcm_support.Pool.default_size ()
+      | Some w ->
+        let cores = Domain.recommended_domain_count () in
+        let w' = Lcm_support.Pool.clamp_workers ~cores w in
+        if w' <> w && not quiet then
+          Printf.eprintf "serve: --workers %d exceeds the host's %d cores; using %d\n%!" w cores w';
+        w'
+    in
     let daemon_cfg ~state_file =
       {
         (Daemon.default_config ()) with
@@ -407,7 +417,7 @@ let serve_cmd stdio socket queue batch max_frame deadline_ms workers no_timing q
         batch_max = batch;
         max_frame;
         default_deadline_ms = deadline_ms;
-        workers = (match workers with Some w -> w | None -> Lcm_support.Pool.default_size ());
+        workers;
         no_timing;
         quiet;
         (* A standalone binary may die of chaos (that is what the
@@ -902,7 +912,9 @@ let serve_term =
       value
       & opt (some int) None
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Domain-pool size (default: \\$LCM_DOMAINS or the host's core count, capped at 8).")
+          ~doc:
+            "Domain-pool size, at most the host's core count (default: \\$LCM_DOMAINS or the \
+             host's core count, capped at 8).")
   in
   let no_timing =
     Arg.(value & flag & info [ "no-timing" ] ~doc:"Omit timing fields from responses (golden tests).")

@@ -7,11 +7,6 @@ type terminator =
   | Branch of Expr.operand * Label.t * Label.t
   | Halt
 
-(* [tail_rev] holds appended instructions in reverse; [force_block] folds it
-   back into [instrs] on demand, so a burst of [append_instr] calls is O(1)
-   amortized instead of O(n²) list concatenation. *)
-type block = { mutable instrs : Instr.t list; mutable tail_rev : Instr.t list; mutable term : terminator }
-
 type adjacency = {
   adj_version : int;
   adj_bound : int;
@@ -29,17 +24,114 @@ type adjacency = {
   adj_fin : int array;
 }
 
+type counts = { n_instrs : int; n_candidates : int; n_copies : int }
+
+(* A block's counts, plus its variables' share of the temp prefix
+   ([Fresh.run temp_seed] maximised over the names it mentions); summed
+   (and maximised) over a graph, the graph's totals.  A [temp_run] of -1
+   in a graph's totals means the maximum is not known. *)
+type summary = { s_instrs : int; s_candidates : int; s_copies : int; temp_run : int }
+
+(* One block.  The contents are immutable: an edit replaces the record in
+   its slot, so [copy] can share every record and a mutation of either
+   graph never shows through in the other.  The two mutable fields are
+   memos of the contents, filled on first use:
+   - [text]: the block's canonical rendering, ["\nBn:"], then ["\n  "]
+     and each instruction, then ["\n  "] and the terminator ([""] until
+     rendered; a rendered block is never empty).  It names the block's
+     label, so a record lives in one slot only.
+   - [summary]: its counts and temp-prefix run ([no_summary] until
+     counted).
+   Filling a memo is idempotent — every domain that races to fill one
+   computes the same value from the same immutable contents, and a record
+   or string is published whole — so records shared between graphs, or
+   read by several domains, need no lock. *)
+type block = {
+  instrs : Instr.t list;
+  term : terminator;
+  mutable text : string;
+  mutable summary : summary;
+}
+
+let no_summary = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
+let zero = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
+
+(* The content of a free slot: a removed block, or capacity beyond
+   [next_label].  Compared physically; its memos are never filled. *)
+let dead = { instrs = []; term = Halt; text = ""; summary = no_summary }
+
+let block instrs term = { instrs; term; text = ""; summary = no_summary }
+
+(* ---- per-block summaries ---- *)
+
+let temp_seed = "_h"
+
+(* One walk over the block's instructions: the counts, and the longest
+   temp-prefix run over every variable occurrence (duplicates do not
+   change a maximum). *)
+let summarize b =
+  let n_instrs = ref 0 and n_candidates = ref 0 and n_copies = ref 0 and run = ref 0 in
+  let note v =
+    let r = Lcm_support.Fresh.run temp_seed v in
+    if r > !run then run := r
+  in
+  let operand = function
+    | Expr.Var v -> note v
+    | Expr.Const _ -> ()
+  in
+  List.iter
+    (fun i ->
+      incr n_instrs;
+      match i with
+      | Instr.Assign (v, e) ->
+        if Expr.is_candidate e then incr n_candidates else incr n_copies;
+        note v;
+        (match e with
+        | Expr.Atom a | Expr.Unary (_, a) -> operand a
+        | Expr.Binary (_, a, b) ->
+          operand a;
+          operand b)
+      | Instr.Print a -> operand a
+      | Instr.Effect e ->
+        (match e.Instr.eff_dest with
+        | Some (v, _) -> note v
+        | None -> ());
+        List.iter operand e.Instr.eff_args)
+    b.instrs;
+  (match b.term with
+  | Branch (a, _, _) -> operand a
+  | Goto _ | Halt -> ());
+  { s_instrs = !n_instrs; s_candidates = !n_candidates; s_copies = !n_copies; temp_run = !run }
+
+let summary b =
+  if b.summary != no_summary then b.summary
+  else begin
+    let s = summarize b in
+    b.summary <- s;
+    s
+  end
+
 type t = {
   name : string;
-  blocks : (Label.t, block) Hashtbl.t;
-  mutable order : Label.t list;  (* reversed allocation order *)
+  (* Label-indexed: labels are allocated densely in ascending order, so
+     ascending slot order is allocation order. *)
+  mutable slots : block array;
   mutable next_label : int;
+  mutable live : int;
+  (* The blocks' summaries folded over the graph ([no_summary] until a
+     fold computes them); once known, every slot write keeps them current
+     from the old and new block's summaries, so the folds below are O(1)
+     on a graph, or a copy of one, that has been folded before. *)
+  mutable totals : summary;
   entry : Label.t;
   exit_label : Label.t;
   (* Shape version: bumped by every mutation that can change the edge set or
      block set.  The adjacency cache below is rebuilt when it outruns
      [adj.adj_version]. *)
   mutable version : int;
+  (* The shape version at which a full [Validate.check] last passed (or
+     [split_edge] proved it still would); -1 when none has. *)
+  mutable valid_at : int;
   mutable adj : adjacency option;
   (* Guards the lazy build of [adj] only: read-only consumers on several
      domains may race to the first [adjacency] call on a shared graph.  Mutations themselves remain
@@ -59,14 +151,46 @@ let entry g = g.entry
 let exit_label g = g.exit_label
 let name g = g.name
 let version g = g.version
+let validated g = g.valid_at = g.version
+let mark_validated g = g.valid_at <- g.version
 
 let bump g = g.version <- g.version + 1
 
+(* Every write of a slot goes through here, to keep known totals current.
+   The maximum stays known unless the block that held it is replaced by
+   one with a shorter run. *)
+let set_slot g l b =
+  let old = g.slots.(l) in
+  g.slots.(l) <- b;
+  let t = g.totals in
+  if t != no_summary then begin
+    let o = if old == dead then zero else summary old in
+    let n = if b == dead then zero else summary b in
+    let temp_run =
+      if t.temp_run < 0 then -1
+      else if n.temp_run >= t.temp_run then n.temp_run
+      else if o.temp_run < t.temp_run then t.temp_run
+      else -1
+    in
+    g.totals <-
+      {
+        s_instrs = t.s_instrs - o.s_instrs + n.s_instrs;
+        s_candidates = t.s_candidates - o.s_candidates + n.s_candidates;
+        s_copies = t.s_copies - o.s_copies + n.s_copies;
+        temp_run;
+      }
+  end
+
 let alloc g instrs term =
   let l = g.next_label in
+  if l = Array.length g.slots then begin
+    let grown = Array.make (2 * l) dead in
+    Array.blit g.slots 0 grown 0 l;
+    g.slots <- grown
+  end;
+  set_slot g l (block instrs term);
   g.next_label <- l + 1;
-  Hashtbl.replace g.blocks l { instrs; tail_rev = []; term };
-  g.order <- l :: g.order;
+  g.live <- g.live + 1;
   bump g;
   l
 
@@ -74,12 +198,14 @@ let create ?(name = "main") () =
   let g =
     {
       name;
-      blocks = Hashtbl.create 64;
-      order = [];
+      slots = Array.make 16 dead;
       next_label = 0;
+      live = 0;
+      totals = no_summary;
       entry = 0;
       exit_label = 1;
       version = 0;
+      valid_at = -1;
       adj = None;
       adj_lock = Mutex.create ();
       iversion = 0;
@@ -90,64 +216,64 @@ let create ?(name = "main") () =
   let entry = alloc g [] Halt in
   let exit_l = alloc g [] Halt in
   assert (entry = g.entry && exit_l = g.exit_label);
-  (Hashtbl.find g.blocks entry).term <- Goto exit_l;
+  set_slot g entry (block [] (Goto exit_l));
   g
 
 let add_block g ~instrs ~term = alloc g instrs term
 
-let mem g l = Hashtbl.mem g.blocks l
+let mem g l = l >= 0 && l < g.next_label && g.slots.(l) != dead
 
 let find g l what =
-  (* Exception form rather than [find_opt]: block lookup runs once per
-     block per analysis phase, and the [Some] per hit adds up. *)
-  match Hashtbl.find g.blocks l with
-  | b -> b
-  | exception Not_found -> invalid_arg (Printf.sprintf "Cfg.%s: unknown label B%d" what l)
+  if mem g l then g.slots.(l) else invalid_arg (Printf.sprintf "Cfg.%s: unknown label B%d" what l)
 
-let force_block b =
-  if b.tail_rev <> [] then begin
-    b.instrs <- b.instrs @ List.rev b.tail_rev;
-    b.tail_rev <- []
-  end
+(* Live blocks in allocation order, without building a list. *)
+let iter_blocks g f =
+  for l = 0 to g.next_label - 1 do
+    let b = Array.unsafe_get g.slots l in
+    if b != dead then f l b
+  done
 
-let instrs g l =
-  let b = find g l "instrs" in
-  force_block b;
-  b.instrs
-
+let instrs g l = (find g l "instrs").instrs
 let term g l = (find g l "term").term
 
 let ibump g = g.iversion <- g.iversion + 1
 
 let set_instrs g l is =
   let b = find g l "set_instrs" in
-  b.instrs <- is;
-  b.tail_rev <- [];
+  set_slot g l (block is b.term);
   ibump g
 
 let set_term g l t =
-  (find g l "set_term").term <- t;
+  let b = find g l "set_term" in
+  set_slot g l (block b.instrs t);
   bump g
 
 let append_instr g l i =
   let b = find g l "append_instr" in
-  b.tail_rev <- i :: b.tail_rev;
+  set_slot g l (block (b.instrs @ [ i ]) b.term);
   ibump g
 
 let prepend_instr g l i =
   let b = find g l "prepend_instr" in
-  b.instrs <- i :: b.instrs;
+  set_slot g l (block (i :: b.instrs) b.term);
   ibump g
+
+let labels_of_slots g =
+  let acc = ref [] in
+  for l = g.next_label - 1 downto 0 do
+    if g.slots.(l) != dead then acc := l :: !acc
+  done;
+  !acc
 
 (* Serve from the adjacency snapshot when it is warm: steady-state solves
    call this several times per request, and rebuilding the list each time
-   costs ~3 words per block.  Cold (or mid-mutation) graphs keep the
-   historical fresh build. *)
+   costs ~3 words per block.  Cold (or mid-mutation) graphs build it from
+   the slots. *)
 let labels g =
   match g.adj with
   | Some a when a.adj_version = g.version -> a.adj_labels
-  | Some _ | None -> List.rev g.order
-let num_blocks g = Hashtbl.length g.blocks
+  | Some _ | None -> labels_of_slots g
+let num_blocks g = g.live
 let label_bound g = g.next_label
 
 let successors_of_term = function
@@ -164,9 +290,9 @@ let successors g l = successors_of_term (term g l)
    criticality) reads this snapshot instead of re-deriving lists. *)
 let build_adjacency g =
   let bound = g.next_label in
-  let labels = List.rev g.order in
+  let labels = labels_of_slots g in
   let succ = Array.make bound [||] in
-  List.iter (fun l -> succ.(l) <- Array.of_list (successors g l)) labels;
+  iter_blocks g (fun l b -> succ.(l) <- Array.of_list (successors_of_term b.term));
   (* Predecessors, in allocation order of the source block (the order the
      old per-call cache produced). *)
   let pred_count = Array.make bound 0 in
@@ -281,41 +407,60 @@ let is_critical_edge g (src, dst) =
   let adj = adjacency g in
   Array.length adj.adj_succ.(src) > 1 && Array.length adj.adj_pred.(dst) > 1
 
+(* On a validated graph the split keeps the mark, because every fact
+   [Validate.check] tests still holds: the fresh block is live, does not
+   halt, is not the exit, and targets [dst], which is live and is not the
+   entry (so the entry still has no predecessor and is still first); [src]
+   is not the exit, so it still does not halt; and since the edge became
+   a path through the fresh block, the same blocks stay reachable — [src]
+   is reachable (every non-exit block of a valid graph is), hence so is
+   the fresh block.  Checking the local facts is O(1); the full check
+   would rebuild the adjacency. *)
 let split_edge g src dst =
   let b = find g src "split_edge" in
-  if not (List.exists (Label.equal dst) (successors g src)) then
+  if not (List.exists (Label.equal dst) (successors_of_term b.term)) then
     invalid_arg (Printf.sprintf "Cfg.split_edge: no edge B%d -> B%d" src dst);
+  let was_valid = validated g in
   let fresh = alloc g [] (Goto dst) in
   let redirect l = if Label.equal l dst then fresh else l in
-  (match b.term with
-  | Goto l -> b.term <- Goto (redirect l)
-  | Branch (c, l1, l2) -> b.term <- Branch (c, redirect l1, redirect l2)
-  | Halt -> assert false);
+  let term =
+    match b.term with
+    | Goto l -> Goto (redirect l)
+    | Branch (c, l1, l2) -> Branch (c, redirect l1, redirect l2)
+    | Halt -> assert false
+  in
+  (* Redirecting changes neither the body nor the branch operand: the
+     counts still hold, only the text names the new target. *)
+  set_slot g src { b with term; text = "" };
   bump g;
+  if
+    was_valid
+    && (not (Label.equal src g.exit_label))
+    && (not (Label.equal dst g.entry))
+    && mem g dst
+  then mark_validated g;
   fresh
 
-let reachable_set g =
-  let seen = Hashtbl.create 64 in
+let remove_unreachable g =
+  let keep = Array.make g.next_label false in
   let rec go l =
-    if not (Hashtbl.mem seen l) then begin
-      Hashtbl.add seen l ();
+    if mem g l && not keep.(l) then begin
+      keep.(l) <- true;
       List.iter go (successors g l)
     end
   in
   go g.entry;
-  seen
-
-let remove_unreachable g =
-  let keep = reachable_set g in
   (* The exit block must survive even if no path reaches it (e.g. an
      infinite loop); analyses rely on its existence. *)
-  Hashtbl.replace keep g.exit_label ();
-  let dead = Hashtbl.fold (fun l _ acc -> if Hashtbl.mem keep l then acc else l :: acc) g.blocks [] in
-  if dead <> [] then begin
-    List.iter (Hashtbl.remove g.blocks) dead;
-    g.order <- List.filter (fun l -> Hashtbl.mem keep l) g.order;
-    bump g
-  end
+  keep.(g.exit_label) <- true;
+  let removed = ref false in
+  iter_blocks g (fun l _ ->
+      if not keep.(l) then begin
+        set_slot g l dead;
+        g.live <- g.live - 1;
+        removed := true
+      end);
+  if !removed then bump g
 
 let merge_straight_pairs g =
   let changed = ref true in
@@ -331,39 +476,26 @@ let merge_straight_pairs g =
                  && List.length (predecessors g m) = 1 ->
             let mb = find g m "merge" in
             let lb = find g l "merge" in
-            force_block mb;
-            force_block lb;
-            lb.instrs <- lb.instrs @ mb.instrs;
-            lb.term <- mb.term;
-            Hashtbl.remove g.blocks m;
-            g.order <- List.filter (fun l' -> not (Label.equal l' m)) g.order;
+            set_slot g l (block (lb.instrs @ mb.instrs) mb.term);
+            set_slot g m dead;
+            g.live <- g.live - 1;
             bump g;
             changed := true
           | Goto _ | Branch _ | Halt -> ())
       (labels g)
   done
 
+(* Copy-on-write: the slot array is copied, the block records are shared.
+   A snapshot is immutable once built, so the copy also starts at the
+   source's shape version and shares its warm snapshot and its validation
+   mark: a retained graph's copy then validates and solves without
+   rebuilding the adjacency.  The copy's first shape edit bumps its own
+   version past both, so it builds a fresh snapshot and leaves the shared
+   one (still the source's) untouched. *)
 let copy g =
-  let blocks = Hashtbl.create (Hashtbl.length g.blocks) in
-  Hashtbl.iter
-    (fun l b ->
-      force_block b;
-      Hashtbl.replace blocks l { instrs = b.instrs; tail_rev = []; term = b.term })
-    g.blocks;
   {
-    name = g.name;
-    blocks;
-    order = g.order;
-    next_label = g.next_label;
-    entry = g.entry;
-    exit_label = g.exit_label;
-    (* A snapshot is immutable once built, so the copy starts at the
-       source's shape version and shares its warm snapshot: a retained
-       graph's copy then validates and solves without rebuilding the
-       adjacency.  The copy's first shape edit bumps its own version past
-       the snapshot's, so it builds a fresh one and leaves the shared
-       snapshot (still the source's) untouched. *)
-    version = g.version;
+    g with
+    slots = Array.copy g.slots;
     adj = (match g.adj with Some a when a.adj_version = g.version -> g.adj | Some _ | None -> None);
     adj_lock = Mutex.create ();
     iversion = 0;
@@ -373,15 +505,13 @@ let copy g =
 
 let build_candidate_pool g =
   let pool = Expr_pool.create () in
-  List.iter
-    (fun l ->
+  iter_blocks g (fun _ b ->
       List.iter
         (fun i ->
           match Instr.candidate i with
           | Some e -> ignore (Expr_pool.add pool e)
           | None -> ())
-        (instrs g l))
-    (labels g);
+        b.instrs);
   pool
 
 (* Locked cache fill, double-checked: a competitor may have completed the
@@ -417,27 +547,46 @@ let candidate_pool g =
 let all_vars g =
   let tbl = Hashtbl.create 64 in
   let note v = Hashtbl.replace tbl v () in
-  List.iter
-    (fun l ->
+  iter_blocks g (fun _ b ->
       List.iter
         (fun i ->
           Option.iter note (Instr.defs i);
           List.iter note (Instr.uses i))
-        (instrs g l);
-      match term g l with
+        b.instrs;
+      match b.term with
       | Branch (Expr.Var v, _, _) -> note v
-      | Branch (Expr.Const _, _, _) | Goto _ | Halt -> ())
-    (labels g);
+      | Branch (Expr.Const _, _, _) | Goto _ | Halt -> ());
   List.sort String.compare (Hashtbl.fold (fun v () acc -> v :: acc) tbl [])
 
-let num_instrs g = List.fold_left (fun acc l -> acc + List.length (instrs g l)) 0 (labels g)
+(* One fold of the blocks' memoised summaries, which then become the
+   maintained totals.  Filling [totals] is idempotent, like the block
+   memos. *)
+let fold_totals g =
+  let n_instrs = ref 0 and n_candidates = ref 0 and n_copies = ref 0 and run = ref 0 in
+  iter_blocks g (fun _ b ->
+      let s = summary b in
+      n_instrs := !n_instrs + s.s_instrs;
+      n_candidates := !n_candidates + s.s_candidates;
+      n_copies := !n_copies + s.s_copies;
+      if s.temp_run > !run then run := s.temp_run);
+  let t = { s_instrs = !n_instrs; s_candidates = !n_candidates; s_copies = !n_copies; temp_run = !run } in
+  g.totals <- t;
+  t
 
-let num_candidate_occurrences g =
-  List.fold_left
-    (fun acc l ->
-      acc
-      + List.length (List.filter (fun i -> Option.is_some (Instr.candidate i)) (instrs g l)))
-    0 (labels g)
+(* The sums stay exact when only the maximum run is unknown. *)
+let counts g =
+  let t = if g.totals != no_summary then g.totals else fold_totals g in
+  { n_instrs = t.s_instrs; n_candidates = t.s_candidates; n_copies = t.s_copies }
+
+let num_instrs g = (counts g).n_instrs
+let num_candidate_occurrences g = (counts g).n_candidates
+
+let temp_prefix g =
+  let t = g.totals in
+  let t = if t != no_summary && t.temp_run >= 0 then t else fold_totals g in
+  Lcm_support.Fresh.extend temp_seed t.temp_run
+
+(* ---- printing ---- *)
 
 let add_terminator buf = function
   | Goto l ->
@@ -457,39 +606,55 @@ let pp_terminator ppf t =
   add_terminator buf t;
   Format.pp_print_string ppf (Buffer.contents buf)
 
-let rec add_instr_lines buf = function
-  | [] -> ()
-  | i :: rest ->
+(* The block's text memo, rendered through [buf] (a scratch buffer the
+   caller reuses across blocks) on first use. *)
+let block_text buf l b =
+  if b.text <> "" then b.text
+  else begin
+    Buffer.clear buf;
+    Buffer.add_char buf '\n';
+    Label.add_to_buffer buf l;
+    Buffer.add_char buf ':';
+    List.iter
+      (fun i ->
+        Buffer.add_string buf "\n  ";
+        Instr.add_to_buffer buf i)
+      b.instrs;
     Buffer.add_string buf "\n  ";
-    Instr.add_to_buffer buf i;
-    add_instr_lines buf rest
+    add_terminator buf b.term;
+    let s = Buffer.contents buf in
+    b.text <- s;
+    s
+  end
 
-(* The graph's one printer, writing straight into a [Buffer]: a header
-   line, then per block (allocation order) its label line, its
-   instructions and its terminator, each indented by two spaces, with no
-   trailing newline.  The text is the canonical form [digest] hashes, so
-   it must stay byte-stable. *)
+(* The graph's one printer: a header line, then every block's memoised
+   text in allocation order, with no trailing newline.  An unchanged block
+   is not re-rendered, so printing a patched copy costs the edited blocks
+   plus one blit per block.  The text is the canonical form [digest]
+   hashes, so it must stay byte-stable. *)
 let to_string g =
-  let labels = labels g in
-  let lines = List.fold_left (fun n l -> n + 2 + List.length (instrs g l)) 1 labels in
-  let buf = Buffer.create (16 * lines) in
-  Buffer.add_string buf "cfg ";
-  Buffer.add_string buf g.name;
-  Buffer.add_string buf " (entry ";
-  Label.add_to_buffer buf g.entry;
-  Buffer.add_string buf ", exit ";
-  Label.add_to_buffer buf g.exit_label;
-  Buffer.add_char buf ')';
-  List.iter
-    (fun l ->
-      Buffer.add_char buf '\n';
-      Label.add_to_buffer buf l;
-      Buffer.add_char buf ':';
-      add_instr_lines buf (instrs g l);
-      Buffer.add_string buf "\n  ";
-      add_terminator buf (term g l))
-    labels;
-  Buffer.contents buf
+  let header =
+    let buf = Buffer.create 32 in
+    Buffer.add_string buf "cfg ";
+    Buffer.add_string buf g.name;
+    Buffer.add_string buf " (entry ";
+    Label.add_to_buffer buf g.entry;
+    Buffer.add_string buf ", exit ";
+    Label.add_to_buffer buf g.exit_label;
+    Buffer.add_char buf ')';
+    Buffer.contents buf
+  in
+  let scratch = Buffer.create 256 in
+  let len = ref (String.length header) in
+  iter_blocks g (fun l b -> len := !len + String.length (block_text scratch l b));
+  let out = Bytes.create !len in
+  Bytes.blit_string header 0 out 0 (String.length header);
+  let pos = ref (String.length header) in
+  iter_blocks g (fun _ b ->
+      let n = String.length b.text in
+      Bytes.blit_string b.text 0 out !pos n;
+      pos := !pos + n);
+  Bytes.unsafe_to_string out
 
 let pp ppf g = Format.pp_print_string ppf (to_string g)
 

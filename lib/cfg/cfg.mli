@@ -111,9 +111,15 @@ val remove_unreachable : t -> unit
     it.  Used to clean up after edge-split insertions. *)
 val merge_straight_pairs : t -> unit
 
-(** Deep copy (shares immutable instructions).  The copy starts at the
-    source's {!version} and shares its adjacency snapshot, if one is
-    built, until the copy's first shape edit. *)
+(** Copy-on-write copy, O(number of labels): the copy gets its own
+    label-indexed slot array and shares every block with the source.
+    Blocks are immutable — an edit of either graph replaces the block in
+    that graph's slot — so mutating one never changes the other's
+    instructions, text or summaries, and an untouched block keeps its
+    memoised text and counts in both.  The copy starts at the source's
+    {!version}, shares its adjacency snapshot (if one is built) until the
+    copy's first shape edit, and carries its validation mark
+    ({!validated}). *)
 val copy : t -> t
 
 (** All distinct candidate expressions of the graph, as a pool.  Memoized:
@@ -125,19 +131,67 @@ val candidate_pool : t -> Lcm_ir.Expr_pool.t
 (** Variables assigned or read anywhere in the graph. *)
 val all_vars : t -> string list
 
+(** {2 Validation mark}
+
+    [Validate.check] reads only the shape of a graph, so its verdict holds
+    until the shape changes.  The graph records the shape {!version} at
+    which a full check last passed: while the version is unchanged the
+    check is O(1).  Every shape edit bumps the version and so clears the
+    mark, except {!split_edge} on a marked graph, which re-marks after
+    checking the split's local facts (see DESIGN.md).  Only {!Validate}
+    sets the mark. *)
+
+(** [validated g] holds when a full structural check passed at the
+    current {!version}. *)
+val validated : t -> bool
+
+(** Record that a full structural check passed at the current
+    {!version}. *)
+val mark_validated : t -> unit
+
+(** {2 Per-block memo}
+
+    Each block lazily caches a summary of its immutable contents: its
+    rendered text (the part of {!to_string} it contributes), its
+    instruction, candidate-occurrence and copy counts, and its share of
+    {!temp_prefix}.  The folds below read the summaries, so none of them
+    walks the instructions of a block it has seen before, in this graph or
+    in any copy sharing the block; once a graph has been folded, its
+    totals are kept current across edits (and carried by {!copy}), so
+    later folds are O(1).  Filling a memo is idempotent, so
+    domains that race to fill one on a shared graph need no lock. *)
+
+type counts = {
+  n_instrs : int;  (** instructions *)
+  n_candidates : int;  (** assignments of a candidate expression *)
+  n_copies : int;  (** assignments of an atom (copies and moves) *)
+}
+
+(** Static counts summed over all blocks. *)
+val counts : t -> counts
+
 (** Total number of instructions (all blocks). *)
 val num_instrs : t -> int
 
 (** Number of candidate-expression occurrences (static computation count). *)
 val num_candidate_occurrences : t -> int
 
+(** The seed PRE temporaries are named from: ["_h"]. *)
+val temp_seed : string
+
+(** The shortest extension of {!temp_seed} by underscores that no variable
+    of the graph (assigned or read, branch conditions included) starts
+    with: [Fresh.prefix ~existing:(all_vars g) temp_seed]. *)
+val temp_prefix : t -> string
+
 val pp_terminator : Format.formatter -> terminator -> unit
 
 (** The canonical text of the graph: a [cfg NAME (entry B0, exit B1)]
     header, then every block in allocation order as a [Bn:] line followed
     by its instructions and its terminator, each indented two spaces;
-    lines are separated by ['\n'] with no trailing newline.  Written
-    directly into a buffer; {!pp} prints the same string. *)
+    lines are separated by ['\n'] with no trailing newline.  The
+    concatenation of the blocks' memoised texts: only blocks never printed
+    before are rendered.  {!pp} prints the same string. *)
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

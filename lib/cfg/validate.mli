@@ -14,7 +14,11 @@ type issue = string
       an infinite loop legitimately strands it);
     - branch conditions are atoms (guaranteed by the types, but conditions
       must reference defined variables: checked approximately as
-      "some instruction or parameter may define them", omitted here). *)
+      "some instruction or parameter may define them", omitted here).
+
+    Every fact is about shape, so a passing check marks the graph
+    ({!Cfg.mark_validated}) and a marked graph answers [[]] in O(1)
+    until its shape version moves. *)
 val check : Cfg.t -> issue list
 
 (** Raises [Failure] listing the issues when [check] is non-empty. *)

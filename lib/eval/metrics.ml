@@ -1,6 +1,4 @@
 module Cfg = Lcm_cfg.Cfg
-module Expr = Lcm_ir.Expr
-module Instr = Lcm_ir.Instr
 module Live = Lcm_dataflow.Live
 module Bitvec = Lcm_support.Bitvec
 module Transform = Lcm_core.Transform
@@ -12,23 +10,14 @@ type static_counts = {
   copies_and_moves : int;
 }
 
+(* Folded from the blocks' memoised counts ([Cfg.counts]). *)
 let static_counts g =
-  let candidate_occurrences = ref 0 and copies = ref 0 and instrs = ref 0 in
-  List.iter
-    (fun l ->
-      List.iter
-        (fun i ->
-          incr instrs;
-          match i with
-          | Instr.Assign (_, e) -> if Expr.is_candidate e then incr candidate_occurrences else incr copies
-          | Instr.Print _ | Instr.Effect _ -> ())
-        (Cfg.instrs g l))
-    (Cfg.labels g);
+  let c = Cfg.counts g in
   {
     blocks = Cfg.num_blocks g;
-    instrs = !instrs;
-    candidate_occurrences = !candidate_occurrences;
-    copies_and_moves = !copies;
+    instrs = c.Cfg.n_instrs;
+    candidate_occurrences = c.Cfg.n_candidates;
+    copies_and_moves = c.Cfg.n_copies;
   }
 
 let dynamic_evals ?fuel ~pool ~envs g =

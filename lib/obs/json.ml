@@ -13,25 +13,48 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
 
 (* ---- printing ---- *)
 
+(* Bytes that need no escape are copied a run at a time: program texts
+   are long stretches of plain bytes between newlines. *)
+let hex = "0123456789abcdef"
+
 let escape_into buf s =
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !start then Buffer.add_substring buf s !start (i - !start);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf hex.[Char.code c lsr 4];
+        Buffer.add_char buf hex.[Char.code c land 15]);
+      start := i + 1
+    end
+  done;
+  if n > !start then Buffer.add_substring buf s !start (n - !start)
 
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+(* An estimate of the rendered size: every string at its length plus an
+   eighth for escapes, every other node a few bytes, so a response
+   carrying a program text fills its buffer without regrowing it. *)
+let rec size_hint acc = function
+  | Null | Bool _ | Int _ | Float _ -> acc + 8
+  | String s -> acc + String.length s + (String.length s lsr 3) + 2
+  | List xs -> List.fold_left size_hint (acc + 2) xs
+  | Obj fields ->
+    List.fold_left (fun acc (k, x) -> size_hint (acc + String.length k + 4) x) (acc + 2) fields
+
 let to_string v =
-  let buf = Buffer.create 256 in
+  let buf = Buffer.create (size_hint 0 v) in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")

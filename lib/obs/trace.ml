@@ -89,6 +89,10 @@ let record c sp =
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
+(* Minor collections plus completed major cycles, as [Gc.quick_stat]
+   counts them, read straight from the runtime's counters. *)
+external collections : unit -> int = "lcm_obs_gc_collections" [@@noalloc]
+
 let span_attrs name f =
   match Atomic.get state with
   | None -> fst (f ())
@@ -99,7 +103,7 @@ let span_attrs name f =
       let id = mint_span_id () in
       let cell = Domain.DLS.get ctx_key in
       cell := Some { ctx with parent = id };
-      let g0 = Gc.quick_stat () in
+      let g0 = collections () in
       let a0 = Gc.allocated_bytes () in
       let t0 = Unix.gettimeofday () in
       let finish attrs =
@@ -107,12 +111,9 @@ let span_attrs name f =
         let alloc_w = (Gc.allocated_bytes () -. a0) /. word_bytes in
         (* Collections that fired inside the span; attached only when
            non-zero so the common (collection-free, arena-backed) case
-           costs no attr.  Counts are per-domain, like [alloc_w]. *)
-        let g1 = Gc.quick_stat () in
-        let gc_n =
-          g1.Gc.minor_collections - g0.Gc.minor_collections
-          + (g1.Gc.major_collections - g0.Gc.major_collections)
-        in
+           costs no attr.  A minor collection stops every domain, so the
+           count includes those another domain triggered. *)
+        let gc_n = collections () - g0 in
         let attrs = if gc_n > 0 then ("gc", string_of_int gc_n) :: attrs else attrs in
         cell := Some ctx;
         record c

@@ -382,7 +382,11 @@ let execute_delta cfg ~now ~deadline ~id ~trace_id (d : Protocol.delta_request) 
   check_deadline ~now ~deadline;
   chaos_boundary ();
   (* Patch a copy: a failed patch leaves the handle intact at its
-     pre-patch state, so the client can correct and resend. *)
+     pre-patch state, so the client can correct and resend.  The copy is
+     copy-on-write: it shares every block, with its memoised text and
+     counts, and the retained graph's validation mark, so the copy, a
+     body-only patch's validation, the counts and the printing of the
+     untouched blocks cost nothing per block beyond a slot. *)
   let g0, saved0 = entry.Handles.state in
   let g = Cfg.copy g0 in
   let dirty =

@@ -13,9 +13,15 @@ type t
     appended underscores) that no name in [existing] starts with. *)
 val prefix : existing:string list -> string -> string
 
-(** [prefix_iter iter seed] is [prefix] over the names [iter f] passes to
-    [f], for callers that can walk their names without listing them. *)
-val prefix_iter : ((string -> unit) -> unit) -> string -> string
+(** [run seed v] is the number of underscores the prefix must append to
+    [seed] so that [v] does not start with it: [0] when [v] does not start
+    with [seed], else one more than the underscores that follow [seed] in
+    [v].  The prefix of a set of names is [extend seed] of the largest
+    [run] over them. *)
+val run : string -> string -> int
+
+(** [extend seed n] is [seed] followed by [n] underscores. *)
+val extend : string -> int -> string
 
 (** [create ~existing seed] is a mint whose names all start with
     [prefix ~existing seed]. *)

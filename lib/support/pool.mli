@@ -45,6 +45,12 @@ val env_var : string
     capped at 8. *)
 val default_size : unit -> int
 
+(** [clamp_workers ~cores n] is an explicitly requested daemon pool width
+    [n] capped at [cores] (pass [Domain.recommended_domain_count ()]): more
+    domains than cores oversubscribe.  Widths at or below [cores], and any
+    width when [cores < 1], pass through unchanged. *)
+val clamp_workers : cores:int -> int -> int
+
 (** Per-domain pools of scratch {!Arena.t}s, keyed by shape class.  The
     engine wraps each request's solve in {!Scratch.with_arena}; the arena
     is reclaimed (and parked back on this domain's freelist) even when the

@@ -8,6 +8,7 @@ let () =
       ("expr", Test_expr.suite);
       ("parser", Test_parser.suite);
       ("cfg", Test_cfg.suite);
+      ("cfg-memo", Test_cfg_memo.suite);
       ("graph-algos", Test_graph_algos.suite);
       ("cfg-text", Test_cfg_text.suite);
       ("dataflow", Test_dataflow.suite);

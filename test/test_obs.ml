@@ -63,6 +63,26 @@ let test_span_error_attr () =
       | [ s ] -> Alcotest.(check bool) "error attr" true (List.mem_assoc "error" s.Trace.attrs)
       | l -> Alcotest.failf "expected one span, got %d" (List.length l))
 
+(* The [gc] attribute counts the collections inside the span, as
+   [Gc.quick_stat] would: two forced minor collections read 2, and the
+   span's count agrees with [Gc.quick_stat]'s across it. *)
+let test_span_gc_attr () =
+  with_tracing (fun () ->
+      let q0 = Gc.quick_stat () in
+      Trace.in_trace ~trace_id:"g" "collects" (fun () ->
+          Gc.minor ();
+          Gc.minor ());
+      let q1 = Gc.quick_stat () in
+      let expected =
+        q1.Gc.minor_collections - q0.Gc.minor_collections + (q1.Gc.major_collections - q0.Gc.major_collections)
+      in
+      match Trace.drain () with
+      | [ s ] ->
+        let n = int_of_string (Option.value (List.assoc_opt "gc" s.Trace.attrs) ~default:"0") in
+        Alcotest.(check bool) "at least the two forced" true (n >= 2);
+        Alcotest.(check int) "as Gc.quick_stat counts" expected n
+      | l -> Alcotest.failf "expected one span, got %d" (List.length l))
+
 let test_take_is_per_trace () =
   with_tracing (fun () ->
       Trace.in_trace ~trace_id:"one" "a" (fun () -> ());
@@ -407,6 +427,96 @@ let prop_json_roundtrip =
   QCheck2.Test.make ~name:"Json.parse (Json.to_string v) = v" ~count:500 ~print:Json.to_string gen_json
     (fun v -> Json.parse (Json.to_string v) = v)
 
+(* The encoder that wrote one byte at a time into a 256-byte buffer,
+   kept as the reference for the run-copying one. *)
+module Reference_json = struct
+  let escape_into buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  let float_to_string f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.12g" f
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    let rec go = function
+      | Json.Null -> Buffer.add_string buf "null"
+      | Json.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+      | Json.Int n -> Buffer.add_string buf (string_of_int n)
+      | Json.Float f ->
+        if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buf "null"
+        else Buffer.add_string buf (float_to_string f)
+      | Json.String s ->
+        Buffer.add_char buf '"';
+        escape_into buf s;
+        Buffer.add_char buf '"'
+      | Json.List xs ->
+        Buffer.add_char buf '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ',';
+            go x)
+          xs;
+        Buffer.add_char buf ']'
+      | Json.Obj fields ->
+        Buffer.add_char buf '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then Buffer.add_char buf ',';
+            Buffer.add_char buf '"';
+            escape_into buf k;
+            Buffer.add_string buf "\":";
+            go x)
+          fields;
+        Buffer.add_char buf '}'
+    in
+    go v;
+    Buffer.contents buf
+end
+
+(* Strings built from pieces that stress the run boundaries: plain ASCII
+   runs, every byte that needs an escape (quotes, backslashes, all control
+   characters), DEL, stray high bytes and whole UTF-8 sequences of two to
+   four bytes, in any order and at either end. *)
+let gen_tricky_string =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        (3, string_size ~gen:(char_range 'a' 'z') (int_bound 8));
+        (2, map (String.make 1) (oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\x7f' ]));
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        (1, map (String.make 1) char);
+        (2, oneofl [ "\xc3\xa9"; "\xce\xbb"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80"; "\xef\xbb\xbf" ]);
+      ]
+  in
+  map (String.concat "") (list_size (int_bound 24) piece)
+
+let prop_json_encoder_reference =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun s -> Json.String s) gen_tricky_string;
+          map2
+            (fun k s -> Json.Obj [ (k, Json.String s); ("n", Json.Int 1); ("l", Json.List [ Json.String k ]) ])
+            gen_tricky_string gen_tricky_string;
+          gen_json;
+        ])
+  in
+  QCheck2.Test.make ~name:"json: run-copying encoder ≡ per-byte reference" ~count:1000
+    ~print:Reference_json.to_string gen (fun v -> String.equal (Json.to_string v) (Reference_json.to_string v))
+
 (* Every byte of the literal is an escape: short escapes, [\u] escapes of
    one to three UTF-8 bytes, and surrogate pairs for four.  [Json.parse]
    and the cursor's [string] must both decode it exactly. *)
@@ -528,6 +638,7 @@ let suite =
     Alcotest.test_case "take is per-trace" `Quick test_take_is_per_trace;
     Alcotest.test_case "minted trace ids" `Quick test_mint_ids_unique;
     Alcotest.test_case "span tree across 4 domains" `Quick test_span_tree_parallel;
+    Alcotest.test_case "span gc attribute counts collections" `Quick test_span_gc_attr;
     Alcotest.test_case "profile aggregation" `Quick test_prof_aggregation;
     Alcotest.test_case "exporters parse" `Quick test_exporters_parse;
     Alcotest.test_case "pass pipeline combinator" `Quick test_pass_pipeline;
@@ -539,6 +650,7 @@ let suite =
     Alcotest.test_case "json: every truncated frame is a Parse_error" `Quick test_json_truncation;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     QCheck_alcotest.to_alcotest prop_json_escape_dense;
+    QCheck_alcotest.to_alcotest prop_json_encoder_reference;
     Alcotest.test_case "json: every truncated bril frame is a Parse_error" `Quick test_json_bril_frame_truncation;
     QCheck_alcotest.to_alcotest prop_json_skip_matches_parse;
   ]

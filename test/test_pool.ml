@@ -144,8 +144,19 @@ let test_reading_memo_hammer () =
         done
       done)
 
+(* The daemon's --workers clamp, as a function: no domain is started. *)
+let test_clamp_workers () =
+  let clamp cores n = Pool.clamp_workers ~cores n in
+  Alcotest.(check int) "above the cores" 2 (clamp 2 4);
+  Alcotest.(check int) "far above" 2 (clamp 2 64);
+  Alcotest.(check int) "at the cores" 2 (clamp 2 2);
+  Alcotest.(check int) "below the cores" 1 (clamp 2 1);
+  Alcotest.(check int) "wide host" 3 (clamp 8 3);
+  Alcotest.(check int) "no core count" 5 (clamp 0 5)
+
 let suite =
   [
+    Alcotest.test_case "serve --workers clamps to the host's cores" `Quick test_clamp_workers;
     Alcotest.test_case "run executes every task" `Quick test_runs_all_tasks;
     Alcotest.test_case "empty batch" `Quick test_empty_batch;
     Alcotest.test_case "nested run refused" `Quick test_nested_run_refused;
