@@ -63,6 +63,7 @@ type size_result = {
   print_w_per_kb : float;  (* Cfg.to_string, words per KB of text printed *)
   decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
   bril_parse_w_per_kb : float;  (* Bril.parse_program of the graph, words per KB of Bril text *)
+  cfg_parse_w_per_kb : float;  (* Cfg_text.parse of the graph's canonical text, words per KB *)
   delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
   delta_e2e_w : float;  (* the same delta end to end: copy, patch, solve, transform, counts, print, encode *)
 }
@@ -214,6 +215,13 @@ let measure_size ~blocks ~iters =
     per_kb (String.length bril)
       (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Lcm_frontend.Bril.parse_program bril)))
   in
+  (* The CFG text reader on the graph's canonical text, measured the same
+     way: what fleet-cached requests, journal recovery's base parse and
+     retained-program round trips read. *)
+  let cfg_parse_w_per_kb =
+    per_kb (String.length text)
+      (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Lcm_cfg.Cfg_text.parse text)))
+  in
   (* One admissible delta, the incremental tier's unit of work: the first
      block computing a candidate computes it once more (the candidate pool
      is unchanged), and [analyze_incr] restarts from the capture of the
@@ -288,6 +296,7 @@ let measure_size ~blocks ~iters =
     print_w_per_kb;
     decode_w_per_kb;
     bril_parse_w_per_kb;
+    cfg_parse_w_per_kb;
     delta_incr_w;
     delta_e2e_w;
   }
@@ -565,16 +574,22 @@ let print_alloc_rows rows =
    - "request.arena": the whole pipeline, transform included — loose (the
      output graph scales with program size), a backstop against gross
      regressions.
-   - "cfg.print.w_per_kb" / "json.decode.w_per_kb" / "bril.parse.w_per_kb":
-     the text layers of a request — [Cfg.to_string], [Json.parse] of a run
-     request frame, and [Bril.parse_program] of the graph printed as Bril —
-     in words per KB of text, fenced like the two above.
+   - "cfg.print.w_per_kb" / "json.decode.w_per_kb" / "bril.parse.w_per_kb"
+     / "cfg.parse.w_per_kb": the text layers of a request — [Cfg.to_string],
+     [Json.parse] of a run request frame, [Bril.parse_program] of the graph
+     printed as Bril and [Cfg_text.parse] of its canonical text — in words
+     per KB of text, fenced like the two above.
    - "delta.incr.w": [analyze_incr] of one admissible single-block body
      delta on the arena path, the capture it builds included — fenced.
    - "delta.e2e.w": the same delta end to end, from the copy of the
      retained graph through the encoded response — fenced.
    - any other key: matched against the traced per-phase profile (span
-     accounting; indicative, coarser than the fenced numbers). *)
+     accounting; indicative, coarser than the fenced numbers).
+
+   A budget is a number, which holds at every measured size, or an object
+   from sizes (block counts, as strings) to numbers, for a quantity that
+   grows with the program: a size the object does not list is not
+   checked. *)
 
 let budget_default_path = "bench/alloc_budget.json"
 
@@ -592,39 +607,48 @@ let check_alloc_budget rows =
       in
       Json.parse s
     in
+    (* name -> blocks -> budget at that size, if any *)
     let budgets =
       match Json.member "budgets" j with
       | Some (Json.Obj fields) ->
         List.filter_map
-          (fun (name, v) -> Option.map (fun b -> (name, b)) (Json.to_float_opt v))
+          (fun (name, v) ->
+            match v with
+            | Json.Obj sizes ->
+              Some (name, fun blocks -> Option.bind (List.assoc_opt (string_of_int blocks) sizes) Json.to_float_opt)
+            | v -> Option.map (fun b -> (name, fun _ -> Some b)) (Json.to_float_opt v))
           fields
       | _ -> []
     in
     List.iter
-      (fun (name, budget) ->
+      (fun (name, budget_at) ->
         List.iter
           (fun r ->
-            let got =
-              match name with
-              | "analyze.arena" -> Some r.alloc_analyze_arena_w
-              | "request.arena" -> Some r.alloc_arena_w
-              | "cfg.print.w_per_kb" -> Some r.print_w_per_kb
-              | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
-              | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
-              | "delta.incr.w" -> Some r.delta_incr_w
-              | "delta.e2e.w" -> Some r.delta_e2e_w
-              | _ -> phase_alloc r.prof_arena name
-            in
-            let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
-            match got with
+            match budget_at r.blocks with
             | None -> ()
-            | Some got ->
-              if got > budget then begin
-                Common.note "FAIL: %s allocates %.0f %s at %d blocks, budget is %.0f (%s)" name got unit
-                  r.blocks budget path;
-                exit 1
-              end
-              else Common.note "alloc budget ok: %-20s %8.0f <= %8.0f %s" name got budget unit)
+            | Some budget ->
+              (let got =
+                match name with
+                | "analyze.arena" -> Some r.alloc_analyze_arena_w
+                | "request.arena" -> Some r.alloc_arena_w
+                | "cfg.print.w_per_kb" -> Some r.print_w_per_kb
+                | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
+                | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
+                | "cfg.parse.w_per_kb" -> Some r.cfg_parse_w_per_kb
+                | "delta.incr.w" -> Some r.delta_incr_w
+                | "delta.e2e.w" -> Some r.delta_e2e_w
+                | _ -> phase_alloc r.prof_arena name
+              in
+              let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
+              match got with
+              | None -> ()
+              | Some got ->
+                if got > budget then begin
+                  Common.note "FAIL: %s allocates %.0f %s at %d blocks, budget is %.0f (%s)" name got unit
+                    r.blocks budget path;
+                  exit 1
+                end
+                else Common.note "alloc budget ok: %-20s %8.0f <= %8.0f %s" name got budget unit))
           rows)
       budgets
   end
@@ -654,6 +678,7 @@ let json_of_size r =
       ("print_w_per_kb", Json.Float (Float.round r.print_w_per_kb));
       ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
       ("bril_parse_w_per_kb", Json.Float (Float.round r.bril_parse_w_per_kb));
+      ("cfg_parse_w_per_kb", Json.Float (Float.round r.cfg_parse_w_per_kb));
       ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
       ("delta_e2e_w", Json.Float (Float.round r.delta_e2e_w));
       ("phases", Prof.to_json r.prof);

@@ -13,8 +13,6 @@ type adjacency = {
   adj_labels : Label.t list;
   adj_succ : Label.t array array;
   adj_pred : Label.t array array;
-  adj_pred_lists : Label.t list array;
-  adj_edges : (Label.t * Label.t) list;
   adj_succ_off : int array;
   adj_pred_off : int array;
   adj_rpo : Label.t list;
@@ -32,6 +30,24 @@ type counts = { n_instrs : int; n_candidates : int; n_copies : int }
    in a graph's totals means the maximum is not known. *)
 type summary = { s_instrs : int; s_candidates : int; s_copies : int; temp_run : int }
 
+(* The variables and candidate expressions of a graph as dense ints: the
+   candidate pool (expressions numbered in label order of first
+   occurrence), the variable table, and for each expression the variable
+   numbers of its operands ([reads.(2 i)] and [reads.(2 i + 1)], -1 for a
+   constant or a missing operand).  Immutable once built. *)
+type numbering = { id : int; pool : Expr_pool.t; vars : Vars.t; reads : int array }
+
+let next_id = Atomic.make 1
+let numbering_record pool vars reads = { id = Atomic.fetch_and_add next_id 1; pool; vars; reads }
+
+(* A block's instructions as the local predicates see them, relative to
+   one numbering: the numbering's [id] at index 0, then in instruction
+   order, [e >= 0] computes candidate [e] and [e < 0] writes variable
+   [-1 - e].  An assignment of a candidate
+   lists the computation before the write, so [x := x + 1] computes
+   before it kills; an opaque effect writes its destination and then
+   each variable operand; a print lists nothing.  A write of a variable
+   the numbering's table lacks is left out: no candidate reads it. *)
 (* One block.  The contents are immutable: an edit replaces the record in
    its slot, so [copy] can share every record and a mutation of either
    graph never shows through in the other.  The two mutable fields are
@@ -42,6 +58,11 @@ type summary = { s_instrs : int; s_candidates : int; s_copies : int; temp_run : 
      label, so a record lives in one slot only.
    - [summary]: its counts and temp-prefix run ([no_summary] until
      counted).
+   - [events]: its events relative to the numbering whose [id] is at
+     index 0 ([no_events] until numbered).  A record shared by graphs
+     with different numberings keeps the last one asked for; a reader
+     checks the id and recomputes on a mismatch, so the memo is never
+     wrong, only sometimes cold.
    Filling a memo is idempotent — every domain that races to fill one
    computes the same value from the same immutable contents, and a record
    or string is published whole — so records shared between graphs, or
@@ -51,16 +72,18 @@ type block = {
   term : terminator;
   mutable text : string;
   mutable summary : summary;
+  mutable events : int array;
 }
 
 let no_summary = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
 let zero = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
+let no_events = [| 0 |]
 
 (* The content of a free slot: a removed block, or capacity beyond
    [next_label].  Compared physically; its memos are never filled. *)
-let dead = { instrs = []; term = Halt; text = ""; summary = no_summary }
+let dead = { instrs = []; term = Halt; text = ""; summary = no_summary; events = no_events }
 
-let block instrs term = { instrs; term; text = ""; summary = no_summary }
+let block instrs term = { instrs; term; text = ""; summary = no_summary; events = no_events }
 
 (* ---- per-block summaries ---- *)
 
@@ -140,11 +163,11 @@ type t = {
   adj_lock : Mutex.t;
   (* Instruction version: bumped by mutations that change block bodies
      without changing the edge/block shape ([set_instrs], [append_instr],
-     [prepend_instr]).  The candidate-pool cache below depends on
-     instruction content, so it is keyed by both counters. *)
+     [prepend_instr]).  The numbering cache below depends on instruction
+     content, so it is keyed by both counters. *)
   mutable iversion : int;
-  mutable cpool : (int * int * Expr_pool.t) option;
-  cpool_lock : Mutex.t;
+  mutable numbered : (int * int * numbering) option;
+  numbered_lock : Mutex.t;
 }
 
 let entry g = g.entry
@@ -209,8 +232,8 @@ let create ?(name = "main") () =
       adj = None;
       adj_lock = Mutex.create ();
       iversion = 0;
-      cpool = None;
-      cpool_lock = Mutex.create ();
+      numbered = None;
+      numbered_lock = Mutex.create ();
     }
   in
   let entry = alloc g [] Halt in
@@ -288,19 +311,25 @@ let successors g l = successors_of_term (term g l)
    discovery/finish times (for retreating-edge tests).  One pass per shape
    version; every traversal-hungry consumer (solver, orders, edge lists,
    criticality) reads this snapshot instead of re-deriving lists. *)
+let no_succ : Label.t array = [||]
+
+let succ_array = function
+  | Goto m -> [| m |]
+  | Branch (_, a, b) -> if Label.equal a b then [| a |] else [| a; b |]
+  | Halt -> no_succ
+
 let build_adjacency g =
   let bound = g.next_label in
   let labels = labels_of_slots g in
-  let succ = Array.make bound [||] in
-  iter_blocks g (fun l b -> succ.(l) <- Array.of_list (successors_of_term b.term));
+  let succ = Array.make bound no_succ in
+  iter_blocks g (fun l b -> succ.(l) <- succ_array b.term);
   (* Predecessors, in allocation order of the source block (the order the
-     old per-call cache produced). *)
-  let pred_count = Array.make bound 0 in
-  List.iter
-    (fun s -> Array.iter (fun d -> pred_count.(d) <- pred_count.(d) + 1) succ.(s))
-    labels;
-  let pred = Array.init bound (fun d -> Array.make pred_count.(d) 0) in
+     old per-call cache produced): count, allocate, fill — [fill] counts
+     twice over. *)
   let fill = Array.make bound 0 in
+  List.iter (fun s -> Array.iter (fun d -> fill.(d) <- fill.(d) + 1) succ.(s)) labels;
+  let pred = Array.init bound (fun d -> if fill.(d) = 0 then no_succ else Array.make fill.(d) 0) in
+  Array.fill fill 0 bound 0;
   List.iter
     (fun s ->
       Array.iter
@@ -309,10 +338,6 @@ let build_adjacency g =
           fill.(d) <- fill.(d) + 1)
         succ.(s))
     labels;
-  let pred_lists = Array.map Array.to_list pred in
-  let edges =
-    List.concat_map (fun s -> List.map (fun d -> (s, d)) (Array.to_list succ.(s))) labels
-  in
   (* Iterative DFS from the entry; tick on discovery and on finish, exactly
      like the recursive formulation, so interval-nesting back-edge tests
      keep working. *)
@@ -361,8 +386,6 @@ let build_adjacency g =
     adj_labels = labels;
     adj_succ = succ;
     adj_pred = pred;
-    adj_pred_lists = pred_lists;
-    adj_edges = edges;
     adj_succ_off = succ_off;
     adj_pred_off = pred_off;
     adj_rpo = rpo;
@@ -399,9 +422,17 @@ let adjacency g =
 
 let predecessors g l =
   ignore (find g l "predecessors");
-  (adjacency g).adj_pred_lists.(l)
+  Array.to_list (adjacency g).adj_pred.(l)
 
-let edges g = (adjacency g).adj_edges
+(* The edges, grouped by source in label order, consed from the last. *)
+let rec fold_row f s ds i acc = if i < 0 then acc else fold_row f s ds (i - 1) (f s (Array.unsafe_get ds i) acc)
+
+let rec fold_rows adj f s acc = if s < 0 then acc else fold_rows adj f (s - 1) (fold_row f s adj.adj_succ.(s) (Array.length adj.adj_succ.(s) - 1) acc)
+
+let fold_edges adj f acc = fold_rows adj f (adj.adj_bound - 1) acc
+
+(* The edges, grouped by source in label order. *)
+let edges g = fold_edges (adjacency g) (fun s d acc -> (s, d) :: acc) []
 
 let is_critical_edge g (src, dst) =
   let adj = adjacency g in
@@ -499,50 +530,385 @@ let copy g =
     adj = (match g.adj with Some a when a.adj_version = g.version -> g.adj | Some _ | None -> None);
     adj_lock = Mutex.create ();
     iversion = 0;
-    cpool = None;
-    cpool_lock = Mutex.create ();
+    numbered = None;
+    numbered_lock = Mutex.create ();
   }
 
-let build_candidate_pool g =
-  let pool = Expr_pool.create () in
-  iter_blocks g (fun _ b ->
-      List.iter
-        (fun i ->
-          match Instr.candidate i with
-          | Some e -> ignore (Expr_pool.add pool e)
-          | None -> ())
-        b.instrs);
-  pool
+(* ---- numbering ----
+
+   A candidate expression is keyed by its operator and operand codes
+   ({!Vars}): [op lor (a lsl 4) lor (b lsl 33)], the codes of a
+   commutative operator's operands in ascending order, so that [a + b]
+   and [b + a] share a key exactly as they share a pool entry. *)
+
+let binops = Expr.[| Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge; Eq; Ne; And; Or |]
+let unops = Expr.[| Neg; Not |]
+
+let binop_code = function
+  | Expr.Add -> 0
+  | Expr.Sub -> 1
+  | Expr.Mul -> 2
+  | Expr.Div -> 3
+  | Expr.Mod -> 4
+  | Expr.Lt -> 5
+  | Expr.Le -> 6
+  | Expr.Gt -> 7
+  | Expr.Ge -> 8
+  | Expr.Eq -> 9
+  | Expr.Ne -> 10
+  | Expr.And -> 11
+  | Expr.Or -> 12
+
+let unop_code = function
+  | Expr.Neg -> 13
+  | Expr.Not -> 14
+
+let code_limit = 1 lsl 29
+
+let check_code c = if c < 0 || c >= code_limit then invalid_arg "Cfg: operand code out of range"
+
+let unary_key op a =
+  check_code a;
+  unop_code op lor (a lsl 4)
+
+let binary_key op a b =
+  check_code a;
+  check_code b;
+  let a, b = if b < a && Expr.is_commutative op then (b, a) else (a, b) in
+  binop_code op lor (a lsl 4) lor (b lsl 33)
+
+let expr_of_key vars key =
+  let op = key land 15 and a = Vars.code_operand vars ((key lsr 4) land (code_limit - 1)) in
+  if op >= 13 then Expr.Unary (unops.(op - 13), a)
+  else Expr.Binary (binops.(op), a, Vars.code_operand vars (key lsr 33))
+
+(* A growable int buffer. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buf () = { data = Array.make 16 0; len = 0 }
+
+let push b x =
+  if b.len = Array.length b.data then begin
+    let d = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 d 0 b.len;
+    b.data <- d
+  end;
+  Array.unsafe_set b.data b.len x;
+  b.len <- b.len + 1
+
+let contents b = Array.sub b.data 0 b.len
+
+(* A block's events with candidates still as keys, every name interned
+   into [vars]: what the builder records as it reads, and what a graph
+   built otherwise derives from its instructions. *)
+let key_events vars out instrs =
+  out.len <- 0;
+  push out 0;
+  let write v = push out (-1 - Vars.intern vars v) in
+  let code = Vars.operand_code vars in
+  List.iter
+    (function
+      | Instr.Assign (v, e) ->
+        (match e with
+        | Expr.Atom _ -> ()
+        | Expr.Unary (op, a) -> push out (unary_key op (code a))
+        | Expr.Binary (op, a, b) ->
+          let a = code a in
+          push out (binary_key op a (code b)));
+        write v
+      | Instr.Print _ -> ()
+      | Instr.Effect e ->
+        (match e.Instr.eff_dest with
+        | Some (v, _) -> write v
+        | None -> ());
+        List.iter
+          (function
+            | Expr.Var v -> write v
+            | Expr.Const _ -> ())
+          e.Instr.eff_args)
+    instrs;
+  contents out
+
+(* Key -> pool index, open addressing ([vals]: index + 1, 0 empty),
+   slots picked by Fibonacci hashing: the top [bits] bits of the key
+   times the golden ratio. *)
+type keytab = { mutable keys : int array; mutable vals : int array; mutable n : int; mutable bits : int }
+
+let rec kprobe t key i =
+  if Array.unsafe_get t.vals i = 0 || Array.unsafe_get t.keys i = key then i
+  else kprobe t key ((i + 1) land (Array.length t.keys - 1))
+
+let kslot t key = kprobe t key ((key * 0x4F1BBCDCBFA53E0B) lsr (63 - t.bits))
+
+let kgrow t =
+  let keys = t.keys and vals = t.vals in
+  t.keys <- Array.make (2 * Array.length keys) 0;
+  t.vals <- Array.make (2 * Array.length keys) 0;
+  t.bits <- t.bits + 1;
+  Array.iteri
+    (fun i v ->
+      if v <> 0 then begin
+        let s = kslot t keys.(i) in
+        t.keys.(s) <- keys.(i);
+        t.vals.(s) <- v
+      end)
+    vals
+
+(* Number the candidates of the key events of the labels [iter] visits
+   (ascending) in order of first occurrence, rewriting every key into its
+   pool index in place and stamping every event array with the
+   numbering; the numbering those events now belong to.  The blocks with
+   no events share one array. *)
+let number_events vars (evs : int array array) iter =
+  (* Sized from the candidate occurrences, so nothing grows. *)
+  let occurrences = ref 0 in
+  iter (fun l -> Array.iter (fun e -> if e >= 0 then incr occurrences) evs.(l); decr occurrences);
+  let occurrences = !occurrences in
+  let rec bits b = if 1 lsl b >= occurrences then b else bits (b + 1) in
+  let bits = bits 6 in
+  let t = { keys = Array.make (1 lsl bits) 0; vals = Array.make (1 lsl bits) 0; n = 0; bits } in
+  let pool = Expr_pool.create ~size:occurrences () in
+  let reads = { data = Array.make (max 1 (2 * occurrences)) 0; len = 0 } in
+  let read code = push reads (if code land 1 = 0 then code lsr 1 else -1) in
+  iter (fun l ->
+      let ev = evs.(l) in
+      for i = 1 to Array.length ev - 1 do
+        let key = Array.unsafe_get ev i in
+        if key >= 0 then begin
+          let s = kslot t key in
+          let idx =
+            if t.vals.(s) <> 0 then t.vals.(s) - 1
+            else begin
+              let idx = Expr_pool.add pool (expr_of_key vars key) in
+              if idx <> t.n then invalid_arg "Cfg: candidate keys disagree with the pool";
+              t.keys.(s) <- key;
+              t.vals.(s) <- idx + 1;
+              t.n <- idx + 1;
+              read ((key lsr 4) land (code_limit - 1));
+              if key land 15 >= 13 then push reads (-1) else read (key lsr 33);
+              if 2 * t.n > Array.length t.keys then kgrow t;
+              idx
+            end
+          in
+          Array.unsafe_set ev i idx
+        end
+      done);
+  let nb = numbering_record pool vars (contents reads) in
+  let empty = [| nb.id |] in
+  iter (fun l -> if Array.length evs.(l) = 1 then evs.(l) <- empty else evs.(l).(0) <- nb.id);
+  nb
+
+(* The events of [instrs] relative to a numbering they were not numbered
+   with: names and candidates are looked up, never added.  Raises
+   [Not_found] on a candidate the pool lacks. *)
+let events_against nb instrs =
+  let out = buf () in
+  push out nb.id;
+  let write v =
+    let i = Vars.find nb.vars v in
+    if i >= 0 then push out (-1 - i)
+  in
+  List.iter
+    (function
+      | Instr.Assign (v, e) ->
+        if Expr.is_candidate e then push out (Expr_pool.index_exn nb.pool e);
+        write v
+      | Instr.Print _ -> ()
+      | Instr.Effect e ->
+        (match e.Instr.eff_dest with
+        | Some (v, _) -> write v
+        | None -> ());
+        List.iter
+          (function
+            | Expr.Var v -> write v
+            | Expr.Const _ -> ())
+          e.Instr.eff_args)
+    instrs;
+  contents out
+
+(* Number a graph that no builder numbered: every name interned and every
+   candidate keyed as a reader would, in label order, so the pool is the
+   one the builder fills for the same graph. *)
+let build_numbering g =
+  let vars = Vars.create ~size:g.live () and out = buf () in
+  let evs = Array.make g.next_label [||] in
+  let iter f = iter_blocks g (fun l _ -> f l) in
+  iter_blocks g (fun l b -> evs.(l) <- key_events vars out b.instrs);
+  let nb = number_events vars evs iter in
+  iter_blocks g (fun l b -> b.events <- evs.(l));
+  nb
 
 (* Locked cache fill, double-checked: a competitor may have completed the
    build while this caller waited on the lock. *)
-let candidate_pool_slow g =
-  Mutex.lock g.cpool_lock;
+let numbering_slow g =
+  Mutex.lock g.numbered_lock;
   match
-    match g.cpool with
-    | Some (v, iv, p) when v = g.version && iv = g.iversion -> p
+    match g.numbered with
+    | Some (v, iv, nb) when v = g.version && iv = g.iversion -> nb
     | Some _ | None ->
-      let p = build_candidate_pool g in
-      g.cpool <- Some (g.version, g.iversion, p);
-      p
+      let nb = build_numbering g in
+      g.numbered <- Some (g.version, g.iversion, nb);
+      nb
   with
-  | p ->
-    Mutex.unlock g.cpool_lock;
-    p
+  | nb ->
+    Mutex.unlock g.numbered_lock;
+    nb
   | exception e ->
-    Mutex.unlock g.cpool_lock;
+    Mutex.unlock g.numbered_lock;
     raise e
 
-(* Rebuilding the pool costs a full instruction scan plus a hashtable per
-   call, which dominated the steady-state residue of the local-predicate
-   phase; unchanged graphs serve the memo.  The unlocked fast path is safe
-   for the same reason as {!adjacency}'s: the cache slot is written once
-   per (version, iversion) under the lock, mutations are single-domain,
-   and a racing reader at worst misses and takes the locked path. *)
-let candidate_pool g =
-  match g.cpool with
-  | Some (v, iv, p) when v = g.version && iv = g.iversion -> p
-  | Some _ | None -> candidate_pool_slow g
+(* Unchanged graphs serve the memo (a builder-made graph is born with
+   it).  The unlocked fast path is safe for the same reason as
+   {!adjacency}'s: the cache slot is written once per (version, iversion)
+   under the lock, mutations are single-domain, and a racing reader at
+   worst misses and takes the locked path. *)
+let numbering g =
+  match g.numbered with
+  | Some (v, iv, nb) when v = g.version && iv = g.iversion -> nb
+  | Some _ | None -> numbering_slow g
+
+let candidate_pool g = (numbering g).pool
+let numbering_pool nb = nb.pool
+let numbering_vars nb = Vars.size nb.vars
+let numbering_reads nb = nb.reads
+let numbering_var nb name = Vars.find nb.vars name
+
+(* A numbering of a pool that is not [g]'s own (a caller-supplied one):
+   its table holds only the variables the pool's expressions read, the
+   only ones whose writes matter to it. *)
+let numbering_of_pool pool =
+  let vars = Vars.create () in
+  let reads = buf () in
+  let read = function
+    | Expr.Var v -> push reads (Vars.intern vars v)
+    | Expr.Const _ -> push reads (-1)
+  in
+  Expr_pool.iter
+    (fun _ e ->
+      match e with
+      | Expr.Atom a ->
+        read a;
+        push reads (-1)
+      | Expr.Unary (_, a) ->
+        read a;
+        push reads (-1)
+      | Expr.Binary (_, a, b) ->
+        read a;
+        read b)
+    pool;
+  numbering_record pool vars (contents reads)
+
+let numbering_for g pool =
+  match g.numbered with
+  | Some (v, iv, nb) when v = g.version && iv = g.iversion && nb.pool == pool -> nb
+  | Some _ | None -> numbering_of_pool pool
+
+(* Filling the memo is idempotent per numbering, like the text memo. *)
+let events g nb l =
+  let b = find g l "events" in
+  let ev = b.events in
+  if Array.unsafe_get ev 0 = nb.id then ev
+  else begin
+    let ev = events_against nb b.instrs in
+    b.events <- ev;
+    ev
+  end
+
+(* ---- assembly ----
+
+   The builder ({!Build}) hands over every block at once, labels dense
+   from 0 (the entry) and 1 (the exit), events keyed.  One DFS from the
+   entry gives reachability; with [prune], blocks it does not reach are
+   dropped as {!remove_unreachable} drops them (the exit always stays).
+   The graph's structural facts are then checked from the terminators and
+   that DFS — every fact {!Validate} tests, reported in its order and
+   words — and a graph that passes is born marked, with its numbering
+   memo filled in label order. *)
+
+let check_assembled n ~terms ~live ~reached =
+  let issues = ref [] in
+  let report fmt = Format.kasprintf (fun s -> issues := s :: !issues) fmt in
+  let entry_preds = ref false in
+  let target l dst =
+    if dst < 0 || dst >= n || Bytes.get live dst = '\000' then
+      report "%a targets dead label %a" Label.pp l Label.pp dst;
+    if dst = 0 then entry_preds := true
+  in
+  for l = 0 to n - 1 do
+    if Bytes.get live l <> '\000' then
+      match terms.(l) with
+      | Halt -> if l <> 1 then report "non-exit block %a halts" Label.pp l
+      | Goto a ->
+        target l a;
+        if l = 1 then report "exit block does not halt"
+      | Branch (_, a, b) ->
+        target l a;
+        if b <> a then target l b;
+        if l = 1 then report "exit block does not halt"
+  done;
+  if !entry_preds then report "entry block has predecessors";
+  for l = 0 to n - 1 do
+    if Bytes.get live l <> '\000' && Bytes.get reached l = '\000' && l <> 1 then
+      report "block %a is unreachable" Label.pp l
+  done;
+  List.rev !issues
+
+(* Blocks reached from the entry: a DFS over [terms]. *)
+let rec visit n terms seen l =
+  if l >= 0 && l < n && Bytes.get seen l = '\000' then begin
+    Bytes.set seen l '\001';
+    match terms.(l) with
+    | Goto a -> visit n terms seen a
+    | Branch (_, a, b) ->
+      visit n terms seen a;
+      visit n terms seen b
+    | Halt -> ()
+  end
+
+let reach n terms =
+  let seen = Bytes.make n '\000' in
+  visit n terms seen 0;
+  seen
+
+let assemble ~name ~vars ~blocks:n ~instrs ~terms ~events ~prune =
+  if n < 2 || Array.length instrs < n || Array.length terms < n || Array.length events < n then
+    invalid_arg "Cfg.assemble: block arrays";
+  let reached = reach n terms in
+  let live = if prune then Bytes.mapi (fun l r -> if l = 1 then '\001' else r) reached else Bytes.make n '\001' in
+  match check_assembled n ~terms ~live ~reached with
+  | _ :: _ as issues -> Error issues
+  | [] ->
+    let iter f =
+      for l = 0 to n - 1 do
+        if Bytes.get live l <> '\000' then f l
+      done
+    in
+    let nb = number_events vars events iter in
+    (* The capacity a graph grown block by block would have: the edits
+       that follow (a transform's edge splits) find the same room. *)
+    let rec capacity c = if c >= n then c else capacity (2 * c) in
+    let slots = Array.make (capacity 16) dead in
+    let live = ref 0 in
+    iter (fun l ->
+        incr live;
+        slots.(l) <- { instrs = instrs.(l); term = terms.(l); text = ""; summary = no_summary; events = events.(l) });
+    Ok
+      {
+        name;
+        slots;
+        next_label = n;
+        live = !live;
+        totals = no_summary;
+        entry = 0;
+        exit_label = 1;
+        version = 0;
+        valid_at = 0;
+        adj = None;
+        adj_lock = Mutex.create ();
+        iversion = 0;
+        numbered = Some (0, 0, nb);
+        numbered_lock = Mutex.create ();
+      }
 
 let all_vars g =
   let tbl = Hashtbl.create 64 in

@@ -55,10 +55,12 @@ val label_bound : t -> int
 (** Successor labels in terminator order, duplicates removed. *)
 val successors : t -> Label.t -> Label.t list
 
-(** Predecessor labels (served from the adjacency snapshot below). *)
+(** Predecessor labels (from the adjacency snapshot below; a fresh list
+    per call). *)
 val predecessors : t -> Label.t -> Label.t list
 
-(** All edges [(src, dst)], grouped by source in label order (cached). *)
+(** All edges [(src, dst)], grouped by source in label order (a fresh
+    list per call, from the adjacency snapshot). *)
 val edges : t -> (Label.t * Label.t) list
 
 (** [is_critical_edge g (src, dst)] holds when [src] has several successors
@@ -84,8 +86,6 @@ type adjacency = private {
   adj_labels : Label.t list;  (** {!labels} at build time (allocation order) *)
   adj_succ : Label.t array array;  (** successors, terminator order *)
   adj_pred : Label.t array array;  (** predecessors, source-allocation order *)
-  adj_pred_lists : Label.t list array;  (** same, as lists (for list APIs) *)
-  adj_edges : (Label.t * Label.t) list;  (** {!edges} *)
   adj_succ_off : int array;  (** CSR prefix sums of [adj_succ] row lengths, [adj_bound + 1] entries *)
   adj_pred_off : int array;  (** CSR prefix sums of [adj_pred] row lengths *)
   adj_rpo : Label.t list;  (** reachable blocks, reverse postorder *)
@@ -96,6 +96,11 @@ type adjacency = private {
 }
 
 val adjacency : t -> adjacency
+
+(** [fold_edges adj f acc] folds [f src dst] over the snapshot's edges
+    from the last to the first, so a fold that conses builds a list in
+    {!edges} order; nothing is allocated per edge. *)
+val fold_edges : adjacency -> (Label.t -> Label.t -> 'a -> 'a) -> 'a -> 'a
 
 (** [split_edge g src dst] inserts a fresh empty block on the edge
     [(src, dst)] and returns its label.  When the terminator of [src]
@@ -122,11 +127,92 @@ val merge_straight_pairs : t -> unit
     ({!validated}). *)
 val copy : t -> t
 
-(** All distinct candidate expressions of the graph, as a pool.  Memoized:
+(** All distinct candidate expressions of the graph, as a pool, numbered
+    in label order of first occurrence: [(numbering g)]'s pool.  Memoized:
     unchanged graphs return the same pool instance (indices are stable);
     any mutation — shape or instruction content — invalidates the memo.
     Callers must treat the result as read-only. *)
 val candidate_pool : t -> Lcm_ir.Expr_pool.t
+
+(** {2 Numbering}
+
+    The variables and candidate expressions of a graph as dense ints: a
+    {!Vars} table numbering every variable, and the candidate pool, whose
+    expressions are keyed by operator and operand codes as they are
+    numbered.  A graph from the builder ({!Build}) is born with its
+    numbering; any other graph numbers itself on first use, in the same
+    label order, so both give the same pool.  Memoized like the pool;
+    immutable once built. *)
+
+type numbering
+
+(** The graph's numbering (memoized per shape and instruction version). *)
+val numbering : t -> numbering
+
+(** [numbering_for g pool] is [numbering g] when its pool is [pool], else
+    a numbering of [pool] alone (its variable table holds the variables
+    [pool]'s expressions read).  Never builds [g]'s own numbering. *)
+val numbering_for : t -> Lcm_ir.Expr_pool.t -> numbering
+
+val numbering_pool : numbering -> Lcm_ir.Expr_pool.t
+
+(** Number of variables in the numbering's table. *)
+val numbering_vars : numbering -> int
+
+(** The number of a variable in the numbering's table; [-1] when absent. *)
+val numbering_var : numbering -> string -> int
+
+(** For each expression [i] of the pool, the variable numbers of its
+    operands: [reads.(2 i)] and [reads.(2 i + 1)], [-1] for a constant or
+    a missing operand.  Read-only. *)
+val numbering_reads : numbering -> int array
+
+(** [events g nb l] is block [l]'s instructions as the local predicates
+    see them, relative to [nb]: after a stamp of [nb] at index 0, in
+    instruction order, [e >= 0] computes candidate [e], [e < 0] writes
+    variable [-1 - e].  An assignment of a
+    candidate lists its computation before its write; an opaque effect
+    writes its destination, then each variable operand; a print lists
+    nothing.  Writes of variables [nb]'s table lacks are left out (no
+    candidate of [nb] reads them).  Memoized on the block record (shared
+    by copies) and filled on first use; idempotent, so racing domains need
+    no lock.  Raises [Not_found] when the block computes a candidate
+    missing from [nb]'s pool, [Invalid_argument] on an unknown label.
+    Read-only. *)
+val events : t -> numbering -> Label.t -> int array
+
+(** {2 Assembly}
+
+    The builder's interface ({!Build}): candidate keys and whole-graph
+    assembly.  Not for other callers. *)
+
+(** [unary_key op a] and [binary_key op a b] key a candidate expression by
+    its operator and operand codes ({!Vars}); a commutative operator's
+    operands are keyed in ascending code order.  Codes must be below
+    [2^29]. *)
+val unary_key : Lcm_ir.Expr.unop -> int -> int
+
+val binary_key : Lcm_ir.Expr.binop -> int -> int -> int
+
+(** [assemble ~name ~vars ~blocks ~instrs ~terms ~events ~prune] is the
+    graph of labels [0] (the entry) to [blocks - 1], [1] the exit, whose
+    block [l] has [instrs.(l)] and [terms.(l)] (the arrays may be longer); [events.(l)] are its events with candidates as keys,
+    names numbered in [vars] (rewritten in place into pool indices).  One
+    DFS from the entry decides reachability; with [prune] the blocks it
+    does not reach are dropped (the exit stays).  The graph is then
+    checked for every fact {!Validate.check} tests, from the terminators
+    and that DFS: [Error] lists the issues in {!Validate}'s order and
+    words; [Ok g] is born validated, with its numbering memo filled,
+    candidates numbered in label order. *)
+val assemble :
+  name:string ->
+  vars:Vars.t ->
+  blocks:int ->
+  instrs:Lcm_ir.Instr.t list array ->
+  terms:terminator array ->
+  events:int array array ->
+  prune:bool ->
+  (t, string list) result
 
 (** Variables assigned or read anywhere in the graph. *)
 val all_vars : t -> string list

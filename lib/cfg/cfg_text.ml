@@ -128,96 +128,309 @@ let parse_term line ws =
 let parse_instr_line s = parse_instr 0 (words (String.trim s))
 let parse_term_line s = parse_term 0 (words (String.trim s))
 
+(* ---- the reader ----
+
+   One pass over the text with a cursor: each line is trimmed and cut
+   into words in place (spans of the text, split on spaces as
+   [split_on_char ' '] splits them), and the common shapes — terminators,
+   [print x], [v := x], [v := x op y], [v := -x] with plain names and
+   decimal literals — are matched on the spans and emitted straight into
+   the graph builder, every name interned from its span.  Any other line
+   (an effect, an unusual literal, a malformed line) takes the word-list
+   parser above on its allocated words, so it reads, and fails, exactly
+   as that parser does.  Block-level checks are recorded as the blocks
+   appear and reported after the last line, in the order the checks have
+   always run: the last block's terminator, the header, the first two
+   blocks, duplicates, then each block's targets and halting in order of
+   appearance, then the graph's structure. *)
+
 type block_acc = {
   text_label : int;
-  mutable instrs_rev : Instr.t list;
+  label : Label.t;
   mutable term : parsed_term option;
   first_line : int;
 }
 
+let is_trim c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
+
+(* The words of the current line: [nw] spans of [src]. *)
+type cursor = {
+  src : string;
+  mutable at : int array;
+  mutable len : int array;
+  mutable nw : int;
+}
+
+let word c i = String.sub c.src c.at.(i) c.len.(i)
+let words_of c = List.init c.nw (word c)
+
+let rec same src at s j n = j = n || (String.unsafe_get src (at + j) = String.unsafe_get s j && same src at s (j + 1) n)
+let word_is c i s = c.len.(i) = String.length s && same c.src c.at.(i) s 0 c.len.(i)
+
+let split c a z =
+  c.nw <- 0;
+  let i = ref a in
+  while !i < z do
+    if String.unsafe_get c.src !i = ' ' then incr i
+    else begin
+      let w0 = !i in
+      while !i < z && String.unsafe_get c.src !i <> ' ' do
+        incr i
+      done;
+      if c.nw = Array.length c.at then begin
+        c.at <- Array.append c.at c.at;
+        c.len <- Array.append c.len c.len
+      end;
+      c.at.(c.nw) <- w0;
+      c.len.(c.nw) <- !i - w0;
+      c.nw <- c.nw + 1
+    end
+  done
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* The value of a span of at most 18 decimal digits; -1 for any other
+   span (whose reading is left to [int_of_string_opt]). *)
+let rec digits_from s i stop n =
+  if i = stop then n
+  else
+    let ch = String.unsafe_get s i in
+    if is_digit ch then digits_from s (i + 1) stop ((10 * n) + Char.code ch - 48) else -1
+
+let digits s at len = if len = 0 || len > 18 then -1 else digits_from s at (at + len) 0
+
+let rec all_ident s i stop = i = stop || (is_ident_char (String.unsafe_get s i) && all_ident s (i + 1) stop)
+let is_name s at len = len > 0 && (not (is_digit (String.unsafe_get s at))) && all_ident s at (at + len)
+
+(* The operand code of a plain name or decimal literal at [at, at + len);
+   -1 when the span is anything else. *)
+let operand_code b s at len =
+  let n = digits s at len in
+  if n >= 0 then Build.const b n
+  else if is_name s at len then Vars.var_code (Build.var b s at len)
+  else -1
+
+let span_label s at len = if len >= 2 && String.unsafe_get s at = 'B' then digits s (at + 1) (len - 1) else -1
+
+let binop_of_span s at len =
+  if len = 1 then
+    match String.unsafe_get s at with
+    | '+' -> Some Expr.Add
+    | '-' -> Some Expr.Sub
+    | '*' -> Some Expr.Mul
+    | '/' -> Some Expr.Div
+    | '%' -> Some Expr.Mod
+    | '<' -> Some Expr.Lt
+    | '>' -> Some Expr.Gt
+    | _ -> None
+  else if len = 2 then binop_of_symbol (String.sub s at 2)
+  else None
+
+(* A line the fast path reads: emitted, or a terminator returned.
+   [None] means "not a fast-path line": nothing was emitted. *)
+type fast =
+  | F_instr
+  | F_term of parsed_term
+  | F_other
+
+let code b c i = operand_code b c.src c.at.(i) c.len.(i)
+let label c i = span_label c.src c.at.(i) c.len.(i)
+let dest b c = Build.var b c.src c.at.(0) c.len.(0)
+
+(* [v := w] for the single word [w]: "-5" is the constant -5; "-x" and
+   "!x" apply an operator. *)
+let fast_rhs b c =
+  let s = c.src and w = c.at.(2) and n = c.len.(2) in
+  let ch = String.unsafe_get s w in
+  if n >= 2 && (ch = '-' || ch = '!') then begin
+    let k = digits s (w + 1) (n - 1) in
+    if ch = '-' && k >= 0 then begin
+      Build.copy b (dest b c) (Build.const b (-k));
+      F_instr
+    end
+    else if is_name s (w + 1) (n - 1) then begin
+      let a = Vars.var_code (Build.var b s (w + 1) (n - 1)) in
+      Build.unary b (dest b c) (if ch = '-' then Expr.Neg else Expr.Not) a;
+      F_instr
+    end
+    else F_other
+  end
+  else begin
+    let a = code b c 2 in
+    if a >= 0 then begin
+      Build.copy b (dest b c) a;
+      F_instr
+    end
+    else F_other
+  end
+
+let fast_line b c =
+  match c.nw with
+  | 1 when word_is c 0 "halt" -> F_term T_halt
+  | 2 when word_is c 0 "goto" ->
+    let l = label c 1 in
+    if l >= 0 then F_term (T_goto l) else F_other
+  | 6 when word_is c 0 "if" && word_is c 2 "then" && word_is c 4 "else" ->
+    let x = label c 3 and y = label c 5 in
+    let cond = if x >= 0 && y >= 0 then code b c 1 else -1 in
+    if cond >= 0 then F_term (T_branch (Build.operand b cond, x, y)) else F_other
+  | 2 when word_is c 0 "print" ->
+    let a = code b c 1 in
+    if a >= 0 then begin
+      Build.print b a;
+      F_instr
+    end
+    else F_other
+  | 3 when word_is c 1 ":=" && not (word_is c 0 "print") -> fast_rhs b c
+  | 5 when word_is c 1 ":=" && not (word_is c 0 "print") -> (
+    match binop_of_span c.src c.at.(3) c.len.(3) with
+    | None -> F_other
+    | Some op ->
+      let x = code b c 2 and y = code b c 4 in
+      if x >= 0 && y >= 0 then begin
+        Build.binary b (dest b c) op x y;
+        F_instr
+      end
+      else F_other)
+  | _ -> F_other
+
+(* An instruction from the word-list parser, emitted with its names
+   interned. *)
+let emit b i =
+  let code = function
+    | Expr.Var v -> Vars.var_code (Build.var_of_name b v)
+    | Expr.Const n -> Build.const b n
+  in
+  match i with
+  | Instr.Assign (v, Expr.Atom a) -> Build.copy b (Build.var_of_name b v) (code a)
+  | Instr.Assign (v, Expr.Unary (op, a)) -> Build.unary b (Build.var_of_name b v) op (code a)
+  | Instr.Assign (v, Expr.Binary (op, x, y)) ->
+    let x = code x in
+    Build.binary b (Build.var_of_name b v) op x (code y)
+  | Instr.Print a -> Build.print b (code a)
+  | Instr.Effect e ->
+    Build.effect b e.Instr.eff_op
+      (Option.map (fun (v, ty) -> (Build.var_of_name b v, ty)) e.Instr.eff_dest)
+      (List.map code e.Instr.eff_args) e.Instr.eff_funcs
+
+let rec line_end s i n = if i = n || String.unsafe_get s i = '\n' then i else line_end s (i + 1) n
+
 let parse text =
-  let lines = String.split_on_char '\n' text in
+  let b = Build.create ~blocks:(String.length text / 40) ~vars:(String.length text / 100) () in
+  let c = { src = text; at = Array.make 8 0; len = Array.make 8 0; nw = 0 } in
+  let n = String.length text in
   let header = ref None in
-  let blocks_rev = ref [] in
+  let blocks_rev = ref [] and nblocks = ref 0 in
+  let first_two = ref [] in
+  let first_dup = ref None in
+  let mapping = Hashtbl.create 64 in
   let current = ref None in
   let finish () =
     match !current with
     | None -> ()
-    | Some b ->
-      if b.term = None then fail b.first_line "block B%d has no terminator" b.text_label;
-      blocks_rev := b :: !blocks_rev;
+    | Some blk ->
+      if blk.term = None then fail blk.first_line "block B%d has no terminator" blk.text_label;
       current := None
   in
-  List.iteri
-    (fun idx raw ->
-      let lineno = idx + 1 in
-      let line = String.trim raw in
-      if line = "" then ()
-      else if String.length line >= 4 && String.sub line 0 4 = "cfg " then begin
-        if !header <> None then fail lineno "duplicate cfg header";
-        (* "cfg <name> (entry B0, exit B1)" *)
-        let name =
-          match words line with
-          | "cfg" :: name :: _ -> name
-          | _ -> fail lineno "malformed cfg header"
-        in
-        header := Some name
-      end
-      else if String.length line >= 2 && line.[0] = 'B' && line.[String.length line - 1] = ':' then begin
-        finish ();
-        let label = parse_label lineno (String.sub line 0 (String.length line - 1)) in
-        current := Some { text_label = label; instrs_rev = []; term = None; first_line = lineno }
-      end
-      else begin
-        match !current with
-        | None -> fail lineno "content outside a block: %S" line
-        | Some b ->
-          if b.term <> None then fail lineno "block B%d continues after its terminator" b.text_label;
-          let ws = words line in
+  let open_block lineno text_label =
+    let label =
+      match text_label with
+      | 0 -> Build.entry
+      | 1 -> Build.exit_label
+      | t ->
+        if Hashtbl.mem mapping t then begin
+          if !first_dup = None then first_dup := Some (lineno, t);
+          Build.new_block b
+        end
+        else begin
+          let l = Build.new_block b in
+          Hashtbl.replace mapping t l;
+          l
+        end
+    in
+    Build.start b label;
+    let blk = { text_label; label; term = None; first_line = lineno } in
+    if !nblocks < 2 then first_two := text_label :: !first_two;
+    incr nblocks;
+    blocks_rev := blk :: !blocks_rev;
+    current := Some blk
+  in
+  let line lineno a z =
+    (* [a, z): the line, trimmed *)
+    let len = z - a in
+    if len = 0 then ()
+    else if len >= 4 && same text a "cfg " 0 4 then begin
+      if !header <> None then fail lineno "duplicate cfg header";
+      (* "cfg <name> (entry B0, exit B1)" *)
+      split c a z;
+      if c.nw < 2 then fail lineno "malformed cfg header";
+      header := Some (word c 1)
+    end
+    else if len >= 2 && String.unsafe_get text a = 'B' && String.unsafe_get text (z - 1) = ':' then begin
+      finish ();
+      let l = span_label text a (len - 1) in
+      let l = if l >= 0 then l else parse_label lineno (String.sub text a (len - 1)) in
+      open_block lineno l
+    end
+    else begin
+      match !current with
+      | None -> fail lineno "content outside a block: %S" (String.sub text a len)
+      | Some blk ->
+        if blk.term <> None then fail lineno "block B%d continues after its terminator" blk.text_label;
+        split c a z;
+        (match fast_line b c with
+        | F_instr -> ()
+        | F_term t -> blk.term <- Some t
+        | F_other ->
+          let ws = words_of c in
           (match parse_term lineno ws with
-          | Some t -> b.term <- Some t
-          | None -> b.instrs_rev <- parse_instr lineno ws :: b.instrs_rev)
-      end)
-    lines;
+          | Some t -> blk.term <- Some t
+          | None -> emit b (parse_instr lineno ws)))
+    end
+  in
+  let rec lines lineno i =
+    if i <= n then begin
+      let j = line_end text i n in
+      let a = ref i and z = ref j in
+      while !a < !z && is_trim (String.unsafe_get text !a) do
+        incr a
+      done;
+      while !z > !a && is_trim (String.unsafe_get text (!z - 1)) do
+        decr z
+      done;
+      line lineno !a !z;
+      lines (lineno + 1) (j + 1)
+    end
+  in
+  lines 1 0;
   finish ();
   let name = match !header with Some n -> n | None -> fail 1 "missing cfg header" in
-  let blocks = List.rev !blocks_rev in
-  (match blocks with
-  | { text_label = 0; _ } :: { text_label = 1; _ } :: _ -> ()
+  (match List.rev !first_two with
+  | [ 0; 1 ] -> ()
   | _ -> fail 1 "the first two blocks must be B0 (entry) and B1 (exit)");
-  let g = Cfg.create ~name () in
-  (* Map text labels to allocated labels, appearance order. *)
-  let mapping = Hashtbl.create 16 in
-  Hashtbl.replace mapping 0 (Cfg.entry g);
-  Hashtbl.replace mapping 1 (Cfg.exit_label g);
-  List.iter
-    (fun b ->
-      if b.text_label <> 0 && b.text_label <> 1 then begin
-        if Hashtbl.mem mapping b.text_label then
-          fail b.first_line "duplicate block B%d" b.text_label;
-        Hashtbl.replace mapping b.text_label (Cfg.add_block g ~instrs:[] ~term:Cfg.Halt)
-      end)
-    blocks;
+  (match !first_dup with
+  | Some (line, t) -> fail line "duplicate block B%d" t
+  | None -> ());
   let resolve line l =
-    match Hashtbl.find_opt mapping l with
-    | Some l' -> l'
-    | None -> fail line "undefined label B%d" l
+    match l with
+    | 0 -> Build.entry
+    | 1 -> Build.exit_label
+    | l ->
+      (match Hashtbl.find_opt mapping l with
+      | Some l' -> l'
+      | None -> fail line "undefined label B%d" l)
   in
   List.iter
-    (fun b ->
-      let l = resolve b.first_line b.text_label in
-      Cfg.set_instrs g l (List.rev b.instrs_rev);
-      match b.term with
-      | Some (T_goto t) -> Cfg.set_term g l (Cfg.Goto (resolve b.first_line t))
+    (fun blk ->
+      match blk.term with
+      | Some (T_goto t) -> Build.set_term b blk.label (Cfg.Goto (resolve blk.first_line t))
       | Some (T_branch (c, x, y)) ->
-        Cfg.set_term g l (Cfg.Branch (c, resolve b.first_line x, resolve b.first_line y))
-      | Some T_halt ->
-        if b.text_label <> 1 then fail b.first_line "only the exit block B1 may halt"
+        Build.set_term b blk.label (Cfg.Branch (c, resolve blk.first_line x, resolve blk.first_line y))
+      | Some T_halt -> if blk.text_label <> 1 then fail blk.first_line "only the exit block B1 may halt"
       | None -> assert false)
-    blocks;
-  (match Validate.check g with
-  | [] -> ()
-  | issues -> fail 1 "invalid graph: %s" (String.concat "; " issues));
-  g
+    (List.rev !blocks_rev);
+  match Build.finish b ~name ~prune:false with
+  | Ok g -> g
+  | Error issues -> fail 1 "invalid graph: %s" (String.concat "; " issues)
 
 let to_string = Cfg.to_string

@@ -191,16 +191,16 @@ let earliest_sets ?scratch g local avail antic =
   let m = compute_earliest ?scratch g local avail antic in
   let n = Local.nbits local in
   let nw = Bitvec.words_for n and adj = Cfg.adjacency g in
-  List.filter_map
-    (fun ((p, b) as e) ->
+  Cfg.fold_edges adj
+    (fun p b acc ->
       let base = edge_base adj nw p b in
-      if not (row_nonzero m base nw 0) then None
+      if not (row_nonzero m base nw 0) then acc
       else begin
         let v = Arena.alloc scratch n in
         Array.blit m base (words v) 0 nw;
-        Some (e, v)
+        ((p, b), v) :: acc
       end)
-    adj.Cfg.adj_edges
+    []
 
 (* INSERT(p,b) = LATER(p,b) ∩ ¬LATERIN(b)
                = (EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))) ∩ ¬LATERIN(b),
@@ -265,21 +265,21 @@ let finish ?scratch g pool local avail antic =
         (* Only non-empty sets are materialized (as arena vectors): a first
            word pass tests emptiness without storing anything. *)
         let insert =
-          List.filter_map
-            (fun ((p, b) as e) ->
+          Cfg.fold_edges adj
+            (fun p b acc ->
               let base = edge_base adj nw p b in
               let li = laterin_arr and lp = p * nw and lb = b * nw in
               let alp = words antloc.(p) in
-              if not (insert_nonzero earliest_m base li lp alp lb nw 0) then None
+              if not (insert_nonzero earliest_m base li lp alp lb nw 0) then acc
               else begin
                 let v = Arena.alloc scratch n in
                 let dst = words v in
                 for w = 0 to nw - 1 do
                   dst.(w) <- insert_word earliest_m base li lp alp lb w
                 done;
-                Some (e, v)
+                ((p, b), v) :: acc
               end)
-            adj.Cfg.adj_edges
+            []
         in
         let delete =
           (* DELETE is defined for b ≠ ENTRY only: the entry has no incoming

@@ -7,30 +7,21 @@ module Expr = Lcm_ir.Expr
 module Expr_pool = Lcm_ir.Expr_pool
 
 (* Per-variable kill masks (bit set ⇔ the expression reads the variable),
-   so that applying a definition is three word-wide vector ops.  They are
-   filled in one pass over the pool's expressions, each setting its bit in
-   its operands' masks: a scan of the pool per written variable would cost
-   O(variables × candidates) per graph.
-
-   The masks are keyed by variable name in an open-addressing table whose
-   slot arrays, like the masks, come from the arena: a warm request builds
-   the table without allocating.  A slot's key is an operand occurrence,
-   [1 + 2 * index + side] (side 0: the left or only operand, 1: the right
-   one), whose variable name is read back from the pool; 0 marks an empty
-   slot.  Twice as many slots as there can be keys keeps probes short. *)
-type masks = {
-  m_pool : Expr_pool.t;
-  keys : int array;
-  vecs : Bitvec.t array;
-  cap_mask : int;  (* slot count - 1, a power of two minus one *)
-}
+   indexed by variable number, so that applying a write is three
+   word-wide vector ops found by one array read.  They are filled in one
+   pass over the pool's expressions, each setting its bit in its
+   operands' masks (the numbering lists each expression's operand
+   variables).  A variable that no candidate reads keeps [no_mask]
+   (compared physically) and kills nothing.  The masks, like the table,
+   come from the arena: a warm request fills them without allocating. *)
+let no_mask = Bitvec.create 0
 
 (* Predicates live in flat arrays indexed by the dense label ints: the
    data-flow transfer functions read them on every visit, so the per-access
    hashing (and the [Some] allocated by [Hashtbl.find_opt]) of a table-based
    representation shows up directly in solver throughput.  [live] marks
-   which slots belong to blocks of the graph; [masks] is kept so that
-   {!update} rescans dirty blocks without rebuilding it. *)
+   which slots belong to blocks of the graph; [numbering] and [masks] are
+   kept so that {!update} rescans dirty blocks without rebuilding them. *)
 type t = {
   pool : Expr_pool.t;
   graph : Cfg.t;
@@ -38,101 +29,52 @@ type t = {
   comp : Bitvec.t array;
   transp : Bitvec.t array;
   live : bool array;
-  masks : masks;
+  numbering : Cfg.numbering;
+  masks : Bitvec.t array;
 }
 
-let key_name pool key =
-  match (Expr_pool.expr pool ((key - 1) lsr 1), (key - 1) land 1) with
-  | (Expr.Unary (_, Expr.Var v) | Expr.Binary (_, Expr.Var v, _)), 0 -> v
-  | Expr.Binary (_, _, Expr.Var v), 1 -> v
-  | _ -> assert false
-
-(* The slot holding [v], or the empty slot where it would go. *)
-let rec probe m v s =
-  let key = Array.unsafe_get m.keys s in
-  if key = 0 || String.equal (key_name m.m_pool key) v then s else probe m v ((s + 1) land m.cap_mask)
-
-let[@inline] slot m v = probe m v (Hashtbl.hash v land m.cap_mask)
-
-let kill_masks scratch pool =
-  let n = Expr_pool.size pool in
-  let rec pow2 c = if c >= 4 * n then c else pow2 (2 * c) in
-  let cap = pow2 16 in
-  let m =
-    { m_pool = pool; keys = Arena.alloc_int scratch cap; vecs = Arena.alloc_vec scratch cap; cap_mask = cap - 1 }
-  in
-  let note idx side = function
-    | Expr.Var v ->
-      let s = slot m v in
-      if m.keys.(s) = 0 then begin
-        m.keys.(s) <- 1 + (2 * idx) + side;
-        m.vecs.(s) <- Arena.alloc scratch n
-      end;
-      Bitvec.set m.vecs.(s) idx true
-    | Expr.Const _ -> ()
-  in
-  for idx = 0 to n - 1 do
-    match Expr_pool.expr pool idx with
-    | Expr.Atom _ -> ()
-    | Expr.Unary (_, a) -> note idx 0 a
-    | Expr.Binary (_, a, b) ->
-      note idx 0 a;
-      note idx 1 b
+let kill_masks scratch nb =
+  let n = Expr_pool.size (Cfg.numbering_pool nb) and nvars = Cfg.numbering_vars nb in
+  let masks = Arena.alloc_vec scratch nvars in
+  Array.fill masks 0 nvars no_mask;
+  let reads = Cfg.numbering_reads nb in
+  for i = 0 to (2 * n) - 1 do
+    let v = reads.(i) in
+    if v >= 0 then begin
+      if masks.(v) == no_mask then masks.(v) <- Arena.alloc scratch n;
+      Bitvec.set masks.(v) (i lsr 1) true
+    end
   done;
-  m
+  masks
 
-(* Apply a write of [v]: every expression reading [v] is killed for the
-   rest of the block, leaves TRANSP and loses its downwards exposure.  A
-   variable that no candidate reads has no mask and kills nothing. *)
-let kill masks killed c t v =
-  let s = slot masks v in
-  if Array.unsafe_get masks.keys s <> 0 then begin
-    let m = Array.unsafe_get masks.vecs s in
-    ignore (Bitvec.union_into ~into:killed m);
-    ignore (Bitvec.diff_into ~into:t m);
-    ignore (Bitvec.diff_into ~into:c m)
+(* One block's scan over its events ({!Cfg.events}), as a top-level
+   recursion: a local closure would be allocated per block.  A
+   computation sets COMP, and ANTLOC unless an operand was written
+   earlier in the block; a write kills every expression reading the
+   variable for the rest of the block, removes it from TRANSP and from
+   the downwards-exposed set. *)
+let rec scan ev i masks killed a c t =
+  if i < Array.length ev then begin
+    let e = Array.unsafe_get ev i in
+    if e >= 0 then begin
+      if not (Bitvec.get killed e) then Bitvec.set a e true;
+      Bitvec.set c e true
+    end
+    else begin
+      let m = Array.unsafe_get masks (-1 - e) in
+      if m != no_mask then begin
+        ignore (Bitvec.union_into ~into:killed m);
+        ignore (Bitvec.diff_into ~into:t m);
+        ignore (Bitvec.diff_into ~into:c m)
+      end
+    end;
+    scan ev (i + 1) masks killed a c t
   end
 
-(* One block's instruction scan, as a top-level recursion: a local closure
-   would be allocated per block, and the [Instr.defs]/[Instr.candidate]
-   option API would allocate a [Some] per instruction — this runs once per
-   instruction of every request, so it matches on the instruction directly.
-
-   The computation happens before the definition takes effect, so an
-   instruction like [x := x + 1] exposes [x + 1] upwards but not
-   downwards. *)
-let rec scan_block pool masks killed a c t = function
-  | [] -> ()
-  | i :: rest ->
-    (match i with
-    | Instr.Assign (v, e) ->
-      if Expr.is_candidate e then begin
-        let idx =
-          match Expr_pool.index_exn pool e with
-          | idx -> idx
-          | exception Not_found ->
-            invalid_arg "Local.compute: pool is missing a candidate of the graph"
-        in
-        if not (Bitvec.get killed idx) then Bitvec.set a idx true;
-        Bitvec.set c idx true
-      end;
-      kill masks killed c t v
-    | Instr.Print _ -> ()
-    | Instr.Effect e ->
-      (* Opaque effect: kill every expression reading a variable it may
-         clobber — [Instr.kills]: destination plus operands, since a call
-         or store may alias.  Walked in place rather than through that
-         sorted list; killing a variable twice is harmless.  Never a
-         candidate itself, so nothing enters [a]/[c]. *)
-      (match e.Instr.eff_dest with
-      | Some (v, _) -> kill masks killed c t v
-      | None -> ());
-      List.iter
-        (function
-          | Expr.Var v -> kill masks killed c t v
-          | Expr.Const _ -> ())
-        e.Instr.eff_args);
-    scan_block pool masks killed a c t rest
+let block_events what g nb l =
+  match Cfg.events g nb l with
+  | ev -> ev
+  | exception Not_found -> invalid_arg (Printf.sprintf "Local.%s: pool is missing a candidate of the graph" what)
 
 (* [v], or the shared [zero]/[full] row equal to it. *)
 let share ~zero ~full v = if Bitvec.is_empty v then zero else if Bitvec.equal v full then full else v
@@ -144,14 +86,15 @@ let compute ?scratch g pool =
   and comp = Arena.alloc_rows scratch n bound
   and transp = Arena.alloc_rows_full scratch n bound in
   let live = Arena.alloc_bool scratch bound in
-  let masks = kill_masks scratch pool in
+  let nb = Cfg.numbering_for g pool in
+  let masks = kill_masks scratch nb in
   (* [killed] tracks expressions whose operands have been modified by an
      earlier instruction of the current block. *)
   let killed = Arena.alloc scratch n in
   List.iter
     (fun l ->
       Bitvec.fill killed false;
-      scan_block pool masks killed antloc.(l) comp.(l) transp.(l) (Cfg.instrs g l);
+      scan (block_events "compute" g nb l) 1 masks killed antloc.(l) comp.(l) transp.(l);
       live.(l) <- true)
     (Cfg.labels g);
   (* Heap rows may be retained (an incremental capture keeps them), and on
@@ -167,7 +110,7 @@ let compute ?scratch g pool =
         transp.(l) <- Bitvec.Interner.intern rows transp.(l))
       (Cfg.labels g)
   end;
-  { pool; graph = g; antloc; comp; transp; live; masks }
+  { pool; graph = g; antloc; comp; transp; live; numbering = nb; masks }
 
 (* Copy-on-write over [prev]'s row tables: a dirty block's rows are
    rescanned into fresh heap vectors and replace the shared ones only where
@@ -199,7 +142,7 @@ let update ~prev g ~dirty =
         invalid_arg (Printf.sprintf "Local.update: dirty label B%d is not a block" l);
       let a = Bitvec.create n and c = Bitvec.create n and t = Bitvec.create_full n in
       Bitvec.fill killed false;
-      scan_block prev.pool prev.masks killed a c t (Cfg.instrs g l);
+      scan (block_events "update" g prev.numbering l) 1 prev.masks killed a c t;
       let keep rows v = if not (Bitvec.equal rows.(l) v) then rows.(l) <- share ~zero ~full v in
       keep antloc a;
       keep comp c;

@@ -30,7 +30,8 @@ module Json = Lcm_obs.Json
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 module Lower = Lcm_cfg.Lower
-module Validate = Lcm_cfg.Validate
+module Build = Lcm_cfg.Build
+module Vars = Lcm_cfg.Vars
 module Expr = Lcm_ir.Expr
 module Instr = Lcm_ir.Instr
 
@@ -55,7 +56,10 @@ let instr_path fpath i = Printf.sprintf "%s.instrs[%d]" fpath i
    a type (consumed all the same). *)
 let rec read_type c =
   match Json.kind c with
-  | Json.K_string -> Some (Json.string c)
+  | Json.K_string ->
+    Json.string_span c;
+    (* The two value types are shared literals, not one string per use. *)
+    Some (if Json.span_is c "int" then "int" else if Json.span_is c "bool" then "bool" else Json.span_string c)
   | Json.K_obj ->
     (match Json.fields c type_member (0, None) with
     | 1, token -> token
@@ -82,23 +86,7 @@ let rec type_of_token s =
     Json.Obj [ (String.sub s 0 i, type_of_token (String.sub s (i + 1) (String.length s - i - 2))) ]
   | Some _ -> Json.String s
 
-(* ---- opcode tables (shared by reader and writer) ---- *)
-
-let binop_of_op = function
-  | "add" -> Some Expr.Add
-  | "sub" -> Some Expr.Sub
-  | "mul" -> Some Expr.Mul
-  | "div" -> Some Expr.Div
-  | "mod" -> Some Expr.Mod
-  | "eq" -> Some Expr.Eq
-  | "ne" -> Some Expr.Ne
-  | "lt" -> Some Expr.Lt
-  | "le" -> Some Expr.Le
-  | "gt" -> Some Expr.Gt
-  | "ge" -> Some Expr.Ge
-  | "and" -> Some Expr.And
-  | "or" -> Some Expr.Or
-  | _ -> None
+(* ---- opcode names (the writer's; the reader's are below) ---- *)
 
 let op_of_binop = function
   | Expr.Add -> "add"
@@ -115,38 +103,35 @@ let op_of_binop = function
   | Expr.And -> "and"
   | Expr.Or -> "or"
 
-let unop_of_op = function
-  | "not" -> Some Expr.Not
-  | "neg" -> Some Expr.Neg
-  | _ -> None
-
 (* ---- reader ----
 
    The reader pulls the program off a {!Json.cursor} in one pass: it
-   matches keys in place, skips every member it does not use, and feeds
-   each instruction's fields straight into the block under construction,
-   so no JSON tree is built.  It reports the error a reader over the
-   whole tree would, in that reader's order: the first occurrence of a
-   duplicated key wins; within a function, a bad "name" beats a missing
-   "instrs", which beats the first bad instruction, which beats label and
-   graph errors; function [i]'s error beats function [i+1]'s.  An error
-   found while scanning is recorded and the scan goes on (skipping what
-   can no longer matter), so malformed JSON anywhere in the document
-   still wins; graphs are built only once the whole document has been
-   read. *)
+   matches keys in place, skips every member it does not use, and emits
+   each instruction straight into the function's graph builder
+   ({!Lcm_cfg.Build}), so no JSON tree is built.  Variable and label
+   names are interned from their source spans: a name seen before
+   allocates nothing.  It reports the error a reader over the whole tree
+   would, in that reader's order: the first occurrence of a duplicated
+   key wins; within a function, a bad "name" beats a missing "instrs",
+   which beats the first bad instruction, which beats label and graph
+   errors; function [i]'s error beats function [i+1]'s.  An error found
+   while scanning is recorded and the scan goes on (skipping what can no
+   longer matter), so malformed JSON anywhere in the document still wins;
+   graphs are assembled only once the whole document has been read. *)
 
 (* A basic block under construction: Bril's flat instruction stream is
-   split at labels and after terminators. *)
+   split at labels and after terminators.  Labels are numbers in the
+   function's label table, variables numbers in its builder's. *)
 type term =
-  | T_jmp of string
-  | T_br of string * string * string
-  | T_ret of string option
+  | T_jmp of int
+  | T_br of int * int * int
+  | T_ret
   | T_fall (* falls through to the next segment (or the function's end) *)
 
 type seg = {
-  s_label : string option;
+  s_label : int; (* -1: unlabelled *)
   s_at : int; (* index of the instruction that opened it *)
-  mutable s_body : Instr.t list; (* reversed *)
+  s_block : Label.t;
   mutable s_term : term;
 }
 
@@ -171,6 +156,74 @@ let key_bit c =
   else if Json.key_is c "funcs" then k_funcs
   else 0
 
+(* Opcodes: the reader's own, then the operators; every other op is an
+   opaque effect, named by its text. *)
+let op_nop = 0
+let op_jmp = 1
+let op_br = 2
+let op_ret = 3
+let op_const = 4
+let op_id = 5
+let op_print = 6
+let op_effect = 7
+let op_binary = 8 (* + binop index *)
+let op_unary = 21 (* + unop index *)
+
+let op_names = [| "nop"; "jmp"; "br"; "ret"; "const"; "id"; "print" |]
+
+let binops =
+  [|
+    ("add", Expr.Add);
+    ("sub", Expr.Sub);
+    ("mul", Expr.Mul);
+    ("div", Expr.Div);
+    ("mod", Expr.Mod);
+    ("eq", Expr.Eq);
+    ("ne", Expr.Ne);
+    ("lt", Expr.Lt);
+    ("le", Expr.Le);
+    ("gt", Expr.Gt);
+    ("ge", Expr.Ge);
+    ("and", Expr.And);
+    ("or", Expr.Or);
+  |]
+
+let unops = [| ("not", Expr.Not); ("neg", Expr.Neg) |]
+
+let rec same s at w j n = j = n || (String.unsafe_get s (at + j) = String.unsafe_get w j && same s at w (j + 1) n)
+let is s at len w = len = String.length w && same s at w 0 len
+
+(* The opcode of the op spelt by [len] bytes of [s] at [at]. *)
+let opcode s at len =
+  match len with
+  | 2 ->
+    (match (String.unsafe_get s at, String.unsafe_get s (at + 1)) with
+    | 'b', 'r' -> op_br
+    | 'i', 'd' -> op_id
+    | 'e', 'q' -> op_binary + 5
+    | 'n', 'e' -> op_binary + 6
+    | 'l', 't' -> op_binary + 7
+    | 'l', 'e' -> op_binary + 8
+    | 'g', 't' -> op_binary + 9
+    | 'g', 'e' -> op_binary + 10
+    | 'o', 'r' -> op_binary + 12
+    | _ -> op_effect)
+  | 3 ->
+    if is s at len "jmp" then op_jmp
+    else if is s at len "add" then op_binary
+    else if is s at len "sub" then op_binary + 1
+    else if is s at len "mul" then op_binary + 2
+    else if is s at len "div" then op_binary + 3
+    else if is s at len "mod" then op_binary + 4
+    else if is s at len "and" then op_binary + 11
+    else if is s at len "not" then op_unary
+    else if is s at len "neg" then op_unary + 1
+    else if is s at len "ret" then op_ret
+    else if is s at len "nop" then op_nop
+    else op_effect
+  | 5 -> if is s at len "const" then op_const else if is s at len "print" then op_print else op_effect
+  | _ -> op_effect
+
 type const_value =
   | V_other
   | V_int of int
@@ -180,49 +233,65 @@ type const_value =
 type body =
   | B_missing (* no "instrs" list *)
   | B_bad of string * int (* the first bad instruction: message, index *)
-  | B_segs of seg list
+  | B_segs of Build.t * Vars.t * seg list (* builder, label names, segments *)
 
 type func = {
   f_name : string option; (* the first "name", when it is a string *)
   f_body : body;
 }
 
-(* The fields of the instruction being read and the segments of the
-   function being read: one per program, the fields reset for every
-   instruction. *)
+(* The fields of the instruction being read and the function being read:
+   one per program, the fields reset for every instruction. *)
 type reader = {
   mutable seen : int; (* keys met in this instruction *)
   mutable ill : int; (* keys whose value has the wrong shape *)
-  mutable label : string;
-  mutable op : string;
-  mutable dest : string;
+  mutable label : int;
+  mutable op : int;
+  mutable op_text : string; (* an effect's op *)
+  mutable dest : int;
   mutable dest_null : bool;
   mutable ty : string;
   mutable value : const_value;
-  mutable args : string list;
-  mutable labels : string list;
+  mutable args : int array; (* variable numbers *)
+  mutable nargs : int;
+  mutable labels : int array; (* label numbers *)
+  mutable nlabels : int;
   mutable funcs : string list;
-  mutable strings : string list; (* the string list being read, reversed *)
-  mutable list_bit : int; (* the key it belongs to *)
+  mutable strings : string list; (* the "funcs" list being read, reversed *)
+  mutable list_bit : int; (* the key of the list being read *)
+  mutable b : Build.t; (* the function's builder *)
+  mutable names : Vars.t; (* the function's label names *)
   mutable segs : seg list; (* closed segments, reversed *)
   mutable current : seg option;
+  mutable hint : int; (* the document's length, until a function has used it *)
 }
 
 let has r k = r.seen land k <> 0
 let ok r k = r.seen land k <> 0 && r.ill land k = 0
 let mark_ill r k = r.ill <- r.ill lor k
 
-let read_string r k c =
-  match Json.kind c with
-  | Json.K_string -> Json.string c
-  | kind ->
-    if k = k_dest && kind = Json.K_null then r.dest_null <- true;
-    mark_ill r k;
-    Json.skip c;
-    ""
+let push a n x =
+  let a = if n = Array.length a then Array.append a a else a in
+  Array.unsafe_set a n x;
+  a
 
-let string_item r c =
-  if Json.kind c = Json.K_string then r.strings <- Json.string c :: r.strings
+(* A string's span interned as a variable or label name. *)
+let intern table c = Vars.intern_sub table (Json.span_src c) (Json.span_at c) (Json.span_len c)
+
+let list_item r c =
+  if Json.kind c = Json.K_string then begin
+    if r.list_bit = k_args then begin
+      Json.string_span c;
+      r.args <- push r.args r.nargs (Build.var r.b (Json.span_src c) (Json.span_at c) (Json.span_len c));
+      r.nargs <- r.nargs + 1
+    end
+    else if r.list_bit = k_labels then begin
+      Json.string_span c;
+      r.labels <- push r.labels r.nlabels (intern r.names c);
+      r.nlabels <- r.nlabels + 1
+    end
+    else r.strings <- Json.string c :: r.strings
+  end
   else begin
     mark_ill r r.list_bit;
     Json.skip c
@@ -230,20 +299,27 @@ let string_item r c =
   r
 
 (* [null] or absent reads as the empty list. *)
-let read_strings r k c =
+let read_list r k c =
   match Json.kind c with
-  | Json.K_null ->
-    Json.skip c;
-    []
+  | Json.K_null -> Json.skip c
   | Json.K_list ->
-    r.strings <- [];
     r.list_bit <- k;
-    ignore (Json.items c string_item r);
-    List.rev r.strings
+    ignore (Json.items c list_item r)
   | Json.K_bool | Json.K_number | Json.K_string | Json.K_obj ->
     mark_ill r k;
+    Json.skip c
+
+(* A string field's span, or a mark that it is not a string. *)
+let read_span r k c =
+  match Json.kind c with
+  | Json.K_string ->
+    Json.string_span c;
+    true
+  | kind ->
+    if k = k_dest && kind = Json.K_null then r.dest_null <- true;
+    mark_ill r k;
     Json.skip c;
-    []
+    false
 
 let read_value r c =
   match Json.kind c with
@@ -256,24 +332,38 @@ let instr_field r c =
   if k = 0 || has r k then Json.skip c
   else begin
     r.seen <- r.seen lor k;
-    if k = k_op then r.op <- read_string r k c
-    else if k = k_dest then r.dest <- read_string r k c
+    if k = k_op then begin
+      if read_span r k c then begin
+        r.op <- opcode (Json.span_src c) (Json.span_at c) (Json.span_len c);
+        if r.op = op_effect then r.op_text <- Json.span_string c
+      end
+    end
+    else if k = k_dest then (if read_span r k c then r.dest <- Build.var r.b (Json.span_src c) (Json.span_at c) (Json.span_len c))
     else if k = k_type then (match read_type c with Some t -> r.ty <- t | None -> mark_ill r k)
-    else if k = k_args then r.args <- read_strings r k c
-    else if k = k_label then r.label <- read_string r k c
-    else if k = k_labels then r.labels <- read_strings r k c
+    else if k = k_args then read_list r k c
+    else if k = k_label then (if read_span r k c then r.label <- intern r.names c)
+    else if k = k_labels then read_list r k c
     else if k = k_value then read_value r c
-    else r.funcs <- read_strings r k c
+    else begin
+      r.strings <- [];
+      read_list r k c;
+      r.funcs <- List.rev r.strings
+    end
   end;
   r
 
 let dest r = if ok r k_dest && not r.dest_null then r.dest else bad "missing or non-string field %S" "dest"
 let ty r = if ok r k_type then r.ty else bad "unsupported type"
 
-let strings r k name l = if r.ill land k <> 0 then bad "field %S must be a list of strings" name else l
+let check_list r k name = if r.ill land k <> 0 then bad "field %S must be a list of strings" name
 let value_type r = ty r = "int" || ty r = "bool"
 
-let open_seg r ?label at = r.current <- Some { s_label = label; s_at = at; s_body = []; s_term = T_fall }
+(* A segment opens a block: the function's first one is the entry when it
+   is unlabelled, every other one a fresh block. *)
+let open_seg r ?(label = -1) at =
+  let block = if r.segs = [] && label < 0 then Build.entry else Build.new_block r.b in
+  Build.start r.b block;
+  r.current <- Some { s_label = label; s_at = at; s_block = block; s_term = T_fall }
 
 let close r term =
   match r.current with
@@ -283,26 +373,25 @@ let close r term =
     r.current <- None
   | None -> ()
 
+let open_if_none r at = if r.current = None then open_seg r at
+
 let terminate r at term =
-  if r.current = None then open_seg r at;
+  open_if_none r at;
   close r term
 
-let plain r at instr =
-  if r.current = None then open_seg r at;
-  match r.current with
-  | Some s -> s.s_body <- instr :: s.s_body
-  | None -> assert false
+let var_code = Vars.var_code
 
-let effect r at op args funcs =
+let effect r at op =
   let d =
     if (not (has r k_dest)) || r.dest_null then None
     else
       let t = ty r in
       Some (dest r, t)
   in
-  plain r at
-    (Instr.Effect
-       { Instr.eff_op = op; eff_dest = d; eff_args = List.map (fun a -> Expr.Var a) args; eff_funcs = funcs })
+  open_if_none r at;
+  Build.effect r.b op d (List.init r.nargs (fun i -> var_code r.args.(i))) r.funcs
+
+let op_text r = if r.op = op_effect then r.op_text else if r.op < op_effect then op_names.(r.op) else if r.op >= op_unary then fst unops.(r.op - op_unary) else fst binops.(r.op - op_binary)
 
 (* Lower the instruction just read (the [at]th of its function) into the
    segments.  Raises [Bad_instr]. *)
@@ -314,47 +403,210 @@ let add_instr r at =
   end
   else begin
     if not (ok r k_op) then bad "instruction has neither \"op\" nor \"label\"";
+    check_list r k_args "args";
+    check_list r k_labels "labels";
+    check_list r k_funcs "funcs";
     let op = r.op in
-    let args = strings r k_args "args" r.args in
-    let labels = strings r k_labels "labels" r.labels in
-    let funcs = strings r k_funcs "funcs" r.funcs in
-    match op with
-    | "nop" -> ()
-    | "jmp" ->
-      (match labels with
-      | [ l ] -> terminate r at (T_jmp l)
-      | _ -> bad "jmp needs exactly one label")
-    | "br" ->
-      (match (args, labels) with
-      | [ c ], [ t; f ] -> terminate r at (T_br (c, t, f))
-      | _ -> bad "br needs one argument and two labels")
-    | "ret" ->
-      (match args with
-      | [] -> terminate r at (T_ret None)
-      | [ a ] -> terminate r at (T_ret (Some a))
-      | _ -> bad "ret takes at most one argument")
-    | "const" ->
+    if op = op_nop then ()
+    else if op = op_jmp then (if r.nlabels = 1 then terminate r at (T_jmp r.labels.(0)) else bad "jmp needs exactly one label")
+    else if op = op_br then begin
+      if r.nargs = 1 && r.nlabels = 2 then terminate r at (T_br (r.args.(0), r.labels.(0), r.labels.(1)))
+      else bad "br needs one argument and two labels"
+    end
+    else if op = op_ret then begin
+      match r.nargs with
+      | 0 -> terminate r at T_ret
+      | 1 ->
+        open_if_none r at;
+        let x = r.args.(0) in
+        (* [ret _ret] is our own writer's spelling; appending [_ret := _ret]
+           would grow the graph on every round trip. *)
+        if not (String.equal (Build.var_name r.b x) Lower.return_var) then
+          Build.copy r.b (Build.var_of_name r.b Lower.return_var) (var_code x);
+        close r T_ret
+      | _ -> bad "ret takes at most one argument"
+    end
+    else if op = op_const then begin
       let d = dest r in
-      (match (ty r, r.value) with
-      | "int", V_int n -> plain r at (Instr.Assign (d, Expr.Atom (Expr.Const n)))
-      | "bool", V_bool b -> plain r at (Instr.Assign (d, Expr.Atom (Expr.Const (if b then 1 else 0))))
+      match (ty r, r.value) with
+      | "int", V_int n ->
+        open_if_none r at;
+        Build.copy r.b d (Build.const r.b n)
+      | "bool", V_bool v ->
+        open_if_none r at;
+        Build.copy r.b d (Build.const r.b (if v then 1 else 0))
       | ("int" | "bool"), _ -> bad "const value does not match its type"
-      | t, _ -> bad "unsupported constant type %S" t)
-    | "id" ->
-      (match (ty r, args) with
-      | ("int" | "bool"), [ a ] -> plain r at (Instr.Assign (dest r, Expr.Atom (Expr.Var a)))
-      | _ -> effect r at op args funcs)
-    | "print" ->
-      (match args with
-      | [ a ] -> plain r at (Instr.Print (Expr.Var a))
-      | _ -> effect r at op args funcs)
-    | _ ->
-      (match (binop_of_op op, unop_of_op op, args) with
-      | Some b, _, [ x; y ] when value_type r ->
-        plain r at (Instr.Assign (dest r, Expr.Binary (b, Expr.Var x, Expr.Var y)))
-      | _, Some u, [ x ] when value_type r -> plain r at (Instr.Assign (dest r, Expr.Unary (u, Expr.Var x)))
-      | _ -> effect r at op args funcs)
+      | t, _ -> bad "unsupported constant type %S" t
+    end
+    else if op = op_id then begin
+      match ty r with
+      | ("int" | "bool") when r.nargs = 1 ->
+        let d = dest r in
+        open_if_none r at;
+        Build.copy r.b d (var_code r.args.(0))
+      | _ -> effect r at (op_text r)
+    end
+    else if op = op_print then begin
+      if r.nargs = 1 then begin
+        open_if_none r at;
+        Build.print r.b (var_code r.args.(0))
+      end
+      else effect r at (op_text r)
+    end
+    else if op >= op_binary && op < op_unary && r.nargs = 2 && value_type r then begin
+      let d = dest r in
+      open_if_none r at;
+      Build.binary r.b d (snd binops.(op - op_binary)) (var_code r.args.(0)) (var_code r.args.(1))
+    end
+    else if op >= op_unary && r.nargs = 1 && value_type r then begin
+      let d = dest r in
+      open_if_none r at;
+      Build.unary r.b d (snd unops.(op - op_unary)) (var_code r.args.(0))
+    end
+    else effect r at (op_text r)
   end
+
+(* ---- the fast path ----
+
+   Most instructions are small objects of plain members: strings without
+   escapes, lists of them, a decimal integer or a boolean, each key once.
+   [fast_instr] reads such an object straight off the bytes into the
+   reader's fields — the state [Json.fields] with [instr_field] would
+   leave — and returns the offset after it; on anything else (an escape,
+   an unknown or repeated key, a type object, whitespace it does not
+   expect, malformed JSON) it returns -1 having consumed nothing, and the
+   object takes the general path, which reports whatever is wrong. *)
+
+let is_ws ch = ch = ' ' || ch = '\n' || ch = '\t' || ch = '\r'
+let rec ws s i n = if i < n && is_ws (String.unsafe_get s i) then ws s (i + 1) n else i
+
+(* The closing quote of a string body starting at [i]; -1 at an escape or
+   the end of the input. *)
+let rec quote s i n =
+  if i >= n then -1
+  else match String.unsafe_get s i with '"' -> i | '\\' -> -1 | _ -> quote s (i + 1) n
+
+let is_number_char = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+
+(* A list of plain strings at [i] (its '['), each interned into [table]
+   and pushed on [r.args] or [r.labels] per [k]; the offset after its ']'
+   or -1. *)
+let rec fast_items r k table s i n =
+  let i = ws s i n in
+  if i >= n || String.unsafe_get s i <> '"' then -1
+  else
+    let q = quote s (i + 1) n in
+    if q < 0 then -1
+    else begin
+      let v = Vars.intern_sub table s (i + 1) (q - i - 1) in
+      if k = k_args then begin
+        r.args <- push r.args r.nargs v;
+        r.nargs <- r.nargs + 1
+      end
+      else begin
+        r.labels <- push r.labels r.nlabels v;
+        r.nlabels <- r.nlabels + 1
+      end;
+      let i = ws s (q + 1) n in
+      if i >= n then -1
+      else match String.unsafe_get s i with
+        | ',' -> fast_items r k table s (i + 1) n
+        | ']' -> i + 1
+        | _ -> -1
+    end
+
+let fast_list r k table s i n =
+  let i = ws s (i + 1) n in
+  if i < n && String.unsafe_get s i = ']' then i + 1 else fast_items r k table s i n
+
+let rec fast_digits s i n v = if i < n && String.unsafe_get s i >= '0' && String.unsafe_get s i <= '9' then fast_digits s (i + 1) n ((10 * v) + Char.code (String.unsafe_get s i) - 48) else (i, v)
+
+(* The member value at [i] of key [k]; the offset after it or -1. *)
+let fast_value r k s i n =
+  let ch = if i < n then String.unsafe_get s i else '\000' in
+  if k = k_args then (if ch = '[' then fast_list r k (Build.vars r.b) s i n else -1)
+  else if k = k_labels then (if ch = '[' then fast_list r k r.names s i n else -1)
+  else if k = k_value then begin
+    if ch = 't' && i + 4 <= n && same s i "true" 0 4 then begin
+      r.value <- V_bool true;
+      i + 4
+    end
+    else if ch = 'f' && i + 5 <= n && same s i "false" 0 5 then begin
+      r.value <- V_bool false;
+      i + 5
+    end
+    else begin
+      let neg = ch = '-' in
+      let d = if neg then i + 1 else i in
+      let e, v = fast_digits s d n 0 in
+      if e = d || e - d > 18 || (e < n && is_number_char (String.unsafe_get s e)) then -1
+      else begin
+        r.value <- V_int (if neg then -v else v);
+        e
+      end
+    end
+  end
+  else if ch <> '"' then -1
+  else begin
+    let q = quote s (i + 1) n in
+    if q < 0 then -1
+    else begin
+      let at = i + 1 and len = q - i - 1 in
+      if k = k_op then begin
+        r.op <- opcode s at len;
+        if r.op = op_effect then r.op_text <- String.sub s at len
+      end
+      else if k = k_dest then r.dest <- Build.var r.b s at len
+      else if k = k_type then r.ty <- (if is s at len "int" then "int" else if is s at len "bool" then "bool" else String.sub s at len)
+      else r.label <- Vars.intern_sub r.names s at len;
+      q + 1
+    end
+  end
+
+let fast_key s at len =
+  match len with
+  | 2 -> if is s at len "op" then k_op else 0
+  | 4 -> if is s at len "dest" then k_dest else if is s at len "type" then k_type else if is s at len "args" then k_args else 0
+  | 5 -> if is s at len "label" then k_label else if is s at len "value" then k_value else 0
+  | 6 -> if is s at len "labels" then k_labels else 0
+  | _ -> 0
+
+let rec fast_members r s i n =
+  let i = ws s i n in
+  if i >= n || String.unsafe_get s i <> '"' then -1
+  else
+    let q = quote s (i + 1) n in
+    let k = if q < 0 then 0 else fast_key s (i + 1) (q - i - 1) in
+    if k = 0 || has r k then -1
+    else begin
+      let i = ws s (q + 1) n in
+      if i >= n || String.unsafe_get s i <> ':' then -1
+      else begin
+        r.seen <- r.seen lor k;
+        let i = fast_value r k s (ws s (i + 1) n) n in
+        if i < 0 then -1
+        else
+          let i = ws s i n in
+          if i >= n then -1
+          else match String.unsafe_get s i with
+            | ',' -> fast_members r s (i + 1) n
+            | '}' -> i + 1
+            | _ -> -1
+      end
+    end
+
+let fast_instr r c =
+  let s = Json.source c and i = Json.position c in
+  if i < String.length s && String.unsafe_get s i = '{' then fast_members r s (i + 1) (String.length s) else -1
+
+let reset r =
+  r.seen <- 0;
+  r.ill <- 0;
+  r.dest_null <- false;
+  r.value <- V_other;
+  r.nargs <- 0;
+  r.nlabels <- 0;
+  r.funcs <- []
 
 let failed f =
   match (f.f_name, f.f_body) with
@@ -364,6 +616,11 @@ let failed f =
 (* The instructions of one function, up to the first bad one; the rest
    are only checked for syntax. *)
 let read_instrs r c =
+  (* The first function's tables are sized from the document (its only
+     function, most often); later ones grow as they read. *)
+  r.b <- (if r.hint > 0 then Build.create ~blocks:(r.hint / 160) ~vars:(r.hint / 200) () else Build.create ());
+  r.names <- Vars.create ~size:(r.hint / 160) ();
+  r.hint <- 0;
   r.segs <- [];
   r.current <- None;
   let bad_at = ref None in
@@ -374,14 +631,13 @@ let read_instrs r c =
       Json.skip c
     end
     else begin
-      r.seen <- 0;
-      r.ill <- 0;
-      r.dest_null <- false;
-      r.value <- V_other;
-      r.args <- [];
-      r.labels <- [];
-      r.funcs <- [];
-      ignore (Json.fields c instr_field r);
+      reset r;
+      let after = fast_instr r c in
+      if after >= 0 then Json.set_position c after
+      else begin
+        reset r;
+        ignore (Json.fields c instr_field r)
+      end;
       try add_instr r at with Bad_instr m -> bad_at := Some (m, at)
     end;
     at + 1
@@ -391,7 +647,7 @@ let read_instrs r c =
   | Some (m, at) -> B_bad (m, at)
   | None ->
     close r T_fall;
-    B_segs (List.rev r.segs)
+    B_segs (r.b, r.names, List.rev r.segs)
 
 let read_function r c =
   let name = ref None and name_seen = ref false in
@@ -424,68 +680,51 @@ let read_functions r c =
   in
   List.rev (Json.items c item [])
 
-let build_function fpath name segs =
-  let g = Cfg.create ~name () in
-  let exit_l = Cfg.exit_label g in
-  (* Allocate one block per segment; labels resolve to their segment's
-     block.  A leading *unlabelled* segment cannot be a branch target, so
-     it becomes the entry block itself; when the function opens with a
-     label (Bril code may branch back to it), the entry stays a bare
-     [goto first-segment] stub — our entry has no predecessors by
-     construction.  The asymmetry makes [parse (print g)] reproduce [g]'s
-     block structure exactly: {!print} emits the entry unlabelled. *)
-  let blocks =
-    List.mapi
-      (fun k s ->
-        if k = 0 && s.s_label = None then (s, Cfg.entry g)
-        else (s, Cfg.add_block g ~instrs:[] ~term:Cfg.Halt))
-      segs
-  in
-  let by_label = Hashtbl.create 16 in
+(* Resolve the segments' labels and terminators, then assemble.  Labels
+   resolve to their segment's block; every duplicate is looked for before
+   any target is resolved.  When the function opens with a label (Bril
+   code may branch back to it), the entry stays a bare [goto
+   first-segment] stub — our entry has no predecessors by construction;
+   a leading unlabelled segment is the entry block itself.  The asymmetry
+   makes [parse (print g)] reproduce [g]'s block structure exactly:
+   {!print} emits the entry unlabelled.  Blocks no path reaches are
+   dropped. *)
+let build_function fpath name b names segs =
+  let exit_l = Build.exit_label in
+  let block_of = Array.make (Vars.size names) (-1) in
   List.iter
-    (fun (s, l) ->
-      match s.s_label with
-      | Some name ->
-        if Hashtbl.mem by_label name then fail (instr_path fpath s.s_at) "duplicate label %S" name;
-        Hashtbl.replace by_label name l
-      | None -> ())
-    blocks;
-  let resolve s name =
-    match Hashtbl.find_opt by_label name with
-    | Some l -> l
-    | None -> fail (instr_path fpath s.s_at) "unknown label %S" name
+    (fun s ->
+      if s.s_label >= 0 then begin
+        if block_of.(s.s_label) >= 0 then
+          fail (instr_path fpath s.s_at) "duplicate label %S" (Vars.name names s.s_label);
+        block_of.(s.s_label) <- s.s_block
+      end)
+    segs;
+  let resolve s label =
+    let l = block_of.(label) in
+    if l >= 0 then l else fail (instr_path fpath s.s_at) "unknown label %S" (Vars.name names label)
   in
   let rec wire = function
     | [] -> ()
-    | (s, l) :: rest ->
-      let body = List.rev s.s_body in
-      let next = match rest with (_, l') :: _ -> Some l' | [] -> None in
-      let body, term =
+    | s :: rest ->
+      let next = match rest with s' :: _ -> Some s'.s_block | [] -> None in
+      let term =
         match s.s_term with
-        | T_jmp t -> (body, Cfg.Goto (resolve s t))
-        | T_br (c, t, f) -> (body, Cfg.Branch (Expr.Var c, resolve s t, resolve s f))
-        | T_ret None -> (body, Cfg.Goto exit_l)
-        | T_ret (Some x) when String.equal x Lower.return_var ->
-          (* [ret _ret] is our own writer's spelling; appending
-             [_ret := _ret] would grow the graph on every round trip. *)
-          (body, Cfg.Goto exit_l)
-        | T_ret (Some x) -> (body @ [ Instr.Assign (Lower.return_var, Expr.Atom (Expr.Var x)) ], Cfg.Goto exit_l)
-        | T_fall -> (body, Cfg.Goto (Option.value next ~default:exit_l))
+        | T_jmp t -> Cfg.Goto (resolve s t)
+        | T_br (c, t, f) -> Cfg.Branch (Build.operand b (var_code c), resolve s t, resolve s f)
+        | T_ret -> Cfg.Goto exit_l
+        | T_fall -> Cfg.Goto (Option.value next ~default:exit_l)
       in
-      Cfg.set_instrs g l body;
-      Cfg.set_term g l term;
+      Build.set_term b s.s_block term;
       wire rest
   in
-  wire blocks;
-  (match blocks with
-  | (_, l0) :: _ when not (Label.equal l0 (Cfg.entry g)) ->
-    Cfg.set_term g (Cfg.entry g) (Cfg.Goto l0)
+  wire segs;
+  (match segs with
+  | s :: _ when s.s_block <> Build.entry -> Build.set_term b Build.entry (Cfg.Goto s.s_block)
   | _ -> (* entry merged with the first segment (or no segments at all) *) ());
-  Cfg.remove_unreachable g;
-  (match Validate.check g with
-  | [] -> ()
-  | issues -> fail fpath "invalid graph: %s" (String.concat "; " issues));
-  (name, g)
+  match Build.finish b ~name ~prune:true with
+  | Ok g -> (name, g)
+  | Error issues -> fail fpath "invalid graph: %s" (String.concat "; " issues)
 
 let build i f =
   let path = Printf.sprintf "functions[%d]" i in
@@ -493,26 +732,32 @@ let build i f =
   | None, _ -> fail path "missing or non-string field %S" "name"
   | Some _, B_missing -> fail path "missing field \"instrs\""
   | Some _, B_bad (m, at) -> raise (Err (m, instr_path path at))
-  | Some name, B_segs segs -> build_function path name segs
+  | Some name, B_segs (b, names, segs) -> build_function path name b names segs
 
 let parse_program text =
   let r =
     {
       seen = 0;
       ill = 0;
-      label = "";
-      op = "";
-      dest = "";
+      label = 0;
+      op = 0;
+      op_text = "";
+      dest = 0;
       dest_null = false;
       ty = "";
       value = V_other;
-      args = [];
-      labels = [];
+      args = Array.make 4 0;
+      nargs = 0;
+      labels = Array.make 4 0;
+      nlabels = 0;
       funcs = [];
       strings = [];
       list_bit = 0;
+      b = Build.create ();
+      names = Vars.create ();
       segs = [];
       current = None;
+      hint = String.length text;
     }
   in
   (* The first "functions" member, when it is a list. *)

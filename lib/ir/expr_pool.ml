@@ -14,10 +14,11 @@ type t = {
   reading_lock : Mutex.t;
 }
 
-let create () =
+let create ?(size = 16) () =
+  let size = max 16 size in
   {
-    table = Hashtbl.create 64;
-    exprs = Array.make 16 (Expr.Atom (Expr.Const 0));
+    table = Hashtbl.create size;
+    exprs = Array.make size (Expr.Atom (Expr.Const 0));
     size = 0;
     reading_cache = Hashtbl.create 16;
     reading_cache_size = -1;

@@ -7,7 +7,8 @@
 
 type t
 
-val create : unit -> t
+(** [create ?size ()]: room for [size] expressions before the pool grows. *)
+val create : ?size:int -> unit -> t
 
 (** [add pool e] registers candidate expression [e] (canonicalized) and
     returns its index; registering an equal expression again returns the

@@ -116,6 +116,11 @@ type cursor = {
   mutable key_at : int;
   mutable key_len : int;
   mutable key_text : string;
+  (* The string [string_span] consumed: [span_len] bytes of [span_src] at
+     [span_at] — the source itself when the literal has no escapes. *)
+  mutable span_src : string;
+  mutable span_at : int;
+  mutable span_len : int;
 }
 
 type kind =
@@ -126,7 +131,8 @@ type kind =
   | K_list
   | K_obj
 
-let cursor s = { src = s; len = String.length s; pos = 0; key_at = 0; key_len = 0; key_text = "" }
+let cursor s =
+  { src = s; len = String.length s; pos = 0; key_at = 0; key_len = 0; key_text = ""; span_src = s; span_at = 0; span_len = 0 }
 
 (* End-of-input sentinel for [peek].  A NUL byte in the input reads the
    same, so every branch that reports end of input checks [c.pos]. *)
@@ -345,9 +351,41 @@ let string c =
   expect c '"';
   string_body c
 
+(* A literal without escapes is left where it is; one with escapes is
+   decoded as [string] decodes it. *)
+let string_span c =
+  skip_ws c;
+  expect c '"';
+  let start = c.pos in
+  let stop = run_end c start in
+  if stop < c.len && String.unsafe_get c.src stop = '"' then begin
+    c.pos <- stop + 1;
+    c.span_src <- c.src;
+    c.span_at <- start;
+    c.span_len <- stop - start
+  end
+  else begin
+    let s = string_body c in
+    c.span_src <- s;
+    c.span_at <- 0;
+    c.span_len <- String.length s
+  end
+
+let source c = c.src
+let position c = c.pos
+let set_position c pos = c.pos <- pos
+let span_src c = c.span_src
+let span_at c = c.span_at
+let span_len c = c.span_len
+
 (* [n] bytes of [src] at [i] equal [s] at [j]. *)
 let rec same_bytes src i s j n =
   n = 0 || (String.unsafe_get src i = String.unsafe_get s j && same_bytes src (i + 1) s (j + 1) (n - 1))
+
+let span_is c s =
+  c.span_len = String.length s && same_bytes c.span_src c.span_at s 0 c.span_len
+
+let span_string c = String.sub c.span_src c.span_at c.span_len
 
 let literal c word =
   let n = String.length word in

@@ -70,6 +70,33 @@ val items : cursor -> ('a -> cursor -> 'a) -> 'a -> 'a
 (** Consume a string, unescaped. *)
 val string : cursor -> string
 
+(** [string_span c] consumes a string without allocating when it has no
+    escapes: its decoded text is then the {!span_len} bytes of
+    {!span_src} at {!span_at} (the source itself, or the decoded literal
+    when it had escapes), until the next [string_span]. *)
+val string_span : cursor -> unit
+
+val span_src : cursor -> string
+val span_at : cursor -> int
+val span_len : cursor -> int
+
+(** [span_is c s]: the last {!string_span} read [s] (compared in place). *)
+val span_is : cursor -> string -> bool
+
+(** The last {!string_span}'s text, allocated. *)
+val span_string : cursor -> string
+
+(** {3 Raw access}
+
+    For a reader with a fast path of its own over the bytes: [source c]
+    is the document, [position c] the offset of the next byte to read, and
+    [set_position c pos] moves the cursor to an offset the reader has
+    scanned up to (or back to one it held), keeping every other promise. *)
+
+val source : cursor -> string
+val position : cursor -> int
+val set_position : cursor -> int -> unit
+
 (** Consume [true] or [false]. *)
 val bool : cursor -> bool
 

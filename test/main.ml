@@ -36,4 +36,6 @@ let () =
       ("incremental", Test_incr.suite);
       ("journal", Test_journal.suite);
       ("chaos", Test_chaos.suite);
+      ("readers", Test_readers.suite);
+      ("builder", Test_build.suite);
     ]

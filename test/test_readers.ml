@@ -1,0 +1,282 @@
+(* The builder-backed readers against the readers they replaced.
+
+   [Ref_bril] and [Ref_cfg_text] are the Bril and CFG text readers as they
+   were before both emitted into the graph builder.  A seed-deterministic,
+   structure-aware mutator rewrites the Bril and CFG text of random graphs
+   and of the vendored Bril corpus — truncations, duplicate and unknown
+   labels, duplicate keys, non-string arguments, bad types, label-first
+   functions, unreachable segments, odd literals — and each reader must
+   give the same graph (by digest and by text) or the same typed error
+   (message and JSON path, or message and line).  Inputs that once told
+   the readers apart are kept under fuzz/ and replayed first. *)
+
+module Cfg = Lcm_cfg.Cfg
+module Cfg_text = Lcm_cfg.Cfg_text
+module Bril = Lcm_frontend.Bril
+module Gencfg = Lcm_eval.Gencfg
+module Prng = Lcm_support.Prng
+module Json = Lcm_obs.Json
+
+type outcome =
+  | Graphs of (string * string * string) list (* name, digest, text *)
+  | Failed of string * string (* message, JSON path or line *)
+
+let graphs gs = Graphs (List.map (fun (n, g) -> (n, Cfg.digest g, Cfg.to_string g)) gs)
+
+let bril_outcome parse text =
+  match parse text with
+  | gs -> graphs gs
+  | exception Bril.Err (m, path) -> Failed (m, path)
+
+let cfg_outcome parse text =
+  match parse text with
+  | g -> graphs [ (Cfg.name g, g) ]
+  | exception Cfg_text.Parse_error (m, line) -> Failed (m, string_of_int line)
+
+let show = function
+  | Graphs gs -> String.concat ", " (List.map (fun (n, d, _) -> n ^ "=" ^ d) gs)
+  | Failed (m, at) -> Printf.sprintf "error %S at %s" m at
+
+let disagree what got want text =
+  Printf.sprintf "%s readers disagree on:\n%s\nreader:    %s\nreference: %s" what text (show got) (show want)
+
+(* [None] when the readers agree on [text]. *)
+let check_bril text =
+  let got = bril_outcome Bril.parse_program text and want = bril_outcome Ref_bril.parse_program text in
+  if got = want then None else Some (disagree "bril" got want text)
+
+let check_cfg text =
+  let got = cfg_outcome Cfg_text.parse text and want = cfg_outcome Ref_cfg_text.parse text in
+  if got = want then None else Some (disagree "cfg" got want text)
+
+(* ---- CFG text mutations, on lines ---- *)
+
+let lines text = Array.of_list (String.split_on_char '\n' text)
+let unlines a = String.concat "\n" (Array.to_list a)
+
+let insert_at a i x =
+  Array.concat [ Array.sub a 0 i; [| x |]; Array.sub a i (Array.length a - i) ]
+
+let odd_words =
+  [| "0x1F"; "1_000"; "+4"; "-0"; "--x"; "!7"; "-"; "B"; "B-1"; "x.1"; "_t"; ".v"; "99999999999999999999"; "3"; ":=" |]
+
+let odd_lines =
+  [|
+    "do call @f a 1 -> r int";
+    "do store p x";
+    "do call -> r";
+    "print";
+    "print a b";
+    "x := a ? b";
+    "x := a + b + c";
+    "3 := a";
+    "print := a";
+    "do := a + b";
+    "goto B0x2";
+    "if 0x1 then B1 else B1";
+    "if a then B1";
+    "halt now";
+    "cfg again (entry B0, exit B1)";
+    "x :=\ta";
+    "  \t x := a * b \r";
+  |]
+
+let mutate_cfg rng text =
+  let a = lines text in
+  let n = Array.length a in
+  let pick () = Prng.int rng n in
+  let block_lines =
+    List.filter (fun i -> let l = String.trim a.(i) in String.length l > 1 && l.[0] = 'B') (List.init n Fun.id)
+  in
+  match Prng.int rng 12 with
+  | 0 -> String.sub text 0 (Prng.int rng (String.length text + 1))
+  | 1 when block_lines <> [] ->
+    (* a duplicate block header *)
+    let i = Prng.choose_list rng block_lines in
+    unlines (insert_at a (pick ()) a.(i))
+  | 2 ->
+    (* an unknown label *)
+    let i = pick () in
+    a.(i) <- a.(i) ^ (if Prng.bool rng then " B9999" else "");
+    unlines (Array.map (fun l -> if Prng.int rng 8 = 0 then String.concat "B77" (String.split_on_char 'B' l) else l) a)
+  | 3 ->
+    (* an unreachable segment that computes a candidate of its own *)
+    let seg = [| "B4242:"; "  zz := qq * qq"; "  yy := a + b"; "  goto B1" |] in
+    unlines (Array.append a seg)
+  | 4 ->
+    let i = pick () in
+    let w = String.split_on_char ' ' a.(i) in
+    let w = List.map (fun x -> if Prng.int rng 3 = 0 then Prng.choose rng odd_words else x) w in
+    a.(i) <- String.concat " " w;
+    unlines a
+  | 5 -> unlines (insert_at a (pick ()) ("  " ^ Prng.choose rng odd_lines))
+  | 6 ->
+    (* drop a line: a terminator, a header, a block label *)
+    let i = pick () in
+    unlines (Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (n - i - 1)))
+  | 7 ->
+    (* swap two lines *)
+    let i = pick () and j = pick () in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x;
+    unlines a
+  | 8 ->
+    (* a block after the exit halts, or the exit does not *)
+    unlines (Array.append a [| "B88:"; (if Prng.bool rng then "  halt" else "  goto B1") |])
+  | 9 ->
+    (* B0 or B1 again: the later body replaces the earlier one *)
+    let l = if Prng.bool rng then "B0:" else "B1:" in
+    unlines (Array.append a [| l; "  w := a - b"; (if l = "B1:" then "  halt" else "  goto B1") |])
+  | 10 -> unlines (Array.map (fun l -> if Prng.int rng 4 = 0 then "  " ^ l ^ " \t" else l) a)
+  | _ -> text
+
+(* ---- Bril mutations, on the JSON tree ---- *)
+
+let rec map_instrs f (v : Json.t) : Json.t =
+  match v with
+  | Json.Obj members ->
+    Json.Obj
+      (List.map
+         (fun (k, x) ->
+           match (k, x) with
+           | "instrs", Json.List is -> (k, Json.List (f is))
+           | _ -> (k, map_instrs f x))
+         members)
+  | Json.List xs -> Json.List (List.map (map_instrs f) xs)
+  | v -> v
+
+let insert_list l at x = List.filteri (fun i _ -> i < at) l @ (x :: List.filteri (fun i _ -> i >= at) l)
+
+let label_names is =
+  List.filter_map (function Json.Obj m -> Option.bind (List.assoc_opt "label" m) Json.to_string_opt | _ -> None) is
+
+let mutate_instr rng (i : Json.t) : Json.t =
+  match i with
+  | Json.Obj members ->
+    let pick n = Prng.int rng n in
+    let members =
+      match pick 7 with
+      | 0 when members <> [] ->
+        (* a duplicate key, first or second *)
+        let k, _ = List.nth members (pick (List.length members)) in
+        let wrong = [| Json.Int 3; Json.Null; Json.String "int"; Json.List []; Json.Obj [] |] in
+        insert_list members (pick (List.length members + 1)) (k, wrong.(pick (Array.length wrong)))
+      | 1 ->
+        (* a non-string argument *)
+        List.map (fun (k, x) -> if k = "args" then (k, Json.List [ Json.String "a"; Json.Int 1 ]) else (k, x)) members
+      | 2 ->
+        (* a bad type *)
+        let bad = [| Json.Int 7; Json.Obj [ ("ptr", Json.String "int"); ("x", Json.Int 1) ]; Json.String "float"; Json.Null |] in
+        List.map (fun (k, x) -> if k = "type" then (k, bad.(pick (Array.length bad))) else (k, x)) members
+      | 3 ->
+        List.map (fun (k, x) -> if k = "labels" then (k, Json.List [ Json.String "nowhere" ]) else (k, x)) members
+      | 4 -> List.filter (fun _ -> pick 4 <> 0) members
+      | _ -> members
+    in
+    Json.Obj members
+  | v -> v
+
+let mutate_bril rng text =
+  let tree = Json.parse text in
+  let pick n = Prng.int rng n in
+  let mutated =
+    match pick 9 with
+    | 0 -> None
+    | 1 ->
+      (* a duplicate label *)
+      Some
+        (map_instrs
+           (fun is ->
+             match label_names is with
+             | [] -> is
+             | ls -> insert_list is (pick (List.length is + 1)) (Json.Obj [ ("label", Json.String (Prng.choose_list rng ls)) ]))
+           tree)
+    | 2 ->
+      (* a label-first function *)
+      Some (map_instrs (fun is -> Json.Obj [ ("label", Json.String "top") ] :: is) tree)
+    | 3 ->
+      (* an unreachable segment with a fresh candidate, after a jump *)
+      let seg =
+        [
+          Json.Obj [ ("op", Json.String "jmp"); ("labels", Json.List [ Json.String "after" ]) ];
+          Json.Obj
+            [
+              ("op", Json.String "mul");
+              ("dest", Json.String "dead");
+              ("type", Json.String "int");
+              ("args", Json.List [ Json.String "q"; Json.String "q" ]);
+            ];
+          Json.Obj [ ("label", Json.String "after") ];
+        ]
+      in
+      Some (map_instrs (fun is -> let at = pick (List.length is + 1) in List.filteri (fun i _ -> i < at) is @ seg @ List.filteri (fun i _ -> i >= at) is) tree)
+    | 4 | 5 -> Some (map_instrs (List.map (fun i -> if pick 6 = 0 then mutate_instr rng i else i)) tree)
+    | 6 ->
+      (* a ret with an argument mid-function *)
+      Some
+        (map_instrs
+           (fun is -> insert_list is (pick (List.length is + 1)) (Json.Obj [ ("op", Json.String "ret"); ("args", Json.List [ Json.String "a" ]) ]))
+           tree)
+    | 7 -> Some (Json.Obj [ ("functions", Json.List [ tree; tree ]) ])
+    | _ -> Some tree
+  in
+  let text = match mutated with Some t -> Json.to_string t | None -> text in
+  if pick 6 = 0 then String.sub text 0 (pick (String.length text + 1)) else text
+
+(* ---- inputs ---- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+let files dir suffix =
+  if Sys.file_exists dir then
+    Sys.readdir dir |> Array.to_list |> List.filter (fun f -> Filename.check_suffix f suffix) |> List.sort compare
+    |> List.map (fun f -> read_file (Filename.concat dir f))
+  else []
+
+let corpus () = files "bril" ".json"
+
+let fail_on = function
+  | None -> ()
+  | Some report -> Alcotest.fail report
+
+let test_regressions () =
+  List.iter (fun t -> fail_on (check_bril t)) (files "fuzz" ".json");
+  List.iter (fun t -> fail_on (check_cfg t)) (files "fuzz" ".cfg")
+
+let test_corpus () =
+  List.iter
+    (fun text ->
+      fail_on (check_bril text);
+      List.iter (fun (_, g) -> fail_on (check_cfg (Cfg.to_string g))) (Bril.parse_program text))
+    (corpus ())
+
+(* A fixed-seed budget: [runs] random graphs, each read as Bril and as CFG
+   text, unmutated and under [mutations] mutations each, plus as many
+   mutations of the corpus. *)
+let runs = 150
+let mutations = 6
+
+let test_mutations () =
+  let rng = Prng.of_int 0x5eed in
+  let corpus = Array.of_list (corpus ()) in
+  for _ = 1 to runs do
+    let g = Gencfg.random_cfg rng in
+    let ctext = Cfg.to_string g and btext = Bril.print g in
+    fail_on (check_cfg ctext);
+    fail_on (check_bril btext);
+    for _ = 1 to mutations do
+      fail_on (check_cfg (mutate_cfg rng ctext));
+      fail_on (check_bril (mutate_bril rng btext));
+      if Array.length corpus > 0 then fail_on (check_bril (mutate_bril rng (Prng.choose rng corpus)))
+    done
+  done
+
+let suite =
+  [
+    Alcotest.test_case "readers: kept regressions" `Quick test_regressions;
+    Alcotest.test_case "readers: corpus as Bril and as CFG text" `Quick test_corpus;
+    Alcotest.test_case "readers: mutated inputs match the former readers" `Quick test_mutations;
+  ]
