@@ -250,10 +250,12 @@ let measure_size ~blocks ~iters =
   in
   (* The whole delta, as the engine serves it: copy the retained graph
      (whose memos the retain response filled), patch the copy, restart the
-     analysis, transform, count both graphs, print and encode the
-     response.  Every repetition patches a fresh copy of the same graph. *)
+     analysis, transform, count both graphs and encode the response from
+     the blocks' escaped texts.  Every repetition patches a fresh copy of
+     the same graph, so the transform's unchanged blocks come from the
+     rewrite memos, as on a retained handle. *)
   let delta_e2e_w =
-    ignore (Cfg.to_string g);
+    ignore (Cfg.to_json g);
     ignore (Lcm_eval.Metrics.static_counts g);
     alloc_per_request ~warm:5 ~iters:alloc_iters (fun () ->
         let g' = Cfg.copy g in
@@ -273,10 +275,10 @@ let measure_size ~blocks ~iters =
                 ]
             in
             ignore
-              (Lcm_server.Protocol.ok_delta ~id:(Json.Int 1) ~trace_id:"t-1" ~algorithm:"lcm-edge"
+              (Lcm_server.Protocol.ok_delta_graph ~id:(Json.Int 1) ~trace_id:"t-1" ~algorithm:"lcm-edge"
                  ~validated:false
                  ~extra:[ ("handle", Json.String "h0-1"); ("solve", solve) ]
-                 ~program:(Cfg.to_string out) ~before ~after ~timing:None ())))
+                 ~program:out ~before ~after ~timing:None ())))
   in
   {
     blocks;
@@ -381,7 +383,7 @@ type retry_result = {
   cascade_present : bool;
 }
 
-let cascade_spans = [ "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.copy" ]
+let cascade_spans = [ "lcm.down_safety"; "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.live"; "lcm.copy" ]
 
 let run_retry_trace () =
   let exe = resolve_exe () in
@@ -515,7 +517,7 @@ let print_rows rows =
 (* Steady-state allocation, heap path vs arena path, with the per-phase
    reduction for the cascade/solver phases the arena exists for. *)
 let alloc_phases =
-  [ "pass.lcm-edge"; "solve.avail"; "solve.antic"; "lcm.delay"; "lcm.latest"; "lcm.copy" ]
+  [ "pass.lcm-edge"; "solve.avail"; "solve.antic"; "lcm.delay"; "lcm.latest"; "lcm.live"; "lcm.copy" ]
 
 let print_alloc_rows rows =
   let t =

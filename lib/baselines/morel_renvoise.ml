@@ -51,7 +51,7 @@ let analyze ?pool g =
       Queue.add b queue
     end
   in
-  List.iter enqueue adj.Cfg.adj_rpo;
+  Array.iter enqueue adj.Cfg.adj_rpo;
   let visit_count = Array.make bound 0 in
   while not (Queue.is_empty queue) do
     let b = Queue.take queue in

@@ -1,3 +1,4 @@
+module Bitvec = Lcm_support.Bitvec
 module Instr = Lcm_ir.Instr
 module Expr = Lcm_ir.Expr
 module Expr_pool = Lcm_ir.Expr_pool
@@ -10,13 +11,13 @@ type terminator =
 type adjacency = {
   adj_version : int;
   adj_bound : int;
-  adj_labels : Label.t list;
+  adj_labels : Label.t array;
   adj_succ : Label.t array array;
   adj_pred : Label.t array array;
   adj_succ_off : int array;
   adj_pred_off : int array;
-  adj_rpo : Label.t list;
-  adj_post : Label.t list;
+  adj_rpo : Label.t array;
+  adj_post : Label.t array;
   adj_rpo_pos : int array;
   adj_disc : int array;
   adj_fin : int array;
@@ -50,8 +51,8 @@ let numbering_record pool vars reads = { id = Atomic.fetch_and_add next_id 1; po
    the numbering's table lacks is left out: no candidate reads it. *)
 (* One block.  The contents are immutable: an edit replaces the record in
    its slot, so [copy] can share every record and a mutation of either
-   graph never shows through in the other.  The two mutable fields are
-   memos of the contents, filled on first use:
+   graph never shows through in the other.  The mutable fields are memos
+   of the contents, filled on first use:
    - [text]: the block's canonical rendering, ["\nBn:"], then ["\n  "]
      and each instruction, then ["\n  "] and the terminator ([""] until
      rendered; a rendered block is never empty).  It names the block's
@@ -63,27 +64,59 @@ let numbering_record pool vars reads = { id = Atomic.fetch_and_add next_id 1; po
      with different numberings keeps the last one asked for; a reader
      checks the id and recomputes on a mismatch, so the memo is never
      wrong, only sometimes cold.
+   - [json]: the text escaped as the inside of a JSON string literal
+     ([""] until escaped).  It replaces [text] when it is made, so a block
+     holds one rendering of itself (see {!text_length}).
+   - [made]: what a transform last made of this record, with the inputs
+     it was made from: the block a code-motion rewrite made of it (see
+     {!rewrite}), or what a split of one of its out-edges made of it and
+     of the fresh block (see {!split_edge}).  A rewritten record is not
+     itself split (its rewrite is), so one memo serves both.
    Filling a memo is idempotent — every domain that races to fill one
    computes the same value from the same immutable contents, and a record
    or string is published whole — so records shared between graphs, or
-   read by several domains, need no lock. *)
+   read by several domains, need no lock (a printer that finds neither
+   rendering renders the block again).  The rewrite and split memos are
+   not idempotent (a later rewrite or split with other inputs replaces
+   them), but each keeps its key and its result in one immutable cell
+   published by one store, so a racing reader sees either cell whole and a
+   stale one only misses. *)
+type rewrite_key = {
+  rw_deletes : Bitvec.t;
+  rw_copies : Bitvec.t;
+  rw_pool : Expr_pool.t;
+  rw_temps : string array;
+}
+
 type block = {
   instrs : Instr.t list;
   term : terminator;
   mutable text : string;
+  mutable json : string;
   mutable summary : summary;
   mutable events : int array;
+  mutable made : made;
 }
+
+and made =
+  | Nothing
+  | Rewritten of rewritten
+  | Split of split
+
+and rewritten = { rw_key : rewrite_key; rw_out : block; rw_deleted : int; rw_copied : int }
+
+and split = { sp_dst : Label.t; sp_fresh : Label.t; sp_instrs : Instr.t list; sp_src : block; sp_block : block }
 
 let no_summary = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
 let zero = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
 let no_events = [| 0 |]
 
+let block instrs term =
+  { instrs; term; text = ""; json = ""; summary = no_summary; events = no_events; made = Nothing }
+
 (* The content of a free slot: a removed block, or capacity beyond
    [next_label].  Compared physically; its memos are never filled. *)
-let dead = { instrs = []; term = Halt; text = ""; summary = no_summary; events = no_events }
-
-let block instrs term = { instrs; term; text = ""; summary = no_summary; events = no_events }
+let dead = block [] Halt
 
 (* ---- per-block summaries ---- *)
 
@@ -204,18 +237,20 @@ let set_slot g l b =
       }
   end
 
-let alloc g instrs term =
+let alloc_block g b =
   let l = g.next_label in
   if l = Array.length g.slots then begin
     let grown = Array.make (2 * l) dead in
     Array.blit g.slots 0 grown 0 l;
     g.slots <- grown
   end;
-  set_slot g l (block instrs term);
+  set_slot g l b;
   g.next_label <- l + 1;
   g.live <- g.live + 1;
   bump g;
   l
+
+let alloc g instrs term = alloc_block g (block instrs term)
 
 let create ?(name = "main") () =
   let g =
@@ -281,21 +316,78 @@ let prepend_instr g l i =
   set_slot g l (block (i :: b.instrs) b.term);
   ibump g
 
-let labels_of_slots g =
+(* ---- memoised rewrites ---- *)
+
+(* The temporaries a rewrite under [a] and [b] names are those of the
+   expressions it deletes or copies: equal there, the rewrites agree. *)
+let same_temps a b =
+  a.rw_temps == b.rw_temps
+  || Array.length a.rw_temps = Array.length b.rw_temps
+     && (let same i = String.equal a.rw_temps.(i) b.rw_temps.(i) in
+         Bitvec.fold_true (fun i ok -> ok && same i) a.rw_deletes true
+         && Bitvec.fold_true (fun i ok -> ok && same i) a.rw_copies true)
+
+(* A memo's key keeps its empty rows as one shared zero-width vector. *)
+let no_row = Bitvec.create 0
+let same_row kept v = if kept == no_row then Bitvec.is_empty v else Bitvec.equal kept v
+let keep_row v = if Bitvec.is_empty v then no_row else Bitvec.copy v
+
+let same_key kept key =
+  kept.rw_pool == key.rw_pool
+  && same_row kept.rw_deletes key.rw_deletes
+  && same_row kept.rw_copies key.rw_copies
+  && same_temps kept key
+
+let rewrite g l key f =
+  let b = find g l "rewrite" in
+  let r =
+    match b.made with
+    | Rewritten r when same_key r.rw_key key -> r
+    | Rewritten _ | Split _ | Nothing ->
+      let instrs, rw_deleted, rw_copied = f b.instrs in
+      let rw_key = { key with rw_deletes = keep_row key.rw_deletes; rw_copies = keep_row key.rw_copies } in
+      let r = { rw_key; rw_out = block instrs b.term; rw_deleted; rw_copied } in
+      b.made <- Rewritten r;
+      r
+  in
+  set_slot g l r.rw_out;
+  ibump g;
+  (r.rw_deleted, r.rw_copied)
+
+(* A memo whose block is no longer rewritten (or split) keeps its result
+   alive for nothing: the blocks that stop having DELETE, COPY or
+   inserted out-edges would accumulate them over a long edit stream. *)
+let prune_memos g ~rewritten ~split =
+  let rec go l rw sp =
+    if l < g.next_label then begin
+      let rw_here, rw = match rw with x :: rest when x = l -> (true, rest) | _ -> (false, rw) in
+      let sp_here, sp = match sp with x :: rest when x = l -> (true, rest) | _ -> (false, sp) in
+      let b = Array.unsafe_get g.slots l in
+      if b != dead then begin
+        match b.made with
+        | Rewritten _ when not rw_here -> b.made <- Nothing
+        | Rewritten { rw_out = { made = Split _; _ } as out; _ } when not sp_here -> out.made <- Nothing
+        | Split _ when not sp_here -> b.made <- Nothing
+        | Rewritten _ | Split _ | Nothing -> ()
+      end;
+      go (l + 1) rw sp
+    end
+  in
+  go 0 rewritten split
+
+let labels g =
   let acc = ref [] in
   for l = g.next_label - 1 downto 0 do
     if g.slots.(l) != dead then acc := l :: !acc
   done;
   !acc
 
-(* Serve from the adjacency snapshot when it is warm: steady-state solves
-   call this several times per request, and rebuilding the list each time
-   costs ~3 words per block.  Cold (or mid-mutation) graphs build it from
-   the slots. *)
-let labels g =
-  match g.adj with
-  | Some a when a.adj_version = g.version -> a.adj_labels
-  | Some _ | None -> labels_of_slots g
+(* Live labels in allocation order, without building a list. *)
+let iter_labels g f =
+  for l = 0 to g.next_label - 1 do
+    if Array.unsafe_get g.slots l != dead then f l
+  done
+
 let num_blocks g = g.live
 let label_bound g = g.next_label
 
@@ -320,17 +412,21 @@ let succ_array = function
 
 let build_adjacency g =
   let bound = g.next_label in
-  let labels = labels_of_slots g in
+  let labels = Array.make g.live 0 in
+  let n = ref 0 in
+  iter_labels g (fun l ->
+      labels.(!n) <- l;
+      incr n);
   let succ = Array.make bound no_succ in
   iter_blocks g (fun l b -> succ.(l) <- succ_array b.term);
   (* Predecessors, in allocation order of the source block (the order the
      old per-call cache produced): count, allocate, fill — [fill] counts
      twice over. *)
   let fill = Array.make bound 0 in
-  List.iter (fun s -> Array.iter (fun d -> fill.(d) <- fill.(d) + 1) succ.(s)) labels;
+  Array.iter (fun s -> Array.iter (fun d -> fill.(d) <- fill.(d) + 1) succ.(s)) labels;
   let pred = Array.init bound (fun d -> if fill.(d) = 0 then no_succ else Array.make fill.(d) 0) in
   Array.fill fill 0 bound 0;
-  List.iter
+  Array.iter
     (fun s ->
       Array.iter
         (fun d ->
@@ -344,7 +440,8 @@ let build_adjacency g =
   let disc = Array.make bound 0 and fin = Array.make bound 0 in
   let stack_l = Array.make (max 1 bound) 0 and stack_i = Array.make (max 1 bound) 0 in
   let sp = ref 0 and clock = ref 0 in
-  let finish_acc = ref [] in
+  (* Postorder fills [post] from the front as blocks finish. *)
+  let post = Array.make bound 0 and nreach = ref 0 in
   let push l =
     incr clock;
     disc.(l) <- !clock;
@@ -365,13 +462,15 @@ let build_adjacency g =
       decr sp;
       incr clock;
       fin.(l) <- !clock;
-      finish_acc := l :: !finish_acc
+      post.(!nreach) <- l;
+      incr nreach
     end
   done;
-  let rpo = !finish_acc in
-  let post = List.rev rpo in
+  let nreach = !nreach in
+  let post = if nreach = bound then post else Array.sub post 0 nreach in
+  let rpo = Array.init nreach (fun i -> post.(nreach - 1 - i)) in
   let rpo_pos = Array.make bound (-1) in
-  List.iteri (fun i l -> rpo_pos.(l) <- i) rpo;
+  Array.iteri (fun i l -> rpo_pos.(l) <- i) rpo;
   (* CSR-style prefix sums over the adjacency rows: per-edge analyses index
      flat arrays by [off.(l) + i] instead of building nested per-block
      structures (or hashed edge keys) each request. *)
@@ -446,23 +545,39 @@ let is_critical_edge g (src, dst) =
    a path through the fresh block, the same blocks stay reachable — [src]
    is reachable (every non-exit block of a valid graph is), hence so is
    the fresh block.  Checking the local facts is O(1); the full check
-   would rebuild the adjacency. *)
-let split_edge g src dst =
+   would rebuild the adjacency.
+
+   The two blocks a split makes are a function of [src]'s record, [dst],
+   the fresh label and [instrs], so they are memoised on the record: a
+   later split of the same record on the same edge, to the same label with
+   the same body, reuses them with their memoised texts. *)
+let split_edge ?(instrs = []) g src dst =
   let b = find g src "split_edge" in
   if not (List.exists (Label.equal dst) (successors_of_term b.term)) then
     invalid_arg (Printf.sprintf "Cfg.split_edge: no edge B%d -> B%d" src dst);
   let was_valid = validated g in
-  let fresh = alloc g [] (Goto dst) in
-  let redirect l = if Label.equal l dst then fresh else l in
-  let term =
-    match b.term with
-    | Goto l -> Goto (redirect l)
-    | Branch (c, l1, l2) -> Branch (c, redirect l1, redirect l2)
-    | Halt -> assert false
+  let fresh = g.next_label in
+  let m =
+    match b.made with
+    | Split m when Label.equal m.sp_dst dst && Label.equal m.sp_fresh fresh && m.sp_instrs = instrs -> m
+    | Split _ | Rewritten _ | Nothing ->
+      let redirect l = if Label.equal l dst then fresh else l in
+      let term =
+        match b.term with
+        | Goto l -> Goto (redirect l)
+        | Branch (c, l1, l2) -> Branch (c, redirect l1, redirect l2)
+        | Halt -> assert false
+      in
+      (* Redirecting changes neither the body nor the branch operand: the
+         counts and events still hold, only the text names the new
+         target. *)
+      let sp_src = { (block b.instrs term) with summary = b.summary; events = b.events } in
+      let m = { sp_dst = dst; sp_fresh = fresh; sp_instrs = instrs; sp_src; sp_block = block instrs (Goto dst) } in
+      b.made <- Split m;
+      m
   in
-  (* Redirecting changes neither the body nor the branch operand: the
-     counts still hold, only the text names the new target. *)
-  set_slot g src { b with term; text = "" };
+  ignore (alloc_block g m.sp_block);
+  set_slot g src m.sp_src;
   bump g;
   if
     was_valid
@@ -891,7 +1006,7 @@ let assemble ~name ~vars ~blocks:n ~instrs ~terms ~events ~prune =
     let live = ref 0 in
     iter (fun l ->
         incr live;
-        slots.(l) <- { instrs = instrs.(l); term = terms.(l); text = ""; summary = no_summary; events = events.(l) });
+        slots.(l) <- { (block instrs.(l) terms.(l)) with events = events.(l) });
     Ok
       {
         name;
@@ -972,54 +1087,133 @@ let pp_terminator ppf t =
   add_terminator buf t;
   Format.pp_print_string ppf (Buffer.contents buf)
 
-(* The block's text memo, rendered through [buf] (a scratch buffer the
-   caller reuses across blocks) on first use. *)
-let block_text buf l b =
-  if b.text <> "" then b.text
+(* A block's text, ["\nBn:"], then ["\n  "] and each instruction, then
+   ["\n  "] and the terminator, rendered into [buf]. *)
+let render buf l b =
+  Buffer.clear buf;
+  Buffer.add_char buf '\n';
+  Label.add_to_buffer buf l;
+  Buffer.add_char buf ':';
+  List.iter
+    (fun i ->
+      Buffer.add_string buf "\n  ";
+      Instr.add_to_buffer buf i)
+    b.instrs;
+  Buffer.add_string buf "\n  ";
+  add_terminator buf b.term
+
+(* A block keeps one of its two renderings: the text until it is first
+   escaped for a response, then only the escaped text, from which the
+   text is recovered when the graph is printed again (on a serving path
+   that is a journal compaction, rarely).  So a retained graph does not
+   hold its program twice.  Either memo is filled from the other, or
+   rendered through [buf] (a scratch buffer the caller reuses across
+   blocks), and a block that has neither is rendered: a racing domain
+   that sees the memos change under it still writes the same bytes. *)
+let text_length buf l b =
+  if b.text <> "" then String.length b.text
+  else if b.json <> "" then Lcm_obs.Json.unescaped_length b.json
   else begin
-    Buffer.clear buf;
-    Buffer.add_char buf '\n';
-    Label.add_to_buffer buf l;
-    Buffer.add_char buf ':';
-    List.iter
-      (fun i ->
-        Buffer.add_string buf "\n  ";
-        Instr.add_to_buffer buf i)
-      b.instrs;
-    Buffer.add_string buf "\n  ";
-    add_terminator buf b.term;
+    render buf l b;
     let s = Buffer.contents buf in
     b.text <- s;
-    s
+    String.length s
   end
 
-(* The graph's one printer: a header line, then every block's memoised
-   text in allocation order, with no trailing newline.  An unchanged block
-   is not re-rendered, so printing a patched copy costs the edited blocks
-   plus one blit per block.  The text is the canonical form [digest]
-   hashes, so it must stay byte-stable. *)
+let write_text buf l b out pos =
+  let t = b.text in
+  if t <> "" then begin
+    Bytes.blit_string t 0 out pos (String.length t);
+    pos + String.length t
+  end
+  else begin
+    let j = b.json in
+    if j <> "" then Lcm_obs.Json.unescape_into j out pos
+    else begin
+      render buf l b;
+      Buffer.blit buf 0 out pos (Buffer.length buf);
+      pos + Buffer.length buf
+    end
+  end
+
+(* The graph's one printer: a header line, then every block's text in
+   allocation order, with no trailing newline.  An unchanged block is not
+   re-rendered, so printing a patched copy costs the edited blocks plus
+   one blit per block.  The text is the canonical form [digest] hashes,
+   so it must stay byte-stable. *)
+let header g =
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf "cfg ";
+  Buffer.add_string buf g.name;
+  Buffer.add_string buf " (entry ";
+  Label.add_to_buffer buf g.entry;
+  Buffer.add_string buf ", exit ";
+  Label.add_to_buffer buf g.exit_label;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
+
 let to_string g =
-  let header =
-    let buf = Buffer.create 32 in
-    Buffer.add_string buf "cfg ";
-    Buffer.add_string buf g.name;
-    Buffer.add_string buf " (entry ";
-    Label.add_to_buffer buf g.entry;
-    Buffer.add_string buf ", exit ";
-    Label.add_to_buffer buf g.exit_label;
-    Buffer.add_char buf ')';
-    Buffer.contents buf
-  in
+  let header = header g in
   let scratch = Buffer.create 256 in
   let len = ref (String.length header) in
-  iter_blocks g (fun l b -> len := !len + String.length (block_text scratch l b));
+  iter_blocks g (fun l b -> len := !len + text_length scratch l b);
   let out = Bytes.create !len in
   Bytes.blit_string header 0 out 0 (String.length header);
   let pos = ref (String.length header) in
-  iter_blocks g (fun _ b ->
-      let n = String.length b.text in
-      Bytes.blit_string b.text 0 out !pos n;
-      pos := !pos + n);
+  iter_blocks g (fun l b -> pos := write_text scratch l b out !pos);
+  Bytes.unsafe_to_string out
+
+(* The block's escaped-text memo, made on first use from its text (which
+   it then replaces) or rendered through [buf]. *)
+let block_json buf l b =
+  let j = b.json in
+  if j <> "" then j
+  else begin
+    let t = b.text in
+    let t =
+      if t <> "" then t
+      else begin
+        render buf l b;
+        Buffer.contents buf
+      end
+    in
+    Buffer.clear buf;
+    Lcm_obs.Json.escape_into buf t;
+    let s = Buffer.contents buf in
+    b.json <- s;
+    b.text <- "";
+    s
+  end
+
+(* JSON escaping maps a concatenation to the concatenation of the escaped
+   parts, so the literal is the escaped header and the blocks' escaped
+   memos between quotes: its length is their sum, and writing it is one
+   blit per block. *)
+let json g =
+  let header =
+    let buf = Buffer.create 32 in
+    Lcm_obs.Json.escape_into buf (header g);
+    Buffer.contents buf
+  in
+  let scratch = Buffer.create 256 in
+  let len = ref (String.length header + 2) in
+  iter_blocks g (fun l b -> len := !len + String.length (block_json scratch l b));
+  let write out at =
+    Bytes.set out at '"';
+    Bytes.blit_string header 0 out (at + 1) (String.length header);
+    let pos = ref (at + 1 + String.length header) in
+    iter_blocks g (fun l b ->
+        let s = block_json scratch l b in
+        Bytes.blit_string s 0 out !pos (String.length s);
+        pos := !pos + String.length s);
+    Bytes.set out !pos '"'
+  in
+  (!len, write)
+
+let to_json g =
+  let len, write = json g in
+  let out = Bytes.create len in
+  write out 0;
   Bytes.unsafe_to_string out
 
 let pp ppf g = Format.pp_print_string ppf (to_string g)

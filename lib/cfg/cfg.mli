@@ -42,8 +42,45 @@ val set_term : t -> Label.t -> terminator -> unit
 val append_instr : t -> Label.t -> Lcm_ir.Instr.t -> unit
 val prepend_instr : t -> Label.t -> Lcm_ir.Instr.t -> unit
 
-(** Labels in allocation order; the entry block is always first. *)
+(** {2 Memoised rewrites}
+
+    What a code-motion rewrite of one block reads: the expressions whose
+    upwards-exposed occurrence it deletes, those whose downwards-exposed
+    occurrence it copies into the temporary, the pool that numbers them and
+    the temporaries' names. *)
+type rewrite_key = {
+  rw_deletes : Lcm_support.Bitvec.t;
+  rw_copies : Lcm_support.Bitvec.t;
+  rw_pool : Lcm_ir.Expr_pool.t;
+  rw_temps : string array;
+}
+
+(** [rewrite g l key f] replaces block [l] by one whose instructions are
+    [f]'s (given [l]'s) and returns [f]'s two counts.  [f] must be a pure
+    function of the instructions and [key].  The result is memoised on the
+    replaced block's record, which copies share: a later [rewrite] of that
+    record under an equal key (same pool, equal rows, equal names of the
+    rows' temporaries) reuses the block it made, with its memoised text,
+    without calling [f].  The key's rows are copied, so they may come from
+    an arena. *)
+val rewrite :
+  t -> Label.t -> rewrite_key -> (Lcm_ir.Instr.t list -> Lcm_ir.Instr.t list * int * int) -> int * int
+
+(** [prune_memos g ~rewritten ~split] drops the rewrite memos of [g]'s
+    blocks whose labels [rewritten] does not list, and the split memos
+    (also those on a block's memoised rewrite) of the blocks [split] does
+    not list; both lists ascending.  A transform calls it on its input with
+    the blocks it rewrote and split, so a block that stops being rewritten
+    does not keep its last result alive. *)
+val prune_memos : t -> rewritten:Label.t list -> split:Label.t list -> unit
+
+(** Labels in allocation order; the entry block is always first (a
+    fresh list per call). *)
 val labels : t -> Label.t list
+
+(** [iter_labels g f] applies [f] to every label in allocation order,
+    allocating nothing. *)
+val iter_labels : t -> (Label.t -> unit) -> unit
 
 (** Number of live blocks. *)
 val num_blocks : t -> int
@@ -83,13 +120,13 @@ val version : t -> int
 type adjacency = private {
   adj_version : int;  (** {!version} at build time *)
   adj_bound : int;  (** {!label_bound} at build time *)
-  adj_labels : Label.t list;  (** {!labels} at build time (allocation order) *)
+  adj_labels : Label.t array;  (** {!labels} at build time (allocation order) *)
   adj_succ : Label.t array array;  (** successors, terminator order *)
   adj_pred : Label.t array array;  (** predecessors, source-allocation order *)
   adj_succ_off : int array;  (** CSR prefix sums of [adj_succ] row lengths, [adj_bound + 1] entries *)
   adj_pred_off : int array;  (** CSR prefix sums of [adj_pred] row lengths *)
-  adj_rpo : Label.t list;  (** reachable blocks, reverse postorder *)
-  adj_post : Label.t list;  (** reachable blocks, postorder *)
+  adj_rpo : Label.t array;  (** reachable blocks, reverse postorder *)
+  adj_post : Label.t array;  (** reachable blocks, postorder *)
   adj_rpo_pos : int array;  (** position in [adj_rpo]; -1 when unreachable *)
   adj_disc : int array;  (** DFS discovery time; 0 when unreachable *)
   adj_fin : int array;  (** DFS finish time; 0 when unreachable *)
@@ -102,11 +139,14 @@ val adjacency : t -> adjacency
     {!edges} order; nothing is allocated per edge. *)
 val fold_edges : adjacency -> (Label.t -> Label.t -> 'a -> 'a) -> 'a -> 'a
 
-(** [split_edge g src dst] inserts a fresh empty block on the edge
-    [(src, dst)] and returns its label.  When the terminator of [src]
-    mentions [dst] several times (both branch targets), only a single split
-    block is created and both mentions are redirected. *)
-val split_edge : t -> Label.t -> Label.t -> Label.t
+(** [split_edge g src dst] inserts a fresh block holding [instrs]
+    (default none) on the edge [(src, dst)] and returns its label.  When
+    the terminator of [src] mentions [dst] several times (both branch
+    targets), only a single split block is created and both mentions are
+    redirected.  The redirected [src] and the fresh block are memoised on
+    [src]'s record, which copies share: splitting that record again on the
+    same edge, to the same fresh label with an equal body, reuses them. *)
+val split_edge : ?instrs:Lcm_ir.Instr.t list -> t -> Label.t -> Label.t -> Label.t
 
 (** Remove blocks unreachable from the entry. *)
 val remove_unreachable : t -> unit
@@ -279,6 +319,18 @@ val pp_terminator : Format.formatter -> terminator -> unit
     concatenation of the blocks' memoised texts: only blocks never printed
     before are rendered.  {!pp} prints the same string. *)
 val to_string : t -> string
+
+(** {!to_string} as a JSON string literal, quotes included — equal to
+    escaping {!to_string} with {!Lcm_obs.Json.escape_into} — without
+    building it: its length, and a function that writes it into a buffer
+    at an offset, until the graph is next edited.  The literal is the
+    escaped header and every block's escaped text, memoised on the block
+    like its text, so an unchanged block is escaped once for every graph
+    that shares it. *)
+val json : t -> int * (Bytes.t -> int -> unit)
+
+(** {!json}, written into a string of its own. *)
+val to_json : t -> string
 
 val pp : Format.formatter -> t -> unit
 

@@ -332,16 +332,24 @@ let parse text =
       if blk.term = None then fail blk.first_line "block B%d has no terminator" blk.text_label;
       current := None
   in
+  (* A repeated label is recorded (the first in order of appearance) and
+     read into a block of its own, so the rest of the text still reads
+     and fails as it always has; B0 and B1 are repeats from their second
+     appearance on. *)
+  let seen_fixed = [| false; false |] in
+  let duplicate lineno t =
+    if !first_dup = None then first_dup := Some (lineno, t);
+    Build.new_block b
+  in
   let open_block lineno text_label =
     let label =
       match text_label with
-      | 0 -> Build.entry
-      | 1 -> Build.exit_label
+      | (0 | 1) as t when seen_fixed.(t) -> duplicate lineno t
+      | (0 | 1) as t ->
+        seen_fixed.(t) <- true;
+        if t = 0 then Build.entry else Build.exit_label
       | t ->
-        if Hashtbl.mem mapping t then begin
-          if !first_dup = None then first_dup := Some (lineno, t);
-          Build.new_block b
-        end
+        if Hashtbl.mem mapping t then duplicate lineno t
         else begin
           let l = Build.new_block b in
           Hashtbl.replace mapping t l;

@@ -6,8 +6,8 @@ type t = Cfg.adjacency
 
 let compute g = Cfg.adjacency g
 
-let postorder (t : t) = t.Cfg.adj_post
-let reverse_postorder (t : t) = t.Cfg.adj_rpo
+let postorder (t : t) = Array.to_list t.Cfg.adj_post
+let reverse_postorder (t : t) = Array.to_list t.Cfg.adj_rpo
 
 let rpo_index (t : t) l =
   if l < 0 || l >= t.Cfg.adj_bound then None

@@ -3,124 +3,181 @@ module Arena = Lcm_support.Arena
 module Scratch = Lcm_support.Pool.Scratch
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
-module Order = Lcm_cfg.Order
 module Local = Lcm_dataflow.Local
 
-(* COPY(b) = COMP(b) ∩ LIVEOUT(b) ∩ ¬(DELETE(b) ∩ TRANSP(b)), one word of
-   it; the emptiness test is a top-level recursion, since a closure over
-   the rows would be allocated per block. *)
-let[@inline] copy_word cw ow dw tw w = cw.(w) land ow.(w) land lnot (dw.(w) land tw.(w))
+type system = {
+  adj : Cfg.adjacency;
+  nw : int;
+  comp : Bitvec.t array;
+  transp : Bitvec.t array;
+  del : int array -> Label.t -> unit;
+  ins : int array -> Label.t -> int -> unit;
+  livein : Rowtab.t;
+  acc : int array;
+  tmp : int array;
+  tmp2 : int array;
+}
 
-let rec copy_nonzero cw ow dw tw nw w =
-  w < nw && (copy_word cw ow dw tw w <> 0 || copy_nonzero cw ow dw tw nw (w + 1))
+let words = Bitvec.words
 
-(* The COPY sets come from [scratch]; everything else — the DELETE and
-   INSERT lookups and the liveness fixpoint — from [arena]. *)
-let copies_on arena ~scratch g local ~insert_edges ~deletes =
-  let n = Local.nbits local in
-  let nw = Bitvec.words_for n in
-  let adj = Cfg.adjacency g in
-  let bound = adj.Cfg.adj_bound in
-  (* DELETE and INSERT lookups as dense arrays of rows rather than
-     hashtables: the fixpoint below reads them once per successor per
-     visit.  Deletes are keyed by label; inserts are keyed positionally by
-     (source, successor-index) through a CSR-style offset table over
-     [adj_succ], so the visit loop never builds an edge key.  Slots without
-     a decided set hold the empty row. *)
-  let zero = Arena.alloc arena n in
-  let del = Arena.alloc_vec arena bound in
-  Array.fill del 0 bound zero;
-  List.iter (fun (l, set) -> if l >= 0 && l < bound then del.(l) <- set) deletes;
-  let succ_off = adj.Cfg.adj_succ_off in
-  let ins = Arena.alloc_vec arena succ_off.(bound) in
-  Array.fill ins 0 succ_off.(bound) zero;
-  List.iter
-    (fun ((p, s), set) ->
-      if p >= 0 && p < bound then begin
-        let succs = adj.Cfg.adj_succ.(p) in
-        for i = 0 to Array.length succs - 1 do
-          if Label.equal succs.(i) s then ins.(succ_off.(p) + i) <- set
-        done
-      end)
-    insert_edges;
-  (* Backward may-liveness of the temporaries, worklist-driven: LIVEIN(b)
-     depends only on LIVEOUT(b), which reads LIVEIN of b's successors — so
-     when a block's LIVEIN grows, only its predecessors need re-visiting.
-     Dense arrays of rows indexed by label.  A visit is one word loop per
-     successor into a word accumulator, then one pass that stores LIVEOUT
-     and compares-and-stores LIVEIN. *)
-  let comp = Local.comp_rows local in
-  let livein = Arena.alloc_rows arena n bound in
-  let liveout = Arena.alloc_rows arena n bound in
-  let acc = Arena.alloc_int arena nw in
-  let rpo_pos = adj.Cfg.adj_rpo_pos in
-  (* FIFO worklist as an arena-backed ring buffer ([in_queue] bounds
-     occupancy by [bound], so [bound + 1] cells distinguish full from
-     empty); a [Queue.t] would allocate a cell per enqueue. *)
-  let qcap = bound + 1 in
-  let qbuf = Arena.alloc_int arena qcap in
-  let qhead = ref 0 and qtail = ref 0 in
-  let in_queue = Arena.alloc_bool arena bound in
-  let enqueue l =
-    if (not in_queue.(l)) && rpo_pos.(l) >= 0 then begin
-      in_queue.(l) <- true;
-      qbuf.(!qtail) <- l;
-      qtail := (!qtail + 1) mod qcap
-    end
-  in
-  (* Only a block with a DELETE set can make LIVEIN non-empty: every
-     other block's first visit would compute the empty set it starts with.
-     Seeding the deleting blocks alone reaches the same least fixpoint. *)
-  List.iter (fun (l, _) -> if l >= 0 && l < bound then enqueue l) deletes;
-  while !qhead <> !qtail do
-    let l = qbuf.(!qhead) in
-    qhead := (!qhead + 1) mod qcap;
-    in_queue.(l) <- false;
-    (* LIVEOUT(b) = ⋃ over edges (b,s) of LIVEIN(s) ∩ ¬INSERT(b,s) *)
-    Array.fill acc 0 nw 0;
-    let succs = adj.Cfg.adj_succ.(l) and off = succ_off.(l) in
-    for i = 0 to Array.length succs - 1 do
-      let li = Bitvec.words livein.(succs.(i)) and mask = Bitvec.words ins.(off + i) in
+let rec nonzero_at m o nw w = w < nw && (Array.unsafe_get m (o + w) <> 0 || nonzero_at m o nw (w + 1))
+
+(* LIVEOUT(b) = ⋃ over edges (b,s) of LIVEIN(s) ∩ ¬INSERT(b,s), into
+   [acc]: one word loop per successor. *)
+let liveout sys l =
+  let acc = sys.acc and tmp = sys.tmp and nw = sys.nw in
+  for w = 0 to nw - 1 do
+    Array.unsafe_set acc w 0
+  done;
+  let live = Rowtab.words sys.livein and succs = sys.adj.Cfg.adj_succ.(l) in
+  for j = 0 to Array.length succs - 1 do
+    let o = succs.(j) * nw in
+    (* An edge into a block where nothing is live adds nothing. *)
+    if nonzero_at live o nw 0 then begin
+      sys.ins tmp l j;
       for w = 0 to nw - 1 do
-        acc.(w) <- acc.(w) lor (li.(w) land lnot mask.(w))
+        acc.(w) <- acc.(w) lor (live.(o + w) land lnot tmp.(w))
       done
-    done;
-    (* LIVEIN(b) = DELETE(b) ∪ (LIVEOUT(b) ∩ ¬COMP(b)) *)
-    let out = Bitvec.words liveout.(l) and inw = Bitvec.words livein.(l) in
-    let cw = Bitvec.words comp.(l) and dw = Bitvec.words del.(l) in
-    let changed = ref false in
-    for w = 0 to nw - 1 do
-      let o = acc.(w) in
-      out.(w) <- o;
-      let x = dw.(w) lor (o land lnot cw.(w)) in
-      if x <> inw.(w) then begin
-        inw.(w) <- x;
-        changed := true
-      end
-    done;
-    if !changed then begin
-      let preds = adj.Cfg.adj_pred.(l) in
+    end
+  done
+
+(* LIVEIN(b) = DELETE(b) ∪ (LIVEOUT(b) ∩ ¬COMP(b)); whether it changed. *)
+let visit sys l =
+  liveout sys l;
+  sys.del sys.tmp l;
+  let acc = sys.acc and dw = sys.tmp and cw = words sys.comp.(l) in
+  for w = 0 to sys.nw - 1 do
+    acc.(w) <- dw.(w) lor (acc.(w) land lnot cw.(w))
+  done;
+  Rowtab.store sys.livein l acc
+
+(* The worklist: when a block's LIVEIN grows, only its predecessors need
+   re-visiting.  Returns the number of visits. *)
+let drain sys q =
+  let rpo_pos = sys.adj.Cfg.adj_rpo_pos in
+  let visits = ref 0 in
+  while not (Rowtab.is_empty q) do
+    let l = Rowtab.pop q in
+    incr visits;
+    if visit sys l then begin
+      let preds = sys.adj.Cfg.adj_pred.(l) in
       for i = 0 to Array.length preds - 1 do
-        enqueue preds.(i)
+        let p = preds.(i) in
+        if rpo_pos.(p) >= 0 then Rowtab.push q p
       done
     end
   done;
-  (* Only non-empty COPY sets are materialized (as arena vectors). *)
-  let transp = Local.transp_rows local in
-  List.filter_map
-    (fun l ->
-      let cw = Bitvec.words comp.(l) and ow = Bitvec.words liveout.(l) in
-      let dw = Bitvec.words del.(l) and tw = Bitvec.words transp.(l) in
-      if not (copy_nonzero cw ow dw tw nw 0) then None
+  !visits
+
+let push_reachable sys q l = if sys.adj.Cfg.adj_rpo_pos.(l) >= 0 then Rowtab.push q l
+
+(* The restart's lift, for a ∪ system: the lifted blocks on [lf] have had
+   bits cleared back to the start (∅).  A predecessor d of a lifted block r
+   takes the cleared bits its transfer passes — edge (d,r) carries no
+   insertion of them, d neither computes nor deletes them — and that are
+   still set at d.  Every lifted block and every reachable predecessor of
+   one is queued. *)
+let propagate_lift sys q lf =
+  let adj = sys.adj and nw = sys.nw and mask = lf.Rowtab.mask in
+  let rec loop () =
+    let r = Rowtab.next_lifted lf in
+    if r >= 0 then begin
+      push_reachable sys q r;
+      let old = Rowtab.base sys.livein and ro = r * nw in
+      let preds = adj.Cfg.adj_pred.(r) in
+      for i = 0 to Array.length preds - 1 do
+        let d = preds.(i) in
+        push_reachable sys q d;
+        sys.ins sys.tmp d (Rowtab.index adj.Cfg.adj_succ.(d) r);
+        sys.del sys.tmp2 d;
+        (* The matrix is read afresh: a clear may have copied it. *)
+        let live = Rowtab.words sys.livein in
+        let ins = sys.tmp and dw = sys.tmp2 and cw = words sys.comp.(d) and o = d * nw in
+        for w = 0 to nw - 1 do
+          mask.(w) <-
+            (live.(ro + w) lxor old.(ro + w)) land lnot (ins.(w) lor cw.(w) lor dw.(w)) land live.(o + w)
+        done;
+        if Rowtab.clear_bits sys.livein d mask then Rowtab.note lf d
+      done;
+      loop ()
+    end
+  in
+  loop ()
+
+(* COPY(b) = COMP(b) ∩ LIVEOUT(b) ∩ ¬(DELETE(b) ∩ TRANSP(b)), into [acc];
+   whether it is non-empty.  The fixpoint never visits an unreachable
+   block, whose LIVEOUT is the start value ∅. *)
+let copy_row sys l =
+  let cw = words sys.comp.(l) in
+  if sys.adj.Cfg.adj_rpo_pos.(l) < 0 || not (nonzero_at cw 0 sys.nw 0) then false
+  else begin
+    liveout sys l;
+    nonzero_at sys.acc 0 sys.nw 0
+    &&
+    (sys.del sys.tmp l;
+    let acc = sys.acc and dw = sys.tmp and tw = words sys.transp.(l) in
+    let any = ref false in
+    for w = 0 to sys.nw - 1 do
+      let x = cw.(w) land acc.(w) land lnot (dw.(w) land tw.(w)) in
+      acc.(w) <- x;
+      if x <> 0 then any := true
+    done;
+    !any)
+  end
+
+(* The COPY sets come from [scratch]; everything else — the DELETE and
+   INSERT tables and the liveness fixpoint — from [work].  Deletes are
+   keyed by label; inserts positionally by (source, successor index)
+   through the adjacency's CSR offsets, so a visit never builds an edge
+   key.  Slots without a decided set hold the empty row.  Only a block with
+   a DELETE set can make LIVEIN non-empty — every other block's first visit
+   would compute the ∅ it starts with — so seeding the deleting blocks
+   alone reaches the least fixpoint. *)
+let copies_on work ~scratch g local ~insert_edges ~deletes =
+  let n = Local.nbits local in
+  let nw = Bitvec.words_for n in
+  let adj = Cfg.adjacency g in
+  let bound = adj.Cfg.adj_bound and nedges = adj.Cfg.adj_succ_off.(adj.Cfg.adj_bound) in
+  let zero = Arena.alloc work n in
+  let del = Arena.alloc_vec work bound in
+  Array.fill del 0 bound zero;
+  List.iter (fun (l, set) -> if l >= 0 && l < bound then del.(l) <- set) deletes;
+  let ins = Arena.alloc_vec work nedges in
+  Array.fill ins 0 nedges zero;
+  List.iter
+    (fun ((p, s), set) ->
+      if p >= 0 && p < bound then begin
+        let j = Rowtab.index adj.Cfg.adj_succ.(p) s in
+        if j >= 0 then ins.(adj.Cfg.adj_succ_off.(p) + j) <- set
+      end)
+    insert_edges;
+  let sys =
+    {
+      adj;
+      nw;
+      comp = Local.comp_rows local;
+      transp = Local.transp_rows local;
+      del = (fun buf l -> Array.blit (words del.(l)) 0 buf 0 nw);
+      ins = (fun buf l j -> Array.blit (words ins.(adj.Cfg.adj_succ_off.(l) + j)) 0 buf 0 nw);
+      livein = Rowtab.fresh ~export:false (Arena.alloc_int work (max 1 (bound * nw))) ~nw ~count:bound;
+      acc = Arena.alloc_int work (max 1 nw);
+      tmp = Arena.alloc_int work (max 1 nw);
+      tmp2 = Arena.alloc_int work (max 1 nw);
+    }
+  in
+  let q = Rowtab.queue work bound in
+  List.iter (fun (l, _) -> if l >= 0 && l < bound then push_reachable sys q l) deletes;
+  ignore (drain sys q);
+  (* Only non-empty COPY sets are materialized. *)
+  Array.fold_right
+    (fun l acc ->
+      if not (copy_row sys l) then acc
       else begin
         let v = Arena.alloc scratch n in
-        let dst = Bitvec.words v in
-        for w = 0 to nw - 1 do
-          dst.(w) <- copy_word cw ow dw tw w
-        done;
-        Some (l, v)
+        Array.blit sys.acc 0 (words v) 0 nw;
+        (l, v) :: acc
       end)
-    adj.Cfg.adj_labels
+    adj.Cfg.adj_labels []
 
 (* Without an arena the analysis checks one out for what does not escape. *)
 let copies ?scratch g local ~insert_edges ~deletes =

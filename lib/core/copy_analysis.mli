@@ -30,3 +30,41 @@ val copies :
   insert_edges:((Lcm_cfg.Label.t * Lcm_cfg.Label.t) * Lcm_support.Bitvec.t) list ->
   deletes:(Lcm_cfg.Label.t * Lcm_support.Bitvec.t) list ->
   (Lcm_cfg.Label.t * Lcm_support.Bitvec.t) list
+
+(** {2 The liveness kernel}
+
+    What {!copies} runs, shared with {!Lcm_edge}'s restart of the same
+    system from a capture. *)
+
+(** The system's inputs and state: [del buf l] writes DELETE([l]) into
+    [buf], [ins buf l j] the INSERT set of [l]'s [j]-th out-edge; COMP and
+    TRANSP rows by label; the LIVEIN table being solved; and three word
+    buffers of at least [nw] words. *)
+type system = {
+  adj : Lcm_cfg.Cfg.adjacency;
+  nw : int;
+  comp : Lcm_support.Bitvec.t array;
+  transp : Lcm_support.Bitvec.t array;
+  del : int array -> Lcm_cfg.Label.t -> unit;
+  ins : int array -> Lcm_cfg.Label.t -> int -> unit;
+  livein : Rowtab.t;
+  acc : int array;
+  tmp : int array;
+  tmp2 : int array;
+}
+
+(** Queue [l] when it is reachable. *)
+val push_reachable : system -> Rowtab.queue -> Lcm_cfg.Label.t -> unit
+
+(** Spread a restart's lift from the blocks on the lift stack: each
+    predecessor takes the cleared bits its transfer passes and that it
+    still holds.  Every lifted block and every reachable predecessor of one
+    is queued. *)
+val propagate_lift : system -> Rowtab.queue -> Rowtab.lifts -> unit
+
+(** Run the worklist to the least fixpoint; the number of visits. *)
+val drain : system -> Rowtab.queue -> int
+
+(** [copy_row sys l] leaves COPY([l]) in [sys.acc] and tells whether it
+    is non-empty; ∅ for an unreachable block. *)
+val copy_row : system -> Lcm_cfg.Label.t -> bool

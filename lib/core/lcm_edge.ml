@@ -22,202 +22,509 @@ type analysis = {
   copy : (Label.t * Bitvec.t) list;
   sweeps : int;
   visits : int;
+  delay_visits : int;
+  live_visits : int;
 }
-
-(* Position of [p] in a predecessor (or successor) row of the adjacency
-   snapshot, or -1.  Rows are short (bounded by terminator arity / join
-   width) and edges are unique, so a linear scan replaces what used to be a
-   hashed edge table — whose per-edge [replace] at build time and [Some]
-   per lookup were the last allocations of the earliestness phase. *)
-let rec row_index row p i =
-  if i >= Array.length row then -1
-  else if Label.equal (Array.unsafe_get row i) p then i
-  else row_index row p (i + 1)
 
 let words = Bitvec.words
 
-(* EARLIEST as one edge-major word matrix in the adjacency snapshot's CSR
-   layout: row [adj_pred_off.(b) + i], at word offset [row * nw], is
-   EARLIEST(p, b) for the i-th predecessor p of b.  One fused word loop per
-   edge:
+(* --- the tail of the cascade ----------------------------------------------
 
-     EARLIEST(p,b) = ANTIN(b) ∩ ¬(AVOUT(p) ∪ (TRANSP(p) ∩ ANTOUT(p)))
+   After the safety systems come EARLIEST (per edge), the LATERIN delay
+   fixpoint (per block), INSERT (per edge) and DELETE (per block), the
+   temporaries' liveness (per block) and COPY (per block).  EARLIEST,
+   LATERIN and LIVEIN are flat word matrices in the adjacency snapshot's
+   layout ({!Rowtab}): EARLIEST's row [adj_pred_off.(b) + i] is the edge
+   from the i-th predecessor of b, the others are by label.  INSERT and
+   DELETE are read from them where needed, and the lists the analysis
+   returns hold the non-empty INSERT, DELETE and COPY sets in
+   {!Cfg.fold_edges} (INSERT) or label order.  A from-scratch solve fills
+   fresh matrices, every row dirty; a restart writes copy-on-write tables
+   over the captured ones and re-derives only the rows whose inputs moved,
+   so both run the same kernels. *)
 
-   (the TRANSP ∩ ANTOUT factor is dropped when p is the entry block).  The
-   LATERIN fixpoint reads the matrix by predecessor index directly; the
-   public lookup API goes through {!row_index}.  One arena int-array
-   checkout holds every edge's set. *)
-let compute_earliest ?scratch g local avail antic =
-  let adj = Cfg.adjacency g in
-  let entry = Cfg.entry g in
-  let nw = Bitvec.words_for (Local.nbits local) in
-  let pred_off = adj.Cfg.adj_pred_off in
-  let transp = Local.transp_rows local in
-  let m = Arena.alloc_int scratch (max 1 (pred_off.(adj.Cfg.adj_bound) * nw)) in
-  for b = 0 to adj.Cfg.adj_bound - 1 do
-    let preds = adj.Cfg.adj_pred.(b) in
-    if Array.length preds > 0 then begin
-      let antin = words (antic.Antic.antin b) in
-      for i = 0 to Array.length preds - 1 do
-        let p = preds.(i) in
-        let avout = words (avail.Avail.avout p) in
-        let base = (pred_off.(b) + i) * nw in
-        if Label.equal p entry then
-          for w = 0 to nw - 1 do
-            m.(base + w) <- antin.(w) land lnot avout.(w)
-          done
-        else begin
-          let tr = words transp.(p) and antout = words (antic.Antic.antout p) in
-          for w = 0 to nw - 1 do
-            m.(base + w) <- antin.(w) land lnot (avout.(w) lor (tr.(w) land antout.(w)))
-          done
-        end
-      done
-    end
-  done;
-  m
+type tail = {
+  t_adj : Cfg.adjacency;
+  t_earliest : int array;
+  t_laterin : int array;
+  t_livein : int array;
+  t_insert : ((Label.t * Label.t) * Bitvec.t) list;
+  t_delete : (Label.t * Bitvec.t) list;
+  t_copy : (Label.t * Bitvec.t) list;
+}
 
-(* Greatest fixpoint of the LATER/LATERIN system, worklist-driven in
-   reverse-postorder priority: LATERIN(b) depends only on LATERIN(p) of its
-   predecessors, so when a block's LATERIN shrinks only its successors need
-   re-visiting.  State is one flat word matrix, LATERIN(l) at word offset
-   [l * nw] (one array, not a row object per block); a visit is one word
-   loop per predecessor,
+(* What a restart knows of the change: the captured tail, the local rows
+   it was solved with, and the blocks whose local (the patch's [dirty]),
+   AVAIL or ANTIC rows may differ from theirs. *)
+type change = {
+  c_tail : tail;
+  c_local : Local.t;
+  c_dirty : Label.t list;
+  c_avail : Label.t array;
+  c_antic : Label.t array;
+}
 
-     acc ∩= EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))
+(* Edge (p,b)'s row in the EARLIEST table. *)
+let edge_index adj p b =
+  let i = if b >= 0 && b < adj.Cfg.adj_bound then Rowtab.index adj.Cfg.adj_pred.(b) p else -1 in
+  if i >= 0 then adj.Cfg.adj_pred_off.(b) + i
+  else invalid_arg (Printf.sprintf "Lcm_edge: unknown edge B%d->B%d" p b)
 
-   into a word accumulator, then one compare-and-store pass into
-   LATERIN(b).  Returns the LATERIN table and the iteration counts
-   (visits = per-block LATERIN evaluations; sweeps = maximum visits of any
-   single block).  [laterin_fixpoint] fills the table [laterin] with its
-   worklist on [arena]; [compute_laterin] takes the table from [scratch]
-   and the worklist from [scratch] or an arena checked out for the
-   fixpoint. *)
-let laterin_fixpoint arena g local earliest laterin =
-  let n = Local.nbits local in
-  let nw = Bitvec.words_for n in
-  let adj = Cfg.adjacency g in
-  let bound = adj.Cfg.adj_bound in
-  let entry = Cfg.entry g in
-  let antloc = Local.antloc_rows local in
-  (* [full] is the intersection's identity, the start of every row and of
-     every visit's accumulator (all-ones with the high bits of the last
-     word clear); the entry's row is the empty boundary. *)
-  let full = words (Arena.alloc_full arena n) in
-  for l = 0 to bound - 1 do
-    if not (Label.equal l entry) then Array.blit full 0 laterin (l * nw) nw
-  done;
-  let acc = Arena.alloc_int arena nw in
-  let rpo_pos = adj.Cfg.adj_rpo_pos in
-  (* FIFO worklist as an arena-backed ring buffer: [in_queue] deduplicates,
-     so occupancy never exceeds [bound] and [bound + 1] cells distinguish
-     full from empty.  A [Queue.t] here would allocate a cell per enqueue
-     inside the hot fixpoint. *)
-  let qcap = bound + 1 in
-  let qbuf = Arena.alloc_int arena qcap in
-  let qhead = ref 0 and qtail = ref 0 in
-  let in_queue = Arena.alloc_bool arena bound in
-  let enqueue b =
-    if (not in_queue.(b)) && not (Label.equal b entry) then begin
-      in_queue.(b) <- true;
-      qbuf.(!qtail) <- b;
-      qtail := (!qtail + 1) mod qcap
-    end
+(* The block whose CSR row holds edge index [k]: the last [x] with
+   [off.(x) <= k], skipping empty rows. *)
+let owner off k =
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if off.(mid) <= k then go mid hi else go lo mid
   in
-  List.iter enqueue adj.Cfg.adj_rpo;
-  let visits = ref 0 in
-  let visit_count = Arena.alloc_int arena bound in
-  while !qhead <> !qtail do
-    let b = qbuf.(!qhead) in
-    qhead := (!qhead + 1) mod qcap;
-    in_queue.(b) <- false;
-    incr visits;
-    visit_count.(b) <- visit_count.(b) + 1;
-    Array.blit full 0 acc 0 nw;
-    let preds = adj.Cfg.adj_pred.(b) and off = adj.Cfg.adj_pred_off.(b) in
-    for i = 0 to Array.length preds - 1 do
-      let p = preds.(i) in
-      let lp = p * nw and al = words antloc.(p) and base = (off + i) * nw in
-      for w = 0 to nw - 1 do
-        acc.(w) <- acc.(w) land (earliest.(base + w) lor (laterin.(lp + w) land lnot al.(w)))
-      done
-    done;
-    let lb = b * nw in
-    let changed = ref false in
+  go 0 (Array.length off - 1)
+
+(* EARLIEST(p,b) = ANTIN(b) ∩ ¬(AVOUT(p) ∪ (TRANSP(p) ∩ ANTOUT(p))), the
+   TRANSP ∩ ANTOUT factor dropped when p is the entry, into [dst] at
+   [o]; [antin] is ANTIN(b)'s words. *)
+let earliest_into dst o nw entry transp avail antic antin p =
+  let avout = words (avail.Avail.avout p) in
+  if Label.equal p entry then
     for w = 0 to nw - 1 do
-      if acc.(w) <> laterin.(lb + w) then begin
-        laterin.(lb + w) <- acc.(w);
-        changed := true
-      end
-    done;
-    if !changed then begin
-      let succs = adj.Cfg.adj_succ.(b) in
-      for i = 0 to Array.length succs - 1 do
-        let s = succs.(i) in
-        if rpo_pos.(s) >= 0 then enqueue s
+      dst.(o + w) <- antin.(w) land lnot avout.(w)
+    done
+  else begin
+    let tr = words transp.(p) and antout = words (antic.Antic.antout p) in
+    for w = 0 to nw - 1 do
+      dst.(o + w) <- antin.(w) land lnot (avout.(w) lor (tr.(w) land antout.(w)))
+    done
+  end
+
+(* INSERT(p,s) = LATER(p,s) ∩ ¬LATERIN(s)
+               = (EARLIEST(p,s) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))) ∩ ¬LATERIN(s)
+   for the j-th successor s of p, from the matrices [e] and [l] and the
+   ANTLOC rows, into [acc]. *)
+let insert_into acc nw adj e l antloc p j =
+  let s = adj.Cfg.adj_succ.(p).(j) in
+  let eo = (adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p) * nw in
+  let po = p * nw and so = s * nw and al = words antloc.(p) in
+  for w = 0 to nw - 1 do
+    acc.(w) <- (e.(eo + w) lor (l.(po + w) land lnot al.(w))) land lnot l.(so + w)
+  done
+
+(* DELETE(b) = ANTLOC(b) ∩ ¬LATERIN(b), for b ≠ ENTRY only: the entry has
+   no incoming edges, so no insertion could ever cover a deletion there
+   (its LATERIN is the ∅ boundary, not a data-flow result). *)
+let delete_into acc nw entry l antloc b =
+  if Label.equal b entry then Array.fill acc 0 nw 0
+  else begin
+    let al = words antloc.(b) and o = b * nw in
+    for w = 0 to nw - 1 do
+      acc.(w) <- al.(w) land lnot l.(o + w)
+    done
+  end
+
+let rec nonzero r nw w = w < nw && (Array.unsafe_get r w <> 0 || nonzero r nw (w + 1))
+
+(* The state of one tail solve: the graph's shape, the new local rows, the
+   tables and word buffers on the work arena. *)
+type st = {
+  adj : Cfg.adjacency;
+  entry : Label.t;
+  nw : int;
+  antloc : Bitvec.t array;
+  e : Rowtab.t;
+  l : Rowtab.t;
+  livein : Rowtab.t;
+  acc : int array;
+  full : int array;
+}
+
+let set_earliest st avail antic transp b i =
+  let p = st.adj.Cfg.adj_pred.(b).(i) in
+  earliest_into st.acc 0 st.nw st.entry transp avail antic (words (antic.Antic.antin b)) p;
+  ignore (Rowtab.store st.e (st.adj.Cfg.adj_pred_off.(b) + i) st.acc)
+
+(* Every edge into and out of [x]. *)
+let set_earliest_around st avail antic transp x =
+  let adj = st.adj in
+  for i = 0 to Array.length adj.Cfg.adj_pred.(x) - 1 do
+    set_earliest st avail antic transp x i
+  done;
+  let succs = adj.Cfg.adj_succ.(x) in
+  for j = 0 to Array.length succs - 1 do
+    let s = succs.(j) in
+    set_earliest st avail antic transp s (Rowtab.index adj.Cfg.adj_pred.(s) x)
+  done
+
+(* One LATERIN visit:
+
+     LATERIN(b) = ⋂ over edges (p,b) of EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))
+
+   one word loop per predecessor into the accumulator, then one
+   compare-and-store into the row; whether it changed. *)
+let laterin_visit st b =
+  let acc = st.acc and nw = st.nw in
+  Array.blit st.full 0 acc 0 nw;
+  let e = Rowtab.words st.e and l = Rowtab.words st.l in
+  let preds = st.adj.Cfg.adj_pred.(b) and off = st.adj.Cfg.adj_pred_off.(b) in
+  for i = 0 to Array.length preds - 1 do
+    let p = preds.(i) in
+    let eo = (off + i) * nw and po = p * nw and al = words st.antloc.(p) in
+    for w = 0 to nw - 1 do
+      acc.(w) <- acc.(w) land (e.(eo + w) lor (l.(po + w) land lnot al.(w)))
+    done
+  done;
+  Rowtab.store st.l b acc
+
+let push_delay st q b = if st.adj.Cfg.adj_rpo_pos.(b) >= 0 && not (Label.equal b st.entry) then Rowtab.push q b
+
+(* The greatest fixpoint, worklist-driven: LATERIN(b) depends only on
+   LATERIN of its predecessors, so when a block's row shrinks only its
+   successors need re-visiting.  Returns (sweeps, visits): the most visits
+   of any one block, and all visits. *)
+let laterin_drain work st q bound =
+  let visits = ref 0 and sweeps = ref 0 and count = Arena.alloc_int work (max 1 bound) in
+  while not (Rowtab.is_empty q) do
+    let b = Rowtab.pop q in
+    incr visits;
+    count.(b) <- count.(b) + 1;
+    if count.(b) > !sweeps then sweeps := count.(b);
+    if laterin_visit st b then begin
+      let succs = st.adj.Cfg.adj_succ.(b) in
+      for j = 0 to Array.length succs - 1 do
+        push_delay st q succs.(j)
       done
     end
-  done;
-  (* Arena-backed arrays may be wider than [bound]; fold the live prefix. *)
-  let sweeps = ref 0 in
-  for l = 0 to bound - 1 do
-    if visit_count.(l) > !sweeps then sweeps := visit_count.(l)
   done;
   (!sweeps, !visits)
 
-let compute_laterin ?scratch g local earliest =
-  let n = Local.nbits local in
-  let adj = Cfg.adjacency g in
-  let bound = adj.Cfg.adj_bound in
-  let laterin = Arena.alloc_int scratch (max 1 (bound * Bitvec.words_for n)) in
-  let live = Arena.alloc_bool scratch bound in
-  List.iter (fun l -> live.(l) <- true) adj.Cfg.adj_labels;
-  let sweeps, visits =
-    match scratch with
-    | Some _ -> laterin_fixpoint scratch g local earliest laterin
-    | None -> Scratch.with_arena ~blocks:bound ~exprs:n (fun a -> laterin_fixpoint (Some a) g local earliest laterin)
+(* The restart's lift, for the ∩ system: a lifted block's bits moved up
+   to the start (all-ones).  A successor d of a lifted block r takes the
+   raised bits that edge (r,d) passes — r does not compute them locally,
+   so LATERIN(r) flows through — and that are still clear at d.  Every
+   lifted block and every successor of one is queued. *)
+let laterin_propagate st q lf =
+  let mask = lf.Rowtab.mask and nw = st.nw in
+  let rec loop () =
+    let r = Rowtab.next_lifted lf in
+    if r >= 0 then begin
+      push_delay st q r;
+      let old = Rowtab.base st.l and ro = r * nw and al = words st.antloc.(r) in
+      let succs = st.adj.Cfg.adj_succ.(r) in
+      for j = 0 to Array.length succs - 1 do
+        let d = succs.(j) in
+        if not (Label.equal d st.entry) then begin
+          push_delay st q d;
+          let l = Rowtab.words st.l and o = d * nw in
+          for w = 0 to nw - 1 do
+            mask.(w) <- (l.(ro + w) lxor old.(ro + w)) land lnot al.(w) land lnot l.(o + w)
+          done;
+          if Rowtab.raise_bits st.l d mask then Rowtab.note lf d
+        end
+      done;
+      loop ()
+    end
   in
-  ((laterin, live), sweeps, visits)
+  loop ()
 
-(* Edge (p,b)'s word offset in the EARLIEST matrix. *)
-let edge_base adj nw p b =
-  let i = if b >= 0 && b < adj.Cfg.adj_bound then row_index adj.Cfg.adj_pred.(b) p 0 else -1 in
-  if i >= 0 then (adj.Cfg.adj_pred_off.(b) + i) * nw
-  else invalid_arg (Printf.sprintf "Lcm_edge: unknown edge B%d->B%d" p b)
+(* [old] (ascending by [key]) with the entries at the ascending [keys]
+   replaced by [entry k x], [x] the entry [old] had at [k] if any
+   ([None]: dropped); the suffix past the last key is shared. *)
+let rec merge key entry old keys =
+  match keys with
+  | [] -> old
+  | k :: ks ->
+    (match old with
+    | x :: rest when key x < k -> x :: merge key entry rest keys
+    | x :: rest when key x = k -> cons_opt (entry k (Some x)) (merge key entry rest ks)
+    | _ -> cons_opt (entry k None) (merge key entry old ks))
 
-let rec row_nonzero m base nw w = w < nw && (m.(base + w) <> 0 || row_nonzero m base nw (w + 1))
+and cons_opt x rest = match x with Some x -> x :: rest | None -> rest
 
-let earliest_sets ?scratch g local avail antic =
-  let m = compute_earliest ?scratch g local avail antic in
+(* A set as a list entry: the captured vector when it did not change, so
+   a rewrite memoised under it still matches, else a new one. *)
+let set_entry ~export work n nw acc key old =
+  match old with
+  | Some ((_, v) as x) when not (Rowtab.differs acc 0 (words v) 0 nw 0) -> x
+  | Some _ | None ->
+    let v = if export then Bitvec.create n else Arena.alloc work n in
+    Array.blit acc 0 (words v) 0 nw;
+    (key, v)
+
+(* The tail of the cascade on [g], from scratch ([change] = [None], or a
+   capture of another shape) or as a restart from [change].  Fresh
+   matrices and bookkeeping come from [work]; with [export] the result is
+   moved to the heap, as a capture or a caller without an arena needs
+   it. *)
+let solve_tail ~export ~work g local avail antic change =
+  let adj = Cfg.adjacency g in
   let n = Local.nbits local in
-  let nw = Bitvec.words_for n and adj = Cfg.adjacency g in
-  Cfg.fold_edges adj
-    (fun p b acc ->
-      let base = edge_base adj nw p b in
-      if not (row_nonzero m base nw 0) then acc
-      else begin
-        let v = Arena.alloc scratch n in
-        Array.blit m base (words v) 0 nw;
-        ((p, b), v) :: acc
-      end)
-    []
-
-(* INSERT(p,b) = LATER(p,b) ∩ ¬LATERIN(b)
-               = (EARLIEST(p,b) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))) ∩ ¬LATERIN(b),
-   one word of it; [e] is the EARLIEST matrix and [base] the edge's row
-   offset in it, [li] the LATERIN matrix and [lp]/[lb] the offsets of p's
-   and b's rows in it. *)
-let[@inline] insert_word e base li lp alp lb w =
-  (e.(base + w) lor (li.(lp + w) land lnot alp.(w))) land lnot li.(lb + w)
-
-(* Emptiness tests as top-level recursions: a closure over the rows would
-   be allocated per edge. *)
-let rec insert_nonzero e base li lp alp lb nw w =
-  w < nw && (insert_word e base li lp alp lb w <> 0 || insert_nonzero e base li lp alp lb nw (w + 1))
-
-(* DELETE(b) = ANTLOC(b) ∩ ¬LATERIN(b), one word of it. *)
-let rec delete_nonzero alb li lb nw w =
-  w < nw && (alb.(w) land lnot li.(lb + w) <> 0 || delete_nonzero alb li lb nw (w + 1))
+  let nw = Bitvec.words_for n and bound = adj.Cfg.adj_bound in
+  let nedges = adj.Cfg.adj_pred_off.(bound) in
+  let entry = Cfg.entry g in
+  let antloc = Local.antloc_rows local and comp = Local.comp_rows local and transp = Local.transp_rows local in
+  let restart = match change with Some c when c.c_tail.t_adj == adj -> Some c | Some _ | None -> None in
+  let full = words (Arena.alloc_full work n) in
+  let table captured count =
+    match restart with
+    | Some c -> Rowtab.cow work (captured c.c_tail) ~nw ~count
+    | None -> Rowtab.fresh ~export (Arena.alloc_int work (max 1 (count * nw))) ~nw ~count
+  in
+  let st =
+    {
+      adj;
+      entry;
+      nw;
+      antloc;
+      e = table (fun t -> t.t_earliest) nedges;
+      l = table (fun t -> t.t_laterin) bound;
+      livein = table (fun t -> t.t_livein) bound;
+      acc = Arena.alloc_int work (max 1 nw);
+      full;
+    }
+  in
+  let changed_antloc l =
+    match restart with
+    | Some c -> not (Bitvec.equal antloc.(l) (Local.antloc_rows c.c_local).(l))
+    | None -> true
+  in
+  (* EARLIEST: every edge, or the edges next to a block whose AVOUT, TRANSP,
+     ANTOUT or ANTIN row changed. *)
+  Trace.span "lcm.earliest" (fun () ->
+      match restart with
+      | None ->
+        (* A fresh matrix is written in place, one fused loop per edge. *)
+        let m = Rowtab.words st.e in
+        for b = 0 to bound - 1 do
+          let preds = adj.Cfg.adj_pred.(b) in
+          if Array.length preds > 0 then begin
+            let antin = words (antic.Antic.antin b) and off = adj.Cfg.adj_pred_off.(b) in
+            for i = 0 to Array.length preds - 1 do
+              earliest_into m ((off + i) * nw) nw entry transp avail antic antin preds.(i)
+            done
+          end
+        done
+      | Some c ->
+        let around = set_earliest_around st avail antic transp in
+        List.iter around c.c_dirty;
+        Array.iter around c.c_avail;
+        Array.iter around c.c_antic);
+  Rowtab.seal st.e;
+  let q = Rowtab.queue work bound and lf = Rowtab.lifts work bound nw in
+  let mask = lf.Rowtab.mask in
+  (* LATERIN: from the start (every row all-ones but the entry's ∅
+     boundary, every reachable block queued in reverse postorder), or
+     lifted and seeded from the edges whose EARLIEST changed and the blocks
+     whose ANTLOC changed. *)
+  let later_sweeps, later_visits =
+    Trace.span_attrs "lcm.delay" (fun () ->
+        (match restart with
+        | None ->
+          let l = Rowtab.words st.l in
+          for b = 0 to bound - 1 do
+            if not (Label.equal b entry) then Array.blit full 0 l (b * nw) nw
+          done;
+          Array.iter (push_delay st q) adj.Cfg.adj_rpo
+        | Some c ->
+          let e1 = Rowtab.words st.e and e0 = Rowtab.base st.e in
+          for j = 0 to Rowtab.nchanged st.e - 1 do
+            let k = Rowtab.changed st.e j in
+            let b = owner adj.Cfg.adj_pred_off k and o = k * nw in
+            for w = 0 to nw - 1 do
+              mask.(w) <- e1.(o + w) land lnot e0.(o + w)
+            done;
+            if (not (Label.equal b entry)) && Rowtab.raise_bits st.l b mask then Rowtab.note lf b;
+            push_delay st q b
+          done;
+          let old_antloc = Local.antloc_rows c.c_local in
+          List.iter
+            (fun p ->
+              if changed_antloc p then begin
+                let a1 = words antloc.(p) and a0 = words old_antloc.(p) in
+                for w = 0 to nw - 1 do
+                  mask.(w) <- a0.(w) land lnot a1.(w)
+                done;
+                Array.iter
+                  (fun b ->
+                    if (not (Label.equal b entry)) && Rowtab.raise_bits st.l b mask then Rowtab.note lf b;
+                    push_delay st q b)
+                  adj.Cfg.adj_succ.(p)
+              end)
+            c.c_dirty;
+          laterin_propagate st q lf);
+        let ((sweeps, visits) as r) = laterin_drain work st q bound in
+        (r, [ ("sweeps", string_of_int sweeps); ("visits", string_of_int visits) ]))
+  in
+  Rowtab.seal st.l;
+  let e = Rowtab.words st.e and l = Rowtab.words st.l in
+  let tmp = Arena.alloc_int work (max 1 nw) and tmp2 = Arena.alloc_int work (max 1 nw) in
+  let sys =
+    {
+      Copy_analysis.adj;
+      nw;
+      comp;
+      transp;
+      del = (fun buf b -> delete_into buf nw entry l antloc b);
+      ins = (fun buf p j -> insert_into buf nw adj e l antloc p j);
+      livein = st.livein;
+      acc = st.acc;
+      tmp;
+      tmp2;
+    }
+  in
+  (* INSERT and DELETE where EARLIEST, ANTLOC or LATERIN moved: the old and
+     new sets of each such edge and block, compared; a restart lifts the
+     liveness where one changed. *)
+  let ins_changed, del_changed =
+    Trace.span "lcm.latest" (fun () ->
+        match restart with
+        | None -> ([], [])
+        | Some c ->
+          let e0 = Rowtab.base st.e and l0 = Rowtab.base st.l and old_antloc = Local.antloc_rows c.c_local in
+          let seen_edge = Arena.alloc_bool work (max 1 nedges) and seen = Arena.alloc_bool work bound in
+          let ins_changed = ref [] and del_changed = ref [] in
+          let edge p j =
+            let k = adj.Cfg.adj_succ_off.(p) + j in
+            if not seen_edge.(k) then begin
+              seen_edge.(k) <- true;
+              insert_into st.acc nw adj e l antloc p j;
+              insert_into tmp nw adj e0 l0 old_antloc p j;
+              if Rowtab.differs st.acc 0 tmp 0 nw 0 then begin
+                ins_changed := k :: !ins_changed;
+                (* INSERT gained bits: LIVEOUT(p) may lose them. *)
+                for w = 0 to nw - 1 do
+                  mask.(w) <- st.acc.(w) land lnot tmp.(w)
+                done;
+                if Rowtab.clear_bits st.livein p mask then Rowtab.note lf p;
+                Copy_analysis.push_reachable sys q p
+              end
+            end
+          in
+          let out_edges p = Array.iteri (fun j _ -> edge p j) adj.Cfg.adj_succ.(p) in
+          let in_edges b = Array.iter (fun p -> edge p (Rowtab.index adj.Cfg.adj_succ.(p) b)) adj.Cfg.adj_pred.(b) in
+          let block b =
+            if not seen.(b) then begin
+              seen.(b) <- true;
+              delete_into st.acc nw entry l antloc b;
+              delete_into tmp nw entry l0 old_antloc b;
+              if Rowtab.differs st.acc 0 tmp 0 nw 0 then begin
+                del_changed := b :: !del_changed;
+                (* DELETE lost bits: LIVEIN(b) may lose them. *)
+                for w = 0 to nw - 1 do
+                  mask.(w) <- tmp.(w) land lnot st.acc.(w)
+                done;
+                if Rowtab.clear_bits st.livein b mask then Rowtab.note lf b;
+                Copy_analysis.push_reachable sys q b
+              end
+            end
+          in
+          for j = 0 to Rowtab.nchanged st.e - 1 do
+            let k = Rowtab.changed st.e j in
+            let b = owner adj.Cfg.adj_pred_off k in
+            in_edges b
+          done;
+          List.iter
+            (fun p ->
+              if changed_antloc p then begin
+                out_edges p;
+                block p
+              end)
+            c.c_dirty;
+          for j = 0 to Rowtab.nchanged st.l - 1 do
+            let b = Rowtab.changed st.l j in
+            out_edges b;
+            in_edges b;
+            block b
+          done;
+          (!ins_changed, !del_changed))
+  in
+  (* The temporaries' liveness: from ∅ with the deleting blocks queued,
+     or, on a restart, lifted also where COMP gained bits (the lifts for
+     INSERT and DELETE are in already). *)
+  let live_visits =
+    Trace.span "lcm.live" (fun () ->
+        (match restart with
+        | None ->
+          Array.iter
+            (fun b ->
+              delete_into st.acc nw entry l antloc b;
+              if nonzero st.acc nw 0 then Copy_analysis.push_reachable sys q b)
+            adj.Cfg.adj_labels
+        | Some c ->
+          let old_comp = Local.comp_rows c.c_local in
+          List.iter
+            (fun b ->
+              let c1 = words comp.(b) and c0 = words old_comp.(b) in
+              for w = 0 to nw - 1 do
+                mask.(w) <- c1.(w) land lnot c0.(w)
+              done;
+              if Rowtab.clear_bits st.livein b mask then Rowtab.note lf b;
+              Copy_analysis.push_reachable sys q b)
+            c.c_dirty;
+          Copy_analysis.propagate_lift sys q lf);
+        Copy_analysis.drain sys q)
+  in
+  Rowtab.seal st.livein;
+  (* The lists of non-empty sets: built in order from scratch, or the
+     captured lists with the changed sets merged in. *)
+  let insert_of p j old =
+    insert_into st.acc nw adj e l antloc p j;
+    if nonzero st.acc nw 0 then Some (set_entry ~export work n nw st.acc (p, adj.Cfg.adj_succ.(p).(j)) old) else None
+  in
+  let insert_at k old =
+    let p = owner adj.Cfg.adj_succ_off k in
+    insert_of p (k - adj.Cfg.adj_succ_off.(p)) old
+  in
+  let delete_at b old =
+    delete_into st.acc nw entry l antloc b;
+    if nonzero st.acc nw 0 then Some (set_entry ~export work n nw st.acc b old) else None
+  in
+  let copy_at b old = if Copy_analysis.copy_row sys b then Some (set_entry ~export work n nw st.acc b old) else None in
+  let insert, delete, copy =
+    Trace.span "lcm.copy" (fun () ->
+        match restart with
+        | None ->
+          (* One pass over the edges, LATERIN(p) ∩ ¬ANTLOC(p) once per
+             source. *)
+          let insert = ref [] and src = tmp in
+          for p = bound - 1 downto 0 do
+            let succs = adj.Cfg.adj_succ.(p) in
+            if Array.length succs > 0 then begin
+              let po = p * nw and al = words antloc.(p) and acc = st.acc in
+              for w = 0 to nw - 1 do
+                src.(w) <- l.(po + w) land lnot al.(w)
+              done;
+              for j = Array.length succs - 1 downto 0 do
+                let s = succs.(j) in
+                let eo = (adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p) * nw and so = s * nw in
+                let any = ref false in
+                for w = 0 to nw - 1 do
+                  let x = (e.(eo + w) lor src.(w)) land lnot l.(so + w) in
+                  acc.(w) <- x;
+                  if x <> 0 then any := true
+                done;
+                if !any then insert := set_entry ~export work n nw acc (p, s) None :: !insert
+              done
+            end
+          done;
+          let labels_down f = Array.fold_right (fun b acc -> cons_opt (f b None) acc) adj.Cfg.adj_labels [] in
+          (!insert, labels_down delete_at, labels_down copy_at)
+        | Some c ->
+          let t = c.c_tail in
+          let edge_key ((p, s), _) = adj.Cfg.adj_succ_off.(p) + Rowtab.index adj.Cfg.adj_succ.(p) s in
+          let insert = merge edge_key insert_at t.t_insert (List.sort_uniq compare ins_changed) in
+          let delete = merge fst delete_at t.t_delete (List.sort_uniq compare del_changed) in
+          (* COPY reads COMP, TRANSP and DELETE of its block, LIVEIN of its
+             successors and INSERT of its out-edges. *)
+          let touched = ref (List.rev_append del_changed c.c_dirty) in
+          for j = 0 to Rowtab.nchanged st.livein - 1 do
+            Array.iter (fun p -> touched := p :: !touched) adj.Cfg.adj_pred.(Rowtab.changed st.livein j)
+          done;
+          List.iter (fun k -> touched := owner adj.Cfg.adj_succ_off k :: !touched) ins_changed;
+          (insert, delete, merge fst copy_at t.t_copy (List.sort_uniq compare !touched)))
+  in
+  ( { t_adj = adj; t_earliest = e; t_laterin = l; t_livein = Rowtab.words st.livein; t_insert = insert; t_delete = delete; t_copy = copy },
+    later_sweeps,
+    later_visits,
+    live_visits )
 
 (* The up-safety (forward, AVAIL) and down-safety (backward, ANTIC)
    systems of the cascade; both read only the block-local predicates. *)
@@ -225,100 +532,65 @@ let solve_safety_systems ?scratch g local =
   ( Trace.span "lcm.up_safety" (fun () -> Avail.compute ?scratch g local),
     Trace.span "lcm.down_safety" (fun () -> Antic.compute ?scratch g local) )
 
+let earliest_sets ?scratch g local avail antic =
+  let adj = Cfg.adjacency g in
+  let n = Local.nbits local in
+  let nw = Bitvec.words_for n and entry = Cfg.entry g and transp = Local.transp_rows local in
+  Cfg.fold_edges adj
+    (fun p b acc ->
+      let v = Arena.alloc scratch n in
+      earliest_into (words v) 0 nw entry transp avail antic (words (antic.Antic.antin b)) p;
+      if nonzero (words v) nw 0 then ((p, b), v) :: acc else acc)
+    []
+
 (* Span names follow the paper's cascade: down-safety (ANTIC), earliestness,
    delay (LATERIN), latestness — the four phases a trace of one LCM solve
    must show (the up-safety AVAIL system rides along as "lcm.up_safety",
-   the copy analysis that follows as "lcm.copy"). *)
-let finish ?scratch g pool local avail antic =
+   the temporaries' liveness and the copies that follow as "lcm.live" and
+   "lcm.copy").  [keep] moves the tables to the heap, for a capture. *)
+let finish ?scratch ~keep g pool local avail antic change =
+  let export = keep || Option.is_none scratch in
+  let solve work = solve_tail ~export ~work g local avail antic change in
+  let tail, later_sweeps, later_visits, live_visits =
+    match scratch with
+    | Some _ -> solve scratch
+    | None ->
+      Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:(Local.nbits local) (fun a -> solve (Some a))
+  in
   let n = Local.nbits local in
-  let nw = Bitvec.words_for n in
-  let earliest_m =
-    Trace.span "lcm.earliest" (fun () -> compute_earliest ?scratch g local avail antic)
-  in
-  let adj = Cfg.adjacency g in
-  let (laterin_arr, laterin_live), later_sweeps, later_visits =
-    Trace.span_attrs "lcm.delay" (fun () ->
-        let ((_, later_sweeps, later_visits) as r) = compute_laterin ?scratch g local earliest_m in
-        ( r,
-          [
-            ("sweeps", string_of_int later_sweeps); ("visits", string_of_int later_visits);
-          ] ))
-  in
+  let nw = Bitvec.words_for n and adj = tail.t_adj in
+  let antloc = Local.antloc_rows local in
   let laterin l =
-    if l >= 0 && l < adj.Cfg.adj_bound && laterin_live.(l) then Bitvec.of_words laterin_arr ~off:(l * nw) n
+    if Cfg.mem g l && l < adj.Cfg.adj_bound then Bitvec.of_words tail.t_laterin ~off:(l * nw) n
     else invalid_arg (Printf.sprintf "Lcm_edge.laterin: unknown label B%d" l)
   in
-  let antloc = Local.antloc_rows local in
-  let earliest (p, b) = Bitvec.of_words earliest_m ~off:(edge_base adj nw p b) n in
+  let earliest (p, b) = Bitvec.of_words tail.t_earliest ~off:(edge_index adj p b * nw) n in
   let later (p, b) =
-    let base = edge_base adj nw p b in
+    let eo = edge_index adj p b * nw and lo = p * nw in
     let v = Arena.alloc scratch n in
-    let dst = words v and lp = p * nw and alp = words antloc.(p) in
+    let dst = words v and e = tail.t_earliest and l = tail.t_laterin and alp = words antloc.(p) in
     for w = 0 to nw - 1 do
-      dst.(w) <- earliest_m.(base + w) lor (laterin_arr.(lp + w) land lnot alp.(w))
+      dst.(w) <- e.(eo + w) lor (l.(lo + w) land lnot alp.(w))
     done;
     v
   in
-  let entry = Cfg.entry g in
-  let insert, delete =
-    Trace.span "lcm.latest" (fun () ->
-        (* Only non-empty sets are materialized (as arena vectors): a first
-           word pass tests emptiness without storing anything. *)
-        let insert =
-          Cfg.fold_edges adj
-            (fun p b acc ->
-              let base = edge_base adj nw p b in
-              let li = laterin_arr and lp = p * nw and lb = b * nw in
-              let alp = words antloc.(p) in
-              if not (insert_nonzero earliest_m base li lp alp lb nw 0) then acc
-              else begin
-                let v = Arena.alloc scratch n in
-                let dst = words v in
-                for w = 0 to nw - 1 do
-                  dst.(w) <- insert_word earliest_m base li lp alp lb w
-                done;
-                ((p, b), v) :: acc
-              end)
-            []
-        in
-        let delete =
-          (* DELETE is defined for b ≠ ENTRY only: the entry has no incoming
-             edges, so no insertion could ever cover a deletion there (its
-             LATERIN is the ∅ boundary, not a data-flow result). *)
-          List.filter_map
-            (fun b ->
-              let alb = words antloc.(b) and lb = b * nw in
-              if Label.equal b entry || not (delete_nonzero alb laterin_arr lb nw 0) then None
-              else begin
-                let v = Arena.alloc scratch n in
-                let dst = words v in
-                for w = 0 to nw - 1 do
-                  dst.(w) <- alb.(w) land lnot laterin_arr.(lb + w)
-                done;
-                Some (b, v)
-              end)
-            adj.Cfg.adj_labels
-        in
-        (insert, delete))
-  in
-  let copy =
-    Trace.span "lcm.copy" (fun () ->
-        Copy_analysis.copies ?scratch g local ~insert_edges:insert ~deletes:delete)
-  in
-  {
-    pool;
-    local;
-    avail;
-    antic;
-    earliest;
-    later;
-    laterin;
-    insert;
-    delete;
-    copy;
-    sweeps = avail.Avail.sweeps + antic.Antic.sweeps + later_sweeps;
-    visits = avail.Avail.visits + antic.Antic.visits + later_visits;
-  }
+  ( {
+      pool;
+      local;
+      avail;
+      antic;
+      earliest;
+      later;
+      laterin;
+      insert = tail.t_insert;
+      delete = tail.t_delete;
+      copy = tail.t_copy;
+      sweeps = avail.Avail.sweeps + antic.Antic.sweeps + later_sweeps;
+      visits = avail.Avail.visits + antic.Antic.visits + later_visits;
+      delay_visits = later_visits;
+      live_visits;
+    },
+    tail )
 
 (* The candidate pool, built (and timed as "lcm.pool") unless the caller
    supplies one. *)
@@ -328,7 +600,7 @@ let analyze ?pool ?scratch g =
   let pool = match pool with Some p -> p | None -> candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
   let avail, antic = solve_safety_systems ?scratch g local in
-  finish ?scratch g pool local avail antic
+  fst (finish ?scratch ~keep:false g pool local avail antic None)
 
 (* --- incremental analysis ------------------------------------------------
 
@@ -384,7 +656,7 @@ let occurrences g pool =
   let n = Expr_pool.size pool and bound = Cfg.label_bound g in
   let seen = Array.make n (-1) in
   let blk = Array.make bound [||] in
-  List.iter (fun l -> blk.(l) <- block_exprs pool seen l g l) (Cfg.labels g);
+  Cfg.iter_labels g (fun l -> blk.(l) <- block_exprs pool seen l g l);
   let key = Array.make n (-1) and count = Array.make n 0 in
   for l = 0 to bound - 1 do
     Array.iteri
@@ -486,6 +758,7 @@ type saved = {
   saved_local : Local.t;
   saved_avail : Lcm_dataflow.Solver.saved;
   saved_antic : Lcm_dataflow.Solver.saved;
+  saved_tail : tail;
 }
 
 let saved_pool s = s.saved_pool
@@ -502,8 +775,8 @@ let analyze_keep ?scratch g =
     Trace.span "lcm.down_safety" (fun () -> Antic.compute_keep ?scratch g local)
   in
   let saved_occ = Trace.span "lcm.occurrences" (fun () -> occurrences g pool) in
-  ( finish ?scratch g pool local avail antic,
-    { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic } )
+  let a, saved_tail = finish ?scratch ~keep:true g pool local avail antic None in
+  (a, { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail })
 
 let analyze_incr ?scratch g ~prev ~dirty =
   let pool = prev.saved_pool in
@@ -516,18 +789,21 @@ let analyze_incr ?scratch g ~prev ~dirty =
            Avail.compute_incr ?scratch g local ~prev:prev.saved_avail ~dirty)
      with
     | None -> None
-    | Some (avail, saved_avail, region_a) ->
+    | Some (avail, saved_avail, moved_a) ->
       (match
          Trace.span "lcm.down_safety" (fun () ->
              Antic.compute_incr ?scratch g local ~prev:prev.saved_antic ~dirty)
        with
       | None -> None
-      | Some (antic, saved_antic, region_b) ->
-        let a = finish ?scratch g pool local avail antic in
+      | Some (antic, saved_antic, moved_b) ->
+        let change =
+          { c_tail = prev.saved_tail; c_local = prev.saved_local; c_dirty = dirty; c_avail = moved_a; c_antic = moved_b }
+        in
+        let a, saved_tail = finish ?scratch ~keep:true g pool local avail antic (Some change) in
         Some
           ( a,
-            { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic },
-            max region_a region_b )))
+            { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail },
+            max (Array.length moved_a) (Array.length moved_b) )))
 
 let spec g a =
   {

@@ -33,7 +33,11 @@ type analysis = {
   delete : (Label.t * Bitvec.t) list;  (** non-empty sets only *)
   copy : (Label.t * Bitvec.t) list;
   sweeps : int;  (** data-flow sweeps over the graph, all passes summed *)
-  visits : int;  (** transfer-function applications, all passes summed *)
+  visits : int;
+      (** transfer-function applications of AVAIL, ANTIC and LATERIN,
+          summed *)
+  delay_visits : int;  (** LATERIN's share of [visits] *)
+  live_visits : int;  (** visits of the temporaries' liveness, which {!Copy_analysis} solves *)
 }
 
 (** Solve the up-safety (AVAIL, forward) and down-safety (ANTIC,
@@ -65,19 +69,23 @@ val analyze :
   analysis
 
 (** A captured analysis for incremental restart: the candidate pool with
-    an occurrence index of it, the local predicate rows and the saved
-    AVAIL/ANTIC fixpoints — all on the heap, safe to retain across requests
-    and arena resets.  A capture is never written after it is built:
-    {!analyze_incr} returns a new one that shares every unchanged row with
-    its [prev].  The serving layer keeps one per retained graph handle. *)
+    an occurrence index of it, the local predicate rows, the saved
+    AVAIL/ANTIC fixpoints, and the rest of the cascade — EARLIEST by edge,
+    LATERIN, INSERT and DELETE rows, the temporaries' liveness, and the
+    non-empty INSERT, DELETE and COPY sets — all on the heap, safe to
+    retain across requests and arena resets.  A capture is never written
+    after it is built: {!analyze_incr} returns a new one that shares every
+    unchanged row (and table) with its [prev].  The serving layer keeps
+    one per retained graph handle. *)
 type saved
 
 (** The candidate pool a capture was solved with. *)
 val saved_pool : saved -> Lcm_ir.Expr_pool.t
 
 (** [analyze_keep g] is [analyze g] that additionally captures the rows
-    {!analyze_incr} restarts from.  The captured rows come from the heap;
-    [scratch] backs the worklists and the rest of the cascade. *)
+    {!analyze_incr} restarts from.  The captured rows come from the heap
+    (equal rows of a table share one vector); [scratch] backs the
+    worklists. *)
 val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * saved
 
 (** [analyze_incr g ~prev ~dirty] re-analyzes the patched graph [g] from
@@ -85,10 +93,15 @@ val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * s
     only: pool equality is decided exactly from the [dirty] blocks'
     bodies and the capture's occurrence index (no full pool build), local
     rows are recomputed for the dirty blocks
-    ({!Lcm_dataflow.Local.update}), and the AVAIL/ANTIC fixpoints restart
+    ({!Lcm_dataflow.Local.update}), the AVAIL/ANTIC fixpoints restart
     from the bits and blocks that changed
-    ({!Lcm_dataflow.Solver.restart}); EARLIEST, LATERIN, latestness and the
-    copies are recomputed on [scratch].  [dirty] is
+    ({!Lcm_dataflow.Solver.restart}), EARLIEST, INSERT, DELETE and COPY
+    are re-derived where their inputs moved, and LATERIN and the
+    temporaries' liveness restart the same way as the safety systems
+    (after a shape edit, which re-indexes the edge tables, the rest of
+    the cascade is solved afresh).  The INSERT, DELETE and COPY lists keep
+    their order, and a set that did not change is the captured vector.
+    [scratch] backs the worklists and bookkeeping.  [dirty] is
     {!Lcm_cfg.Patch.apply}'s seed.  Returns the analysis (bit-identical to
     a from-scratch [analyze g]), a new capture, and the number of blocks
     whose AVAIL or ANTIC rows changed (max over the two systems).  [None]

@@ -4,5 +4,6 @@
     value; we allocate one such name per candidate expression, guaranteed
     not to collide with any variable of the graph. *)
 
-(** [names g pool] maps each expression index to a fresh variable name. *)
+(** [names g pool] maps each expression index to a fresh variable name.
+    The array may be shared with other calls: read-only. *)
 val names : Lcm_cfg.Cfg.t -> Lcm_ir.Expr_pool.t -> string array

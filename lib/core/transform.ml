@@ -58,7 +58,7 @@ let killed_by pool i =
 
 (* Replace the upwards-exposed occurrence of every expression in [set]
    within block [l] by a read of its temporary. *)
-let apply_deletes g pool temps l set =
+let delete_in pool temps l set instrs =
   let remaining = Bitvec.copy set in
   let killed = Bitvec.create (Bitvec.length set) in
   let deleted = ref 0 in
@@ -74,18 +74,18 @@ let apply_deletes g pool temps l set =
     List.iter (fun idx -> Bitvec.set killed idx true) (killed_by pool i);
     i'
   in
-  Cfg.set_instrs g l (List.map rewrite (Cfg.instrs g l));
+  let instrs = List.map rewrite instrs in
   if not (Bitvec.is_empty remaining) then
     failwith
       (Format.asprintf "Transform.apply: block %a has no upwards-exposed occurrence of %a" Label.pp l
          Bitvec.pp remaining);
-  !deleted
+  (instrs, !deleted)
 
 (* After the downwards-exposed occurrence of every expression in [set]
    within block [l], add [h := v].  The downwards-exposed occurrence of [e]
    is the last computation of [e] not followed by an operand kill. *)
-let apply_copies g pool temps l set =
-  let instrs = Array.of_list (Cfg.instrs g l) in
+let copy_in pool temps l set instrs =
+  let instrs = Array.of_list instrs in
   let n = Array.length instrs in
   let nbits = Bitvec.length set in
   (* last_occurrence.(idx) = position of the downwards-exposed occurrence *)
@@ -119,8 +119,44 @@ let apply_copies g pool temps l set =
   for pos = n - 1 downto 0 do
     out := (instrs.(pos) :: List.rev copies_at.(pos)) @ !out
   done;
-  Cfg.set_instrs g l !out;
-  !count
+  (!out, !count)
+
+(* Block [l]'s deletions, then its copies (each set may be empty), as one
+   rewrite memoised on the block ({!Cfg.rewrite}): a block whose sets did
+   not change since the rewrite of the same record reuses its result. *)
+let rewrite_block g pool temps l ~deletes ~copies =
+  Cfg.rewrite g l { Cfg.rw_deletes = deletes; rw_copies = copies; rw_pool = pool; rw_temps = temps } (fun instrs ->
+      let instrs, deleted = if Bitvec.is_empty deletes then (instrs, 0) else delete_in pool temps l deletes instrs in
+      let instrs, copied = if Bitvec.is_empty copies then (instrs, 0) else copy_in pool temps l copies instrs in
+      (instrs, deleted, copied))
+
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
+  | [ _ ] | [] -> true
+
+let by_label l = if ascending l then l else List.stable_sort (fun (a, _) (b, _) -> compare a b) l
+
+(* The deletion and copy sets merged by label, one rewrite per block;
+   the counts, and the rewritten labels (descending). *)
+let rewrite_blocks g pool temps deletes copies =
+  let empty = Bitvec.create (Expr_pool.size pool) in
+  let rec go nd nc ls ds cs =
+    match (ds, cs) with
+    | [], [] -> (nd, nc, ls)
+    | (l, d) :: ds', (l', c) :: cs' when l = l' ->
+      let d', c' = rewrite_block g pool temps l ~deletes:d ~copies:c in
+      go (nd + d') (nc + c') (l :: ls) ds' cs'
+    | (l, d) :: ds', (l', _) :: _ when l < l' ->
+      let d', _ = rewrite_block g pool temps l ~deletes:d ~copies:empty in
+      go (nd + d') nc (l :: ls) ds' cs
+    | (l, d) :: ds', [] ->
+      let d', _ = rewrite_block g pool temps l ~deletes:d ~copies:empty in
+      go (nd + d') nc (l :: ls) ds' cs
+    | _, (l, c) :: cs' ->
+      let _, c' = rewrite_block g pool temps l ~deletes:empty ~copies:c in
+      go nd (nc + c') (l :: ls) ds cs'
+  in
+  go 0 0 [] (by_label deletes) (by_label copies)
 
 let insertion_instrs pool temps set =
   List.rev
@@ -128,15 +164,10 @@ let insertion_instrs pool temps set =
        (fun idx acc -> Instr.Assign (temps.(idx), Expr_pool.expr pool idx) :: acc)
        set [])
 
-let apply ?(simplify = false) g spec =
-  let g = Cfg.copy g in
+let apply ?(simplify = false) input spec =
+  let g = Cfg.copy input in
   let pool = spec.pool and temps = spec.temp_names in
-  let num_deletions =
-    List.fold_left (fun acc (l, set) -> acc + apply_deletes g pool temps l set) 0 spec.deletes
-  in
-  let num_copies =
-    List.fold_left (fun acc (l, set) -> acc + apply_copies g pool temps l set) 0 spec.copies
-  in
+  let num_deletions, num_copies, rewritten = rewrite_blocks g pool temps spec.deletes spec.copies in
   let num_entry_insertions =
     List.fold_left
       (fun acc (l, set) ->
@@ -160,13 +191,14 @@ let apply ?(simplify = false) g spec =
         let is = insertion_instrs pool temps set in
         if is = [] then acc
         else begin
-          let fresh = Cfg.split_edge g src dst in
-          Cfg.set_instrs g fresh is;
+          let fresh = Cfg.split_edge ~instrs:is g src dst in
           split_blocks := ((src, dst), fresh) :: !split_blocks;
           acc + List.length is
         end)
       0 spec.edge_inserts
   in
+  Cfg.prune_memos input ~rewritten:(List.rev rewritten)
+    ~split:(List.sort_uniq compare (List.map (fun ((src, _), _) -> src) !split_blocks));
   if simplify then begin
     Cfg.merge_straight_pairs g;
     Cfg.remove_unreachable g

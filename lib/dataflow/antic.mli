@@ -31,4 +31,4 @@ val compute_incr :
   Local.t ->
   prev:Solver.saved ->
   dirty:Lcm_cfg.Label.t list ->
-  (t * Solver.saved * int) option
+  (t * Solver.saved * Lcm_cfg.Label.t array) option

@@ -53,6 +53,6 @@ let compute_incr ?scratch g local ~prev ~dirty =
   Lcm_obs.Trace.span_attrs "solve.avail.incr" (fun () ->
       match Solver.restart ?scratch g (spec_of Solver.Inter ?scratch local) ~prev ~dirty with
       | None -> (None, [ ("fallback", "full") ])
-      | Some (result, saved, region) ->
-        ( Some (of_result result, saved, region),
-          [ ("region", string_of_int region); ("visits", string_of_int result.Solver.visits) ] ))
+      | Some (result, saved, changed) ->
+        ( Some (of_result result, saved, changed),
+          [ ("region", string_of_int (Array.length changed)); ("visits", string_of_int result.Solver.visits) ] ))

@@ -30,7 +30,7 @@ val compute_keep :
 (** [compute_incr g local ~prev ~dirty] re-solves availability on the
     patched graph [g] from the fixpoint saved before the patch, working
     only on the bits and blocks the patch changed (see
-    {!Solver.restart}); also returns the number of blocks whose rows
+    {!Solver.restart}); also returns the blocks whose AVIN or AVOUT rows
     changed.  [local] must come from the heap, like [compute_keep]'s.
     [None] when [prev] is inadmissible (candidate pool width changed) —
     fall back to {!compute_keep}. *)
@@ -40,4 +40,4 @@ val compute_incr :
   Local.t ->
   prev:Solver.saved ->
   dirty:Lcm_cfg.Label.t list ->
-  (t * Solver.saved * int) option
+  (t * Solver.saved * Lcm_cfg.Label.t array) option

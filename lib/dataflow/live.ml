@@ -53,12 +53,10 @@ let compute ?scratch ?exit_live g =
      below [label_bound]), checked out of the arena like the solver state. *)
   let bound = Cfg.label_bound g in
   let gen = Arena.alloc_vec scratch bound and keep = Arena.alloc_vec scratch bound in
-  List.iter
-    (fun l ->
+  Cfg.iter_labels g (fun l ->
       let gl, kl = gen_keep ?scratch g vars l in
       gen.(l) <- gl;
-      keep.(l) <- kl)
-    (Cfg.labels g);
+      keep.(l) <- kl);
   let result =
     Solver.run ?scratch g
       { Solver.nbits = n; direction = Solver.Backward; confluence = Solver.Union; boundary; gen; keep }

@@ -91,24 +91,20 @@ let compute ?scratch g pool =
   (* [killed] tracks expressions whose operands have been modified by an
      earlier instruction of the current block. *)
   let killed = Arena.alloc scratch n in
-  List.iter
-    (fun l ->
+  Cfg.iter_labels g (fun l ->
       Bitvec.fill killed false;
       scan (block_events "compute" g nb l) 1 masks killed antloc.(l) comp.(l) transp.(l);
-      live.(l) <- true)
-    (Cfg.labels g);
+      live.(l) <- true);
   (* Heap rows may be retained (an incremental capture keeps them), and on
      real graphs only about one row in eight is distinct (most blocks
      compute and kill nothing): equal rows share one vector.  Arena tables
      own their rows, so they keep them. *)
   if Option.is_none scratch then begin
     let rows = Bitvec.Interner.create 64 in
-    List.iter
-      (fun l ->
+    Cfg.iter_labels g (fun l ->
         antloc.(l) <- Bitvec.Interner.intern rows antloc.(l);
         comp.(l) <- Bitvec.Interner.intern rows comp.(l);
         transp.(l) <- Bitvec.Interner.intern rows transp.(l))
-      (Cfg.labels g)
   end;
   { pool; graph = g; antloc; comp; transp; live; numbering = nb; masks }
 
@@ -130,7 +126,7 @@ let update ~prev g ~dirty =
     if bound = Array.length prev.live then prev.live
     else begin
       let live = Array.make bound false in
-      List.iter (fun l -> live.(l) <- true) (Cfg.labels g);
+      Cfg.iter_labels g (fun l -> live.(l) <- true);
       live
     end
   in

@@ -49,7 +49,7 @@ type state = {
   meet_neighbors : Label.t array array;
   (* blocks whose meet reads our flow (succs forward, preds backward) *)
   dependents : Label.t array array;
-  process_order : Label.t list;
+  process_order : Label.t array;
   nwords : int;
   cow : cow option;
 }
@@ -67,19 +67,17 @@ and cow = {
    can touch is checked once per solve: a GEN and a KEEP row of exactly
    [nbits] bits for every block of the graph.  A top-level recursion, as
    the solve itself allocates no closure. *)
-let rec check_rows what rows nbits = function
-  | [] -> ()
-  | l :: rest ->
-    if Bitvec.length rows.(l) <> nbits then
-      invalid_arg
-        (Printf.sprintf "Solver: %s row of B%d has %d bits, expected %d" what l
-           (Bitvec.length rows.(l)) nbits);
-    check_rows what rows nbits rest
+let check_row what rows nbits l =
+  if Bitvec.length rows.(l) <> nbits then
+    invalid_arg
+      (Printf.sprintf "Solver: %s row of B%d has %d bits, expected %d" what l (Bitvec.length rows.(l)) nbits)
 
 let check_table what rows (spec : spec) bound labels =
   if Array.length rows < bound then
     invalid_arg (Printf.sprintf "Solver: %s has %d rows for label bound %d" what (Array.length rows) bound);
-  check_rows what rows spec.nbits labels
+  for i = 0 to Array.length labels - 1 do
+    check_row what rows spec.nbits labels.(i)
+  done
 
 let check_spec (spec : spec) bound labels =
   check_table "gen" spec.gen spec bound labels;
@@ -89,7 +87,7 @@ let check_spec (spec : spec) bound labels =
 
 let labels_live arena bound labels =
   let live = Arena.alloc_bool arena bound in
-  List.iter (fun l -> live.(l) <- true) labels;
+  Array.iter (fun l -> live.(l) <- true) labels;
   live
 
 let neighbors_of adj = function
@@ -212,12 +210,12 @@ type queue = {
   mutable low : int;
 }
 
-let rec fill_order q p = function
-  | [] -> ()
-  | l :: rest ->
+let fill_order q order =
+  for p = 0 to Array.length order - 1 do
+    let l = order.(p) in
     q.order.(p) <- l;
-    q.posn.(l) <- p;
-    fill_order q (p + 1) rest
+    q.posn.(l) <- p
+  done
 
 let push q l =
   let p = q.posn.(l) in
@@ -229,11 +227,10 @@ let push q l =
     if wi < q.low then q.low <- wi
   end
 
-let rec push_all q = function
-  | [] -> ()
-  | l :: rest ->
-    push q l;
-    push_all q rest
+let push_all q order =
+  for p = 0 to Array.length order - 1 do
+    push q order.(p)
+  done
 
 (* The pending block of least position; the queue must be non-empty. *)
 let pop q =
@@ -258,7 +255,7 @@ let own st c l =
   end
 
 let make_queue ~arena st =
-  let nreach = List.length st.process_order in
+  let nreach = Array.length st.process_order in
   let q =
     {
       order = Arena.alloc_int arena (max 1 nreach);
@@ -268,7 +265,7 @@ let make_queue ~arena st =
       low = max_int;
     }
   in
-  fill_order q 0 st.process_order;
+  fill_order q st.process_order;
   q
 
 (* Drain the queue: pop the pending block of least position, visit it, and
@@ -496,12 +493,12 @@ let restart_on work g (spec : spec) ~prev ~dirty =
     (fun l -> if l < 0 || l >= bound then invalid_arg (Printf.sprintf "Solver.restart: dirty label B%d" l))
     dirty;
   (* Other rows are the saved ones, checked when they were solved. *)
-  let fresh_labels = List.init (bound - old_bound) (fun i -> old_bound + i) in
+  let fresh_labels = Array.init (bound - old_bound) (fun i -> old_bound + i) in
   List.iter
     (fun labels ->
       check_table "gen" spec.gen spec bound labels;
       check_table "keep" spec.keep spec bound labels)
-    [ dirty; fresh_labels ];
+    [ Array.of_list dirty; fresh_labels ];
   let fresh () = if union then Bitvec.create spec.nbits else Bitvec.create_full spec.nbits in
   let share old = Array.init bound (fun l -> if l < old_bound then old.(l) else fresh ()) in
   let meet_neighbors, dependents, process_order = neighbors_of adj spec.direction in
@@ -592,7 +589,8 @@ let restart_on work g (spec : spec) ~prev ~dirty =
   propagate_lift st c prev q stack !nstack mask on_stack;
   let sweeps, visits = drain ~arena:work st q in
   (* Rows that ended where they were saved go back to sharing the saved
-     row; the rest are the rows this patch changed. *)
+     row; the rest are the rows this patch changed, listed in the first
+     [changed] cells of [touched]. *)
   let changed = ref 0 in
   for i = 0 to c.ntouched - 1 do
     let l = c.touched.(i) in
@@ -607,12 +605,13 @@ let restart_on work g (spec : spec) ~prev ~dirty =
     else begin
       st.meet.(l) <- share_constant prev st.meet.(l);
       st.flow.(l) <- share_constant prev st.flow.(l);
+      c.touched.(!changed) <- l;
       incr changed
     end
   done;
   ( make_result st spec.direction ~sweeps ~visits,
     { prev with s_adj = adj; s_gen = st.gen; s_keep = st.keep; s_meet = st.meet; s_flow = st.flow; s_live = st.live },
-    !changed )
+    Array.sub c.touched 0 !changed )
 
 let restart ?scratch g spec ~prev ~dirty =
   let union = match spec.confluence with Union -> true | Inter -> false in

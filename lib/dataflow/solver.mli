@@ -104,8 +104,8 @@ val run_saved :
 
     Returns the result — bit-identical to a from-scratch [run g spec]; the
     property tests and the serving [delta] op's validate mode assert this —
-    a capture for the next restart, and the number of blocks whose rows
-    changed.  [visits] counts only the restart's visits.  The result and
+    a capture for the next restart, and the blocks whose rows changed
+    (each once, in no particular order).  [visits] counts only the restart's visits.  The result and
     the capture share every unchanged row with [prev]; changed rows are
     fresh heap copies, and [prev] is left as it was.  [scratch] backs only
     the worklist and bookkeeping.  Returns [None] when [prev] is not
@@ -118,4 +118,4 @@ val restart :
   spec ->
   prev:saved ->
   dirty:Lcm_cfg.Label.t list ->
-  (result * saved * int) option
+  (result * saved * Lcm_cfg.Label.t array) option

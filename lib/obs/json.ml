@@ -6,6 +6,7 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of int * (Bytes.t -> int -> unit)
 
 exception Parse_error of string
 
@@ -39,6 +40,48 @@ let escape_into buf s =
   done;
   if n > !start then Buffer.add_substring buf s !start (n - !start)
 
+(* The inverse of [escape_into] on its own output: an escape is a
+   backslash and one byte, or [\u00XX]; everything else is itself.  Plain
+   byte loops: the runs between escapes are a line or less, too short for
+   a blit call to pay. *)
+let unescaped_length s =
+  let n = String.length s in
+  let i = ref 0 and len = ref 0 in
+  while !i < n do
+    if String.unsafe_get s !i = '\\' then i := !i + if s.[!i + 1] = 'u' then 6 else 2
+    else incr i;
+    incr len
+  done;
+  !len
+
+let hex_value c = if c <= '9' then Char.code c - 48 else Char.code c - 87
+
+let unescape_into s out pos =
+  let n = String.length s in
+  let i = ref 0 and o = ref pos in
+  while !i < n do
+    let c = String.unsafe_get s !i in
+    if c <> '\\' then begin
+      Bytes.set out !o c;
+      incr i
+    end
+    else begin
+      let e = s.[!i + 1] in
+      let c =
+        match e with
+        | 'n' -> '\n'
+        | 'r' -> '\r'
+        | 't' -> '\t'
+        | 'u' -> Char.chr ((hex_value s.[!i + 4] lsl 4) lor hex_value s.[!i + 5])
+        | c -> c
+      in
+      Bytes.set out !o c;
+      i := !i + if e = 'u' then 6 else 2
+    end;
+    incr o
+  done;
+  !o
+
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
@@ -48,13 +91,21 @@ let float_to_string f =
    carrying a program text fills its buffer without regrowing it. *)
 let rec size_hint acc = function
   | Null | Bool _ | Int _ | Float _ -> acc + 8
+  | Raw _ -> acc
   | String s -> acc + String.length s + (String.length s lsr 3) + 2
   | List xs -> List.fold_left size_hint (acc + 2) xs
   | Obj fields ->
     List.fold_left (fun acc (k, x) -> size_hint (acc + String.length k + 4) x) (acc + 2) fields
 
+(* Everything but the [Raw] values is rendered into a buffer; each [Raw]
+   leaves a hole at its position.  Without holes the buffer is the
+   document.  With them, the document is one exact-size string: the
+   buffer's stretches blitted between the holes, and each [Raw] written
+   straight into its hole — a long already-encoded value is never copied
+   through the buffer. *)
 let to_string v =
   let buf = Buffer.create (size_hint 0 v) in
+  let holes = ref [] and raw = ref 0 in
   let rec go = function
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -66,6 +117,9 @@ let to_string v =
       Buffer.add_char buf '"';
       escape_into buf s;
       Buffer.add_char buf '"'
+    | Raw (len, write) ->
+      holes := (Buffer.length buf, len, write) :: !holes;
+      raw := !raw + len
     | List xs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -87,7 +141,20 @@ let to_string v =
       Buffer.add_char buf '}'
   in
   go v;
-  Buffer.contents buf
+  match !holes with
+  | [] -> Buffer.contents buf
+  | holes ->
+    let out = Bytes.create (Buffer.length buf + !raw) in
+    let rec fill src dst = function
+      | [] -> Buffer.blit buf src out dst (Buffer.length buf - src)
+      | (at, len, write) :: rest ->
+        Buffer.blit buf src out dst (at - src);
+        let dst = dst + (at - src) in
+        write out dst;
+        fill at (dst + len) rest
+    in
+    fill 0 0 (List.rev holes);
+    Bytes.unsafe_to_string out
 
 (* ---- parsing ----
 

@@ -14,6 +14,11 @@ type t =
   | String of string
   | List of t list
   | Obj of (string * t) list
+  | Raw of int * (Bytes.t -> int -> unit)
+      (** an already-encoded value of the given length in bytes, which the
+          function writes into a buffer at an offset; {!to_string} writes
+          it straight into its result.  {!parse} never returns one, and the
+          function makes the tree unfit for structural comparison. *)
 
 exception Parse_error of string
 
@@ -111,9 +116,22 @@ val skip : cursor -> unit
 (** Accept only whitespace up to the end of the document. *)
 val finish : cursor -> unit
 
-(** Compact (single-line) rendering; never emits newlines, so a printed
-    document is a valid frame. *)
+(** Compact (single-line) rendering; never emits newlines (provided every
+    {!Raw} value is compact), so a printed document is a valid frame. *)
 val to_string : t -> string
+
+(** [escape_into buf s] appends [s] escaped as the inside of a JSON string
+    literal, as {!to_string} prints a [String].  Escaping is byte-wise, so
+    the escape of a concatenation is the concatenation of the escapes. *)
+val escape_into : Buffer.t -> string -> unit
+
+(** The inverse of {!escape_into} on a string it produced:
+    [unescaped_length e] is the length of the string [e] escapes, and
+    [unescape_into e out pos] writes that string into [out] at [pos] and
+    returns the position after it. *)
+val unescaped_length : string -> int
+
+val unescape_into : string -> Bytes.t -> int -> int
 
 (** {2 Accessors} — all total; [member] on a non-object is [None]. *)
 

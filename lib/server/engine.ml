@@ -217,10 +217,9 @@ let execute_run cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~tim
   if validated then Stats.bump cfg.m.Smetrics.validated_total;
   let before = Metrics.static_counts g in
   let after = Metrics.static_counts g' in
-  let program = Cfg.to_string g' in
   let frame =
-    Protocol.ok_run ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers:1 ~degraded ~validated
-      ~extra:(worker_fields cfg) ~program ~before ~after ~timing:(timing_of ()) ()
+    Protocol.ok_run_graph ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers:1 ~degraded ~validated
+      ~extra:(worker_fields cfg) ~program:g' ~before ~after ~timing:(timing_of ()) ()
   in
   (* Allocation telemetry for the zero-allocation steady state: how many
      scratch checkouts the request made, how many had to heap-allocate
@@ -293,12 +292,10 @@ let execute_retain cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~
     | Ok () -> Stats.bump cfg.m.Smetrics.journal_appends
     | Error _ -> Stats.bump cfg.m.Smetrics.journal_append_failures));
   let before = Metrics.static_counts g and after = Metrics.static_counts g' in
-  Protocol.ok_run ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers:1 ~degraded:None
+  Protocol.ok_run_graph ~id ~trace_id ~algorithm:r.Protocol.algorithm ~workers:1 ~degraded:None
     ~validated
-    ~extra:
-      (worker_fields cfg
-      @ [ ("handle", Json.String handle); ("retained_program", Json.String (Cfg.to_string g)) ])
-    ~program:(Cfg.to_string g') ~before ~after ~timing:(timing_of ()) ()
+    ~extra:(worker_fields cfg @ [ ("handle", Json.String handle); ("retained_program", Protocol.program_json g) ])
+    ~program:g' ~before ~after ~timing:(timing_of ()) ()
 
 (* Wire edits name blocks ["B<n>"] in the *canonical* printing of the
    retained graph (echoed back as [retained_program]): canonical text
@@ -461,13 +458,13 @@ let execute_delta cfg ~now ~deadline ~id ~trace_id (d : Protocol.delta_request) 
        ]
       @ match full_visits with Some v -> [ ("full_visits", Json.Int v) ] | None -> [])
   in
-  Protocol.ok_delta ~id ~trace_id ~algorithm:entry.Handles.algorithm
+  Protocol.ok_delta_graph ~id ~trace_id ~algorithm:entry.Handles.algorithm
     ~validated:d.Protocol.d_validate
     ~extra:
       (worker_fields cfg
       @ [ ("handle", Json.String d.Protocol.d_handle); ("solve", solve) ]
       @ recovered_fields)
-    ~program:(Cfg.to_string g') ~before ~after ~timing:(timing_of ()) ()
+    ~program:g' ~before ~after ~timing:(timing_of ()) ()
 
 (* ---- crash recovery ----
 

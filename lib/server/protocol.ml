@@ -254,21 +254,36 @@ let ok_transform ~opname ~id ?trace_id ~algorithm ~workers ~degraded ~validated 
        @ (match degraded with Some tier -> [ ("degraded", Json.String tier) ] | None -> [])
        @ (if validated then [ ("validated", Json.Bool true) ] else [])
        @ [
-           ("program", Json.String program);
+           ("program", program);
            ("before", counts_json before);
            ("after", counts_json after);
          ]
        @ extra
        @ timing_fields timing))
 
+(* The program as the graph's escaped pieces, written straight into the
+   response ({!Lcm_cfg.Cfg.json}). *)
+let program_json g =
+  let len, write = Lcm_cfg.Cfg.json g in
+  Json.Raw (len, write)
+
+let ok_run_graph ~id ?trace_id ~algorithm ~workers ~degraded ~validated ?extra ~program ~before
+    ~after ~timing () =
+  ok_transform ~opname:"run" ~id ?trace_id ~algorithm ~workers ~degraded ~validated ?extra
+    ~program:(program_json program) ~before ~after ~timing ()
+
+let ok_delta_graph ~id ?trace_id ~algorithm ~validated ?extra ~program ~before ~after ~timing () =
+  ok_transform ~opname:"delta" ~id ?trace_id ~algorithm ~workers:1 ~degraded:None ~validated ?extra
+    ~program:(program_json program) ~before ~after ~timing ()
+
 let ok_run ~id ?trace_id ~algorithm ~workers ~degraded ~validated ?extra ~program ~before ~after
     ~timing () =
-  ok_transform ~opname:"run" ~id ?trace_id ~algorithm ~workers ~degraded ~validated ?extra ~program
-    ~before ~after ~timing ()
+  ok_transform ~opname:"run" ~id ?trace_id ~algorithm ~workers ~degraded ~validated ?extra
+    ~program:(Json.String program) ~before ~after ~timing ()
 
 let ok_delta ~id ?trace_id ~algorithm ~validated ?extra ~program ~before ~after ~timing () =
   ok_transform ~opname:"delta" ~id ?trace_id ~algorithm ~workers:1 ~degraded:None ~validated ?extra
-    ~program ~before ~after ~timing ()
+    ~program:(Json.String program) ~before ~after ~timing ()
 
 let ok_stats ~id ?trace_id ~stats () =
   Json.to_string

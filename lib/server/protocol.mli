@@ -120,6 +120,32 @@ type timing = {
   run_ms : float;  (** execution proper *)
 }
 
+(** The canonical text of a graph as a JSON string value, written
+    straight into the response that carries it from the blocks' memoised
+    escaped texts ({!Lcm_cfg.Cfg.json}); valid until the graph is next
+    edited. *)
+val program_json : Lcm_cfg.Cfg.t -> Json.t
+
+(** Response to a [run]: [program] is the transformed graph, encoded with
+    {!program_json}.  The frame is byte-identical to {!ok_run} of its
+    canonical text. *)
+val ok_run_graph :
+  id:Json.t ->
+  ?trace_id:string ->
+  algorithm:string ->
+  workers:int ->
+  degraded:string option ->
+  validated:bool ->
+  ?extra:(string * Json.t) list ->
+  program:Lcm_cfg.Cfg.t ->
+  before:Lcm_eval.Metrics.static_counts ->
+  after:Lcm_eval.Metrics.static_counts ->
+  timing:timing option ->
+  unit ->
+  string
+
+(** {!ok_run_graph} of a program already printed: the same encoder with
+    the text escaped as a plain string. *)
 val ok_run :
   id:Json.t ->
   ?trace_id:string ->
@@ -147,6 +173,20 @@ val ok_run :
 (** Response to a [delta]: same payload shape as a run ([op] is
     ["delta"]); the engine puts the [solve] object — mode, region size,
     visit counts — in [extra]. *)
+val ok_delta_graph :
+  id:Json.t ->
+  ?trace_id:string ->
+  algorithm:string ->
+  validated:bool ->
+  ?extra:(string * Json.t) list ->
+  program:Lcm_cfg.Cfg.t ->
+  before:Lcm_eval.Metrics.static_counts ->
+  after:Lcm_eval.Metrics.static_counts ->
+  timing:timing option ->
+  unit ->
+  string
+
+(** {!ok_delta_graph} of a program already printed. *)
 val ok_delta :
   id:Json.t ->
   ?trace_id:string ->

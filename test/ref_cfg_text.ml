@@ -192,13 +192,13 @@ let parse text =
   let mapping = Hashtbl.create 16 in
   Hashtbl.replace mapping 0 (Cfg.entry g);
   Hashtbl.replace mapping 1 (Cfg.exit_label g);
+  let seen = Hashtbl.create 16 in
   List.iter
     (fun b ->
-      if b.text_label <> 0 && b.text_label <> 1 then begin
-        if Hashtbl.mem mapping b.text_label then
-          fail b.first_line "duplicate block B%d" b.text_label;
-        Hashtbl.replace mapping b.text_label (Cfg.add_block g ~instrs:[] ~term:Cfg.Halt)
-      end)
+      if Hashtbl.mem seen b.text_label then fail b.first_line "duplicate block B%d" b.text_label;
+      Hashtbl.replace seen b.text_label ();
+      if b.text_label <> 0 && b.text_label <> 1 then
+        Hashtbl.replace mapping b.text_label (Cfg.add_block g ~instrs:[] ~term:Cfg.Halt))
     blocks;
   let resolve line l =
     match Hashtbl.find_opt mapping l with

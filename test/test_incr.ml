@@ -23,19 +23,45 @@ module Expr_pool = Lcm_ir.Expr_pool
 
 let instr s = Lcm_cfg.Cfg_text.parse_instr_line s
 
-let program g a = Cfg.digest (fst (Transform.apply g (Lcm_edge.spec g a)))
-
 let same_sets a b =
   List.length a = List.length b && List.for_all2 (fun (k, v) (k', v') -> k = k' && Bitvec.equal v v') a b
 
+(* A memo-free copy of [g]: re-read from its text, it shares no block
+   record (and so no memoised text, rewrite or escape) with [g]. *)
+let reread g = Lcm_cfg.Cfg_text.parse (Cfg.to_string g)
+
+let escaped text =
+  let buf = Buffer.create (String.length text + 2) in
+  Buffer.add_char buf '"';
+  Lcm_obs.Json.escape_into buf text;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+(* [g] transformed under [a], checked against the transform of a
+   memo-free copy of [g] under a from-scratch solve, byte for byte, and
+   its escaped program against escaping its text.  The transformed graph
+   and its text, or what differs. *)
+let transformed g (a : Lcm_edge.analysis) =
+  let out, _ = Transform.apply g (Lcm_edge.spec g a) in
+  let text = Cfg.to_string out in
+  let g0 = reread g in
+  let expected = Cfg.to_string (fst (Transform.apply g0 (Lcm_edge.spec g0 (Lcm_edge.analyze g0)))) in
+  if not (String.equal text expected) then Error "transformed program"
+  else if not (String.equal (Cfg.to_json out) (escaped text)) then Error "escaped program"
+  else Ok (out, text)
+
 (* [None] when [a] (incremental, on the patched graph [g]) and [b] (from
-   scratch) agree on every row, set and the transformed program; else what
-   differs. *)
+   scratch) agree on every row and set; else what differs. *)
 let difference g (a : Lcm_edge.analysis) (b : Lcm_edge.analysis) =
   let row what f f' =
     List.find_map
       (fun l -> if Bitvec.equal (f l) (f' l) then None else Some (Printf.sprintf "%s at B%d" what l))
       (Cfg.labels g)
+  in
+  let edge what f f' =
+    List.find_map
+      (fun (p, s) -> if Bitvec.equal (f (p, s)) (f' (p, s)) then None else Some (Printf.sprintf "%s on B%d->B%d" what p s))
+      (Cfg.edges g)
   in
   let ( >>? ) x k = match x with Some _ -> x | None -> k () in
   let local f (x : Lcm_edge.analysis) = f x.Lcm_edge.local in
@@ -46,10 +72,14 @@ let difference g (a : Lcm_edge.analysis) (b : Lcm_edge.analysis) =
   row "AVOUT" a.Lcm_edge.avail.Avail.avout b.Lcm_edge.avail.Avail.avout >>? fun () ->
   row "ANTIN" a.Lcm_edge.antic.Antic.antin b.Lcm_edge.antic.Antic.antin >>? fun () ->
   row "ANTOUT" a.Lcm_edge.antic.Antic.antout b.Lcm_edge.antic.Antic.antout >>? fun () ->
+  edge "EARLIEST" a.Lcm_edge.earliest b.Lcm_edge.earliest >>? fun () ->
+  row "LATERIN" a.Lcm_edge.laterin b.Lcm_edge.laterin >>? fun () ->
+  edge "LATER" a.Lcm_edge.later b.Lcm_edge.later >>? fun () ->
   (if same_sets a.Lcm_edge.insert b.Lcm_edge.insert then None else Some "INSERT") >>? fun () ->
   (if same_sets a.Lcm_edge.delete b.Lcm_edge.delete then None else Some "DELETE") >>? fun () ->
-  (if same_sets a.Lcm_edge.copy b.Lcm_edge.copy then None else Some "COPY") >>? fun () ->
-  if String.equal (program g a) (program (Cfg.copy g) b) then None else Some "program digest"
+  (* COPY is where the temporaries' liveness shows: its restart is right
+     when the copies it decides are. *)
+  if same_sets a.Lcm_edge.copy b.Lcm_edge.copy then None else Some "COPY (temp liveness)"
 
 (* ---- random deltas ---- *)
 
@@ -160,11 +190,26 @@ let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt
    that fails ([Patch.Error]) and round 5 a delta whose solve is thrown
    away, as when a request fails after its solve: either way the handle
    keeps its capture, which must still restart exactly — checked with an
-   empty delta on the unchanged graph. *)
+   empty delta on the unchanged graph.  Every round transforms its graph,
+   whose unchanged blocks are the previous rounds' records, so their
+   rewrites come from the memo; each round's transformed graph is kept and
+   must still print the same bytes at the end of the chain. *)
 let chain ~seed ~rounds g0 =
   let rng = Prng.of_int seed in
   let arena = Arena.create () in
   let replaced = ref [] in
+  let outputs = ref [] in
+  let keep_output what g a =
+    match transformed g a with
+    | Ok out -> outputs := out :: !outputs
+    | Error d -> ignore (fail "%s: %s differs from scratch" what d)
+  in
+  let check_outputs () =
+    List.iter
+      (fun (out, text) ->
+        if not (String.equal (Cfg.to_string out) text) then ignore (fail "a kept transformed graph changed"))
+      !outputs
+  in
   let check_capture g saved what =
     let a =
       match Lcm_edge.analyze_incr ~scratch:arena g ~prev:saved ~dirty:[] with
@@ -173,11 +218,16 @@ let chain ~seed ~rounds g0 =
     in
     let full, _ = Lcm_edge.analyze_keep (Cfg.copy g) in
     let d = difference g a full in
+    keep_output what g a;
     Arena.reset arena;
     match d with Some d -> fail "%s: capture differs from scratch (%s)" what d | None -> ()
   in
   let rec go round g saved =
-    if round >= rounds then (check_capture g saved "end of chain"; true)
+    if round >= rounds then begin
+      check_capture g saved "end of chain";
+      check_outputs ();
+      true
+    end
     else if round = 3 then begin
       (* A patch that fails validation: a non-exit block halting. *)
       let target = match interior g with l :: _ -> l | [] -> Cfg.entry g in
@@ -234,6 +284,7 @@ let chain ~seed ~rounds g0 =
         (match difference g' a full with
         | Some d -> ignore (fail "round %d (%s): %s differs from scratch" round (kind_name kind) d)
         | None -> ());
+        keep_output (Printf.sprintf "round %d (%s)" round (kind_name kind)) g' a;
         Arena.reset arena;
         if round = 5 then begin
           check_capture g saved "after a discarded solve";
@@ -260,8 +311,69 @@ let test_chain_bril () =
     (fun i (name, g) -> Alcotest.(check bool) name true (chain ~seed:(97 * i) ~rounds:10 g))
     (Test_solver.bril_corpus ())
 
+(* B3 deletes [a + b] (B2 computed it) and, after killing [a], copies its
+   recomputation into the temporary for B4.  Once B4 no longer uses it,
+   B3's COPY set empties while its DELETE set stays: the rewrite memoised
+   on B3's record must miss, or the transformed program keeps the copy. *)
+let test_memo_keyed_by_copies () =
+  let g =
+    Lcm_cfg.Cfg_text.parse
+      "cfg memo (entry B0, exit B1)\nB0:\n  goto B2\nB1:\n  halt\nB2:\n  z := a + b\n  goto B3\nB3:\n  x := a + b\n  a := 1\n  w := a + b\n  goto B4\nB4:\n  v := a + b\n  print v\n  goto B1"
+  in
+  let a, saved = Lcm_edge.analyze_keep g in
+  let check what g a =
+    match transformed g a with Ok _ -> () | Error d -> Alcotest.failf "%s: %s differs from scratch" what d
+  in
+  check "before" g a;
+  let g' = Cfg.copy g in
+  let dirty = Patch.apply g' [ Patch.Set_instrs (4, [ instr "print a" ]) ] in
+  let a' =
+    match Lcm_edge.analyze_incr g' ~prev:saved ~dirty with
+    | Some (a', _, _) -> a'
+    | None -> Alcotest.fail "the pool changed"
+  in
+  let set sets = Option.map Bitvec.to_list (List.assoc_opt 3 sets) in
+  Alcotest.(check (option (list int))) "B3 still deletes" (set a.Lcm_edge.delete) (set a'.Lcm_edge.delete);
+  Alcotest.(check (option (list int))) "B3 no longer copies" None (set a'.Lcm_edge.copy);
+  check "after" g' a'
+
+(* On a 1,000-block graph a delta that recomputes one candidate in one
+   block moves a few rows, so the restarted LATERIN and liveness visit a
+   small fraction of what a from-scratch solve visits. *)
+let test_restart_visits () =
+  let g =
+    reread (Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks = 1000 } (Prng.of_int 1000))
+  in
+  let _, saved = Lcm_edge.analyze_keep g in
+  let computing =
+    List.filter_map
+      (fun l -> Option.map (fun e -> (l, e)) (List.find_map Instr.candidate (Cfg.instrs g l)))
+      (interior g)
+  in
+  List.iteri
+    (fun i (l, e) ->
+      if i mod 40 = 0 then begin
+        let g' = Cfg.copy g in
+        let dirty = Patch.apply g' [ Patch.Set_instrs (l, Cfg.instrs g l @ [ Instr.Assign ("zdelta", e) ]) ] in
+        let a =
+          match Lcm_edge.analyze_incr g' ~prev:saved ~dirty with
+          | Some (a, _, _) -> a
+          | None -> Alcotest.failf "B%d: the pool changed" l
+        in
+        let full = Lcm_edge.analyze (reread g') in
+        Alcotest.(check (option string)) (Printf.sprintf "B%d: same analysis" l) None (difference g' a full);
+        let incr = a.Lcm_edge.delay_visits + a.Lcm_edge.live_visits
+        and scratch = full.Lcm_edge.delay_visits + full.Lcm_edge.live_visits in
+        if 10 * incr > scratch then
+          Alcotest.failf "B%d: the restart visited %d LATERIN and liveness rows, a full solve %d" l incr scratch
+      end)
+    computing
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_chain;
     Alcotest.test_case "analyze_incr chains ≡ analyze_keep (Bril corpus)" `Quick test_chain_bril;
+    Alcotest.test_case "single-block delta at 1,000 blocks: LATERIN and liveness visits ≤ 10% of a full solve"
+      `Quick test_restart_visits;
+    Alcotest.test_case "a rewrite memo misses when only the block's COPY set changed" `Quick test_memo_keyed_by_copies;
   ]

@@ -363,7 +363,7 @@ let copies_all_seeded g local ~insert_edges ~deletes =
       Queue.add l queue
     end
   in
-  List.iter enqueue adj.Cfg.adj_post;
+  Array.iter enqueue adj.Cfg.adj_post;
   while not (Queue.is_empty queue) do
     let b = Queue.pop queue in
     queued.(b) <- false;
@@ -380,7 +380,7 @@ let copies_all_seeded g local ~insert_edges ~deletes =
       let v = Bitvec.inter (Local.comp local b) liveout.(b) in
       let v = Bitvec.diff v (Bitvec.inter (find deletes b) (Local.transp local b)) in
       if Bitvec.is_empty v then None else Some (b, v))
-    adj.Cfg.adj_labels
+    (Array.to_list adj.Cfg.adj_labels)
 
 let check_copies g =
   let a = Lcm_edge.analyze g in

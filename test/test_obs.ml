@@ -129,7 +129,7 @@ let test_span_tree_parallel () =
               Alcotest.(check bool) (n ^ " present") true (List.mem n names))
             [
               "request"; "lcm.local"; "lcm.up_safety"; "lcm.down_safety"; "lcm.earliest"; "lcm.delay";
-              "lcm.latest"; "lcm.copy"; "lcm.pool"; "pool.task";
+              "lcm.latest"; "lcm.live"; "lcm.copy"; "lcm.pool"; "pool.task";
             ];
           (* The pool.task spans are the cross-domain hops; each must hang
              off a span of this trace, not float as its own root. *)
@@ -456,6 +456,10 @@ module Reference_json = struct
       | Json.Float f ->
         if Float.is_nan f || Float.abs f = Float.infinity then Buffer.add_string buf "null"
         else Buffer.add_string buf (float_to_string f)
+      | Json.Raw (len, write) ->
+        let b = Bytes.create len in
+        write b 0;
+        Buffer.add_bytes buf b
       | Json.String s ->
         Buffer.add_char buf '"';
         escape_into buf s;

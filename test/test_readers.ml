@@ -246,6 +246,18 @@ let test_regressions () =
   List.iter (fun t -> fail_on (check_bril t)) (files "fuzz" ".json");
   List.iter (fun t -> fail_on (check_cfg t)) (files "fuzz" ".cfg")
 
+(* fuzz/repeated_entry.cfg repeats B0 at line 13 and B1 at line 16: the
+   first repeat is the error, from both readers. *)
+let test_repeated_entry () =
+  let text = read_file (Filename.concat "fuzz" "repeated_entry.cfg") in
+  let expected = Failed ("duplicate block B0", "13") in
+  Alcotest.(check string) "reader" (show expected) (show (cfg_outcome Cfg_text.parse text));
+  Alcotest.(check string) "reference" (show expected) (show (cfg_outcome Ref_cfg_text.parse text));
+  let lines = String.split_on_char '\n' text in
+  let without_b0 = List.filteri (fun i _ -> i < 12 || i > 14) lines in
+  Alcotest.(check string) "repeated exit" (show (Failed ("duplicate block B1", "13")))
+    (show (cfg_outcome Cfg_text.parse (String.concat "\n" without_b0)))
+
 let test_corpus () =
   List.iter
     (fun text ->
@@ -277,6 +289,7 @@ let test_mutations () =
 let suite =
   [
     Alcotest.test_case "readers: kept regressions" `Quick test_regressions;
+    Alcotest.test_case "readers: a repeated B0 or B1 is a duplicate block" `Quick test_repeated_entry;
     Alcotest.test_case "readers: corpus as Bril and as CFG text" `Quick test_corpus;
     Alcotest.test_case "readers: mutated inputs match the former readers" `Quick test_mutations;
   ]
