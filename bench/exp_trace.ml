@@ -66,9 +66,21 @@ type size_result = {
   cfg_parse_w_per_kb : float;  (* Cfg_text.parse of the graph's canonical text, words per KB *)
   delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
   delta_e2e_w : float;  (* the same delta end to end: copy, patch, solve, transform, counts, print, encode *)
+  delta_phases : (string * float * float) list;  (* the delta's analyze_incr by phase: name, us, words *)
 }
 
 let overhead_p95 r = (r.on_p95_ms /. r.off_p95_ms) -. 1.
+
+(* The phases a delta's report names, each a span or a sum of spans. *)
+let delta_phase_groups =
+  [
+    ("lcm.pool", [ "lcm.pool" ]);
+    ("lcm.local", [ "lcm.local" ]);
+    ("lcm.up_safety", [ "lcm.up_safety" ]);
+    ("lcm.down_safety", [ "lcm.down_safety" ]);
+    ("tail", [ "lcm.earliest"; "lcm.delay"; "lcm.latest"; "lcm.live"; "lcm.copy" ]);
+    ("analyze_incr", [ "delta" ]);
+  ]
 let word_bytes = float_of_int (Sys.word_size / 8)
 
 (* Steady-state allocation per request: warm first (arena pools fill on the
@@ -248,6 +260,42 @@ let measure_size ~blocks ~iters =
         Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a ->
             ignore (incr_solve a g' ~dirty)))
   in
+  (* The same delta traced, by phase: the pool check, the local rows, the
+     two safety systems and the rest of the cascade (EARLIEST through the
+     copies) — where a delta's analysis time and words go. *)
+  let delta_phases =
+    let g' = Cfg.copy g in
+    let dirty = Lcm_cfg.Patch.apply g' edit in
+    let run () =
+      Pool.Scratch.with_arena ~blocks:shape_blocks ~exprs:shape_exprs (fun a -> ignore (incr_solve a g' ~dirty))
+    in
+    for _ = 1 to 5 do
+      run ()
+    done;
+    let prof = Prof.create () in
+    Trace.enable ();
+    for i = 1 to alloc_iters do
+      Trace.in_trace ~trace_id:(Printf.sprintf "bench-delta-%d" i) "delta" run;
+      Prof.add prof (Trace.drain ())
+    done;
+    Trace.disable ();
+    let rows = Prof.rows prof in
+    let per (r : Prof.row) = (r.Prof.total_s /. float_of_int r.Prof.count *. 1e6, r.Prof.alloc_w /. float_of_int r.Prof.count) in
+    let sum names =
+      List.fold_left
+        (fun (us, w) (r : Prof.row) ->
+          if List.mem r.Prof.name names then
+            let u, x = per r in
+            (us +. u, w +. x)
+          else (us, w))
+        (0., 0.) rows
+    in
+    List.map
+      (fun (label, names) ->
+        let us, w = sum names in
+        (label, us, w))
+      delta_phase_groups
+  in
   (* The whole delta, as the engine serves it: copy the retained graph
      (whose memos the retain response filled), patch the copy, restart the
      analysis, transform, count both graphs and encode the response from
@@ -301,6 +349,7 @@ let measure_size ~blocks ~iters =
     cfg_parse_w_per_kb;
     delta_incr_w;
     delta_e2e_w;
+    delta_phases;
   }
 
 let disabled_probe_ns () =
@@ -547,7 +596,10 @@ let print_alloc_rows rows =
       Common.note "  %4d blocks  one body delta (analyze_incr + capture, arena) %8.0f w" r.blocks
         r.delta_incr_w;
       Common.note "  %4d blocks  one body delta end to end (copy .. encoded response)  %8.0f w" r.blocks
-        r.delta_e2e_w)
+        r.delta_e2e_w;
+      List.iter
+        (fun (name, us, w) -> Common.note "  %4d blocks    delta phase %-16s %8.2f us %8.0f w" r.blocks name us w)
+        r.delta_phases)
     rows;
   List.iter
     (fun r ->
@@ -683,6 +735,12 @@ let json_of_size r =
       ("cfg_parse_w_per_kb", Json.Float (Float.round r.cfg_parse_w_per_kb));
       ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
       ("delta_e2e_w", Json.Float (Float.round r.delta_e2e_w));
+      ( "delta_phases",
+        Json.Obj
+          (List.map
+             (fun (name, us, w) ->
+               (name, Json.Obj [ ("us", Json.Float (Float.round (us *. 100.) /. 100.)); ("w", Json.Float (Float.round w)) ]))
+             r.delta_phases) );
       ("phases", Prof.to_json r.prof);
       ("phases_arena", Prof.to_json r.prof_arena);
     ]

@@ -66,7 +66,9 @@ let numbering_record pool vars reads = { id = Atomic.fetch_and_add next_id 1; po
      wrong, only sometimes cold.
    - [json]: the text escaped as the inside of a JSON string literal
      ([""] until escaped).  It replaces [text] when it is made, so a block
-     holds one rendering of itself (see {!text_length}).
+     holds one rendering of itself (see {!text_length}); [text_len] keeps
+     the text's length (0 until then), so printing such a block unescapes
+     it once instead of scanning it for its length first.
    - [made]: what a transform last made of this record, with the inputs
      it was made from: the block a code-motion rewrite made of it (see
      {!rewrite}), or what a split of one of its out-edges made of it and
@@ -93,6 +95,7 @@ type block = {
   term : terminator;
   mutable text : string;
   mutable json : string;
+  mutable text_len : int;
   mutable summary : summary;
   mutable events : int array;
   mutable made : made;
@@ -112,7 +115,7 @@ let zero = { s_instrs = 0; s_candidates = 0; s_copies = 0; temp_run = 0 }
 let no_events = [| 0 |]
 
 let block instrs term =
-  { instrs; term; text = ""; json = ""; summary = no_summary; events = no_events; made = Nothing }
+  { instrs; term; text = ""; json = ""; text_len = 0; summary = no_summary; events = no_events; made = Nothing }
 
 (* The content of a free slot: a removed block, or capacity beyond
    [next_label].  Compared physically; its memos are never filled. *)
@@ -1112,7 +1115,7 @@ let render buf l b =
    that sees the memos change under it still writes the same bytes. *)
 let text_length buf l b =
   if b.text <> "" then String.length b.text
-  else if b.json <> "" then Lcm_obs.Json.unescaped_length b.json
+  else if b.json <> "" then if b.text_len > 0 then b.text_len else Lcm_obs.Json.unescaped_length b.json
   else begin
     render buf l b;
     let s = Buffer.contents buf in
@@ -1180,6 +1183,7 @@ let block_json buf l b =
     Buffer.clear buf;
     Lcm_obs.Json.escape_into buf t;
     let s = Buffer.contents buf in
+    b.text_len <- String.length t;
     b.json <- s;
     b.text <- "";
     s

@@ -4,12 +4,17 @@ module Scratch = Lcm_support.Pool.Scratch
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 module Local = Lcm_dataflow.Local
+module Rowtab = Lcm_support.Rowtab
+
+(* Row [i] of a table, located without a call, as in {!Solver}. *)
+let[@inline] rpage (t : Rowtab.t) i = t.Rowtab.spine.(i lsr t.Rowtab.shift)
+let[@inline] roff (t : Rowtab.t) i = (i land ((1 lsl t.Rowtab.shift) - 1)) * t.Rowtab.nw
 
 type system = {
   adj : Cfg.adjacency;
   nw : int;
-  comp : Bitvec.t array;
-  transp : Bitvec.t array;
+  comp : Rowtab.t;
+  transp : Rowtab.t;
   del : int array -> Label.t -> unit;
   ins : int array -> Label.t -> int -> unit;
   livein : Rowtab.t;
@@ -17,8 +22,6 @@ type system = {
   tmp : int array;
   tmp2 : int array;
 }
-
-let words = Bitvec.words
 
 let rec nonzero_at m o nw w = w < nw && (Array.unsafe_get m (o + w) <> 0 || nonzero_at m o nw (w + 1))
 
@@ -29,9 +32,10 @@ let liveout sys l =
   for w = 0 to nw - 1 do
     Array.unsafe_set acc w 0
   done;
-  let live = Rowtab.words sys.livein and succs = sys.adj.Cfg.adj_succ.(l) in
+  let succs = sys.adj.Cfg.adj_succ.(l) in
   for j = 0 to Array.length succs - 1 do
-    let o = succs.(j) * nw in
+    let s = succs.(j) in
+    let live = rpage sys.livein s and o = roff sys.livein s in
     (* An edge into a block where nothing is live adds nothing. *)
     if nonzero_at live o nw 0 then begin
       sys.ins tmp l j;
@@ -45,9 +49,9 @@ let liveout sys l =
 let visit sys l =
   liveout sys l;
   sys.del sys.tmp l;
-  let acc = sys.acc and dw = sys.tmp and cw = words sys.comp.(l) in
+  let acc = sys.acc and dw = sys.tmp and cw = rpage sys.comp l and co = roff sys.comp l in
   for w = 0 to sys.nw - 1 do
-    acc.(w) <- dw.(w) lor (acc.(w) land lnot cw.(w))
+    acc.(w) <- dw.(w) lor (acc.(w) land lnot cw.(co + w))
   done;
   Rowtab.store sys.livein l acc
 
@@ -83,21 +87,22 @@ let propagate_lift sys q lf =
     let r = Rowtab.next_lifted lf in
     if r >= 0 then begin
       push_reachable sys q r;
-      let old = Rowtab.base sys.livein and ro = r * nw in
+      let old = Rowtab.base_page sys.livein r and ro = roff sys.livein r in
       let preds = adj.Cfg.adj_pred.(r) in
       for i = 0 to Array.length preds - 1 do
         let d = preds.(i) in
         push_reachable sys q d;
         sys.ins sys.tmp d (Rowtab.index adj.Cfg.adj_succ.(d) r);
         sys.del sys.tmp2 d;
-        (* The matrix is read afresh: a clear may have copied it. *)
-        let live = Rowtab.words sys.livein in
-        let ins = sys.tmp and dw = sys.tmp2 and cw = words sys.comp.(d) and o = d * nw in
+        (* The pages are read afresh: a clear may have copied them. *)
+        let cur = rpage sys.livein r in
+        let live = rpage sys.livein d and o = roff sys.livein d in
+        let ins = sys.tmp and dw = sys.tmp2 and cw = rpage sys.comp d and co = roff sys.comp d in
         for w = 0 to nw - 1 do
           mask.(w) <-
-            (live.(ro + w) lxor old.(ro + w)) land lnot (ins.(w) lor cw.(w) lor dw.(w)) land live.(o + w)
+            (cur.(ro + w) lxor old.(ro + w)) land lnot (ins.(w) lor cw.(co + w) lor dw.(w)) land live.(o + w)
         done;
-        if Rowtab.clear_bits sys.livein d mask then Rowtab.note lf d
+        if Rowtab.lift sys.livein d mask ~up:false then Rowtab.note lf d
       done;
       loop ()
     end
@@ -108,17 +113,18 @@ let propagate_lift sys q lf =
    whether it is non-empty.  The fixpoint never visits an unreachable
    block, whose LIVEOUT is the start value ∅. *)
 let copy_row sys l =
-  let cw = words sys.comp.(l) in
-  if sys.adj.Cfg.adj_rpo_pos.(l) < 0 || not (nonzero_at cw 0 sys.nw 0) then false
+  let cw = rpage sys.comp l and co = roff sys.comp l in
+  if sys.adj.Cfg.adj_rpo_pos.(l) < 0 || not (nonzero_at cw co sys.nw 0) then false
   else begin
     liveout sys l;
     nonzero_at sys.acc 0 sys.nw 0
     &&
     (sys.del sys.tmp l;
-    let acc = sys.acc and dw = sys.tmp and tw = words sys.transp.(l) in
+    let acc = sys.acc and dw = sys.tmp in
+    let tw = rpage sys.transp l and tro = roff sys.transp l in
     let any = ref false in
     for w = 0 to sys.nw - 1 do
-      let x = cw.(w) land acc.(w) land lnot (dw.(w) land tw.(w)) in
+      let x = cw.(co + w) land acc.(w) land lnot (dw.(w) land tw.(tro + w)) in
       acc.(w) <- x;
       if x <> 0 then any := true
     done;
@@ -157,9 +163,9 @@ let copies_on work ~scratch g local ~insert_edges ~deletes =
       nw;
       comp = Local.comp_rows local;
       transp = Local.transp_rows local;
-      del = (fun buf l -> Array.blit (words del.(l)) 0 buf 0 nw);
-      ins = (fun buf l j -> Array.blit (words ins.(adj.Cfg.adj_succ_off.(l) + j)) 0 buf 0 nw);
-      livein = Rowtab.fresh ~export:false (Arena.alloc_int work (max 1 (bound * nw))) ~nw ~count:bound;
+      del = (fun buf l -> Array.blit (Bitvec.words del.(l)) 0 buf 0 nw);
+      ins = (fun buf l j -> Array.blit (Bitvec.words ins.(adj.Cfg.adj_succ_off.(l) + j)) 0 buf 0 nw);
+      livein = Rowtab.create work ~nw ~count:bound (Bitvec.words zero);
       acc = Arena.alloc_int work (max 1 nw);
       tmp = Arena.alloc_int work (max 1 nw);
       tmp2 = Arena.alloc_int work (max 1 nw);
@@ -174,7 +180,7 @@ let copies_on work ~scratch g local ~insert_edges ~deletes =
       if not (copy_row sys l) then acc
       else begin
         let v = Arena.alloc scratch n in
-        Array.blit sys.acc 0 (words v) 0 nw;
+        Array.blit sys.acc 0 (Bitvec.words v) 0 nw;
         (l, v) :: acc
       end)
     adj.Cfg.adj_labels []

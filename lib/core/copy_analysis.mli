@@ -43,27 +43,27 @@ val copies :
 type system = {
   adj : Lcm_cfg.Cfg.adjacency;
   nw : int;
-  comp : Lcm_support.Bitvec.t array;
-  transp : Lcm_support.Bitvec.t array;
+  comp : Lcm_support.Rowtab.t;
+  transp : Lcm_support.Rowtab.t;
   del : int array -> Lcm_cfg.Label.t -> unit;
   ins : int array -> Lcm_cfg.Label.t -> int -> unit;
-  livein : Rowtab.t;
+  livein : Lcm_support.Rowtab.t;
   acc : int array;
   tmp : int array;
   tmp2 : int array;
 }
 
 (** Queue [l] when it is reachable. *)
-val push_reachable : system -> Rowtab.queue -> Lcm_cfg.Label.t -> unit
+val push_reachable : system -> Lcm_support.Rowtab.queue -> Lcm_cfg.Label.t -> unit
 
 (** Spread a restart's lift from the blocks on the lift stack: each
     predecessor takes the cleared bits its transfer passes and that it
     still holds.  Every lifted block and every reachable predecessor of one
     is queued. *)
-val propagate_lift : system -> Rowtab.queue -> Rowtab.lifts -> unit
+val propagate_lift : system -> Lcm_support.Rowtab.queue -> Lcm_support.Rowtab.lifts -> unit
 
 (** Run the worklist to the least fixpoint; the number of visits. *)
-val drain : system -> Rowtab.queue -> int
+val drain : system -> Lcm_support.Rowtab.queue -> int
 
 (** [copy_row sys l] leaves COPY([l]) in [sys.acc] and tells whether it
     is non-empty; ∅ for an unreachable block. *)

@@ -7,7 +7,12 @@ module Label = Lcm_cfg.Label
 module Local = Lcm_dataflow.Local
 module Avail = Lcm_dataflow.Avail
 module Antic = Lcm_dataflow.Antic
+module Rowtab = Lcm_support.Rowtab
 module Expr_pool = Lcm_ir.Expr_pool
+
+(* Row [i] of a table, located without a call, as in {!Solver}. *)
+let[@inline] rpage (t : Rowtab.t) i = t.Rowtab.spine.(i lsr t.Rowtab.shift)
+let[@inline] roff (t : Rowtab.t) i = (i land ((1 lsl t.Rowtab.shift) - 1)) * t.Rowtab.nw
 
 type analysis = {
   pool : Expr_pool.t;
@@ -26,28 +31,26 @@ type analysis = {
   live_visits : int;
 }
 
-let words = Bitvec.words
-
 (* --- the tail of the cascade ----------------------------------------------
 
    After the safety systems come EARLIEST (per edge), the LATERIN delay
    fixpoint (per block), INSERT (per edge) and DELETE (per block), the
    temporaries' liveness (per block) and COPY (per block).  EARLIEST,
-   LATERIN and LIVEIN are flat word matrices in the adjacency snapshot's
-   layout ({!Rowtab}): EARLIEST's row [adj_pred_off.(b) + i] is the edge
-   from the i-th predecessor of b, the others are by label.  INSERT and
-   DELETE are read from them where needed, and the lists the analysis
-   returns hold the non-empty INSERT, DELETE and COPY sets in
-   {!Cfg.fold_edges} (INSERT) or label order.  A from-scratch solve fills
-   fresh matrices, every row dirty; a restart writes copy-on-write tables
-   over the captured ones and re-derives only the rows whose inputs moved,
-   so both run the same kernels. *)
+   LATERIN and LIVEIN are {!Rowtab} tables in the adjacency snapshot's
+   layout: EARLIEST's row [adj_pred_off.(b) + i] is the edge from the i-th
+   predecessor of b, the others are by label.  INSERT and DELETE are read
+   from them where needed, and the lists the analysis returns hold the
+   non-empty INSERT, DELETE and COPY sets in {!Cfg.fold_edges} (INSERT) or
+   label order.  A from-scratch solve fills fresh tables, every row dirty;
+   a restart writes copy-on-write tables over the captured ones and
+   re-derives only the rows whose inputs moved, so both run the same
+   kernels. *)
 
 type tail = {
   t_adj : Cfg.adjacency;
-  t_earliest : int array;
-  t_laterin : int array;
-  t_livein : int array;
+  t_earliest : Rowtab.t;
+  t_laterin : Rowtab.t;
+  t_livein : Rowtab.t;
   t_insert : ((Label.t * Label.t) * Bitvec.t) list;
   t_delete : (Label.t * Bitvec.t) list;
   t_copy : (Label.t * Bitvec.t) list;
@@ -81,32 +84,51 @@ let owner off k =
   in
   go 0 (Array.length off - 1)
 
-(* EARLIEST(p,b) = ANTIN(b) ∩ ¬(AVOUT(p) ∪ (TRANSP(p) ∩ ANTOUT(p))), the
-   TRANSP ∩ ANTOUT factor dropped when p is the entry, into [dst] at
-   [o]; [antin] is ANTIN(b)'s words. *)
-let earliest_into dst o nw entry transp avail antic antin p =
-  let avout = words (avail.Avail.avout p) in
-  if Label.equal p entry then
-    for w = 0 to nw - 1 do
-      dst.(o + w) <- antin.(w) land lnot avout.(w)
-    done
+(* EARLIEST(p,b) = ANTIN(b) ∩ ¬KILL(p), where the factor of the source
+   alone is KILL(p) = AVOUT(p) ∪ (TRANSP(p) ∩ ANTOUT(p)), the TRANSP ∩
+   ANTOUT term dropped when p is the entry.  [kill_into] writes KILL(p)
+   into [dst] (ANTOUT is the ANTIC system's meet side, recomputed from
+   the successors' ANTIN rows), [earliest_into] EARLIEST(p,b) from it. *)
+let kill_into dst nw entry transp avail antic p =
+  let av = avail.Avail.avout_rows in
+  let vp = rpage av p and vo = roff av p in
+  if Label.equal p entry then Array.blit vp vo dst 0 nw
   else begin
-    let tr = words transp.(p) and antout = words (antic.Antic.antout p) in
+    antic.Antic.antout_into dst p;
+    let tp = rpage transp p and tro = roff transp p in
     for w = 0 to nw - 1 do
-      dst.(o + w) <- antin.(w) land lnot (avout.(w) lor (tr.(w) land antout.(w)))
+      dst.(w) <- vp.(vo + w) lor (tp.(tro + w) land dst.(w))
     done
   end
 
+let earliest_into dst o nw antic kill b =
+  let ai = antic.Antic.antin_rows in
+  let ap = rpage ai b and ao = roff ai b in
+  for w = 0 to nw - 1 do
+    dst.(o + w) <- ap.(ao + w) land lnot kill.(w)
+  done
+
+(* EARLIEST(p,b) into row [k] of [e]: in place in a fresh table, through a
+   store in a copy-on-write one. *)
+let set_earliest e acc nw antic kill k b =
+  if e.Rowtab.cow then begin
+    earliest_into acc 0 nw antic kill b;
+    ignore (Rowtab.store e k acc)
+  end
+  else earliest_into (rpage e k) (roff e k) nw antic kill b
+
 (* INSERT(p,s) = LATER(p,s) ∩ ¬LATERIN(s)
                = (EARLIEST(p,s) ∪ (LATERIN(p) ∩ ¬ANTLOC(p))) ∩ ¬LATERIN(s)
-   for the j-th successor s of p, from the matrices [e] and [l] and the
-   ANTLOC rows, into [acc]. *)
+   for the j-th successor s of p, from the tables [e], [l] and [antloc],
+   into [acc]. *)
 let insert_into acc nw adj e l antloc p j =
   let s = adj.Cfg.adj_succ.(p).(j) in
-  let eo = (adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p) * nw in
-  let po = p * nw and so = s * nw and al = words antloc.(p) in
+  let k = adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p in
+  let ep = rpage e k and eo = roff e k in
+  let pp = rpage l p and po = roff l p and sp = rpage l s and so = roff l s in
+  let al = rpage antloc p and ao = roff antloc p in
   for w = 0 to nw - 1 do
-    acc.(w) <- (e.(eo + w) lor (l.(po + w) land lnot al.(w))) land lnot l.(so + w)
+    acc.(w) <- (ep.(eo + w) lor (pp.(po + w) land lnot al.(ao + w))) land lnot sp.(so + w)
   done
 
 (* DELETE(b) = ANTLOC(b) ∩ ¬LATERIN(b), for b ≠ ENTRY only: the entry has
@@ -115,9 +137,10 @@ let insert_into acc nw adj e l antloc p j =
 let delete_into acc nw entry l antloc b =
   if Label.equal b entry then Array.fill acc 0 nw 0
   else begin
-    let al = words antloc.(b) and o = b * nw in
+    let al = rpage antloc b and ao = roff antloc b in
+    let lp = rpage l b and lo = roff l b in
     for w = 0 to nw - 1 do
-      acc.(w) <- al.(w) land lnot l.(o + w)
+      acc.(w) <- al.(ao + w) land lnot lp.(lo + w)
     done
   end
 
@@ -129,30 +152,36 @@ type st = {
   adj : Cfg.adjacency;
   entry : Label.t;
   nw : int;
-  antloc : Bitvec.t array;
+  antloc : Rowtab.t;
   e : Rowtab.t;
   l : Rowtab.t;
   livein : Rowtab.t;
   acc : int array;
+  kill : int array;
   full : int array;
 }
 
-let set_earliest st avail antic transp b i =
-  let p = st.adj.Cfg.adj_pred.(b).(i) in
-  earliest_into st.acc 0 st.nw st.entry transp avail antic (words (antic.Antic.antin b)) p;
-  ignore (Rowtab.store st.e (st.adj.Cfg.adj_pred_off.(b) + i) st.acc)
+(* EARLIEST of every out-edge of [p]. *)
+let set_earliest_from st avail antic transp p =
+  let adj = st.adj in
+  let succs = adj.Cfg.adj_succ.(p) in
+  if Array.length succs > 0 then begin
+    kill_into st.kill st.nw st.entry transp avail antic p;
+    for j = 0 to Array.length succs - 1 do
+      let s = succs.(j) in
+      set_earliest st.e st.acc st.nw antic st.kill (adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p) s
+    done
+  end
 
 (* Every edge into and out of [x]. *)
 let set_earliest_around st avail antic transp x =
   let adj = st.adj in
   for i = 0 to Array.length adj.Cfg.adj_pred.(x) - 1 do
-    set_earliest st avail antic transp x i
+    let p = adj.Cfg.adj_pred.(x).(i) in
+    kill_into st.kill st.nw st.entry transp avail antic p;
+    set_earliest st.e st.acc st.nw antic st.kill (adj.Cfg.adj_pred_off.(x) + i) x
   done;
-  let succs = adj.Cfg.adj_succ.(x) in
-  for j = 0 to Array.length succs - 1 do
-    let s = succs.(j) in
-    set_earliest st avail antic transp s (Rowtab.index adj.Cfg.adj_pred.(s) x)
-  done
+  set_earliest_from st avail antic transp x
 
 (* One LATERIN visit:
 
@@ -163,18 +192,19 @@ let set_earliest_around st avail antic transp x =
 let laterin_visit st b =
   let acc = st.acc and nw = st.nw in
   Array.blit st.full 0 acc 0 nw;
-  let e = Rowtab.words st.e and l = Rowtab.words st.l in
   let preds = st.adj.Cfg.adj_pred.(b) and off = st.adj.Cfg.adj_pred_off.(b) in
   for i = 0 to Array.length preds - 1 do
     let p = preds.(i) in
-    let eo = (off + i) * nw and po = p * nw and al = words st.antloc.(p) in
+    let ep = rpage st.e (off + i) and eo = roff st.e (off + i) in
+    let lp = rpage st.l p and lo = roff st.l p in
+    let al = rpage st.antloc p and ao = roff st.antloc p in
     for w = 0 to nw - 1 do
-      acc.(w) <- acc.(w) land (e.(eo + w) lor (l.(po + w) land lnot al.(w)))
+      acc.(w) <- acc.(w) land (ep.(eo + w) lor (lp.(lo + w) land lnot al.(ao + w)))
     done
   done;
   Rowtab.store st.l b acc
 
-let push_delay st q b = if st.adj.Cfg.adj_rpo_pos.(b) >= 0 && not (Label.equal b st.entry) then Rowtab.push q b
+let push_delay st q b = if st.adj.Cfg.adj_rpo_pos.(b) >= 0 && b <> st.entry then Rowtab.push q b
 
 (* The greatest fixpoint, worklist-driven: LATERIN(b) depends only on
    LATERIN of its predecessors, so when a block's row shrinks only its
@@ -207,17 +237,18 @@ let laterin_propagate st q lf =
     let r = Rowtab.next_lifted lf in
     if r >= 0 then begin
       push_delay st q r;
-      let old = Rowtab.base st.l and ro = r * nw and al = words st.antloc.(r) in
+      let old = Rowtab.base_page st.l r and ro = roff st.l r in
+      let al = rpage st.antloc r and ao = roff st.antloc r in
       let succs = st.adj.Cfg.adj_succ.(r) in
       for j = 0 to Array.length succs - 1 do
         let d = succs.(j) in
         if not (Label.equal d st.entry) then begin
           push_delay st q d;
-          let l = Rowtab.words st.l and o = d * nw in
+          let rp = rpage st.l r and dp = rpage st.l d and o = roff st.l d in
           for w = 0 to nw - 1 do
-            mask.(w) <- (l.(ro + w) lxor old.(ro + w)) land lnot al.(w) land lnot l.(o + w)
+            mask.(w) <- (rp.(ro + w) lxor old.(ro + w)) land lnot al.(ao + w) land lnot dp.(o + w)
           done;
-          if Rowtab.raise_bits st.l d mask then Rowtab.note lf d
+          if Rowtab.lift st.l d mask ~up:true then Rowtab.note lf d
         end
       done;
       loop ()
@@ -243,17 +274,16 @@ and cons_opt x rest = match x with Some x -> x :: rest | None -> rest
    a rewrite memoised under it still matches, else a new one. *)
 let set_entry ~export work n nw acc key old =
   match old with
-  | Some ((_, v) as x) when not (Rowtab.differs acc 0 (words v) 0 nw 0) -> x
+  | Some ((_, v) as x) when not (Rowtab.differs acc 0 (Bitvec.words v) 0 nw 0) -> x
   | Some _ | None ->
     let v = if export then Bitvec.create n else Arena.alloc work n in
-    Array.blit acc 0 (words v) 0 nw;
+    Array.blit acc 0 (Bitvec.words v) 0 nw;
     (key, v)
 
 (* The tail of the cascade on [g], from scratch ([change] = [None], or a
-   capture of another shape) or as a restart from [change].  Fresh
-   matrices and bookkeeping come from [work]; with [export] the result is
-   moved to the heap, as a capture or a caller without an arena needs
-   it. *)
+   capture of another shape) or as a restart from [change].  Bookkeeping
+   comes from [work]; fresh tables too, unless [export] asks for heap
+   tables, as a capture or a caller without an arena needs them. *)
 let solve_tail ~export ~work g local avail antic change =
   let adj = Cfg.adjacency g in
   let n = Local.nbits local in
@@ -262,11 +292,11 @@ let solve_tail ~export ~work g local avail antic change =
   let entry = Cfg.entry g in
   let antloc = Local.antloc_rows local and comp = Local.comp_rows local and transp = Local.transp_rows local in
   let restart = match change with Some c when c.c_tail.t_adj == adj -> Some c | Some _ | None -> None in
-  let full = words (Arena.alloc_full work n) in
-  let table captured count =
+  let full = Bitvec.words (Arena.alloc_full work n) and zero = Bitvec.words (Arena.alloc work n) in
+  let table captured count init =
     match restart with
-    | Some c -> Rowtab.cow work (captured c.c_tail) ~nw ~count
-    | None -> Rowtab.fresh ~export (Arena.alloc_int work (max 1 (count * nw))) ~nw ~count
+    | Some c -> Rowtab.cow work (captured c.c_tail) ~count init
+    | None -> Rowtab.create (if export then None else work) ~nw ~count init
   in
   let st =
     {
@@ -274,16 +304,19 @@ let solve_tail ~export ~work g local avail antic change =
       entry;
       nw;
       antloc;
-      e = table (fun t -> t.t_earliest) nedges;
-      l = table (fun t -> t.t_laterin) bound;
-      livein = table (fun t -> t.t_livein) bound;
+      e = table (fun t -> t.t_earliest) nedges zero;
+      l = table (fun t -> t.t_laterin) bound full;
+      livein = table (fun t -> t.t_livein) bound zero;
       acc = Arena.alloc_int work (max 1 nw);
+      kill = Arena.alloc_int work (max 1 nw);
       full;
     }
   in
   let changed_antloc l =
     match restart with
-    | Some c -> not (Bitvec.equal antloc.(l) (Local.antloc_rows c.c_local).(l))
+    | Some c ->
+      let old = Local.antloc_rows c.c_local in
+      Rowtab.differs (rpage antloc l) (roff antloc l) (rpage old l) (roff old l) nw 0
     | None -> true
   in
   (* EARLIEST: every edge, or the edges next to a block whose AVOUT, TRANSP,
@@ -291,16 +324,8 @@ let solve_tail ~export ~work g local avail antic change =
   Trace.span "lcm.earliest" (fun () ->
       match restart with
       | None ->
-        (* A fresh matrix is written in place, one fused loop per edge. *)
-        let m = Rowtab.words st.e in
-        for b = 0 to bound - 1 do
-          let preds = adj.Cfg.adj_pred.(b) in
-          if Array.length preds > 0 then begin
-            let antin = words (antic.Antic.antin b) and off = adj.Cfg.adj_pred_off.(b) in
-            for i = 0 to Array.length preds - 1 do
-              earliest_into m ((off + i) * nw) nw entry transp avail antic antin preds.(i)
-            done
-          end
+        for p = 0 to bound - 1 do
+          set_earliest_from st avail antic transp p
         done
       | Some c ->
         let around = set_earliest_around st avail antic transp in
@@ -318,33 +343,31 @@ let solve_tail ~export ~work g local avail antic change =
     Trace.span_attrs "lcm.delay" (fun () ->
         (match restart with
         | None ->
-          let l = Rowtab.words st.l in
-          for b = 0 to bound - 1 do
-            if not (Label.equal b entry) then Array.blit full 0 l (b * nw) nw
-          done;
+          ignore (Rowtab.store st.l entry zero);
           Array.iter (push_delay st q) adj.Cfg.adj_rpo
         | Some c ->
-          let e1 = Rowtab.words st.e and e0 = Rowtab.base st.e in
+          let e0 = c.c_tail.t_earliest in
           for j = 0 to Rowtab.nchanged st.e - 1 do
             let k = Rowtab.changed st.e j in
-            let b = owner adj.Cfg.adj_pred_off k and o = k * nw in
+            let b = owner adj.Cfg.adj_pred_off k in
+            let e1p = rpage st.e k and e0p = rpage e0 k and o = roff st.e k in
             for w = 0 to nw - 1 do
-              mask.(w) <- e1.(o + w) land lnot e0.(o + w)
+              mask.(w) <- e1p.(o + w) land lnot e0p.(o + w)
             done;
-            if (not (Label.equal b entry)) && Rowtab.raise_bits st.l b mask then Rowtab.note lf b;
+            if (not (Label.equal b entry)) && Rowtab.lift st.l b mask ~up:true then Rowtab.note lf b;
             push_delay st q b
           done;
           let old_antloc = Local.antloc_rows c.c_local in
           List.iter
             (fun p ->
               if changed_antloc p then begin
-                let a1 = words antloc.(p) and a0 = words old_antloc.(p) in
+                let a1 = rpage antloc p and a0 = rpage old_antloc p and o = roff antloc p in
                 for w = 0 to nw - 1 do
-                  mask.(w) <- a0.(w) land lnot a1.(w)
+                  mask.(w) <- a0.(o + w) land lnot a1.(o + w)
                 done;
                 Array.iter
                   (fun b ->
-                    if (not (Label.equal b entry)) && Rowtab.raise_bits st.l b mask then Rowtab.note lf b;
+                    if (not (Label.equal b entry)) && Rowtab.lift st.l b mask ~up:true then Rowtab.note lf b;
                     push_delay st q b)
                   adj.Cfg.adj_succ.(p)
               end)
@@ -354,7 +377,7 @@ let solve_tail ~export ~work g local avail antic change =
         (r, [ ("sweeps", string_of_int sweeps); ("visits", string_of_int visits) ]))
   in
   Rowtab.seal st.l;
-  let e = Rowtab.words st.e and l = Rowtab.words st.l in
+  let e = st.e and l = st.l in
   let tmp = Arena.alloc_int work (max 1 nw) and tmp2 = Arena.alloc_int work (max 1 nw) in
   let sys =
     {
@@ -378,7 +401,7 @@ let solve_tail ~export ~work g local avail antic change =
         match restart with
         | None -> ([], [])
         | Some c ->
-          let e0 = Rowtab.base st.e and l0 = Rowtab.base st.l and old_antloc = Local.antloc_rows c.c_local in
+          let e0 = c.c_tail.t_earliest and l0 = c.c_tail.t_laterin and old_antloc = Local.antloc_rows c.c_local in
           let seen_edge = Arena.alloc_bool work (max 1 nedges) and seen = Arena.alloc_bool work bound in
           let ins_changed = ref [] and del_changed = ref [] in
           let edge p j =
@@ -393,7 +416,7 @@ let solve_tail ~export ~work g local avail antic change =
                 for w = 0 to nw - 1 do
                   mask.(w) <- st.acc.(w) land lnot tmp.(w)
                 done;
-                if Rowtab.clear_bits st.livein p mask then Rowtab.note lf p;
+                if Rowtab.lift st.livein p mask ~up:false then Rowtab.note lf p;
                 Copy_analysis.push_reachable sys q p
               end
             end
@@ -411,15 +434,13 @@ let solve_tail ~export ~work g local avail antic change =
                 for w = 0 to nw - 1 do
                   mask.(w) <- tmp.(w) land lnot st.acc.(w)
                 done;
-                if Rowtab.clear_bits st.livein b mask then Rowtab.note lf b;
+                if Rowtab.lift st.livein b mask ~up:false then Rowtab.note lf b;
                 Copy_analysis.push_reachable sys q b
               end
             end
           in
-          for j = 0 to Rowtab.nchanged st.e - 1 do
-            let k = Rowtab.changed st.e j in
-            let b = owner adj.Cfg.adj_pred_off k in
-            in_edges b
+          for j = 0 to Rowtab.nchanged e - 1 do
+            in_edges (owner adj.Cfg.adj_pred_off (Rowtab.changed e j))
           done;
           List.iter
             (fun p ->
@@ -428,8 +449,8 @@ let solve_tail ~export ~work g local avail antic change =
                 block p
               end)
             c.c_dirty;
-          for j = 0 to Rowtab.nchanged st.l - 1 do
-            let b = Rowtab.changed st.l j in
+          for j = 0 to Rowtab.nchanged l - 1 do
+            let b = Rowtab.changed l j in
             out_edges b;
             in_edges b;
             block b
@@ -452,11 +473,11 @@ let solve_tail ~export ~work g local avail antic change =
           let old_comp = Local.comp_rows c.c_local in
           List.iter
             (fun b ->
-              let c1 = words comp.(b) and c0 = words old_comp.(b) in
+              let c1 = rpage comp b and c0 = rpage old_comp b and o = roff comp b in
               for w = 0 to nw - 1 do
-                mask.(w) <- c1.(w) land lnot c0.(w)
+                mask.(w) <- c1.(o + w) land lnot c0.(o + w)
               done;
-              if Rowtab.clear_bits st.livein b mask then Rowtab.note lf b;
+              if Rowtab.lift st.livein b mask ~up:false then Rowtab.note lf b;
               Copy_analysis.push_reachable sys q b)
             c.c_dirty;
           Copy_analysis.propagate_lift sys q lf);
@@ -482,28 +503,11 @@ let solve_tail ~export ~work g local avail antic change =
     Trace.span "lcm.copy" (fun () ->
         match restart with
         | None ->
-          (* One pass over the edges, LATERIN(p) ∩ ¬ANTLOC(p) once per
-             source. *)
-          let insert = ref [] and src = tmp in
+          let insert = ref [] in
           for p = bound - 1 downto 0 do
-            let succs = adj.Cfg.adj_succ.(p) in
-            if Array.length succs > 0 then begin
-              let po = p * nw and al = words antloc.(p) and acc = st.acc in
-              for w = 0 to nw - 1 do
-                src.(w) <- l.(po + w) land lnot al.(w)
-              done;
-              for j = Array.length succs - 1 downto 0 do
-                let s = succs.(j) in
-                let eo = (adj.Cfg.adj_pred_off.(s) + Rowtab.index adj.Cfg.adj_pred.(s) p) * nw and so = s * nw in
-                let any = ref false in
-                for w = 0 to nw - 1 do
-                  let x = (e.(eo + w) lor src.(w)) land lnot l.(so + w) in
-                  acc.(w) <- x;
-                  if x <> 0 then any := true
-                done;
-                if !any then insert := set_entry ~export work n nw acc (p, s) None :: !insert
-              done
-            end
+            for j = Array.length adj.Cfg.adj_succ.(p) - 1 downto 0 do
+              match insert_of p j None with Some x -> insert := x :: !insert | None -> ()
+            done
           done;
           let labels_down f = Array.fold_right (fun b acc -> cons_opt (f b None) acc) adj.Cfg.adj_labels [] in
           (!insert, labels_down delete_at, labels_down copy_at)
@@ -521,7 +525,7 @@ let solve_tail ~export ~work g local avail antic change =
           List.iter (fun k -> touched := owner adj.Cfg.adj_succ_off k :: !touched) ins_changed;
           (insert, delete, merge fst copy_at t.t_copy (List.sort_uniq compare !touched)))
   in
-  ( { t_adj = adj; t_earliest = e; t_laterin = l; t_livein = Rowtab.words st.livein; t_insert = insert; t_delete = delete; t_copy = copy },
+  ( { t_adj = adj; t_earliest = e; t_laterin = l; t_livein = st.livein; t_insert = insert; t_delete = delete; t_copy = copy },
     later_sweeps,
     later_visits,
     live_visits )
@@ -536,41 +540,47 @@ let earliest_sets ?scratch g local avail antic =
   let adj = Cfg.adjacency g in
   let n = Local.nbits local in
   let nw = Bitvec.words_for n and entry = Cfg.entry g and transp = Local.transp_rows local in
+  let kill = Arena.alloc_int scratch (max 1 nw) in
   Cfg.fold_edges adj
     (fun p b acc ->
       let v = Arena.alloc scratch n in
-      earliest_into (words v) 0 nw entry transp avail antic (words (antic.Antic.antin b)) p;
-      if nonzero (words v) nw 0 then ((p, b), v) :: acc else acc)
+      kill_into kill nw entry transp avail antic p;
+      earliest_into (Bitvec.words v) 0 nw antic kill b;
+      if nonzero (Bitvec.words v) nw 0 then ((p, b), v) :: acc else acc)
     []
+
+(* The bookkeeping arena: [scratch], or one checked out for the call. *)
+let with_work scratch g nbits f =
+  match scratch with
+  | Some _ -> f scratch
+  | None -> Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:nbits (fun a -> f (Some a))
 
 (* Span names follow the paper's cascade: down-safety (ANTIC), earliestness,
    delay (LATERIN), latestness — the four phases a trace of one LCM solve
    must show (the up-safety AVAIL system rides along as "lcm.up_safety",
    the temporaries' liveness and the copies that follow as "lcm.live" and
-   "lcm.copy").  [keep] moves the tables to the heap, for a capture. *)
-let finish ?scratch ~keep g pool local avail antic change =
+   "lcm.copy").  [keep] puts the tables on the heap, for a capture;
+   [work] backs the bookkeeping, [scratch] the LATER sets the analysis
+   hands out. *)
+let finish ?scratch ~work ~keep g pool local avail antic change =
   let export = keep || Option.is_none scratch in
-  let solve work = solve_tail ~export ~work g local avail antic change in
-  let tail, later_sweeps, later_visits, live_visits =
-    match scratch with
-    | Some _ -> solve scratch
-    | None ->
-      Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:(Local.nbits local) (fun a -> solve (Some a))
-  in
+  let tail, later_sweeps, later_visits, live_visits = solve_tail ~export ~work g local avail antic change in
   let n = Local.nbits local in
   let nw = Bitvec.words_for n and adj = tail.t_adj in
   let antloc = Local.antloc_rows local in
   let laterin l =
-    if Cfg.mem g l && l < adj.Cfg.adj_bound then Bitvec.of_words tail.t_laterin ~off:(l * nw) n
+    if Cfg.mem g l && l < adj.Cfg.adj_bound then Rowtab.to_bitvec tail.t_laterin l n
     else invalid_arg (Printf.sprintf "Lcm_edge.laterin: unknown label B%d" l)
   in
-  let earliest (p, b) = Bitvec.of_words tail.t_earliest ~off:(edge_index adj p b * nw) n in
+  let earliest (p, b) = Rowtab.to_bitvec tail.t_earliest (edge_index adj p b) n in
   let later (p, b) =
-    let eo = edge_index adj p b * nw and lo = p * nw in
+    let k = edge_index adj p b in
     let v = Arena.alloc scratch n in
-    let dst = words v and e = tail.t_earliest and l = tail.t_laterin and alp = words antloc.(p) in
+    let dst = Bitvec.words v and e = tail.t_earliest and l = tail.t_laterin in
+    let ep = rpage e k and eo = roff e k and lp = rpage l p and lo = roff l p in
+    let al = rpage antloc p and ao = roff antloc p in
     for w = 0 to nw - 1 do
-      dst.(w) <- e.(eo + w) lor (l.(lo + w) land lnot alp.(w))
+      dst.(w) <- ep.(eo + w) lor (lp.(lo + w) land lnot al.(ao + w))
     done;
     v
   in
@@ -600,7 +610,8 @@ let analyze ?pool ?scratch g =
   let pool = match pool with Some p -> p | None -> candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute ?scratch g pool) in
   let avail, antic = solve_safety_systems ?scratch g local in
-  fst (finish ?scratch ~keep:false g pool local avail antic None)
+  with_work scratch g (Local.nbits local) (fun work ->
+      fst (finish ?scratch ~work ~keep:false g pool local avail antic None))
 
 (* --- incremental analysis ------------------------------------------------
 
@@ -621,10 +632,36 @@ let analyze ?pool ?scratch g =
    old and new bodies can move; the pool is unchanged exactly when none of
    them is new or gone and the keys stay increasing in index order. *)
 
+(* A label- or index-keyed array in pages of [page] cells: an update
+   copies the spine and the pages it writes, so an index the size of the
+   graph is updated at the cost of what changes. *)
+module Paged = struct
+  type 'a t = 'a array array
+
+  let page = 256
+  let get t i = t.(i / page).(i mod page)
+  let length t = match Array.length t with 0 -> 0 | k -> ((k - 1) * page) + Array.length t.(k - 1)
+
+  let init n f =
+    Array.init ((n + page - 1) / page) (fun k -> Array.init (min page (n - (k * page))) (fun i -> f ((k * page) + i)))
+
+  (* [t] grown to [n] cells ([fill] in the new ones) with the cells of
+     [sets] replaced; [t] is not written. *)
+  let update t n fill sets =
+    let spine = if n = length t then Array.copy t else init n (fun i -> if i < length t then get t i else fill) in
+    List.iter
+      (fun (i, x) ->
+        let k = i / page in
+        if k < Array.length t && spine.(k) == t.(k) then spine.(k) <- Array.copy t.(k);
+        spine.(k).(i mod page) <- x)
+      sets;
+    spine
+end
+
 type occurrences = {
-  blk : int array array;  (* label -> distinct pool indices, first-occurrence order *)
-  key : int array;  (* index -> first occurrence, [label lsl key_shift lor rank] *)
-  blocks : int array array;  (* index -> labels of the blocks computing it, ascending *)
+  blk : int array Paged.t;  (* label -> distinct pool indices, first-occurrence order *)
+  key : int Paged.t;  (* index -> first occurrence, [label lsl key_shift lor rank] *)
+  blocks : int array Paged.t;  (* index -> labels of the blocks computing it, ascending *)
 }
 
 let key_shift = 30
@@ -674,27 +711,28 @@ let occurrences g pool =
         count.(e) <- count.(e) + 1)
       blk.(l)
   done;
-  { blk; key; blocks }
+  { blk = Paged.init bound (Array.get blk); key = Paged.init n (Array.get key); blocks = Paged.init n (Array.get blocks) }
 
 (* The occurrence index of the patched graph [g] when its candidate pool
    equals the capture's, decided from the bodies of the [dirty] blocks
    alone; [None] when the pool changed.  The check is exact — the pool's
    order is a function of the first-occurrence keys — so it never needs a
-   full pool build. *)
-let repatch_occurrences ?scratch occ pool g dirty =
+   full pool build.  The new index shares every page the patch did not
+   touch with [occ]. *)
+let repatch_occurrences ~work occ pool g dirty =
   let n = Expr_pool.size pool and bound = Cfg.label_bound g in
-  let old_bound = Array.length occ.blk in
   List.iter
     (fun l ->
       if l < 0 || l >= bound || not (Cfg.mem g l) then
         invalid_arg (Printf.sprintf "Lcm_edge.analyze_incr: dirty label B%d is not a block" l))
     dirty;
-  let decide work =
-    let is_dirty = Arena.alloc_bool work bound in
-    List.iter (fun l -> is_dirty.(l) <- true) dirty;
+  let old_bound = Paged.length occ.blk in
+  let decide () =
+    let dirty = List.sort_uniq compare dirty in
+    let is_dirty l = List.mem l dirty in
     let seen = Arena.alloc_int work n in
     Array.fill seen 0 n (-1);
-    let fresh = List.map (fun l -> (l, block_exprs pool seen l g l)) (List.sort_uniq compare dirty) in
+    let fresh = List.map (fun l -> (l, block_exprs pool seen l g l)) dirty in
     (* The expressions that can move: those of the dirty blocks' old and
        new bodies.  [seen] now marks them with [bound]. *)
     let affected = ref [] in
@@ -706,51 +744,50 @@ let repatch_occurrences ?scratch occ pool g dirty =
     in
     List.iter
       (fun (l, arr) ->
-        if l < old_bound then Array.iter note occ.blk.(l);
+        if l < old_bound then Array.iter note (Paged.get occ.blk l);
         Array.iter note arr)
       fresh;
-    let key = Array.copy occ.key in
-    List.iter
-      (fun e ->
-        let old_first =
-          let bs = occ.blocks.(e) in
-          let rec first i =
-            if i >= Array.length bs then max_int else if is_dirty.(bs.(i)) then first (i + 1) else bs.(i)
+    let keys =
+      List.map
+        (fun e ->
+          let old_first =
+            let bs = Paged.get occ.blocks e in
+            let rec first i =
+              if i >= Array.length bs then max_int else if is_dirty bs.(i) then first (i + 1) else bs.(i)
+            in
+            let b = first 0 in
+            if b = max_int then max_int else (b lsl key_shift) lor rank (Paged.get occ.blk b) e 0
           in
-          let b = first 0 in
-          if b = max_int then max_int else (b lsl key_shift) lor rank occ.blk.(b) e 0
-        in
-        let new_first =
-          match List.find_opt (fun (_, arr) -> Array.mem e arr) fresh with
-          | Some (l, arr) -> (l lsl key_shift) lor rank arr e 0
-          | None -> max_int
-        in
-        let k = min old_first new_first in
-        if k = max_int then raise Pool_changed;
-        key.(e) <- k)
-      !affected;
-    for e = 1 to n - 1 do
-      if key.(e) <= key.(e - 1) then raise Pool_changed
-    done;
-    (* Copy-on-write: new tables, fresh rows for what moved only. *)
-    let blk = Array.init bound (fun l -> if l < old_bound then occ.blk.(l) else [||]) in
-    List.iter (fun (l, arr) -> blk.(l) <- arr) fresh;
-    let blocks = Array.copy occ.blocks in
+          let new_first =
+            match List.find_opt (fun (_, arr) -> Array.mem e arr) fresh with
+            | Some (l, arr) -> (l lsl key_shift) lor rank arr e 0
+            | None -> max_int
+          in
+          let k = min old_first new_first in
+          if k = max_int then raise Pool_changed;
+          (e, k))
+        !affected
+    in
+    let key = Paged.update occ.key n (-1) keys in
+    (* Keys stay increasing in index order: only pairs next to a moved key
+       can have changed. *)
     List.iter
-      (fun e ->
-        let kept = List.filter (fun b -> not is_dirty.(b)) (Array.to_list occ.blocks.(e)) in
-        let added = List.filter_map (fun (l, arr) -> if Array.mem e arr then Some l else None) fresh in
-        blocks.(e) <- Array.of_list (List.merge compare kept added))
-      !affected;
-    { blk; key; blocks }
+      (fun (e, k) ->
+        if (e > 0 && Paged.get key (e - 1) >= k) || (e + 1 < n && Paged.get key (e + 1) <= k) then
+          raise Pool_changed)
+      keys;
+    let blocks =
+      Paged.update occ.blocks n [||]
+        (List.map
+           (fun e ->
+             let kept = List.filter (fun b -> not (is_dirty b)) (Array.to_list (Paged.get occ.blocks e)) in
+             let added = List.filter_map (fun (l, arr) -> if Array.mem e arr then Some l else None) fresh in
+             (e, Array.of_list (List.merge compare kept added)))
+           !affected)
+    in
+    { blk = Paged.update occ.blk bound [||] fresh; key; blocks }
   in
-  match
-    match scratch with
-    | Some _ -> decide scratch
-    | None -> Scratch.with_arena ~blocks:bound ~exprs:n (fun a -> decide (Some a))
-  with
-  | occ -> Some occ
-  | exception Pool_changed -> None
+  match decide () with occ -> Some occ | exception Pool_changed -> None
 
 type saved = {
   saved_pool : Expr_pool.t;
@@ -768,42 +805,44 @@ let saved_pool s = s.saved_pool
 let analyze_keep ?scratch g =
   let pool = candidate_pool g in
   let local = Trace.span "lcm.local" (fun () -> Local.compute g pool) in
-  let avail, saved_avail =
-    Trace.span "lcm.up_safety" (fun () -> Avail.compute_keep ?scratch g local)
-  in
-  let antic, saved_antic =
-    Trace.span "lcm.down_safety" (fun () -> Antic.compute_keep ?scratch g local)
-  in
+  let avail, saved_avail = Trace.span "lcm.up_safety" (fun () -> Avail.compute_keep ?scratch g local) in
+  let antic, saved_antic = Trace.span "lcm.down_safety" (fun () -> Antic.compute_keep ?scratch g local) in
   let saved_occ = Trace.span "lcm.occurrences" (fun () -> occurrences g pool) in
-  let a, saved_tail = finish ?scratch ~keep:true g pool local avail antic None in
+  let a, saved_tail =
+    with_work scratch g (Local.nbits local) (fun work ->
+        finish ?scratch ~work ~keep:true g pool local avail antic None)
+  in
   (a, { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail })
 
+(* The safety restarts take the caller's [scratch], as their results
+   escape in the analysis; one [work] arena backs the pool check and the
+   tail. *)
 let analyze_incr ?scratch g ~prev ~dirty =
   let pool = prev.saved_pool in
-  match Trace.span "lcm.pool" (fun () -> repatch_occurrences ?scratch prev.saved_occ pool g dirty) with
-  | None -> None
-  | Some saved_occ ->
-    let local = Trace.span "lcm.local" (fun () -> Local.update ~prev:prev.saved_local g ~dirty) in
-    (match
-       Trace.span "lcm.up_safety" (fun () ->
-           Avail.compute_incr ?scratch g local ~prev:prev.saved_avail ~dirty)
-     with
-    | None -> None
-    | Some (avail, saved_avail, moved_a) ->
-      (match
-         Trace.span "lcm.down_safety" (fun () ->
-             Antic.compute_incr ?scratch g local ~prev:prev.saved_antic ~dirty)
-       with
+  with_work scratch g (Expr_pool.size pool) (fun work ->
+      match Trace.span "lcm.pool" (fun () -> repatch_occurrences ~work prev.saved_occ pool g dirty) with
       | None -> None
-      | Some (antic, saved_antic, moved_b) ->
-        let change =
-          { c_tail = prev.saved_tail; c_local = prev.saved_local; c_dirty = dirty; c_avail = moved_a; c_antic = moved_b }
-        in
-        let a, saved_tail = finish ?scratch ~keep:true g pool local avail antic (Some change) in
-        Some
-          ( a,
-            { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail },
-            max (Array.length moved_a) (Array.length moved_b) )))
+      | Some saved_occ ->
+        let local = Trace.span "lcm.local" (fun () -> Local.update ?scratch:work ~prev:prev.saved_local g ~dirty) in
+        (match
+           Trace.span "lcm.up_safety" (fun () -> Avail.compute_incr ?scratch g local ~prev:prev.saved_avail ~dirty)
+         with
+        | None -> None
+        | Some (avail, saved_avail, moved_a) ->
+          (match
+             Trace.span "lcm.down_safety" (fun () ->
+                 Antic.compute_incr ?scratch g local ~prev:prev.saved_antic ~dirty)
+           with
+          | None -> None
+          | Some (antic, saved_antic, moved_b) ->
+            let change =
+              { c_tail = prev.saved_tail; c_local = prev.saved_local; c_dirty = dirty; c_avail = moved_a; c_antic = moved_b }
+            in
+            let a, saved_tail = finish ?scratch ~work ~keep:true g pool local avail antic (Some change) in
+            Some
+              ( a,
+                { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail },
+                max (Array.length moved_a) (Array.length moved_b) ))))
 
 let spec g a =
   {

@@ -69,23 +69,23 @@ val analyze :
   analysis
 
 (** A captured analysis for incremental restart: the candidate pool with
-    an occurrence index of it, the local predicate rows, the saved
-    AVAIL/ANTIC fixpoints, and the rest of the cascade — EARLIEST by edge,
-    LATERIN, INSERT and DELETE rows, the temporaries' liveness, and the
-    non-empty INSERT, DELETE and COPY sets — all on the heap, safe to
-    retain across requests and arena resets.  A capture is never written
-    after it is built: {!analyze_incr} returns a new one that shares every
-    unchanged row (and table) with its [prev].  The serving layer keeps
-    one per retained graph handle. *)
+    an occurrence index of it, the local predicate tables, the saved
+    AVAIL/ANTIC fixpoints, and the rest of the cascade — the EARLIEST,
+    LATERIN and liveness tables and the non-empty INSERT, DELETE and COPY
+    sets — all on the heap, safe to retain across requests and arena
+    resets.  Every table is a paged {!Lcm_support.Rowtab}.  A capture is
+    never written after it is built: {!analyze_incr} returns a new one
+    whose tables are copy-on-write over its [prev]'s, sharing every page
+    (and set) the delta did not change.  The serving layer keeps one per
+    retained graph handle. *)
 type saved
 
 (** The candidate pool a capture was solved with. *)
 val saved_pool : saved -> Lcm_ir.Expr_pool.t
 
 (** [analyze_keep g] is [analyze g] that additionally captures the rows
-    {!analyze_incr} restarts from.  The captured rows come from the heap
-    (equal rows of a table share one vector); [scratch] backs the
-    worklists. *)
+    {!analyze_incr} restarts from.  The captured tables come from the
+    heap; [scratch] backs the worklists. *)
 val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * saved
 
 (** [analyze_incr g ~prev ~dirty] re-analyzes the patched graph [g] from
@@ -99,9 +99,12 @@ val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * s
     are re-derived where their inputs moved, and LATERIN and the
     temporaries' liveness restart the same way as the safety systems
     (after a shape edit, which re-indexes the edge tables, the rest of
-    the cascade is solved afresh).  The INSERT, DELETE and COPY lists keep
-    their order, and a set that did not change is the captured vector.
-    [scratch] backs the worklists and bookkeeping.  [dirty] is
+    the cascade is solved afresh).  Every table, the occurrence index
+    included, is copy-on-write over the capture's, so the restart copies
+    only the pages of what changed.  The INSERT, DELETE and COPY lists
+    keep their order, and a set that did not change is the captured
+    vector.  [scratch] backs the worklists and bookkeeping (without it one
+    arena is checked out for the whole restart).  [dirty] is
     {!Lcm_cfg.Patch.apply}'s seed.  Returns the analysis (bit-identical to
     a from-scratch [analyze g]), a new capture, and the number of blocks
     whose AVAIL or ANTIC rows changed (max over the two systems).  [None]

@@ -78,7 +78,7 @@ let analyze ?pool g =
   let rows f =
     let a = Array.make (Cfg.label_bound g) (Bitvec.create n) in
     List.iter (fun l -> a.(l) <- f l) (Cfg.labels g);
-    a
+    Lcm_support.Rowtab.of_rows n a
   in
   let not_comp = rows (fun l -> Bitvec.complement (comp local l)) in
   (* DELAY: forward, intersection, entry boundary ∅;

@@ -8,12 +8,18 @@
 type t = {
   antin : Lcm_cfg.Label.t -> Lcm_support.Bitvec.t;
   antout : Lcm_cfg.Label.t -> Lcm_support.Bitvec.t;
+      (** [antin] and [antout] copy a block's row out, for consumers off the
+          word kernels *)
+  antin_rows : Lcm_support.Rowtab.t;  (** the ANTIN rows as a label-indexed table *)
+  antout_into : int array -> Lcm_cfg.Label.t -> unit;
+      (** writes a block's ANTOUT row into a word buffer (see
+          {!Solver.result}) *)
   sweeps : int;
   visits : int;
 }
 
 (** [scratch] backs all solver state (see {!Solver.run}); the result's
-    vectors are then valid only until the arena's next reset.  Omitting it
+    table is then valid only until the arena's next reset.  Omitting it
     keeps the historical allocating behavior. *)
 val compute : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t
 

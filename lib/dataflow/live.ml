@@ -1,5 +1,6 @@
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
+module Rowtab = Lcm_support.Rowtab
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 module Instr = Lcm_ir.Instr
@@ -19,10 +20,10 @@ let term_uses g l =
   | Cfg.Branch (Expr.Const _, _, _) | Cfg.Goto _ | Cfg.Halt -> []
 
 (* gen(b): upward-exposed uses; keep(b): everything but the definitions
-   (the complement of the classic kill set). *)
-let gen_keep ?scratch g vars l =
-  let n = Var_pool.size vars in
-  let gen = Arena.alloc scratch n and keep = Arena.alloc_full scratch n in
+   (the complement of the classic kill set), into [gen] and [keep]. *)
+let gen_keep g vars gen keep l =
+  Bitvec.fill gen false;
+  Bitvec.fill keep true;
   let idx v = Var_pool.index vars v in
   let set bv v b = Option.iter (fun i -> Bitvec.set bv i b) (idx v) in
   List.iter (fun v -> set gen v true) (term_uses g l);
@@ -34,8 +35,7 @@ let gen_keep ?scratch g vars l =
         set keep v false
       | None -> ());
       List.iter (fun v -> set gen v true) (Instr.uses i))
-    (List.rev (Cfg.instrs g l));
-  (gen, keep)
+    (List.rev (Cfg.instrs g l))
 
 let compute ?scratch ?exit_live g =
   Lcm_obs.Trace.span_attrs "solve.live" @@ fun () ->
@@ -49,14 +49,16 @@ let compute ?scratch ?exit_live g =
   in
   let boundary = Arena.alloc scratch n in
   List.iter (fun v -> Option.iter (fun i -> Bitvec.set boundary i true) (Var_pool.index vars v)) exit_live;
-  (* GEN/KEEP rows as flat label-indexed arrays (labels are dense ints
-     below [label_bound]), checked out of the arena like the solver state. *)
-  let bound = Cfg.label_bound g in
-  let gen = Arena.alloc_vec scratch bound and keep = Arena.alloc_vec scratch bound in
+  (* GEN/KEEP rows as label-indexed tables (labels are dense ints below
+     [label_bound]), checked out of the arena like the solver state. *)
+  let bound = Cfg.label_bound g and nw = Bitvec.words_for n in
+  let gl = Arena.alloc scratch n and kl = Arena.alloc_full scratch n in
+  let gen = Rowtab.create scratch ~nw ~count:bound (Bitvec.words gl)
+  and keep = Rowtab.create scratch ~nw ~count:bound (Bitvec.words kl) in
   Cfg.iter_labels g (fun l ->
-      let gl, kl = gen_keep ?scratch g vars l in
-      gen.(l) <- gl;
-      keep.(l) <- kl);
+      gen_keep g vars gl kl l;
+      ignore (Rowtab.store gen l (Bitvec.words gl));
+      ignore (Rowtab.store keep l (Bitvec.words kl)));
   let result =
     Solver.run ?scratch g
       { Solver.nbits = n; direction = Solver.Backward; confluence = Solver.Union; boundary; gen; keep }

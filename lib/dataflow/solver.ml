@@ -1,8 +1,14 @@
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
+module Rowtab = Lcm_support.Rowtab
 module Scratch = Lcm_support.Pool.Scratch
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
+
+(* Row [i] of a table: its page and its offset there, located without a
+   call (see {!Lcm_support.Rowtab.t}). *)
+let[@inline] rpage (t : Rowtab.t) i = t.Rowtab.spine.(i lsr t.Rowtab.shift)
+let[@inline] roff (t : Rowtab.t) i = (i land ((1 lsl t.Rowtab.shift) - 1)) * t.Rowtab.nw
 
 let default_engine_name = "dense worklist (RPO-position bitset queue)"
 
@@ -19,218 +25,208 @@ type spec = {
   direction : direction;
   confluence : confluence;
   boundary : Bitvec.t;
-  gen : Bitvec.t array;
-  keep : Bitvec.t array;
+  gen : Rowtab.t;
+  keep : Rowtab.t;
 }
 
 type result = {
   block_in : Label.t -> Bitvec.t;
   block_out : Label.t -> Bitvec.t;
+  flow : Rowtab.t;
+  meet_into : int array -> Label.t -> unit;
   sweeps : int;
   visits : int;
+  changed : Label.t array;
 }
 
-(* Dense solve state: [meet.(l)] is the value on the
-   meet side of block l (entry for forward, exit for backward); [flow.(l)]
-   the value after the transfer.  Arrays are indexed by label — labels are
-   dense ints below [Cfg.label_bound] — and so are the spec's GEN/KEEP
-   rows, which the visit kernel reads word by word.  [cow] is set only by a
-   restart, whose tables start out sharing the saved fixpoint's rows. *)
+(* The state of one solve, from scratch or restarted: [flow] holds each
+   block's value after the transfer (exit for forward, entry for
+   backward), indexed by label like the spec's GEN/KEEP rows.  The meet
+   side is not stored: it is the meet of the neighbors' flow rows, which
+   the visit computes and a reader recomputes ({!meet_into}).  [boundary]
+   and [start] are the boundary's and the start value's words, [acc] and
+   [out] the visit's word buffers for the meet and the transfer. *)
 type state = {
   adj : Cfg.adjacency;
   boundary_label : Label.t;
-  meet : Bitvec.t array;
-  flow : Bitvec.t array;
-  gen : Bitvec.t array;
-  keep : Bitvec.t array;
+  boundary : int array;
+  start : int array;
+  flow : Rowtab.t;
+  gen : Rowtab.t;
+  keep : Rowtab.t;
   union : bool;
-  live : bool array;
+  forward : bool;
   (* meet inputs of a block (preds forward, succs backward) *)
   meet_neighbors : Label.t array array;
   (* blocks whose meet reads our flow (succs forward, preds backward) *)
   dependents : Label.t array array;
-  process_order : Label.t array;
   nwords : int;
-  cow : cow option;
+  acc : int array;
+  out : int array;
 }
 
-(* Copy-on-write bookkeeping of a restart: [owned.(l)] once block l's rows
-   are private copies (the shared ones belong to the saved fixpoint), and
-   the first [ntouched] cells of [touched] list those blocks. *)
-and cow = {
-  owned : bool array;
-  touched : int array;
-  mutable ntouched : int;
-}
-
-(* The visit kernel reads rows with unchecked word accesses, so every row it
-   can touch is checked once per solve: a GEN and a KEEP row of exactly
-   [nbits] bits for every block of the graph.  A top-level recursion, as
-   the solve itself allocates no closure. *)
-let check_row what rows nbits l =
-  if Bitvec.length rows.(l) <> nbits then
+(* The visit kernel reads rows with unchecked word accesses, so the tables
+   it reads are checked once per solve: [nbits]-bit rows, one for every
+   label of the graph. *)
+let check_table what rows nbits bound =
+  if rows.Rowtab.nw <> Bitvec.words_for nbits || rows.Rowtab.count < bound then
     invalid_arg
-      (Printf.sprintf "Solver: %s row of B%d has %d bits, expected %d" what l (Bitvec.length rows.(l)) nbits)
+      (Printf.sprintf "Solver: %s has %d rows of %d words, expected %d of %d" what (rows.Rowtab.count)
+         (rows.Rowtab.nw) bound (Bitvec.words_for nbits))
 
-let check_table what rows (spec : spec) bound labels =
-  if Array.length rows < bound then
-    invalid_arg (Printf.sprintf "Solver: %s has %d rows for label bound %d" what (Array.length rows) bound);
-  for i = 0 to Array.length labels - 1 do
-    check_row what rows spec.nbits labels.(i)
-  done
-
-let check_spec (spec : spec) bound labels =
-  check_table "gen" spec.gen spec bound labels;
-  check_table "keep" spec.keep spec bound labels;
-  if Bitvec.length spec.boundary <> spec.nbits then
-    invalid_arg "Solver: boundary width differs from nbits"
-
-let labels_live arena bound labels =
-  let live = Arena.alloc_bool arena bound in
-  Array.iter (fun l -> live.(l) <- true) labels;
-  live
-
-let neighbors_of adj = function
-  | Forward -> (adj.Cfg.adj_pred, adj.Cfg.adj_succ, adj.Cfg.adj_rpo)
-  | Backward -> (adj.Cfg.adj_succ, adj.Cfg.adj_pred, adj.Cfg.adj_post)
+let check_spec (spec : spec) bound =
+  check_table "gen" spec.gen spec.nbits bound;
+  check_table "keep" spec.keep spec.nbits bound;
+  if Bitvec.length spec.boundary <> spec.nbits then invalid_arg "Solver: boundary width differs from nbits"
 
 let boundary_label_of g = function
   | Forward -> Cfg.entry g
   | Backward -> Cfg.exit_label g
 
-(* The state that outlives a solve — the meet/flow row tables and the
-   [live] table its result reads — comes from [rows] ([None]: the heap).
-   A solve whose fixpoint is kept for a restart takes them from the heap,
-   and the capture then shares them instead of copying. *)
-let make_state ~rows g spec =
+(* The start value of a row: ∅ for ∪, all-ones for ∩.  The result reads
+   it ([meet_into]), so it comes from the result's allocator. *)
+let start_row rows (spec : spec) =
+  Bitvec.words
+    (match spec.confluence with Union -> Arena.alloc rows spec.nbits | Inter -> Arena.alloc_full rows spec.nbits)
+
+(* [flow] is made by the caller: a fresh table at the confluence's start
+   value, or a copy-on-write one over a capture. *)
+let make_state ~work g spec ~start ~flow =
   let adj = Cfg.adjacency g in
-  let bound = adj.Cfg.adj_bound in
-  check_spec spec bound adj.Cfg.adj_labels;
-  let boundary_label = boundary_label_of g spec.direction in
-  let init () =
-    match spec.confluence with
-    | Union -> Arena.alloc_rows rows spec.nbits bound
-    | Inter -> Arena.alloc_rows_full rows spec.nbits bound
-  in
-  let meet = init () in
-  let flow = init () in
-  ignore (Bitvec.blit ~src:spec.boundary ~dst:meet.(boundary_label));
-  let meet_neighbors, dependents, process_order = neighbors_of adj spec.direction in
+  let forward = match spec.direction with Forward -> true | Backward -> false in
+  let nwords = Bitvec.words_for spec.nbits in
   {
     adj;
-    boundary_label;
-    meet;
+    boundary_label = boundary_label_of g spec.direction;
+    boundary = Bitvec.words spec.boundary;
+    start;
     flow;
     gen = spec.gen;
     keep = spec.keep;
     union = (match spec.confluence with Union -> true | Inter -> false);
-    live = labels_live rows bound adj.Cfg.adj_labels;
-    meet_neighbors;
-    dependents;
-    process_order;
-    nwords = Bitvec.words_for spec.nbits;
-    cow = None;
+    forward;
+    meet_neighbors = (if forward then adj.Cfg.adj_pred else adj.Cfg.adj_succ);
+    dependents = (if forward then adj.Cfg.adj_succ else adj.Cfg.adj_pred);
+    nwords;
+    acc = Arena.alloc_int work (max 1 nwords);
+    out = Arena.alloc_int work (max 1 nwords);
   }
 
-let[@inline] join union a b = if union then a lor b else a land b
-let[@inline] row rows l = Bitvec.words (Array.unsafe_get rows l)
-
-(* [out = GEN ∪ (m ∩ KEEP)] over the row's [nw] words with [m] already in
-   [inw]; returns whether [out] changed. *)
-let transfer_words ~gen ~keep ~inw ~out nw =
+(* [out = GEN ∪ (in ∩ KEEP)], [in] the words of [src] at [so], compared
+   with block l's flow row in the same pass: written over it in place in
+   a fresh table, computed into [out] and stored (copy-on-write) in a
+   restarted one; whether the row changed. *)
+let transfer st l src so =
+  let f = st.flow in
+  let gp = rpage st.gen l and go = roff st.gen l in
+  let kp = rpage st.keep l and ko = roff st.keep l in
+  let fp = rpage f l and fo = roff f l in
+  let fresh = not f.Rowtab.cow in
+  let out = if fresh then fp else st.out and oo = if fresh then fo else 0 in
   let changed = ref false in
-  for w = 0 to nw - 1 do
-    let o =
-      Array.unsafe_get gen w lor (Array.unsafe_get inw w land Array.unsafe_get keep w)
-    in
-    if o <> Array.unsafe_get out w then begin
-      Array.unsafe_set out w o;
-      changed := true
-    end
+  for w = 0 to st.nwords - 1 do
+    let o = Array.unsafe_get gp (go + w) lor (Array.unsafe_get src (so + w) land Array.unsafe_get kp (ko + w)) in
+    if o <> Array.unsafe_get fp (fo + w) then changed := true;
+    Array.unsafe_set out (oo + w) o
   done;
-  !changed
+  !changed && (fresh || Rowtab.store f l out)
 
-(* The visit kernel, over the row of block l: recompute the meet from the
-   neighbors' flow rows, apply [out = GEN ∪ (in ∩ KEEP)], and report
-   whether [flow.(l)] changed — one word loop, no per-operation vector
-   calls and no scratch blits.  Blocks without meet inputs keep the
-   neutral element of the confluence (e.g. backward blocks that cannot
-   reach the exit), and the boundary block keeps the boundary value. *)
-let visit st l =
-  let nw = st.nwords in
-  let inw = row st.meet l and out = row st.flow l in
-  let gen = row st.gen l and keep = row st.keep l in
-  let nbs = Array.unsafe_get st.meet_neighbors l in
-  let k = if Label.equal l st.boundary_label then 0 else Array.length nbs in
-  if k = 1 then begin
-    (* The common straight-line case: meet = the one neighbor's flow,
-       fused with the transfer into a single pass. *)
-    let f0 = row st.flow (Array.unsafe_get nbs 0) in
-    let changed = ref false in
+let[@inline] join union a b = if union then a lor b else a land b
+
+(* The meet of [nbs]' rows of [flow], [k >= 2] of them, into [acc]. *)
+let join_into acc nw union flow nbs k =
+  let n0 = Array.unsafe_get nbs 0 and n1 = Array.unsafe_get nbs 1 in
+  let p0 = rpage flow n0 and o0 = roff flow n0 and p1 = rpage flow n1 and o1 = roff flow n1 in
+  for w = 0 to nw - 1 do
+    Array.unsafe_set acc w (join union (Array.unsafe_get p0 (o0 + w)) (Array.unsafe_get p1 (o1 + w)))
+  done;
+  for i = 2 to k - 1 do
+    let ni = Array.unsafe_get nbs i in
+    let pi = rpage flow ni and oi = roff flow ni in
     for w = 0 to nw - 1 do
-      let m = Array.unsafe_get f0 w in
-      Array.unsafe_set inw w m;
-      let o = Array.unsafe_get gen w lor (m land Array.unsafe_get keep w) in
-      if o <> Array.unsafe_get out w then begin
-        Array.unsafe_set out w o;
-        changed := true
-      end
-    done;
-    !changed
-  end
-  else begin
-    if k > 1 then begin
-      let union = st.union in
-      let f0 = row st.flow (Array.unsafe_get nbs 0) and f1 = row st.flow (Array.unsafe_get nbs 1) in
-      for w = 0 to nw - 1 do
-        Array.unsafe_set inw w (join union (Array.unsafe_get f0 w) (Array.unsafe_get f1 w))
-      done;
-      for i = 2 to k - 1 do
-        let fi = row st.flow (Array.unsafe_get nbs i) in
-        for w = 0 to nw - 1 do
-          Array.unsafe_set inw w (join union (Array.unsafe_get inw w) (Array.unsafe_get fi w))
-        done
-      done
-    end;
-    transfer_words ~gen ~keep ~inw ~out nw
-  end
+      Array.unsafe_set acc w (join union (Array.unsafe_get acc w) (Array.unsafe_get pi (oi + w)))
+    done
+  done
+
+(* The visit kernel, over the rows of block l: the meet of the neighbors'
+   flow rows, then the transfer into the flow row — written only when it
+   changes, so a restart copies only the pages whose rows move.  The
+   boundary block's meet is the boundary value, and a block without meet
+   inputs (e.g. a backward block that cannot reach the exit) meets to the
+   neutral element of the confluence, the start value.  Whether the flow
+   row changed. *)
+let visit st l =
+  let nbs = Array.unsafe_get st.meet_neighbors l in
+  if l = st.boundary_label then transfer st l st.boundary 0
+  else
+    match Array.length nbs with
+    | 0 -> transfer st l st.start 0
+    | 1 ->
+      (* The common straight-line case: the meet is the one neighbor's
+         flow row, read in place. *)
+      let n0 = Array.unsafe_get nbs 0 in
+      transfer st l (rpage st.flow n0) (roff st.flow n0)
+    | k ->
+      join_into st.acc st.nwords st.union st.flow nbs k;
+      transfer st l st.acc 0
+
+(* The meet side of block l, as a full solve leaves it, into [buf]: the
+   boundary value at the boundary block, the start value at a block the
+   solve never visits (unreachable) or that has no meet inputs, else the
+   meet of the neighbors' flow rows. *)
+let meet_of st flow adj buf l =
+  let nw = st.nwords in
+  let nbs = (if st.forward then adj.Cfg.adj_pred else adj.Cfg.adj_succ).(l) in
+  if l = st.boundary_label then Array.blit st.boundary 0 buf 0 nw
+  else if adj.Cfg.adj_rpo_pos.(l) < 0 || Array.length nbs = 0 then Array.blit st.start 0 buf 0 nw
+  else if Array.length nbs = 1 then Array.blit (rpage flow nbs.(0)) (roff flow nbs.(0)) buf 0 nw
+  else join_into buf nw st.union flow nbs (Array.length nbs)
 
 (* The worklist's queue: a bitset of pending positions in the processing
    order (reverse postorder forward, postorder backward) and a cursor
-   [low] — no word below it has a pending bit.  A pop takes the least
-   pending position, so blocks are visited in exactly the order a priority
-   queue keyed by position would give, without a heap; a zero word skips a
-   word's worth of positions at once.  A record and top-level functions,
-   not closures over refs, so a solve allocates only the record. *)
+   [low] — no word below it has a pending bit.  A block's position is read
+   off the adjacency ([adj_rpo_pos], mirrored for postorder), so a queue
+   costs its bitset only.  A pop takes the least pending position, so
+   blocks are visited in exactly the order a priority queue keyed by
+   position would give, without a heap; a zero word skips a word's worth
+   of positions at once.  A record and top-level functions, not closures
+   over refs, so a solve allocates only the record. *)
 type queue = {
   order : int array;  (* the block at each position *)
-  posn : int array;  (* each reachable block's position *)
+  rpo_pos : int array;
+  forward : bool;
+  last : int;  (* the last position *)
   pending : int array;
   mutable npending : int;
   mutable low : int;
 }
 
-let fill_order q order =
-  for p = 0 to Array.length order - 1 do
-    let l = order.(p) in
-    q.order.(p) <- l;
-    q.posn.(l) <- p
-  done
+let make_queue ~work st =
+  let adj = st.adj in
+  let nreach = Array.length adj.Cfg.adj_rpo in
+  {
+    order = (if st.forward then adj.Cfg.adj_rpo else adj.Cfg.adj_post);
+    rpo_pos = adj.Cfg.adj_rpo_pos;
+    forward = st.forward;
+    last = nreach - 1;
+    pending = Arena.alloc_int work (max 1 (Bitvec.words_for nreach));
+    npending = 0;
+    low = max_int;
+  }
 
+(* Queue a reachable block; an unreachable one is never visited. *)
 let push q l =
-  let p = q.posn.(l) in
-  let wi = p / Bitvec.bits_per_word and m = 1 lsl (p mod Bitvec.bits_per_word) in
-  let x = q.pending.(wi) in
-  if x land m = 0 then begin
-    q.pending.(wi) <- x lor m;
-    q.npending <- q.npending + 1;
-    if wi < q.low then q.low <- wi
+  let r = q.rpo_pos.(l) in
+  if r >= 0 then begin
+    let p = if q.forward then r else q.last - r in
+    let wi = p / Bitvec.bits_per_word and m = 1 lsl (p mod Bitvec.bits_per_word) in
+    let x = q.pending.(wi) in
+    if x land m = 0 then begin
+      q.pending.(wi) <- x lor m;
+      q.npending <- q.npending + 1;
+      if wi < q.low then q.low <- wi
+    end
   end
-
-let push_all q order =
-  for p = 0 to Array.length order - 1 do
-    push q order.(p)
-  done
 
 (* The pending block of least position; the queue must be non-empty. *)
 let pop q =
@@ -242,100 +238,80 @@ let pop q =
   q.npending <- q.npending - 1;
   q.order.((q.low * Bitvec.bits_per_word) + Bitvec.ntz x)
 
-(* A restart writes a block's rows only after copying them: the shared
-   ones belong to the saved fixpoint, which a failed request must find
-   intact. *)
-let own st c l =
-  if not (Array.unsafe_get c.owned l) then begin
-    c.owned.(l) <- true;
-    c.touched.(c.ntouched) <- l;
-    c.ntouched <- c.ntouched + 1;
-    st.meet.(l) <- Bitvec.copy st.meet.(l);
-    st.flow.(l) <- Bitvec.copy st.flow.(l)
-  end
-
-let make_queue ~arena st =
-  let nreach = Array.length st.process_order in
-  let q =
-    {
-      order = Arena.alloc_int arena (max 1 nreach);
-      posn = Arena.alloc_int arena st.adj.Cfg.adj_bound;
-      pending = Arena.alloc_int arena (max 1 (Bitvec.words_for nreach));
-      npending = 0;
-      low = max_int;
-    }
-  in
-  fill_order q st.process_order;
-  q
-
 (* Drain the queue: pop the pending block of least position, visit it, and
    re-push the direction-appropriate dependents of a block whose flow
-   changed.  [sweeps] is reported as the maximum number of times any single
-   block was visited — the depth of iteration, the analogue of the
-   round-robin sweep count.  The visit counters come from [arena] ([None]:
-   the heap). *)
-let drain ~arena st q =
-  let bound = st.adj.Cfg.adj_bound in
-  let rpo_pos = st.adj.Cfg.adj_rpo_pos in
-  let visits = ref 0 in
-  let visit_count = Arena.alloc_int arena bound in
+   changed.  [sweeps] is the most visits of any single block — the depth
+   of iteration, the analogue of the round-robin sweep count — kept as a
+   running maximum. *)
+let drain ~work st q =
+  let visits = ref 0 and sweeps = ref 0 in
+  let count = Arena.alloc_int work st.adj.Cfg.adj_bound in
   while q.npending > 0 do
     let l = pop q in
     incr visits;
-    visit_count.(l) <- visit_count.(l) + 1;
-    (match st.cow with Some c -> own st c l | None -> ());
+    let c = count.(l) + 1 in
+    count.(l) <- c;
+    if c > !sweeps then sweeps := c;
     if visit st l then begin
       (* Explicit loop, not [Array.iter]: a closure here would be
          allocated on every changed visit of the hot fixpoint. *)
       let deps = st.dependents.(l) in
       for i = 0 to Array.length deps - 1 do
-        let d = deps.(i) in
-        if rpo_pos.(d) >= 0 then push q d
+        push q deps.(i)
       done
     end
   done;
-  (* Arena-backed arrays may be wider than [bound]; fold over the live
-     prefix only. *)
-  let sweeps = ref 0 in
-  for l = 0 to bound - 1 do
-    if visit_count.(l) > !sweeps then sweeps := visit_count.(l)
-  done;
   (!sweeps, !visits)
 
-let make_result st direction ~sweeps ~visits =
-  let live = st.live and meet = st.meet and flow = st.flow in
-  let lookup table what l =
-    if l >= 0 && l < Array.length table && live.(l) then table.(l)
-    else invalid_arg (Printf.sprintf "Solver.%s: unknown label B%d" what l)
+let result g (spec : spec) st ~sweeps ~visits ~changed =
+  let check what l =
+    if not (l >= 0 && l < st.flow.Rowtab.count && Cfg.mem g l) then
+      invalid_arg (Printf.sprintf "Solver.%s: unknown label B%d" what l)
   in
-  let block_in, block_out =
-    match direction with
-    | Forward -> (lookup meet "block_in", lookup flow "block_out")
-    | Backward -> (lookup flow "block_in", lookup meet "block_out")
+  let meet_into buf l = meet_of st st.flow st.adj buf l in
+  let flow_side what l =
+    check what l;
+    Rowtab.to_bitvec st.flow l spec.nbits
+  and meet_side what l =
+    check what l;
+    let v = Bitvec.create spec.nbits in
+    meet_into (Bitvec.words v) l;
+    v
   in
-  { block_in; block_out; sweeps; visits }
+  {
+    block_in = (if st.forward then meet_side "block_in" else flow_side "block_in");
+    block_out = (if st.forward then flow_side "block_out" else meet_side "block_out");
+    flow = st.flow;
+    meet_into;
+    sweeps;
+    visits;
+    changed;
+  }
 
-(* The solve: seed every reachable block once in priority order (reverse
-   postorder for forward problems, postorder for backward), then drain.
-   On sparse graphs this drops visit counts from ~sweeps·N to the
-   near-optimal count. *)
-let iterate work st =
-  let q = make_queue ~arena:work st in
-  push_all q st.process_order;
-  drain ~arena:work st q
+(* The solve: a fresh flow table at the start value, every reachable
+   block seeded once in priority order (reverse postorder for forward
+   problems, postorder for backward), then drained.  The table comes from
+   [rows] ([None]: the heap), the bookkeeping from [work]. *)
+let solve ~rows ~work g spec =
+  let bound = Cfg.label_bound g in
+  check_spec spec bound;
+  let start = start_row rows spec in
+  let flow = Rowtab.create rows ~nw:(Bitvec.words_for spec.nbits) ~count:bound start in
+  let st = make_state ~work g spec ~start ~flow in
+  let q = make_queue ~work st in
+  Array.iter (push q) q.order;
+  let sweeps, visits = drain ~work st q in
+  (st, result g spec st ~sweeps ~visits ~changed:[||])
 
 (* The worklist comes from [scratch], or from an arena checked out for the
    solve: it never escapes, so a caller without an arena need not hand it
    to the GC. *)
-let iterate_on scratch st nbits =
+let on_work scratch g nbits f =
   match scratch with
-  | Some _ -> iterate scratch st
-  | None -> Scratch.with_arena ~blocks:st.adj.Cfg.adj_bound ~exprs:nbits (fun a -> iterate (Some a) st)
+  | Some _ -> f scratch
+  | None -> Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:nbits (fun a -> f (Some a))
 
-let run ?scratch g spec =
-  let st = make_state ~rows:scratch g spec in
-  let sweeps, visits = iterate_on scratch st spec.nbits in
-  make_result st spec.direction ~sweeps ~visits
+let run ?scratch g spec = on_work scratch g spec.nbits (fun work -> snd (solve ~rows:scratch ~work g spec))
 
 (* --- change-driven restart -----------------------------------------------
 
@@ -369,202 +345,161 @@ let run ?scratch g spec =
    dirty block with changed edges is lifted in all bits, a block that
    became unreachable is reset to the start (a full solve never visits
    it), and a block that became reachable is seeded (its saved value is
-   the start already). *)
+   the start already).
+
+   The restart runs the same kernel on a copy-on-write table over the
+   captured one ({!Rowtab.cow}): it copies the spine and the pages it
+   writes, and the table's change list is the rows of those pages that
+   moved.  A block whose meet side changed is a dependent of one of
+   those rows, a dirty block or a block whose reachability flipped; its
+   meet is compared before and after. *)
 
 type saved = {
-  s_nbits : int;
-  s_direction : direction;
-  s_union : bool;
-  s_boundary : Bitvec.t;
+  s_spec : spec;
   s_adj : Cfg.adjacency;
-  s_gen : Bitvec.t array;
-  s_keep : Bitvec.t array;
-  s_meet : Bitvec.t array;
-  s_flow : Bitvec.t array;
-  s_live : bool array;
-  s_zero : Bitvec.t;
-  s_full : Bitvec.t;
+  s_flow : Rowtab.t;
 }
 
-(* Equal rows of a capture share one vector: on real graphs only a
-   quarter of a fixpoint's rows are distinct, so a retained handle costs
-   that much less memory.  A restart shares the rows it changes with the
-   capture's empty and full rows.  Shared rows are never written — a
-   restart copies a row before it writes it. *)
-let share_constant prev v =
-  if Bitvec.is_empty v then prev.s_zero else if Bitvec.equal v prev.s_full then prev.s_full else v
+(* The boundary may be arena storage; the capture keeps a copy. *)
+let save st (spec : spec) = { s_spec = { spec with boundary = Bitvec.copy spec.boundary }; s_adj = st.adj; s_flow = st.flow }
 
-let save st spec =
-  let tbl = Bitvec.Interner.create 64 in
-  let share_rows rows = Array.iteri (fun l v -> rows.(l) <- Bitvec.Interner.intern tbl v) rows in
-  share_rows st.meet;
-  share_rows st.flow;
-  {
-    s_nbits = spec.nbits;
-    s_direction = spec.direction;
-    s_union = st.union;
-    s_boundary = Bitvec.copy spec.boundary;
-    s_adj = st.adj;
-    s_gen = st.gen;
-    s_keep = st.keep;
-    s_meet = st.meet;
-    s_flow = st.flow;
-    s_live = st.live;
-    s_zero = Bitvec.Interner.intern tbl (Bitvec.create spec.nbits);
-    s_full = Bitvec.Interner.intern tbl (Bitvec.create_full spec.nbits);
-  }
-
-(* Rows on the heap, so the capture shares them instead of copying. *)
 let run_saved ?scratch g spec =
-  let st = make_state ~rows:None g spec in
-  let sweeps, visits = iterate_on scratch st spec.nbits in
-  (make_result st spec.direction ~sweeps ~visits, save st spec)
+  on_work scratch g spec.nbits (fun work ->
+      let st, r = solve ~rows:None ~work g spec in
+      (r, save st spec))
 
 (* Bits of [l]'s flow row that differ from the saved row — all of them
    moved to the start during the lift, and none else has moved yet. *)
-let[@inline] moved_word st prev l w =
-  let x = Array.unsafe_get (row st.flow l) w in
-  if l < Array.length prev.s_flow then x lxor Array.unsafe_get (row prev.s_flow l) w
-  else lnot 0
+let[@inline] moved_word st l w =
+  let f = st.flow in
+  let x = Array.unsafe_get (rpage f l) (roff f l + w) in
+  if Rowtab.has_base f l then x lxor Array.unsafe_get (Rowtab.base_page f l) (roff f l + w) else lnot 0
 
-(* Move the bits of [mask] (a word array) of block [l]'s flow row to the
-   start value; whether any bit moved. *)
-let lift_words st c l mask =
-  let union = st.union in
-  let x = row st.flow l in
-  let moves = ref false in
-  for w = 0 to st.nwords - 1 do
-    let o = Array.unsafe_get x w and m = Array.unsafe_get mask w in
-    if (if union then o land m else lnot o land m) <> 0 then moves := true
-  done;
-  if !moves then begin
-    own st c l;
-    let x = row st.flow l in
-    for w = 0 to st.nwords - 1 do
-      let m = Array.unsafe_get mask w in
-      x.(w) <- (if union then x.(w) land lnot m else x.(w) lor m)
-    done
-  end;
-  !moves
+(* Move the bits of [mask] of block [l]'s flow row to the start value;
+   whether any bit moved. *)
+let lift st l mask = if st.union then Rowtab.lift st.flow l mask ~up:false else Rowtab.lift st.flow l mask ~up:true
 
-(* Propagate the lift from the blocks on [stack] through their
-   dependents: dependent [d] takes the moved bits of its input that its
-   transfer passes and that are not at the start at [d].  Every reachable
-   block touched by the lift, and every reachable dependent of one (its
-   meet input moved), is pushed on the worklist queue. *)
-let propagate_lift st c prev q stack nstack mask on_stack =
-  let rpo_pos = st.adj.Cfg.adj_rpo_pos and union = st.union in
-  let n = ref nstack in
-  while !n > 0 do
-    decr n;
-    let r = stack.(!n) in
-    on_stack.(r) <- false;
-    if rpo_pos.(r) >= 0 then push q r;
-    let deps = st.dependents.(r) in
+(* Propagate the lift from the blocks on [lf] through their dependents:
+   dependent [d] takes the moved bits of its input that its transfer
+   passes and that are not at the start at [d].  Every block touched by
+   the lift, and every dependent of one (its meet input moved), is
+   queued. *)
+let propagate_lift st q lf =
+  let union = st.union and mask = lf.Rowtab.mask and f = st.flow in
+  let r = ref (Rowtab.next_lifted lf) in
+  while !r >= 0 do
+    let r0 = !r in
+    push q r0;
+    let deps = st.dependents.(r0) in
     for i = 0 to Array.length deps - 1 do
       let d = deps.(i) in
-      if rpo_pos.(d) >= 0 then push q d;
-      let x = row st.flow d and gen = row st.gen d and keep = row st.keep d in
+      push q d;
+      let x = rpage f d and xo = roff f d in
+      let gp = rpage st.gen d and go = roff st.gen d in
+      let kp = rpage st.keep d and ko = roff st.keep d in
       let any = ref false in
       for w = 0 to st.nwords - 1 do
         let passes =
-          if union then lnot (Array.unsafe_get gen w) land Array.unsafe_get x w
-          else Array.unsafe_get keep w land lnot (Array.unsafe_get x w)
+          if union then lnot gp.(go + w) land x.(xo + w) else kp.(ko + w) land lnot x.(xo + w)
         in
-        let m = moved_word st prev r w land passes in
+        let m = moved_word st r0 w land passes in
         mask.(w) <- m;
         if m <> 0 then any := true
       done;
-      if !any && lift_words st c d mask && not on_stack.(d) then begin
-        on_stack.(d) <- true;
-        stack.(!n) <- d;
-        incr n
-      end
-    done
+      if !any && lift st d mask then Rowtab.note lf d
+    done;
+    r := Rowtab.next_lifted lf
   done
 
+(* The blocks whose entry or exit row the restart changed, ascending:
+   those whose flow row moved or that are new, and those whose meet side
+   differs from the one the capture implies — only a dependent of a moved
+   row, a dirty block or, after a shape edit, a block whose reachability
+   flipped can be one. *)
+let changed_blocks work st prev dirty ~same_shape =
+  let adj = st.adj and flow = st.flow in
+  let bound = adj.Cfg.adj_bound and old_bound = prev.s_adj.Cfg.adj_bound in
+  let seen = Arena.alloc_bool work bound and found = ref [] in
+  let now = Arena.alloc_int work st.nwords and before = Arena.alloc_int work st.nwords in
+  let add l =
+    seen.(l) <- true;
+    found := l :: !found
+  in
+  let consider l =
+    if not seen.(l) then begin
+      seen.(l) <- true;
+      if l >= old_bound then found := l :: !found
+      else begin
+        meet_of st flow adj now l;
+        meet_of st prev.s_flow prev.s_adj before l;
+        if Rowtab.differs now 0 before 0 st.nwords 0 then found := l :: !found
+      end
+    end
+  in
+  for j = 0 to Rowtab.nchanged flow - 1 do
+    add (Rowtab.changed flow j)
+  done;
+  for j = 0 to Rowtab.nchanged flow - 1 do
+    Array.iter consider st.dependents.(Rowtab.changed flow j)
+  done;
+  List.iter consider dirty;
+  if not same_shape then begin
+    let old_pos = prev.s_adj.Cfg.adj_rpo_pos in
+    for l = 0 to bound - 1 do
+      if l >= old_bound || (old_pos.(l) < 0) <> (adj.Cfg.adj_rpo_pos.(l) < 0) then consider l
+    done
+  end;
+  let a = Array.of_list !found in
+  Array.sort compare a;
+  a
+
 (* The restart proper, its bookkeeping and worklist on [work]. *)
-let restart_on work g (spec : spec) ~prev ~dirty =
-  let union = prev.s_union in
+let restart_on ~rows work g (spec : spec) ~prev ~dirty =
   let adj = Cfg.adjacency g in
   let bound = adj.Cfg.adj_bound and old_bound = prev.s_adj.Cfg.adj_bound in
   let same_shape = adj == prev.s_adj in
   List.iter
     (fun l -> if l < 0 || l >= bound then invalid_arg (Printf.sprintf "Solver.restart: dirty label B%d" l))
     dirty;
-  (* Other rows are the saved ones, checked when they were solved. *)
-  let fresh_labels = Array.init (bound - old_bound) (fun i -> old_bound + i) in
-  List.iter
-    (fun labels ->
-      check_table "gen" spec.gen spec bound labels;
-      check_table "keep" spec.keep spec bound labels)
-    [ Array.of_list dirty; fresh_labels ];
-  let fresh () = if union then Bitvec.create spec.nbits else Bitvec.create_full spec.nbits in
-  let share old = Array.init bound (fun l -> if l < old_bound then old.(l) else fresh ()) in
-  let meet_neighbors, dependents, process_order = neighbors_of adj spec.direction in
-  let c = { owned = Arena.alloc_bool work bound; touched = Arena.alloc_int work bound; ntouched = 0 } in
-  let st =
-    {
-      adj;
-      boundary_label = boundary_label_of g spec.direction;
-      meet = share prev.s_meet;
-      flow = share prev.s_flow;
-      gen = spec.gen;
-      keep = spec.keep;
-      union;
-      live = (if same_shape then prev.s_live else labels_live None bound adj.Cfg.adj_labels);
-      meet_neighbors;
-      dependents;
-      process_order;
-      nwords = Bitvec.words_for spec.nbits;
-      cow = Some c;
-    }
-  in
-  let nw = st.nwords in
+  check_spec spec bound;
+  let start = start_row rows spec in
+  let flow = Rowtab.cow work prev.s_flow ~count:bound start in
+  let st = make_state ~work g spec ~start ~flow in
+  let nw = st.nwords and union = st.union in
   let rpo_pos = adj.Cfg.adj_rpo_pos in
-  let q = make_queue ~arena:work st in
-  let stack = Arena.alloc_int work bound and nstack = ref 0 in
-  let on_stack = Arena.alloc_bool work bound in
-  let mask = Arena.alloc_int work nw in
-  let lifted l =
-    if not on_stack.(l) then begin
-      on_stack.(l) <- true;
-      stack.(!nstack) <- l;
-      incr nstack
-    end
-  in
-  let all = Bitvec.words (Arena.alloc_full work spec.nbits) in
-  let all_bits () = Array.blit all 0 mask 0 nw in
-  (* New blocks start from fresh start rows of their own. *)
+  let q = make_queue ~work st in
+  let lf = Rowtab.lifts work bound nw in
+  let mask = lf.Rowtab.mask in
+  (* New blocks start from the start rows. *)
   for l = old_bound to bound - 1 do
-    c.owned.(l) <- true;
-    c.touched.(c.ntouched) <- l;
-    c.ntouched <- c.ntouched + 1;
-    if rpo_pos.(l) >= 0 then push q l
+    push q l
   done;
+  let og = prev.s_spec.gen and ok = prev.s_spec.keep in
+  let all = if same_shape then start else Bitvec.words (Arena.alloc_full work spec.nbits) in
   List.iter
     (fun l ->
       if l < old_bound && rpo_pos.(l) >= 0 then
         if not same_shape then begin
-          all_bits ();
-          if lift_words st c l mask then lifted l;
+          Array.blit all 0 mask 0 nw;
+          if lift st l mask then Rowtab.note lf l;
           push q l
         end
         else begin
           (* The bits whose transfer changed, and among them those that
              may move back to the start (∩: GEN or KEEP gained; ∪: lost). *)
-          let gn = row spec.gen l and go = row prev.s_gen l in
-          let kn = row spec.keep l and ko = row prev.s_keep l in
+          let gn = rpage spec.gen l and gno = roff spec.gen l in
+          let go = rpage og l and goo = roff og l in
+          let kn = rpage spec.keep l and kno = roff spec.keep l in
+          let ko = rpage ok l and koo = roff ok l in
           let changed = ref false in
           for w = 0 to nw - 1 do
-            let g1 = gn.(w) and g0 = go.(w) and k1 = kn.(w) and k0 = ko.(w) in
+            let g1 = gn.(gno + w) and g0 = go.(goo + w) and k1 = kn.(kno + w) and k0 = ko.(koo + w) in
             if g1 <> g0 || k1 <> k0 then changed := true;
             mask.(w) <-
-              (if union then (g0 land lnot g1) lor (k0 land lnot k1)
-               else (g1 land lnot g0) lor (k1 land lnot k0))
+              (if union then (g0 land lnot g1) lor (k0 land lnot k1) else (g1 land lnot g0) lor (k1 land lnot k0))
           done;
           if !changed then begin
-            if lift_words st c l mask then lifted l;
+            if lift st l mask then Rowtab.note lf l;
             push q l
           end
         end)
@@ -576,52 +511,22 @@ let restart_on work g (spec : spec) ~prev ~dirty =
       if now_reach && old_pos.(l) < 0 then push q l
       else if (not now_reach) && old_pos.(l) >= 0 then begin
         (* A full solve never visits an unreachable block: back to the
-           start, meet side included (the boundary block keeps the
-           boundary value there). *)
-        own st c l;
-        if Label.equal l st.boundary_label then ignore (Bitvec.blit ~src:spec.boundary ~dst:st.meet.(l))
-        else Bitvec.fill st.meet.(l) (not union);
-        Bitvec.fill st.flow.(l) (not union);
-        lifted l
+           start. *)
+        ignore (Rowtab.store flow l start);
+        Rowtab.note lf l
       end
     done
   end;
-  propagate_lift st c prev q stack !nstack mask on_stack;
-  let sweeps, visits = drain ~arena:work st q in
-  (* Rows that ended where they were saved go back to sharing the saved
-     row; the rest are the rows this patch changed, listed in the first
-     [changed] cells of [touched]. *)
-  let changed = ref 0 in
-  for i = 0 to c.ntouched - 1 do
-    let l = c.touched.(i) in
-    if
-      l < old_bound
-      && Bitvec.equal st.meet.(l) prev.s_meet.(l)
-      && Bitvec.equal st.flow.(l) prev.s_flow.(l)
-    then begin
-      st.meet.(l) <- prev.s_meet.(l);
-      st.flow.(l) <- prev.s_flow.(l)
-    end
-    else begin
-      st.meet.(l) <- share_constant prev st.meet.(l);
-      st.flow.(l) <- share_constant prev st.flow.(l);
-      c.touched.(!changed) <- l;
-      incr changed
-    end
-  done;
-  ( make_result st spec.direction ~sweeps ~visits,
-    { prev with s_adj = adj; s_gen = st.gen; s_keep = st.keep; s_meet = st.meet; s_flow = st.flow; s_live = st.live },
-    Array.sub c.touched 0 !changed )
+  propagate_lift st q lf;
+  let sweeps, visits = drain ~work st q in
+  Rowtab.seal flow;
+  let changed = changed_blocks work st prev dirty ~same_shape in
+  (result g spec st ~sweeps ~visits ~changed, save st spec)
 
 let restart ?scratch g spec ~prev ~dirty =
-  let union = match spec.confluence with Union -> true | Inter -> false in
+  let p = prev.s_spec in
   if
-    prev.s_nbits <> spec.nbits || prev.s_direction <> spec.direction || prev.s_union <> union
-    || not (Bitvec.equal prev.s_boundary spec.boundary)
+    p.nbits <> spec.nbits || p.direction <> spec.direction || p.confluence <> spec.confluence
+    || not (Bitvec.equal p.boundary spec.boundary)
   then None
-  else
-    match scratch with
-    | Some _ -> Some (restart_on scratch g spec ~prev ~dirty)
-    | None ->
-      Scratch.with_arena ~blocks:(Cfg.label_bound g) ~exprs:spec.nbits (fun a ->
-          Some (restart_on (Some a) g spec ~prev ~dirty))
+  else on_work scratch g spec.nbits (fun work -> Some (restart_on ~rows:scratch work g spec ~prev ~dirty))

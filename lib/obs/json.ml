@@ -41,46 +41,43 @@ let escape_into buf s =
   if n > !start then Buffer.add_substring buf s !start (n - !start)
 
 (* The inverse of [escape_into] on its own output: an escape is a
-   backslash and one byte, or [\u00XX]; everything else is itself.  Plain
-   byte loops: the runs between escapes are a line or less, too short for
-   a blit call to pay. *)
+   backslash and one byte, or [\u00XX]; everything else is itself.  Only
+   the escapes change, so the unescaped string is written a run at a
+   time, one blit per run between backslashes.  The scan is a plain loop,
+   not [String.index_from]: its [Not_found] at the end of every short
+   block text costs more than the scan. *)
+let rec next_escape s i n = if i >= n || String.unsafe_get s i = '\\' then i else next_escape s (i + 1) n
+let escape_width s j = if String.unsafe_get s (j + 1) = 'u' then 6 else 2
+
 let unescaped_length s =
   let n = String.length s in
-  let i = ref 0 and len = ref 0 in
-  while !i < n do
-    if String.unsafe_get s !i = '\\' then i := !i + if s.[!i + 1] = 'u' then 6 else 2
-    else incr i;
-    incr len
-  done;
-  !len
+  let rec go i len =
+    let j = next_escape s i n in
+    if j >= n then len + (n - i) else go (j + escape_width s j) (len + (j - i) + 1)
+  in
+  go 0 0
 
 let hex_value c = if c <= '9' then Char.code c - 48 else Char.code c - 87
 
 let unescape_into s out pos =
   let n = String.length s in
-  let i = ref 0 and o = ref pos in
-  while !i < n do
-    let c = String.unsafe_get s !i in
-    if c <> '\\' then begin
-      Bytes.set out !o c;
-      incr i
-    end
+  let rec go i o =
+    let j = next_escape s i n in
+    Bytes.blit_string s i out o (j - i);
+    let o = o + (j - i) in
+    if j >= n then o
     else begin
-      let e = s.[!i + 1] in
-      let c =
-        match e with
+      Bytes.set out o
+        (match s.[j + 1] with
         | 'n' -> '\n'
         | 'r' -> '\r'
         | 't' -> '\t'
-        | 'u' -> Char.chr ((hex_value s.[!i + 4] lsl 4) lor hex_value s.[!i + 5])
-        | c -> c
-      in
-      Bytes.set out !o c;
-      i := !i + if e = 'u' then 6 else 2
-    end;
-    incr o
-  done;
-  !o
+        | 'u' -> Char.chr ((hex_value s.[j + 4] lsl 4) lor hex_value s.[j + 5])
+        | c -> c);
+      go (j + escape_width s j) (o + 1)
+    end
+  in
+  go 0 pos
 
 let float_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f

@@ -87,11 +87,17 @@ let record c sp =
   b.b_spans <- sp :: b.b_spans;
   Mutex.unlock b.b_lock
 
-let word_bytes = float_of_int (Sys.word_size / 8)
-
 (* Minor collections plus completed major cycles, as [Gc.quick_stat]
    counts them, read straight from the runtime's counters. *)
 external collections : unit -> int = "lcm_obs_gc_collections" [@@noalloc]
+
+(* Words allocated so far: [Gc.minor_words] up to the minor heap's current
+   fill ([Gc.allocated_bytes]'s minor figure moves only at a collection,
+   crediting a short span with nothing or a whole minor heap), plus what
+   was allocated in the major heap directly. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let span_attrs name f =
   match Atomic.get state with
@@ -104,11 +110,11 @@ let span_attrs name f =
       let cell = Domain.DLS.get ctx_key in
       cell := Some { ctx with parent = id };
       let g0 = collections () in
-      let a0 = Gc.allocated_bytes () in
+      let a0 = allocated_words () in
       let t0 = Unix.gettimeofday () in
       let finish attrs =
         let t1 = Unix.gettimeofday () in
-        let alloc_w = (Gc.allocated_bytes () -. a0) /. word_bytes in
+        let alloc_w = allocated_words () -. a0 in
         (* Collections that fired inside the span; attached only when
            non-zero so the common (collection-free, arena-backed) case
            costs no attr.  A minor collection stops every domain, so the

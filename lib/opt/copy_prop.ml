@@ -101,8 +101,8 @@ let run g =
           direction = Solver.Forward;
           confluence = Solver.Inter;
           boundary = Bitvec.create n;
-          gen;
-          keep;
+          gen = Lcm_support.Rowtab.of_rows n gen;
+          keep = Lcm_support.Rowtab.of_rows n keep;
         }
     in
     List.iter

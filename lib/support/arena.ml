@@ -37,12 +37,12 @@ type 'a pool = {
   mutable next : int;
 }
 
-(* Row tables ({!rows}) are keyed by two buckets: the words per row and
-   the row count. *)
-type row_pool = {
-  row_wcap : int;
-  row_ccap : int;
-  tables : Bitvec.t array pool;
+(* Page tables ({!pages}) are keyed by the exact page size and a bucket
+   of the page count. *)
+type page_pool = {
+  page_words : int;
+  page_ccap : int;
+  spines : int array array pool;
 }
 
 type t = {
@@ -50,7 +50,7 @@ type t = {
   mutable int_pools : int array pool list;
   mutable bool_pools : bool array pool list;
   mutable slot_pools : Bitvec.t array pool list;
-  mutable row_pools : row_pool list;
+  mutable page_pools : page_pool list;
   mutable checkouts : int;  (* lifetime checkouts, for tests/stats *)
   mutable misses : int;  (* checkouts that had to heap-allocate a new item *)
 }
@@ -61,7 +61,7 @@ let create () =
     int_pools = [];
     bool_pools = [];
     slot_pools = [];
-    row_pools = [];
+    page_pools = [];
     checkouts = 0;
     misses = 0;
   }
@@ -224,52 +224,41 @@ let vec_array a n =
     buf
   end
 
-(* A label- or edge-indexed table of rows as one checkout.  The table and
-   its row records are parked together, so a warm checkout re-initializes
-   [count] rows in place and stores no pointer at all — a table of
-   separate {!bitvec} checkouts pays a pool walk per row and a write
-   barrier per slot. *)
-let rec find_rows lst wcap ccap =
+(* A table's spine and pages as one checkout: the spine is parked with
+   its pages, so a warm checkout stores no pointer at all.  Pages are not
+   re-initialized: {!Rowtab.create} writes every row it hands out. *)
+let rec find_pages lst words ccap =
   match lst with
-  | r :: _ when r.row_wcap = wcap && r.row_ccap = ccap -> r.tables
-  | _ :: rest -> find_rows rest wcap ccap
+  | r :: _ when r.page_words = words && r.page_ccap = ccap -> r.spines
+  | _ :: rest -> find_pages rest words ccap
   | [] -> raise Not_found
 
-let rows_pool a wcap ccap =
-  try find_rows a.row_pools wcap ccap
+let pages_pool a words ccap =
+  try find_pages a.page_pools words ccap
   with Not_found ->
-    let tables = { pcap = wcap * ccap; items = [||]; count = 0; next = 0 } in
-    a.row_pools <- { row_wcap = wcap; row_ccap = ccap; tables } :: a.row_pools;
-    tables
+    let spines = { pcap = words * ccap; items = [||]; count = 0; next = 0 } in
+    a.page_pools <- { page_words = words; page_ccap = ccap; spines } :: a.page_pools;
+    spines
 
-let rows_gen a n count full =
-  let wcap = bucket_size (Bitvec.words_for n) and ccap = bucket_size count in
-  let p = rows_pool a wcap ccap in
+let pages a ~words count =
+  let ccap = bucket_size count in
+  let p = pages_pool a words ccap in
   a.checkouts <- a.checkouts + 1;
-  let t =
-    if p.next < p.count then begin
-      let t = p.items.(p.next) in
-      p.next <- p.next + 1;
-      t
-    end
-    else begin
-      a.misses <- a.misses + 1;
-      let t = Array.init ccap (fun _ -> Bitvec.of_buffer (Array.make wcap 0) n) in
-      push p t;
-      t
-    end
-  in
-  for i = 0 to count - 1 do
-    if full then Bitvec.reinit_full t.(i) n else Bitvec.reinit t.(i) n
-  done;
-  t
-
-let rows a n count = rows_gen a n count false
-let rows_full a n count = rows_gen a n count true
+  if p.next < p.count then begin
+    let t = p.items.(p.next) in
+    p.next <- p.next + 1;
+    t
+  end
+  else begin
+    a.misses <- a.misses + 1;
+    let t = Array.init ccap (fun _ -> Array.make words 0) in
+    push p t;
+    t
+  end
 
 let reset a =
   let rewind p = p.next <- 0 in
-  List.iter (fun r -> rewind r.tables) a.row_pools;
+  List.iter (fun r -> rewind r.spines) a.page_pools;
   List.iter rewind a.vec_pools;
   List.iter rewind a.int_pools;
   List.iter rewind a.bool_pools;
@@ -286,8 +275,8 @@ let reset a =
 
 let retained_words a =
   let words_of acc p = acc + (p.pcap * p.count) in
-  let rows_of acc r = words_of acc r.tables in
-  List.fold_left rows_of (List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools) a.row_pools
+  let pages_of acc r = words_of acc r.spines in
+  List.fold_left pages_of (List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools) a.page_pools
 
 let checkouts a = a.checkouts
 let misses a = a.misses
@@ -308,14 +297,6 @@ let alloc_int scratch n = match scratch with Some a -> int_array a n | None -> A
 
 let alloc_bool scratch n =
   match scratch with Some a -> bool_array a n | None -> Array.make n false
-
-let alloc_rows scratch n count =
-  match scratch with Some a -> rows a n count | None -> Array.init count (fun _ -> Bitvec.create n)
-
-let alloc_rows_full scratch n count =
-  match scratch with
-  | Some a -> rows_full a n count
-  | None -> Array.init count (fun _ -> Bitvec.create_full n)
 
 let alloc_vec scratch n =
   match scratch with Some a -> vec_array a n | None -> Array.make n empty_vec

@@ -23,9 +23,6 @@ val bitvec : t -> int -> Bitvec.t
 (** As {!bitvec} but all-one. *)
 val bitvec_full : t -> int -> Bitvec.t
 
-(** [copy a v] is an arena-backed copy of [v]. *)
-val copy : t -> Bitvec.t -> Bitvec.t
-
 (** [int_array a n] is an int array with (at least) [n] cells, the first
     [n] zeroed.  Callers must index below their requested [n] only. *)
 val int_array : t -> int -> int array
@@ -37,16 +34,11 @@ val bool_array : t -> int -> bool array
     [n] slots hold a shared zero-width dummy vector. *)
 val vec_array : t -> int -> Bitvec.t array
 
-(** [rows a n count] is a table of (at least) [count] slots whose first
-    [count] hold distinct all-zero [n]-bit vectors: a label- or
-    edge-indexed table of rows as one checkout.  The table is parked with
-    its rows, so a warm checkout re-initializes the rows in place and
-    allocates and stores nothing.  Callers may write the rows' bits but
-    must never store into the table's slots: the rows belong to it. *)
-val rows : t -> int -> int -> Bitvec.t array
-
-(** As {!rows} with all-one rows. *)
-val rows_full : t -> int -> int -> Bitvec.t array
+(** [pages a ~words count] is a spine of (at least) [count] pages of
+    [words] words each, parked together: the storage of a
+    {!Rowtab.create} table.  The pages hold whatever the last checkout
+    left; the caller writes every row it reads. *)
+val pages : t -> words:int -> int -> int array array
 
 (** Return every loaned object to its pool by rewinding the cursors.
     Does not shrink capacity — the point is that the *next* request's
@@ -76,5 +68,3 @@ val alloc_copy : t option -> Bitvec.t -> Bitvec.t
 val alloc_int : t option -> int -> int array
 val alloc_bool : t option -> int -> bool array
 val alloc_vec : t option -> int -> Bitvec.t array
-val alloc_rows : t option -> int -> int -> Bitvec.t array
-val alloc_rows_full : t option -> int -> int -> Bitvec.t array

@@ -251,30 +251,3 @@ let of_list n is =
 
 let pp ppf v =
   Format.fprintf ppf "{%a}" (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Format.pp_print_int) (to_list v)
-
-module Interner = struct
-  module Tbl = Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal a b = a.len = b.len && equal a b
-
-    (* The used words only: an arena row's buffer may be longer. *)
-    let hash v =
-      let h = ref v.len in
-      for w = 0 to nwords v - 1 do
-        h := (!h * 31) + Array.unsafe_get v.words w
-      done;
-      Hashtbl.hash !h
-  end)
-
-  type nonrec t = t Tbl.t
-
-  let create n = Tbl.create n
-
-  let intern tbl v =
-    match Tbl.find tbl v with
-    | u -> u
-    | exception Not_found ->
-      Tbl.add tbl v v;
-      v
-end

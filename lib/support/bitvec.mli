@@ -132,14 +132,3 @@ val bits_per_word : int
 
 (** Renders as a ["{1, 4, 7}"]-style set. *)
 val pp : Format.formatter -> t -> unit
-
-(** Hash-consing: [intern tbl v] is the vector of [tbl] equal to [v],
-    after adding [v] when there is none.  A table of rows that are never
-    written again lets equal rows share one vector. *)
-module Interner : sig
-  type bitvec := t
-  type t
-
-  val create : int -> t
-  val intern : t -> bitvec -> bitvec
-end

@@ -8,6 +8,7 @@
 
 module Bitvec = Lcm_support.Bitvec
 module Arena = Lcm_support.Arena
+module Rowtab = Lcm_support.Rowtab
 module Pool = Lcm_support.Pool
 module Fault = Lcm_support.Fault
 module Suites = Lcm_eval.Suites
@@ -54,30 +55,43 @@ let prop_clean_after_dirty_reset =
       && (not (Array.exists Fun.id (Array.sub ba 0 n2)))
       && Array.for_all (fun i -> Bitvec.length va.(i) = 0) (Array.init n2 Fun.id))
 
-(* Row tables: after a dirty reset, a checkout of any width and row count
-   in any bucket relation to the dirty one holds [count] distinct rows of
-   exactly that width, all-zero ([rows]) or all-one ([rows_full]); a warm
-   re-checkout of the same shape misses nothing. *)
+(* Row tables: after a dirty reset, a table of any width and row count
+   in any bucket relation to the dirty one holds [count] rows of exactly
+   that width, all-zero or all-one as asked, each row its own storage; a
+   warm re-checkout of the same shape misses nothing. *)
 let prop_rows_clean_after_dirty_reset =
   QCheck2.Test.make ~name:"row tables: clean after dirty reset, warm re-checkout" ~count:200
     QCheck2.Gen.(quad (1 -- 200) (1 -- 40) (1 -- 200) (1 -- 40))
     (fun (n1, c1, n2, c2) ->
       let a = Arena.create () in
-      Array.iter (fun v -> Bitvec.fill v true) (Arena.rows a n1 c1);
-      Array.iter (fun v -> Bitvec.fill v false) (Arena.rows_full a n1 c1);
+      let row n full = Bitvec.words (if full then Bitvec.create_full n else Bitvec.create n) in
+      let table n c full = Rowtab.create (Some a) ~nw:(Bitvec.words_for n) ~count:c (row n full) in
+      let zero1 = table n1 c1 false and full1 = table n1 c1 true in
+      for i = 0 to c1 - 1 do
+        ignore (Rowtab.store zero1 i (row n1 true));
+        ignore (Rowtab.store full1 i (row n1 false))
+      done;
       Arena.reset a;
-      let zero = Arena.rows a n2 c2 and full = Arena.rows_full a n2 c2 in
+      let zero = table n2 c2 false and full = table n2 c2 true in
       let ok rows expect =
         Array.for_all
-          (fun i -> Bitvec.length rows.(i) = n2 && Bitvec.count rows.(i) = expect)
+          (fun i -> Bitvec.length (Rowtab.to_bitvec rows i n2) = n2 && Bitvec.count (Rowtab.to_bitvec rows i n2) = expect)
           (Array.init c2 Fun.id)
       in
-      let distinct = Array.for_all (fun i -> i = 0 || zero.(i) != zero.(i - 1)) (Array.init c2 Fun.id) in
+      let clean = ok zero 0 && ok full n2 in
+      let distinct =
+        Array.for_all
+          (fun i ->
+            i + 1 = c2
+            || (ignore (Rowtab.store zero i (row n2 true));
+                Bitvec.count (Rowtab.to_bitvec zero (i + 1) n2) = 0))
+          (Array.init c2 Fun.id)
+      in
       Arena.reset a;
       let misses = Arena.misses a in
-      ignore (Arena.rows a n2 c2);
-      ignore (Arena.rows_full a n2 c2);
-      ok zero 0 && ok full n2 && distinct && Arena.misses a = misses)
+      ignore (table n2 c2 false);
+      ignore (table n2 c2 true);
+      clean && distinct && Arena.misses a = misses)
 
 (* Set-algebra results on recycled vectors match fresh heap vectors: the
    capacity tail beyond [len] must never influence count/equal/complement. *)

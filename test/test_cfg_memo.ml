@@ -459,11 +459,52 @@ let test_engine_chain_bril () =
       Alcotest.(check bool) name true (engine_chain ~seed:(13 * i) ~deltas:12 g))
     (Test_solver.bril_corpus ())
 
+(* A block prints from its plain text memo, from its escaped memo (which
+   replaces the text once the graph is escaped for a response), or from
+   no memo at all: the three prints, and a graph mixing them, are the
+   reference printer's bytes.  Real programs (the Bril corpus) and a
+   1,000-block generated graph. *)
+let test_print_memo_kinds () =
+  let check name g =
+    let expected = Reference.to_string g in
+    let plain_free = Cfg.to_string g in
+    let plain_memo = Cfg.to_string g in
+    let literal = Cfg.to_json g in
+    let escaped_memo = Cfg.to_string g in
+    (* A copy with one block replaced: its other blocks keep their escaped
+       memos, the new record has none. *)
+    let mixed = Cfg.copy g in
+    let l = List.hd (List.rev (Cfg.labels mixed)) in
+    Cfg.set_instrs mixed l (Cfg.instrs mixed l);
+    let escape s =
+      let buf = Buffer.create (String.length s + 2) in
+      Buffer.add_char buf '"';
+      Lcm_obs.Json.escape_into buf s;
+      Buffer.add_char buf '"';
+      Buffer.contents buf
+    in
+    List.iter
+      (fun (what, got) -> Alcotest.(check string) (name ^ ": " ^ what) expected got)
+      [
+        ("memo-free print", plain_free);
+        ("plain-memo print", plain_memo);
+        ("escaped-memo print", escaped_memo);
+        ("escaped-memo print, again", Cfg.to_string g);
+        ("mixed print", Cfg.to_string mixed);
+      ];
+    Alcotest.(check string) (name ^ ": escaped literal") (escape expected) literal
+  in
+  List.iter (fun (name, g) -> check name g) (Test_solver.bril_corpus ());
+  check "gencfg 1000"
+    (Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks = 1000 } (Prng.of_int 1000))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_chain;
     Alcotest.test_case "memoised views ≡ references (Bril corpus chains)" `Quick test_chain_bril;
     Alcotest.test_case "split_edge keeps the validation mark" `Quick test_split_keeps_mark;
+    Alcotest.test_case "plain-memo, escaped-memo and memo-free prints are the reference's bytes" `Quick
+      test_print_memo_kinds;
     QCheck_alcotest.to_alcotest prop_engine_chain;
     Alcotest.test_case "engine delta chain ≡ from-scratch responses (Bril corpus)" `Quick
       test_engine_chain_bril;

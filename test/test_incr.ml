@@ -369,6 +369,56 @@ let test_restart_visits () =
       end)
     computing
 
+(* A delta's analysis costs what it changes, not what the graph holds:
+   a single-block body delta on a warm arena allocates (GC-fenced) no
+   more at 4,000 blocks than 1.5x what it allocates at 1,000.  The delta
+   recomputes a candidate its block already computes downwards exposed,
+   so no predicate row moves and every word it allocates is bookkeeping
+   (the occurrence index's pages, the lists, the capture's records): a
+   table copied whole, or one pointer per block, would grow with the
+   graph. *)
+let test_delta_alloc_o_change () =
+  let word_bytes = float_of_int (Sys.word_size / 8) in
+  let words blocks =
+    let g = reread (Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks = blocks } (Prng.of_int blocks)) in
+    let a, saved = Lcm_edge.analyze_keep g in
+    let l, e =
+      List.find_map
+        (fun l ->
+          let comp = Local.comp a.Lcm_edge.local l in
+          List.find_map
+            (fun i ->
+              match Instr.candidate i with
+              | Some e when Bitvec.get comp (Expr_pool.index_exn a.Lcm_edge.pool e) -> Some (l, e)
+              | Some _ | None -> None)
+            (Cfg.instrs g l))
+        (interior g)
+      |> Option.get
+    in
+    let g' = Cfg.copy g in
+    let dirty = Patch.apply g' [ Patch.Set_instrs (l, Cfg.instrs g l @ [ Instr.Assign ("zdelta", e) ]) ] in
+    let arena = Arena.create () in
+    let run () =
+      (match Lcm_edge.analyze_incr ~scratch:arena g' ~prev:saved ~dirty with
+      | Some (_, _, region) -> if region <> 0 then Alcotest.failf "%d blocks: the delta moved %d rows" blocks region
+      | None -> Alcotest.failf "%d blocks: the pool changed" blocks);
+      Arena.reset arena
+    in
+    for _ = 1 to 5 do
+      run ()
+    done;
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    for _ = 1 to 20 do
+      run ()
+    done;
+    Gc.minor ();
+    (Gc.allocated_bytes () -. a0) /. 20. /. word_bytes
+  in
+  let w1 = words 1000 and w4 = words 4000 in
+  if w4 > 1.5 *. w1 then
+    Alcotest.failf "a single-block delta allocates %.0f words at 4,000 blocks, %.0f at 1,000" w4 w1
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_chain;
@@ -376,4 +426,6 @@ let suite =
     Alcotest.test_case "single-block delta at 1,000 blocks: LATERIN and liveness visits ≤ 10% of a full solve"
       `Quick test_restart_visits;
     Alcotest.test_case "a rewrite memo misses when only the block's COPY set changed" `Quick test_memo_keyed_by_copies;
+    Alcotest.test_case "a single-block delta allocates no more at 4,000 blocks than 1.5x at 1,000" `Quick
+      test_delta_alloc_o_change;
   ]

@@ -249,9 +249,9 @@ let reference_cascade g =
   in
   let earliest =
     table edges (fun (p, b) ->
-        let v = Bitvec.diff (antic.Solver.block_in b) (avail.Solver.block_out p) in
+        let v = Bitvec.diff (antic.Reference.block_in b) (avail.Reference.block_out p) in
         if Label.equal p entry then v
-        else Bitvec.diff v (Bitvec.inter (Local.transp local p) (antic.Solver.block_out p)))
+        else Bitvec.diff v (Bitvec.inter (Local.transp local p) (antic.Reference.block_out p)))
   in
   let laterin = Hashtbl.create 64 in
   List.iter (fun l -> Hashtbl.replace laterin l (Bitvec.create_full n)) labels;

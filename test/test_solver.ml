@@ -5,6 +5,7 @@ module Bitvec = Lcm_support.Bitvec
 module Cfg = Lcm_cfg.Cfg
 module Label = Lcm_cfg.Label
 module Solver = Lcm_dataflow.Solver
+module Rowtab = Lcm_support.Rowtab
 module Expr = Lcm_ir.Expr
 module Instr = Lcm_ir.Instr
 
@@ -33,7 +34,7 @@ let rows ~gen_at ~kill_at g =
 
 let one_bit_spec g direction confluence ~gen_at ~kill_at =
   let gen, keep = rows ~gen_at ~kill_at g in
-  { Solver.nbits = 1; direction; confluence; boundary = Bitvec.create 1; gen; keep }
+  { Solver.nbits = 1; direction; confluence; boundary = Bitvec.create 1; gen = Rowtab.of_rows 1 gen; keep = Rowtab.of_rows 1 keep }
 
 let run g direction confluence ~gen_at ~kill_at =
   Solver.run g (one_bit_spec g direction confluence ~gen_at ~kill_at)
@@ -136,9 +137,24 @@ module Reference = struct
     in
     { nbits; direction; confluence; boundary; transfer }
 
+  let bitvecs n t = Array.init t.Rowtab.count (fun l -> Rowtab.to_bitvec t l n)
+
   let of_spec (s : Solver.spec) =
     of_rows ~nbits:s.Solver.nbits ~direction:s.Solver.direction ~confluence:s.Solver.confluence
-      ~boundary:s.Solver.boundary ~gen:s.Solver.gen ~keep:s.Solver.keep
+      ~boundary:s.Solver.boundary ~gen:(bitvecs s.Solver.nbits s.Solver.gen)
+      ~keep:(bitvecs s.Solver.nbits s.Solver.keep)
+
+  (* The solver's result without its tables, which the reference has
+     none of. *)
+  type result = {
+    block_in : Label.t -> Bitvec.t;
+    block_out : Label.t -> Bitvec.t;
+    sweeps : int;
+    visits : int;
+  }
+
+  let of_solver (r : Solver.result) =
+    { block_in = r.Solver.block_in; block_out = r.Solver.block_out; sweeps = r.Solver.sweeps; visits = r.Solver.visits }
 
   type state = {
     g : Cfg.t;
@@ -247,7 +263,7 @@ module Reference = struct
       | Solver.Forward -> ((fun l -> st.meet.(l)), fun l -> st.flow.(l))
       | Solver.Backward -> ((fun l -> st.flow.(l)), fun l -> st.meet.(l))
     in
-    { Solver.block_in; block_out; sweeps; visits }
+    { block_in; block_out; sweeps; visits }
 
   let run ?(engine = Worklist) g spec =
     let st = make_state g spec in
@@ -305,20 +321,20 @@ end
 
 (* [same_rows g a b] holds when two results agree on every block's in and
    out rows; [same_result] also on both counters. *)
-let same_rows g (a : Solver.result) (b : Solver.result) =
+let same_rows g (a : Reference.result) (b : Reference.result) =
   List.for_all
     (fun l ->
-      Bitvec.equal (a.Solver.block_in l) (b.Solver.block_in l)
-      && Bitvec.equal (a.Solver.block_out l) (b.Solver.block_out l))
+      Bitvec.equal (a.Reference.block_in l) (b.Reference.block_in l)
+      && Bitvec.equal (a.Reference.block_out l) (b.Reference.block_out l))
     (Cfg.labels g)
 
-let same_result g (a : Solver.result) (b : Solver.result) =
-  a.Solver.visits = b.Solver.visits && a.Solver.sweeps = b.Solver.sweeps && same_rows g a b
+let same_result g (a : Reference.result) (b : Reference.result) =
+  a.Reference.visits = b.Reference.visits && a.Reference.sweeps = b.Reference.sweeps && same_rows g a b
 
 (* The solver against the oracle: rows and counters equal to the
    reference worklist's, rows equal to the reference sweep's. *)
 let matches_reference g spec =
-  let r = Solver.run g spec and reference = Reference.of_spec spec in
+  let r = Reference.of_solver (Solver.run g spec) and reference = Reference.of_spec spec in
   same_result g r (Reference.run g reference)
   && same_rows g r (Reference.run ~engine:Reference.Sweep g reference)
 
@@ -337,9 +353,9 @@ let test_counts_monotone () =
     Reference.run ~engine:Reference.Sweep g
       (Reference.of_spec (one_bit_spec g Solver.Forward Solver.Inter ~gen_at:[ a ] ~kill_at:[]))
   in
-  Alcotest.(check bool) "sweep engine: at least two sweeps" true (s.Solver.sweeps >= 2);
+  Alcotest.(check bool) "sweep engine: at least two sweeps" true (s.Reference.sweeps >= 2);
   Alcotest.(check bool) "sweep engine: visits = sweeps * blocks" true
-    (s.Solver.visits = s.Solver.sweeps * 6)
+    (s.Reference.visits = s.Reference.sweeps * 6)
 
 (* The solver computes bit-identical block_in/block_out to the reference
    round-robin sweep, on random CFGs, for all four problem shapes, at a
@@ -358,10 +374,17 @@ let test_worklist_equals_sweep () =
         List.iter
           (fun confluence ->
             let spec =
-              { Solver.nbits; direction; confluence; boundary = Bitvec.create nbits; gen; keep }
+              {
+                Solver.nbits;
+                direction;
+                confluence;
+                boundary = Bitvec.create nbits;
+                gen = Rowtab.of_rows nbits gen;
+                keep = Rowtab.of_rows nbits keep;
+              }
             in
             let s = Reference.run ~engine:Reference.Sweep g (Reference.of_spec spec) in
-            Alcotest.(check bool) "rows identical" true (same_rows g (Solver.run g spec) s))
+            Alcotest.(check bool) "rows identical" true (same_rows g (Reference.of_solver (Solver.run g spec)) s))
           [ Solver.Union; Solver.Inter ])
       [ Solver.Forward; Solver.Backward ]
   done
@@ -392,7 +415,14 @@ let kernel_graph rng =
 
 let random_spec rng g (direction, confluence) nbits =
   let gen, keep = random_rows rng (Cfg.label_bound g) nbits in
-  { Solver.nbits; direction; confluence; boundary = random_vec rng nbits ~den:3; gen; keep }
+  {
+    Solver.nbits;
+    direction;
+    confluence;
+    boundary = random_vec rng nbits ~den:3;
+    gen = Rowtab.of_rows nbits gen;
+    keep = Rowtab.of_rows nbits keep;
+  }
 
 let seed_gen = QCheck2.Gen.int_bound 1_000_000
 
@@ -416,39 +446,50 @@ let prop_kernel_equals_reference =
    reachable again) or appends a block.  The change-driven restart must
    land on the rows of a from-scratch solve and of the former
    reset-the-closure restart ([Reference.resolve]), report exactly the
-   blocks whose rows changed, and leave the capture it restarted from
-   untouched. *)
+   blocks whose rows changed, and never write the capture it restarted
+   from: every row of its tables (flow, GEN and KEEP) is compared
+   against a deep copy taken before, after a restart whose result is
+   dropped and after the one whose result is kept. *)
 let rows_of g (r : Solver.result) =
   List.map (fun l -> (l, Bitvec.copy (r.Solver.block_in l), Bitvec.copy (r.Solver.block_out l))) (Cfg.labels g)
+
+(* Every row of every table, copied out word by word. *)
+let deep_copy tables =
+  List.map
+    (fun t ->
+      let nw = t.Rowtab.nw in
+      Array.init t.Rowtab.count (fun i -> Array.sub (Rowtab.page t i) (Rowtab.off t i) nw))
+    tables
+
+let capture_tables (r : Solver.result) (spec : Solver.spec) = [ r.Solver.flow; spec.Solver.gen; spec.Solver.keep ]
 
 let random_round rng g (spec : Solver.spec) nbits =
   let labels = Array.of_list (Cfg.labels g) in
   let pick () = labels.(Prng.int rng (Array.length labels)) in
   let l = pick () in
-  let gen = Array.copy spec.Solver.gen and keep = Array.copy spec.Solver.keep in
+  let gen = Reference.bitvecs nbits spec.Solver.gen and keep = Reference.bitvecs nbits spec.Solver.keep in
+  let tables gen keep = { spec with Solver.gen = Rowtab.of_rows nbits gen; keep = Rowtab.of_rows nbits keep } in
   match Prng.int rng 3 with
   | 0 when not (Label.equal l (Cfg.exit_label g)) ->
     let target = pick () in
     let old = Cfg.successors g l in
     Cfg.set_term g l (Cfg.Goto target);
-    ({ spec with Solver.gen; keep }, (l :: old) @ Cfg.successors g l)
+    (tables gen keep, (l :: old) @ Cfg.successors g l)
   | 1 ->
     let target = pick () in
     let n = Cfg.add_block g ~instrs:[] ~term:(Cfg.Goto target) in
     let gen = Array.append gen [| random_vec rng nbits ~den:4 |] in
     let keep = Array.append keep [| Bitvec.complement (random_vec rng nbits ~den:4) |] in
     assert (Array.length gen = n + 1);
-    ({ spec with Solver.gen; keep }, [ n; target ])
+    (tables gen keep, [ n; target ])
   | _ ->
     (* Flip a few bits of GEN and KEEP: some gained, some lost. *)
-    gen.(l) <- Bitvec.copy gen.(l);
-    keep.(l) <- Bitvec.copy keep.(l);
     for _ = 1 to 1 + Prng.int rng 3 do
       let i = Prng.int rng nbits in
       if Prng.bool rng then Bitvec.set gen.(l) i (not (Bitvec.get gen.(l) i))
       else Bitvec.set keep.(l) i (not (Bitvec.get keep.(l) i))
     done;
-    ({ spec with Solver.gen; keep }, [ l ])
+    (tables gen keep, [ l ])
 
 let prop_restart_equals_reference =
   QCheck2.Test.make ~name:"GEN/KEEP kernel ≡ closure reference (restart after body/shape edits)"
@@ -467,12 +508,24 @@ let prop_restart_equals_reference =
             (fun round ->
               let prev_r, saved, rsaved = !state in
               let before = rows_of g prev_r in
+              let prev_tables = capture_tables prev_r !spec in
+              let snapshot = deep_copy prev_tables in
+              let intact what =
+                deep_copy prev_tables = snapshot
+                || QCheck2.Test.fail_reportf "a %s restart wrote into the capture it restarted from (round %d)" what
+                     round
+              in
               let old_bound = Cfg.label_bound g in
               let spec', dirty = random_round rng g !spec nbits in
               spec := spec';
+              (* A restart whose result is dropped, as when the request
+                 fails after its solve. *)
+              ignore (Solver.restart g spec' ~prev:saved ~dirty);
+              intact "discarded"
+              &&
               match Solver.restart g spec' ~prev:saved ~dirty with
               | None -> QCheck2.Test.fail_report "restart refused an admissible capture"
-              | Some (r, saved', changed) ->
+              | Some (r, saved') ->
                 let r', rsaved', _ = Reference.resolve g (Reference.of_spec spec') ~prev:rsaved ~dirty in
                 let expected_changed =
                   List.filter
@@ -487,9 +540,10 @@ let prop_restart_equals_reference =
                               before))
                     (Cfg.labels g)
                 in
-                let changed = List.sort compare (Array.to_list changed) in
+                let changed = Array.to_list r.Solver.changed in
                 state := (r, saved', rsaved');
-                (same_rows g r (Solver.run g spec') && same_rows g r r'
+                let ro = Reference.of_solver r in
+                (same_rows g ro (Reference.of_solver (Solver.run g spec')) && same_rows g ro r'
                 || QCheck2.Test.fail_reportf "restart mismatch at %d bits, round %d" nbits round)
                 && (changed = expected_changed
                    || QCheck2.Test.fail_reportf "restart reported %d changed rows, expected %d"
@@ -498,7 +552,8 @@ let prop_restart_equals_reference =
                       (fun (l, i, o) ->
                         Bitvec.equal i (prev_r.Solver.block_in l) && Bitvec.equal o (prev_r.Solver.block_out l))
                       before
-                   || QCheck2.Test.fail_reportf "restart wrote into the capture it restarted from"))
+                   || QCheck2.Test.fail_reportf "restart wrote into the capture it restarted from")
+                && intact "kept")
             (List.init 8 Fun.id))
         shapes)
 
@@ -563,10 +618,10 @@ let reference_lcm g =
   let antic = solve Solver.Backward Local.antloc Local.transp in
   let entry = Cfg.entry g in
   let earliest (p, b) =
-    let v = Bitvec.copy (antic.Solver.block_in b) in
-    ignore (Bitvec.diff_into ~into:v (avail.Solver.block_out p));
+    let v = Bitvec.copy (antic.Reference.block_in b) in
+    ignore (Bitvec.diff_into ~into:v (avail.Reference.block_out p));
     if not (Label.equal p entry) then begin
-      let movable = Bitvec.inter (Local.transp local p) (antic.Solver.block_out p) in
+      let movable = Bitvec.inter (Local.transp local p) (antic.Reference.block_out p) in
       ignore (Bitvec.diff_into ~into:v movable)
     end;
     v
