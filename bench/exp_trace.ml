@@ -64,6 +64,7 @@ type size_result = {
   decode_w_per_kb : float;  (* Json.parse of a run request frame, words per KB of frame *)
   bril_parse_w_per_kb : float;  (* Bril.parse_program of the graph, words per KB of Bril text *)
   cfg_parse_w_per_kb : float;  (* Cfg_text.parse of the graph's canonical text, words per KB *)
+  miniimp_parse_w_per_kb : float;  (* Frontend MiniImp parse of Gencfg source, pool included, words per KB *)
   delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
   delta_e2e_w : float;  (* the same delta end to end: copy, patch, solve, transform, counts, print, encode *)
   delta_phases : (string * float * float) list;  (* the delta's analyze_incr by phase: name, us, words *)
@@ -106,6 +107,22 @@ let phase_alloc prof name =
   List.find_opt (fun (r : Prof.row) -> r.Prof.name = name) (Prof.rows prof)
   |> Option.map (fun (r : Prof.row) ->
          if r.Prof.count = 0 then 0. else r.Prof.alloc_w /. float_of_int r.Prof.count)
+
+(* MiniImp source of about [blocks] lowered blocks: Gencfg functions'
+   bodies in sequence, as the serving benchmark writes its programs. *)
+let miniimp_source ~blocks =
+  let rng = Lcm_support.Prng.of_int (2000 + blocks) in
+  let params = { Lcm_eval.Gencfg.num_stmts = 6; max_depth = 2; num_vars = 5; loop_bound = 2 } in
+  let rec grow acc est =
+    if est >= blocks then List.concat (List.rev acc)
+    else begin
+      let f = Lcm_eval.Gencfg.random_func ~params rng in
+      let body = List.filter (function Lcm_ir.Ast.Return _ -> false | _ -> true) f.Lcm_ir.Ast.body in
+      grow (body :: acc) (est + Cfg.num_blocks (Lcm_cfg.Lower.func f) - 2)
+    end
+  in
+  let body = grow [] 0 @ [ Lcm_ir.Ast.Return (Lcm_ir.Ast.Var "a") ] in
+  Lcm_ir.Ast.to_string [ { Lcm_ir.Ast.name = "f"; params = Lcm_eval.Gencfg.func_inputs params; body } ]
 
 (* One timed run of the lcm-edge pipeline.  The graph is re-parsed from
    nothing each iteration?  No — the pipeline copies internally; running
@@ -234,6 +251,17 @@ let measure_size ~blocks ~iters =
     per_kb (String.length text)
       (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () -> ignore (Lcm_cfg.Cfg_text.parse text)))
   in
+  (* The MiniImp frontend as the engine calls it, on source of the same
+     size, the candidate pool included (a graph read through the builder
+     carries it; one lowered block by block had to build it next). *)
+  let imp = miniimp_source ~blocks in
+  let miniimp_parse_w_per_kb =
+    per_kb (String.length imp)
+      (alloc_per_request ~warm:2 ~iters:alloc_iters (fun () ->
+           match Lcm_frontend.Frontend.miniimp.Lcm_frontend.Frontend.parse imp with
+           | Ok [ (_, g) ] -> ignore (Cfg.candidate_pool g)
+           | Ok _ | Error _ -> failwith "EXP-TRACE: the generated MiniImp source did not read as one function"))
+  in
   (* One admissible delta, the incremental tier's unit of work: the first
      block computing a candidate computes it once more (the candidate pool
      is unchanged), and [analyze_incr] restarts from the capture of the
@@ -347,6 +375,7 @@ let measure_size ~blocks ~iters =
     decode_w_per_kb;
     bril_parse_w_per_kb;
     cfg_parse_w_per_kb;
+    miniimp_parse_w_per_kb;
     delta_incr_w;
     delta_e2e_w;
     delta_phases;
@@ -629,10 +658,12 @@ let print_alloc_rows rows =
      output graph scales with program size), a backstop against gross
      regressions.
    - "cfg.print.w_per_kb" / "json.decode.w_per_kb" / "bril.parse.w_per_kb"
-     / "cfg.parse.w_per_kb": the text layers of a request — [Cfg.to_string],
-     [Json.parse] of a run request frame, [Bril.parse_program] of the graph
-     printed as Bril and [Cfg_text.parse] of its canonical text — in words
-     per KB of text, fenced like the two above.
+     / "cfg.parse.w_per_kb" / "miniimp.parse.w_per_kb": the text layers of
+     a request — [Cfg.to_string], [Json.parse] of a run request frame,
+     [Bril.parse_program] of the graph printed as Bril, [Cfg_text.parse] of
+     its canonical text, and the MiniImp frontend on Gencfg source of the
+     same size, pool included — in words per KB of text, fenced like the
+     two above.
    - "delta.incr.w": [analyze_incr] of one admissible single-block body
      delta on the arena path, the capture it builds included — fenced.
    - "delta.e2e.w": the same delta end to end, from the copy of the
@@ -689,6 +720,7 @@ let check_alloc_budget rows =
                 | "json.decode.w_per_kb" -> Some r.decode_w_per_kb
                 | "bril.parse.w_per_kb" -> Some r.bril_parse_w_per_kb
                 | "cfg.parse.w_per_kb" -> Some r.cfg_parse_w_per_kb
+                | "miniimp.parse.w_per_kb" -> Some r.miniimp_parse_w_per_kb
                 | "delta.incr.w" -> Some r.delta_incr_w
                 | "delta.e2e.w" -> Some r.delta_e2e_w
                 | _ -> phase_alloc r.prof_arena name
@@ -733,6 +765,7 @@ let json_of_size r =
       ("decode_w_per_kb", Json.Float (Float.round r.decode_w_per_kb));
       ("bril_parse_w_per_kb", Json.Float (Float.round r.bril_parse_w_per_kb));
       ("cfg_parse_w_per_kb", Json.Float (Float.round r.cfg_parse_w_per_kb));
+      ("miniimp_parse_w_per_kb", Json.Float (Float.round r.miniimp_parse_w_per_kb));
       ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
       ("delta_e2e_w", Json.Float (Float.round r.delta_e2e_w));
       ( "delta_phases",

@@ -4,7 +4,7 @@ type loop = {
   back_edges : (Label.t * Label.t) list;
 }
 
-type t = { by_header : loop Label.Map.t; ordered : loop list }
+type t = { ordered : loop list }
 
 let natural_loop_body g header tails =
   (* Walk backwards from each tail, stopping at the header. *)
@@ -47,21 +47,9 @@ let compute g =
       (fun a b -> compare (rpo_pos a.header) (rpo_pos b.header))
       (List.map snd (Label.Map.bindings loops_map))
   in
-  { by_header = loops_map; ordered }
+  { ordered }
 
 let loops t = t.ordered
-let loop_of_header t h = Label.Map.find_opt h t.by_header
-
-let innermost_containing t l =
-  let containing = List.filter (fun lp -> Label.Set.mem l lp.body) t.ordered in
-  match containing with
-  | [] -> None
-  | first :: rest ->
-    Some
-      (List.fold_left
-         (fun best lp -> if Label.Set.cardinal lp.body < Label.Set.cardinal best.body then lp else best)
-         first rest)
-
 let depth t l = List.length (List.filter (fun lp -> Label.Set.mem l lp.body) t.ordered)
 
 let max_depth t =

@@ -18,13 +18,6 @@ val compute : Cfg.t -> t
 (** All loops, one per header, outermost first (by header RPO position). *)
 val loops : t -> loop list
 
-(** [loop_of_header t h]. *)
-val loop_of_header : t -> Label.t -> loop option
-
-(** [innermost_containing t l] is the loop with the smallest body containing
-    [l], if any. *)
-val innermost_containing : t -> Label.t -> loop option
-
 (** [depth t l] is the number of loops whose body contains [l]. *)
 val depth : t -> Label.t -> int
 

@@ -1,88 +1,101 @@
 module Ast = Lcm_ir.Ast
 module Expr = Lcm_ir.Expr
-module Instr = Lcm_ir.Instr
 module Parser = Lcm_ir.Parser
 
 let return_var = "_ret"
 
-(* Mutable lowering state: the graph under construction, the block being
-   filled (with its instructions accumulated in reverse), and a fresh-name
-   supply that cannot collide with source variables. *)
+(* Lowering state: the builder, the block being filled (-1: none, after a
+   block is closed), and a fresh-name supply that cannot collide with
+   source variables. *)
 type state = {
-  graph : Cfg.t;
-  mutable current : Label.t option;
-  mutable pending : Instr.t list;  (* reversed *)
+  b : Build.t;
+  mutable current : Label.t;
   temp_prefix : string;
   mutable next_temp : int;
 }
 
+let var st v = Build.var_of_name st.b v
+
 let fresh_temp st =
-  let v = Printf.sprintf "%s%d" st.temp_prefix st.next_temp in
+  let v = var st (st.temp_prefix ^ string_of_int st.next_temp) in
   st.next_temp <- st.next_temp + 1;
   v
 
-let emit st i = st.pending <- i :: st.pending
-
-(* Close the current block with [term], flushing pending instructions. *)
+(* Close the current block with [term]; its instructions stay with the
+   builder until the next block starts. *)
 let seal st term =
-  match st.current with
-  | None -> ()
-  | Some l ->
-    Cfg.set_instrs st.graph l (List.rev st.pending);
-    Cfg.set_term st.graph l term;
-    st.pending <- [];
-    st.current <- None
+  if st.current >= 0 then begin
+    Build.set_term st.b st.current term;
+    st.current <- -1
+  end
 
 (* Start filling a fresh block and return its label. *)
 let start_block st =
-  assert (st.current = None);
-  let l = Cfg.add_block st.graph ~instrs:[] ~term:Cfg.Halt in
-  st.current <- Some l;
+  assert (st.current < 0);
+  let l = Build.new_block st.b in
+  Build.start st.b l;
+  st.current <- l;
   l
 
 (* Ensure some block is open (after a Return the rest of the statement list
-   is unreachable; we lower it into a dangling block and let
-   [remove_unreachable] discard it). *)
-let ensure_open st = if st.current = None then ignore (start_block st)
+   is unreachable; we lower it into a dangling block and let the builder's
+   pruning discard it). *)
+let ensure_open st = if st.current < 0 then ignore (start_block st)
 
-let rec flatten_operand st (e : Ast.expr) : Expr.operand =
+let dest st dst = if dst >= 0 then dst else fresh_temp st
+
+(* The operand code of [e], a compound [e] materialized into a fresh
+   temporary. *)
+let rec operand st (e : Ast.expr) =
   match e with
-  | Ast.Int n -> Expr.Const n
-  | Ast.Var v -> Expr.Var v
-  | Ast.Unary _ | Ast.Binary _ ->
-    let rhs = flatten_rhs st e in
-    let t = fresh_temp st in
-    emit st (Instr.Assign (t, rhs));
-    Expr.Var t
+  | Ast.Int n -> Build.const st.b n
+  | Ast.Var v -> Vars.var_code (var st v)
+  | Ast.Unary _ | Ast.Binary _ -> Vars.var_code (assign st (-1) e)
 
-(* Flatten [e] into an instruction right-hand side, materializing
-   sub-expressions as temporaries. *)
-and flatten_rhs st (e : Ast.expr) : Expr.t =
+(* Emit [dst := e] with [e]'s sub-expressions materialized as temporaries
+   first; [dst] -1 is a fresh temporary, numbered after theirs.  Returns
+   [dst]. *)
+and assign st dst (e : Ast.expr) =
   match e with
-  | Ast.Int n -> Expr.Atom (Expr.Const n)
-  | Ast.Var v -> Expr.Atom (Expr.Var v)
-  | Ast.Unary (op, a) -> Expr.Unary (op, flatten_operand st a)
-  | Ast.Binary (op, a, b) ->
-    let oa = flatten_operand st a in
-    let ob = flatten_operand st b in
-    Expr.Binary (op, oa, ob)
+  | Ast.Int _ | Ast.Var _ ->
+    let a = operand st e in
+    let d = dest st dst in
+    Build.copy st.b d a;
+    d
+  | Ast.Unary (op, a) ->
+    let a = operand st a in
+    let d = dest st dst in
+    Build.unary st.b d op a;
+    d
+  | Ast.Binary (op, a, c) ->
+    let a = operand st a in
+    let c = operand st c in
+    let d = dest st dst in
+    Build.binary st.b d op a c;
+    d
 
+let condition st e = Build.operand st.b (operand st e)
+let goto st l tail = if tail >= 0 then Build.set_term st.b tail (Cfg.Goto l)
+
+(* A recursion rather than [List.iter (lower_stmt st)], which would
+   allocate a closure per statement list. *)
 let rec lower_stmts st (stmts : Ast.stmt list) =
-  List.iter (lower_stmt st) stmts
+  match stmts with
+  | [] -> ()
+  | s :: rest ->
+    lower_stmt st s;
+    lower_stmts st rest
 
 and lower_stmt st (s : Ast.stmt) =
   ensure_open st;
   match s with
-  | Ast.Assign (v, e) -> emit st (Instr.Assign (v, flatten_rhs st e))
-  | Ast.Print e ->
-    let a = flatten_operand st e in
-    emit st (Instr.Print a)
+  | Ast.Assign (v, e) -> ignore (assign st (var st v) e)
+  | Ast.Print e -> Build.print st.b (operand st e)
   | Ast.Return e ->
-    let rhs = flatten_rhs st e in
-    emit st (Instr.Assign (return_var, rhs));
-    seal st (Cfg.Goto (Cfg.exit_label st.graph))
+    ignore (assign st (var st return_var) e);
+    seal st (Cfg.Goto Build.exit_label)
   | Ast.If (cond, then_branch, else_branch) ->
-    let c = flatten_operand st cond in
+    let c = condition st cond in
     let here = st.current in
     seal st Cfg.Halt;
     let then_entry = start_block st in
@@ -94,14 +107,14 @@ and lower_stmt st (s : Ast.stmt) =
     let else_tail = st.current in
     seal st Cfg.Halt;
     let join = start_block st in
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Branch (c, then_entry, else_entry))) here;
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Goto join)) then_tail;
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Goto join)) else_tail
+    Build.set_term st.b here (Cfg.Branch (c, then_entry, else_entry));
+    goto st join then_tail;
+    goto st join else_tail
   | Ast.While (cond, body) ->
     let before = st.current in
     seal st Cfg.Halt;
     let header = start_block st in
-    let c = flatten_operand st cond in
+    let c = condition st cond in
     let cond_tail = st.current in
     seal st Cfg.Halt;
     let body_entry = start_block st in
@@ -109,41 +122,69 @@ and lower_stmt st (s : Ast.stmt) =
     let body_tail = st.current in
     seal st Cfg.Halt;
     let after = start_block st in
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Goto header)) before;
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Branch (c, body_entry, after))) cond_tail;
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Goto header)) body_tail
+    Build.set_term st.b before (Cfg.Goto header);
+    Build.set_term st.b cond_tail (Cfg.Branch (c, body_entry, after));
+    goto st header body_tail
   | Ast.Do_while (body, cond) ->
     let before = st.current in
     seal st Cfg.Halt;
     let body_entry = start_block st in
     lower_stmts st body;
     ensure_open st;
-    let c = flatten_operand st cond in
+    let c = condition st cond in
     let body_tail = st.current in
     seal st Cfg.Halt;
     let after = start_block st in
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Goto body_entry)) before;
-    Option.iter (fun l -> Cfg.set_term st.graph l (Cfg.Branch (c, body_entry, after))) body_tail
+    Build.set_term st.b before (Cfg.Goto body_entry);
+    Build.set_term st.b body_tail (Cfg.Branch (c, body_entry, after))
+
+(* The temporaries' prefix: ["_t"] extended until no parameter and no
+   variable the body reads starts with it. *)
+let temp_seed = "_t"
+
+let rec expr_need need (e : Ast.expr) =
+  match e with
+  | Ast.Int _ -> need
+  | Ast.Var v -> max need (Lcm_support.Fresh.run temp_seed v)
+  | Ast.Unary (_, a) -> expr_need need a
+  | Ast.Binary (_, a, b) -> expr_need (expr_need need a) b
+
+let rec stmts_need need stmts = List.fold_left stmt_need need stmts
+
+and stmt_need need (s : Ast.stmt) =
+  match s with
+  | Ast.Assign (_, e) | Ast.Print e | Ast.Return e -> expr_need need e
+  | Ast.If (c, t, f) -> stmts_need (stmts_need (expr_need need c) t) f
+  | Ast.While (c, b) -> stmts_need (expr_need need c) b
+  | Ast.Do_while (b, c) -> expr_need (stmts_need need b) c
 
 let temp_prefix_for (f : Ast.func) =
-  Lcm_support.Fresh.prefix ~existing:(Ast.stmt_vars f.Ast.body @ f.Ast.params) "_t"
+  let need = List.fold_left (fun need p -> max need (Lcm_support.Fresh.run temp_seed p)) 0 f.Ast.params in
+  Lcm_support.Fresh.extend temp_seed (stmts_need need f.Ast.body)
 
-let func (f : Ast.func) =
-  let graph = Cfg.create ~name:f.Ast.name () in
-  let st = { graph; current = None; pending = []; temp_prefix = temp_prefix_for f; next_temp = 0 } in
+(* [hint]: the length of the source [f] was read from, to size the
+   builder's tables. *)
+let lower ?(hint = 0) (f : Ast.func) =
+  let b = Build.create ~blocks:(hint / 16) ~vars:(hint / 64) () in
+  let st = { b; current = -1; temp_prefix = temp_prefix_for f; next_temp = 0 } in
   let first = start_block st in
-  Cfg.set_term graph (Cfg.entry graph) (Cfg.Goto first);
+  Build.set_term b Build.entry (Cfg.Goto first);
   lower_stmts st f.Ast.body;
   (* A function that falls off the end returns 0. *)
-  (match st.current with
-  | Some _ ->
-    emit st (Instr.Assign (return_var, Expr.Atom (Expr.Const 0)));
-    seal st (Cfg.Goto (Cfg.exit_label graph))
-  | None -> ());
-  Cfg.remove_unreachable graph;
-  Validate.check_exn graph;
-  graph
+  if st.current >= 0 then begin
+    Build.copy b (var st return_var) (Build.const b 0);
+    seal st (Cfg.Goto Build.exit_label)
+  end;
+  match Build.finish b ~name:f.Ast.name ~prune:true with
+  | Ok g -> g
+  | Error issues -> failwith (Printf.sprintf "Cfg validation failed: %s" (String.concat "; " issues))
 
-let program (p : Ast.program) = List.map (fun f -> (f.Ast.name, func f)) p
-let parse_and_lower_func src = func (Parser.parse_func src)
-let parse_and_lower src = program (Parser.parse_program src)
+let func f = lower f
+let parse_and_lower_func src = lower ~hint:(String.length src) (Parser.parse_func src)
+
+(* Only the first function is sized from the source: most often the
+   only one. *)
+let parse_and_lower src =
+  List.mapi
+    (fun i f -> (f.Ast.name, lower ~hint:(if i = 0 then String.length src else 0) f))
+    (Parser.parse_program src)

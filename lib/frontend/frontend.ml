@@ -33,7 +33,7 @@ let miniimp =
     route_canonical = false;
     parse =
       (fun text ->
-        match Lower.program (Parser.parse_program text) with
+        match Lower.parse_and_lower text with
         | funcs -> Ok funcs
         | exception Parser.Parse_error (m, line, col) ->
           Fdef.err ~where:(Printf.sprintf "%d:%d" line col) "miniimp parse error at %d:%d: %s" line col m

@@ -20,24 +20,6 @@ type func = {
 
 type program = func list
 
-let rec expr_vars = function
-  | Int _ -> []
-  | Var v -> [ v ]
-  | Unary (_, e) -> expr_vars e
-  | Binary (_, a, b) -> expr_vars a @ expr_vars b
-
-let rec stmt_list_vars stmts = List.concat_map stmt_vars_one stmts
-
-and stmt_vars_one = function
-  | Assign (_, e) -> expr_vars e
-  | If (c, t, f) -> expr_vars c @ stmt_list_vars t @ stmt_list_vars f
-  | While (c, b) -> expr_vars c @ stmt_list_vars b
-  | Do_while (b, c) -> stmt_list_vars b @ expr_vars c
-  | Print e -> expr_vars e
-  | Return e -> expr_vars e
-
-let stmt_vars stmts = List.sort_uniq String.compare (stmt_list_vars stmts)
-
 (* Precedence levels used to parenthesize only where needed: comparisons
    bind loosest, then additive, then multiplicative, then unary. *)
 let binop_level = function

@@ -26,13 +26,6 @@ type func = {
 
 type program = func list
 
-(** Variables read anywhere in an expression. *)
-val expr_vars : expr -> string list
-
-(** Free variables of a statement list: variables possibly read before being
-    assigned in the list itself (approximate, syntactic). *)
-val stmt_vars : stmt list -> string list
-
 val pp_expr : Format.formatter -> expr -> unit
 val pp_stmt : Format.formatter -> stmt -> unit
 val pp_func : Format.formatter -> func -> unit

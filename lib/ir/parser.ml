@@ -1,197 +1,196 @@
 exception Parse_error of string * int * int
 
-type state = { mutable tokens : Lexer.spanned list }
+module L = Lexer
 
-let peek st =
-  match st.tokens with
-  | [] -> { Lexer.token = Lexer.EOF; line = 0; col = 0 }
-  | t :: _ -> t
+let fail (c : L.t) msg = raise (Parse_error (msg ^ " (found " ^ L.describe c ^ ")", c.line, c.col))
+let expect (c : L.t) tok what = if c.token = tok then L.advance c else fail c ("expected " ^ what)
 
-let advance st =
-  match st.tokens with
-  | [] -> ()
-  | _ :: rest -> st.tokens <- rest
-
-let fail st msg =
-  let t = peek st in
-  raise (Parse_error (Format.asprintf "%s (found %a)" msg Lexer.pp_token t.token, t.line, t.col))
-
-let expect st tok what =
-  let t = peek st in
-  if t.token = tok then advance st else fail st (Printf.sprintf "expected %s" what)
-
-let expect_ident st what =
-  let t = peek st in
-  match t.token with
-  | Lexer.IDENT name ->
-    advance st;
-    name
-  | _ -> fail st (Printf.sprintf "expected %s" what)
+let expect_ident (c : L.t) what =
+  if c.token <> L.IDENT then fail c ("expected " ^ what);
+  let name = L.ident c in
+  L.advance c;
+  name
 
 let cmp_op = function
-  | Lexer.LT -> Some Expr.Lt
-  | Lexer.LE -> Some Expr.Le
-  | Lexer.GT -> Some Expr.Gt
-  | Lexer.GE -> Some Expr.Ge
-  | Lexer.EQ -> Some Expr.Eq
-  | Lexer.NE -> Some Expr.Ne
+  | L.LT -> Some Expr.Lt
+  | L.LE -> Some Expr.Le
+  | L.GT -> Some Expr.Gt
+  | L.GE -> Some Expr.Ge
+  | L.EQ -> Some Expr.Eq
+  | L.NE -> Some Expr.Ne
   | _ -> None
 
 let add_op = function
-  | Lexer.PLUS -> Some Expr.Add
-  | Lexer.MINUS -> Some Expr.Sub
+  | L.PLUS -> Some Expr.Add
+  | L.MINUS -> Some Expr.Sub
   | _ -> None
 
 let mul_op = function
-  | Lexer.STAR -> Some Expr.Mul
-  | Lexer.SLASH -> Some Expr.Div
-  | Lexer.PERCENT -> Some Expr.Mod
+  | L.STAR -> Some Expr.Mul
+  | L.SLASH -> Some Expr.Div
+  | L.PERCENT -> Some Expr.Mod
   | _ -> None
 
-let rec parse_expression st = parse_binary_level st cmp_op parse_add
+(* One function per precedence level and one per level's left-associative
+   tail: no closure is allocated per level. *)
+let rec parse_expression c = cmp_tail c (parse_add c)
 
-and parse_add st = parse_binary_level st add_op parse_mul
+and cmp_tail (c : L.t) lhs =
+  match cmp_op c.token with
+  | Some op ->
+    L.advance c;
+    cmp_tail c (Ast.Binary (op, lhs, parse_add c))
+  | None -> lhs
 
-and parse_mul st = parse_binary_level st mul_op parse_unary
+and parse_add c = add_tail c (parse_mul c)
 
-and parse_binary_level st classify next =
-  let rec loop lhs =
-    match classify (peek st).token with
-    | Some op ->
-      advance st;
-      let rhs = next st in
-      loop (Ast.Binary (op, lhs, rhs))
-    | None -> lhs
-  in
-  loop (next st)
+and add_tail (c : L.t) lhs =
+  match add_op c.token with
+  | Some op ->
+    L.advance c;
+    add_tail c (Ast.Binary (op, lhs, parse_mul c))
+  | None -> lhs
 
-and parse_unary st =
-  match (peek st).token with
-  | Lexer.MINUS ->
-    advance st;
-    Ast.Unary (Expr.Neg, parse_unary st)
-  | Lexer.BANG ->
-    advance st;
-    Ast.Unary (Expr.Not, parse_unary st)
-  | _ -> parse_atom st
+and parse_mul c = mul_tail c (parse_unary c)
 
-and parse_atom st =
-  match (peek st).token with
-  | Lexer.INT n ->
-    advance st;
+and mul_tail (c : L.t) lhs =
+  match mul_op c.token with
+  | Some op ->
+    L.advance c;
+    mul_tail c (Ast.Binary (op, lhs, parse_unary c))
+  | None -> lhs
+
+and parse_unary (c : L.t) =
+  match c.token with
+  | L.MINUS ->
+    L.advance c;
+    Ast.Unary (Expr.Neg, parse_unary c)
+  | L.BANG ->
+    L.advance c;
+    Ast.Unary (Expr.Not, parse_unary c)
+  | _ -> parse_atom c
+
+and parse_atom (c : L.t) =
+  match c.token with
+  | L.INT ->
+    let n = c.value in
+    L.advance c;
     Ast.Int n
-  | Lexer.IDENT name ->
-    advance st;
+  | L.IDENT ->
+    let name = L.ident c in
+    L.advance c;
     Ast.Var name
-  | Lexer.LPAREN ->
-    advance st;
-    let e = parse_expression st in
-    expect st Lexer.RPAREN "')'";
+  | L.LPAREN ->
+    L.advance c;
+    let e = parse_expression c in
+    expect c L.RPAREN "')'";
     e
-  | _ -> fail st "expected expression"
+  | _ -> fail c "expected expression"
 
-let rec parse_stmt st =
-  match (peek st).token with
-  | Lexer.IDENT name ->
-    advance st;
-    expect st Lexer.ASSIGN "'='";
-    let e = parse_expression st in
-    expect st Lexer.SEMI "';'";
-    Ast.Assign (name, e)
-  | Lexer.KW_PRINT ->
-    advance st;
-    let e = parse_expression st in
-    expect st Lexer.SEMI "';'";
-    Ast.Print e
-  | Lexer.KW_RETURN ->
-    advance st;
-    let e = parse_expression st in
-    expect st Lexer.SEMI "';'";
-    Ast.Return e
-  | Lexer.KW_IF ->
-    advance st;
-    expect st Lexer.LPAREN "'('";
-    let cond = parse_expression st in
-    expect st Lexer.RPAREN "')'";
-    let then_branch = parse_block st in
+(* [e] followed by a ';'. *)
+let terminated c =
+  let e = parse_expression c in
+  expect c L.SEMI "';'";
+  e
+
+let condition c =
+  expect c L.LPAREN "'('";
+  let e = parse_expression c in
+  expect c L.RPAREN "')'";
+  e
+
+let rec parse_stmt (c : L.t) =
+  match c.token with
+  | L.IDENT ->
+    let name = L.ident c in
+    L.advance c;
+    expect c L.ASSIGN "'='";
+    Ast.Assign (name, terminated c)
+  | L.KW_PRINT ->
+    L.advance c;
+    Ast.Print (terminated c)
+  | L.KW_RETURN ->
+    L.advance c;
+    Ast.Return (terminated c)
+  | L.KW_IF ->
+    L.advance c;
+    let cond = condition c in
+    let then_branch = parse_block c in
     let else_branch =
-      if (peek st).token = Lexer.KW_ELSE then begin
-        advance st;
-        parse_block st
+      if c.token = L.KW_ELSE then begin
+        L.advance c;
+        parse_block c
       end
       else []
     in
     Ast.If (cond, then_branch, else_branch)
-  | Lexer.KW_WHILE ->
-    advance st;
-    expect st Lexer.LPAREN "'('";
-    let cond = parse_expression st in
-    expect st Lexer.RPAREN "')'";
-    let body = parse_block st in
-    Ast.While (cond, body)
-  | Lexer.KW_DO ->
-    advance st;
-    let body = parse_block st in
-    expect st Lexer.KW_WHILE "'while'";
-    expect st Lexer.LPAREN "'('";
-    let cond = parse_expression st in
-    expect st Lexer.RPAREN "')'";
-    expect st Lexer.SEMI "';'";
+  | L.KW_WHILE ->
+    L.advance c;
+    let cond = condition c in
+    Ast.While (cond, parse_block c)
+  | L.KW_DO ->
+    L.advance c;
+    let body = parse_block c in
+    expect c L.KW_WHILE "'while'";
+    let cond = condition c in
+    expect c L.SEMI "';'";
     Ast.Do_while (body, cond)
-  | _ -> fail st "expected statement"
+  | _ -> fail c "expected statement"
 
-and parse_block st =
-  expect st Lexer.LBRACE "'{'";
-  let rec loop acc =
-    if (peek st).token = Lexer.RBRACE then begin
-      advance st;
-      List.rev acc
-    end
-    else loop (parse_stmt st :: acc)
-  in
-  loop []
+and parse_block c =
+  expect c L.LBRACE "'{'";
+  stmts c []
 
-let parse_func_decl st =
-  expect st Lexer.KW_FUNCTION "'function'";
-  let name = expect_ident st "function name" in
-  expect st Lexer.LPAREN "'('";
-  let params =
-    if (peek st).token = Lexer.RPAREN then []
-    else begin
-      let rec loop acc =
-        let p = expect_ident st "parameter name" in
-        if (peek st).token = Lexer.COMMA then begin
-          advance st;
-          loop (p :: acc)
-        end
-        else List.rev (p :: acc)
-      in
-      loop []
-    end
-  in
-  expect st Lexer.RPAREN "')'";
-  let body = parse_block st in
+and stmts (c : L.t) acc =
+  if c.token = L.RBRACE then begin
+    L.advance c;
+    List.rev acc
+  end
+  else stmts c (parse_stmt c :: acc)
+
+let rec params (c : L.t) acc =
+  let p = expect_ident c "parameter name" in
+  if c.token = L.COMMA then begin
+    L.advance c;
+    params c (p :: acc)
+  end
+  else List.rev (p :: acc)
+
+let parse_func_decl (c : L.t) =
+  expect c L.KW_FUNCTION "'function'";
+  let name = expect_ident c "function name" in
+  expect c L.LPAREN "'('";
+  let params = if c.token = L.RPAREN then [] else params c [] in
+  expect c L.RPAREN "')'";
+  let body = parse_block c in
   { Ast.name; params; body }
 
-let make_state src = { tokens = Lexer.tokenize src }
+(* A syntax error loses to a lex error anywhere in the source, which is
+   what reading every token before parsing gave. *)
+let run src parse =
+  let c = L.create src in
+  try parse c with
+  | Parse_error _ as e ->
+    L.drain c;
+    raise e
+
+let at_eof (c : L.t) what = if c.token <> L.EOF then fail c ("trailing input after " ^ what)
 
 let parse_program src =
-  let st = make_state src in
-  let rec loop acc =
-    if (peek st).token = Lexer.EOF then List.rev acc else loop (parse_func_decl st :: acc)
-  in
-  let funcs = loop [] in
-  if funcs = [] then fail st "expected at least one function";
-  funcs
+  run src (fun c ->
+      let rec loop acc = if c.token = L.EOF then List.rev acc else loop (parse_func_decl c :: acc) in
+      let funcs = loop [] in
+      if funcs = [] then fail c "expected at least one function";
+      funcs)
 
 let parse_func src =
-  let st = make_state src in
-  let f = parse_func_decl st in
-  if (peek st).token <> Lexer.EOF then fail st "trailing input after function";
-  f
+  run src (fun c ->
+      let f = parse_func_decl c in
+      at_eof c "function";
+      f)
 
 let parse_expr src =
-  let st = make_state src in
-  let e = parse_expression st in
-  if (peek st).token <> Lexer.EOF then fail st "trailing input after expression";
-  e
+  run src (fun c ->
+      let e = parse_expression c in
+      at_eof c "expression";
+      e)

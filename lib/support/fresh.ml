@@ -27,5 +27,3 @@ let mint t =
   let name = Printf.sprintf "%s%d" t.prefix t.next in
   t.next <- t.next + 1;
   name
-
-let prefix_of t = t.prefix

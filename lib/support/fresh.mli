@@ -29,6 +29,3 @@ val create : existing:string list -> string -> t
 
 (** The next fresh name. *)
 val mint : t -> string
-
-(** The prefix in use. *)
-val prefix_of : t -> string

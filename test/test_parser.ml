@@ -7,37 +7,69 @@ module Parser = Lcm_ir.Parser
 
 let parse_e = Parser.parse_expr
 
+(* Every token of [src] as the cursor shows it: kind, text, line and
+   column, up to and including [EOF]. *)
+let tokens src =
+  let c = Lexer.create src in
+  let rec go acc =
+    let t = (c.Lexer.token, Lexer.describe c, c.Lexer.line, c.Lexer.col) in
+    if c.Lexer.token = Lexer.EOF then List.rev (t :: acc)
+    else begin
+      Lexer.advance c;
+      go (t :: acc)
+    end
+  in
+  go []
+
+let kinds src = List.map (fun (k, text, _, _) -> (k, text)) (tokens src)
+
 let test_tokens () =
-  let toks = Lexer.tokenize "x = a + 12; // comment\nwhile" in
-  let kinds = List.map (fun (s : Lexer.spanned) -> s.token) toks in
   Alcotest.(check bool) "token stream" true
-    (kinds
+    (kinds "x = a + 12; // comment\nwhile"
     = [
-        Lexer.IDENT "x"; Lexer.ASSIGN; Lexer.IDENT "a"; Lexer.PLUS; Lexer.INT 12; Lexer.SEMI;
-        Lexer.KW_WHILE; Lexer.EOF;
+        (Lexer.IDENT, "x"); (Lexer.ASSIGN, "="); (Lexer.IDENT, "a"); (Lexer.PLUS, "+"); (Lexer.INT, "12");
+        (Lexer.SEMI, ";"); (Lexer.KW_WHILE, "while"); (Lexer.EOF, "<eof>");
       ])
 
 let test_token_positions () =
-  let toks = Lexer.tokenize "a\n  b" in
-  match toks with
-  | [ a; b; _eof ] ->
-    Alcotest.(check (pair int int)) "a at 1:1" (1, 1) (a.Lexer.line, a.Lexer.col);
-    Alcotest.(check (pair int int)) "b at 2:3" (2, 3) (b.Lexer.line, b.Lexer.col)
-  | _ -> Alcotest.fail "expected three tokens"
+  match tokens "a\n  b" with
+  | [ (_, _, 1, 1); (_, _, 2, 3); (Lexer.EOF, _, 2, 4) ] -> ()
+  | _ -> Alcotest.fail "expected a at 1:1, b at 2:3 and the end at 2:4"
 
 let test_lex_error () =
   Alcotest.(check bool) "bad char" true
     (try
-       ignore (Lexer.tokenize "x = $;");
+       ignore (tokens "x = $;");
        false
      with Lexer.Lex_error (_, 1, 5) -> true)
 
 let test_two_char_operators () =
-  let toks = Lexer.tokenize "<= >= == != < > = !" in
-  let kinds = List.map (fun (s : Lexer.spanned) -> s.token) toks in
   Alcotest.(check bool) "operators" true
-    (kinds
+    (List.map fst (kinds "<= >= == != < > = !")
     = [ Lexer.LE; Lexer.GE; Lexer.EQ; Lexer.NE; Lexer.LT; Lexer.GT; Lexer.ASSIGN; Lexer.BANG; Lexer.EOF ])
+
+(* Past the end the cursor stays on [EOF], at line 0, column 0. *)
+let test_past_eof () =
+  let c = Lexer.create "x" in
+  Lexer.advance c;
+  Alcotest.(check (pair int int)) "end" (1, 2) (c.Lexer.line, c.Lexer.col);
+  Lexer.advance c;
+  Alcotest.(check bool) "past the end" true (c.Lexer.token = Lexer.EOF && c.Lexer.line = 0 && c.Lexer.col = 0)
+
+(* A syntax error on line 1 and an unexpected character on line 3: the
+   lex error is reported, as when the whole source was tokenized before
+   parsing. *)
+let test_lex_error_wins () =
+  let src = "function f( {\n  x = 1;\n  y = $;\n}" in
+  (match Parser.parse_func src with
+  | _ -> Alcotest.fail "parsed"
+  | exception Lexer.Lex_error (m, line, col) ->
+    Alcotest.(check (triple string int int)) "lex error" ("unexpected character '$'", 3, 7) (m, line, col)
+  | exception Parser.Parse_error (m, line, col) -> Alcotest.failf "parse error %s at %d:%d" m line col);
+  match Parser.parse_func "function f( {\n  x = 1;\n}" with
+  | _ -> Alcotest.fail "parsed"
+  | exception Parser.Parse_error (m, line, col) ->
+    Alcotest.(check (triple string int int)) "parse error alone" ("expected parameter name (found {)", 1, 13) (m, line, col)
 
 let test_precedence () =
   (* a + b * c parses as a + (b * c) *)
@@ -158,4 +190,6 @@ let suite =
     Alcotest.test_case "error position" `Quick test_error_position;
     Alcotest.test_case "print/parse roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "multi-function program" `Quick test_program_multi;
+    Alcotest.test_case "cursor past the end" `Quick test_past_eof;
+    Alcotest.test_case "a lex error beats an earlier parse error" `Quick test_lex_error_wins;
   ]

@@ -8,7 +8,15 @@
    functions, unreachable segments, odd literals — and each reader must
    give the same graph (by digest and by text) or the same typed error
    (message and JSON path, or message and line).  Inputs that once told
-   the readers apart are kept under fuzz/ and replayed first. *)
+   the readers apart are kept under fuzz/ and replayed first.
+
+   [Ref_miniimp] is the MiniImp reader as it was before it emitted into
+   the builder: a token list, a parser over it and a lowering through
+   [Cfg.add_block].  Its graphs must print the same, number the same pool
+   and carry born-valid shortcuts that a recount confirms; its errors must
+   be the same kind, message, line and column, on generated programs, on
+   every MiniImp source of the examples and the tests, and on seeded
+   token-level mutations of them. *)
 
 module Cfg = Lcm_cfg.Cfg
 module Cfg_text = Lcm_cfg.Cfg_text
@@ -286,10 +294,201 @@ let test_mutations () =
     done
   done
 
+(* ---- MiniImp ---- *)
+
+module Lower = Lcm_cfg.Lower
+module Lexer = Lcm_ir.Lexer
+module Parser = Lcm_ir.Parser
+module Ast = Lcm_ir.Ast
+module Expr_pool = Lcm_ir.Expr_pool
+
+type imp_outcome =
+  | Imp_graphs of (string * string) list (* name, text *)
+  | Imp_failed of string * string * int * int (* lex or parse, message, line, column *)
+
+let imp_outcome parse text =
+  match parse text with
+  | gs -> Imp_graphs (List.map (fun (n, g) -> (n, Cfg.to_string g)) gs)
+  | exception Lexer.Lex_error (m, l, c) -> Imp_failed ("lex", m, l, c)
+  | exception Parser.Parse_error (m, l, c) -> Imp_failed ("parse", m, l, c)
+
+let show_imp = function
+  | Imp_graphs gs -> String.concat ", " (List.map (fun (n, t) -> n ^ "=" ^ Digest.to_hex (Digest.string t)) gs)
+  | Imp_failed (k, m, l, c) -> Printf.sprintf "%s error %S at %d:%d" k m l c
+
+let pool_of g = String.concat ", " (List.map (fun (_, e) -> Lcm_ir.Expr.to_string e) (Expr_pool.to_list (Cfg.candidate_pool g)))
+
+(* [None] when the readers agree on [text], as a program and as a single
+   function.  Where both build graphs, the new one must also be born
+   validated, number the reference's pool in the same order, and carry
+   the shortcuts a recount confirms. *)
+let check_imp text =
+  let one parse_new parse_ref what =
+    let got = imp_outcome parse_new text and want = imp_outcome parse_ref text in
+    if got <> want then Some (Printf.sprintf "miniimp %s readers disagree on:\n%s\nreader:    %s\nreference: %s" what text (show_imp got) (show_imp want))
+    else
+      match (parse_new text, parse_ref text) with
+      | gs, gs' ->
+        List.find_map
+          (fun ((n, g), (_, g')) ->
+            if not (Cfg.validated g) then Some (Printf.sprintf "miniimp: %s is not born validated:\n%s" n text)
+            else if pool_of g <> pool_of g' then
+              Some (Printf.sprintf "miniimp: %s pools differ:\n%s\nreader:    %s\nreference: %s" n text (pool_of g) (pool_of g'))
+            else begin
+              Test_build.check_shortcuts ("miniimp " ^ n) g;
+              None
+            end)
+          (List.combine gs gs')
+      | exception _ -> None
+  in
+  match one Lower.parse_and_lower Ref_miniimp.Lower.parse_and_lower "program" with
+  | Some _ as r -> r
+  | None ->
+    let single f text = [ ("f", f text) ] in
+    one (single Lower.parse_and_lower_func) (single Ref_miniimp.Lower.parse_and_lower_func) "function"
+
+(* A function of Gencfg chunks in sequence until the lowered graph has
+   about [blocks] blocks, the shape the serving benchmark sends. *)
+let gen_source rng ~blocks =
+  let params = { Gencfg.num_stmts = 6; max_depth = 2; num_vars = 5; loop_bound = 2 } in
+  let rec grow acc est =
+    if est >= blocks then List.concat (List.rev acc)
+    else begin
+      let f = Gencfg.random_func ~params rng in
+      let body = List.filter (function Ast.Return _ -> false | _ -> true) f.Ast.body in
+      grow (body :: acc) (est + Cfg.num_blocks (Lower.func f) - 2)
+    end
+  in
+  let body = grow [] 0 in
+  Ast.to_string
+    [ { Ast.name = "large"; params = Gencfg.func_inputs params; body = body @ [ Ast.Return (Ast.Var "a") ] } ]
+
+(* The string literals of OCaml source text — ["..."] and [{|...|}] —
+   that mention [function]: the MiniImp programs of the examples and the
+   tests.  A literal the scan gets wrong is still a fine input: both
+   readers must agree on any text. *)
+let ocaml_strings text =
+  let n = String.length text in
+  let out = ref [] in
+  let rec scan i =
+    if i < n - 1 then
+      match text.[i] with
+      | '"' ->
+        let rec close j = if j >= n then n else if text.[j] = '\\' then close (j + 2) else if text.[j] = '"' then j else close (j + 1) in
+        let j = close (i + 1) in
+        let raw = String.sub text (i + 1) (min n j - i - 1) in
+        out := (try Scanf.unescaped raw with _ -> raw) :: !out;
+        scan (j + 1)
+      | '{' when text.[i + 1] = '|' ->
+        let rec close j = if j >= n - 1 then n else if text.[j] = '|' && text.[j + 1] = '}' then j else close (j + 1) in
+        let j = close (i + 2) in
+        out := String.sub text (i + 2) (min n j - i - 2) :: !out;
+        scan (j + 2)
+      | '\'' when i + 2 < n && text.[i + 2] = '\'' -> scan (i + 3)
+      | _ -> scan (i + 1)
+  in
+  scan 0;
+  let mentions s =
+    let rec at i = i + 8 <= String.length s && (String.sub s i 8 = "function" || at (i + 1)) in
+    at 0
+  in
+  List.filter mentions (List.rev !out)
+
+let imp_sources () =
+  let in_files dir = List.concat_map ocaml_strings (files dir ".ml") in
+  in_files "../examples" @ in_files "." @ files "cli" ".imp"
+  @ List.map (fun w -> w.Lcm_eval.Suites.source) Lcm_eval.Suites.all
+
+let test_imp_equiv () =
+  let rng = Prng.of_int 0x1a9 in
+  List.iter (fun blocks -> fail_on (check_imp (gen_source rng ~blocks))) [ 48; 400; 1000 ];
+  let sources = imp_sources () in
+  if List.length sources < 50 then Alcotest.failf "only %d MiniImp sources found" (List.length sources);
+  List.iter (fun text -> fail_on (check_imp text)) sources;
+  List.iter (fun t -> fail_on (check_imp t)) (files "fuzz" ".imp")
+
+(* ---- MiniImp mutations, on tokens ---- *)
+
+(* The source cut into pieces: runs of identifier characters, runs of
+   blanks, and single other bytes. *)
+let pieces text =
+  let n = String.length text in
+  let kind c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> 0
+    | ' ' | '\t' | '\n' | '\r' -> 1
+    | _ -> 2
+  in
+  let rec go i acc =
+    if i >= n then Array.of_list (List.rev acc)
+    else begin
+      let k = kind text.[i] in
+      let j = ref (i + 1) in
+      if k <> 2 then while !j < n && kind text.[!j] = k do incr j done;
+      go !j (String.sub text i (!j - i) :: acc)
+    end
+  in
+  go 0 []
+
+let is_token p = p <> "" && not (String.contains " \t\n\r" p.[0])
+
+let mutate_imp rng text =
+  let a = pieces text in
+  let n = Array.length a in
+  if n = 0 then text
+  else begin
+    let tokens = List.filter (fun i -> is_token a.(i)) (List.init n Fun.id) in
+    let tok () = if tokens = [] then Prng.int rng n else Prng.choose_list rng tokens in
+    let join a = String.concat "" (Array.to_list a) in
+    let set i x = let a = Array.copy a in a.(i) <- x; join a in
+    match Prng.int rng 9 with
+    | 0 -> set (tok ()) "" (* a deleted token *)
+    | 1 -> let i = tok () in set i (a.(i) ^ " " ^ a.(i)) (* a duplicated token *)
+    | 2 ->
+      (* two tokens swapped *)
+      let i = tok () and j = tok () in
+      let b = Array.copy a in
+      b.(i) <- a.(j);
+      b.(j) <- a.(i);
+      join b
+    | 3 -> let i = tok () in set i (a.(i) ^ (if Prng.bool rng then " {" else " }")) (* unbalanced braces *)
+    | 4 ->
+      let lits = List.filter (fun i -> a.(i).[0] >= '0' && a.(i).[0] <= '9') tokens in
+      let i = if lits = [] then tok () else Prng.choose_list rng lits in
+      set i (Prng.choose rng [| "99999999999999999999"; "4611686018427387904"; "4611686018427387903"; "007" |])
+    | 5 ->
+      (* a syntax error, and a stray '$' after it *)
+      let i = tok () and j = tok () in
+      let i, j = (min i j, max i j) in
+      let b = Array.copy a in
+      b.(i) <- "";
+      b.(j) <- a.(j) ^ (if Prng.bool rng then "$" else " $ ");
+      join b
+    | 6 -> String.sub text 0 (Prng.int rng (String.length text + 1)) (* truncation *)
+    | 7 -> let i = tok () in set i (Prng.choose rng [| "//"; "/"; "!"; "="; "=="; "<="; "do"; "else"; "function f() {"; "\n" |])
+    | _ -> text
+  end
+
+let imp_runs = 120
+let imp_mutations = 5
+
+let test_imp_mutations () =
+  let rng = Prng.of_int 0x1aa in
+  let fixed = Array.of_list (imp_sources ()) in
+  for i = 1 to imp_runs do
+    let text = if i mod 2 = 0 then Prng.choose rng fixed else gen_source rng ~blocks:(8 + Prng.int rng 40) in
+    for _ = 1 to imp_mutations do
+      fail_on (check_imp (mutate_imp rng text))
+    done;
+    fail_on (check_imp (mutate_imp rng (mutate_imp rng text)))
+  done
+
 let suite =
   [
     Alcotest.test_case "readers: kept regressions" `Quick test_regressions;
     Alcotest.test_case "readers: a repeated B0 or B1 is a duplicate block" `Quick test_repeated_entry;
     Alcotest.test_case "readers: corpus as Bril and as CFG text" `Quick test_corpus;
     Alcotest.test_case "readers: mutated inputs match the former readers" `Quick test_mutations;
+    Alcotest.test_case "miniimp ≡ former reader" `Quick test_imp_equiv;
+    Alcotest.test_case "miniimp: mutated inputs match the former reader" `Quick test_imp_mutations;
   ]
