@@ -67,6 +67,7 @@ type size_result = {
   miniimp_parse_w_per_kb : float;  (* Frontend MiniImp parse of Gencfg source, pool included, words per KB *)
   delta_incr_w : float;  (* analyze_incr of one single-block body delta, capture included, arena path *)
   delta_e2e_w : float;  (* the same delta end to end: copy, patch, solve, transform, counts, print, encode *)
+  delta_pool_w : float;  (* a single-block delta adding a candidate the pool lacks, end to end *)
   delta_phases : (string * float * float) list;  (* the delta's analyze_incr by phase: name, us, words *)
 }
 
@@ -279,7 +280,7 @@ let measure_size ~blocks ~iters =
   let incr_solve a g' ~dirty =
     match Lcm_core.Lcm_edge.analyze_incr ~scratch:a g' ~prev:saved ~dirty with
     | Some r -> r
-    | None -> failwith "EXP-TRACE: the measured delta changed the candidate pool"
+    | None -> failwith "EXP-TRACE: the restart refused the measured delta"
   in
   let delta_incr_w =
     let g' = Cfg.copy g in
@@ -330,7 +331,7 @@ let measure_size ~blocks ~iters =
      the blocks' escaped texts.  Every repetition patches a fresh copy of
      the same graph, so the transform's unchanged blocks come from the
      rewrite memos, as on a retained handle. *)
-  let delta_e2e_w =
+  let e2e_w edit =
     ignore (Cfg.to_json g);
     ignore (Lcm_eval.Metrics.static_counts g);
     alloc_per_request ~warm:5 ~iters:alloc_iters (fun () ->
@@ -356,6 +357,22 @@ let measure_size ~blocks ~iters =
                  ~extra:[ ("handle", Json.String "h0-1"); ("solve", solve) ]
                  ~program:out ~before ~after ~timing:None ())))
   in
+  let delta_e2e_w = e2e_w edit in
+  (* The same block computing, besides, a candidate the pool lacks (an
+     operand of [e] times a constant no candidate uses): the restart
+     appends a bit to a copy of the capture's pool, scans every block's
+     events for the new TRANSP column, ranks the expressions and renames
+     the temporaries whose rank moved, so their blocks are rewritten
+     again. *)
+  let delta_pool_w =
+    let pool = Lcm_core.Lcm_edge.saved_pool saved in
+    let v = match Lcm_ir.Instr.uses (Lcm_ir.Instr.Assign ("_", e)) with v :: _ -> v | [] -> "zpool" in
+    let rec fresh c =
+      let x = Lcm_ir.Expr.Binary (Lcm_ir.Expr.Mul, Lcm_ir.Expr.Var v, Lcm_ir.Expr.Const c) in
+      if Option.is_none (Lcm_ir.Expr_pool.index pool x) then x else fresh (c + 1)
+    in
+    e2e_w [ Lcm_cfg.Patch.Set_instrs (l, Cfg.instrs g l @ [ Lcm_ir.Instr.Assign ("zdelta", fresh 7919) ]) ]
+  in
   {
     blocks;
     iters;
@@ -378,6 +395,7 @@ let measure_size ~blocks ~iters =
     miniimp_parse_w_per_kb;
     delta_incr_w;
     delta_e2e_w;
+    delta_pool_w;
     delta_phases;
   }
 
@@ -626,6 +644,7 @@ let print_alloc_rows rows =
         r.delta_incr_w;
       Common.note "  %4d blocks  one body delta end to end (copy .. encoded response)  %8.0f w" r.blocks
         r.delta_e2e_w;
+      Common.note "  %4d blocks  one delta adding a candidate, end to end  %8.0f w" r.blocks r.delta_pool_w;
       List.iter
         (fun (name, us, w) -> Common.note "  %4d blocks    delta phase %-16s %8.2f us %8.0f w" r.blocks name us w)
         r.delta_phases)
@@ -668,6 +687,8 @@ let print_alloc_rows rows =
      delta on the arena path, the capture it builds included — fenced.
    - "delta.e2e.w": the same delta end to end, from the copy of the
      retained graph through the encoded response — fenced.
+   - "delta.pool.w": a single-block delta that adds a candidate the pool
+     lacks, end to end as "delta.e2e.w" — fenced.
    - any other key: matched against the traced per-phase profile (span
      accounting; indicative, coarser than the fenced numbers).
 
@@ -723,6 +744,7 @@ let check_alloc_budget rows =
                 | "miniimp.parse.w_per_kb" -> Some r.miniimp_parse_w_per_kb
                 | "delta.incr.w" -> Some r.delta_incr_w
                 | "delta.e2e.w" -> Some r.delta_e2e_w
+                | "delta.pool.w" -> Some r.delta_pool_w
                 | _ -> phase_alloc r.prof_arena name
               in
               let unit = if String.ends_with ~suffix:"w_per_kb" name then "words/KB" else "words/request" in
@@ -768,6 +790,7 @@ let json_of_size r =
       ("miniimp_parse_w_per_kb", Json.Float (Float.round r.miniimp_parse_w_per_kb));
       ("delta_incr_w", Json.Float (Float.round r.delta_incr_w));
       ("delta_e2e_w", Json.Float (Float.round r.delta_e2e_w));
+      ("delta_pool_w", Json.Float (Float.round r.delta_pool_w));
       ( "delta_phases",
         Json.Obj
           (List.map

@@ -37,6 +37,7 @@ let spec g a =
     Transform.algorithm = "gcse";
     pool = a.pool;
     temp_names = Temps.names g a.pool;
+    rank = [||];
     edge_inserts = [];
     entry_inserts = [];
     exit_inserts = [];

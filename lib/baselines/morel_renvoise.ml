@@ -131,6 +131,7 @@ let spec g a =
     Transform.algorithm = "morel-renvoise";
     pool = a.pool;
     temp_names = Temps.names g a.pool;
+    rank = [||];
     edge_inserts = [];
     entry_inserts = [];
     exit_inserts = a.insert;

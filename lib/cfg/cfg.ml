@@ -321,31 +321,62 @@ let prepend_instr g l i =
 
 (* ---- memoised rewrites ---- *)
 
-(* The temporaries a rewrite under [a] and [b] names are those of the
-   expressions it deletes or copies: equal there, the rewrites agree. *)
-let same_temps a b =
-  a.rw_temps == b.rw_temps
-  || Array.length a.rw_temps = Array.length b.rw_temps
-     && (let same i = String.equal a.rw_temps.(i) b.rw_temps.(i) in
-         Bitvec.fold_true (fun i ok -> ok && same i) a.rw_deletes true
-         && Bitvec.fold_true (fun i ok -> ok && same i) a.rw_copies true)
-
 (* A memo's key keeps its empty rows as one shared zero-width vector. *)
 let no_row = Bitvec.create 0
-let same_row kept v = if kept == no_row then Bitvec.is_empty v else Bitvec.equal kept v
+
+(* Rows equal as sets of bits, whatever their lengths: a pool extended
+   since the memo was made widens the rows without changing them. *)
+let[@inline] word ws n w = if w < n then Array.unsafe_get ws w else 0
+let rec same_words wa na wb nb w = w >= max na nb || (word wa na w = word wb nb w && same_words wa na wb nb (w + 1))
+
+let same_bits a b =
+  same_words (Bitvec.words a) (Bitvec.words_for (Bitvec.length a)) (Bitvec.words b) (Bitvec.words_for (Bitvec.length b)) 0
+
+let same_row kept v = if kept == no_row then Bitvec.is_empty v else same_bits kept v
 let keep_row v = if Bitvec.is_empty v then no_row else Bitvec.copy v
 
+(* A rewrite reads its pool and names only at the bits of its rows: the
+   instructions it replaces or copies from compute those expressions, and
+   the kills it tracks matter only for them.  So two keys with equal rows
+   agree when both pools hold the same expression, and both name arrays
+   the same temporary, at every bit of the rows — one pool may extend the
+   other, or the names may be another array of the same strings. *)
+let agree_at a b i =
+  let pa = a.rw_pool and pb = b.rw_pool and ta = a.rw_temps and tb = b.rw_temps in
+  (pa == pb
+  || i < Expr_pool.size pa
+     && i < Expr_pool.size pb
+     && (let x = Expr_pool.expr pa i and y = Expr_pool.expr pb i in
+         x == y || Expr.equal x y))
+  && (ta == tb || (i < Array.length ta && i < Array.length tb && String.equal ta.(i) tb.(i)))
+
+(* [agree_at] at every bit of [v], whose words are [ws] ([x] the bits of
+   word [w] still to check). *)
+let rec agree_row kept key ws nw w x =
+  if x = 0 then w + 1 >= nw || agree_row kept key ws nw (w + 1) ws.(w + 1)
+  else
+    agree_at kept key ((w * Bitvec.bits_per_word) + Bitvec.ntz x) && agree_row kept key ws nw w (x land (x - 1))
+
+let agree_rows kept key v =
+  let ws = Bitvec.words v and nw = Bitvec.words_for (Bitvec.length v) in
+  nw = 0 || agree_row kept key ws nw 0 ws.(0)
+
 let same_key kept key =
-  kept.rw_pool == key.rw_pool
-  && same_row kept.rw_deletes key.rw_deletes
+  same_row kept.rw_deletes key.rw_deletes
   && same_row kept.rw_copies key.rw_copies
-  && same_temps kept key
+  && ((kept.rw_pool == key.rw_pool && kept.rw_temps == key.rw_temps)
+     || (agree_rows kept key kept.rw_deletes && agree_rows kept key kept.rw_copies))
 
 let rewrite g l key f =
   let b = find g l "rewrite" in
   let r =
     match b.made with
-    | Rewritten r when same_key r.rw_key key -> r
+    | Rewritten r when same_key r.rw_key key ->
+      (* A hit under another pool or names array: the memo takes them,
+         so the next rewrite under them compares physically. *)
+      if r.rw_key.rw_pool != key.rw_pool || r.rw_key.rw_temps != key.rw_temps then
+        b.made <- Rewritten { r with rw_key = { r.rw_key with rw_pool = key.rw_pool; rw_temps = key.rw_temps } };
+      r
     | Rewritten _ | Split _ | Nothing ->
       let instrs, rw_deleted, rw_copied = f b.instrs in
       let rw_key = { key with rw_deletes = keep_row key.rw_deletes; rw_copies = keep_row key.rw_copies } in
@@ -915,6 +946,31 @@ let numbering_of_pool pool =
         read b)
     pool;
   numbering_record pool vars (contents reads)
+
+(* [nb] with the candidates [es] appended to a copy of its pool: the same
+   id and table, so events stamped with [nb] stay valid for the extension
+   as long as a block numbered against [nb] computes none of [es], which
+   the caller checks. *)
+let extend_numbering nb es =
+  let pool = Expr_pool.extend nb.pool es in
+  let n0 = Expr_pool.size nb.pool and n = Expr_pool.size pool in
+  let reads = Array.make (2 * n) (-1) in
+  Array.blit nb.reads 0 reads 0 (2 * n0);
+  let read k = function
+    | Expr.Var v ->
+      let i = Vars.find nb.vars v in
+      if i < 0 then invalid_arg (Printf.sprintf "Cfg.extend_numbering: %s is not numbered" v);
+      reads.(k) <- i
+    | Expr.Const _ -> ()
+  in
+  for i = n0 to n - 1 do
+    match Expr_pool.expr pool i with
+    | Expr.Atom a | Expr.Unary (_, a) -> read (2 * i) a
+    | Expr.Binary (_, a, b) ->
+      read (2 * i) a;
+      read ((2 * i) + 1) b
+  done;
+  { nb with pool; reads }
 
 let numbering_for g pool =
   match g.numbered with

@@ -59,8 +59,9 @@ type rewrite_key = {
     [f]'s (given [l]'s) and returns [f]'s two counts.  [f] must be a pure
     function of the instructions and [key].  The result is memoised on the
     replaced block's record, which copies share: a later [rewrite] of that
-    record under an equal key (same pool, equal rows, equal names of the
-    rows' temporaries) reuses the block it made, with its memoised text,
+    record under an equal key (equal rows as sets of bits, and at each of
+    their bits the same expression in both pools and the same temporary
+    name — one pool may extend the other) reuses the block it made, with its memoised text,
     without calling [f].  The key's rows are copied, so they may come from
     an arena. *)
 val rewrite :
@@ -193,6 +194,15 @@ val numbering : t -> numbering
     a numbering of [pool] alone (its variable table holds the variables
     [pool]'s expressions read).  Never builds [g]'s own numbering. *)
 val numbering_for : t -> Lcm_ir.Expr_pool.t -> numbering
+
+(** [extend_numbering nb es] is [nb] with the candidates [es] (which its
+    pool lacks) appended to a copy of its pool ({!Lcm_ir.Expr_pool.extend}),
+    keeping [nb]'s identity and variable table: a block's events numbered
+    against [nb] stay valid against the extension as long as the block
+    computes none of [es], which the caller must check.  Raises
+    [Invalid_argument] when an expression of [es] reads a variable the
+    table lacks.  [nb] is not changed. *)
+val extend_numbering : numbering -> Lcm_ir.Expr.t list -> numbering
 
 val numbering_pool : numbering -> Lcm_ir.Expr_pool.t
 

@@ -60,6 +60,7 @@ let spec g a =
     Transform.algorithm = "bcm-edge";
     pool = a.pool;
     temp_names = Temps.names g a.pool;
+    rank = [||];
     edge_inserts = a.insert;
     entry_inserts = [];
     exit_inserts = [];

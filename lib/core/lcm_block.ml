@@ -54,6 +54,7 @@ let spec a =
     Transform.algorithm = "lcm-block";
     pool;
     temp_names = Temps.names a.graph pool;
+    rank = [||];
     edge_inserts = [];
     entry_inserts = a.entry_inserts;
     exit_inserts = a.exit_inserts;

@@ -29,6 +29,7 @@ type analysis = {
   visits : int;
   delay_visits : int;
   live_visits : int;
+  ranked : (int array * string array) option;
 }
 
 (* --- the tail of the cascade ----------------------------------------------
@@ -48,6 +49,7 @@ type analysis = {
 
 type tail = {
   t_adj : Cfg.adjacency;
+  t_nbits : int;
   t_earliest : Rowtab.t;
   t_laterin : Rowtab.t;
   t_livein : Rowtab.t;
@@ -211,12 +213,13 @@ let push_delay st q b = if st.adj.Cfg.adj_rpo_pos.(b) >= 0 && b <> st.entry then
    successors need re-visiting.  Returns (sweeps, visits): the most visits
    of any one block, and all visits. *)
 let laterin_drain work st q bound =
-  let visits = ref 0 and sweeps = ref 0 and count = Arena.alloc_int work (max 1 bound) in
+  let visits = ref 0 and sweeps = ref 0 and count = Arena.alloc_stamps work (max 1 bound) in
   while not (Rowtab.is_empty q) do
     let b = Rowtab.pop q in
     incr visits;
-    count.(b) <- count.(b) + 1;
-    if count.(b) > !sweeps then sweeps := count.(b);
+    let c = Arena.count count b + 1 in
+    Arena.set_count count b c;
+    if c > !sweeps then sweeps := c;
     if laterin_visit st b then begin
       let succs = st.adj.Cfg.adj_succ.(b) in
       for j = 0 to Array.length succs - 1 do
@@ -279,6 +282,15 @@ let set_entry ~export work n nw acc key old =
     let v = if export then Bitvec.create n else Arena.alloc work n in
     Array.blit acc 0 (Bitvec.words v) 0 nw;
     (key, v)
+
+(* A captured set as wide as a pool that has grown since. *)
+let widen ~export work n ((key, v) as x) =
+  if Bitvec.length v = n then x
+  else begin
+    let w = if export then Bitvec.create n else Arena.alloc work n in
+    Array.blit (Bitvec.words v) 0 (Bitvec.words w) 0 (Bitvec.words_for (Bitvec.length v));
+    (key, w)
+  end
 
 (* The tail of the cascade on [g], from scratch ([change] = [None], or a
    capture of another shape) or as a restart from [change].  Bookkeeping
@@ -402,12 +414,12 @@ let solve_tail ~export ~work g local avail antic change =
         | None -> ([], [])
         | Some c ->
           let e0 = c.c_tail.t_earliest and l0 = c.c_tail.t_laterin and old_antloc = Local.antloc_rows c.c_local in
-          let seen_edge = Arena.alloc_bool work (max 1 nedges) and seen = Arena.alloc_bool work bound in
+          let seen_edge = Arena.alloc_stamps work (max 1 nedges) and seen = Arena.alloc_stamps work bound in
           let ins_changed = ref [] and del_changed = ref [] in
           let edge p j =
             let k = adj.Cfg.adj_succ_off.(p) + j in
-            if not seen_edge.(k) then begin
-              seen_edge.(k) <- true;
+            if not (Arena.is_set seen_edge k) then begin
+              Arena.set seen_edge k;
               insert_into st.acc nw adj e l antloc p j;
               insert_into tmp nw adj e0 l0 old_antloc p j;
               if Rowtab.differs st.acc 0 tmp 0 nw 0 then begin
@@ -424,8 +436,8 @@ let solve_tail ~export ~work g local avail antic change =
           let out_edges p = Array.iteri (fun j _ -> edge p j) adj.Cfg.adj_succ.(p) in
           let in_edges b = Array.iter (fun p -> edge p (Rowtab.index adj.Cfg.adj_succ.(p) b)) adj.Cfg.adj_pred.(b) in
           let block b =
-            if not seen.(b) then begin
-              seen.(b) <- true;
+            if not (Arena.is_set seen b) then begin
+              Arena.set seen b;
               delete_into st.acc nw entry l antloc b;
               delete_into tmp nw entry l0 old_antloc b;
               if Rowtab.differs st.acc 0 tmp 0 nw 0 then begin
@@ -523,9 +535,14 @@ let solve_tail ~export ~work g local avail antic change =
             Array.iter (fun p -> touched := p :: !touched) adj.Cfg.adj_pred.(Rowtab.changed st.livein j)
           done;
           List.iter (fun k -> touched := owner adj.Cfg.adj_succ_off k :: !touched) ins_changed;
-          (insert, delete, merge fst copy_at t.t_copy (List.sort_uniq compare !touched)))
+          let copy = merge fst copy_at t.t_copy (List.sort_uniq compare !touched) in
+          if t.t_nbits = n then (insert, delete, copy)
+          else
+            (* Appended columns: every set is as wide as the pool. *)
+            let widen l = List.map (widen ~export work n) l in
+            (widen insert, widen delete, widen copy))
   in
-  ( { t_adj = adj; t_earliest = e; t_laterin = l; t_livein = st.livein; t_insert = insert; t_delete = delete; t_copy = copy },
+  ( { t_adj = adj; t_nbits = n; t_earliest = e; t_laterin = l; t_livein = st.livein; t_insert = insert; t_delete = delete; t_copy = copy },
     later_sweeps,
     later_visits,
     live_visits )
@@ -562,7 +579,7 @@ let with_work scratch g nbits f =
    "lcm.copy").  [keep] puts the tables on the heap, for a capture;
    [work] backs the bookkeeping, [scratch] the LATER sets the analysis
    hands out. *)
-let finish ?scratch ~work ~keep g pool local avail antic change =
+let finish ?scratch ?ranked ~work ~keep g pool local avail antic change =
   let export = keep || Option.is_none scratch in
   let tail, later_sweeps, later_visits, live_visits = solve_tail ~export ~work g local avail antic change in
   let n = Local.nbits local in
@@ -599,6 +616,7 @@ let finish ?scratch ~work ~keep g pool local avail antic change =
       visits = avail.Avail.visits + antic.Antic.visits + later_visits;
       delay_visits = later_visits;
       live_visits;
+      ranked;
     },
     tail )
 
@@ -621,16 +639,28 @@ let analyze ?pool ?scratch g =
    index of the pool.  EARLIEST, the LATERIN delay fixpoint, latestness and
    the copies are recomputed from those rows, on the request's arena.
 
-   A capture is admissible only while the candidate pool is unchanged — bit
-   index i must mean the same expression in both solves.  The pool lists
-   the graph's distinct candidates in order of first occurrence (blocks in
-   label order, instructions in order), so the occurrence index decides
-   equality from the dirty blocks alone: per block, its distinct pool
-   indices in order of first occurrence; per expression, the key of its
-   first occurrence (block, rank within the block) and the blocks that
-   compute it.  After a patch only the expressions of the dirty blocks'
-   old and new bodies can move; the pool is unchanged exactly when none of
-   them is new or gone and the keys stay increasing in index order. *)
+   Bit indices are append-only across a capture's deltas.  No solution of
+   the cascade reads another expression's bit, so an expression's index is
+   arbitrary; only the temporaries' names and the order of an edge's
+   insertions show the pool's order, which is the order of first
+   occurrence (blocks in label order, instructions in order).  So:
+   - a candidate the pool lacks is appended as a new bit of a copy of the
+     pool ({!Cfg.extend_numbering}), whose column starts all-zero in every
+     captured row: the old system's fixpoint for an expression no block
+     computes, when every block reaches the exit (docs/ALGORITHM.md);
+   - an expression with no occurrence left keeps its bit, dead: its
+     ANTLOC and COMP rows are empty, and the restarts clear the rest;
+   - a rank per bit (its position in first-occurrence order among the
+     live bits) names the temporaries and orders the insertions, so the
+     bytes are those a from-scratch solve gives.
+   The occurrence index decides the ranks from the dirty blocks alone: per
+   block, its distinct pool indices in order of first occurrence; per
+   expression, the key of its first occurrence (block, rank within the
+   block) and the blocks that compute it.  After a patch only the
+   expressions of the dirty blocks' old and new bodies can move; the ranks
+   are unchanged exactly when none of them is new, dead or revived and the
+   keys stay increasing in rank order.  A from-scratch solve numbers the
+   pool in first-occurrence order, so its ranks are the identity. *)
 
 (* A label- or index-keyed array in pages of [page] cells: an update
    copies the spine and the pages it writes, so an index the size of the
@@ -658,19 +688,23 @@ module Paged = struct
     spine
 end
 
+(* The identity ranking, compared physically. *)
+let identity : int array = [||]
+
 type occurrences = {
   blk : int array Paged.t;  (* label -> distinct pool indices, first-occurrence order *)
-  key : int Paged.t;  (* index -> first occurrence, [label lsl key_shift lor rank] *)
+  key : int Paged.t;  (* index -> first occurrence, [label lsl key_shift lor rank]; [dead] when none *)
   blocks : int array Paged.t;  (* index -> labels of the blocks computing it, ascending *)
+  rank : int array;  (* index -> rank among the live indices by key, -1 dead; or [identity] *)
+  order : int array;  (* rank -> index; [identity] with [rank] *)
 }
 
 let key_shift = 30
+let dead = max_int
 
-exception Pool_changed
-
-(* Block [l]'s distinct pool indices in order of first occurrence;
-   [Pool_changed] on a candidate the pool lacks.  [seen] is a stamp per
-   pool index, [stamp] this scan's. *)
+(* Block [l]'s distinct pool indices in order of first occurrence; the
+   pool holds every candidate of the block.  [seen] is a stamp per pool
+   index, [stamp] this scan's. *)
 let block_exprs pool seen stamp g l =
   let rec go acc = function
     | [] -> Array.of_list (List.rev acc)
@@ -678,7 +712,7 @@ let block_exprs pool seen stamp g l =
       (match Lcm_ir.Instr.candidate i with
       | None -> go acc rest
       | Some e ->
-        let idx = try Expr_pool.index_exn pool e with Not_found -> raise Pool_changed in
+        let idx = Expr_pool.index_exn pool e in
         if seen.(idx) = stamp then go acc rest
         else begin
           seen.(idx) <- stamp;
@@ -711,83 +745,159 @@ let occurrences g pool =
         count.(e) <- count.(e) + 1)
       blk.(l)
   done;
-  { blk = Paged.init bound (Array.get blk); key = Paged.init n (Array.get key); blocks = Paged.init n (Array.get blocks) }
+  {
+    blk = Paged.init bound (Array.get blk);
+    key = Paged.init n (Array.get key);
+    blocks = Paged.init n (Array.get blocks);
+    rank = identity;
+    order = identity;
+  }
 
-(* The occurrence index of the patched graph [g] when its candidate pool
-   equals the capture's, decided from the bodies of the [dirty] blocks
-   alone; [None] when the pool changed.  The check is exact — the pool's
-   order is a function of the first-occurrence keys — so it never needs a
-   full pool build.  The new index shares every page the patch did not
-   touch with [occ]. *)
+(* The live indices of [key] (of [n]) sorted by key: [(identity,
+   identity)] when that is every index in index order. *)
+let ranks key n =
+  let live = ref 0 in
+  for e = 0 to n - 1 do
+    if Paged.get key e <> dead then incr live
+  done;
+  let order = Array.make !live 0 and j = ref 0 in
+  for e = 0 to n - 1 do
+    if Paged.get key e <> dead then begin
+      order.(!j) <- e;
+      incr j
+    end
+  done;
+  Array.sort (fun a b -> compare (Paged.get key a) (Paged.get key b)) order;
+  let rec ordered i = i >= n || (order.(i) = i && ordered (i + 1)) in
+  if !live = n && ordered 0 then (identity, identity)
+  else begin
+    let rank = Array.make n (-1) in
+    Array.iteri (fun r e -> rank.(e) <- r) order;
+    (rank, order)
+  end
+
+(* The candidates of the [dirty] blocks that [nb]'s pool lacks, canonical,
+   in order of first occurrence there; [None] when one of them reads a
+   name [nb]'s table lacks. *)
+let missing nb g dirty =
+  let pool = Cfg.numbering_pool nb in
+  let known = function Lcm_ir.Expr.Var v -> Cfg.numbering_var nb v >= 0 | Lcm_ir.Expr.Const _ -> true in
+  let note acc i =
+    match (acc, Lcm_ir.Instr.candidate i) with
+    | None, _ | _, None -> acc
+    | Some es, Some e ->
+      (match Expr_pool.index_exn pool e with
+      | _ -> acc
+      | exception Not_found ->
+        let e = Lcm_ir.Expr.canonical e in
+        (match e with
+        | (Lcm_ir.Expr.Atom a | Lcm_ir.Expr.Unary (_, a)) when not (known a) -> None
+        | Lcm_ir.Expr.Binary (_, a, b) when not (known a && known b) -> None
+        | _ -> if List.exists (Lcm_ir.Expr.equal e) es then acc else Some (e :: es)))
+  in
+  Option.map List.rev (List.fold_left (fun acc l -> List.fold_left note acc (Cfg.instrs g l)) (Some []) dirty)
+
+(* The occurrence index of the patched graph [g] over [pool] — the
+   capture's, or an extension of it holding every candidate of the
+   [dirty] blocks — decided from the bodies of the dirty blocks alone,
+   with the ranks of its indices.  The new index shares every page the
+   patch did not touch with [occ], and the ranks too when no expression
+   is new, dead or revived and no first occurrence moved past another. *)
 let repatch_occurrences ~work occ pool g dirty =
   let n = Expr_pool.size pool and bound = Cfg.label_bound g in
-  List.iter
-    (fun l ->
-      if l < 0 || l >= bound || not (Cfg.mem g l) then
-        invalid_arg (Printf.sprintf "Lcm_edge.analyze_incr: dirty label B%d is not a block" l))
-    dirty;
-  let old_bound = Paged.length occ.blk in
-  let decide () =
-    let dirty = List.sort_uniq compare dirty in
-    let is_dirty l = List.mem l dirty in
-    let seen = Arena.alloc_int work n in
-    Array.fill seen 0 n (-1);
-    let fresh = List.map (fun l -> (l, block_exprs pool seen l g l)) dirty in
-    (* The expressions that can move: those of the dirty blocks' old and
-       new bodies.  [seen] now marks them with [bound]. *)
-    let affected = ref [] in
-    let note e =
-      if seen.(e) <> bound then begin
-        seen.(e) <- bound;
-        affected := e :: !affected
-      end
-    in
-    List.iter
-      (fun (l, arr) ->
-        if l < old_bound then Array.iter note (Paged.get occ.blk l);
-        Array.iter note arr)
-      fresh;
-    let keys =
-      List.map
-        (fun e ->
-          let old_first =
-            let bs = Paged.get occ.blocks e in
-            let rec first i =
-              if i >= Array.length bs then max_int else if is_dirty bs.(i) then first (i + 1) else bs.(i)
-            in
-            let b = first 0 in
-            if b = max_int then max_int else (b lsl key_shift) lor rank (Paged.get occ.blk b) e 0
-          in
-          let new_first =
-            match List.find_opt (fun (_, arr) -> Array.mem e arr) fresh with
-            | Some (l, arr) -> (l lsl key_shift) lor rank arr e 0
-            | None -> max_int
-          in
-          let k = min old_first new_first in
-          if k = max_int then raise Pool_changed;
-          (e, k))
-        !affected
-    in
-    let key = Paged.update occ.key n (-1) keys in
-    (* Keys stay increasing in index order: only pairs next to a moved key
-       can have changed. *)
-    List.iter
-      (fun (e, k) ->
-        if (e > 0 && Paged.get key (e - 1) >= k) || (e + 1 < n && Paged.get key (e + 1) <= k) then
-          raise Pool_changed)
-      keys;
-    let blocks =
-      Paged.update occ.blocks n [||]
-        (List.map
-           (fun e ->
-             let kept = List.filter (fun b -> not (is_dirty b)) (Array.to_list (Paged.get occ.blocks e)) in
-             let added = List.filter_map (fun (l, arr) -> if Array.mem e arr then Some l else None) fresh in
-             (e, Array.of_list (List.merge compare kept added)))
-           !affected)
-    in
-    { blk = Paged.update occ.blk bound [||] fresh; key; blocks }
+  let n0 = Paged.length occ.key and old_bound = Paged.length occ.blk in
+  let is_dirty l = List.mem l dirty in
+  let seen = Arena.alloc_int work n in
+  Array.fill seen 0 n (-1);
+  let fresh = List.map (fun l -> (l, block_exprs pool seen l g l)) dirty in
+  (* The expressions that can move: those of the dirty blocks' old and
+     new bodies.  [seen] now marks them with [bound]. *)
+  let affected = ref [] in
+  let note e =
+    if seen.(e) <> bound then begin
+      seen.(e) <- bound;
+      affected := e :: !affected
+    end
   in
-  match decide () with occ -> Some occ | exception Pool_changed -> None
+  List.iter
+    (fun (l, arr) ->
+      if l < old_bound then Array.iter note (Paged.get occ.blk l);
+      Array.iter note arr)
+    fresh;
+  let old_blocks e = if e < n0 then Paged.get occ.blocks e else [||] in
+  let keys =
+    List.map
+      (fun e ->
+        let old_first =
+          let bs = old_blocks e in
+          let rec first i =
+            if i >= Array.length bs then dead else if is_dirty bs.(i) then first (i + 1) else bs.(i)
+          in
+          let b = first 0 in
+          if b = dead then dead else (b lsl key_shift) lor rank (Paged.get occ.blk b) e 0
+        in
+        let new_first =
+          match List.find_opt (fun (_, arr) -> Array.mem e arr) fresh with
+          | Some (l, arr) -> (l lsl key_shift) lor rank arr e 0
+          | None -> dead
+        in
+        (e, min old_first new_first))
+      !affected
+  in
+  let key = Paged.update occ.key n dead keys in
+  (* The ranks stand while every affected key keeps its liveness and
+     stays between its neighbours in rank order: only pairs next to a
+     moved key can have changed. *)
+  let rank_of e = if occ.rank == identity then e else occ.rank.(e) in
+  let at r = if occ.order == identity then r else occ.order.(r) in
+  let live = if occ.order == identity then n0 else Array.length occ.order in
+  let kept =
+    n = n0
+    && List.for_all
+         (fun (e, k) ->
+           let r = rank_of e in
+           (r >= 0) = (k <> dead)
+           && (r < 0
+              || ((r = 0 || Paged.get key (at (r - 1)) < k) && (r + 1 >= live || Paged.get key (at (r + 1)) > k))))
+         keys
+  in
+  let rank, order = if kept then (occ.rank, occ.order) else ranks key n in
+  let blocks =
+    Paged.update occ.blocks n [||]
+      (List.map
+         (fun e ->
+           let kept = List.filter (fun b -> not (is_dirty b)) (Array.to_list (old_blocks e)) in
+           let added = List.filter_map (fun (l, arr) -> if Array.mem e arr then Some l else None) fresh in
+           (e, Array.of_list (List.merge compare kept added)))
+         !affected)
+  in
+  { blk = Paged.update occ.blk bound [||] fresh; key; blocks; rank; order }
+
+(* Whether every block reaches the exit (so the exit, and every block, is
+   reachable): then an expression no block computes is neither available
+   nor anticipated anywhere, and its all-zero column is the cascade's
+   fixpoint. *)
+let all_reach_exit work g =
+  let adj = Cfg.adjacency g in
+  let bound = adj.Cfg.adj_bound and exit = Cfg.exit_label g in
+  let seen = Arena.alloc_bool work (max 1 bound) and stack = Arena.alloc_int work (max 1 bound) in
+  seen.(exit) <- true;
+  stack.(0) <- exit;
+  let top = ref 1 and reached = ref 0 in
+  while !top > 0 do
+    decr top;
+    incr reached;
+    let preds = adj.Cfg.adj_pred.(stack.(!top)) in
+    for i = 0 to Array.length preds - 1 do
+      let p = preds.(i) in
+      if not seen.(p) then begin
+        seen.(p) <- true;
+        stack.(!top) <- p;
+        incr top
+      end
+    done
+  done;
+  !reached = Cfg.num_blocks g
 
 type saved = {
   saved_pool : Expr_pool.t;
@@ -796,6 +906,8 @@ type saved = {
   saved_avail : Lcm_dataflow.Solver.saved;
   saved_antic : Lcm_dataflow.Solver.saved;
   saved_tail : tail;
+  saved_exits : bool;  (* [all_reach_exit] of the captured shape *)
+  saved_names : (string * string array) option;  (* the prefix and the ranked names, under ranks *)
 }
 
 let saved_pool s = s.saved_pool
@@ -808,22 +920,72 @@ let analyze_keep ?scratch g =
   let avail, saved_avail = Trace.span "lcm.up_safety" (fun () -> Avail.compute_keep ?scratch g local) in
   let antic, saved_antic = Trace.span "lcm.down_safety" (fun () -> Antic.compute_keep ?scratch g local) in
   let saved_occ = Trace.span "lcm.occurrences" (fun () -> occurrences g pool) in
-  let a, saved_tail =
+  let a, saved_tail, saved_exits =
     with_work scratch g (Local.nbits local) (fun work ->
-        finish ?scratch ~work ~keep:true g pool local avail antic None)
+        let a, tail = finish ?scratch ~work ~keep:true g pool local avail antic None in
+        (a, tail, all_reach_exit work g))
   in
-  (a, { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail })
+  ( a,
+    { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail; saved_exits; saved_names = None } )
+
+(* The numbering a delta's analysis scans against: the capture's, or an
+   extension of its pool by the candidates the dirty blocks add.  A block
+   left alone computes none of them, and writes to names the table lacks
+   matter to no candidate, so every block's events stay valid.  [None]
+   sends the delta to a from-scratch solve: an added candidate reads a
+   name the table lacks, comes with a shape edit, outgrows the row width
+   in words, or would start from a column that is not the old fixpoint. *)
+let delta_numbering prev g dirty ~same_shape ~exits =
+  let nb = Local.numbering prev.saved_local in
+  match missing nb g dirty with
+  | None -> None
+  | Some [] -> Some nb
+  | Some es ->
+    if not (same_shape && exits) then None
+    else
+      let nb' = Cfg.extend_numbering nb es in
+      if Bitvec.words_for (Expr_pool.size (Cfg.numbering_pool nb')) = Bitvec.words_for (Expr_pool.size prev.saved_pool)
+      then Some nb'
+      else None
+
+(* The temporaries' names under the ranks of [occ]: none (the identity,
+   named by index from {!Temps}), or the capture's when neither the ranks
+   nor the prefix moved. *)
+let names_for prev g occ =
+  if occ.rank == identity then None
+  else
+    let prefix = Cfg.temp_prefix g in
+    match prev.saved_names with
+    | Some (p, _) when occ.rank == prev.saved_occ.rank && String.equal p prefix -> prev.saved_names
+    | Some _ | None -> Some (prefix, Temps.ranked prefix occ.rank)
 
 (* The safety restarts take the caller's [scratch], as their results
    escape in the analysis; one [work] arena backs the pool check and the
    tail. *)
 let analyze_incr ?scratch g ~prev ~dirty =
-  let pool = prev.saved_pool in
-  with_work scratch g (Expr_pool.size pool) (fun work ->
-      match Trace.span "lcm.pool" (fun () -> repatch_occurrences ~work prev.saved_occ pool g dirty) with
+  let bound = Cfg.label_bound g in
+  List.iter
+    (fun l ->
+      if l < 0 || l >= bound || not (Cfg.mem g l) then
+        invalid_arg (Printf.sprintf "Lcm_edge.analyze_incr: dirty label B%d is not a block" l))
+    dirty;
+  let dirty = List.sort_uniq compare dirty in
+  with_work scratch g (Expr_pool.size prev.saved_pool) (fun work ->
+      let same_shape = Cfg.adjacency g == prev.saved_tail.t_adj in
+      let exits = if same_shape then prev.saved_exits else all_reach_exit work g in
+      let repatched =
+        Trace.span "lcm.pool" (fun () ->
+            Option.map
+              (fun nb -> (nb, repatch_occurrences ~work prev.saved_occ (Cfg.numbering_pool nb) g dirty))
+              (delta_numbering prev g dirty ~same_shape ~exits))
+      in
+      match repatched with
       | None -> None
-      | Some saved_occ ->
-        let local = Trace.span "lcm.local" (fun () -> Local.update ?scratch:work ~prev:prev.saved_local g ~dirty) in
+      | Some (nb, saved_occ) ->
+        let pool = Cfg.numbering_pool nb in
+        let local =
+          Trace.span "lcm.local" (fun () -> Local.update ?scratch:work ~numbering:nb ~prev:prev.saved_local g ~dirty)
+        in
         (match
            Trace.span "lcm.up_safety" (fun () -> Avail.compute_incr ?scratch g local ~prev:prev.saved_avail ~dirty)
          with
@@ -838,17 +1000,30 @@ let analyze_incr ?scratch g ~prev ~dirty =
             let change =
               { c_tail = prev.saved_tail; c_local = prev.saved_local; c_dirty = dirty; c_avail = moved_a; c_antic = moved_b }
             in
-            let a, saved_tail = finish ?scratch ~work ~keep:true g pool local avail antic (Some change) in
+            let saved_names = names_for prev g saved_occ in
+            let ranked = Option.map (fun (_, names) -> (saved_occ.rank, names)) saved_names in
+            let a, saved_tail = finish ?scratch ?ranked ~work ~keep:true g pool local avail antic (Some change) in
             Some
               ( a,
-                { saved_pool = pool; saved_occ; saved_local = local; saved_avail; saved_antic; saved_tail },
+                {
+                  saved_pool = pool;
+                  saved_occ;
+                  saved_local = local;
+                  saved_avail;
+                  saved_antic;
+                  saved_tail;
+                  saved_exits = exits;
+                  saved_names;
+                },
                 max (Array.length moved_a) (Array.length moved_b) ))))
 
 let spec g a =
+  let temp_names, rank = match a.ranked with None -> (Temps.names g a.pool, identity) | Some (rank, names) -> (names, rank) in
   {
     Transform.algorithm = "lcm-edge";
     pool = a.pool;
-    temp_names = Temps.names g a.pool;
+    temp_names;
+    rank;
     edge_inserts = a.insert;
     entry_inserts = [];
     exit_inserts = [];

@@ -38,6 +38,15 @@ type analysis = {
           summed *)
   delay_visits : int;  (** LATERIN's share of [visits] *)
   live_visits : int;  (** visits of the temporaries' liveness, which {!Copy_analysis} solves *)
+  ranked : (int array * string array) option;
+      (** [None] when [pool] lists the graph's candidates in order of first
+          occurrence (blocks in label order, instructions in order), as
+          after every from-scratch solve: index [i] is the expression of
+          rank [i].  After an {!analyze_incr} whose pool gained or lost
+          expressions, [Some (rank, names)]: index [i] has rank [rank.(i)]
+          among the live indices ([-1] for an expression the graph no
+          longer computes, whose sets are all empty) and its temporary is
+          [names.(i)], the name a from-scratch solve gives that rank. *)
 }
 
 (** Solve the up-safety (AVAIL, forward) and down-safety (ANTIC,
@@ -90,11 +99,11 @@ val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * s
 
 (** [analyze_incr g ~prev ~dirty] re-analyzes the patched graph [g] from
     the capture saved before the patch, doing work for the changed rows
-    only: pool equality is decided exactly from the [dirty] blocks'
-    bodies and the capture's occurrence index (no full pool build), local
-    rows are recomputed for the dirty blocks
-    ({!Lcm_dataflow.Local.update}), the AVAIL/ANTIC fixpoints restart
-    from the bits and blocks that changed
+    only: the candidate pool and the ranks of its expressions are
+    repatched from the [dirty] blocks' bodies and the capture's
+    occurrence index (no full pool build), local rows are recomputed for
+    the dirty blocks ({!Lcm_dataflow.Local.update}), the AVAIL/ANTIC
+    fixpoints restart from the bits and blocks that changed
     ({!Lcm_dataflow.Solver.restart}), EARLIEST, INSERT, DELETE and COPY
     are re-derived where their inputs moved, and LATERIN and the
     temporaries' liveness restart the same way as the safety systems
@@ -103,16 +112,26 @@ val analyze_keep : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> analysis * s
     included, is copy-on-write over the capture's, so the restart copies
     only the pages of what changed.  The INSERT, DELETE and COPY lists
     keep their order, and a set that did not change is the captured
-    vector.  [scratch] backs the worklists and bookkeeping (without it one
-    arena is checked out for the whole restart).  [dirty] is
-    {!Lcm_cfg.Patch.apply}'s seed.  Returns the analysis (bit-identical to
-    a from-scratch [analyze g]), a new capture, and the number of blocks
-    whose AVAIL or ANTIC rows changed (max over the two systems).  [None]
-    when the capture is inadmissible — the patch changed the candidate
-    expression pool, so bit indices shifted — in which case callers fall
-    back to {!analyze_keep}.  [prev] is left as it was either way.  Raises
-    [Invalid_argument] when [dirty] names a label that is not a block of
-    [g]. *)
+    vector.
+
+    Bit indices are stable: a candidate the capture's pool lacks is
+    appended as a new bit of a copy of the pool, and an expression the
+    graph no longer computes keeps its bit, empty.  The analysis then
+    carries the ranks ([ranked]) that make {!spec}'s program
+    byte-identical to one from a from-scratch [analyze g]; on the ranked
+    bits every row is the from-scratch row.  [scratch] backs the
+    worklists and bookkeeping (without it one arena is checked out for
+    the whole restart).  [dirty] is {!Lcm_cfg.Patch.apply}'s seed.
+    Returns the analysis, a new capture, and the number of blocks whose
+    AVAIL or ANTIC rows changed (max over the two systems).  [None] —
+    callers fall back to {!analyze_keep} — when the patch adds a
+    candidate that reads a variable the capture's numbering lacks, or
+    adds one and also edits the shape, outgrows the rows' width in words
+    (the from-scratch solve then compacts the dead bits), or meets a
+    block that cannot reach the exit (where an appended all-zero column
+    need not be the old fixpoint).  [prev] is left as it was either way.
+    Raises [Invalid_argument] when [dirty] names a label that is not a
+    block of [g]. *)
 val analyze_incr :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->
@@ -120,7 +139,9 @@ val analyze_incr :
   dirty:Label.t list ->
   (analysis * saved * int) option
 
-(** Decision of [analyze] as a transformation spec. *)
+(** Decision of [analyze] as a transformation spec: temporaries named
+    and insertions ordered by rank ([ranked]), so they name the same
+    expressions as after a from-scratch solve of [g]. *)
 val spec : Lcm_cfg.Cfg.t -> analysis -> Transform.spec
 
 (** [transform g] = apply the decision to (a copy of) [g]. *)

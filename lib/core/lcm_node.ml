@@ -168,6 +168,7 @@ let spec g a variant =
     Transform.algorithm = variant_name variant;
     pool = a.pool;
     temp_names = Temps.names g a.pool;
+    rank = [||];
     edge_inserts = [];
     entry_inserts;
     exit_inserts = [];

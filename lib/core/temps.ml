@@ -13,8 +13,8 @@ module Expr_pool = Lcm_ir.Expr_pool
 let cache = Atomic.make ("", [])
 let kept = 16
 
-let names g pool =
-  let prefix = Cfg.temp_prefix g and n = Expr_pool.size pool in
+(* Names [prefix ^ i] for [i < n], from the cache. *)
+let numbered prefix n =
   let p, arrays = Atomic.get cache in
   let arrays = if String.equal p prefix then arrays else [] in
   match List.find_opt (fun a -> Array.length a = n) arrays with
@@ -24,3 +24,11 @@ let names g pool =
     let a = Array.init n (fun i -> if i < Array.length longest then longest.(i) else prefix ^ string_of_int i) in
     Atomic.set cache (prefix, a :: List.filteri (fun i _ -> i < kept - 1) arrays);
     a
+
+let names g pool = numbered (Cfg.temp_prefix g) (Expr_pool.size pool)
+
+(* The strings are the cached ones, so only the array is new. *)
+let ranked prefix rank =
+  let ranks = Array.fold_left (fun m r -> max m (r + 1)) 0 rank in
+  let by_rank = numbered prefix ranks in
+  Array.map (fun r -> if r < 0 then "" else by_rank.(r)) rank

@@ -10,6 +10,7 @@ type spec = {
   algorithm : string;
   pool : Expr_pool.t;
   temp_names : string array;
+  rank : int array;
   edge_inserts : ((Label.t * Label.t) * Bitvec.t) list;
   entry_inserts : (Label.t * Bitvec.t) list;
   exit_inserts : (Label.t * Bitvec.t) list;
@@ -32,6 +33,7 @@ let identity_spec pool algorithm =
     algorithm;
     pool;
     temp_names = [||];
+    rank = [||];
     edge_inserts = [];
     entry_inserts = [];
     exit_inserts = [];
@@ -158,11 +160,35 @@ let rewrite_blocks g pool temps deletes copies =
   in
   go 0 0 [] (by_label deletes) (by_label copies)
 
-let insertion_instrs pool temps set =
-  List.rev
-    (Bitvec.fold_true
-       (fun idx acc -> Instr.Assign (temps.(idx), Expr_pool.expr pool idx) :: acc)
-       set [])
+(* The index of [set] with the greatest rank below [bound], or -1: the
+   set's words [ws] from word [w] on, [x] the bits of word [w] still to
+   look at, [best] the best so far. *)
+let rec below rank ws nw bound w x best =
+  if x = 0 then if w + 1 >= nw then best else below rank ws nw bound (w + 1) ws.(w + 1) best
+  else
+    let i = (w * Bitvec.bits_per_word) + Bitvec.ntz x in
+    let r = rank.(i) in
+    let best = if r < bound && (best < 0 || r > rank.(best)) then i else best in
+    below rank ws nw bound w (x land (x - 1)) best
+
+(* The insertions of [set], in index order or, under a [rank], in rank
+   order: built from the greatest rank down, a scan of the set's few bits
+   per insertion, so nothing is allocated but the list. *)
+let insertion_instrs pool temps rank set =
+  if Array.length rank = 0 then
+    List.rev
+      (Bitvec.fold_true
+         (fun idx acc -> Instr.Assign (temps.(idx), Expr_pool.expr pool idx) :: acc)
+         set [])
+  else begin
+    let ws = Bitvec.words set and nw = Bitvec.words_for (Bitvec.length set) in
+    let rec build bound acc =
+      match if nw = 0 then -1 else below rank ws nw bound 0 ws.(0) (-1) with
+      | -1 -> acc
+      | i -> build rank.(i) (Instr.Assign (temps.(i), Expr_pool.expr pool i) :: acc)
+    in
+    build max_int []
+  end
 
 let apply ?(simplify = false) input spec =
   let g = Cfg.copy input in
@@ -171,7 +197,7 @@ let apply ?(simplify = false) input spec =
   let num_entry_insertions =
     List.fold_left
       (fun acc (l, set) ->
-        let is = insertion_instrs pool temps set in
+        let is = insertion_instrs pool temps spec.rank set in
         Cfg.set_instrs g l (is @ Cfg.instrs g l);
         acc + List.length is)
       0 spec.entry_inserts
@@ -179,7 +205,7 @@ let apply ?(simplify = false) input spec =
   let num_exit_insertions =
     List.fold_left
       (fun acc (l, set) ->
-        let is = insertion_instrs pool temps set in
+        let is = insertion_instrs pool temps spec.rank set in
         Cfg.set_instrs g l (Cfg.instrs g l @ is);
         acc + List.length is)
       0 spec.exit_inserts
@@ -188,7 +214,7 @@ let apply ?(simplify = false) input spec =
   let num_edge_insertions =
     List.fold_left
       (fun acc ((src, dst), set) ->
-        let is = insertion_instrs pool temps set in
+        let is = insertion_instrs pool temps spec.rank set in
         if is = [] then acc
         else begin
           let fresh = Cfg.split_edge ~instrs:is g src dst in

@@ -26,6 +26,12 @@ type spec = {
   algorithm : string;  (** name recorded in reports *)
   pool : Lcm_ir.Expr_pool.t;
   temp_names : string array;  (** one per expression index *)
+  rank : int array;
+      (** the order an edge's insertions are emitted in: expression index
+          [i] goes before [j] when [rank.(i) < rank.(j)].  Empty: index
+          order, as for every pool numbered in order of first occurrence;
+          an incrementally extended pool ({!Lcm_edge.analyze_incr}) ranks
+          its indices by first occurrence instead. *)
   edge_inserts : ((Label.t * Label.t) * Bitvec.t) list;
   entry_inserts : (Label.t * Bitvec.t) list;
   exit_inserts : (Label.t * Bitvec.t) list;

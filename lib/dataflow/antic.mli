@@ -30,7 +30,12 @@ val compute_partial : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -
 val compute_keep :
   ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Local.t -> t * Solver.saved
 
-(** Backward twin of {!Avail.compute_incr}. *)
+(** Backward twin of {!Avail.compute_incr}.  Bits [local] appends within
+    the row width restart from [prev]'s zero padding, which is [prev]'s
+    fixpoint for expressions no block computed before the patch only when
+    every block reaches the exit (an infinite transparent loop
+    anticipates every expression); the caller must check that, as
+    [Lcm_edge.analyze_incr] does. *)
 val compute_incr :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->

@@ -38,8 +38,12 @@ val compute_keep :
     only on the bits and blocks the patch changed (see
     {!Solver.restart}); also returns the blocks whose AVIN or AVOUT rows
     changed.  [local] must come from the heap, like [compute_keep]'s.
-    [None] when [prev] is inadmissible (candidate pool width changed) —
-    fall back to {!compute_keep}. *)
+    [None] when [prev] is inadmissible (the pool shrank or outgrew
+    [prev]'s row width in words) — fall back to {!compute_keep}.  Bits
+    [local] appends within the row width restart from [prev]'s zero
+    padding, so the caller must know the all-zero column to be [prev]'s
+    fixpoint for them: for expressions no block computed before the
+    patch, it is when every block is reachable from the entry. *)
 val compute_incr :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->

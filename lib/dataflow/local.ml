@@ -112,13 +112,73 @@ let compute ?scratch g pool =
       live.(l) <- true);
   x
 
+(* [prev]'s kill masks for [nb], an extension of [prev]'s numbering by
+   appended expressions over the same table: each variable one of them
+   reads gets a new mask, [prev]'s bits and the appended ones; the other
+   masks are shared. *)
+let extend_masks prev nb =
+  let n0 = Expr_pool.size prev.pool and n = Expr_pool.size (Cfg.numbering_pool nb) in
+  let masks = Array.copy prev.masks and reads = Cfg.numbering_reads nb in
+  for i = 2 * n0 to (2 * n) - 1 do
+    let v = reads.(i) in
+    if v >= 0 then begin
+      if masks.(v) == prev.masks.(v) then begin
+        let m = Bitvec.create n and old = masks.(v) in
+        Array.blit (Bitvec.words old) 0 (Bitvec.words m) 0 (Bitvec.words_for (Bitvec.length old));
+        masks.(v) <- m
+      end;
+      Bitvec.set masks.(v) (i lsr 1) true
+    end
+  done;
+  masks
+
+(* The appended columns of every block's TRANSP row: set, then cleared
+   where the block writes a variable one of them reads — as a scan from
+   scratch would leave them, since [prev]'s columns were already cleared
+   by the same writes.  [t] is a word buffer. *)
+let rec clear_writes ev i affected masks nw t =
+  if i < Array.length ev then begin
+    let e = Array.unsafe_get ev i in
+    if e < 0 && affected.(-1 - e) then begin
+      let m = Bitvec.words masks.(-1 - e) in
+      for w = 0 to nw - 1 do
+        t.(w) <- t.(w) land lnot m.(w)
+      done
+    end;
+    clear_writes ev (i + 1) affected masks nw t
+  end
+
+let extend_transp ?scratch x prev g n0 t =
+  let n = Expr_pool.size x.pool and nw = x.transp.Rowtab.nw in
+  let appended = Arena.alloc_int scratch (max 1 nw) in
+  for i = n0 to n - 1 do
+    let w = i / Bitvec.bits_per_word in
+    appended.(w) <- appended.(w) lor (1 lsl (i mod Bitvec.bits_per_word))
+  done;
+  let affected = Arena.alloc_bool scratch (max 1 (Array.length x.masks)) in
+  Array.iteri (fun v m -> if m != prev.masks.(v) then affected.(v) <- true) x.masks;
+  let old = prev.transp in
+  Cfg.iter_labels g (fun l ->
+      if l < old.Rowtab.count then begin
+        let p = rpage old l and o = roff old l in
+        for w = 0 to nw - 1 do
+          t.(w) <- p.(o + w) lor appended.(w)
+        done;
+        clear_writes (block_events "update" g x.numbering l) 1 affected x.masks nw t;
+        ignore (Rowtab.store x.transp l t)
+      end)
+
 (* Copy-on-write over [prev]'s tables: a dirty block's rows are rescanned
    into word buffers and stored, so only the pages of rows that changed
-   are copied and [prev] is never written.  [scratch] backs the buffers
-   and the tables' change lists. *)
-let update ?scratch ~prev g ~dirty =
-  let n = Expr_pool.size prev.pool in
+   are copied and [prev] is never written.  Under a [numbering] whose pool
+   extends [prev]'s, every block's TRANSP row first gains the appended
+   columns.  [scratch] backs the buffers and the tables' change lists. *)
+let update ?scratch ?numbering ~prev g ~dirty =
+  let nb = Option.value numbering ~default:prev.numbering in
+  let pool = Cfg.numbering_pool nb in
+  let n0 = Expr_pool.size prev.pool and n = Expr_pool.size pool in
   let nw = Bitvec.words_for n and bound = Cfg.label_bound g in
+  if n < n0 || nw <> Bitvec.words_for n0 then invalid_arg "Local.update: the pool does not extend the previous one";
   let buf () = Arena.alloc_int scratch (max 1 nw) in
   let killed = buf () and a = buf () and c = buf () and t = buf () in
   let full = Bitvec.words (Arena.alloc_full scratch n) in
@@ -131,9 +191,19 @@ let update ?scratch ~prev g ~dirty =
       live
     end
   in
+  let masks = if n = n0 then prev.masks else extend_masks prev nb in
   let x =
-    { prev with antloc = table prev.antloc a; comp = table prev.comp c; transp = table prev.transp full; live }
+    {
+      pool;
+      antloc = table prev.antloc a;
+      comp = table prev.comp c;
+      transp = table prev.transp full;
+      live;
+      numbering = nb;
+      masks;
+    }
   in
+  if n > n0 then extend_transp ?scratch x prev g n0 t;
   List.iter
     (fun l ->
       if l < 0 || l >= bound || not live.(l) then
@@ -142,7 +212,7 @@ let update ?scratch ~prev g ~dirty =
       Array.fill a 0 nw 0;
       Array.fill c 0 nw 0;
       Array.blit full 0 t 0 nw;
-      scan (block_events "update" g prev.numbering l) 1 prev.masks nw killed a 0 c 0 t 0;
+      scan (block_events "update" g nb l) 1 masks nw killed a 0 c 0 t 0;
       ignore (Rowtab.store x.antloc l a);
       ignore (Rowtab.store x.comp l c);
       ignore (Rowtab.store x.transp l t))
@@ -153,6 +223,7 @@ let update ?scratch ~prev g ~dirty =
   x
 
 let nbits t = Expr_pool.size t.pool
+let numbering t = t.numbering
 
 let get t rows l what =
   if l >= 0 && l < Array.length t.live && t.live.(l) then Rowtab.to_bitvec rows l (nbits t)

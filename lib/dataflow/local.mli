@@ -31,13 +31,30 @@ val compute : ?scratch:Lcm_support.Arena.t -> Lcm_cfg.Cfg.t -> Lcm_ir.Expr_pool.
     lives in, and [prev]'s kill masks, with [prev], copy the others to the
     heap, and never write [prev].  [scratch] backs only the scan buffers
     and the tables' change lists.  [prev] must come from the heap
-    ({!compute} without [scratch]) when it outlives an arena.  The caller
-    checks that [g]'s candidate pool still equals the one [prev] was
-    computed with. *)
-val update : ?scratch:Lcm_support.Arena.t -> prev:t -> Lcm_cfg.Cfg.t -> dirty:Lcm_cfg.Label.t list -> t
+    ({!compute} without [scratch]) when it outlives an arena.
+
+    With [numbering], an {!Lcm_cfg.Cfg.extend_numbering} of [prev]'s whose
+    pool appends expressions within [prev]'s row width, the result is over
+    that pool: the appended columns are clear in every ANTLOC and COMP row
+    but the dirty blocks', and every block's TRANSP row gains them, cleared
+    where the block writes an operand (found from its events).  The
+    caller checks that [g]'s candidates are all in the pool; bits of
+    expressions no block computes any more stay, empty.  Raises
+    [Invalid_argument] when the pool shrank or outgrew the row width. *)
+val update :
+  ?scratch:Lcm_support.Arena.t ->
+  ?numbering:Lcm_cfg.Cfg.numbering ->
+  prev:t ->
+  Lcm_cfg.Cfg.t ->
+  dirty:Lcm_cfg.Label.t list ->
+  t
 
 (** Number of bits per vector (= pool size). *)
 val nbits : t -> int
+
+(** The numbering the rows were scanned against: its pool is the one the
+    rows' bits index. *)
+val numbering : t -> Lcm_cfg.Cfg.numbering
 
 (** A copy of block [l]'s row, for consumers off the word kernels. *)
 val antloc : t -> Lcm_cfg.Label.t -> Lcm_support.Bitvec.t

@@ -245,12 +245,12 @@ let pop q =
    running maximum. *)
 let drain ~work st q =
   let visits = ref 0 and sweeps = ref 0 in
-  let count = Arena.alloc_int work st.adj.Cfg.adj_bound in
+  let count = Arena.alloc_stamps work st.adj.Cfg.adj_bound in
   while q.npending > 0 do
     let l = pop q in
     incr visits;
-    let c = count.(l) + 1 in
-    count.(l) <- c;
+    let c = Arena.count count l + 1 in
+    Arena.set_count count l c;
     if c > !sweeps then sweeps := c;
     if visit st l then begin
       (* Explicit loop, not [Array.iter]: a closure here would be
@@ -419,15 +419,15 @@ let propagate_lift st q lf =
 let changed_blocks work st prev dirty ~same_shape =
   let adj = st.adj and flow = st.flow in
   let bound = adj.Cfg.adj_bound and old_bound = prev.s_adj.Cfg.adj_bound in
-  let seen = Arena.alloc_bool work bound and found = ref [] in
+  let seen = Arena.alloc_stamps work bound and found = ref [] in
   let now = Arena.alloc_int work st.nwords and before = Arena.alloc_int work st.nwords in
   let add l =
-    seen.(l) <- true;
+    Arena.set seen l;
     found := l :: !found
   in
   let consider l =
-    if not seen.(l) then begin
-      seen.(l) <- true;
+    if not (Arena.is_set seen l) then begin
+      Arena.set seen l;
       if l >= old_bound then found := l :: !found
       else begin
         meet_of st flow adj now l;
@@ -523,10 +523,20 @@ let restart_on ~rows work g (spec : spec) ~prev ~dirty =
   let changed = changed_blocks work st prev dirty ~same_shape in
   (result g spec st ~sweeps ~visits ~changed, save st spec)
 
+(* Bits appended to the problem within the row width start from the
+   capture's rows, whose padding is clear, so the boundaries must agree
+   word for word: the caller vouches that the all-zero column is the old
+   system's fixpoint for each appended bit, as it is for an expression no
+   block computes when every block reaches the exit. *)
+let same_boundary (p : spec) (spec : spec) =
+  not (Rowtab.differs (Bitvec.words p.boundary) 0 (Bitvec.words spec.boundary) 0 (Bitvec.words_for p.nbits) 0)
+
 let restart ?scratch g spec ~prev ~dirty =
   let p = prev.s_spec in
   if
-    p.nbits <> spec.nbits || p.direction <> spec.direction || p.confluence <> spec.confluence
-    || not (Bitvec.equal p.boundary spec.boundary)
+    p.nbits > spec.nbits
+    || Bitvec.words_for p.nbits <> Bitvec.words_for spec.nbits
+    || p.direction <> spec.direction || p.confluence <> spec.confluence
+    || not (same_boundary p spec)
   then None
   else on_work scratch g spec.nbits (fun work -> Some (restart_on ~rows:scratch work g spec ~prev ~dirty))

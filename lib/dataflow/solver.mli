@@ -136,9 +136,13 @@ val run_saved :
     only the restart's visits.  [prev] is never written, whether the result is kept or
     dropped.  [scratch] backs only the worklist, the bookkeeping and the
     change list.  Returns [None] when [prev] is not admissible for
-    [spec] ([nbits], direction, confluence or boundary differ — e.g. the
-    patch changed the candidate expression pool), in which case the caller
-    should fall back to a full solve. *)
+    [spec] (direction, confluence or boundary differ, or [nbits] shrank
+    or outgrew [prev]'s row width in words), in which case the caller
+    should fall back to a full solve.  Bits appended within the row width
+    restart from [prev]'s clear padding: the caller must know the all-zero
+    column to be [prev]'s system's fixpoint for them — for an ∩ problem
+    over an expression no block computed, it is when every block reaches
+    the boundary block. *)
 val restart :
   ?scratch:Lcm_support.Arena.t ->
   Lcm_cfg.Cfg.t ->

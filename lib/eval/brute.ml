@@ -76,6 +76,7 @@ let enumerate ?(max_edges = 12) ?(max_decisions = 8) g =
         Transform.algorithm = "brute";
         pool;
         temp_names;
+        rank = [||];
         edge_inserts = insert_sets;
         entry_inserts = [];
         exit_inserts = [];

@@ -1,5 +1,11 @@
 type t = {
   table : (Expr.t, int) Hashtbl.t;
+  (* An extended pool ({!extend}) finds the indices below [base_size] in
+     the table of the pool it extends, never written through it, and keeps
+     only the appended ones in [table]; a pool built by [add] alone has
+     [base_size] 0. *)
+  base : (Expr.t, int) Hashtbl.t;
+  base_size : int;
   mutable exprs : Expr.t array;
   mutable size : int;
   (* var → indices of expressions reading it, for every variable at once:
@@ -16,8 +22,11 @@ type t = {
 
 let create ?(size = 16) () =
   let size = max 16 size in
+  let table = Hashtbl.create size in
   {
-    table = Hashtbl.create size;
+    table;
+    base = table;
+    base_size = 0;
     exprs = Array.make size (Expr.Atom (Expr.Const 0));
     size = 0;
     reading_cache = Hashtbl.create 16;
@@ -32,13 +41,24 @@ let grow pool =
     pool.exprs <- bigger
   end
 
+(* No [Some] per lookup: the local-predicate scan asks once per
+   instruction.  Raises [Not_found]. *)
+let index_exn pool e =
+  match Hashtbl.find pool.table e with
+  | i -> i
+  | exception Not_found when pool.base_size > 0 ->
+    let i = Hashtbl.find pool.base e in
+    if i < pool.base_size then i else raise Not_found
+
+let index pool e = match index_exn pool e with i -> Some i | exception Not_found -> None
+
 let add pool e =
   if not (Expr.is_candidate e) then
     invalid_arg (Printf.sprintf "Expr_pool.add: %s is not a PRE candidate" (Expr.to_string e));
   let e = Expr.canonical e in
-  match Hashtbl.find_opt pool.table e with
-  | Some i -> i
-  | None ->
+  match index_exn pool e with
+  | i -> i
+  | exception Not_found ->
     grow pool;
     let i = pool.size in
     pool.exprs.(i) <- e;
@@ -56,11 +76,31 @@ let add pool e =
     | Expr.Atom _ | Expr.Unary _ | Expr.Binary _ -> ());
     i
 
-let index pool e = Hashtbl.find_opt pool.table e
-
-(* Hot-path variant of [index]: no [Some] allocation per lookup (the
-   local-predicate scan asks once per instruction).  Raises [Not_found]. *)
-let index_exn pool e = Hashtbl.find pool.table e
+(* [pool]'s indices are found in the table they were added to, which the
+   extension reads and never writes; its own table and array hold only
+   what it appends, so extending costs what is appended plus a copy of the
+   expressions' array. *)
+let extend pool es =
+  let exprs = Array.make (max 16 (pool.size + List.length es)) pool.exprs.(0) in
+  Array.blit pool.exprs 0 exprs 0 pool.size;
+  let base, base_size, table =
+    if pool.base_size = 0 then (pool.table, pool.size, Hashtbl.create 8)
+    else (pool.base, pool.base_size, Hashtbl.copy pool.table)
+  in
+  let ext =
+    {
+      table;
+      base;
+      base_size;
+      exprs;
+      size = pool.size;
+      reading_cache = Hashtbl.create 16;
+      reading_cache_size = -1;
+      reading_lock = Mutex.create ();
+    }
+  in
+  List.iter (fun e -> ignore (add ext e)) es;
+  ext
 
 let expr pool i =
   if i < 0 || i >= pool.size then invalid_arg "Expr_pool.expr: index out of range";

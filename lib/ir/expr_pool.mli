@@ -15,6 +15,11 @@ val create : ?size:int -> unit -> t
     same index.  Raises [Invalid_argument] on non-candidates (atoms). *)
 val add : t -> Expr.t -> int
 
+(** [extend pool es] is a new pool holding [pool]'s expressions at their
+    indices, then those of [es] it lacks, in order.  [pool] is not
+    written. *)
+val extend : t -> Expr.t list -> t
+
 (** [index pool e] is the index of [e] if registered. *)
 val index : t -> Expr.t -> int option
 

@@ -241,9 +241,15 @@ let execute_run cfg ~now ~deadline ~id ~trace_id (r : Protocol.run_request) ~tim
    patches a copy of the retained graph and restarts the analysis from
    the capture, working only on the rows the patch changed; the new
    capture shares every other row with the old one, which stays intact
-   until the delta succeeds.  When the patch changed the candidate
-   expression pool (bit indices shifted) it falls back to a from-scratch
-   solve on the patched graph — same answer, no savings. *)
+   until the delta succeeds.  A patch that adds a candidate expression
+   appends a bit to (a copy of) the capture's pool, and one that removes an
+   expression's last occurrence leaves its bit dead, so the restart covers
+   pool changes too; the temporaries are named by rank, so the program is
+   the from-scratch one.  A from-scratch solve on the patched graph — same
+   answer, no savings, and the dead bits compacted — remains for an added
+   candidate over a name the capture's numbering lacks, and for a pool
+   change that comes with a shape edit, outgrows the rows' width in words,
+   or meets a block that cannot reach the exit. *)
 
 (* An evicted handle's journal goes with it: recovery must not resurrect
    handles the capacity bound already reclaimed. *)
@@ -348,8 +354,8 @@ let edits_of_wire (d : Protocol.delta_request) =
     d.Protocol.d_edits
 
 (* Re-solve a patched copy of a retained graph from the handle's capture,
-   falling back to a from-scratch solve when the patch changed the
-   candidate pool: the one path a live delta and journal replay share.
+   falling back to a from-scratch solve when the capture cannot restart
+   (see above): the one path a live delta and journal replay share.
    The capture's rows stay on the heap; the rest of the cascade runs on
    [arena].  Returns the analysis, the new capture and the changed-row
    count of an incremental solve ([None]: the full fallback ran). *)
@@ -508,7 +514,8 @@ let replay_journal cfg (r : Hjournal.recovered) =
         let dirty =
           try Patch.apply g patch with Patch.Error m -> failwith ("patch apply: " ^ m)
         in
-        let _, saved, _ = with_delta_arena g saved0 (fun arena -> resolve_patched arena g ~prev:saved0 ~dirty) in
+        let _, saved, region = with_delta_arena g saved0 (fun arena -> resolve_patched arena g ~prev:saved0 ~dirty) in
+        if Option.is_none region then Stats.bump cfg.m.Smetrics.delta_full;
         incr replayed;
         state := (g, saved))
       r.Hjournal.r_patches;

@@ -39,8 +39,11 @@ type t = {
       (** wire name [delta.incremental_total]: deltas served from the
           retained fixpoint (region re-solve) *)
   delta_full : Stats.counter;
-      (** wire name [delta.full_total]: deltas that fell back to a
-          from-scratch solve (candidate pool changed) *)
+      (** wire name [delta.full_total]: deltas, live or replayed from a
+          journal, that fell back to a from-scratch solve: an added
+          candidate over a name the capture's numbering lacks, or a pool
+          change with a shape edit, past the rows' width in words, or in a
+          graph with a block that cannot reach the exit *)
   handles_live : Stats.counter;  (** wire name [handles.registered_total] *)
   handles_evicted : Stats.counter;  (** wire name [handles.evicted_total] *)
   cache_hits : Stats.counter;

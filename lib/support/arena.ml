@@ -45,9 +45,18 @@ type page_pool = {
   spines : int array array pool;
 }
 
+(* Cells that are never cleared: each checkout takes a fresh [mark] from
+   its arena, and a cell is set in that checkout when its high bits hold
+   the mark ([stamp_shift] low bits carry a small count).  A checkout
+   costs no pass over the cells, only the cells its user touches. *)
+type stamps = { cells : int array; mutable mark : int }
+
 type t = {
   mutable vec_pools : Bitvec.t pool list;  (* ascending capacity; a handful *)
   mutable int_pools : int array pool list;
+  mutable raw_pools : int array pool list;
+  mutable stamp_pools : stamps pool list;
+  mutable epoch : int;  (* the last mark a stamps checkout took *)
   mutable bool_pools : bool array pool list;
   mutable slot_pools : Bitvec.t array pool list;
   mutable page_pools : page_pool list;
@@ -59,6 +68,9 @@ let create () =
   {
     vec_pools = [];
     int_pools = [];
+    raw_pools = [];
+    stamp_pools = [];
+    epoch = 0;
     bool_pools = [];
     slot_pools = [];
     page_pools = [];
@@ -114,6 +126,20 @@ let int_pool a cap =
   with Not_found ->
     let p = { pcap = cap; items = [||]; count = 0; next = 0 } in
     a.int_pools <- insert p a.int_pools;
+    p
+
+let raw_pool a cap =
+  try find a.raw_pools cap
+  with Not_found ->
+    let p = { pcap = cap; items = [||]; count = 0; next = 0 } in
+    a.raw_pools <- insert p a.raw_pools;
+    p
+
+let stamp_pool a cap =
+  try find a.stamp_pools cap
+  with Not_found ->
+    let p = { pcap = cap; items = [||]; count = 0; next = 0 } in
+    a.stamp_pools <- insert p a.stamp_pools;
     p
 
 let bool_pool a cap =
@@ -185,6 +211,49 @@ let int_array a n =
     push p buf;
     buf
   end
+
+(* Int scratch whose cells hold whatever the last checkout left: for
+   stacks and queues, which write a cell before reading it. *)
+let raw_int_array a n =
+  let p = raw_pool a (bucket_size n) in
+  a.checkouts <- a.checkouts + 1;
+  if p.next < p.count then begin
+    let buf = p.items.(p.next) in
+    p.next <- p.next + 1;
+    buf
+  end
+  else begin
+    a.misses <- a.misses + 1;
+    let buf = Array.make p.pcap 0 in
+    push p buf;
+    buf
+  end
+
+let stamp_shift = 20
+let count_mask = (1 lsl stamp_shift) - 1
+
+let stamps_of a n =
+  let p = stamp_pool a (bucket_size n) in
+  a.checkouts <- a.checkouts + 1;
+  a.epoch <- a.epoch + 1;
+  if p.next < p.count then begin
+    let s = p.items.(p.next) in
+    p.next <- p.next + 1;
+    s.mark <- a.epoch;
+    s
+  end
+  else begin
+    a.misses <- a.misses + 1;
+    let s = { cells = Array.make p.pcap 0; mark = a.epoch } in
+    push p s;
+    s
+  end
+
+let[@inline] is_set s i = s.cells.(i) lsr stamp_shift = s.mark
+let[@inline] set s i = s.cells.(i) <- s.mark lsl stamp_shift
+let[@inline] clear s i = s.cells.(i) <- 0
+let[@inline] count s i = if is_set s i then s.cells.(i) land count_mask else 0
+let[@inline] set_count s i c = s.cells.(i) <- (s.mark lsl stamp_shift) lor min c count_mask
 
 let bool_array a n =
   let p = bool_pool a (bucket_size n) in
@@ -261,6 +330,8 @@ let reset a =
   List.iter (fun r -> rewind r.spines) a.page_pools;
   List.iter rewind a.vec_pools;
   List.iter rewind a.int_pools;
+  List.iter rewind a.raw_pools;
+  List.iter rewind a.stamp_pools;
   List.iter rewind a.bool_pools;
   (* Unpin eagerly: a parked slot array must not keep the previous
      request's Bitvecs reachable through slots nobody re-fills. *)
@@ -276,7 +347,11 @@ let reset a =
 let retained_words a =
   let words_of acc p = acc + (p.pcap * p.count) in
   let pages_of acc r = words_of acc r.spines in
-  List.fold_left pages_of (List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools) a.page_pools
+  List.fold_left words_of
+    (List.fold_left pages_of
+       (List.fold_left words_of (List.fold_left words_of (List.fold_left words_of 0 a.vec_pools) a.int_pools) a.raw_pools)
+       a.page_pools)
+    a.stamp_pools
 
 let checkouts a = a.checkouts
 let misses a = a.misses
@@ -294,6 +369,9 @@ let alloc_copy scratch v =
   match scratch with Some a -> copy a v | None -> Bitvec.copy v
 
 let alloc_int scratch n = match scratch with Some a -> int_array a n | None -> Array.make n 0
+
+let alloc_raw_int scratch n = match scratch with Some a -> raw_int_array a n | None -> Array.make n 0
+let alloc_stamps scratch n = match scratch with Some a -> stamps_of a n | None -> { cells = Array.make n 0; mark = 1 }
 
 let alloc_bool scratch n =
   match scratch with Some a -> bool_array a n | None -> Array.make n false

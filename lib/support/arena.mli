@@ -12,6 +12,13 @@
 
 type t
 
+(** Cells that are never cleared, for marks and small counts: each
+    checkout takes a fresh [mark] from its arena, and cell [i] is set in
+    this checkout exactly when {!is_set} says so, so a checkout costs no
+    pass over the cells.  Read and write them through the functions below
+    only. *)
+type stamps = private { cells : int array; mutable mark : int }
+
 (** A fresh arena with empty pools. *)
 val create : unit -> t
 
@@ -29,6 +36,24 @@ val int_array : t -> int -> int array
 
 (** [bool_array a n]: as {!int_array} with [false] cells. *)
 val bool_array : t -> int -> bool array
+
+(** [raw_int_array a n] is an int array with (at least) [n] cells holding
+    whatever the last checkout left: for stacks and queues that write a
+    cell before reading it. *)
+val raw_int_array : t -> int -> int array
+
+(** [stamps_of a n] is a {!stamps} of (at least) [n] cells, none set. *)
+val stamps_of : t -> int -> stamps
+
+val is_set : stamps -> int -> bool
+val set : stamps -> int -> unit
+val clear : stamps -> int -> unit
+
+(** The count stored at a cell in this checkout, 0 when it was not set. *)
+val count : stamps -> int -> int
+
+(** Set a cell with a count (saturating at 2{^20} - 1). *)
+val set_count : stamps -> int -> int -> unit
 
 (** [vec_array a n] is a [Bitvec.t array] of capacity >= [n] whose first
     [n] slots hold a shared zero-width dummy vector. *)
@@ -67,4 +92,6 @@ val alloc_full : t option -> int -> Bitvec.t
 val alloc_copy : t option -> Bitvec.t -> Bitvec.t
 val alloc_int : t option -> int -> int array
 val alloc_bool : t option -> int -> bool array
+val alloc_raw_int : t option -> int -> int array
+val alloc_stamps : t option -> int -> stamps
 val alloc_vec : t option -> int -> Bitvec.t array

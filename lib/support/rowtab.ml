@@ -184,7 +184,7 @@ let index row x = index_from row x 0
 
 type queue = {
   buf : int array;
-  queued : bool array;
+  queued : Arena.stamps;
   cap : int;
   mutable head : int;
   mutable tail : int;
@@ -192,11 +192,11 @@ type queue = {
 
 let queue work bound =
   let cap = bound + 1 in
-  { buf = Arena.alloc_int work cap; queued = Arena.alloc_bool work (max 1 bound); cap; head = 0; tail = 0 }
+  { buf = Arena.alloc_raw_int work cap; queued = Arena.alloc_stamps work (max 1 bound); cap; head = 0; tail = 0 }
 
 let push q l =
-  if not (Array.unsafe_get q.queued l) then begin
-    q.queued.(l) <- true;
+  if not (Arena.is_set q.queued l) then begin
+    Arena.set q.queued l;
     q.buf.(q.tail) <- l;
     q.tail <- (if q.tail + 1 = q.cap then 0 else q.tail + 1)
   end
@@ -206,27 +206,27 @@ let is_empty q = q.head = q.tail
 let pop q =
   let l = q.buf.(q.head) in
   q.head <- (if q.head + 1 = q.cap then 0 else q.head + 1);
-  q.queued.(l) <- false;
+  Arena.clear q.queued l;
   l
 
 type lifts = {
   stack : int array;
-  on_stack : bool array;
+  on_stack : Arena.stamps;
   mutable nstack : int;
   mask : int array;
 }
 
 let lifts work bound nw =
   {
-    stack = Arena.alloc_int work (max 1 bound);
-    on_stack = Arena.alloc_bool work (max 1 bound);
+    stack = Arena.alloc_raw_int work (max 1 bound);
+    on_stack = Arena.alloc_stamps work (max 1 bound);
     nstack = 0;
     mask = Arena.alloc_int work (max 1 nw);
   }
 
 let note lf l =
-  if not lf.on_stack.(l) then begin
-    lf.on_stack.(l) <- true;
+  if not (Arena.is_set lf.on_stack l) then begin
+    Arena.set lf.on_stack l;
     lf.stack.(lf.nstack) <- l;
     lf.nstack <- lf.nstack + 1
   end
@@ -236,6 +236,6 @@ let next_lifted lf =
   else begin
     lf.nstack <- lf.nstack - 1;
     let l = lf.stack.(lf.nstack) in
-    lf.on_stack.(l) <- false;
+    Arena.clear lf.on_stack l;
     l
   end

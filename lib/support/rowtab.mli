@@ -125,7 +125,7 @@ val pop : queue -> int
 
 type lifts = {
   stack : int array;
-  on_stack : bool array;
+  on_stack : Arena.stamps;
   mutable nstack : int;
   mask : int array;
 }

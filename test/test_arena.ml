@@ -247,9 +247,29 @@ let test_clean_across_domains () =
   List.iter Domain.join domains;
   Alcotest.(check int) "no stale state on any domain" 0 (Atomic.get failures)
 
+(* Stamps: whatever earlier checkouts set or counted — in cells of any
+   bucket, reset or not in between — a fresh checkout sees no cell set
+   and every count 0, and a count reads back what was stored. *)
+let prop_stamps_fresh =
+  QCheck2.Test.make ~name:"a stamps checkout sees no earlier mark" ~count:300
+    QCheck2.Gen.(triple (1 -- 200) (1 -- 200) (list_size (1 -- 40) (pair (0 -- 10_000) (0 -- 50))))
+    (fun (n1, n2, marks) ->
+      let a = Arena.create () in
+      let s1 = Arena.stamps_of a n1 in
+      List.iter (fun (i, c) -> if c = 0 then Arena.set s1 (i mod n1) else Arena.set_count s1 (i mod n1) c) marks;
+      let s2 = Arena.stamps_of a n2 in
+      let clean s n = List.for_all (fun i -> (not (Arena.is_set s i)) && Arena.count s i = 0) (List.init n Fun.id) in
+      let before_reset = clean s2 n2 in
+      List.iter (fun (i, c) -> Arena.set_count s2 (i mod n2) (c + 1)) marks;
+      let counted = List.for_all (fun (i, _) -> Arena.count s2 (i mod n2) > 0) marks in
+      Arena.reset a;
+      let s3 = Arena.stamps_of a (max n1 n2) in
+      before_reset && counted && clean s3 (max n1 n2))
+
 let suite =
   [
     qtest prop_clean_after_dirty_reset;
+    qtest prop_stamps_fresh;
     qtest prop_recycled_equals_fresh;
     qtest prop_steady_state_no_misses;
     qtest prop_clean_after_panic;

@@ -23,9 +23,6 @@ module Expr_pool = Lcm_ir.Expr_pool
 
 let instr s = Lcm_cfg.Cfg_text.parse_instr_line s
 
-let same_sets a b =
-  List.length a = List.length b && List.for_all2 (fun (k, v) (k', v') -> k = k' && Bitvec.equal v v') a b
-
 (* A memo-free copy of [g]: re-read from its text, it shares no block
    record (and so no memoised text, rewrite or escape) with [g]. *)
 let reread g = Lcm_cfg.Cfg_text.parse (Cfg.to_string g)
@@ -50,23 +47,49 @@ let transformed g (a : Lcm_edge.analysis) =
   else if not (String.equal (Cfg.to_json out) (escaped text)) then Error "escaped program"
   else Ok (out, text)
 
+(* The rank of each of [a]'s bits: its position in the graph's
+   first-occurrence order among the live bits, -1 for a dead bit. *)
+let rank_of (a : Lcm_edge.analysis) i = match a.Lcm_edge.ranked with None -> i | Some (rank, _) -> rank.(i)
+
+(* [a]'s vector [v] against [b]'s [w], bit [i] of [v] against bit
+   [rank_of a i] of [w]: equal on every live bit and, with [dead_clear],
+   clear on every dead one. *)
+let same_ranked ?(dead_clear = false) a v w =
+  let live = ref 0 and ok = ref true in
+  for i = 0 to Bitvec.length v - 1 do
+    let r = rank_of a i in
+    if r >= 0 then begin
+      incr live;
+      if r >= Bitvec.length w || Bitvec.get v i <> Bitvec.get w r then ok := false
+    end
+    else if dead_clear && Bitvec.get v i then ok := false
+  done;
+  !ok && !live = Bitvec.length w
+
+let same_sets a xs ys =
+  List.length xs = List.length ys
+  && List.for_all2 (fun (k, v) (k', w) -> k = k' && same_ranked ~dead_clear:true a v w) xs ys
+
 (* [None] when [a] (incremental, on the patched graph [g]) and [b] (from
-   scratch) agree on every row and set; else what differs. *)
+   scratch) agree on every row and set, bit for bit once [a]'s bits are
+   mapped to their ranks, with [a]'s dead bits clear in ANTLOC, COMP and
+   the sets; else what differs. *)
 let difference g (a : Lcm_edge.analysis) (b : Lcm_edge.analysis) =
-  let row what f f' =
+  let row ?dead_clear what f f' =
     List.find_map
-      (fun l -> if Bitvec.equal (f l) (f' l) then None else Some (Printf.sprintf "%s at B%d" what l))
+      (fun l -> if same_ranked ?dead_clear a (f l) (f' l) then None else Some (Printf.sprintf "%s at B%d" what l))
       (Cfg.labels g)
   in
   let edge what f f' =
     List.find_map
-      (fun (p, s) -> if Bitvec.equal (f (p, s)) (f' (p, s)) then None else Some (Printf.sprintf "%s on B%d->B%d" what p s))
+      (fun (p, s) ->
+        if same_ranked a (f (p, s)) (f' (p, s)) then None else Some (Printf.sprintf "%s on B%d->B%d" what p s))
       (Cfg.edges g)
   in
   let ( >>? ) x k = match x with Some _ -> x | None -> k () in
   let local f (x : Lcm_edge.analysis) = f x.Lcm_edge.local in
-  row "ANTLOC" (local Local.antloc a) (local Local.antloc b) >>? fun () ->
-  row "COMP" (local Local.comp a) (local Local.comp b) >>? fun () ->
+  row ~dead_clear:true "ANTLOC" (local Local.antloc a) (local Local.antloc b) >>? fun () ->
+  row ~dead_clear:true "COMP" (local Local.comp a) (local Local.comp b) >>? fun () ->
   row "TRANSP" (local Local.transp a) (local Local.transp b) >>? fun () ->
   row "AVIN" a.Lcm_edge.avail.Avail.avin b.Lcm_edge.avail.Avail.avin >>? fun () ->
   row "AVOUT" a.Lcm_edge.avail.Avail.avout b.Lcm_edge.avail.Avail.avout >>? fun () ->
@@ -75,11 +98,11 @@ let difference g (a : Lcm_edge.analysis) (b : Lcm_edge.analysis) =
   edge "EARLIEST" a.Lcm_edge.earliest b.Lcm_edge.earliest >>? fun () ->
   row "LATERIN" a.Lcm_edge.laterin b.Lcm_edge.laterin >>? fun () ->
   edge "LATER" a.Lcm_edge.later b.Lcm_edge.later >>? fun () ->
-  (if same_sets a.Lcm_edge.insert b.Lcm_edge.insert then None else Some "INSERT") >>? fun () ->
-  (if same_sets a.Lcm_edge.delete b.Lcm_edge.delete then None else Some "DELETE") >>? fun () ->
+  (if same_sets a a.Lcm_edge.insert b.Lcm_edge.insert then None else Some "INSERT") >>? fun () ->
+  (if same_sets a a.Lcm_edge.delete b.Lcm_edge.delete then None else Some "DELETE") >>? fun () ->
   (* COPY is where the temporaries' liveness shows: its restart is right
      when the copies it decides are. *)
-  if same_sets a.Lcm_edge.copy b.Lcm_edge.copy then None else Some "COPY (temp liveness)"
+  if same_sets a a.Lcm_edge.copy b.Lcm_edge.copy then None else Some "COPY (temp liveness)"
 
 (* ---- random deltas ---- *)
 
@@ -91,8 +114,19 @@ type kind =
   | Strand_exit  (** every edge into the exit becomes a self-loop: the exit is unreachable *)
   | Restore  (** put back a terminator replaced earlier: reachable again *)
   | New_block  (** [Add_block] wired in by a [Set_term] of the same delta *)
+  | Fresh_expr  (** compute an expression the pool lacks, anywhere in any block: a bit is appended *)
+  | Drop_last  (** remove an expression's only occurrence: its bit dies *)
+  | Readd_dead  (** compute again an expression dropped earlier: its bit lives again *)
+  | Reorder  (** compute an expression before its first occurrence, past others' *)
+  | Write_new_name  (** assign a variable no block mentions *)
+  | Read_new_name  (** compute an expression over a variable no block mentions *)
+  | Read_written_name  (** compute an expression over a variable only an earlier delta wrote *)
 
-let kinds = [| Add_computation; Remove_computation; Kill_only; Retarget; Strand_exit; Restore; New_block |]
+let kinds =
+  [|
+    Add_computation; Remove_computation; Kill_only; Retarget; Strand_exit; Restore; New_block; Fresh_expr; Drop_last;
+    Readd_dead; Reorder; Write_new_name; Read_new_name; Read_written_name;
+  |]
 
 let kind_name = function
   | Add_computation -> "add computation"
@@ -102,6 +136,21 @@ let kind_name = function
   | Strand_exit -> "strand exit"
   | Restore -> "restore"
   | New_block -> "new block"
+  | Fresh_expr -> "fresh expression"
+  | Drop_last -> "drop last occurrence"
+  | Readd_dead -> "re-add dead expression"
+  | Reorder -> "reorder first occurrences"
+  | Write_new_name -> "write a new name"
+  | Read_new_name -> "read a new name"
+  | Read_written_name -> "read a name a delta wrote"
+
+(* What earlier deltas of a chain left for later ones to build on. *)
+type history = {
+  mutable replaced : (Label.t * Cfg.terminator) list list;  (** terminators replaced earlier *)
+  mutable dropped : Expr.t list;  (** expressions whose only occurrence a delta removed *)
+  mutable written : string list;  (** names only deltas wrote *)
+  mutable fresh : int;  (** a counter for new names and constants *)
+}
 
 let candidates g =
   List.concat_map (fun l -> List.filter_map Instr.candidate (Cfg.instrs g l)) (Cfg.labels g)
@@ -113,12 +162,25 @@ let pick rng = function
 let interior g = List.filter (fun l -> l <> Cfg.entry g && l <> Cfg.exit_label g) (Cfg.labels g)
 let gotos g = List.filter (fun l -> match Cfg.term g l with Cfg.Goto _ -> true | _ -> false) (Cfg.labels g)
 
+let insert_at rng body i =
+  let k = Prng.int rng (List.length body + 1) in
+  List.filteri (fun j _ -> j < k) body @ (i :: List.filteri (fun j _ -> j >= k) body)
+
+let fresh_name h stem =
+  h.fresh <- h.fresh + 1;
+  Printf.sprintf "%s%d" stem h.fresh
+
+(* The first block computing [e], in label order. *)
+let first_block g e =
+  List.find_opt (fun l -> List.exists (fun i -> Instr.candidate i = Some e) (Cfg.instrs g l)) (Cfg.labels g)
+
 (* One delta of the given kind on [g], or [None] when [g] offers nothing
-   to edit that way.  [replaced] holds terminators earlier deltas
-   replaced.  Patch validation keeps every block but the exit reachable,
-   so the exit is the block whose reachability flips. *)
-let random_delta rng g replaced kind =
+   to edit that way.  Patch validation keeps every block but the exit
+   reachable, so the exit is the block whose reachability flips. *)
+let random_delta rng g h kind =
   let targets = List.filter (fun l -> l <> Cfg.entry g) (Cfg.labels g) in
+  let operands () = List.concat_map (fun e -> Instr.uses (Instr.Assign ("_", e))) (candidates g) in
+  let compute_in l e = [ Patch.Set_instrs (l, insert_at rng (Cfg.instrs g l) (Instr.Assign (fresh_name h "zc", e))) ] in
   match kind with
   | Add_computation ->
     Option.bind (pick rng (candidates g)) (fun e ->
@@ -138,13 +200,9 @@ let random_delta rng g replaced kind =
         [ Patch.Set_instrs (l, drop (Cfg.instrs g l)) ])
       (pick rng (List.filter removable (Cfg.labels g)))
   | Kill_only ->
-    let operands = List.concat_map (fun e -> Instr.uses (Instr.Assign ("_", e))) (candidates g) in
-    Option.bind (pick rng operands) (fun v ->
+    Option.bind (pick rng (operands ())) (fun v ->
         Option.map
-          (fun l ->
-            let body = Cfg.instrs g l in
-            let k = Prng.int rng (List.length body + 1) in
-            [ Patch.Set_instrs (l, List.filteri (fun i _ -> i < k) body @ (instr (v ^ " := 7") :: List.filteri (fun i _ -> i >= k) body)) ])
+          (fun l -> [ Patch.Set_instrs (l, insert_at rng (Cfg.instrs g l) (instr (v ^ " := 7"))) ])
           (pick rng (Cfg.labels g)))
   | Retarget ->
     Option.bind (pick rng (gotos g)) (fun l ->
@@ -166,9 +224,9 @@ let random_delta rng g replaced kind =
                  | Cfg.Halt -> Cfg.Halt ))
            preds))
   | Restore ->
-    (match !replaced with
+    (match h.replaced with
     | terms :: rest ->
-      replaced := rest;
+      h.replaced <- rest;
       Some (List.map (fun (l, term) -> Patch.Set_term (l, term)) terms)
     | [] -> None)
   | New_block ->
@@ -181,6 +239,77 @@ let random_delta rng g replaced kind =
                   Patch.Set_term (from, Cfg.Goto (Cfg.label_bound g));
                 ])
               (pick rng targets)))
+  | Fresh_expr ->
+    Option.bind (pick rng (operands ())) (fun v ->
+        let e = Expr.Binary (Expr.Mul, Expr.Var v, Expr.Const (1000 + h.fresh)) in
+        Option.map (fun l -> compute_in l e) (pick rng (Cfg.labels g)))
+  | Drop_last ->
+    let all = candidates g in
+    let once e = List.length (List.filter (Expr.equal e) all) = 1 in
+    Option.bind (pick rng (List.filter once all)) (fun e ->
+        Option.map
+          (fun l ->
+            h.dropped <- e :: h.dropped;
+            [ Patch.Set_instrs (l, List.filter (fun i -> Instr.candidate i <> Some e) (Cfg.instrs g l)) ])
+          (first_block g e))
+  | Readd_dead ->
+    let all = candidates g in
+    Option.bind (pick rng (List.filter (fun e -> not (List.exists (Expr.equal e) all)) h.dropped)) (fun e ->
+        Option.map (fun l -> compute_in l e) (pick rng (Cfg.labels g)))
+  | Reorder ->
+    Option.bind (pick rng (candidates g)) (fun e ->
+        Option.bind (first_block g e) (fun b ->
+            Option.map (fun l -> compute_in l e) (pick rng (List.filter (fun l -> l < b) (Cfg.labels g)))))
+  | Write_new_name ->
+    Option.map
+      (fun l ->
+        let v = fresh_name h "zw" in
+        h.written <- v :: h.written;
+        [ Patch.Set_instrs (l, insert_at rng (Cfg.instrs g l) (instr (v ^ " := 5"))) ])
+      (pick rng (Cfg.labels g))
+  | Read_new_name ->
+    let e = Expr.Binary (Expr.Add, Expr.Var (fresh_name h "zn"), Expr.Const 3) in
+    Option.map (fun l -> compute_in l e) (pick rng (Cfg.labels g))
+  | Read_written_name ->
+    Option.bind (pick rng h.written) (fun v ->
+        let e = Expr.Binary (Expr.Mul, Expr.Var v, Expr.Const (2000 + h.fresh)) in
+        Option.map (fun l -> compute_in l e) (pick rng (Cfg.labels g)))
+
+(* Whether every block of [g] reaches its exit. *)
+let all_reach_exit g =
+  let seen = Hashtbl.create 16 in
+  let rec visit l =
+    if not (Hashtbl.mem seen l) then begin
+      Hashtbl.add seen l ();
+      List.iter visit (Cfg.predecessors g l)
+    end
+  in
+  visit (Cfg.exit_label g);
+  Hashtbl.length seen = Cfg.num_blocks g
+
+(* The names a capture's numbering holds: those of the graph it was last
+   solved from scratch on (a restart keeps the numbering's table). *)
+let numbered g =
+  let nb = Cfg.numbering g in
+  fun v -> Cfg.numbering_var nb v >= 0
+
+(* Whether a restart may refuse the patch from [g] to [g'] ([edits])
+   whose capture numbers [pool] and the names [known]: only when the
+   patch adds a candidate that reads a name [known] lacks, or adds one and
+   also edits the shape, outgrows the rows' width in words, or meets a
+   block that cannot reach the exit. *)
+let may_refuse ~known pool g g' edits =
+  let added =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun e -> if Option.is_none (Expr_pool.index pool e) then Some (Expr.canonical e) else None)
+         (candidates g'))
+  in
+  added <> []
+  && (List.exists (fun e -> List.exists (fun v -> not (known v)) (Instr.uses (Instr.Assign ("_", e)))) added
+     || List.exists (function Patch.Set_term _ | Patch.Add_block _ -> true | Patch.Set_instrs _ -> false) edits
+     || Bitvec.words_for (Expr_pool.size pool + List.length added) > Bitvec.words_for (Expr_pool.size pool)
+     || not (all_reach_exit g))
 
 (* ---- the chain ---- *)
 
@@ -194,10 +323,14 @@ let fail fmt = Printf.ksprintf QCheck2.Test.fail_report fmt
    whose unchanged blocks are the previous rounds' records, so their
    rewrites come from the memo; each round's transformed graph is kept and
    must still print the same bytes at the end of the chain. *)
+(* Deltas that changed the candidate pool (added or dropped an
+   expression) and still restarted incrementally, over every chain run. *)
+let pool_restarts = ref 0
+
 let chain ~seed ~rounds g0 =
   let rng = Prng.of_int seed in
   let arena = Arena.create () in
-  let replaced = ref [] in
+  let h = { replaced = []; dropped = []; written = []; fresh = 0 } in
   let outputs = ref [] in
   let keep_output what g a =
     match transformed g a with
@@ -222,7 +355,7 @@ let chain ~seed ~rounds g0 =
     Arena.reset arena;
     match d with Some d -> fail "%s: capture differs from scratch (%s)" what d | None -> ()
   in
-  let rec go round g saved =
+  let rec go round g saved known =
     if round >= rounds then begin
       check_capture g saved "end of chain";
       check_outputs ();
@@ -235,7 +368,7 @@ let chain ~seed ~rounds g0 =
       | exception Patch.Error _ -> ()
       | _ -> ignore (fail "halting interior block accepted"));
       check_capture g saved "after a failed patch";
-      go (round + 1) g saved
+      go (round + 1) g saved known
     end
     else begin
       let kind = kinds.(Prng.int rng (Array.length kinds)) in
@@ -244,7 +377,7 @@ let chain ~seed ~rounds g0 =
       let rec attempt tries =
         if tries = 0 then None
         else
-          match random_delta rng g replaced kind with
+          match random_delta rng g h kind with
           | None -> None
           | Some edits ->
             let g' = Cfg.copy g in
@@ -256,29 +389,24 @@ let chain ~seed ~rounds g0 =
                   (function Patch.Set_term (l, _) when Cfg.mem g l -> Some (l, Cfg.term g l) | _ -> None)
                   edits
               in
-              if kind <> Restore && old_terms <> [] then replaced := old_terms :: !replaced;
-              Some (g', dirty))
+              if kind <> Restore && old_terms <> [] then h.replaced <- old_terms :: h.replaced;
+              Some (g', edits, dirty))
       in
       match attempt 4 with
-      | None -> go (round + 1) g saved
-      | Some (g', dirty) ->
-        (* The pool check must take the full path exactly when the pool
-           changed. *)
-        let same_pool =
-          List.equal
-            (fun (i, e) (j, f) -> i = j && Expr.equal e f)
-            (Expr_pool.to_list (Cfg.candidate_pool (Cfg.copy g')))
-            (Expr_pool.to_list (Lcm_edge.saved_pool saved))
-        in
-        let a, saved' =
+      | None -> go (round + 1) g saved known
+      | Some (g', edits, dirty) ->
+        let pool = Lcm_edge.saved_pool saved in
+        let a, saved', known' =
           match Lcm_edge.analyze_incr ~scratch:arena g' ~prev:saved ~dirty with
           | Some (a, saved', region) ->
-            if not same_pool then fail "%s: incremental path on a changed pool" (kind_name kind);
             if region > Cfg.label_bound g' then fail "%s: %d changed rows" (kind_name kind) region;
-            (a, saved')
+            if Option.is_some a.Lcm_edge.ranked || Expr_pool.size (Lcm_edge.saved_pool saved') <> Expr_pool.size pool
+            then incr pool_restarts;
+            (a, saved', known)
           | None ->
-            if same_pool then fail "%s: full path on an unchanged pool" (kind_name kind);
-            Lcm_edge.analyze_keep ~scratch:arena g'
+            if not (may_refuse ~known pool g g' edits) then fail "%s: full path on an admissible patch" (kind_name kind);
+            let a, saved' = Lcm_edge.analyze_keep ~scratch:arena g' in
+            (a, saved', numbered g')
         in
         let full, _ = Lcm_edge.analyze_keep (Cfg.copy g') in
         (match difference g' a full with
@@ -288,13 +416,13 @@ let chain ~seed ~rounds g0 =
         Arena.reset arena;
         if round = 5 then begin
           check_capture g saved "after a discarded solve";
-          go (round + 1) g saved
+          go (round + 1) g saved known
         end
-        else go (round + 1) g' saved'
+        else go (round + 1) g' saved' known'
     end
   in
   let _, saved = Lcm_edge.analyze_keep g0 in
-  go 0 g0 saved
+  go 0 g0 saved (numbered g0)
 
 let prop_chain =
   QCheck2.Test.make ~name:"analyze_incr chains ≡ analyze_keep (random CFGs, every edit kind)" ~count:60
@@ -302,14 +430,17 @@ let prop_chain =
       let rng = Prng.of_int (seed + 4242) in
       let num_blocks = Prng.int_in rng 4 30 in
       let g = Gencfg.random_cfg ~params:{ Gencfg.default_cfg_params with num_blocks } rng in
-      chain ~seed ~rounds:12 g)
+      chain ~seed ~rounds:16 g)
 
 (* Every Bril corpus function, one chain each: real programs, with more
    candidates than the random graphs. *)
 let test_chain_bril () =
+  let before = !pool_restarts in
   List.iteri
-    (fun i (name, g) -> Alcotest.(check bool) name true (chain ~seed:(97 * i) ~rounds:10 g))
-    (Test_solver.bril_corpus ())
+    (fun i (name, g) -> Alcotest.(check bool) name true (chain ~seed:(97 * i) ~rounds:14 g))
+    (Test_solver.bril_corpus ());
+  if !pool_restarts - before < 10 then
+    Alcotest.failf "only %d pool-changing deltas restarted incrementally" (!pool_restarts - before)
 
 (* B3 deletes [a + b] (B2 computed it) and, after killing [a], copies its
    recomputation into the temporary for B4.  Once B4 no longer uses it,
@@ -330,7 +461,7 @@ let test_memo_keyed_by_copies () =
   let a' =
     match Lcm_edge.analyze_incr g' ~prev:saved ~dirty with
     | Some (a', _, _) -> a'
-    | None -> Alcotest.fail "the pool changed"
+    | None -> Alcotest.fail "the restart refused the capture"
   in
   let set sets = Option.map Bitvec.to_list (List.assoc_opt 3 sets) in
   Alcotest.(check (option (list int))) "B3 still deletes" (set a.Lcm_edge.delete) (set a'.Lcm_edge.delete);
@@ -358,7 +489,7 @@ let test_restart_visits () =
         let a =
           match Lcm_edge.analyze_incr g' ~prev:saved ~dirty with
           | Some (a, _, _) -> a
-          | None -> Alcotest.failf "B%d: the pool changed" l
+          | None -> Alcotest.failf "B%d: the restart refused the capture" l
         in
         let full = Lcm_edge.analyze (reread g') in
         Alcotest.(check (option string)) (Printf.sprintf "B%d: same analysis" l) None (difference g' a full);
@@ -401,7 +532,7 @@ let test_delta_alloc_o_change () =
     let run () =
       (match Lcm_edge.analyze_incr ~scratch:arena g' ~prev:saved ~dirty with
       | Some (_, _, region) -> if region <> 0 then Alcotest.failf "%d blocks: the delta moved %d rows" blocks region
-      | None -> Alcotest.failf "%d blocks: the pool changed" blocks);
+      | None -> Alcotest.failf "%d blocks: the restart refused the capture" blocks);
       Arena.reset arena
     in
     for _ = 1 to 5 do

@@ -308,9 +308,10 @@ let retain_frame ?(validate = false) program =
   Printf.sprintf "{\"id\":1,\"op\":\"run\",\"retain\":true,\"validate\":%b,\"program\":%s}" validate
     (Json.to_string (Json.String program))
 
-let delta_frame ~handle instrs =
-  Printf.sprintf "{\"id\":2,\"op\":\"delta\",\"handle\":%S,\"edits\":[{\"block\":\"B2\",\"instrs\":[%s]}]}"
-    handle
+let delta_frame ?(validate = false) ~handle instrs =
+  Printf.sprintf
+    "{\"id\":2,\"op\":\"delta\",\"handle\":%S,\"validate\":%b,\"edits\":[{\"block\":\"B2\",\"instrs\":[%s]}]}"
+    handle validate
     (String.concat "," (List.map (fun i -> Json.to_string (Json.String i)) instrs))
 
 let expect_ok what resp =
@@ -328,7 +329,7 @@ let retain cfg program =
   | Some h -> h
   | None -> Alcotest.fail "retain response carries no handle"
 
-let delta cfg ~handle instrs = expect_ok "delta" (exec cfg (delta_frame ~handle instrs))
+let delta ?validate cfg ~handle instrs = expect_ok "delta" (exec cfg (delta_frame ?validate ~handle instrs))
 
 (* The central durability property: replaying the journal rebuilds the
    exact handle state.  Exercised as qcheck over random delta histories —
@@ -410,6 +411,40 @@ let prop_recovery_torn_tail =
       | Some pa, Some pb -> QCheck2.Test.fail_reportf "programs differ:\n%s\n----\n%s" pa pb
       | _ -> QCheck2.Test.fail_report "probe delta failed")
 
+(* A patch log whose every edit changes the candidate pool — an
+   expression added, one dropped with the body that held its only
+   occurrence, a dropped one added back, new expressions written to
+   names the graph never mentions — restarts incrementally live and on
+   replay: neither engine ticks [delta.full_total], the live deltas pass
+   the engine's check against a from-scratch solve ([validate:true]), and
+   the recovered handle's next delta answers what the uninterrupted
+   engine answers. *)
+let recovery_pool_changes () =
+  let dir = fresh_dir "lcm-pool" in
+  let live = engine_cfg dir in
+  let full cfg = Stats.counter_value cfg.Engine.stats "delta.full_total" in
+  let h = retain live diamond_text in
+  let history =
+    [
+      [ "x := a + b"; "y := a * 7" ];
+      [ "x := b - a" ];
+      [ "x := a * 7"; "z := a * b" ];
+      [ "x := a + b" ];
+      [ "z := b - a"; "w := a * b" ];
+    ]
+  in
+  List.iter (fun instrs -> ignore (delta ~validate:true live ~handle:h instrs)) history;
+  checki "live deltas restarted incrementally" 0 (full live);
+  let reborn = engine_cfg dir in
+  Engine.recover reborn;
+  checki "replayed deltas restarted incrementally" 0 (full reborn);
+  let probe = [ "x := a * b"; "probe := a * 9" ] in
+  let a = delta live ~handle:h probe and b = delta reborn ~handle:h probe in
+  let solve j = Option.map Json.to_string (Json.member "solve" j) in
+  checks "same program" (Option.get (str_field "program" a)) (Option.get (str_field "program" b));
+  Alcotest.(check (option string)) "same solve" (solve a) (solve b);
+  checki "probe restarted incrementally on both" 0 (full live + full reborn)
+
 let recovery_with_compaction () =
   (* A history long enough to compact twice must still rebuild exactly. *)
   let dir = fresh_dir "lcm-rc" in
@@ -480,6 +515,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_recovery_bit_identical;
     QCheck_alcotest.to_alcotest prop_recovery_torn_tail;
     Alcotest.test_case "recovery: survives compaction" `Quick recovery_with_compaction;
+    Alcotest.test_case "recovery: pool-changing patches replay incrementally" `Quick recovery_pool_changes;
     Alcotest.test_case "recovery: respects eviction" `Quick recovery_respects_eviction;
     Alcotest.test_case "recovery: handle ids stay unique" `Quick recovery_seq_monotonic;
   ]

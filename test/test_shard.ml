@@ -328,15 +328,46 @@ let incr_capture_reusable () =
   in
   ignore (apply_round (apply_round (apply_round s0)))
 
-let pool_change_falls_back () =
-  let g = diamond () in
-  let _, saved = Lcm_edge.analyze_keep g in
-  (* a brand-new expression (c * d) changes the candidate pool *)
-  let dirty =
-    Patch.apply g
-      [ Patch.Set_instrs (2, [ Cfg_text.parse_instr_line "x := c * d" ]) ]
-  in
-  checkb "inadmissible capture refused" true (Lcm_edge.analyze_incr g ~prev:saved ~dirty = None)
+(* A new expression over the graph's own names ([a * b]) appends a bit to
+   the capture's pool and restarts incrementally, with the bytes of a
+   from-scratch solve.  One over names the graph never mentions ([c * d]),
+   one that outgrows the rows' width in words (the diamond with one
+   word's worth of expressions), or one that comes to a graph where a
+   block cannot reach the exit falls back to the full solve. *)
+let new_expression_restarts () =
+  let g0 = diamond () in
+  let _, saved = Lcm_edge.analyze_keep g0 in
+  let edit g line = Patch.apply g [ Patch.Set_instrs (2, [ Cfg_text.parse_instr_line line ]) ] in
+  let g = Cfg.copy g0 in
+  let dirty = edit g "x := a * b" in
+  (match Lcm_edge.analyze_incr g ~prev:saved ~dirty with
+  | None -> Alcotest.fail "a new expression fell back to the full solve"
+  | Some (a, _, _) ->
+    check Alcotest.string "bytes of a from-scratch solve"
+      (program_of (Cfg_text.parse (Cfg.to_string g)))
+      (Cfg.to_string (fst (Transform.apply g (Lcm_edge.spec g a)))));
+  let g = Cfg.copy g0 in
+  let dirty = edit g "x := c * d" in
+  checkb "a new expression over unknown names falls back" true (Lcm_edge.analyze_incr g ~prev:saved ~dirty = None);
+  let word = Lcm_support.Bitvec.bits_per_word in
+  let wide = Cfg.copy g0 in
+  ignore
+    (Patch.apply wide
+       [ Patch.Set_instrs (3, List.init (word - 1) (fun i -> Cfg_text.parse_instr_line (Printf.sprintf "t%d := a * %d" i (i + 1)))) ]);
+  let wide = Cfg_text.parse (Cfg.to_string wide) in
+  let _, saved = Lcm_edge.analyze_keep wide in
+  checki "one word of expressions" word (Lcm_ir.Expr_pool.size (Lcm_edge.saved_pool saved));
+  let g = Cfg.copy wide in
+  let dirty = edit g "x := a - b" in
+  checkb "a pool outgrowing its row width falls back" true (Lcm_edge.analyze_incr g ~prev:saved ~dirty = None);
+  (* B3 loops forever: it anticipates an expression it never computes,
+     so the appended zero column is not the old fixpoint there. *)
+  let looping = Cfg.copy g0 in
+  ignore (Patch.apply looping [ Patch.Set_term (3, Cfg.Goto 3) ]);
+  let _, saved = Lcm_edge.analyze_keep looping in
+  let g = Cfg.copy looping in
+  let dirty = edit g "x := a * b" in
+  checkb "a block that cannot reach the exit falls back" true (Lcm_edge.analyze_incr g ~prev:saved ~dirty = None)
 
 (* ---- worker respawn backoff ---- *)
 
@@ -375,7 +406,8 @@ let suite =
     Alcotest.test_case "patch: stray halt rejected" `Quick patch_rejects_stray_halt;
     QCheck_alcotest.to_alcotest incr_equals_full;
     Alcotest.test_case "incremental: capture survives a delta stream" `Quick incr_capture_reusable;
-    Alcotest.test_case "incremental: pool change falls back to full" `Quick pool_change_falls_back;
+    Alcotest.test_case "incremental: a new expression restarts; unknown names or a row-width crossing fall back" `Quick
+      new_expression_restarts;
     Alcotest.test_case "router: respawn backoff 50 ms doubling to a 1 s cap" `Quick
       respawn_backoff_schedule;
   ]

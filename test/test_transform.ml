@@ -27,6 +27,7 @@ let base_spec g =
     Transform.algorithm = "test";
     pool;
     temp_names = Temps.names g pool;
+    rank = [||];
     edge_inserts = [];
     entry_inserts = [];
     exit_inserts = [];
